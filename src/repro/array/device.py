@@ -27,8 +27,7 @@ available for reporting.
 from __future__ import annotations
 
 import random
-from functools import partial
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.array.coordinator import WearCoordinator
 from repro.array.striping import StripingPolicy, make_striping
@@ -38,7 +37,7 @@ from repro.core.leveler import RequestClock
 from repro.flash.chip import FirstFailure
 from repro.flash.errors import PowerLossError
 from repro.ftl.base import DEFAULT_OP_RATIO, GC_FREE_FRACTION
-from repro.ftl.factory import StorageStack, _count_power_loss_pages, build_stack
+from repro.ftl.factory import StorageStack, build_stack
 from repro.obs.heatmap import WearHeatmap
 from repro.util.rng import make_rng, spawn_rng
 
@@ -101,41 +100,26 @@ class DeviceArray:
         # these lists never go stale.
         self._buffers: list[list[int]] = [[] for _ in self.shards]
         self._flashes = [shard.flash for shard in self.shards]
-        self._layers = [shard.layer for shard in self.shards]
-        # Per-shard single-page operations.  With no write interception
-        # these are the layers' own bound methods (the historical fast
-        # path, byte-identical dispatch); a shard whose leveler
-        # intercepts host I/O gets the interceptor bound in front, so
-        # every route to the shard — fused closure, single-page fast
-        # path, batched fallback — goes through the same front-end.
-        self._writers = []
-        self._readers = []
-        for shard in self.shards:
-            intercept = shard._intercept
-            if intercept is None:
-                self._writers.append(shard.layer.write)
-                self._readers.append(shard.layer.read)
-            else:
-                self._writers.append(partial(intercept.host_write, shard.layer))
-                self._readers.append(partial(intercept.host_read, shard.layer))
         # Fused dispatchers (repro.array.striping): the striping policy
-        # compiles its routing arithmetic around the shard page
-        # operations once, so replaying a request is a single closure
-        # call.  Bound as *instance* attributes they shadow the generic
-        # methods below, which remain the fallback for non-fusing
-        # policies and for batch shapes the closures delegate back
-        # (multi-page non-range sequences, e.g. lba-modulo wraps).
+        # compiles its routing arithmetic around the shards' own batch
+        # entry points once, so replaying a request is a single closure
+        # call that hands each touched shard its local range.  Every
+        # route to a shard goes through its ``write_pages``/``read_pages``,
+        # which knows whether the driver takes spans or a write
+        # interceptor sits in front.  Bound as *instance* attributes the
+        # closures shadow the generic methods below, which remain the
+        # fallback for non-fusing policies and for batch shapes the
+        # closures delegate back (multi-page non-range sequences, e.g.
+        # lba-modulo wraps).
+        self._write_ops = [shard.write_pages for shard in self.shards]
+        self._read_ops = [shard.read_pages for shard in self.shards]
         write_dispatch = striping.compile_pages_dispatch(
-            self._writers,
-            _count_power_loss_pages,
-            self.write_pages,
+            self._write_ops, self.write_pages
         )
         if write_dispatch is not None:
             self.write_pages = write_dispatch  # type: ignore[method-assign]
         read_dispatch = striping.compile_pages_dispatch(
-            self._readers,
-            _count_power_loss_pages,
-            self.read_pages,
+            self._read_ops, self.read_pages
         )
         if read_dispatch is not None:
             self.read_pages = read_dispatch  # type: ignore[method-assign]
@@ -237,55 +221,25 @@ class DeviceArray:
 
         Striping policies that can compile a fused dispatcher shadow
         this method with an instance-bound closure (see ``__init__``);
-        it then only serves the closure's fallback shapes.  Single-page
-        batches route once and call straight into the shard's driver —
-        identical to a 1-element batch through its write_pages (page
-        accounting included).
+        it then only serves the closure's fallback shapes.
         """
-        if len(lpns) == 1:
-            shard, local = self.striping.route(lpns[0])
-            try:
-                self._writers[shard](local)
-            except PowerLossError as exc:
-                _count_power_loss_pages(exc, 0)
-                raise
-            return 1
-        done = 0
-        buffers = self._buffers
-        shards = self.shards
-        try:
-            self.striping.route_batch(lpns, buffers)
-            for index, batch in enumerate(buffers):
-                if batch:
-                    done += shards[index].write_pages(batch)
-        except PowerLossError as exc:
-            _count_power_loss_pages(exc, done)
-            raise
-        finally:
-            for batch in buffers:
-                if batch:
-                    batch.clear()
-        return done
+        return self._dispatch(lpns, self._write_ops)
 
     def read_pages(self, lpns: Sequence[int]) -> int:
-        if len(lpns) == 1:
-            shard, local = self.striping.route(lpns[0])
-            try:
-                self._readers[shard](local)
-            except PowerLossError as exc:
-                _count_power_loss_pages(exc, 0)
-                raise
-            return 1
+        return self._dispatch(lpns, self._read_ops)
+
+    def _dispatch(
+        self, lpns: Sequence[int], span_ops: list[Callable[[Sequence[int]], int]]
+    ) -> int:
         done = 0
         buffers = self._buffers
-        shards = self.shards
         try:
             self.striping.route_batch(lpns, buffers)
             for index, batch in enumerate(buffers):
                 if batch:
-                    done += shards[index].read_pages(batch)
+                    done += span_ops[index](batch)
         except PowerLossError as exc:
-            _count_power_loss_pages(exc, done)
+            exc.pages_done += done
             raise
         finally:
             for batch in buffers:

@@ -101,8 +101,7 @@ class StripingPolicy(ABC):
 
     def compile_pages_dispatch(
         self,
-        page_ops: Sequence[Callable[[int], object]],
-        on_power_loss: Callable[[PowerLossError, int], None],
+        span_ops: Sequence[Callable[[Sequence[int]], int]],
         fallback: Callable[[Sequence[int]], int],
     ) -> Callable[[Sequence[int]], int] | None:
         """Compile a complete page-batch dispatcher for this policy.
@@ -111,17 +110,20 @@ class StripingPolicy(ABC):
         ``write_pages``/``read_pages`` body: contiguous ascending ranges
         (the engine's multi-page request shape) and single-element
         batches are served with the routing constants and per-shard
-        ``page_ops`` bound as locals — one call frame per request, no
-        policy method calls, no intermediate batches.  Anything else is
-        delegated to ``fallback`` (the generic buffered path).
+        ``span_ops`` bound as locals — one call frame per request, no
+        policy method calls, no intermediate batches.  Each touched shard
+        is handed its whole local range in one ``span_ops[shard](locals)
+        -> pages`` call.  Anything else is delegated to ``fallback`` (the
+        generic buffered path).
 
-        Spans are applied shard by shard in ascending index and
-        ascending local order — the same visit order as
-        :meth:`route_batch` feeding per-shard batches, which is what
-        keeps a compiled array bit-identical to the generic dispatcher.
-        On a :class:`PowerLossError` the closure reports the pages
-        completed before the loss through ``on_power_loss(exc, done)``
-        and re-raises.  Policies that cannot fuse return ``None``.
+        Shards are visited in ascending index, each with an ascending
+        local range — the same visit order as :meth:`route_batch` feeding
+        per-shard batches, which is what keeps a compiled array
+        bit-identical to the generic dispatcher.  On a
+        :class:`PowerLossError` the closure adds the pages completed on
+        *earlier* shards to the exception's ``pages_done`` (the failing
+        shard has already counted its own) and re-raises.  Policies that
+        cannot fuse return ``None``.
         """
         return None
 
@@ -176,14 +178,13 @@ class PageInterleaved(StripingPolicy):
 
     def compile_pages_dispatch(
         self,
-        page_ops: Sequence[Callable[[int], object]],
-        on_power_loss: Callable[[PowerLossError, int], None],
+        span_ops: Sequence[Callable[[Sequence[int]], int]],
         fallback: Callable[[Sequence[int]], int],
     ) -> Callable[[Sequence[int]], int] | None:
         shards = self.num_shards
         total = self.total_pages
         check = self.check
-        ops = tuple(page_ops)
+        ops = tuple(span_ops)
         if len(ops) != shards:
             raise ValueError(
                 f"{shards} shards but {len(ops)} page operations"
@@ -207,55 +208,27 @@ class PageInterleaved(StripingPolicy):
                 r0 = start - q0 * shards
                 n = stop - start
                 done = 0
-                if n <= shards:
-                    # Tiny span: at most one page per shard, so the
-                    # count division and local range disappear; still
-                    # visited in ascending shard order.
-                    try:
-                        for shard in range(shards):
-                            offset = shard - r0
-                            if offset < 0:
-                                if offset + shards >= n:
-                                    continue
-                                ops[shard](q0 + 1)
-                            else:
-                                if offset >= n:
-                                    continue
-                                ops[shard](q0)
-                            done += 1
-                    except PowerLossError as exc:
-                        on_power_loss(exc, done)
-                        raise
-                    return done
-                for shard in range(shards):
-                    offset = shard - r0
-                    if offset < 0:
-                        offset += shards
-                        lo = q0 + 1
-                    else:
-                        lo = q0
-                    if offset >= n:
-                        continue
-                    count = (n - 1 - offset) // shards + 1
-                    op = ops[shard]
-                    try:
-                        for local in range(lo, lo + count):
-                            op(local)
-                    except PowerLossError as exc:
-                        on_power_loss(exc, done + local - lo)
-                        raise
-                    done += count
+                try:
+                    for shard in range(shards):
+                        offset = shard - r0
+                        if offset < 0:
+                            offset += shards
+                            lo = q0 + 1
+                        else:
+                            lo = q0
+                        if offset >= n:
+                            continue
+                        count = (n - 1 - offset) // shards + 1
+                        done += ops[shard](range(lo, lo + count))
+                except PowerLossError as exc:
+                    exc.pages_done += done
+                    raise
                 return done
             if len(lpns) == 1:
                 lpn = lpns[0]
                 if not 0 <= lpn < total:
                     check(lpn)
-                try:
-                    ops[lpn % shards](lpn // shards)
-                except PowerLossError as exc:
-                    on_power_loss(exc, 0)
-                    raise
-                return 1
+                return ops[lpn % shards]((lpn // shards,))
             return fallback(lpns)
 
         return dispatch
@@ -309,14 +282,13 @@ class ContiguousRange(StripingPolicy):
 
     def compile_pages_dispatch(
         self,
-        page_ops: Sequence[Callable[[int], object]],
-        on_power_loss: Callable[[PowerLossError, int], None],
+        span_ops: Sequence[Callable[[Sequence[int]], int]],
         fallback: Callable[[Sequence[int]], int],
     ) -> Callable[[Sequence[int]], int] | None:
         per_shard = self.pages_per_shard
         total = self.total_pages
         check = self.check
-        ops = tuple(page_ops)
+        ops = tuple(span_ops)
         if len(ops) != self.num_shards:
             raise ValueError(
                 f"{self.num_shards} shards but {len(ops)} page operations"
@@ -331,30 +303,22 @@ class ContiguousRange(StripingPolicy):
                 if stop > total:
                     check(stop - 1)
                 done = 0
-                for shard in range(start // per_shard,
-                                   (stop - 1) // per_shard + 1):
-                    base = shard * per_shard
-                    lo = start - base if start > base else 0
-                    hi = stop - base if stop - base < per_shard else per_shard
-                    op = ops[shard]
-                    try:
-                        for local in range(lo, hi):
-                            op(local)
-                    except PowerLossError as exc:
-                        on_power_loss(exc, done + local - lo)
-                        raise
-                    done += hi - lo
+                try:
+                    for shard in range(start // per_shard,
+                                       (stop - 1) // per_shard + 1):
+                        base = shard * per_shard
+                        lo = start - base if start > base else 0
+                        hi = stop - base if stop - base < per_shard else per_shard
+                        done += ops[shard](range(lo, hi))
+                except PowerLossError as exc:
+                    exc.pages_done += done
+                    raise
                 return done
             if len(lpns) == 1:
                 lpn = lpns[0]
                 if not 0 <= lpn < total:
                     check(lpn)
-                try:
-                    ops[lpn // per_shard](lpn % per_shard)
-                except PowerLossError as exc:
-                    on_power_loss(exc, 0)
-                    raise
-                return 1
+                return ops[lpn // per_shard]((lpn % per_shard,))
             return fallback(lpns)
 
         return dispatch

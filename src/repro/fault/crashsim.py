@@ -239,6 +239,7 @@ class CrashConsistencyHarness:
                 restored = leveler.restore(store)
         stack.layer = layer
         stack.leveler = leveler
+        stack.__post_init__()  # re-resolve the page entry points
         return layer, leveler, restored, recovered
 
     def _check_invariants(

@@ -22,7 +22,7 @@ storing user bytes.  Tests that verify end-to-end data integrity enable
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -45,6 +45,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 PAGE_FREE = 0
 PAGE_VALID = 1
 PAGE_INVALID = 2
+
+_VALID = bytes([PAGE_VALID])
 
 _STATE_NAMES = {PAGE_FREE: "free", PAGE_VALID: "valid", PAGE_INVALID: "invalid"}
 
@@ -288,6 +290,98 @@ class NandFlash:
             )
         self._states[index] = PAGE_INVALID
 
+    # ------------------------------------------------------------------
+    # Span primitives (DESIGN.md 5j)
+    # ------------------------------------------------------------------
+    # Each does the work of a run of per-page calls at once and returns
+    # ``True``, or changes nothing and returns ``False`` — because an
+    # attachment must see every page (:meth:`_watched`) or because the
+    # per-page call would raise somewhere in the run.  The caller then
+    # issues the per-page calls, so hooks fire and errors surface exactly
+    # where they always did.
+    def _watched(self, kinds: int) -> bool:
+        """``True`` when something attached must see each page operation.
+
+        A fault injector draws per operation, payloads travel per page,
+        sequential-program enforcement inspects each page's predecessor,
+        and a bus subscriber interested in ``kinds`` wants one event per
+        operation.  A pull-mode collector leaves the mask bits clear.
+        """
+        obs = self._obs
+        return (
+            self._injector is not None
+            or self.store_data
+            or self.enforce_sequential_program
+            or (obs is not None and bool(obs.mask & kinds))
+        )
+
+    def _free_run(self, block: int, first_page: int, count: int) -> int:
+        """Page index of an in-range, entirely free run; -1 otherwise."""
+        if not (
+            0 <= first_page
+            and first_page + count <= self._ppb
+            and 0 <= block < self._num_blocks
+        ):
+            return -1
+        start = block * self._ppb + first_page
+        if self._states.count(PAGE_FREE, start, start + count) != count:
+            return -1
+        return start
+
+    def program_span(self, block: int, first_page: int, lbas: Sequence[int]) -> bool:
+        """Program ``len(lbas)`` consecutive free pages from ``first_page``."""
+        count = len(lbas)
+        if self._watched(M_PROGRAM):
+            return False
+        start = self._free_run(block, first_page, count)
+        if start < 0:
+            return False
+        self._states[start:start + count] = _VALID * count
+        self._spare_lba[start:start + count] = lbas
+        self.counters.programs += count
+        return True
+
+    def copy_span(self, sources: Sequence[int], block: int, first_page: int) -> bool:
+        """Read the pages at indices ``sources`` and program them as one run.
+
+        The Cleaner's live-page relocation: spare tags travel with the
+        pages; the sources stay as they are (their block is erased next).
+        """
+        count = len(sources)
+        if self._watched(M_READ | M_PROGRAM):
+            return False
+        start = self._free_run(block, first_page, count)
+        if start < 0 or not self._contains_pages(sources):
+            return False
+        spare = self._spare_lba
+        spare[start:start + count] = [spare[index] for index in sources]
+        self._states[start:start + count] = _VALID * count
+        self.counters.reads += count
+        self.counters.programs += count
+        return True
+
+    def read_pages(self, indices: Sequence[int]) -> bool:
+        """Read the pages at ``indices`` for their side effects only."""
+        if self._watched(M_READ) or not self._contains_pages(indices):
+            return False
+        self.counters.reads += len(indices)
+        return True
+
+    def _contains_pages(self, indices: Sequence[int]) -> bool:
+        return not indices or (
+            0 <= min(indices) and max(indices) < len(self._states)
+        )
+
+    def invalidate_pages(self, indices: Sequence[int]) -> None:
+        """:meth:`invalidate` each page index of ``indices``, in order."""
+        states = self._states
+        total = len(states)
+        for index in indices:
+            if 0 <= index < total and states[index] == PAGE_VALID:
+                states[index] = PAGE_INVALID
+            else:  # raises what the per-page call raises
+                self.invalidate(*divmod(index, self._ppb))
+
     def erase(self, block: int) -> None:
         """Erase one block, freeing all of its pages and bumping wear.
 
@@ -324,12 +418,13 @@ class NandFlash:
                     f"{self.geometry.endurance}",
                     block=block,
                 )
-        start = block * self.geometry.pages_per_block
-        stop = start + self.geometry.pages_per_block
-        for index in range(start, stop):
-            self._states[index] = PAGE_FREE
-            self._spare_lba[index] = -1
-            self._data.pop(index, None)
+        start = block * self._ppb
+        stop = start + self._ppb
+        self._states[start:stop] = bytes(self._ppb)  # PAGE_FREE
+        self._spare_lba[start:stop] = [-1] * self._ppb
+        if self._data:
+            for index in range(start, stop):
+                self._data.pop(index, None)
         self._block_tags.pop(block, None)
         obs = self._obs
         if obs is not None and obs.mask & M_ERASE:

@@ -11,6 +11,15 @@ from __future__ import annotations
 class FlashError(Exception):
     """Base class for every error raised by the flash subsystem."""
 
+    #: Pages of the batch or span in flight that completed before the
+    #: error.  Every layer a batch crosses restates it in its own units
+    #: (device pages of one span, host pages of one request), so whoever
+    #: catches the error knows how far the work got.
+    pages_done: int = 0
+    #: Set by a failed live-page copy: the ``(spare_lba, payload)`` already
+    #: read for the page whose program failed (see ``MtdDevice.copy_span``).
+    carry: "tuple[int, bytes | None] | None" = None
+
 
 class AddressError(FlashError):
     """A block or page address is outside the chip's geometry."""

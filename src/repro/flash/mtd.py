@@ -11,9 +11,10 @@ object directly.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from repro.flash.chip import NandFlash, OpCounters
+from repro.flash.errors import FlashError
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import TimingModel, timing_for
 
@@ -49,53 +50,126 @@ class MtdDevice:
         self.geometry = flash.geometry
         self.timing = timing or timing_for(flash.geometry)
         self.busy_time = 0.0
-        #: Service time of the most recent primitive, so drivers that
-        #: need per-operation latency (the service engine) can read it
-        #: without diffing ``busy_time`` around every call.
-        self.last_op_time = 0.0
 
     # ------------------------------------------------------------------
     # Primitive operations (paper Figure 1: read / write / erase)
     # ------------------------------------------------------------------
     def read_page(self, block: int, page: int) -> tuple[int, bytes | None]:
         """Read one page; returns ``(spare_lba, payload)``."""
-        elapsed = self.timing.read_page
-        self.last_op_time = elapsed
-        self.busy_time += elapsed
+        self.busy_time += self.timing.read_page
         return self.flash.read(block, page)
 
     def write_page(
         self, block: int, page: int, *, lba: int, data: bytes | None = None
     ) -> None:
         """Program one page."""
-        elapsed = self.timing.program_page
-        self.last_op_time = elapsed
-        self.busy_time += elapsed
+        self.busy_time += self.timing.program_page
         self.flash.program(block, page, lba=lba, data=data)
 
     def erase_block(self, block: int) -> None:
         """Erase one block (~1.5 ms on MLC×2 per the paper's datasheet)."""
-        elapsed = self.timing.erase_block
-        self.last_op_time = elapsed
-        self.busy_time += elapsed
+        self.busy_time += self.timing.erase_block
         self.flash.erase(block)
 
     def invalidate_page(self, block: int, page: int) -> None:
         """Mark a page's data superseded (a spare-area status update)."""
         self.flash.invalidate(block, page)
 
-    def copy_page(
-        self, src: tuple[int, int], dst: tuple[int, int]
+    # ------------------------------------------------------------------
+    # Span primitives (DESIGN.md 5j)
+    # ------------------------------------------------------------------
+    # Each equals the per-page calls above issued in order.  When the chip
+    # takes a span at once, busy time still advances by the same repeated
+    # additions — ``n * t`` rounds differently.  When it declines, the
+    # per-page calls run here; a :class:`FlashError` out of them carries
+    # ``pages_done``, the pages of the span completed before it.
+    def program_span(
+        self,
+        block: int,
+        first_page: int,
+        lbas: Sequence[int],
+        data: Sequence[bytes | None] | None = None,
     ) -> None:
-        """Live-page copy: read ``src``, program ``dst``, invalidate ``src``.
+        """Program ``len(lbas)`` consecutive pages from ``first_page``."""
+        if self.flash.program_span(block, first_page, lbas):
+            busy, elapsed = self.busy_time, self.timing.program_page
+            for _ in lbas:
+                busy += elapsed
+            self.busy_time = busy
+            return
+        done = 0
+        try:
+            for lba in lbas:
+                self.write_page(
+                    block, first_page + done, lba=lba,
+                    data=None if data is None else data[done],
+                )
+                done += 1
+        except FlashError as exc:
+            exc.pages_done = done
+            raise
 
-        This is the unit the paper counts as one *live-page copying*
-        (Section 4.3); callers count copies themselves so that FTL merges
-        and SWL moves are attributed to the right cause.
+    def copy_span(
+        self,
+        sources: Sequence[int],
+        block: int,
+        first_page: int,
+        carry: tuple[int, bytes | None] | None = None,
+    ) -> None:
+        """Live-page copies: read each source page index, program a run.
+
+        This is the unit the paper counts as *live-page copying* (Section
+        4.3); callers count copies themselves so that FTL merges and SWL
+        moves are attributed to the right cause.  A failed program leaves
+        its page's ``(spare_lba, payload)`` on the exception as ``carry``:
+        handing it back with the remaining sources re-issues that program
+        without a second read.
         """
-        lba, data = self.read_page(*src)
-        self.write_page(*dst, lba=lba, data=data)
-        self.invalidate_page(*src)
+        if carry is None and self.flash.copy_span(sources, block, first_page):
+            busy = self.busy_time
+            read, program = self.timing.read_page, self.timing.program_page
+            for _ in sources:
+                busy += read
+                busy += program
+            self.busy_time = busy
+            return
+        pages_per_block = self.geometry.pages_per_block
+        done = 0
+        try:
+            for index in sources:
+                if carry is None:
+                    carry = self.read_page(*divmod(index, pages_per_block))
+                self.write_page(
+                    block, first_page + done, lba=carry[0], data=carry[1]
+                )
+                carry = None
+                done += 1
+        except FlashError as exc:
+            exc.pages_done = done
+            exc.carry = carry
+            raise
+
+    def read_pages(self, indices: Sequence[int]) -> None:
+        """Read the pages at ``indices``, discarding what they hold."""
+        if self.flash.read_pages(indices):
+            busy, elapsed = self.busy_time, self.timing.read_page
+            for _ in indices:
+                busy += elapsed
+            self.busy_time = busy
+            return
+        pages_per_block = self.geometry.pages_per_block
+        done = 0
+        try:
+            for index in indices:
+                self.read_page(*divmod(index, pages_per_block))
+                done += 1
+        except FlashError as exc:
+            exc.pages_done = done
+            raise
+
+    def invalidate_pages(self, indices: Sequence[int]) -> None:
+        """Mark each page index of ``indices`` superseded, in order."""
+        self.flash.invalidate_pages(indices)
 
     # ------------------------------------------------------------------
     # Observation pass-throughs

@@ -17,7 +17,7 @@ from repro.ftl.base import (
     TranslationLayer,
 )
 from repro.ftl.blockdev import BlockDevice
-from repro.ftl.cleaner import CyclicScanner, GreedyScore
+from repro.ftl.cleaner import CyclicScanner
 from repro.ftl.factory import (
     StorageBackend,
     StorageStack,
@@ -36,7 +36,6 @@ __all__ = [
     "CyclicScanner",
     "DEFAULT_OP_RATIO",
     "GC_FREE_FRACTION",
-    "GreedyScore",
     "LayerStats",
     "NFTL",
     "PageMappingFTL",

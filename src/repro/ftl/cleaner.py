@@ -16,9 +16,7 @@ block chains) reuse it; only the unit being scanned differs.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
-from itertools import chain
+from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
 
 from repro.obs.bus import M_GC_SCAN
@@ -28,36 +26,22 @@ if TYPE_CHECKING:
     from repro.obs.bus import BusLike
 
 
-@dataclass(frozen=True, slots=True)
-class GreedyScore:
-    """Cost-benefit score of one recycling candidate.
-
-    ``benefit`` counts invalid pages reclaimed; ``cost`` counts valid pages
-    that must be copied out first.  A candidate qualifies when the weighted
-    sum ``benefit - cost`` is above zero (paper Section 5.1, with both
-    weights at one unit).
-    """
-
-    benefit: int
-    cost: int
-
-    @property
-    def weighted_sum(self) -> int:
-        return self.benefit - self.cost
-
-    @property
-    def qualifies(self) -> bool:
-        return self.weighted_sum > 0
-
-
 class CyclicScanner:
-    """Cyclic scan for the next qualifying recycling candidate.
+    """Cyclic scan for the next recycling candidate.
 
     Parameters
     ----------
     size:
         Number of scannable units (physical blocks for FTL, virtual block
         addresses for NFTL).
+
+    Both scans read the score from two flat per-unit tallies: ``benefit``
+    counts the invalid pages recycling a unit reclaims, ``cost`` the valid
+    pages that must be copied out first.  A unit qualifies when the
+    weighted sum ``benefit - cost`` is above zero (paper Section 5.1, with
+    both weights at one unit).  ``eligible`` — asked only about units the
+    tallies already admit — vetoes units that must be skipped whatever
+    they hold (free, retired, or active blocks).
 
     The cursor persists across calls, so consecutive garbage collections
     continue around the ring instead of re-recycling the same region —
@@ -79,35 +63,14 @@ class CyclicScanner:
         """Emit one ``GcScan`` event per victim-selection call on ``bus``."""
         self._obs = bus if bus else None
 
-    def find(
-        self,
-        score_of: Callable[[int], GreedyScore | None],
-    ) -> int | None:
-        """Return the next unit whose score qualifies, advancing the cursor.
-
-        ``score_of`` returns ``None`` for units that must be skipped (free
-        blocks, unmapped chains, the active block).  One full revolution
-        without a qualifying unit returns ``None``.
-        """
-        before = self.probes
-        found: int | None = None
-        for offset in range(self.size):
-            unit = (self.cursor + offset) % self.size
-            self.probes += 1
-            score = score_of(unit)
-            if score is not None and score.qualifies:
-                self.cursor = (unit + 1) % self.size
-                found = unit
-                break
-        if self._obs is not None and self._obs.mask & M_GC_SCAN:
-            self._obs.emit(GcScan("first-fit", self.probes - before,
-                                  -1 if found is None else found))
-        return found
-
     def find_least_worn(
         self,
-        score_of: Callable[[int], GreedyScore | None],
-        wear_of: Callable[[int], int],
+        benefit: Sequence[int],
+        cost: Sequence[int],
+        wear: Sequence[int],
+        eligible: Callable[[int], bool] | None = None,
+        *,
+        min_benefit: int = 1,
     ) -> int | None:
         """Return the qualifying unit with the smallest wear.
 
@@ -117,32 +80,31 @@ class CyclicScanner:
         the candidates the greedy cost-benefit rule admits.  One full
         cyclic revolution enumerates candidates; ties break in scan order
         so consecutive garbage collections still walk the ring.
+        ``min_benefit`` raises the bar a candidate's benefit must reach;
+        when no unit reaches it the revolution is accounted, not walked.
         """
         size = self.size
         cursor = self.cursor
-        # One full cyclic revolution: account all probes up front and
-        # walk the two wrap segments directly, so the per-unit work is
-        # the score callback and the comparisons, nothing else.
         self.probes += size
         best_unit: int | None = None
-        best_wear = None
-        for unit in chain(range(cursor, size), range(cursor)):
-            score = score_of(unit)
-            if score is None or score.benefit <= score.cost:
-                continue
-            wear = wear_of(unit)
-            if best_wear is None or wear < best_wear:
-                best_unit, best_wear = unit, wear
-        if best_unit is not None:
-            self.cursor = (best_unit + 1) % size
-        if self._obs is not None and self._obs.mask & M_GC_SCAN:
-            self._obs.emit(GcScan("least-worn", size,
-                                  -1 if best_unit is None else best_unit))
-        return best_unit
+        if max(benefit) >= min_benefit:
+            best_key = None
+            for unit, gain, loss in zip(range(size), benefit, cost):
+                if gain <= loss or gain < min_benefit:
+                    continue
+                # Least wear first, then first met walking from the cursor.
+                key = (wear[unit], (unit - cursor) % size)
+                if (best_key is None or key < best_key) and (
+                    eligible is None or eligible(unit)
+                ):
+                    best_unit, best_key = unit, key
+        return self._chosen("least-worn", best_unit)
 
     def find_best_fallback(
         self,
-        score_of: Callable[[int], GreedyScore | None],
+        benefit: Sequence[int],
+        cost: Sequence[int],
+        eligible: Callable[[int], bool] | None = None,
     ) -> int | None:
         """Full scan for the unit with the largest weighted sum.
 
@@ -155,19 +117,23 @@ class CyclicScanner:
         self.probes += size
         best_unit: int | None = None
         best_sum = None
-        for unit in range(size):
-            score = score_of(unit)
-            if score is None or score.benefit <= 0:
+        for unit, gain, loss in zip(range(size), benefit, cost):
+            if gain <= 0:
                 continue
-            weighted = score.benefit - score.cost
-            if best_sum is None or weighted > best_sum:
+            weighted = gain - loss
+            if (best_sum is None or weighted > best_sum) and (
+                eligible is None or eligible(unit)
+            ):
                 best_unit, best_sum = unit, weighted
-        if best_unit is not None:
-            self.cursor = (best_unit + 1) % size
+        return self._chosen("fallback", best_unit)
+
+    def _chosen(self, mode: str, unit: int | None) -> int | None:
+        """Move the cursor past ``unit`` and report the finished scan."""
+        if unit is not None:
+            self.cursor = (unit + 1) % self.size
         if self._obs is not None and self._obs.mask & M_GC_SCAN:
-            self._obs.emit(GcScan("fallback", size,
-                                  -1 if best_unit is None else best_unit))
-        return best_unit
+            self._obs.emit(GcScan(mode, self.size, -1 if unit is None else unit))
+        return unit
 
     # ------------------------------------------------------------------
     # Checkpointing (see repro.ckpt)

@@ -14,8 +14,9 @@ them from a channel count.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
+from dataclasses import dataclass, field
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence, runtime_checkable
 
 from repro.core.config import SWLConfig
 from repro.core.leveler import WearLeveler
@@ -135,14 +136,22 @@ class StorageBackend(Protocol):
     def fault_stats(self) -> dict[str, int]: ...
 
 
-def _count_power_loss_pages(exc: PowerLossError, done: int) -> None:
-    """Accumulate pages applied before a power loss onto the exception.
+def _each_page(page_op: Callable[[int], object], lpns: Sequence[int]) -> int:
+    """Apply ``page_op`` to each page in order; returns the pages done.
 
     A power loss aborts a batch mid-flight; the engine still reports the
     partial request, so the completed page count rides on the exception
     (``pages_done``) rather than being lost with the stack frame.
     """
-    exc.pages_done = getattr(exc, "pages_done", 0) + done  # type: ignore[attr-defined]
+    done = 0
+    try:
+        for lpn in lpns:
+            page_op(lpn)
+            done += 1
+    except PowerLossError as exc:
+        exc.pages_done += done
+        raise
+    return done
 
 
 @dataclass
@@ -158,16 +167,32 @@ class StorageStack:
     mtd: MtdDevice
     layer: TranslationLayer
     leveler: WearLeveler | None
+    #: ``write_pages(lpns) -> pages`` / ``read_pages(lpns) -> pages``: apply
+    #: each logical page in order.  Resolved once per stack, so the hot
+    #: paths are one call with no wrapper frame and no per-request branch.
+    write_pages: Callable[[Sequence[int]], int] = field(
+        init=False, repr=False, compare=False)
+    read_pages: Callable[[Sequence[int]], int] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # Resolved once: the hot write/read paths branch on a local, not
-        # on a per-call getattr.  Only write-intercepting mechanisms (the
-        # cache-based wear avoider) make this non-None.
-        self._intercept = (
-            self.leveler
-            if getattr(self.leveler, "intercepts_writes", False)
-            else None
-        )
+        # A write-intercepting leveler (the cache-based wear avoider) sits
+        # between the host and the translation layer: each page goes
+        # through its ``host_write``, which decides whether flash is
+        # touched at all.  Otherwise a driver with span entries
+        # (``write_pages``/``read_pages``) takes whole batches, and one
+        # without is driven page by page.
+        layer, leveler = self.layer, self.leveler
+        if getattr(leveler, "intercepts_writes", False):
+            self.write_pages = partial(
+                _each_page, partial(leveler.host_write, layer))
+            self.read_pages = partial(
+                _each_page, partial(leveler.host_read, layer))
+        else:
+            self.write_pages = getattr(
+                layer, "write_pages", partial(_each_page, layer.write))
+            self.read_pages = getattr(
+                layer, "read_pages", partial(_each_page, layer.read))
 
     @property
     def name(self) -> str:
@@ -190,47 +215,6 @@ class StorageStack:
     @property
     def num_logical_pages(self) -> int:
         return self.layer.num_logical_pages
-
-    def write_pages(self, lpns: Sequence[int]) -> int:
-        """Write each logical page in order; returns the pages written.
-
-        A write-intercepting leveler (``intercepts_writes``) sits between
-        the host and the translation layer: each page goes through its
-        ``host_write``, which decides whether flash is touched at all.
-        """
-        done = 0
-        intercept = self._intercept
-        try:
-            if intercept is None:
-                for lpn in lpns:
-                    self.layer.write(lpn)
-                    done += 1
-            else:
-                for lpn in lpns:
-                    intercept.host_write(self.layer, lpn)
-                    done += 1
-        except PowerLossError as exc:
-            _count_power_loss_pages(exc, done)
-            raise
-        return done
-
-    def read_pages(self, lpns: Sequence[int]) -> int:
-        """Read each logical page in order; returns the pages read."""
-        done = 0
-        intercept = self._intercept
-        try:
-            if intercept is None:
-                for lpn in lpns:
-                    self.layer.read(lpn)
-                    done += 1
-            else:
-                for lpn in lpns:
-                    intercept.host_read(self.layer, lpn)
-                    done += 1
-        except PowerLossError as exc:
-            _count_power_loss_pages(exc, done)
-            raise
-        return done
 
     def on_request(self, now: float) -> None:
         if self.leveler is not None:

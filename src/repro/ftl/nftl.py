@@ -33,7 +33,7 @@ from repro.flash.errors import OutOfSpaceError, ProgramFaultError
 from repro.flash.mtd import MtdDevice
 from repro.ftl.allocator import BlockAllocator
 from repro.ftl.base import DEFAULT_OP_RATIO, GC_FREE_FRACTION, TranslationLayer
-from repro.ftl.cleaner import CyclicScanner, GreedyScore
+from repro.ftl.cleaner import CyclicScanner
 from repro.obs.bus import M_RECOVERY
 from repro.obs.events import Recovery
 from repro.util.diagnostics import fault_log
@@ -271,28 +271,27 @@ class NFTL(TranslationLayer):
             while self.allocator.free_count <= self.gc_free_blocks:
                 self._gc_once()
 
-    def _score_vba(self, vba: int) -> GreedyScore | None:
-        chain = self._chains[vba]
-        if chain is None or chain.replacement is None:
-            # Folding a chain without a replacement frees no block.
-            return None
-        return GreedyScore(benefit=chain.invalid_pages(), cost=chain.valid_offsets)
-
-    def _chain_wear(self, vba: int) -> int:
-        chain = self._chains[vba]
-        assert chain is not None
-        return self.mtd.erase_counts[chain.primary]
-
     def _gc_once(self) -> None:
         """One Cleaner pass: fold the least-worn qualifying chain.
 
         Chains qualify by the greedy cost-benefit rule; among them the one
         whose primary block has the smallest erase count wins — the
-        baseline dynamic wear leveling of paper Section 5.1.
+        baseline dynamic wear leveling of paper Section 5.1.  Folding a
+        chain without a replacement frees no block, so such chains (and
+        unwritten VBAs) tally zero benefit and never qualify.
         """
-        victim = self.scanner.find_least_worn(self._score_vba, self._chain_wear)
+        benefit = [0] * self.num_vbas
+        cost = [0] * self.num_vbas
+        wear = [0] * self.num_vbas
+        erase_counts = self.mtd.erase_counts
+        for vba, chain in enumerate(self._chains):
+            if chain is not None and chain.replacement is not None:
+                benefit[vba] = chain.invalid_pages()
+                cost[vba] = chain.valid_offsets
+                wear[vba] = erase_counts[chain.primary]
+        victim = self.scanner.find_least_worn(benefit, cost, wear)
         if victim is None:
-            victim = self.scanner.find_best_fallback(self._score_vba)
+            victim = self.scanner.find_best_fallback(benefit, cost)
         if victim is None:
             raise OutOfSpaceError(
                 "garbage collection found no replacement block to merge; "

@@ -23,12 +23,19 @@ Implementation notes
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.flash.chip import PAGE_FREE, PAGE_VALID
-from repro.flash.errors import OutOfSpaceError, ProgramFaultError
+from repro.flash.errors import (
+    FlashError,
+    OutOfSpaceError,
+    ProgramFaultError,
+    TranslationError,
+)
 from repro.flash.mtd import MtdDevice
 from repro.ftl.allocator import BlockAllocator
 from repro.ftl.base import DEFAULT_OP_RATIO, GC_FREE_FRACTION, TranslationLayer
-from repro.ftl.cleaner import CyclicScanner, GreedyScore
+from repro.ftl.cleaner import CyclicScanner
 from repro.obs.bus import M_RECOVERY
 from repro.obs.events import Recovery
 from repro.util.diagnostics import fault_log
@@ -110,6 +117,10 @@ class PageMappingFTL(TranslationLayer):
     # ------------------------------------------------------------------
     # Host operations
     # ------------------------------------------------------------------
+    # A batch of pages is the unit of work (DESIGN.md 5j): one range
+    # check, then one device span and one table-update loop per run of
+    # pages.  ``write`` is the same path with a batch of one; ``read``
+    # stays a single page because it hands the payload back.
     def read(self, lpn: int) -> bytes | None:
         self.check_lpn(lpn)
         self.stats.host_reads += 1
@@ -119,70 +130,161 @@ class PageMappingFTL(TranslationLayer):
         _, payload = self.mtd.read_page(*self.geometry.page_address(index))
         return payload
 
+    def read_pages(self, lpns: Sequence[int]) -> int:
+        """Read each logical page in order; returns the pages read.
+
+        A :class:`~repro.flash.errors.FlashError` out of the batch carries
+        ``pages_done``, the pages read before it.
+        """
+        total = len(lpns)
+        count = self._in_range(lpns, total)
+        l2p = self._l2p
+        indices = [l2p[lpn] for lpn in (lpns if count == total else lpns[:count])]
+        mapped = [index for index in indices if index != _UNMAPPED]
+        try:
+            self.mtd.read_pages(mapped)
+        except FlashError as exc:
+            # Host position of the read that failed: unmapped pages touch
+            # nothing, so count them in up to the failing mapped page.
+            done = [
+                at for at, index in enumerate(indices) if index != _UNMAPPED
+            ][exc.pages_done]
+            self.stats.host_reads += done + 1
+            exc.pages_done = done
+            raise
+        self.stats.host_reads += count
+        if count < total:
+            self._reject(lpns[count], count)
+        return count
+
     def write(self, lpn: int, data: bytes | None = None) -> None:
         """Out-place update: program a free page, invalidate the old copy."""
-        self.check_lpn(lpn)
-        self.stats.host_writes += 1
-        block, page = self._write_with_recovery("host", lpn, data)
-        # Read the old location only *after* the program landed: garbage
-        # collection inside the frontier advance may have relocated it.
-        old = self._l2p[lpn]
-        self._valid[block] += 1
-        index = self.geometry.page_index(block, page)
-        self._p2l[index] = lpn
-        self._l2p[lpn] = index
-        if old != _UNMAPPED:
-            self._invalidate(old)
-        self._process_pending_retirements()
+        self.write_pages((lpn,), None if data is None else (data,))
+
+    def write_pages(
+        self,
+        lpns: Sequence[int],
+        payloads: Sequence[bytes | None] | None = None,
+    ) -> int:
+        """Write each logical page in order; returns the pages written.
+
+        Pages go to the host frontier run by run — as many as its block
+        still holds — each run one device span and one table update.
+        ``payloads``, when given, runs parallel to ``lpns``.  A
+        :class:`~repro.flash.errors.FlashError` out of the batch carries
+        ``pages_done``, the pages fully written before it.
+        """
+        total = len(lpns)
+        count = self._in_range(lpns, total)
+        if type(lpns) is range:
+            # Materialised once: spare tags and the inverse map then
+            # share one int object per page.
+            lpns = list(lpns)
+        ppb = self.geometry.pages_per_block
+        done = 0
+        try:
+            while done < count:
+                frontier = self._host_frontier
+                if frontier is None or frontier[1] == ppb:
+                    self._reclaim_space()
+                    self._recycle_dead_block()
+                    frontier = (self.allocator.allocate(), 0)
+                block, page = frontier
+                size = min(count - done, ppb - page)
+                if self._pending_retire:
+                    # A block awaiting retirement is drained right after
+                    # the page that follows its fault: that page goes alone.
+                    size = 1
+                run = lpns if size == total else lpns[done:done + size]
+                self._host_frontier = (block, page + size)
+                try:
+                    self.mtd.program_span(
+                        block, page, run,
+                        None if payloads is None else payloads[done:done + size],
+                    )
+                except FlashError as exc:
+                    landed = exc.pages_done
+                    self._host_frontier = (block, page + landed + 1)
+                    self._map_host_run(block, page, run[:landed])
+                    done += landed
+                    if not isinstance(exc, ProgramFaultError):
+                        raise
+                    self._on_program_fault(block, "host")
+                    continue
+                self._map_host_run(block, page, run)
+                if self._pending_retire:
+                    self._process_pending_retirements()
+                done += size
+        except FlashError as exc:
+            self.stats.host_writes += 1  # the page in flight was accepted
+            exc.pages_done = done
+            raise
+        if count < total:
+            self._reject(lpns[count], count)
+        return count
+
+    def _reject(self, lpn: int, done: int) -> None:
+        """Raise for out-of-range ``lpn``, met after ``done`` good pages."""
+        try:
+            self.check_lpn(lpn)
+        except TranslationError as exc:
+            exc.pages_done = done
+            raise
+
+    def _in_range(self, lpns: Sequence[int], total: int) -> int:
+        """Length of the leading part of ``lpns`` that is all in range."""
+        if not total:
+            return 0
+        if type(lpns) is range and lpns.step == 1:
+            low, high = lpns.start, lpns.stop - 1
+        elif total == 1:  # the dominant request shape in the paper's traces
+            low = high = lpns[0]
+        else:
+            low, high = min(lpns), max(lpns)
+        pages = self._num_logical_pages
+        if 0 <= low and high < pages:
+            return total
+        return next(i for i, lpn in enumerate(lpns) if not 0 <= lpn < pages)
+
+    def _map_host_run(self, block: int, page: int, run: Sequence[int]) -> None:
+        """Point ``run`` at the pages just programmed; retire old copies.
+
+        The old location is read only *after* the program landed: garbage
+        collection inside the frontier advance may have relocated it.
+        """
+        l2p, p2l = self._l2p, self._p2l
+        valid, invalid = self._valid, self._invalid
+        ppb = self.geometry.pages_per_block
+        stale = []
+        for index, lpn in enumerate(run, block * ppb + page):
+            old = l2p[lpn]
+            l2p[lpn] = index
+            p2l[index] = lpn
+            if old != _UNMAPPED:
+                p2l[old] = _UNMAPPED
+                old_block = old // ppb
+                valid[old_block] -= 1
+                invalid[old_block] += 1
+                stale.append(old)
+        valid[block] += len(run)
+        self.stats.host_writes += len(run)
+        if stale:
+            self.mtd.invalidate_pages(stale)
 
     # ------------------------------------------------------------------
     # Space management
     # ------------------------------------------------------------------
-    def _invalidate(self, index: int) -> None:
-        block, page = self.geometry.page_address(index)
-        self.mtd.invalidate_page(block, page)
-        self._p2l[index] = _UNMAPPED
-        self._valid[block] -= 1
-        self._invalid[block] += 1
-
-    def _write_with_recovery(
-        self, kind: str, lba: int, data: bytes | None
-    ) -> tuple[int, int]:
-        """Program ``(lba, data)`` on the ``kind`` frontier, surviving faults.
-
-        A :class:`ProgramFaultError` leaves the attempted page invalid on
-        the chip; the faulted block's frontier is closed, the block is
-        queued for retirement, and the write re-issues on a fresh page —
-        the paper-era firmware response to a grown-bad block.
-        """
-        next_page = {
-            "host": self._next_host_page,
-            "copy": self._next_copy_page,
-            "cold": self._next_cold_page,
-        }[kind]
-        for _ in range(self.geometry.total_pages):
-            block, page = next_page()
-            try:
-                self.mtd.write_page(block, page, lba=lba, data=data)
-            except ProgramFaultError:
-                self._on_program_fault(block, kind)
-                continue
-            return block, page
-        raise OutOfSpaceError(
-            "every candidate destination page failed to program"
-        )
-
     def _on_program_fault(self, block: int, kind: str) -> None:
-        """Bookkeeping after a failed program: the chip already marked the
-        attempted page invalid and counted the program."""
+        """Bookkeeping after a failed program on the ``kind`` frontier.
+
+        The chip already marked the attempted page invalid and counted the
+        program; the faulted block's frontier is closed, the block is
+        queued for retirement, and the caller re-issues the write on a
+        fresh page — the paper-era firmware response to a grown-bad block.
+        """
         self.stats.program_faults += 1
         self._invalid[block] += 1
-        if kind == "host":
-            self._host_frontier = None
-        elif kind == "copy":
-            self._copy_frontier = None
-        else:
-            self._cold_frontier = None
+        setattr(self, f"_{kind}_frontier", None)
         if block not in self._failed_blocks and block not in self.retired_blocks:
             self._failed_blocks.add(block)
             self._pending_retire.append(block)
@@ -223,18 +325,6 @@ class PageMappingFTL(TranslationLayer):
         finally:
             self._retiring = False
 
-    def _next_host_page(self) -> tuple[int, int]:
-        """Next free page on the host frontier, opening a new block if full."""
-        frontier = self._host_frontier
-        if frontier is None or frontier[1] == self.geometry.pages_per_block:
-            self._reclaim_space()
-            self._recycle_dead_block()
-            self._host_frontier = (self.allocator.allocate(), 0)
-            frontier = self._host_frontier
-        block, page = frontier
-        self._host_frontier = (block, page + 1)
-        return block, page
-
     def _recycle_dead_block(self) -> None:
         """Erase-on-demand: reclaim one fully-invalid block, if any.
 
@@ -248,48 +338,20 @@ class PageMappingFTL(TranslationLayer):
         Under LIFO allocation the reclaimed block is allocated next.
         """
         frontiers = self._frontier_blocks()
-        ppb = self.geometry.pages_per_block
-        # Everything the score reads is loop-invariant across one scan
-        # revolution; bind it locally so the per-probe work is membership
-        # tests and two list reads.
         in_free = self.allocator.contains
-        valid, invalid = self._valid, self._invalid
+        valid = self._valid
 
-        def dead_score(block: int) -> GreedyScore | None:
-            if in_free(block) or block in frontiers:
-                return None
-            if valid[block] or invalid[block] != ppb:
-                return None
-            return GreedyScore(benefit=ppb, cost=0)
+        def dead(block: int) -> bool:
+            return not (in_free(block) or block in frontiers or valid[block])
 
         victim = self.scanner.find_least_worn(
-            dead_score, self.mtd.erase_counts.__getitem__
+            self._invalid, valid, self.mtd.erase_counts, dead,
+            min_benefit=self.geometry.pages_per_block,
         )
         if victim is not None:
             self.stats.dead_recycles += 1
             with self._leveler_suspended(), self._gc_traced("dead", victim):
                 self._relocate_and_erase(victim)
-
-    def _next_copy_page(self) -> tuple[int, int]:
-        """Next free page on the copy frontier (no recursive GC here:
-        the Cleaner's trigger threshold guarantees a free block exists)."""
-        frontier = self._copy_frontier
-        if frontier is None or frontier[1] == self.geometry.pages_per_block:
-            self._copy_frontier = (self.allocator.allocate(), 0)
-            frontier = self._copy_frontier
-        block, page = frontier
-        self._copy_frontier = (block, page + 1)
-        return block, page
-
-    def _next_cold_page(self) -> tuple[int, int]:
-        """Next free page on the cold frontier (SW-Leveler relocations)."""
-        frontier = self._cold_frontier
-        if frontier is None or frontier[1] == self.geometry.pages_per_block:
-            self._cold_frontier = (self.allocator.allocate(), 0)
-            frontier = self._cold_frontier
-        block, page = frontier
-        self._cold_frontier = (block, page + 1)
-        return block, page
 
     def _frontier_blocks(self) -> set[int]:
         blocks = set()
@@ -312,42 +374,28 @@ class PageMappingFTL(TranslationLayer):
             while self.allocator.free_count <= self.gc_free_blocks:
                 self._gc_once()
 
-    def _score_block(self, block: int) -> GreedyScore | None:
-        if (
-            self.allocator.contains(block)
-            or block in self.retired_blocks
-            or block in self._frontier_blocks()
-        ):
-            return None
-        return GreedyScore(benefit=self._invalid[block], cost=self._valid[block])
-
     def _gc_once(self) -> None:
         """One Cleaner pass: recycle the least-worn qualifying victim.
 
-        Victims qualify by the greedy cost-benefit rule; among them the
-        block with the smallest erase count wins — the baseline dynamic
-        wear leveling of paper Section 5.1.
-
-        The score closure below is :meth:`_score_block` with the
-        loop-invariant lookups (frontier set, pool membership, page
-        tallies) hoisted out of the per-probe path — the scanner calls it
-        once per block per revolution.
+        Victims qualify by the greedy cost-benefit rule over the per-block
+        invalid/valid tallies; among them the block with the smallest
+        erase count wins — the baseline dynamic wear leveling of paper
+        Section 5.1.  Free, retired, and frontier blocks never qualify.
         """
         frontiers = self._frontier_blocks()
         retired = self.retired_blocks
         in_free = self.allocator.contains
-        valid, invalid = self._valid, self._invalid
 
-        def score(block: int) -> GreedyScore | None:
-            if in_free(block) or block in retired or block in frontiers:
-                return None
-            return GreedyScore(benefit=invalid[block], cost=valid[block])
+        def in_service(block: int) -> bool:
+            return not (in_free(block) or block in retired or block in frontiers)
 
         victim = self.scanner.find_least_worn(
-            score, self.mtd.erase_counts.__getitem__
+            self._invalid, self._valid, self.mtd.erase_counts, in_service
         )
         if victim is None:
-            victim = self.scanner.find_best_fallback(score)
+            victim = self.scanner.find_best_fallback(
+                self._invalid, self._valid, in_service
+            )
         if victim is None:
             raise OutOfSpaceError(
                 "garbage collection found no block with reclaimable pages; "
@@ -362,30 +410,64 @@ class PageMappingFTL(TranslationLayer):
 
         ``cold=True`` routes the copies to the dedicated cold frontier
         (SW-Leveler moves), keeping relocated cold data out of the
-        Cleaner's destination blocks.
+        Cleaner's destination blocks.  Live pages move run by run, as many
+        as the destination frontier's block still holds.
         """
-        geometry = self.geometry
-        next_page = self._next_cold_page if cold else self._next_copy_page
-        base = block * geometry.pages_per_block
-        for page in range(geometry.pages_per_block):
-            lpn = self._p2l[base + page]
-            if lpn == _UNMAPPED:
+        kind = "cold" if cold else "copy"
+        attr = f"_{kind}_frontier"
+        ppb = self.geometry.pages_per_block
+        base = block * ppb
+        live = [
+            index for index, lpn in enumerate(self._p2l[base:base + ppb], base)
+            if lpn != _UNMAPPED
+        ]
+        done = 0
+        carry = None
+        while done < len(live):
+            frontier = getattr(self, attr)
+            if frontier is None or frontier[1] == ppb:
+                # No recursive GC here: the Cleaner's trigger threshold
+                # guarantees a free block exists.
+                frontier = (self.allocator.allocate(), 0)
+            dest_block, dest_page = frontier
+            sources = live[done:done + ppb - dest_page]
+            setattr(self, attr, (dest_block, dest_page + len(sources)))
+            try:
+                self.mtd.copy_span(sources, dest_block, dest_page, carry)
+            except FlashError as exc:
+                landed = exc.pages_done
+                setattr(self, attr, (dest_block, dest_page + landed + 1))
+                self._map_copied_run(block, sources[:landed], dest_block, dest_page)
+                done += landed
+                if not isinstance(exc, ProgramFaultError):
+                    raise
+                # The faulted page's source was read; only its program
+                # re-issues, on a fresh page.
+                carry = exc.carry
+                self._on_program_fault(dest_block, kind)
                 continue
-            lba, payload = self.mtd.read_page(block, page)
-            dest_block, dest_page = self._write_with_recovery(
-                "cold" if cold else "copy", lba, payload
-            )
-            self.stats.live_page_copies += 1
-            dest_index = geometry.page_index(dest_block, dest_page)
-            self._p2l[base + page] = _UNMAPPED
-            self._p2l[dest_index] = lpn
-            self._l2p[lpn] = dest_index
-            self._valid[dest_block] += 1
-            self._valid[block] -= 1
+            carry = None
+            self._map_copied_run(block, sources, dest_block, dest_page)
+            done += len(sources)
         self._erase_with_recovery(block)
         self._valid[block] = 0
         self._invalid[block] = 0
         self._release_or_retire(block)
+
+    def _map_copied_run(
+        self, block: int, sources: Sequence[int], dest_block: int, dest_page: int
+    ) -> None:
+        """Re-point ``block``'s pages at ``sources`` to their copies in a run."""
+        l2p, p2l = self._l2p, self._p2l
+        ppb = self.geometry.pages_per_block
+        for dest, source in enumerate(sources, dest_block * ppb + dest_page):
+            lpn = p2l[source]
+            p2l[source] = _UNMAPPED
+            p2l[dest] = lpn
+            l2p[lpn] = dest
+        self._valid[dest_block] += len(sources)
+        self._valid[block] -= len(sources)
+        self.stats.live_page_copies += len(sources)
 
     # ------------------------------------------------------------------
     # SW Leveler host interface (EraseBlockSet)

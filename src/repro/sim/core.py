@@ -301,7 +301,7 @@ class RequestCore:
             except PowerLossError as exc:
                 # Recover the partially applied page count the batch was
                 # carrying when the lights went out (see factory).
-                done = getattr(exc, "pages_done", 0)
+                done = exc.pages_done
                 if is_write:
                     self.pages_written += done
                 else:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.flash.errors import OutOfSpaceError
 from repro.ftl.allocator import BlockAllocator
-from repro.ftl.cleaner import CyclicScanner, GreedyScore
+from repro.ftl.cleaner import CyclicScanner
+from repro.obs.bus import EventBus
 
 
 class TestAllocatorCommon:
@@ -155,53 +158,129 @@ def test_lifo_pool_membership_invariant(ops, seed):
     assert allocator.free_count == 6 - len(allocated)
 
 
-class TestGreedyScore:
-    def test_weighted_sum(self):
-        assert GreedyScore(benefit=5, cost=2).weighted_sum == 3
+def tallies(size, scores):
+    """Flat ``(benefit, cost)`` lists from ``{unit: (benefit, cost)}``."""
+    benefit, cost = [0] * size, [0] * size
+    for unit, (gain, loss) in scores.items():
+        benefit[unit], cost[unit] = gain, loss
+    return benefit, cost
 
-    def test_qualifies_strictly_positive(self):
-        # Paper Section 5.1: recycle when the weighted sum is "above zero".
-        assert GreedyScore(benefit=3, cost=2).qualifies
-        assert not GreedyScore(benefit=2, cost=2).qualifies
-        assert not GreedyScore(benefit=1, cost=2).qualifies
+
+def reference_gc_scan(cursor, benefit, cost, wear, eligible):
+    """The callback-era ``find_least_worn`` -> ``find_best_fallback`` pair.
+
+    One object-free transcription of the scans as they were before the
+    flat-tally contract: returns ``(victim, cursor, probes)``.
+    """
+    size = len(benefit)
+    probes = size
+    best = None
+    for unit in [*range(cursor, size), *range(cursor)]:
+        if not eligible(unit) or benefit[unit] <= cost[unit]:
+            continue
+        if best is None or wear[unit] < wear[best]:
+            best = unit
+    if best is None:
+        probes += size
+        for unit in range(size):
+            if not eligible(unit) or benefit[unit] <= 0:
+                continue
+            if best is None or (
+                benefit[unit] - cost[unit] > benefit[best] - cost[best]
+            ):
+                best = unit
+    return best, cursor if best is None else (best + 1) % size, probes
 
 
 class TestCyclicScanner:
     def test_finds_first_qualifying(self):
+        # Equal wear: the first qualifying unit met from the cursor wins,
+        # and the next scan continues past it.
         scanner = CyclicScanner(8)
-        scores = {3: GreedyScore(5, 0), 6: GreedyScore(9, 0)}
-        assert scanner.find(lambda unit: scores.get(unit)) == 3
-        # Cursor advanced past 3; next find continues from there.
-        assert scanner.find(lambda unit: scores.get(unit)) == 6
+        benefit, cost = tallies(8, {3: (5, 0), 6: (9, 0)})
+        wear = [0] * 8
+        assert scanner.find_least_worn(benefit, cost, wear) == 3
+        assert scanner.cursor == 4
+        assert scanner.find_least_worn(benefit, cost, wear) == 6
 
     def test_wraps_around(self):
         scanner = CyclicScanner(8)
         scanner.cursor = 7
-        scores = {2: GreedyScore(4, 1)}
-        assert scanner.find(lambda unit: scores.get(unit)) == 2
+        benefit, cost = tallies(8, {2: (4, 1)})
+        assert scanner.find_least_worn(benefit, cost, [0] * 8) == 2
+
+    def test_wraparound_tie_breaks_in_scan_order(self):
+        # Units 1 and 6 tie on wear; from cursor 5 the ring meets 6 first.
+        scanner = CyclicScanner(8)
+        scanner.cursor = 5
+        benefit, cost = tallies(8, {1: (4, 1), 6: (4, 1)})
+        assert scanner.find_least_worn(benefit, cost, [3] * 8) == 6
+        assert scanner.cursor == 7
 
     def test_skips_non_qualifying(self):
+        # Paper Section 5.1: recycle when the weighted sum is "above
+        # zero" — benefit equal to cost does not qualify.
         scanner = CyclicScanner(4)
-        scores = {0: GreedyScore(1, 5), 2: GreedyScore(6, 1)}
-        assert scanner.find(lambda unit: scores.get(unit)) == 2
+        benefit, cost = tallies(4, {0: (1, 5), 1: (2, 2), 2: (6, 1)})
+        assert scanner.find_least_worn(benefit, cost, [0] * 4) == 2
 
     def test_none_when_no_candidates(self):
+        # An all-free pool tallies 0/0 everywhere: nothing qualifies, the
+        # cursor stays, and the revolution is still accounted.
         scanner = CyclicScanner(4)
-        assert scanner.find(lambda unit: None) is None
+        scanner.cursor = 2
+        assert scanner.find_least_worn([0] * 4, [0] * 4, [0] * 4) is None
+        assert scanner.find_best_fallback([0] * 4, [0] * 4) is None
+        assert (scanner.cursor, scanner.probes) == (2, 8)
+
+    def test_ineligible_unit_never_wins(self):
+        # Unit 1 has the best score and the least wear but is vetoed (a
+        # frontier or retired block); the veto is asked only about units
+        # the tallies admit.
+        scanner = CyclicScanner(4)
+        benefit, cost = tallies(4, {1: (9, 0), 3: (2, 1)})
+        asked = []
+
+        def eligible(unit):
+            asked.append(unit)
+            return unit != 1
+
+        assert scanner.find_least_worn(benefit, cost, [0, 0, 0, 7], eligible) == 3
+        assert set(asked) <= {1, 3}
+        assert scanner.find_best_fallback(benefit, cost, eligible) == 3
+
+    def test_min_benefit_skips_the_revolution(self):
+        # Dead-block recycle: no unit is fully invalid, so nothing is
+        # walked — but probes and the GcScan payload say one revolution.
+        scanner = CyclicScanner(4)
+        bus = EventBus()
+        events = []
+        bus.subscribe(events.append)
+        scanner.attach_bus(bus)
+        benefit, cost = tallies(4, {0: (3, 0), 2: (2, 1)})
+        walked = []
+        assert scanner.find_least_worn(
+            benefit, cost, [0] * 4, walked.append, min_benefit=4
+        ) is None
+        assert not walked and scanner.probes == 4 and scanner.cursor == 0
+        benefit[2], cost[2] = 4, 0
+        assert scanner.find_least_worn(
+            benefit, cost, [0] * 4, min_benefit=4
+        ) == 2
+        scans = [record.event for record in events]
+        assert [(e.mode, e.probes, e.victim) for e in scans] == [
+            ("least-worn", 4, -1), ("least-worn", 4, 2),
+        ]
 
     def test_fallback_picks_best(self):
         scanner = CyclicScanner(4)
-        scores = {
-            0: GreedyScore(benefit=2, cost=10),
-            1: GreedyScore(benefit=3, cost=5),
-            3: GreedyScore(benefit=0, cost=0),  # nothing reclaimable
-        }
-        assert scanner.find_best_fallback(lambda unit: scores.get(unit)) == 1
+        # Unit 3 has nothing reclaimable.
+        benefit, cost = tallies(4, {0: (2, 10), 1: (3, 5), 3: (0, 0)})
+        assert scanner.find_best_fallback(benefit, cost) == 1
 
     def test_fallback_requires_positive_benefit(self):
         scanner = CyclicScanner(2)
-        scores = {0: GreedyScore(benefit=0, cost=0)}
-        assert scanner.find_best_fallback(lambda unit: scores.get(unit)) is None
+        assert scanner.find_best_fallback([0, 0], [0, 0]) is None
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
@@ -209,5 +288,30 @@ class TestCyclicScanner:
 
     def test_probe_accounting(self):
         scanner = CyclicScanner(4)
-        scanner.find(lambda unit: None)
+        scanner.find_least_worn([0] * 4, [0] * 4, [0] * 4)
         assert scanner.probes == 4
+
+    def test_matches_the_callback_era_scans(self):
+        # Victim, cursor and probes of least-worn -> fallback on random
+        # hand-sized tallies (ties, free 0/0 units, vetoed units) equal
+        # the sequence the scanner ran before the flat-tally contract.
+        rng = random.Random(5)
+        for _ in range(300):
+            size = rng.randint(1, 12)
+            benefit = [rng.choice((0, 0, 1, 2, 3, 4)) for _ in range(size)]
+            cost = [rng.randint(0, 4 - gain) for gain in benefit]
+            wear = [rng.randint(0, 2) for _ in range(size)]
+            vetoed = {u for u in range(size) if rng.random() < 0.2}
+            scanner = CyclicScanner(size)
+            scanner.cursor = rng.randrange(size)
+
+            def eligible(unit):
+                return unit not in vetoed
+
+            expected = reference_gc_scan(
+                scanner.cursor, benefit, cost, wear, eligible
+            )
+            victim = scanner.find_least_worn(benefit, cost, wear, eligible)
+            if victim is None:
+                victim = scanner.find_best_fallback(benefit, cost, eligible)
+            assert (victim, scanner.cursor, scanner.probes) == expected

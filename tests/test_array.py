@@ -144,13 +144,15 @@ class TestSpanRouting:
 
     @staticmethod
     def _recording_dispatch(policy):
-        """Compile a dispatcher whose ops record ``(shard, local)``."""
+        """Compile a dispatcher whose span ops record ``(shard, local)``."""
         applied: list[tuple[int, int]] = []
-        losses: list[int] = []
-        ops = [
-            (lambda shard: lambda local: applied.append((shard, local)))(s)
-            for s in range(policy.num_shards)
-        ]
+
+        def make_op(shard):
+            def op(local_lpns):
+                applied.extend((shard, local) for local in local_lpns)
+                return len(local_lpns)
+            return op
+
         fallback_batches: list[list[int]] = []
 
         def fallback(lpns):
@@ -158,10 +160,10 @@ class TestSpanRouting:
             return len(lpns)
 
         dispatch = policy.compile_pages_dispatch(
-            ops, lambda exc, done: losses.append(done), fallback
+            [make_op(s) for s in range(policy.num_shards)], fallback
         )
         assert dispatch is not None
-        return dispatch, applied, losses, fallback_batches
+        return dispatch, applied, fallback_batches
 
     @pytest.mark.parametrize("cls", POLICIES)
     def test_compiled_dispatch_matches_route_batch_order(self, cls):
@@ -172,7 +174,7 @@ class TestSpanRouting:
             policy = cls(shards, per_shard)
             start = rng.randrange(policy.total_pages)
             stop = rng.randint(start + 1, policy.total_pages)
-            dispatch, applied, _, fallback = self._recording_dispatch(policy)
+            dispatch, applied, fallback = self._recording_dispatch(policy)
             done = dispatch(range(start, stop))
             buffers = [[] for _ in range(shards)]
             policy.route_batch(range(start, stop), buffers)
@@ -186,7 +188,7 @@ class TestSpanRouting:
     @pytest.mark.parametrize("cls", POLICIES)
     def test_compiled_dispatch_single_page_and_fallback(self, cls):
         policy = cls(3, 8)
-        dispatch, applied, _, fallback = self._recording_dispatch(policy)
+        dispatch, applied, fallback = self._recording_dispatch(policy)
         assert dispatch([13]) == 1
         assert applied == [policy.route(13)]
         with pytest.raises(ValueError, match="out of range"):
@@ -204,7 +206,7 @@ class TestSpanRouting:
         policy = cls(3, 8)
         with pytest.raises(ValueError, match="page operations"):
             policy.compile_pages_dispatch(
-                [lambda local: None] * 2, lambda exc, done: None, lambda b: 0
+                [lambda local_lpns: 0] * 2, lambda b: 0
             )
 
     @pytest.mark.parametrize("cls", POLICIES)
@@ -220,25 +222,32 @@ class TestSpanRouting:
             stop = rng.randint(start + 1, policy.total_pages)
             fail_at = rng.randrange(stop - start)
             applied: list[tuple[int, int]] = []
-            losses: list[int] = []
 
             def make_op(shard):
-                def op(local):
-                    if len(applied) == fail_at:
-                        raise PowerLossError("lights out", op_ordinal=0)
-                    applied.append((shard, local))
+                # A shard's batch entry counts its own completed pages
+                # onto the exception, as StorageStack.write_pages does.
+                def op(local_lpns):
+                    done = 0
+                    for local in local_lpns:
+                        if len(applied) == fail_at:
+                            exc = PowerLossError("lights out", op_ordinal=0)
+                            exc.pages_done = done
+                            raise exc
+                        applied.append((shard, local))
+                        done += 1
+                    return done
                 return op
 
             dispatch = policy.compile_pages_dispatch(
-                [make_op(s) for s in range(shards)],
-                lambda exc, done: losses.append(done),
-                lambda b: 0,
+                [make_op(s) for s in range(shards)], lambda b: 0
             )
-            with pytest.raises(PowerLossError):
+            with pytest.raises(PowerLossError) as caught:
                 dispatch(range(start, stop))
-            # The pages-completed count reported on the exception equals
-            # the number of ops that ran before the loss.
-            assert losses == [fail_at], (shards, per_shard, start, stop)
+            # The pages-completed count carried by the exception equals
+            # the number of pages applied, across shards, before the loss.
+            assert caught.value.pages_done == fail_at, (
+                shards, per_shard, start, stop
+            )
             assert len(applied) == fail_at
 
 

@@ -2,8 +2,8 @@
 
 The timing model is the foundation of every latency number the service
 engine reports, so it gets dedicated coverage: validation, the derived
-copy/lookup helpers, the datasheet constants, and the per-operation
-``last_op_time`` the MTD layer records for service-time accounting.
+copy/lookup helpers, the datasheet constants, and the busy time the MTD
+layer accumulates for service-time accounting.
 """
 
 from __future__ import annotations
@@ -69,15 +69,6 @@ class TestDatasheetConstants:
 
 
 class TestMtdServiceTime:
-    def test_last_op_time_tracks_each_primitive(self, mtd):
-        assert mtd.last_op_time == 0.0
-        mtd.write_page(0, 0, lba=1)
-        assert mtd.last_op_time == pytest.approx(mtd.timing.program_page)
-        mtd.read_page(0, 0)
-        assert mtd.last_op_time == pytest.approx(mtd.timing.read_page)
-        mtd.erase_block(0)
-        assert mtd.last_op_time == pytest.approx(mtd.timing.erase_block)
-
     def test_busy_time_is_sum_of_op_times(self, mtd):
         mtd.write_page(0, 0, lba=1)
         mtd.read_page(0, 0)

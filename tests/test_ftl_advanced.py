@@ -11,7 +11,7 @@ from repro.core.config import SWLConfig
 from repro.flash.chip import NandFlash
 from repro.flash.geometry import FlashGeometry
 from repro.flash.mtd import MtdDevice
-from repro.ftl.cleaner import CyclicScanner, GreedyScore
+from repro.ftl.cleaner import CyclicScanner
 from repro.ftl.factory import build_stack
 from repro.ftl.nftl import NFTL
 from repro.ftl.page_mapping import PageMappingFTL
@@ -25,25 +25,22 @@ def make_ftl(geometry, **kwargs):
 class TestFindLeastWorn:
     def test_prefers_smallest_wear_among_qualifying(self):
         scanner = CyclicScanner(6)
-        scores = {1: GreedyScore(5, 0), 3: GreedyScore(5, 0), 5: GreedyScore(5, 0)}
-        wear = {1: 9, 3: 2, 5: 4}
-        victim = scanner.find_least_worn(scores.get, lambda unit: wear[unit])
-        assert victim == 3
+        benefit = [0, 5, 0, 5, 0, 5]
+        wear = [0, 9, 0, 2, 0, 4]
+        assert scanner.find_least_worn(benefit, [0] * 6, wear) == 3
 
     def test_ignores_non_qualifying_even_if_unworn(self):
         scanner = CyclicScanner(4)
-        scores = {0: GreedyScore(1, 5), 2: GreedyScore(3, 1)}
-        wear = {0: 0, 2: 100}
-        assert scanner.find_least_worn(scores.get, lambda u: wear[u]) == 2
+        benefit, cost = [1, 0, 3, 0], [5, 0, 1, 0]
+        assert scanner.find_least_worn(benefit, cost, [0, 0, 100, 0]) == 2
 
     def test_none_when_nothing_qualifies(self):
         scanner = CyclicScanner(4)
-        assert scanner.find_least_worn(lambda u: None, lambda u: 0) is None
+        assert scanner.find_least_worn([0] * 4, [0] * 4, [0] * 4) is None
 
     def test_cursor_advances_past_choice(self):
         scanner = CyclicScanner(4)
-        scores = {1: GreedyScore(5, 0)}
-        scanner.find_least_worn(scores.get, lambda u: 0)
+        scanner.find_least_worn([0, 5, 0, 0], [0] * 4, [0] * 4)
         assert scanner.cursor == 2
 
 

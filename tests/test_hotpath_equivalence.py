@@ -13,13 +13,32 @@ not merely close; see DESIGN.md, hot-path accounting invariants).
 
 from __future__ import annotations
 
+import io
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.bet import BlockErasingTable
+from repro.core.config import SWLConfig
+from repro.fault.injector import FaultInjector
+from repro.fault.plan import FaultPlan
+from repro.flash.chip import PAGE_FREE, PAGE_INVALID, PAGE_VALID, NandFlash
+from repro.flash.errors import (
+    AddressError,
+    FlashError,
+    OutOfSpaceError,
+    PowerLossError,
+    ProgramError,
+    TranslationError,
+)
+from repro.flash.geometry import CellType, FlashGeometry
+from repro.ftl.factory import build_stack
+from repro.obs.bus import M_PROGRAM, M_READ, EventBus
+from repro.obs.export import JsonlTraceExporter
 from repro.obs.heatmap import WearHeatmap
+from repro.obs.telemetry import Telemetry
+from repro.util.rng import make_rng
 from repro.sim.metrics import EraseDistribution, WearAccumulator
 from repro.util.bitarray import BitArray
 
@@ -298,3 +317,232 @@ def test_bet_counters_and_scan_with_short_tail_sets(num_blocks, k, seed):
     restored, _ = BlockErasingTable.from_bytes(bet.to_bytes())
     assert restored.fcnt == bet.fcnt
     assert restored.zero_flags() == bet.zero_flags()
+
+
+# ----------------------------------------------------------------------
+# Span primitives vs the per-page loop (DESIGN.md 5j)
+# ----------------------------------------------------------------------
+# Two fresh FTL stacks take the same batches.  One is driven through the
+# span entries (``write_pages``/``read_pages``) over a chip free to take
+# runs at once; the other page by page (``layer.write``/``layer.read``),
+# over a chip whose sequential-program enforcement makes every primitive
+# take its per-page route.  The FTL only ever programs a block in
+# ascending order, so the enforcement never fires — it is the one
+# attachment that forces the route without changing anything observable.
+SPAN_GEOMETRY = FlashGeometry(
+    num_blocks=16, pages_per_block=8, page_size=2048, endurance=50,
+    cell_type=CellType.MLC2, name="span-equivalence",
+)
+#: Logical pages the FTL exports over SPAN_GEOMETRY (11 of 16 blocks).
+SPAN_PAGES = 88
+
+
+@st.composite
+def page_batches(draw):
+    """One host batch: a range, a wrapped list, a single page, or a
+    list with repeats — up to five frontier blocks long."""
+    shape = draw(st.sampled_from(("range", "wrapped", "single", "list")))
+    start = draw(st.integers(0, SPAN_PAGES - 1))
+    if shape == "range":
+        return range(start, start + draw(st.integers(1, min(40, SPAN_PAGES - start))))
+    if shape == "wrapped":
+        return [(start + i) % SPAN_PAGES for i in range(draw(st.integers(2, 40)))]
+    if shape == "single":
+        return [start]
+    return draw(st.lists(st.integers(0, SPAN_PAGES - 1), min_size=1, max_size=30))
+
+
+host_batches = st.lists(
+    st.tuples(st.sampled_from("wwwr"), page_batches()), min_size=1, max_size=30
+)
+
+
+def span_stack(*, per_page_chip=False, **kwargs):
+    stack = build_stack(
+        SPAN_GEOMETRY, "ftl", SWLConfig(threshold=2, k=0), rng=make_rng(7), **kwargs
+    )
+    assert stack.num_logical_pages == SPAN_PAGES
+    stack.flash.enforce_sequential_program = per_page_chip
+    return stack
+
+
+def drive(stack, op, lpns, *, batched):
+    """``(pages done, error)`` of one batch by either route."""
+    if batched:
+        entry = stack.write_pages if op == "w" else stack.read_pages
+        try:
+            return entry(lpns), None
+        except FlashError as exc:
+            return exc.pages_done, exc
+    page_op = stack.layer.write if op == "w" else stack.layer.read
+    done = 0
+    try:
+        for lpn in lpns:
+            page_op(lpn)
+            done += 1
+    except FlashError as exc:
+        return done, exc
+    return done, None
+
+
+def observed(stack):
+    injector = stack.flash.injector
+    return {
+        "flash": stack.flash.snapshot_state(),
+        "layer": stack.layer.snapshot_state(),
+        "stats": stack.layer.stats.as_dict(),
+        "busy_time": stack.mtd.busy_time,  # compared with ==, not approx
+        "probes": stack.layer.scanner.probes,
+        "leveler": stack.leveler.snapshot_state(),
+        "injector": None if injector is None else injector.snapshot_state(),
+    }
+
+
+def assert_same_outcome(spans, pages, op, lpns):
+    done, error = drive(spans, op, lpns, batched=True)
+    expected_done, expected_error = drive(pages, op, lpns, batched=False)
+    assert (done, type(error), str(error)) == (
+        expected_done, type(expected_error), str(expected_error)
+    )
+    assert observed(spans) == observed(pages)
+    return error
+
+
+@settings(max_examples=60, deadline=None)
+@given(batches=host_batches)
+def test_span_entries_match_the_per_page_loop(batches):
+    spans, pages = span_stack(), span_stack(per_page_chip=True)
+    # A full device first, so the batches below collect garbage, recycle
+    # dead blocks, and let the leveler force cold moves.
+    assert_same_outcome(spans, pages, "w", range(SPAN_PAGES))
+    for op, lpns in batches:
+        assert_same_outcome(spans, pages, op, lpns)
+
+
+def test_span_entries_match_through_gc_recycle_and_cold_moves():
+    # A fixed long sequence, so the paths the property above usually
+    # reaches are certain to have run.
+    rng = random.Random(12)
+    spans, pages = span_stack(), span_stack(per_page_chip=True)
+    assert_same_outcome(spans, pages, "w", range(SPAN_PAGES))
+    for _ in range(150):
+        start = rng.randrange(SPAN_PAGES)
+        count = rng.randint(1, 40)
+        lpns = (
+            range(start, min(SPAN_PAGES, start + count)) if rng.random() < 0.5
+            else [(start + i * rng.randint(1, 3)) % SPAN_PAGES for i in range(count)]
+        )
+        assert_same_outcome(spans, pages, rng.choice("wwwr"), lpns)
+    stats = spans.layer.stats
+    assert min(stats.gc_runs, stats.dead_recycles, stats.forced_recycles,
+               stats.live_page_copies, stats.host_reads) > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(batches=host_batches, seed=st.integers(0, 2**16),
+       loss_at=st.integers(1, 1500))
+def test_span_entries_match_the_per_page_loop_under_faults(batches, seed, loss_at):
+    plan = FaultPlan(
+        seed=seed, program_fail_prob=0.01, erase_fail_prob=0.02,
+        power_loss_at=(loss_at,),
+    )
+    spans = span_stack(injector=FaultInjector(plan))
+    pages = span_stack(injector=FaultInjector(plan))
+    for op, lpns in [("w", range(SPAN_PAGES)), *batches]:
+        error = assert_same_outcome(spans, pages, op, lpns)
+        if error is not None:
+            # Power loss (or a device worn to end of life): same error,
+            # same pages_done, same media and RAM state — checked above.
+            assert isinstance(error, (PowerLossError, OutOfSpaceError))
+            break
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_payloads_travel_with_relocated_pages(seed):
+    spans = span_stack(store_data=True)
+    pages = span_stack(store_data=True)
+    rng = random.Random(seed)
+    assert_same_outcome(spans, pages, "w", range(SPAN_PAGES))
+    written: dict[int, bytes] = {}
+    for version in range(120):
+        # Payload writes only exist page by page; the batches around
+        # them relocate those pages through GC and cold moves.
+        lpn = rng.randrange(SPAN_PAGES)
+        written[lpn] = payload = f"lpn={lpn} v={version}".encode()
+        for stack in (spans, pages):
+            stack.layer.write(lpn, payload)
+        start = rng.randrange(SPAN_PAGES)
+        lpns = range(start, min(SPAN_PAGES, start + rng.randint(1, 20)))
+        assert_same_outcome(spans, pages, "w", lpns)
+        for lpn in lpns:
+            written.pop(lpn, None)
+    assert spans.layer.stats.live_page_copies > 0 and written
+    for lpn, payload in written.items():
+        assert spans.layer.read(lpn) == pages.layer.read(lpn) == payload
+
+
+@settings(max_examples=25, deadline=None)
+@given(batches=host_batches)
+def test_trace_exporter_sees_the_same_event_stream(batches):
+    streams = []
+    stacks = []
+    for _ in range(2):
+        stream = io.StringIO()
+        bus = EventBus()
+        bus.subscribe(JsonlTraceExporter(stream))
+        stacks.append(span_stack(bus=bus))
+        streams.append(stream)
+    spans, pages = stacks
+    for op, lpns in [("w", range(SPAN_PAGES)), *batches]:
+        assert_same_outcome(spans, pages, op, lpns)
+        assert streams[0].getvalue() == streams[1].getvalue()
+    assert '"kind": "gc_scan"' in streams[0].getvalue()
+
+
+def test_plain_telemetry_keeps_the_flat_route():
+    # A pull-mode collector reads the chip's counters at flush time and
+    # leaves the per-operation mask bits clear, so spans stay whole.
+    telemetry = Telemetry()
+    stack = span_stack(bus=telemetry.bus)
+    assert not stack.flash._watched(M_READ | M_PROGRAM)
+    stack.write_pages(range(SPAN_PAGES))
+    programs = telemetry.snapshot().counters["repro_flash_programs_total"]
+    assert programs.value == SPAN_PAGES
+
+
+class TestSpanErrorParity:
+    """A batch that fails midway leaves what the per-page loop leaves."""
+
+    def test_out_of_range_lpn_in_the_middle_of_a_batch(self):
+        spans, pages = span_stack(), span_stack(per_page_chip=True)
+        for op in "wr":
+            for bad in ([3, 4, SPAN_PAGES, 5], [7, -1], range(80, 95)):
+                error = assert_same_outcome(spans, pages, op, bad)
+                assert isinstance(error, TranslationError)
+        assert spans.layer.stats.host_writes == 2 + 1 + 8
+
+    def test_program_onto_a_non_free_page(self):
+        spans, pages = span_stack(), span_stack(per_page_chip=True)
+        for stack in (spans, pages):
+            stack.write_pages(range(3))
+            block, page = stack.layer._host_frontier
+            # Behind the driver's back (and out of order, so enforcement
+            # steps aside): two pages ahead is no longer free.
+            enforced = stack.flash.enforce_sequential_program
+            stack.flash.enforce_sequential_program = False
+            stack.flash.program(block, page + 2, lba=0)
+            stack.flash.enforce_sequential_program = enforced
+        error = assert_same_outcome(spans, pages, "w", range(10, 15))
+        assert isinstance(error, ProgramError) and error.pages_done == 2
+        assert spans.layer.stats.host_writes == 3 + 2 + 1
+
+    def test_invalidate_of_a_non_valid_page(self):
+        flash = NandFlash(SPAN_GEOMETRY)
+        flash.program_span(0, 0, [5, 6, 7])
+        with pytest.raises(ProgramError, match="cannot invalidate"):
+            flash.invalidate_pages([0, 3, 1])
+        assert flash.block_page_states(0)[:4] == bytes(
+            [PAGE_INVALID, PAGE_VALID, PAGE_VALID, PAGE_FREE]
+        )
+        with pytest.raises(AddressError):
+            flash.invalidate_pages([SPAN_GEOMETRY.total_pages])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.flash.chip import PAGE_INVALID, PAGE_VALID, NandFlash
+from repro.flash.chip import PAGE_VALID, NandFlash
 from repro.flash.geometry import FlashGeometry, CellType
 from repro.flash.mtd import MtdDevice
 from repro.flash.spare import FREE_RECORD, RECORD_SIZE, PageStatus, SpareRecord
@@ -37,12 +37,18 @@ class TestMtd:
         assert after_read == pytest.approx(after_write + mtd.timing.read_page)
         assert after_erase == pytest.approx(after_read + mtd.timing.erase_block)
 
-    def test_copy_page_moves_data_and_counts(self, mtd):
+    def test_copy_span_moves_data_and_counts(self, mtd):
         mtd.write_page(0, 0, lba=9, data=b"d")
-        mtd.copy_page((0, 0), (1, 0))
-        assert mtd.flash.page_state(0, 0) == PAGE_INVALID
-        assert mtd.flash.page_state(1, 0) == PAGE_VALID
-        assert mtd.read_page(1, 0) == (9, b"d")
+        mtd.write_page(0, 2, lba=4, data=b"e")
+        before = mtd.counters.snapshot()
+        mtd.copy_span([0, 2], 1, 1)
+        # The sources stay as they are: their block is erased next.
+        assert mtd.flash.page_state(0, 0) == PAGE_VALID
+        assert mtd.flash.page_state(1, 1) == PAGE_VALID
+        assert mtd.read_page(1, 1) == (9, b"d")
+        assert mtd.read_page(1, 2) == (4, b"e")
+        assert mtd.counters.reads - before.reads == 2 + 2
+        assert mtd.counters.programs - before.programs == 2
 
     def test_erase_listener_passthrough(self, mtd):
         seen = []
