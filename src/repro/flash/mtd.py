@@ -115,6 +115,8 @@ class MtdDevice:
         block: int,
         first_page: int,
         carry: tuple[int, bytes | None] | None = None,
+        *,
+        supersede: bool = False,
     ) -> None:
         """Live-page copies: read each source page index, program a run.
 
@@ -124,6 +126,13 @@ class MtdDevice:
         its page's ``(spare_lba, payload)`` on the exception as ``carry``:
         handing it back with the remaining sources re-issues that program
         without a second read.
+
+        ``supersede`` also invalidates each (valid) source once its copy
+        has landed — an NFTL fold, whose old blocks stay readable until
+        the whole chain has moved.  Page by page the source is invalidated
+        before the next page is read, so an interrupted span never leaves
+        two valid copies of a page; a span the chip takes at once is
+        observed by nothing in between and invalidates its sources after.
         """
         if carry is None and self.flash.copy_span(sources, block, first_page):
             busy = self.busy_time
@@ -132,6 +141,8 @@ class MtdDevice:
                 busy += read
                 busy += program
             self.busy_time = busy
+            if supersede:
+                self.flash.invalidate_pages(sources)
             return
         pages_per_block = self.geometry.pages_per_block
         done = 0
@@ -143,6 +154,8 @@ class MtdDevice:
                     block, first_page + done, lba=carry[0], data=carry[1]
                 )
                 carry = None
+                if supersede:
+                    self.invalidate_page(*divmod(index, pages_per_block))
                 done += 1
         except FlashError as exc:
             exc.pages_done = done

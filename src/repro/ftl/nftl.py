@@ -26,10 +26,11 @@ Implementation notes
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.flash.chip import PAGE_FREE, PAGE_VALID
-from repro.flash.errors import OutOfSpaceError, ProgramFaultError
+from repro.flash.errors import FlashError, OutOfSpaceError, ProgramFaultError
 from repro.flash.mtd import MtdDevice
 from repro.ftl.allocator import BlockAllocator
 from repro.ftl.base import DEFAULT_OP_RATIO, GC_FREE_FRACTION, TranslationLayer
@@ -62,6 +63,21 @@ class BlockChain:
         return self.primary_used + self.repl_next - self.valid_offsets
 
 
+def _mapped_runs(locations: list[int]) -> Iterator[tuple[int, int]]:
+    """Maximal ``[start, stop)`` runs of offsets that hold data."""
+    offset, size = 0, len(locations)
+    while offset < size:
+        if locations[offset] == _NOWHERE:
+            offset += 1
+            continue
+        try:
+            stop = locations.index(_NOWHERE, offset)
+        except ValueError:
+            stop = size
+        yield offset, stop
+        offset = stop
+
+
 class NFTL(TranslationLayer):
     """Coarse-grained (block-level) translation layer.
 
@@ -90,7 +106,11 @@ class NFTL(TranslationLayer):
         )
         geometry = self.geometry
         self.num_vbas = geometry.num_blocks - self._reserve_blocks()
+        self._num_logical_pages = self.num_vbas * geometry.pages_per_block
         self._chains: list[BlockChain | None] = [None] * self.num_vbas
+        #: VBAs whose chain owns a replacement block: the only chains a
+        #: Cleaner pass can merge.  Derived from the chains, not serialized.
+        self._replaced: set[int] = set()
         #: Physical block -> owning chain (None when free).
         self._owner: list[BlockChain | None] = [None] * geometry.num_blocks
         self.allocator = BlockAllocator(
@@ -108,7 +128,7 @@ class NFTL(TranslationLayer):
     # ------------------------------------------------------------------
     @property
     def num_logical_pages(self) -> int:
-        return self.num_vbas * self.geometry.pages_per_block
+        return self._num_logical_pages
 
     def split_lpn(self, lpn: int) -> tuple[int, int]:
         """LBA split of Section 2.2: (virtual block address, block offset)."""
@@ -124,15 +144,19 @@ class NFTL(TranslationLayer):
     # ------------------------------------------------------------------
     # Host operations
     # ------------------------------------------------------------------
+    # One page per call; the bulk work behind a write, the fold, moves
+    # whole runs (DESIGN.md 5j).
     def read(self, lpn: int) -> bytes | None:
-        vba, offset = self.split_lpn(lpn)
+        if not 0 <= lpn < self._num_logical_pages:
+            self.check_lpn(lpn)  # raises
         self.stats.host_reads += 1
+        ppb = self.geometry.pages_per_block
+        vba, offset = divmod(lpn, ppb)
         chain = self._chains[vba]
-        if chain is None or chain.locations[offset] == _NOWHERE:
+        index = _NOWHERE if chain is None else chain.locations[offset]
+        if index == _NOWHERE:
             return None
-        _, payload = self.mtd.read_page(
-            *self.geometry.page_address(chain.locations[offset])
-        )
+        _, payload = self.mtd.read_page(*divmod(index, ppb))
         return payload
 
     def write(self, lpn: int, data: bytes | None = None) -> None:
@@ -142,9 +166,11 @@ class NFTL(TranslationLayer):
         its associated replacement block had to be recycled by NFTL when
         the replacement block was full").
         """
-        vba, offset = self.split_lpn(lpn)
+        if not 0 <= lpn < self._num_logical_pages:
+            self.check_lpn(lpn)  # raises
         self.stats.host_writes += 1
         ppb = self.geometry.pages_per_block
+        vba, offset = divmod(lpn, ppb)
         chain = self._chains[vba]
         if chain is None:
             chain = self._open_chain(vba)
@@ -158,6 +184,7 @@ class NFTL(TranslationLayer):
                 replacement = self._allocate_block()
                 chain.replacement = replacement
                 chain.repl_next = 0
+                self._replaced.add(vba)
                 self._owner[replacement] = chain
                 self.mtd.flash.set_block_tag(replacement, f"R{vba}")
                 continue
@@ -182,10 +209,10 @@ class NFTL(TranslationLayer):
             break
         old = chain.locations[offset]
         if old != _NOWHERE:
-            self.mtd.invalidate_page(*self.geometry.page_address(old))
+            self.mtd.invalidate_pages((old,))
         else:
             chain.valid_offsets += 1
-        chain.locations[offset] = self.geometry.page_index(dest_block, dest_page)
+        chain.locations[offset] = dest_block * ppb + dest_page
         self._process_pending_retirements()
 
     def _primary_page_used(self, chain: BlockChain, offset: int) -> bool:
@@ -284,11 +311,12 @@ class NFTL(TranslationLayer):
         cost = [0] * self.num_vbas
         wear = [0] * self.num_vbas
         erase_counts = self.mtd.erase_counts
-        for vba, chain in enumerate(self._chains):
-            if chain is not None and chain.replacement is not None:
-                benefit[vba] = chain.invalid_pages()
-                cost[vba] = chain.valid_offsets
-                wear[vba] = erase_counts[chain.primary]
+        chains = self._chains
+        for vba in self._replaced:
+            chain = chains[vba]
+            benefit[vba] = chain.invalid_pages()
+            cost[vba] = chain.valid_offsets
+            wear[vba] = erase_counts[chain.primary]
         victim = self.scanner.find_least_worn(benefit, cost, wear)
         if victim is None:
             victim = self.scanner.find_best_fallback(benefit, cost)
@@ -316,60 +344,92 @@ class NFTL(TranslationLayer):
         The most-recent content of every offset is copied to its home page
         in a new primary; the old primary and the replacement (if any) are
         erased and pooled.  Live-page copies are counted per Section 4.3.
-
-        A program fault in the destination restarts the copy loop on
-        another fresh primary: offsets already copied survive as valid
-        pages in the faulted block (``locations`` points at them), so the
-        retry drains them out again.  Faulted intermediates are erased and
-        retired once the fold completes.
         """
-        geometry = self.geometry
         failed_primaries: list[int] = []
-        while True:
-            new_primary = self.allocator.allocate()
-            self.mtd.flash.set_block_tag(new_primary, f"P{chain.vba}")
-            copied = 0
-            faulted = False
-            for offset in range(geometry.pages_per_block):
-                index = chain.locations[offset]
-                if index == _NOWHERE:
-                    continue
-                src = geometry.page_address(index)
-                lba, payload = self.mtd.read_page(*src)
-                try:
-                    self.mtd.write_page(new_primary, offset, lba=lba, data=payload)
-                except ProgramFaultError:
-                    self._on_program_fault(new_primary)
-                    failed_primaries.append(new_primary)
-                    faulted = True
-                    break
-                self.mtd.invalidate_page(*src)
-                chain.locations[offset] = geometry.page_index(new_primary, offset)
-                copied += 1
-            if not faulted:
-                break
-            self.stats.live_page_copies += copied
-        self.stats.live_page_copies += copied
+        new_primary, copied = self._merge_into_fresh_primary(
+            chain.vba, chain.locations, failed_primaries
+        )
         self.stats.folds += 1
 
-        old_primary = chain.primary
-        old_replacement = chain.replacement
-        self._owner[old_primary] = None
-        self._erase_with_recovery(old_primary)
-        self._release_or_retire(old_primary)
-        if old_replacement is not None:
-            self._owner[old_replacement] = None
-            self._erase_with_recovery(old_replacement)
-            self._release_or_retire(old_replacement)
+        self._owner[chain.primary] = None
+        self._erase_and_release(chain.primary)
+        if chain.replacement is not None:
+            self._owner[chain.replacement] = None
+            self._erase_and_release(chain.replacement)
         for failed in failed_primaries:
-            self._erase_with_recovery(failed)
-            self._release_or_retire(failed)
+            self._erase_and_release(failed)
 
         chain.primary = new_primary
         chain.replacement = None
+        self._replaced.discard(chain.vba)
         chain.repl_next = 0
         chain.primary_used = copied
         self._owner[new_primary] = chain
+
+    def _erase_and_release(self, block: int) -> None:
+        self._erase_with_recovery(block)
+        self._release_or_retire(block)
+
+    def _merge_into_fresh_primary(
+        self,
+        vba: int,
+        locations: list[int],
+        failed_primaries: list[int],
+        buffered: dict[int, tuple[int, bytes | None]] | None = None,
+    ) -> tuple[int, int]:
+        """Copy a VBA's live pages to their home offsets in a new primary.
+
+        ``locations`` gives each offset's page index and is re-pointed at
+        the copies as they land.  The new primary is entirely free, so
+        every run of mapped offsets is one superseding ``copy_span`` — a
+        full chain is exactly one.  ``buffered`` (offset -> ``(lba,
+        payload)`` held in RAM) is programmed instead when given.  Returns
+        the new primary and the pages it holds.
+
+        A program fault restarts on another fresh primary: offsets already
+        copied survive as valid pages in the faulted block (``locations``
+        points at them) and drain out again; the faulted offset is read
+        again.  The caller erases and retires ``failed_primaries`` once
+        the merge completes.
+        """
+        ppb = self.geometry.pages_per_block
+        mtd = self.mtd
+        while True:
+            new_primary = self.allocator.allocate()
+            mtd.flash.set_block_tag(new_primary, f"P{vba}")
+            base = new_primary * ppb
+            copied = 0
+            try:
+                if buffered is not None:
+                    for offset in sorted(buffered):
+                        lba, payload = buffered[offset]
+                        mtd.write_page(new_primary, offset, lba=lba, data=payload)
+                        copied += 1
+                else:
+                    for start, stop in _mapped_runs(locations):
+                        landed = stop - start
+                        try:
+                            mtd.copy_span(
+                                locations[start:stop], new_primary, start,
+                                supersede=True,
+                            )
+                        except FlashError as exc:
+                            landed = exc.pages_done
+                            raise
+                        finally:
+                            # What landed is now the only valid copy.
+                            first = base + start
+                            locations[start:start + landed] = range(
+                                first, first + landed
+                            )
+                            copied += landed
+            except ProgramFaultError:
+                self.stats.live_page_copies += copied
+                self._on_program_fault(new_primary)
+                failed_primaries.append(new_primary)
+                continue
+            self.stats.live_page_copies += copied
+            return new_primary, copied
 
     # ------------------------------------------------------------------
     # Checkpointing (see repro.ckpt)
@@ -377,9 +437,9 @@ class NFTL(TranslationLayer):
     def snapshot_state(self) -> dict[str, object]:
         """Driver-common state plus every block chain.
 
-        ``_owner`` is not serialized: it is derivable from the chains
-        (each chain owns its primary and replacement) and is rebuilt on
-        restore.
+        ``_owner`` and ``_replaced`` are not serialized: both are
+        derivable from the chains (each chain owns its primary and
+        replacement) and are rebuilt on restore.
         """
         state = super().snapshot_state()
         chains: list[dict[str, object] | None] = []
@@ -429,6 +489,7 @@ class NFTL(TranslationLayer):
             self._owner[chain.primary] = chain
             if chain.replacement is not None:
                 self._owner[chain.replacement] = chain
+        self._replaced = self._chains_with_replacement()
         self.scanner.restore_state(state["scanner"])  # type: ignore[arg-type]
         self._pending_retire = list(state["pending_retire"])  # type: ignore[arg-type]
         self._retiring = False
@@ -489,7 +550,11 @@ class NFTL(TranslationLayer):
             primaries = [m for m in group if m[1] == "P"]
             repls = [m for m in group if m[1] == "R"]
             if len(primaries) > 1 or len(repls) > 1:
+                copies_before = self.stats.live_page_copies
                 self._attach_merge(vba, group)
+                self.stats.recovery_copies += (
+                    self.stats.live_page_copies - copies_before
+                )
                 continue
             if primaries:
                 block, _, used = primaries[0]
@@ -529,7 +594,14 @@ class NFTL(TranslationLayer):
                     offset = flash.page_lba(member, page) % ppb
                     chain.locations[offset] = geometry.page_index(member, page)
                     chain.valid_offsets += 1
+        self._replaced = self._chains_with_replacement()
         return recovered
+
+    def _chains_with_replacement(self) -> set[int]:
+        return {
+            chain.vba for chain in self._chains
+            if chain is not None and chain.replacement is not None
+        }
 
     def _attach_merge(self, vba: int, group: list[tuple[int, str, int]]) -> None:
         """Consolidate a multi-claimant VBA left by a crash mid-fold.
@@ -545,101 +617,64 @@ class NFTL(TranslationLayer):
         geometry = self.geometry
         flash = self.mtd.flash
         ppb = geometry.pages_per_block
+        claimants = [block for block, _role, _used in group]
         fault_log.info(
             "NFTL rebuild: vba %d claimed by blocks %s; consolidating",
-            vba, sorted(block for block, _, _ in group),
+            vba, sorted(claimants),
         )
-        # offset -> the unique valid (block, page) holding its content.
-        sources: dict[int, tuple[int, int]] = {}
-        for block, _role, _used in group:
+        # offset -> page index of the unique valid page holding its content,
+        # in scan order (the order a drain reads them into RAM).
+        sources: dict[int, int] = {}
+        for block in claimants:
             for page in range(ppb):
                 if flash.page_state(block, page) != PAGE_VALID:
                     continue
                 offset = flash.page_lba(block, page) % ppb
-                sources[offset] = (block, page)
+                sources[offset] = geometry.page_index(block, page)
 
-        for cand, role, used in group:
-            if role != "P":
-                continue
-            if all(
-                blk == cand and page == off
-                for off, (blk, page) in sources.items()
-            ):
-                chain = BlockChain(
-                    vba=vba, primary=cand, locations=[_NOWHERE] * ppb
-                )
-                chain.primary_used = used
-                self._chains[vba] = chain
-                self._owner[cand] = chain
-                for other, _r, _u in group:
-                    if other != cand:
-                        self._erase_with_recovery(other)
-                        self._release_or_retire(other)
-                return
-
+        adopted = next((
+            (cand, used) for cand, role, used in group
+            if role == "P" and all(
+                index == geometry.page_index(cand, off)
+                for off, index in sources.items()
+            )
+        ), None)
         failed_primaries: list[int] = []
-        #: offset -> (lba, payload) once the claimants had to be drained
-        #: before a consolidation block could be allocated.
-        buffered: dict[int, tuple[int, object]] | None = None
-        while True:
+        if adopted is not None:
+            primary, used = adopted
+            claimants.remove(primary)
+        else:
+            locations = [sources.get(offset, _NOWHERE) for offset in range(ppb)]
             try:
-                new_primary = self.allocator.allocate()
+                primary, used = self._merge_into_fresh_primary(
+                    vba, locations, failed_primaries
+                )
             except OutOfSpaceError:
-                if buffered is not None:
-                    raise  # retirement consumed the drained blocks: EOL
                 # The crash struck a fold that had emptied the pool, so
                 # there is no headroom for a copy merge.  Buffer the
                 # surviving pages, drain every claimant back into the
                 # pool, and rebuild the primary from the buffer — the RAM
                 # buffer stands in for the reserved spare erase unit a
-                # real NFTL keeps for this case.
+                # real NFTL keeps for this case.  Out of space again means
+                # retirement consumed the drained blocks: end of life.
                 buffered = {
-                    offset: self.mtd.read_page(*src)
-                    for offset, src in sources.items()
+                    offset: self.mtd.read_page(*divmod(locations[offset], ppb))
+                    for offset in sources
                 }
-                for block in [b for b, _r, _u in group] + failed_primaries:
-                    self._erase_with_recovery(block)
-                    self._release_or_retire(block)
-                group = []
+                for block in claimants + failed_primaries:
+                    self._erase_and_release(block)
+                claimants = []
                 failed_primaries = []
-                continue
-            flash.set_block_tag(new_primary, f"P{vba}")
-            copied = 0
-            faulted = False
-            for offset in sorted(buffered if buffered is not None else sources):
-                if buffered is not None:
-                    lba, payload = buffered[offset]
-                else:
-                    src = sources[offset]
-                    lba, payload = self.mtd.read_page(*src)
-                try:
-                    self.mtd.write_page(new_primary, offset, lba=lba, data=payload)
-                except ProgramFaultError:
-                    self._on_program_fault(new_primary)
-                    failed_primaries.append(new_primary)
-                    faulted = True
-                    break
-                if buffered is None:
-                    self.mtd.invalidate_page(*src)
-                    sources[offset] = (new_primary, offset)
-                copied += 1
-            if not faulted:
-                break
-            self.stats.live_page_copies += copied
-            self.stats.recovery_copies += copied
-        self.stats.live_page_copies += copied
-        self.stats.recovery_copies += copied
+                primary, used = self._merge_into_fresh_primary(
+                    vba, locations, failed_primaries, buffered
+                )
 
-        chain = BlockChain(vba=vba, primary=new_primary, locations=[_NOWHERE] * ppb)
-        chain.primary_used = copied
+        chain = BlockChain(vba=vba, primary=primary, locations=[_NOWHERE] * ppb)
+        chain.primary_used = used
         self._chains[vba] = chain
-        self._owner[new_primary] = chain
-        for block, _role, _used in group:
-            self._erase_with_recovery(block)
-            self._release_or_retire(block)
-        for block in failed_primaries:
-            self._erase_with_recovery(block)
-            self._release_or_retire(block)
+        self._owner[primary] = chain
+        for block in claimants + failed_primaries:
+            self._erase_and_release(block)
 
     # ------------------------------------------------------------------
     # Invariants (crash-consistency harness)
@@ -694,6 +729,11 @@ class NFTL(TranslationLayer):
                     f"vba {vba}: {live} live offsets, chain believes "
                     f"{chain.valid_offsets}"
                 )
+        if self._replaced != self._chains_with_replacement():
+            raise AssertionError(
+                f"replacement index {sorted(self._replaced)} disagrees with "
+                f"the chains {sorted(self._chains_with_replacement())}"
+            )
         for block in range(geometry.num_blocks):
             if block in self.retired_blocks:
                 continue

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import io
 import random
+from functools import partial
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,10 +32,12 @@ from repro.flash.errors import (
     OutOfSpaceError,
     PowerLossError,
     ProgramError,
+    ProgramFaultError,
     TranslationError,
 )
 from repro.flash.geometry import CellType, FlashGeometry
-from repro.ftl.factory import build_stack
+from repro.flash.mtd import MtdDevice
+from repro.ftl.factory import build_stack, make_layer
 from repro.obs.bus import M_PROGRAM, M_READ, EventBus
 from repro.obs.export import JsonlTraceExporter
 from repro.obs.heatmap import WearHeatmap
@@ -546,3 +550,316 @@ class TestSpanErrorParity:
         )
         with pytest.raises(AddressError):
             flash.invalidate_pages([SPAN_GEOMETRY.total_pages])
+
+
+# ----------------------------------------------------------------------
+# NFTL folds as spans vs the per-offset loop (DESIGN.md 5j)
+# ----------------------------------------------------------------------
+# NFTL has no span entry of its own: the host side is ``layer.write`` /
+# ``layer.read`` either way.  What moved onto the span primitives is the
+# merge behind a fold, so the oracle here is the per-offset loop that
+# ``_fold`` and ``_attach_merge`` used to carry, bound over the shared
+# helper of an otherwise identical stack.
+def per_offset_merge(layer, vba, locations, failed_primaries, buffered=None):
+    """Historical merge: read, program, invalidate — one offset at a time."""
+    geometry, mtd = layer.geometry, layer.mtd
+    while True:
+        new_primary = layer.allocator.allocate()
+        mtd.flash.set_block_tag(new_primary, f"P{vba}")
+        copied = 0
+        faulted = False
+        for offset in range(geometry.pages_per_block):
+            if buffered is not None:
+                if offset not in buffered:
+                    continue
+                lba, payload = buffered[offset]
+            else:
+                if locations[offset] == -1:
+                    continue
+                src = geometry.page_address(locations[offset])
+                lba, payload = mtd.read_page(*src)
+            try:
+                mtd.write_page(new_primary, offset, lba=lba, data=payload)
+            except ProgramFaultError:
+                layer._on_program_fault(new_primary)
+                failed_primaries.append(new_primary)
+                faulted = True
+                break
+            if buffered is None:
+                mtd.invalidate_page(*src)
+                locations[offset] = geometry.page_index(new_primary, offset)
+            copied += 1
+        layer.stats.live_page_copies += copied
+        if not faulted:
+            return new_primary, copied
+
+
+def nftl_stack(*, per_offset=False, traced=None, **kwargs):
+    """An NFTL stack over SPAN_GEOMETRY.
+
+    ``traced`` (a text stream) attaches a per-event subscriber, the one
+    attachment that forces the chip per page and changes nothing a
+    snapshot holds; NFTL programs home offsets out of order, so
+    sequential-program enforcement is not an option here.
+    """
+    if traced is not None:
+        kwargs["bus"] = EventBus()
+        kwargs["bus"].subscribe(JsonlTraceExporter(traced))
+    stack = build_stack(
+        SPAN_GEOMETRY, "nftl", SWLConfig(threshold=2, k=0), rng=make_rng(7), **kwargs
+    )
+    assert stack.num_logical_pages == SPAN_PAGES
+    if per_offset:
+        stack.layer._merge_into_fresh_primary = partial(per_offset_merge, stack.layer)
+    return stack
+
+
+nftl_batches = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from("wwwr"), page_batches()),
+        # EraseBlockSet straight from a leveler: any block range.
+        st.tuples(st.just("s"), st.tuples(
+            st.integers(0, SPAN_GEOMETRY.num_blocks - 1), st.integers(1, 4)
+        )),
+    ),
+    min_size=1, max_size=30,
+)
+
+
+def drive_nftl(stack, op, arg):
+    if op == "s":
+        first, count = arg
+        blocks = range(first, min(first + count, SPAN_GEOMETRY.num_blocks))
+        try:
+            return stack.layer.recycle_block_range(blocks), None
+        except FlashError as exc:
+            return None, exc
+    return drive(stack, op, arg, batched=False)
+
+
+def assert_same_nftl_outcome(stacks, op, arg):
+    outcomes = []
+    for stack in stacks:
+        done, error = drive_nftl(stack, op, arg)
+        outcomes.append((done, type(error), str(error), observed(stack)))
+    assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+    return error
+
+
+#: Sparse first writes: chains with holes, so their folds take several runs.
+SPARSE_FILL = [lpn for lpn in range(SPAN_PAGES) if lpn % 8 not in (2, 5)]
+
+
+def three_routes():
+    """Folds as spans on the flat route, folds as spans with the chip
+    forced per page, and the historical loop — the last two with a trace
+    exporter each, whose streams must agree event for event."""
+    streams = io.StringIO(), io.StringIO()
+    return [
+        nftl_stack(),
+        nftl_stack(traced=streams[0]),
+        nftl_stack(per_offset=True, traced=streams[1]),
+    ], streams
+
+
+@settings(max_examples=60, deadline=None)
+@given(batches=nftl_batches)
+def test_nftl_fold_spans_match_the_per_offset_loop(batches):
+    stacks, streams = three_routes()
+    for op, arg in [("w", SPARSE_FILL), *batches]:
+        assert_same_nftl_outcome(stacks, op, arg)
+        assert streams[0].getvalue() == streams[1].getvalue()
+        for stack in stacks:
+            stack.layer.assert_internal_consistency()
+
+
+def test_nftl_fold_spans_match_through_every_kind_of_fold():
+    # A fixed long sequence, so the folds the property above usually
+    # reaches are certain to have run: full replacement, Cleaner, SWL.
+    rng = random.Random(21)
+    stacks, streams = three_routes()
+    spans = stacks[0]
+    runs = []
+    copy_span = spans.mtd.copy_span
+    spans.mtd.copy_span = lambda sources, *args, **kwargs: (
+        runs.append(len(sources)), copy_span(sources, *args, **kwargs)
+    )
+    assert_same_nftl_outcome(stacks, "w", SPARSE_FILL)
+    for step in range(200):
+        if step % 25 == 24:
+            assert_same_nftl_outcome(stacks, "s", (rng.randrange(16), 3))
+            continue
+        start = rng.randrange(SPAN_PAGES)
+        lpns = [(start + i * rng.randint(1, 2)) % SPAN_PAGES
+                for i in range(rng.randint(1, 24))]
+        assert_same_nftl_outcome(stacks, rng.choice("wwwr"), lpns)
+    assert streams[0].getvalue() == streams[1].getvalue()
+    for reason in ("fold", "free-space", "swl"):
+        assert f'"kind": "gc_start", "reason": "{reason}"' in streams[0].getvalue()
+    stats = spans.layer.stats
+    assert min(stats.gc_runs, stats.forced_recycles, stats.host_reads) > 0
+    assert stats.folds > stats.gc_runs + stats.forced_recycles  # full replacements
+    assert sum(runs) == stats.live_page_copies
+    assert len(runs) > stats.folds                # chains with holes: several runs
+    assert SPAN_GEOMETRY.pages_per_block in runs  # full chains: exactly one
+
+
+def test_superseding_copy_leaves_the_same_chip_by_either_route():
+    outcomes = []
+    for store_data in (False, True):  # flat route, per-page route
+        mtd = MtdDevice(geometry=SPAN_GEOMETRY, store_data=store_data)
+        mtd.program_span(0, 0, [10, 11, 12, 13])
+        mtd.program_span(1, 0, [14, 15])
+        mtd.copy_span([1, 8, 3, 9], 2, 3, supersede=True)
+        states = [bytes(mtd.flash.block_page_states(block)) for block in range(3)]
+        assert states[0][:4] == bytes(
+            [PAGE_VALID, PAGE_INVALID, PAGE_VALID, PAGE_INVALID]
+        )
+        assert states[1][:2] == bytes([PAGE_INVALID] * 2)
+        assert [mtd.flash.page_lba(2, page) for page in range(3, 7)] == [11, 14, 13, 15]
+        # A destination page that is not free: the span goes page by page
+        # and stops there, the pages before it already superseded.
+        mtd.flash.program(3, 2, lba=0)
+        with pytest.raises(ProgramError) as caught:
+            mtd.copy_span([0, 19, 2], 3, 1, supersede=True)
+        assert caught.value.pages_done == 1 and caught.value.carry == (11, None)
+        assert mtd.flash.page_state(0, 0) == PAGE_INVALID
+        assert mtd.flash.page_state(2, 3) == mtd.flash.page_state(0, 2) == PAGE_VALID
+        outcomes.append((states, mtd.counters.snapshot(), mtd.busy_time))
+    assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(batches=nftl_batches, seed=st.integers(0, 2**16),
+       loss_at=st.integers(1, 3000))
+def test_nftl_fold_spans_match_the_per_offset_loop_under_faults(
+    batches, seed, loss_at
+):
+    plan = FaultPlan(
+        seed=seed, program_fail_prob=0.01, erase_fail_prob=0.02,
+        power_loss_at=(loss_at,),
+    )
+    stacks = [nftl_stack(injector=FaultInjector(plan)),
+              nftl_stack(per_offset=True, injector=FaultInjector(plan))]
+    for op, arg in [("w", SPARSE_FILL), *batches]:
+        error = assert_same_nftl_outcome(stacks, op, arg)
+        if error is not None:
+            assert isinstance(error, (PowerLossError, OutOfSpaceError))
+            break
+
+
+class Counts(NamedTuple):
+    programs: int
+    reads: int
+    copies: int
+    ops: int | None  #: injector operation ordinal, when one is attached
+
+
+def fold_windows(stack, writes):
+    """``(began, ended, pages)`` per fold while driving ``writes``: the
+    :class:`Counts` around it and the live pages of the chain it merged."""
+    windows = []
+    layer, fold = stack.layer, stack.layer._fold
+
+    def counts():
+        counters, injector = stack.flash.counters, stack.flash.injector
+        return Counts(
+            counters.programs, counters.reads, layer.stats.live_page_copies,
+            None if injector is None else injector.stats.ops,
+        )
+
+    def watched(chain):
+        began, pages = counts(), chain.valid_offsets
+        fold(chain)
+        windows.append((began, counts(), pages))
+
+    layer._fold = watched
+    written = {}
+    for lpn, payload in writes:
+        layer.write(lpn, payload)
+        written[lpn] = payload
+    assert all(layer.read(lpn) == payload for lpn, payload in written.items())
+    return windows
+
+
+def hot_writes(count, seed=5):
+    rng = random.Random(seed)
+    for version in range(count):
+        lpn = rng.randrange(24) if rng.random() < 0.8 else rng.randrange(SPAN_PAGES)
+        yield lpn, f"lpn={lpn} v={version}".encode()
+
+
+def fail_program(stack, ordinal):
+    """Make the chip's ``ordinal``-th program fail (its block grows bad)."""
+    injector = stack.flash.injector
+    on_program = injector.on_program
+
+    def failing(block, page):
+        if stack.flash.counters.programs + 1 == ordinal:
+            injector.bad_program_blocks.add(block)
+        on_program(block, page)
+
+    injector.on_program = failing
+
+
+def test_program_fault_mid_fold_restarts_like_the_per_offset_loop():
+    clean = fold_windows(nftl_stack(store_data=True), hot_writes(300))
+    at = next(i for i, (_, _, pages) in enumerate(clean) if pages >= 6)
+    stacks, folds = [], []
+    for per_offset in (False, True):
+        stack = nftl_stack(
+            per_offset=per_offset, store_data=True,
+            injector=FaultInjector(FaultPlan(seed=3)),
+        )
+        fail_program(stack, clean[at][0].programs + 4)  # the fold's fourth copy
+        folds.append(fold_windows(stack, hot_writes(300)))
+        stacks.append(stack)
+    spans, oracle = stacks
+    assert observed(spans) == observed(oracle) and folds[0] == folds[1]
+    assert spans.layer.stats.program_faults == 1
+    assert len(spans.layer.retired_blocks) == 1
+    # The restart copies again the three pages that had landed, and reads
+    # again the one whose program failed.
+    began, ended, pages = folds[0][at]
+    assert began.programs == clean[at][0].programs
+    assert ended.programs - began.programs == pages + 4
+    assert ended.reads - began.reads == pages + 4
+    assert ended.copies - began.copies == pages + 3
+
+
+def assert_one_valid_copy_per_page(flash, loss_at):
+    tags = [
+        flash.page_lba(block, page)
+        for block in range(SPAN_GEOMETRY.num_blocks)
+        for page in flash.valid_pages(block)
+    ]
+    assert len(tags) == len(set(tags)), f"two valid copies, loss at {loss_at}"
+
+
+def test_power_loss_at_every_page_of_a_fold_loses_nothing():
+    counting = nftl_stack(store_data=True, injector=FaultInjector(FaultPlan()))
+    began, ended, pages = next(
+        w for w in fold_windows(counting, hot_writes(300)) if w[2] >= 6
+    )
+    assert ended.ops - began.ops >= 2 * pages + 1  # read + program a page, erases
+    for loss_at in range(began.ops + 1, ended.ops + 1):
+        plan = FaultPlan(power_loss_at=(loss_at,))
+        stack = nftl_stack(store_data=True, injector=FaultInjector(plan))
+        acked, inflight = {}, None
+        with pytest.raises(PowerLossError):
+            for inflight in hot_writes(300):
+                stack.layer.write(*inflight)
+                acked[inflight[0]] = inflight[1]
+        # The supersede rule: at most one valid copy of a page at any
+        # instant, so the attach scan never has to choose between two.
+        assert_one_valid_copy_per_page(stack.flash, loss_at)
+        stack.mtd.clear_erase_listeners()  # RAM wiring dies with the power
+        layer = make_layer("nftl", stack.mtd)
+        layer.rebuild_mapping()
+        layer.assert_internal_consistency()
+        assert_one_valid_copy_per_page(stack.flash, loss_at)
+        lpn, payload = inflight
+        if layer.read(lpn) == payload:  # durable, though never acknowledged
+            acked[lpn] = payload
+        for lpn, payload in acked.items():
+            assert layer.read(lpn) == payload, f"lpn {lpn} lost, loss at {loss_at}"

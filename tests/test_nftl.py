@@ -29,8 +29,13 @@ class TestAddressSplit:
 
     def test_range_check(self, small_geometry):
         nftl, _ = make_nftl(small_geometry)
-        with pytest.raises(TranslationError):
-            nftl.read(nftl.num_logical_pages)
+        for lpn in (nftl.num_logical_pages, -1):
+            with pytest.raises(TranslationError, match=f"logical page {lpn} out of"):
+                nftl.read(lpn)
+            with pytest.raises(TranslationError, match=f"logical page {lpn} out of"):
+                nftl.write(lpn)
+        # A rejected page is not a host access.
+        assert nftl.stats.host_reads == nftl.stats.host_writes == 0
 
     def test_chain_of_range_check(self, small_geometry):
         nftl, _ = make_nftl(small_geometry)
@@ -189,6 +194,32 @@ class TestChainAccounting:
         chain = nftl.chain_of(0)
         assert nftl._owner[chain.primary] is chain
         assert nftl._owner[chain.replacement] is chain
+
+    def test_replacement_index_follows_the_chains(self, small_geometry):
+        # The Cleaner tallies only the VBAs indexed as owning a
+        # replacement; the index is derived state, so every way of
+        # (re)building the chains must rebuild it too.
+        nftl, chip = make_nftl(small_geometry)
+        rng = random.Random(4)
+        for _ in range(3000):
+            nftl.write(rng.randrange(nftl.num_logical_pages))
+        owners = {
+            chain.vba for chain in nftl._chains
+            if chain is not None and chain.replacement is not None
+        }
+        assert nftl._replaced == owners and owners
+        assert nftl.stats.gc_runs > 0
+        nftl.assert_internal_consistency()
+        snapshot = nftl.snapshot_state()
+        restored = NFTL(MtdDevice(chip))
+        restored.restore_state(snapshot)
+        assert restored._replaced == owners
+        assert restored.snapshot_state() == snapshot
+        restored.rebuild_mapping()
+        assert restored._replaced == owners
+        restored._replaced.pop()
+        with pytest.raises(AssertionError, match="replacement index"):
+            restored.assert_internal_consistency()
 
     def test_valid_offsets_match_chip(self, small_geometry):
         nftl, chip = make_nftl(small_geometry)
