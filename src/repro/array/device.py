@@ -483,7 +483,7 @@ def build_array(
                 store_data=store_data,
                 rng=spawn_rng(base, f"shard{index}"),
                 injector=injector,
-                bus=bus.for_shard(index) if bus else None,
+                bus=bus.for_shard(index) if bus is not None else None,
             )
         )
     coordinator = None

@@ -264,7 +264,7 @@ class SWLeveler:
 
     def attach_bus(self, bus: "BusLike | None") -> None:
         """Emit ``SwlInvoke``/``BetReset`` telemetry on ``bus``."""
-        self._obs = bus if bus else None
+        self._obs = bus
 
     # ------------------------------------------------------------------
     # Host-facing notifications

@@ -99,7 +99,7 @@ class FaultInjector:
 
     def attach_bus(self, bus: "BusLike | None") -> None:
         """Emit ``FaultInjected``/``PowerLoss`` telemetry on ``bus``."""
-        self._obs = bus if bus else None
+        self._obs = bus
 
     # ------------------------------------------------------------------
     # Power-loss scheduling

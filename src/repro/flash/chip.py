@@ -164,12 +164,8 @@ class NandFlash:
         self._injector = injector
 
     def attach_bus(self, bus: "BusLike | None") -> None:
-        """Emit telemetry events on ``bus`` from now on.
-
-        A falsy bus (``None`` or the null bus) normalises to ``None`` so
-        the disabled hot path stays a single ``is not None`` test.
-        """
-        self._obs = bus if bus else None
+        """Emit telemetry events on ``bus`` from now on (``None``: stop)."""
+        self._obs = bus
 
     def mark_bad(self, block: int) -> None:
         """Record ``block`` in the on-flash grown-bad-block table."""
@@ -305,7 +301,7 @@ class NandFlash:
         A fault injector draws per operation, payloads travel per page,
         sequential-program enforcement inspects each page's predecessor,
         and a bus subscriber interested in ``kinds`` wants one event per
-        operation.  A pull-mode collector leaves the mask bits clear.
+        operation.  The metrics collector leaves the hot mask bits clear.
         """
         obs = self._obs
         return (

@@ -161,7 +161,7 @@ class TranslationLayer(ABC):
         Propagates to the driver's Cleaner scanner when one exists, so a
         single attach instruments the whole driver.
         """
-        self._obs = bus if bus else None
+        self._obs = bus
         scanner = getattr(self, "scanner", None)
         if scanner is not None:
             scanner.attach_bus(bus)

@@ -61,7 +61,7 @@ class CyclicScanner:
 
     def attach_bus(self, bus: "BusLike | None") -> None:
         """Emit one ``GcScan`` event per victim-selection call on ``bus``."""
-        self._obs = bus if bus else None
+        self._obs = bus
 
     def find_least_worn(
         self,

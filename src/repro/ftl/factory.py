@@ -405,15 +405,15 @@ def build_stack(
         leveler = swl.build(geometry.num_blocks, layer, rng=rng)
         assert leveler is not None
         layer.attach_leveler(leveler)
-    if bus:
+    if bus is not None:
         # Timestamps are simulated device time: the accumulated busy
         # time of this stack's MTD (per-shard clocks in an array).
-        if getattr(bus, "clock", None) is None:
+        if bus.clock is None:
             bus.clock = lambda: mtd.busy_time
         flash.attach_bus(bus)
-        # The chip's cumulative OpCounters back the pulled hot-counter
-        # path: state-capable subscribers stop listening for per-op
-        # events once a source covers their shard (repro.obs.bus).
+        # The chip's cumulative OpCounters are where the metrics
+        # collector reads read/program/erase totals at flush time, in
+        # place of per-operation events (repro.obs.bus).
         bus.register_hot_source(flash)
         layer.attach_bus(bus)
         if leveler is not None and hasattr(leveler, "attach_bus"):

@@ -1,8 +1,10 @@
 """Observability layer: typed events, metrics, heatmaps, exporters.
 
 ``repro.obs`` is the stack's telemetry subsystem.  Components emit typed
-events (:mod:`repro.obs.events`) on an :class:`~repro.obs.bus.EventBus`;
-a :class:`~repro.obs.collect.MetricsCollector` folds them into
+events (:mod:`repro.obs.events`) on an :class:`~repro.obs.bus.EventBus`,
+which delivers them to subscribers in ordered batches;
+a :class:`~repro.obs.collect.MetricsCollector` folds them — and the
+read/program/erase totals it pulls from the chips — into
 counters/gauges/histograms whose snapshots merge exactly across array
 shards; exporters serialise the stream as JSONL, Chrome ``trace_event``
 JSON (Perfetto-loadable, simulated-time clock), or Prometheus text; and
@@ -16,10 +18,9 @@ DESIGN.md §5c for the taxonomy, formats, and overhead contract.
 """
 
 from repro.obs.bus import (
+    BatchSubscriber,
     BusLike,
     EventBus,
-    NULL_BUS,
-    NullEventBus,
     ShardBus,
     TraceRecord,
 )
@@ -59,6 +60,7 @@ from repro.obs.metrics import (
 from repro.obs.telemetry import Telemetry
 
 __all__ = [
+    "BatchSubscriber",
     "BetReset",
     "BusLike",
     "ChromeTraceExporter",
@@ -81,8 +83,6 @@ __all__ = [
     "MetricsCollector",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "NULL_BUS",
-    "NullEventBus",
     "PowerLoss",
     "Program",
     "Read",

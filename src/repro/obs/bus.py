@@ -1,75 +1,60 @@
-"""Event bus: fan-out of typed telemetry events to subscribers.
+"""Event bus: one ordered op buffer between emit sites and subscribers.
 
-The bus is deliberately tiny.  Instrumented components hold either a live
-bus or ``None`` — never a "maybe disabled" object — so the disabled hot
-path is a single ``if self._obs is not None:`` test with no attribute
-chasing, no event construction, and no call dispatch.  Components
-normalise whatever they are handed with ``bus if bus else None``, which
-maps :data:`NULL_BUS` (falsy) onto the cheap ``None`` representation.
-
-Four refinements keep the *enabled* path cheap as well (DESIGN.md §5f):
+Instrumented components hold either a live bus or ``None``, so the
+disabled hot path is a single ``if self._obs is not None:`` test with no
+attribute chasing, no event construction, and no call dispatch.  Three
+things keep the *enabled* path cheap (DESIGN.md §5f):
 
 * **Kind masks** — every event kind owns one bit (:data:`M_READ`,
   :data:`M_PROGRAM`, ...), and ``bus.mask`` is the union of what the
   current subscribers want.  Emit sites guard with
-  ``if obs is not None and obs.mask & M_READ:`` so an event kind no
-  subscriber cares about costs one integer test — no event object, no
-  call.  An empty subscriber set has mask 0, so a bus with nobody
-  listening never timestamps or allocates anything.
-* **Batched emission** — a bus built with a ``capacity`` buffers flat
-  tuples instead of dispatching per event, *provided every subscriber is
-  batch-capable* (exposes ``consume_batch``).  The hot kinds (read,
-  program, erase) have dedicated ``emit_read`` / ``emit_program`` /
-  ``emit_erase`` entry points that append ``(kind_id, ts, shard,
-  fields...)`` without constructing an :class:`~repro.obs.events.Event`
-  or a :class:`TraceRecord` at all; rare kinds ride in the same buffer
-  as ``(K_OBJ, ts, shard, event)``, preserving global order.  The buffer
-  drains to every subscriber when full, on :meth:`EventBus.flush`, and
-  around any subscription change.  If any plain per-record subscriber is
-  attached the bus falls back to the original synchronous
-  :class:`TraceRecord` dispatch, so ad-hoc observers keep exact legacy
-  semantics.
-* **Tally mode** — when additionally *no* subscriber needs timestamps
-  and every subscriber exposes ``consume_tallies`` (the metrics
-  collector — the only subscriber a plain ``Telemetry()`` attaches —
-  qualifies), a hot emission shrinks to appending one shard tag to a
-  per-kind list through a closure rebound on each subscription change.
-  Counting is order-insensitive across kinds (the collector folds hot
-  kinds into disjoint counters, and its only cross-event aggregations
-  are maxima), so splitting the hot kinds out of the ordered stream is
-  observationally lossless; rare kinds still ride the ordered op
-  buffer.
+  ``if obs is not None and obs.mask & M_READ:`` so a kind no subscriber
+  cares about costs one integer test.  An empty subscriber set has mask
+  0, so a bus with nobody listening never timestamps or allocates.
+* **One ordered op buffer** — every emission appends one flat tuple to
+  a single list that keeps global emission order: ``(kind_id, ts, shard,
+  fields...)`` for the hot kinds (read, program, erase — no
+  :class:`~repro.obs.events.Event`, no :class:`TraceRecord`) and
+  ``(K_OBJ, ts, shard, event)`` for everything else.  The list drains to
+  every subscriber's ``consume_batch`` when it reaches
+  :data:`BATCH_CAPACITY`, on :meth:`EventBus.flush`, and around any
+  subscription change; nothing is delivered in between, so whoever reads
+  subscriber state flushes first (the ``Telemetry`` facade does).  A
+  plain callable may subscribe too: it receives the same ops rehydrated
+  into :class:`TraceRecord` objects, in emission order, at flush.
 * **Pulled hot counters** — the hot kinds carry nothing the device does
-  not already know: the chip's cumulative ``OpCounters`` and its wear
-  state determine the read/program/erase totals and the per-block erase
-  peak exactly.  The factory registers each chip as a *hot source*
-  (:meth:`EventBus.register_hot_source`); the telemetry facade reacts by
-  flipping its collector to pull mode, which removes :data:`HOT_KINDS`
-  from the collector's interest and syncs the counters from device state
-  at flush time instead.  With no other hot-kind subscriber attached the
-  emit-site mask test then fails, so the per-operation cost of metrics
-  collection drops to one integer test — this is what holds telemetry-on
-  replay overhead inside the published budget.  Trace exporters still
-  declare hot interest and stream every event.
+  not already know: the chip's cumulative ``OpCounters`` and wear state
+  give the read/program/erase totals and the per-block erase peak
+  exactly.  The factory registers each chip as a *hot source* and the
+  metrics collector reads those totals at flush time; it never declares
+  interest in :data:`HOT_KINDS`, so with only a collector attached the
+  emit-site mask test fails and metrics cost one integer test per
+  operation.  Trace exporters declare hot interest and stream every op.
 
-Timestamps come from an injectable ``clock`` callable rather than wall
-time: the factory wires it to the device's accumulated ``busy_time``, so
-exported traces are in *simulated* seconds and runs are reproducible.
-When no attached subscriber needs timestamps (the metrics collector
-declares ``needs_timestamps = False``) the batched paths skip the clock
-read entirely.  Multi-channel arrays hand each shard a :class:`ShardBus`
-view — same subscribers, shard-specific tag and clock — mirroring how
-``DeviceArray`` composes per-shard ``EraseDistribution`` snapshots.
+This is the one delivery path left of three.  A synchronous
+record-per-emission mode and a per-kind tally mode sat beside the
+buffer; measured at 08b1d6f (seed 1, the six benchmark workloads) the
+tally lists delivered 0 entries under the shipped ``Telemetry()`` — its
+collector always pulls — while 2,172-18,731 cold ops per workload rode
+the op buffer, no caller selected the synchronous mode, and on the one
+traffic where hot kinds flow (``Telemetry.to_directory``) the buffer was
+1.64-1.82x faster than synchronous dispatch, artifacts byte-identical.
+
+Timestamps come from an injectable ``clock`` callable, not wall time:
+the factory wires it to the device's accumulated ``busy_time``, so
+traces are in *simulated* seconds and runs are reproducible.  When no
+subscriber needs timestamps (the collector declares ``needs_timestamps =
+False``) the clock is never read.  Multi-channel arrays hand each shard
+a :class:`ShardBus` view: same buffer, the shard's own tag and clock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Optional, Protocol, Tuple, Union, runtime_checkable
 
 from repro.obs.events import Erase, Event, Program, Read
 
-Subscriber = Callable[["TraceRecord"], None]
 Clock = Callable[[], float]
 
 #: One buffered emission: ``(kind_id, ts, shard, fields...)`` for the hot
@@ -100,557 +85,236 @@ M_RECOVERY = 1 << 9
 M_POWER_LOSS = 1 << 10
 M_QUEUE_DEPTH = 1 << 11
 
-#: Every kind bit set — the interest of a subscriber that declares none.
+#: Every kind bit set.
 ALL_EVENTS = (1 << 12) - 1
 
 #: The per-operation kinds a device emits on its own hot path.  A
-#: subscriber that can reconstruct these from device state (see
-#: ``register_hot_source``) drops them from its interest so the emit
+#: subscriber that reads them from device state instead (see
+#: ``register_hot_source``) leaves them out of its interest so the emit
 #: sites never fire at all.
 HOT_KINDS = M_READ | M_PROGRAM | M_ERASE
 
-#: Kind tag -> mask bit, for subscribers that filter by kind name.
-KIND_MASKS: dict[str, int] = {
-    "read": M_READ,
-    "program": M_PROGRAM,
-    "erase": M_ERASE,
-    "gc_start": M_GC_START,
-    "gc_end": M_GC_END,
-    "gc_scan": M_GC_SCAN,
-    "swl_invoke": M_SWL_INVOKE,
-    "bet_reset": M_BET_RESET,
-    "fault_injected": M_FAULT_INJECTED,
-    "recovery": M_RECOVERY,
-    "power_loss": M_POWER_LOSS,
-    "queue_depth": M_QUEUE_DEPTH,
-}
-
-#: Default buffered-path capacity (events held before an automatic flush).
-DEFAULT_BATCH_CAPACITY = 4096
-
-#: Hot-path emitter names that get closure-bound in tally mode.
-_FAST_EMITTERS = ("emit_read", "emit_program", "emit_erase")
+#: Emissions held before an automatic flush.
+BATCH_CAPACITY = 4096
 
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One event as delivered to subscribers: timestamped and shard-tagged.
-
-    ``ts`` is simulated device time in seconds (monotonic per shard,
-    since it tracks that shard's accumulated busy time).
-    """
+    """One event as a plain-callable subscriber sees it; ``ts`` is
+    simulated seconds (monotonic per shard: that shard's busy time)."""
 
     ts: float
     shard: int
     event: Event
 
 
-class EventBus:
-    """Fan-out of telemetry to subscribers: synchronous, batched, or tallied.
+@runtime_checkable
+class BatchSubscriber(Protocol):
+    """What the bus delivers to: whole batches, plus two declarations."""
 
-    ``capacity=None`` (the default) keeps the original synchronous
-    semantics: every emission builds a :class:`TraceRecord` and calls
-    each subscriber immediately.  A positive ``capacity`` enables the
-    batched paths whenever every subscriber is batch-capable (see the
-    module docstring); :class:`~repro.obs.telemetry.Telemetry` builds
-    its bus this way.
+    #: Union of the ``M_*`` bits this subscriber wants emitted.
+    interest_mask: int
+    #: ``False`` lets a bus with no other subscriber skip its clock.
+    needs_timestamps: bool
 
-    Synchronous dispatch snapshots the subscriber tuple, so a subscriber
-    may subscribe/unsubscribe others (or itself) mid-dispatch without
-    corrupting iteration.
+    def consume_batch(self, batch: list[BatchOp]) -> None:
+        """Take ``batch`` in emission order; do not retain the list."""
+
+
+Subscriber = Union[BatchSubscriber, Callable[[TraceRecord], None]]
+
+
+def _op_to_record(op: BatchOp) -> TraceRecord:
+    """Rehydrate a buffered op into the per-event record form."""
+    kind = op[0]
+    if kind == K_READ:
+        return TraceRecord(op[1], op[2], Read(op[3], op[4]))
+    if kind == K_PROGRAM:
+        return TraceRecord(op[1], op[2], Program(op[3], op[4], op[5]))
+    if kind == K_ERASE:
+        return TraceRecord(op[1], op[2], Erase(op[3], op[4]))
+    return TraceRecord(op[1], op[2], op[3])
+
+
+class _RecordSubscriber:
+    """Adapts a plain callable: every kind, one record per op, at flush."""
+
+    interest_mask = ALL_EVENTS
+    needs_timestamps = True
+
+    def __init__(self, callback: Callable[[TraceRecord], None]) -> None:
+        self._callback = callback
+
+    def consume_batch(self, batch: list[BatchOp]) -> None:
+        callback = self._callback
+        for op in batch:
+            callback(_op_to_record(op))
+
+
+class _Emitter:
+    """The emission surface the root bus and its shard views share.
+
+    Each emitter is one body — append a flat op to the root's buffer,
+    flush when it is full — so components are topology-blind.
     """
 
-    def __init__(self, clock: Optional[Clock] = None,
-                 capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self._subscribers: tuple[Subscriber, ...] = ()
-        #: Returns current simulated time; ``None`` until the factory
-        #: wires it to the backing device.
-        self.clock: Optional[Clock] = clock
-        #: Union of the subscribers' kind interests; emit sites test
-        #: their kind bit against this before building anything.
-        self.mask: int = 0
-        self._capacity = capacity
-        self._buffer: list[BatchOp] = []
-        # Tally-mode per-kind accumulators: shard tags for reads and
-        # programs, (shard, erase_count) pairs for erases.  Identities
-        # are stable — cleared in place — because the closure emitters
-        # capture the list objects.
-        self._tally_reads: list[int] = []
-        self._tally_programs: list[int] = []
-        self._tally_erases: list[tuple[int, int]] = []
-        self._buffered = False
-        self._tallying = False
-        self._need_ts = False
-        #: Shard views handed out by :meth:`for_shard`, kept so a
-        #: subscription change can rebind their fast emitters too.
-        self._views: list[ShardBus] = []
-        #: Per-shard devices whose cumulative hot counters can be read
-        #: directly (see :meth:`register_hot_source`).
-        self.hot_sources: dict[int, Any] = {}
-        #: Invoked after every :meth:`register_hot_source`; the telemetry
-        #: facade hooks this to flip its collector into pull mode.
-        self.on_sources_changed: Optional[Callable[[], None]] = None
+    _root: "EventBus"
+    #: Tag stamped on every op emitted here (0 on the root bus).
+    shard: int
+    #: Current simulated time; ``None`` until the factory wires it to
+    #: the backing device (a view then falls back to the root's).
+    clock: Optional[Clock]
+    #: Union of the subscribers' kind interests — a plain attribute,
+    #: because emit sites test their kind bit against it per operation.
+    mask: int
 
-    def __bool__(self) -> bool:
-        return True
+    def now(self) -> float:
+        """Current simulated time, 0.0 before a clock is wired."""
+        clock = self.clock
+        if clock is None:
+            clock = self._root.clock
+        return clock() if clock is not None else 0.0
 
-    # -- subscription ----------------------------------------------------
-    def _rewire(self) -> None:
-        """Recompute mask/mode and rebind fast emitters after a change."""
-        subs = self._subscribers
-        mask = 0
-        for subscriber in subs:
-            mask |= getattr(subscriber, "interest_mask", ALL_EVENTS)
-        self.mask = mask
-        self._need_ts = any(
-            getattr(subscriber, "needs_timestamps", True) for subscriber in subs
-        )
-        self._buffered = bool(subs) and self._capacity is not None and all(
-            hasattr(subscriber, "consume_batch") for subscriber in subs
-        )
-        self._tallying = self._buffered and not self._need_ts and all(
-            hasattr(subscriber, "consume_tallies") for subscriber in subs
-        )
-        self._bind_emitters()
-        for view in self._views:
-            view._bind_emitters()
-
-    def _bind_emitters(self) -> None:
-        """Shadow the ``emit_*`` methods with tally-mode closures.
-
-        In tally mode a hot emission must be as close to a bare
-        ``list.append(shard)`` as Python allows; binding closures over
-        the tally lists into the instance ``__dict__`` drops every
-        ``self`` attribute hop from the per-event path.  Outside tally
-        mode the shadows are removed and the class methods (which handle
-        every mode) resolve again.
-        """
-        instance = self.__dict__
-        for name in _FAST_EMITTERS:
-            instance.pop(name, None)
-        if not self._tallying:
+    def emit(self, event: Event) -> None:
+        """Buffer ``event``, timestamped and shard-tagged; with no
+        subscribers, return before touching the clock or allocating."""
+        root = self._root
+        if not root._sinks:
             return
-        capacity = self._capacity
-        assert capacity is not None
-        flush = self.flush
-        reads = self._tally_reads
-        programs = self._tally_programs
-        erases = self._tally_erases
+        buffer = root._buffer
+        ts = self.now() if root._need_ts else 0.0
+        buffer.append((K_OBJ, ts, self.shard, event))
+        if len(buffer) >= BATCH_CAPACITY:
+            root.flush()
 
-        def emit_read(block: int, page: int, shard: int = 0,
-                      _append: Any = reads.append, _len: Any = len) -> None:
-            _append(shard)
-            if _len(reads) >= capacity:
-                flush()
+    # The hot emitters run behind an emit-site mask test, which only a
+    # subscriber can make pass, so they skip the subscriber check.
+    def emit_read(self, block: int, page: int) -> None:
+        """Hot-path read emission: no Event, no TraceRecord."""
+        root = self._root
+        buffer = root._buffer
+        ts = self.now() if root._need_ts else 0.0
+        buffer.append((K_READ, ts, self.shard, block, page))
+        if len(buffer) >= BATCH_CAPACITY:
+            root.flush()
 
-        def emit_program(block: int, page: int, lba: int, shard: int = 0,
-                         _append: Any = programs.append,
-                         _len: Any = len) -> None:
-            _append(shard)
-            if _len(programs) >= capacity:
-                flush()
+    def emit_program(self, block: int, page: int, lba: int) -> None:
+        """Hot-path program emission: no Event, no TraceRecord."""
+        root = self._root
+        buffer = root._buffer
+        ts = self.now() if root._need_ts else 0.0
+        buffer.append((K_PROGRAM, ts, self.shard, block, page, lba))
+        if len(buffer) >= BATCH_CAPACITY:
+            root.flush()
 
-        def emit_erase(block: int, count: int, shard: int = 0,
-                       _append: Any = erases.append, _len: Any = len) -> None:
-            _append((shard, count))
-            if _len(erases) >= capacity:
-                flush()
+    def emit_erase(self, block: int, count: int) -> None:
+        """Hot-path erase emission: no Event, no TraceRecord."""
+        root = self._root
+        buffer = root._buffer
+        ts = self.now() if root._need_ts else 0.0
+        buffer.append((K_ERASE, ts, self.shard, block, count))
+        if len(buffer) >= BATCH_CAPACITY:
+            root.flush()
 
-        instance["emit_read"] = emit_read
-        instance["emit_program"] = emit_program
-        instance["emit_erase"] = emit_erase
+    def register_hot_source(self, source: Any, shard: Optional[int] = None) -> None:
+        """Register a device whose hot counters can be read from state.
+
+        ``source`` exposes cumulative ``counters`` (``reads``,
+        ``programs``, ``erases``) and ``max_erase_count()`` — the facts
+        the hot kinds carry — for the collector to pull at flush time.
+        Filed under this emitter's shard tag unless ``shard`` is given;
+        re-registering a shard replaces its source.
+        """
+        self._root.hot_sources[self.shard if shard is None else shard] = source
+
+    def for_shard(self, shard: int, clock: Optional[Clock] = None) -> "ShardBus":
+        """A view tagging emissions with ``shard``, timed by ``clock``
+        (each array channel keeps its own busy-time tally)."""
+        return ShardBus(self._root, shard, clock)
+
+
+class EventBus(_Emitter):
+    """Owns the subscribers and the op buffer they are fed from."""
+
+    def __init__(self, clock: Optional[Clock] = None) -> None:
+        self._root = self
+        self.shard = 0
+        self.clock = clock
+        self.mask = 0
+        #: As registered, and the batch consumer standing in for each.
+        self._subscribers: list[Subscriber] = []
+        self._sinks: tuple[BatchSubscriber, ...] = ()
+        self._need_ts = False
+        self._buffer: list[BatchOp] = []
+        #: Shard views handed out, kept so their ``mask`` stays current.
+        self._views: list[ShardBus] = []
+        #: Per-shard devices registered by :meth:`register_hot_source`.
+        self.hot_sources: dict[int, Any] = {}
+
+    def _rewire(self, sinks: list[BatchSubscriber]) -> None:
+        """Adopt ``sinks``; recompute the mask here and on every view."""
+        self._sinks = tuple(sinks)
+        self._need_ts = any(sink.needs_timestamps for sink in sinks)
+        mask = 0
+        for sink in sinks:
+            mask |= sink.interest_mask
+        self.mask = mask
+        for view in self._views:
+            view.mask = mask
 
     def subscribe(self, subscriber: Subscriber) -> None:
-        """Register ``subscriber``; duplicates are allowed and fire twice."""
+        """Register ``subscriber``; duplicates are allowed and fire twice.
+
+        Flushes first, like :meth:`unsubscribe`: a subscriber sees
+        exactly the emissions made while it was attached.
+        """
         self.flush()
-        self._subscribers = self._subscribers + (subscriber,)
-        self._rewire()
+        self._subscribers.append(subscriber)
+        sink: BatchSubscriber = (
+            subscriber if isinstance(subscriber, BatchSubscriber)
+            else _RecordSubscriber(subscriber)
+        )
+        self._rewire([*self._sinks, sink])
 
     def unsubscribe(self, subscriber: Subscriber) -> None:
         """Remove one registration of ``subscriber``; absent is a no-op."""
         self.flush()
-        subs = list(self._subscribers)
-        if subscriber in subs:
-            subs.remove(subscriber)
-            self._subscribers = tuple(subs)
-            self._rewire()
-
-    def refresh(self) -> None:
-        """Recompute dispatch mode after a subscriber changed its interest.
-
-        Subscribers are plain objects; when one mutates its
-        ``interest_mask`` (e.g. the collector entering pull mode) the bus
-        cannot see it happen, so the mutator calls this.  Flushes first
-        so buffered emissions are folded under the old interest.
-        """
-        self.flush()
-        self._rewire()
-
-    # -- hot counter sources ---------------------------------------------
-    def register_hot_source(self, source: Any, shard: int = 0) -> None:
-        """Register a device whose hot counters can be read from state.
-
-        ``source`` must expose cumulative ``counters`` (with ``reads``,
-        ``programs``, ``erases``) and ``max_erase_count()`` — the exact
-        facts the hot event kinds carry.  A state-capable subscriber
-        (the metrics collector) can then *pull* those totals at flush
-        time and drop :data:`HOT_KINDS` from its interest, which silences
-        the per-operation emit sites entirely.  The factory registers
-        every chip it wires to a bus; re-registering a shard replaces its
-        source.
-        """
-        self.hot_sources[shard] = source
-        callback = self.on_sources_changed
-        if callback is not None:
-            callback()
-
-    # -- time ------------------------------------------------------------
-    def now(self) -> float:
-        """Current simulated time, 0.0 before a clock is wired."""
-        clock = self.clock
-        return clock() if clock is not None else 0.0
-
-    # -- emission --------------------------------------------------------
-    def emit(self, event: Event, shard: int = 0) -> None:
-        """Timestamp ``event`` and deliver (or buffer) it.
-
-        With no subscribers this returns before touching the clock or
-        allocating anything — the subscriber-free path is free.
-        """
-        if not self._subscribers:
+        try:
+            index = self._subscribers.index(subscriber)
+        except ValueError:
             return
-        if self._buffered:
-            buffer = self._buffer
-            buffer.append(
-                (K_OBJ, self.now() if self._need_ts else 0.0, shard, event)
-            )
-            if len(buffer) >= self._capacity:  # type: ignore[operator]
-                self.flush()
-            return
-        record = TraceRecord(self.now(), shard, event)
-        for subscriber in self._subscribers:
-            subscriber(record)
-
-    def emit_read(self, block: int, page: int, shard: int = 0) -> None:
-        """Hot-path read emission: no Event/TraceRecord when batched.
-
-        In tally mode an instance-bound closure shadows this method;
-        this general version covers every mode for callers that resolve
-        it through the class (and the synchronous/op-buffered paths).
-        """
-        if self._tallying:
-            reads = self._tally_reads
-            reads.append(shard)
-            if len(reads) >= self._capacity:  # type: ignore[operator]
-                self.flush()
-        elif self._buffered:
-            buffer = self._buffer
-            buffer.append(
-                (K_READ, self.now() if self._need_ts else 0.0, shard,
-                 block, page)
-            )
-            if len(buffer) >= self._capacity:  # type: ignore[operator]
-                self.flush()
-        elif self._subscribers:
-            self.emit(Read(block, page), shard)
-
-    def emit_program(self, block: int, page: int, lba: int,
-                     shard: int = 0) -> None:
-        """Hot-path program emission: no Event/TraceRecord when batched."""
-        if self._tallying:
-            programs = self._tally_programs
-            programs.append(shard)
-            if len(programs) >= self._capacity:  # type: ignore[operator]
-                self.flush()
-        elif self._buffered:
-            buffer = self._buffer
-            buffer.append(
-                (K_PROGRAM, self.now() if self._need_ts else 0.0, shard,
-                 block, page, lba)
-            )
-            if len(buffer) >= self._capacity:  # type: ignore[operator]
-                self.flush()
-        elif self._subscribers:
-            self.emit(Program(block, page, lba), shard)
-
-    def emit_erase(self, block: int, count: int, shard: int = 0) -> None:
-        """Hot-path erase emission: no Event/TraceRecord when batched."""
-        if self._tallying:
-            erases = self._tally_erases
-            erases.append((shard, count))
-            if len(erases) >= self._capacity:  # type: ignore[operator]
-                self.flush()
-        elif self._buffered:
-            buffer = self._buffer
-            buffer.append(
-                (K_ERASE, self.now() if self._need_ts else 0.0, shard,
-                 block, count)
-            )
-            if len(buffer) >= self._capacity:  # type: ignore[operator]
-                self.flush()
-        elif self._subscribers:
-            self.emit(Erase(block, count), shard)
+        del self._subscribers[index]
+        self._rewire([*self._sinks[:index], *self._sinks[index + 1:]])
 
     def flush(self) -> None:
-        """Drain buffered emissions to every subscriber.
+        """Drain buffered emissions to every subscriber, in order.
 
-        Consumers receive the batch/tally lists for the duration of the
-        call only and must not retain them.  A no-op when nothing is
-        buffered (in particular, always a no-op in synchronous mode).
+        The buffer is swapped out first: a subscriber that emits or
+        (un)subscribes mid-delivery cannot re-enter this batch, and the
+        in-flight loop keeps the subscriber tuple it started with.
         """
-        if self._tallying:
-            reads = self._tally_reads
-            programs = self._tally_programs
-            erases = self._tally_erases
-            ops = self._buffer
-            if not (reads or programs or erases or ops):
-                return
-            for subscriber in self._subscribers:
-                subscriber.consume_tallies(  # type: ignore[attr-defined]
-                    reads, programs, erases, ops
-                )
-            # Clear in place: the closure emitters capture these lists.
-            del reads[:]
-            del programs[:]
-            del erases[:]
-            del ops[:]
-            return
         batch = self._buffer
         if not batch:
             return
         self._buffer = []
-        for subscriber in self._subscribers:
-            subscriber.consume_batch(batch)  # type: ignore[attr-defined]
-
-    @property
-    def pending(self) -> int:
-        """Buffered emissions not yet delivered (0 in synchronous mode)."""
-        return (
-            len(self._buffer) + len(self._tally_reads)
-            + len(self._tally_programs) + len(self._tally_erases)
-        )
-
-    def for_shard(self, shard: int, clock: Optional[Clock] = None) -> "ShardBus":
-        """A view of this bus that tags emissions with ``shard``.
-
-        ``clock`` overrides the timestamp source for that shard (each
-        array channel keeps its own busy-time tally).
-        """
-        return ShardBus(self, shard, clock)
+        for sink in self._sinks:
+            sink.consume_batch(batch)
 
 
-class ShardBus:
-    """Shard-tagged view over a parent :class:`EventBus`.
-
-    Presents the same ``emit``/``emit_*``/``mask``/``clock`` surface as
-    :class:`EventBus` so instrumented components are topology-blind.
-    Registers itself with the parent so tally-mode closure emitters
-    (with the shard tag baked in) stay current across subscription
-    changes.
-    """
+class ShardBus(_Emitter):
+    """Shard-tagged view over a root :class:`EventBus`."""
 
     def __init__(self, parent: EventBus, shard: int,
                  clock: Optional[Clock] = None) -> None:
-        self.parent = parent
+        self._root = parent
         self.shard = shard
-        self.clock: Optional[Clock] = clock
-        #: Mirror of ``parent.mask`` as a plain attribute — emit-site
-        #: guards test it per event, so a property would put a descriptor
-        #: call on the hot path.  Kept in sync by :meth:`_bind_emitters`,
-        #: which the parent invokes on every subscription change.
-        self.mask: int = parent.mask
+        self.clock = clock
+        self.mask = parent.mask
         parent._views.append(self)
-        self._bind_emitters()
-
-    def __bool__(self) -> bool:
-        return True
-
-    def _bind_emitters(self) -> None:
-        """Mirror of :meth:`EventBus._bind_emitters` with a fixed shard."""
-        self.mask = self.parent.mask
-        instance = self.__dict__
-        for name in _FAST_EMITTERS:
-            instance.pop(name, None)
-        parent = self.parent
-        if not parent._tallying:
-            return
-        shard = self.shard
-        capacity = parent._capacity
-        assert capacity is not None
-        flush = parent.flush
-        reads = parent._tally_reads
-        programs = parent._tally_programs
-        erases = parent._tally_erases
-
-        def emit_read(block: int, page: int,
-                      _append: Any = reads.append, _len: Any = len) -> None:
-            _append(shard)
-            if _len(reads) >= capacity:
-                flush()
-
-        def emit_program(block: int, page: int, lba: int,
-                         _append: Any = programs.append,
-                         _len: Any = len) -> None:
-            _append(shard)
-            if _len(programs) >= capacity:
-                flush()
-
-        def emit_erase(block: int, count: int,
-                       _append: Any = erases.append, _len: Any = len) -> None:
-            _append((shard, count))
-            if _len(erases) >= capacity:
-                flush()
-
-        instance["emit_read"] = emit_read
-        instance["emit_program"] = emit_program
-        instance["emit_erase"] = emit_erase
-
-    def now(self) -> float:
-        clock = self.clock
-        if clock is not None:
-            return clock()
-        return self.parent.now()
-
-    def emit(self, event: Event, shard: Optional[int] = None) -> None:
-        parent = self.parent
-        if not parent._subscribers:
-            return
-        tag = self.shard if shard is None else shard
-        if parent._buffered:
-            buffer = parent._buffer
-            buffer.append(
-                (K_OBJ, self.now() if parent._need_ts else 0.0, tag, event)
-            )
-            if len(buffer) >= parent._capacity:  # type: ignore[operator]
-                parent.flush()
-            return
-        record = TraceRecord(self.now(), tag, event)
-        for subscriber in parent._subscribers:
-            subscriber(record)
-
-    def emit_read(self, block: int, page: int) -> None:
-        parent = self.parent
-        if parent._tallying:
-            reads = parent._tally_reads
-            reads.append(self.shard)
-            if len(reads) >= parent._capacity:  # type: ignore[operator]
-                parent.flush()
-        elif parent._buffered:
-            buffer = parent._buffer
-            buffer.append(
-                (K_READ, self.now() if parent._need_ts else 0.0, self.shard,
-                 block, page)
-            )
-            if len(buffer) >= parent._capacity:  # type: ignore[operator]
-                parent.flush()
-        elif parent._subscribers:
-            self.emit(Read(block, page))
-
-    def emit_program(self, block: int, page: int, lba: int) -> None:
-        parent = self.parent
-        if parent._tallying:
-            programs = parent._tally_programs
-            programs.append(self.shard)
-            if len(programs) >= parent._capacity:  # type: ignore[operator]
-                parent.flush()
-        elif parent._buffered:
-            buffer = parent._buffer
-            buffer.append(
-                (K_PROGRAM, self.now() if parent._need_ts else 0.0, self.shard,
-                 block, page, lba)
-            )
-            if len(buffer) >= parent._capacity:  # type: ignore[operator]
-                parent.flush()
-        elif parent._subscribers:
-            self.emit(Program(block, page, lba))
-
-    def emit_erase(self, block: int, count: int) -> None:
-        parent = self.parent
-        if parent._tallying:
-            erases = parent._tally_erases
-            erases.append((self.shard, count))
-            if len(erases) >= parent._capacity:  # type: ignore[operator]
-                parent.flush()
-        elif parent._buffered:
-            buffer = parent._buffer
-            buffer.append(
-                (K_ERASE, self.now() if parent._need_ts else 0.0, self.shard,
-                 block, count)
-            )
-            if len(buffer) >= parent._capacity:  # type: ignore[operator]
-                parent.flush()
-        elif parent._subscribers:
-            self.emit(Erase(block, count))
 
     def flush(self) -> None:
-        self.parent.flush()
-
-    def refresh(self) -> None:
-        self.parent.refresh()
-
-    def register_hot_source(self, source: Any, shard: Optional[int] = None) -> None:
-        self.parent.register_hot_source(
-            source, self.shard if shard is None else shard
-        )
-
-    def for_shard(self, shard: int, clock: Optional[Clock] = None) -> "ShardBus":
-        return ShardBus(self.parent, shard, clock)
+        self._root.flush()
 
 
-class NullEventBus:
-    """Falsy do-nothing bus: ``bus if bus else None`` maps it to ``None``.
-
-    Exists so call sites can accept "a bus" unconditionally while the
-    hot path stays a bare ``None`` check.  Its ``emit`` is still safe to
-    call (it discards the event) for code outside any hot path.
-    """
-
-    #: No kind is ever enabled on the null bus.
-    mask: int = 0
-
-    def __bool__(self) -> bool:
-        return False
-
-    def subscribe(self, subscriber: Subscriber) -> None:
-        pass
-
-    def unsubscribe(self, subscriber: Subscriber) -> None:
-        pass
-
-    def now(self) -> float:
-        return 0.0
-
-    def emit(self, event: Event, shard: int = 0) -> None:
-        pass
-
-    def emit_read(self, block: int, page: int, shard: int = 0) -> None:
-        pass
-
-    def emit_program(self, block: int, page: int, lba: int,
-                     shard: int = 0) -> None:
-        pass
-
-    def emit_erase(self, block: int, count: int, shard: int = 0) -> None:
-        pass
-
-    def flush(self) -> None:
-        pass
-
-    def refresh(self) -> None:
-        pass
-
-    def register_hot_source(self, source: Any, shard: int = 0) -> None:
-        pass
-
-    def for_shard(self, shard: int,
-                  clock: Optional[Clock] = None) -> "NullEventBus":
-        return self
-
-
-#: Shared falsy bus instance for call sites that want a default object.
-NULL_BUS = NullEventBus()
-
-#: A live bus an instrumented component may hold after normalisation.
+#: A live bus an instrumented component may hold.
 BusLike = EventBus | ShardBus

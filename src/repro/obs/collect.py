@@ -12,37 +12,22 @@ base-unit gauge/histogram names) under a single ``repro_`` prefix.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Callable, Mapping, Protocol
 
-from repro.obs.bus import (
-    ALL_EVENTS,
-    HOT_KINDS,
-    K_ERASE,
-    K_PROGRAM,
-    K_READ,
-    BatchOp,
-    TraceRecord,
-)
+from repro.obs.bus import ALL_EVENTS, HOT_KINDS, K_OBJ, BatchOp
 from repro.obs.events import (
     BetReset,
-    Erase,
     Event,
     FaultInjected,
     GcEnd,
     GcScan,
     GcStart,
     PowerLoss,
-    Program,
     QueueDepth,
-    Read,
     Recovery,
     SwlInvoke,
 )
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
-
-#: Event types whose facts are device-state-derived in pull mode.
-_HOT_EVENT_TYPES = (Read, Program, Erase)
 
 #: SWL trigger latency buckets, in block erases between trigger and run.
 LATENCY_BUCKETS: tuple[float, ...] = (0.0, 1.0, 2.0, 5.0, 10.0, 25.0, 100.0)
@@ -71,14 +56,12 @@ class HotCounterSource(Protocol):
 class MetricsCollector:
     """Subscribe to a bus and aggregate events into mergeable metrics.
 
-    Batch-capable: on a buffered bus the collector receives whole batches
-    via :meth:`consume_batch` and folds the hot kinds (read, program,
-    erase) with per-batch tallies — one counter ``inc(n)`` per shard per
-    kind instead of one dict dispatch + method call per event.  Counter
-    increments are integer sums, and the erase-peak gauge takes the
-    per-batch maximum before a single conditional ``set``, so the folded
-    state is identical to per-event delivery (property-tested in
-    ``tests/test_obs.py``).
+    The cold kinds (GC, SWL, fault, queue events) fold from the bus's
+    batches, in stream order.  The hot kinds (read, program, erase) never
+    do: their totals and the erase peak are facts the device keeps, so
+    :meth:`pull_hot_counters` reads them from the registered hot sources
+    at flush time, and hot ops another subscriber keeps flowing are
+    skipped — each operation is counted exactly once, from state.
 
     The collector never reads timestamps, which it advertises with
     ``needs_timestamps = False`` so a bus whose only subscriber is a
@@ -87,21 +70,17 @@ class MetricsCollector:
 
     #: Batch consumers ignore record timestamps (lets the bus skip its clock).
     needs_timestamps = False
+    #: Everything but the hot kinds, so the per-operation emit sites stay
+    #: silent unless a trace exporter wants them.
+    interest_mask = ALL_EVENTS & ~HOT_KINDS
 
     def __init__(self) -> None:
-        #: The collector folds every event kind — until pull mode drops
-        #: the hot kinds (see :meth:`set_pull_mode`).
-        self.interest_mask = ALL_EVENTS
-        self._pull_hot = False
         #: Last-seen cumulative device totals per shard, so each pull
         #: applies only the delta since the previous one.
         self._pull_baselines: dict[int, tuple[int, int, int]] = {}
         self._registries: dict[int, MetricsRegistry] = {}
         self._handlers: dict[type[Event], Callable[[MetricsRegistry, Event],
                                                    None]] = {
-            Read: self._on_read,
-            Program: self._on_program,
-            Erase: self._on_erase,
             GcStart: self._on_gc_start,
             GcEnd: self._on_gc_end,
             GcScan: self._on_gc_scan,
@@ -125,32 +104,18 @@ class MetricsCollector:
             registry = self._registries[shard] = MetricsRegistry()
         return registry
 
-    def __call__(self, record: TraceRecord) -> None:
-        event = record.event
-        if self._pull_hot and type(event) in _HOT_EVENT_TYPES:
-            return
-        handler = self._handlers.get(type(event))
-        if handler is not None:
-            handler(self.registry(record.shard), event)
+    def consume_batch(self, batch: list[BatchOp]) -> None:
+        """Fold the cold events of a batch, in stream order."""
+        handlers = self._handlers
+        for op in batch:
+            if op[0] != K_OBJ:
+                continue  # flat hot op: its total is pulled from state
+            event = op[3]
+            handler = handlers.get(type(event))
+            if handler is not None:
+                handler(self.registry(op[2]), event)
 
     # -- pulled hot counters -----------------------------------------------
-
-    @property
-    def pulls_hot_counters(self) -> bool:
-        """True when hot-kind totals come from device state, not events."""
-        return self._pull_hot
-
-    def set_pull_mode(self, enabled: bool) -> None:
-        """Choose where hot-kind totals come from.
-
-        Enabled, the collector drops :data:`~repro.obs.bus.HOT_KINDS`
-        from its interest (the caller refreshes the bus so emit sites see
-        the narrower mask) and ignores any hot events another subscriber
-        still causes to flow — their totals arrive via
-        :meth:`pull_hot_counters` instead, exactly once.
-        """
-        self._pull_hot = enabled
-        self.interest_mask = ALL_EVENTS & ~HOT_KINDS if enabled else ALL_EVENTS
 
     def pull_hot_counters(
         self, sources: Mapping[int, HotCounterSource]
@@ -191,25 +156,7 @@ class MetricsCollector:
             if maximum > peak.value:
                 peak.set(maximum)
 
-    # -- per-event folds ---------------------------------------------------
-
-    def _on_read(self, registry: MetricsRegistry, event: Event) -> None:
-        registry.counter("repro_flash_reads_total",
-                         "Page reads completed").inc()
-
-    def _on_program(self, registry: MetricsRegistry, event: Event) -> None:
-        registry.counter("repro_flash_programs_total",
-                         "Page programs completed").inc()
-
-    def _on_erase(self, registry: MetricsRegistry, event: Event) -> None:
-        assert isinstance(event, Erase)
-        registry.counter("repro_flash_erases_total",
-                         "Block erases completed").inc()
-        peak = registry.gauge("repro_flash_max_block_erases",
-                              "Highest per-block erase count observed",
-                              agg="max")
-        if event.count > peak.value:
-            peak.set(event.count)
+    # -- cold-event folds --------------------------------------------------
 
     def _on_gc_start(self, registry: MetricsRegistry, event: Event) -> None:
         assert isinstance(event, GcStart)
@@ -291,118 +238,6 @@ class MetricsCollector:
         registry.gauge("repro_service_queue_stalls",
                        "Arrivals that waited on queue backpressure",
                        agg="sum").set(event.stalls)
-
-    # -- batched fold ------------------------------------------------------
-
-    def consume_batch(self, batch: list[BatchOp]) -> None:
-        """Fold a buffered batch; equivalent to per-event ``__call__``.
-
-        Hot kinds are tallied per shard in batch-local dicts and applied
-        once; cold kinds (``K_OBJ`` ops) reuse the per-event handlers in
-        stream order.  Ordering between hot tallies and cold events does
-        not matter for the folded state: they touch disjoint metrics.
-        """
-        reads: dict[int, int] = {}
-        programs: dict[int, int] = {}
-        erases: dict[int, int] = {}
-        erase_peak: dict[int, int] = {}
-        handlers = self._handlers
-        pull = self._pull_hot
-        for op in batch:
-            kind = op[0]
-            if kind == K_READ:
-                if pull:
-                    continue
-                shard = op[2]
-                reads[shard] = reads.get(shard, 0) + 1
-            elif kind == K_PROGRAM:
-                if pull:
-                    continue
-                shard = op[2]
-                programs[shard] = programs.get(shard, 0) + 1
-            elif kind == K_ERASE:
-                if pull:
-                    continue
-                shard = op[2]
-                erases[shard] = erases.get(shard, 0) + 1
-                count = op[4]
-                if count > erase_peak.get(shard, -1):
-                    erase_peak[shard] = count
-            else:
-                event = op[3]
-                if pull and type(event) in _HOT_EVENT_TYPES:
-                    continue
-                handler = handlers.get(type(event))
-                if handler is not None:
-                    handler(self.registry(op[2]), event)
-        for shard, n in reads.items():
-            self.registry(shard).counter(
-                "repro_flash_reads_total", "Page reads completed"
-            ).inc(n)
-        for shard, n in programs.items():
-            self.registry(shard).counter(
-                "repro_flash_programs_total", "Page programs completed"
-            ).inc(n)
-        for shard, n in erases.items():
-            registry = self.registry(shard)
-            registry.counter(
-                "repro_flash_erases_total", "Block erases completed"
-            ).inc(n)
-            peak = registry.gauge(
-                "repro_flash_max_block_erases",
-                "Highest per-block erase count observed", agg="max",
-            )
-            if erase_peak[shard] > peak.value:
-                peak.set(erase_peak[shard])
-
-    def consume_tallies(
-        self,
-        reads: list[int],
-        programs: list[int],
-        erases: list[tuple[int, int]],
-        ops: list[BatchOp],
-    ) -> None:
-        """Fold tally-mode delivery; equivalent to per-event ``__call__``.
-
-        ``reads``/``programs`` are shard tags (one per event), ``erases``
-        are ``(shard, erase_count)`` pairs, and ``ops`` holds the cold
-        ``K_OBJ`` stream in order.  The fold is order-insensitive across
-        the four lists — counters sum, the erase-peak gauge maxes — so
-        the per-kind split loses nothing (property-tested in
-        ``tests/test_obs.py``).
-        """
-        if self._pull_hot:
-            # Hot totals come from device state; only the cold stream
-            # (which is empty of hot kinds anyway in pull mode) folds.
-            if ops:
-                self.consume_batch(ops)
-            return
-        for shard, n in Counter(reads).items():
-            self.registry(shard).counter(
-                "repro_flash_reads_total", "Page reads completed"
-            ).inc(n)
-        for shard, n in Counter(programs).items():
-            self.registry(shard).counter(
-                "repro_flash_programs_total", "Page programs completed"
-            ).inc(n)
-        if erases:
-            erase_peak: dict[int, int] = {}
-            for shard, count in erases:
-                if count > erase_peak.get(shard, -1):
-                    erase_peak[shard] = count
-            for shard, n in Counter(shard for shard, _ in erases).items():
-                registry = self.registry(shard)
-                registry.counter(
-                    "repro_flash_erases_total", "Block erases completed"
-                ).inc(n)
-                peak = registry.gauge(
-                    "repro_flash_max_block_erases",
-                    "Highest per-block erase count observed", agg="max",
-                )
-                if erase_peak[shard] > peak.value:
-                    peak.set(erase_peak[shard])
-        if ops:
-            self.consume_batch(ops)
 
     # -- snapshots ---------------------------------------------------------
 

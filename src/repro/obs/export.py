@@ -1,7 +1,8 @@
 """Trace exporters: JSONL, Chrome ``trace_event`` JSON, and log routing.
 
-Each exporter is a plain bus subscriber (callable taking a
-:class:`~repro.obs.bus.TraceRecord`); attach any combination to one bus.
+Each exporter is a bus subscriber; attach any combination to one bus.
+The two file exporters consume the bus's flat op batches directly;
+:class:`LogExporter` is a plain callable fed rehydrated records.
 
 * :class:`JsonlTraceExporter` streams one JSON object per event to a
   text file — the lossless archival format, `jq`-friendly.
@@ -28,6 +29,7 @@ from typing import IO, Union
 from repro.obs.bus import (
     ALL_EVENTS,
     K_ERASE,
+    K_OBJ,
     K_PROGRAM,
     K_READ,
     M_PROGRAM,
@@ -38,33 +40,23 @@ from repro.obs.bus import (
 from repro.obs.events import (
     BetReset,
     Erase,
+    Event,
     FaultInjected,
     GcEnd,
     GcStart,
     PowerLoss,
-    Program,
     QueueDepth,
-    Read,
     Recovery,
     SwlInvoke,
 )
 from repro.util.diagnostics import get_logger
 
 
-def _op_to_record(op: BatchOp) -> TraceRecord:
-    """Rehydrate a buffered op into the legacy per-event record form."""
-    kind = op[0]
-    if kind == K_READ:
-        return TraceRecord(op[1], op[2], Read(op[3], op[4]))
-    if kind == K_PROGRAM:
-        return TraceRecord(op[1], op[2], Program(op[3], op[4], op[5]))
-    if kind == K_ERASE:
-        return TraceRecord(op[1], op[2], Erase(op[3], op[4]))
-    return TraceRecord(op[1], op[2], op[3])
-
-
 class JsonlTraceExporter:
-    """Stream every record as one JSON line: ``{ts, shard, kind, ...}``."""
+    """Stream every op as one JSON line: ``{ts, shard, kind, ...}``."""
+
+    interest_mask = ALL_EVENTS
+    needs_timestamps = True
 
     def __init__(self, target: Union[str, Path, IO[str]]) -> None:
         if isinstance(target, (str, Path)):
@@ -75,15 +67,8 @@ class JsonlTraceExporter:
             self._owns_stream = False
         self.records_written = 0
 
-    def __call__(self, record: TraceRecord) -> None:
-        line = {"ts": record.ts, "shard": record.shard,
-                "kind": record.event.kind}
-        line.update(record.event.payload())
-        self._stream.write(json.dumps(line) + "\n")
-        self.records_written += 1
-
     def consume_batch(self, batch: list[BatchOp]) -> None:
-        """Serialise a buffered batch; byte-identical to per-record calls.
+        """Serialise a batch, one line per op in emission order.
 
         Hot kinds build their JSON dicts straight from the flat tuple
         (same key order as ``payload()``), skipping event rehydration.
@@ -128,6 +113,7 @@ class ChromeTraceExporter:
     #: a bus whose only subscribers declare this mask skips those kinds
     #: at the emit site (the JSONL trace keeps them when attached).
     interest_mask = ALL_EVENTS & ~(M_READ | M_PROGRAM)
+    needs_timestamps = True
 
     def __init__(self, run_name: str = "repro") -> None:
         self.run_name = run_name
@@ -144,11 +130,29 @@ class ChromeTraceExporter:
             "args": {"name": f"shard {shard}"},
         })
 
-    def __call__(self, record: TraceRecord) -> None:
-        self._ensure_thread(record.shard)
-        ts = record.ts * 1e6
-        event = record.event
-        base: dict[str, object] = {"pid": 0, "tid": record.shard, "ts": ts}
+    def consume_batch(self, batch: list[BatchOp]) -> None:
+        """Turn a batch into trace events, in emission order.
+
+        Reads and programs that ride in a shared buffer (because another
+        subscriber wants them) only name their shard's thread.
+        """
+        for op in batch:
+            kind, shard = op[0], op[2]
+            self._ensure_thread(shard)
+            if kind == K_ERASE:
+                self._count_erase(op[1] * 1e6, shard)
+            elif kind == K_OBJ:
+                self._serialise(op[1] * 1e6, shard, op[3])
+
+    def _count_erase(self, ts: float, shard: int) -> None:
+        total = self._erases_by_shard.get(shard, 0) + 1
+        self._erases_by_shard[shard] = total
+        self._events.append(
+            {"pid": 0, "tid": shard, "ts": ts, "ph": "C", "cat": "flash",
+             "name": "erases", "args": {"erases": total}})
+
+    def _serialise(self, ts: float, shard: int, event: Event) -> None:
+        base: dict[str, object] = {"pid": 0, "tid": shard, "ts": ts}
         if isinstance(event, GcStart):
             self._events.append(
                 {**base, "ph": "B", "cat": "gc",
@@ -161,11 +165,7 @@ class ChromeTraceExporter:
                  "args": {"victim": event.victim, "copies": event.copies,
                           "erases": event.erases}})
         elif isinstance(event, Erase):
-            total = self._erases_by_shard.get(record.shard, 0) + 1
-            self._erases_by_shard[record.shard] = total
-            self._events.append(
-                {**base, "ph": "C", "cat": "flash", "name": "erases",
-                 "args": {"erases": total}})
+            self._count_erase(ts, shard)
         elif isinstance(event, QueueDepth):
             # Per-channel occupancy as a counter track, so service-mode
             # traces show queue build-up alongside the GC slices that
@@ -185,29 +185,6 @@ class ChromeTraceExporter:
                  "name": event.kind, "args": event.payload()})
         # Read/Program are deliberately not serialised: per-page volume
         # would dwarf the interesting tracks; the JSONL trace keeps them.
-
-    def consume_batch(self, batch: list[BatchOp]) -> None:
-        """Buffered delivery; behaves exactly like per-record calls.
-
-        Erases take a flat fast path; reads/programs that ride in a
-        shared buffer (because another subscriber wants them) still name
-        the shard thread, as they would on a synchronous bus.
-        """
-        for op in batch:
-            kind = op[0]
-            if kind == K_ERASE:
-                shard = op[2]
-                self._ensure_thread(shard)
-                total = self._erases_by_shard.get(shard, 0) + 1
-                self._erases_by_shard[shard] = total
-                self._events.append(
-                    {"pid": 0, "tid": shard, "ts": op[1] * 1e6,
-                     "ph": "C", "cat": "flash", "name": "erases",
-                     "args": {"erases": total}})
-            elif kind == K_READ or kind == K_PROGRAM:
-                self._ensure_thread(op[2])
-            else:
-                self(_op_to_record(op))
 
     def trace_object(self) -> dict[str, object]:
         """The complete Chrome trace document."""
@@ -264,11 +241,6 @@ class LogExporter:
         else:
             self._trace.debug("t=%.3f shard=%d %s %s", record.ts,
                               record.shard, event.kind, event.payload())
-
-    def consume_batch(self, batch: list[BatchOp]) -> None:
-        """Buffered delivery: rehydrate each op and log it in order."""
-        for op in batch:
-            self(_op_to_record(op))
 
     #: alias so LogExporter can sit in exporter lists that get ``close()``d
     def close(self) -> None:

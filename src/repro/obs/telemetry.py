@@ -8,8 +8,8 @@ handle instead of wiring bus/collector/exporters by hand:
 ...                            telemetry=telemetry)   # doctest: +SKIP
 >>> telemetry.finish()                                # doctest: +SKIP
 
-``finish()`` flushes every exporter: it closes the JSONL stream, writes
-the Chrome trace document, and renders the Prometheus snapshot.  The
+``finish()`` flushes every exporter, once: it closes the JSONL stream,
+writes the Chrome trace document, and renders the Prometheus snapshot.  The
 heatmap preferences ride along so one object carries the whole
 observability configuration of a run.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.obs.bus import DEFAULT_BATCH_CAPACITY, EventBus
+from repro.obs.bus import EventBus
 from repro.obs.collect import MetricsCollector
 from repro.obs.export import (
     ChromeTraceExporter,
@@ -41,13 +41,13 @@ class Telemetry:
     ``log_events=True`` to additionally route events onto the
     ``repro.*`` logging channels.
 
-    The facade's bus is built with a batch capacity: every standard
-    subscriber is batch-capable, so hot events append flat tuples to a
-    buffer instead of allocating per-event records (DESIGN.md §5f).
-    :meth:`flush` drains the buffer; :meth:`snapshot` and :meth:`finish`
-    flush first, so observed metrics are always complete.  The experiment
-    runners also flush after each run, so collector state read directly
-    (``telemetry.collector``) is complete too.
+    The bus buffers emissions as flat tuples and delivers them in
+    batches (DESIGN.md §5f); the chips' read/program/erase totals are
+    read from device state instead of being emitted.  :meth:`flush`
+    drains the buffer and syncs those totals; :meth:`snapshot` and
+    :meth:`finish` flush first, so observed metrics are always complete.
+    The experiment runners also flush after each run, so collector state
+    read directly (``telemetry.collector``) is complete too.
     """
 
     def __init__(
@@ -61,14 +61,9 @@ class Telemetry:
         heatmap_bins: int = DEFAULT_HEATMAP_BINS,
         heatmap_interval: Optional[float] = None,
     ) -> None:
-        self.bus = EventBus(capacity=DEFAULT_BATCH_CAPACITY)
+        self.bus = EventBus()
         self.collector = MetricsCollector()
         self.bus.subscribe(self.collector)
-        # When the factory registers the chips it wires (hot counter
-        # sources), flip the collector to pull mode: hot totals then come
-        # from device state at flush time and the per-operation emit
-        # sites go quiet (see repro.obs.bus, "Pulled hot counters").
-        self.bus.on_sources_changed = self._on_sources_changed
         self.heatmap_bins = heatmap_bins
         self.heatmap_interval = heatmap_interval
         self.jsonl: Optional[JsonlTraceExporter] = None
@@ -87,6 +82,8 @@ class Telemetry:
                                  if prometheus_path is not None else None)
         if log_events:
             self.bus.subscribe(LogExporter())
+        #: What :meth:`finish` wrote; ``None`` until it has run.
+        self._written: Optional[dict[str, Path]] = None
 
     @classmethod
     def to_directory(cls, directory: Union[str, Path],
@@ -105,17 +102,10 @@ class Telemetry:
             **kwargs,  # type: ignore[arg-type]
         )
 
-    def _on_sources_changed(self) -> None:
-        enabled = bool(self.bus.hot_sources)
-        if enabled != self.collector.pulls_hot_counters:
-            self.collector.set_pull_mode(enabled)
-            self.bus.refresh()
-
     def flush(self) -> None:
         """Drain any buffered events; sync pulled counters from devices."""
         self.bus.flush()
-        if self.collector.pulls_hot_counters:
-            self.collector.pull_hot_counters(self.bus.hot_sources)
+        self.collector.pull_hot_counters(self.bus.hot_sources)
 
     def snapshot(self) -> MetricsSnapshot:
         """Global metrics snapshot (exact merge across shards)."""
@@ -123,17 +113,27 @@ class Telemetry:
         return self.collector.snapshot()
 
     def finish(self) -> dict[str, Path]:
-        """Flush every exporter; returns the files written by name."""
+        """Flush every exporter; returns the files written by name.
+
+        The file exporters are detached once their files are final, so
+        events emitted afterwards reach only the collector (``snapshot``
+        keeps working) and a second call just returns the same paths.
+        """
+        if self._written is not None:
+            return self._written
         self.flush()
         written: dict[str, Path] = {}
         if self.jsonl is not None and self._jsonl_path is not None:
+            self.bus.unsubscribe(self.jsonl)
             self.jsonl.close()
             written["jsonl"] = self._jsonl_path
         if self.chrome is not None and self._chrome_path is not None:
+            self.bus.unsubscribe(self.chrome)
             self.chrome.dump(self._chrome_path)
             written["chrome"] = self._chrome_path
         if self._prometheus_path is not None:
             self._prometheus_path.write_text(
                 render_prometheus(self.snapshot()), encoding="utf-8")
             written["prometheus"] = self._prometheus_path
+        self._written = written
         return written

@@ -132,9 +132,9 @@ class ServiceEngine(RequestCore):
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry`: queue-depth
         gauges stream as :class:`~repro.obs.events.QueueDepth` events
-        through the batched bus path, and the latency histograms fold
-        into the metrics registries when the run finishes, so Prometheus
-        and Chrome-trace artifacts carry the tail-latency data.
+        through the bus, and the latency histograms fold into the
+        metrics registries when the run finishes, so Prometheus and
+        Chrome-trace artifacts carry the tail-latency data.
     queue_sample_every:
         Served-request period of the telemetry queue-depth samples.
 

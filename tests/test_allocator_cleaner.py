@@ -267,6 +267,7 @@ class TestCyclicScanner:
         assert scanner.find_least_worn(
             benefit, cost, [0] * 4, min_benefit=4
         ) == 2
+        bus.flush()
         scans = [record.event for record in events]
         assert [(e.mode, e.probes, e.victim) for e in scans] == [
             ("least-worn", 4, -1), ("least-worn", 4, 2),

@@ -390,6 +390,8 @@ def drive(stack, op, lpns, *, batched):
 
 
 def observed(stack):
+    if stack.flash._obs is not None:
+        stack.flash._obs.flush()  # a trace stream is current only after a flush
     injector = stack.flash.injector
     return {
         "flash": stack.flash.snapshot_state(),
@@ -504,8 +506,8 @@ def test_trace_exporter_sees_the_same_event_stream(batches):
 
 
 def test_plain_telemetry_keeps_the_flat_route():
-    # A pull-mode collector reads the chip's counters at flush time and
-    # leaves the per-operation mask bits clear, so spans stay whole.
+    # The collector reads the chip's counters at flush time and leaves
+    # the per-operation mask bits clear, so spans stay whole.
     telemetry = Telemetry()
     stack = span_stack(bus=telemetry.bus)
     assert not stack.flash._watched(M_READ | M_PROGRAM)
@@ -597,7 +599,7 @@ def per_offset_merge(layer, vba, locations, failed_primaries, buffered=None):
 def nftl_stack(*, per_offset=False, traced=None, **kwargs):
     """An NFTL stack over SPAN_GEOMETRY.
 
-    ``traced`` (a text stream) attaches a per-event subscriber, the one
+    ``traced`` (a text stream) attaches a hot-kind subscriber, the one
     attachment that forces the chip per page and changes nothing a
     snapshot holds; NFTL programs home offsets out of order, so
     sequential-program enforcement is not an option here.

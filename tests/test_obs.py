@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import logging
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,19 +28,19 @@ from repro.obs.bus import (
     K_OBJ,
     K_PROGRAM,
     K_READ,
-    TraceRecord,
+    M_ERASE,
+    M_PROGRAM,
+    M_READ,
 )
 from repro.flash import MLC2_TINY, NandFlash
 from repro.ftl.factory import build_stack
 from repro.obs import (
-    NULL_BUS,
     ChromeTraceExporter,
     EventBus,
     JsonlTraceExporter,
     LogExporter,
     MetricsCollector,
     MetricsRegistry,
-    NullEventBus,
     Telemetry,
     WearHeatmap,
     render_prometheus,
@@ -71,8 +73,9 @@ class TestEventBus:
         records = []
         bus.subscribe(records.append)
         bus.emit(Erase(block=3, count=7))
-        assert len(records) == 1
-        record = records[0]
+        assert records == []  # delivery happens at flush, not at emit
+        bus.flush()
+        (record,) = records
         assert record.ts == 42.5
         assert record.shard == 0
         assert record.event.kind == "erase"
@@ -83,6 +86,7 @@ class TestEventBus:
         records = []
         bus.subscribe(records.append)
         bus.emit(Read(block=0, page=0))
+        bus.flush()
         assert records[0].ts == 0.0
 
     def test_unsubscribe_is_idempotent(self):
@@ -92,6 +96,7 @@ class TestEventBus:
         bus.unsubscribe(records.append)
         bus.unsubscribe(records.append)  # absent: no-op
         bus.emit(Read(block=0, page=0))
+        bus.flush()
         assert records == []
 
     def test_subscriber_may_unsubscribe_mid_dispatch(self):
@@ -108,9 +113,11 @@ class TestEventBus:
         bus.subscribe(first)
         bus.subscribe(second)
         bus.emit(Read(block=0, page=0))
-        # The in-flight dispatch keeps its snapshot...
+        bus.flush()
+        # The in-flight delivery keeps its snapshot...
         assert seen == ["first", "second"]
         bus.emit(Read(block=0, page=0))
+        bus.flush()
         # ...and the next one observes the removal.
         assert seen == ["first", "second", "first"]
 
@@ -121,15 +128,8 @@ class TestEventBus:
         shard1 = bus.for_shard(1, clock=lambda: 9.0)
         shard1.emit(Erase(block=0, count=1))
         bus.emit(Erase(block=0, count=2))
+        shard1.flush()
         assert [(r.shard, r.ts) for r in records] == [(1, 9.0), (0, 1.0)]
-
-    def test_null_bus_is_falsy_and_inert(self):
-        assert not NullEventBus()
-        assert not NULL_BUS
-        assert bool(EventBus())
-        assert bool(EventBus().for_shard(3))
-        NULL_BUS.emit(Read(block=0, page=0))  # safe no-op
-        assert NULL_BUS.for_shard(2) is NULL_BUS
 
 
 # ----------------------------------------------------------------------
@@ -245,12 +245,11 @@ class TestMetricsCollector:
         bus = EventBus()
         collector = MetricsCollector()
         bus.subscribe(collector)
-        bus.emit(Erase(block=0, count=3))
-        bus.emit(Erase(block=1, count=1))
-        bus.emit(Program(block=0, page=0, lba=5))
-        bus.emit(Read(block=0, page=0))
         bus.emit(GcStart(reason="free-space", victim=0))
         bus.emit(GcEnd(reason="free-space", victim=0, copies=4, erases=1))
+        bus.flush()
+        # Hot totals are facts of the device, read from it — not events.
+        collector.pull_hot_counters({0: _FakeHotSource(1, 1, erases=2, max_erases=3)})
         snapshot = collector.snapshot()
         assert snapshot.counters["repro_flash_erases_total"].value == 2
         assert snapshot.counters["repro_flash_programs_total"].value == 1
@@ -263,17 +262,18 @@ class TestMetricsCollector:
         bus = EventBus()
         collector = MetricsCollector()
         bus.subscribe(collector)
-        bus.for_shard(0).emit(Erase(block=0, count=2))
-        bus.for_shard(1).emit(Erase(block=0, count=5))
+        for shard, unevenness in ((0, 2.0), (1, 5.0)):
+            bus.for_shard(shard).emit(SwlInvoke(0, unevenness, 4, 2, 0))
+        bus.flush()
         assert collector.shards == (0, 1)
         shard0 = collector.shard_snapshot(0)
         shard1 = collector.shard_snapshot(1)
-        assert shard0.counters["repro_flash_erases_total"].value == 1
-        assert shard1.counters["repro_flash_erases_total"].value == 1
+        assert shard0.counters["repro_swl_invocations_total"].value == 1
+        assert shard1.counters["repro_swl_invocations_total"].value == 1
         merged = collector.snapshot()
-        assert merged.counters["repro_flash_erases_total"].value == 2
+        assert merged.counters["repro_swl_invocations_total"].value == 2
         # Gauge uses max aggregation: the worst shard wins.
-        assert merged.gauges["repro_flash_max_block_erases"].value == 5
+        assert merged.gauges["repro_swl_unevenness"].value == 5.0
 
     def test_swl_latency_histogram(self):
         bus = EventBus()
@@ -282,6 +282,7 @@ class TestMetricsCollector:
         bus.emit(SwlInvoke(findex=0, unevenness=3.0, ecnt=9, fcnt=3,
                            latency_erases=2))
         bus.emit(BetReset(resets=1, findex=4))
+        bus.flush()
         snapshot = collector.snapshot()
         assert snapshot.counters["repro_swl_invocations_total"].value == 1
         assert snapshot.counters["repro_bet_resets_total"].value == 1
@@ -292,169 +293,153 @@ class TestMetricsCollector:
 
 
 # ----------------------------------------------------------------------
-# Delivery-mode equivalence: per-event vs batched vs tallied
+# The one delivery path: ordered, attached-window-exact, shard-faithful
 # ----------------------------------------------------------------------
-@st.composite
-def _telemetry_streams(draw):
-    """A random interleaving of hot events and cold events across shards.
+_COLD_EVENTS = (
+    GcStart(reason="free-space", victim=1),
+    GcEnd(reason="free-space", victim=1, copies=2, erases=1),
+    GcEnd(reason="swl", victim=2, copies=0, erases=0),
+    SwlInvoke(findex=0, unevenness=2.5, ecnt=5, fcnt=2, latency_erases=1),
+    SwlInvoke(findex=3, unevenness=1.25, ecnt=5, fcnt=4, latency_erases=7),
+    BetReset(resets=1, findex=3),
+)
+#: action -> (mask bit, op kind, event class, emitter, device counter, arity)
+_HOT = {
+    "read": (M_READ, K_READ, Read, "emit_read", "reads", 2),
+    "program": (M_PROGRAM, K_PROGRAM, Program, "emit_program", "programs", 3),
+    "erase": (M_ERASE, K_ERASE, Erase, "emit_erase", "erases", 2),
+}
+#: The root bus, two views with own clocks, a shard-1 view on the root's clock.
+_EMITTER_SHARDS = (0, 1, 2, 1)
+_steps = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(("sub", "unsub")), st.integers(0, 2)),
+        st.tuples(st.just("cold"), st.integers(0, 3), st.sampled_from(_COLD_EVENTS)),
+        st.tuples(st.sampled_from(tuple(_HOT)), st.integers(0, 3),
+                  st.tuples(*[st.integers(0, 7)] * 3)),
+    ),
+    max_size=60,
+)
 
-    Each element is ``(kind, shard, event)`` with *kind* one of
-    ``"read"``, ``"program"``, ``"erase"``, ``"cold"`` — enough to
-    reconstruct every delivery form the bus uses.
-    """
-    cold_events = (
-        GcStart(reason="free-space", victim=1),
-        GcEnd(reason="free-space", victim=1, copies=2, erases=1),
-        SwlInvoke(findex=0, unevenness=2.5, ecnt=5, fcnt=2,
-                  latency_erases=1),
-        BetReset(resets=1, findex=3),
-    )
-    stream = []
-    for _ in range(draw(st.integers(min_value=0, max_value=40))):
-        shard = draw(st.integers(min_value=0, max_value=3))
-        kind = draw(st.sampled_from(("read", "program", "erase", "cold")))
-        if kind == "read":
-            event = Read(block=draw(st.integers(0, 7)),
-                         page=draw(st.integers(0, 3)))
-        elif kind == "program":
-            event = Program(block=draw(st.integers(0, 7)),
-                            page=draw(st.integers(0, 3)),
-                            lba=draw(st.integers(0, 63)))
-        elif kind == "erase":
-            event = Erase(block=draw(st.integers(0, 7)),
-                          count=draw(st.integers(1, 50)))
+
+def _naive_fold(cold, devices):
+    """Per-shard metric values from first principles: plain dicts only."""
+    folded = {}
+    for shard, device in devices.items():
+        folded[shard] = {f"repro_flash_{kind}_total": total
+                         for kind, total in vars(device.counters).items() if total}
+        folded[shard]["repro_flash_max_block_erases"] = device.max_erase_count()
+    for shard, event in cold:
+        values = folded[shard]
+
+        def add(name, amount=1):
+            values[name] = values.get(name, 0) + amount
+
+        if isinstance(event, GcStart):
+            add("repro_gc_passes_total")
+            add("repro_gc_passes_free_space_total")
+        elif isinstance(event, GcEnd):
+            add("repro_gc_copied_pages_total", event.copies)
+            add("repro_gc_erases_total", event.erases)
+            if values["repro_gc_erases_total"]:
+                values["repro_gc_copy_amplification"] = round(
+                    values["repro_gc_copied_pages_total"] / values["repro_gc_erases_total"], 6)
+        elif isinstance(event, SwlInvoke):
+            add("repro_swl_invocations_total")
+            values["repro_swl_unevenness"] = round(event.unevenness, 6)
+            add("repro_swl_trigger_latency_erases:count")
+            add("repro_swl_trigger_latency_erases:sum", event.latency_erases)
         else:
-            event = draw(st.sampled_from(cold_events))
-        stream.append((kind, shard, event))
-    return stream
+            add("repro_bet_resets_total")
+    return folded
 
 
-class TestCollectorDeliveryEquivalence:
-    """The three bus delivery modes fold to identical metric state.
+def _flat(snapshot):
+    values = {n: s.value for n, s in (*snapshot.counters.items(), *snapshot.gauges.items())}
+    for name, sample in snapshot.histograms.items():
+        values.update({name + ":count": sample.count, name + ":sum": sample.sum})
+    return values
 
-    ``EventBus`` delivers the same emissions as synchronous per-record
-    calls, as a buffered op batch (``consume_batch``) or as per-kind
-    tallies (``consume_tallies``); the throughput work relies on the
-    three being interchangeable, so the equivalence is property-tested
-    here (and referenced by the ``consume_tallies`` docstring).
-    """
 
-    @staticmethod
-    def _per_event(stream, pull):
-        collector = MetricsCollector()
-        collector.set_pull_mode(pull)
-        for _, shard, event in stream:
-            collector(TraceRecord(ts=0.0, shard=shard, event=event))
-        return collector
-
-    @staticmethod
-    def _batched(stream, pull):
-        collector = MetricsCollector()
-        collector.set_pull_mode(pull)
-        batch = []
-        for kind, shard, event in stream:
-            if kind == "read":
-                batch.append((K_READ, 0.0, shard, event.block, event.page))
-            elif kind == "program":
-                batch.append((K_PROGRAM, 0.0, shard, event.block,
-                              event.page, event.lba))
-            elif kind == "erase":
-                batch.append((K_ERASE, 0.0, shard, event.block, event.count))
+@settings(max_examples=120, deadline=None)
+@given(steps=_steps, capacity=st.sampled_from((1, 3, 4096)))
+def test_one_delivery_path_is_ordered_exact_and_shard_faithful(steps, capacity):
+    """Hot and cold emissions across the root bus and shard views, with
+    subscriptions changing in between: each subscriber gets exactly the ops
+    emitted while attached, in order, under the emitter's tag and clock; the
+    collector holds the naive fold of its cold events plus the devices' totals."""
+    now = {0: 0.0, 1: 0.0, 2: 0.0}
+    bus = EventBus(clock=lambda: now[0])
+    emitters = {0: bus}
+    clocks = (None, lambda: now[1], lambda: now[2], None)
+    ops, records, collector = [], [], MetricsCollector()
+    assert collector.interest_mask == ALL_EVENTS & ~HOT_KINDS
+    batch = SimpleNamespace(  # a batch subscriber that wants everything
+        interest_mask=ALL_EVENTS, needs_timestamps=True, consume_batch=ops.extend)
+    subscribers = (batch, records.append, collector)
+    attached = [False, False, False]
+    expected_ops, expected_records, cold_folded = [], [], []
+    devices = {shard: _FakeHotSource() for shard in (0, 1, 2)}
+    with mock.patch.object(bus_module, "BATCH_CAPACITY", capacity):
+        for tick, (action, index, *rest) in enumerate(steps, start=1):
+            if action in ("sub", "unsub"):
+                if action == "unsub":  # of an absent subscriber: a no-op
+                    bus.unsubscribe(subscribers[index])
+                elif not attached[index]:
+                    bus.subscribe(subscribers[index])
+                attached[index] = action == "sub"
+                continue
+            shard = _EMITTER_SHARDS[index]
+            if index not in emitters:  # views appear mid-stream too
+                emitters[index] = bus.for_shard(shard, clocks[index])
+            emitter = emitters[index]
+            now[shard if clocks[index] else 0] = ts = tick + 0.5
+            if action == "cold":
+                emitter.emit(event := rest[0])
+                op = (K_OBJ, ts, shard, event)
+                if attached[2]:
+                    cold_folded.append((shard, event))
             else:
-                batch.append((K_OBJ, 0.0, shard, event))
-        collector.consume_batch(batch)
-        return collector
-
-    @staticmethod
-    def _tallied(stream, pull):
-        collector = MetricsCollector()
-        collector.set_pull_mode(pull)
-        reads: list[int] = []
-        programs: list[int] = []
-        erases: list[tuple[int, int]] = []
-        ops = []
-        for kind, shard, event in stream:
-            if kind == "read":
-                reads.append(shard)
-            elif kind == "program":
-                programs.append(shard)
-            elif kind == "erase":
-                erases.append((shard, event.count))
-            else:
-                ops.append((K_OBJ, 0.0, shard, event))
-        collector.consume_tallies(reads, programs, erases, ops)
-        return collector
-
-    @staticmethod
-    def _assert_identical(reference, *others):
-        for other in others:
-            assert other.shards == reference.shards
-            assert other.snapshot() == reference.snapshot()
-            for shard in reference.shards:
-                assert (other.shard_snapshot(shard)
-                        == reference.shard_snapshot(shard))
-
-    @settings(max_examples=60, deadline=None)
-    @given(stream=_telemetry_streams())
-    def test_batched_and_tallied_match_per_event(self, stream):
-        self._assert_identical(
-            self._per_event(stream, pull=False),
-            self._batched(stream, pull=False),
-            self._tallied(stream, pull=False),
-        )
-
-    @settings(max_examples=30, deadline=None)
-    @given(stream=_telemetry_streams())
-    def test_pull_mode_ignores_hot_kinds_in_every_delivery(self, stream):
-        # In pull mode all three forms must drop reads/programs/erases
-        # and agree on the surviving cold-event state.
-        pulled = self._per_event(stream, pull=True)
-        self._assert_identical(
-            pulled,
-            self._batched(stream, pull=True),
-            self._tallied(stream, pull=True),
-        )
-        snapshot = pulled.snapshot()
-        assert "repro_flash_reads_total" not in snapshot.counters
-        assert "repro_flash_programs_total" not in snapshot.counters
-        assert "repro_flash_erases_total" not in snapshot.counters
+                # What the chip does: count, then emit behind the mask.
+                bit, kind, event_class, emit, counter, arity = _HOT[action]
+                device, args = devices[shard], rest[0][:arity]
+                setattr(device.counters, counter, getattr(device.counters, counter) + 1)
+                if action == "erase":
+                    device._max_erases = max(device._max_erases, args[1])
+                fired = bool(emitter.mask & bit)
+                assert fired == (attached[0] or attached[1])
+                if not fired:
+                    continue
+                getattr(emitter, emit)(*args)
+                event, op = event_class(*args), (kind, ts, shard, *args)
+            if attached[0]:
+                expected_ops.append(op)
+            if attached[1]:
+                expected_records.append((ts, shard, event))
+        bus.flush()
+    assert ops == expected_ops
+    assert [(r.ts, r.shard, r.event) for r in records] == expected_records
+    collector.pull_hot_counters(devices)
+    naive = _naive_fold(cold_folded, devices)
+    assert collector.shards == tuple(sorted(naive))
+    for shard, values in naive.items():
+        assert _flat(collector.shard_snapshot(shard)) == values
 
 
 # ----------------------------------------------------------------------
 # Pulled hot counters
 # ----------------------------------------------------------------------
-class _FakeOpCounters:
-    def __init__(self, reads=0, programs=0, erases=0):
-        self.reads = reads
-        self.programs = programs
-        self.erases = erases
-
-
-class _FakeHotSource:
+def _FakeHotSource(reads=0, programs=0, erases=0, max_erases=0):
     """Minimal :class:`HotCounterSource`: counters plus a wear maximum."""
-
-    def __init__(self, reads=0, programs=0, erases=0, max_erases=0):
-        self.counters = _FakeOpCounters(reads, programs, erases)
-        self._max_erases = max_erases
-
-    def max_erase_count(self):
-        return self._max_erases
+    counters = SimpleNamespace(reads=reads, programs=programs, erases=erases)
+    source = SimpleNamespace(counters=counters, _max_erases=max_erases)
+    source.max_erase_count = lambda: source._max_erases
+    return source
 
 
 class TestPulledHotCounters:
-    def test_pull_mode_narrows_and_restores_interest_mask(self):
-        collector = MetricsCollector()
-        assert collector.interest_mask == ALL_EVENTS
-        assert not collector.pulls_hot_counters
-        collector.set_pull_mode(True)
-        assert collector.pulls_hot_counters
-        assert collector.interest_mask == ALL_EVENTS & ~HOT_KINDS
-        collector.set_pull_mode(False)
-        assert collector.interest_mask == ALL_EVENTS
-
     def test_repeated_pulls_apply_exact_deltas(self):
         collector = MetricsCollector()
-        collector.set_pull_mode(True)
         source = _FakeHotSource(reads=10, programs=5, erases=3, max_erases=7)
         collector.pull_hot_counters({0: source})
         snapshot = collector.snapshot()
@@ -482,14 +467,12 @@ class TestPulledHotCounters:
         # Another subscriber (say a trace exporter) may keep hot events
         # flowing; the collector must take hot totals from pulls only.
         collector = MetricsCollector()
-        collector.set_pull_mode(True)
-        collector(TraceRecord(ts=0.0, shard=0, event=Read(block=0, page=0)))
         collector.consume_batch([
+            (K_OBJ, 0.0, 0, Read(block=0, page=0)),
             (K_READ, 0.0, 0, 0, 0),
             (K_ERASE, 0.0, 0, 0, 5),
             (K_OBJ, 0.0, 0, Program(block=0, page=1, lba=2)),
         ])
-        collector.consume_tallies([0], [0], [(0, 5)], [])
         source = _FakeHotSource(reads=4, programs=2, erases=1, max_erases=5)
         collector.pull_hot_counters({0: source})
         snapshot = collector.snapshot()
@@ -499,9 +482,7 @@ class TestPulledHotCounters:
 
     def test_cold_events_still_fold_in_pull_mode(self):
         collector = MetricsCollector()
-        collector.set_pull_mode(True)
-        collector(TraceRecord(ts=0.0, shard=0,
-                              event=BetReset(resets=1, findex=2)))
+        collector.consume_batch([(K_OBJ, 0.0, 0, BetReset(resets=1, findex=2))])
         snapshot = collector.snapshot()
         assert snapshot.counters["repro_bet_resets_total"].value == 1
 
@@ -510,7 +491,6 @@ class TestPulledHotCounters:
         # the pull must not decrement counters (impossible) nor replay
         # the rewound span later — it re-baselines at the lower value.
         collector = MetricsCollector()
-        collector.set_pull_mode(True)
         source = _FakeHotSource(reads=100, programs=50, erases=20,
                                 max_erases=9)
         collector.pull_hot_counters({0: source})
@@ -526,7 +506,6 @@ class TestPulledHotCounters:
 
     def test_per_shard_pulls_keep_registries_separate(self):
         collector = MetricsCollector()
-        collector.set_pull_mode(True)
         collector.pull_hot_counters({
             0: _FakeHotSource(reads=3, max_erases=2),
             1: _FakeHotSource(reads=7, max_erases=6),
@@ -552,6 +531,7 @@ class TestExporters:
         bus.subscribe(exporter)
         bus.emit(Erase(block=2, count=9))
         bus.for_shard(3).emit(Read(block=0, page=1))
+        bus.flush()
         exporter.close()
         lines = [json.loads(line)
                  for line in path.read_text().splitlines()]
@@ -569,6 +549,7 @@ class TestExporters:
         bus.emit(GcEnd(reason="free-space", victim=7, copies=3, erases=1))
         bus.emit(SwlInvoke(findex=1, unevenness=2.0, ecnt=4, fcnt=2,
                            latency_erases=0))
+        bus.flush()
         path = tmp_path / "trace.chrome.json"
         exporter.dump(path)
         document = json.load(open(path))
@@ -586,6 +567,7 @@ class TestExporters:
         with caplog.at_level(logging.INFO, logger="repro"):
             bus.emit(SwlInvoke(findex=0, unevenness=2.0, ecnt=4, fcnt=2,
                                latency_erases=0))
+            bus.flush()
         assert any(r.name == "repro.leveler" for r in caplog.records)
 
 
@@ -602,6 +584,7 @@ class TestChipInstrumentation:
         flash.program(0, 0, lba=5)
         flash.read(0, 0)
         flash.erase(0)
+        bus.flush()
         kinds = [r.event.kind for r in records]
         assert kinds == ["program", "read", "erase"]
         assert records[0].event.payload() == {"block": 0, "page": 0, "lba": 5}
@@ -614,14 +597,14 @@ class TestChipInstrumentation:
         order = []
         bus.subscribe(lambda record: order.append(record.event.kind))
         flash.attach_bus(bus)
-        flash.add_erase_listener(lambda block: order.append("listener"))
+        # The listener's own emission stands for the SWL work it triggers.
+        flash.add_erase_listener(lambda block: bus.emit(BetReset(1, block)))
         flash.erase(0)
-        assert order == ["erase", "listener"]
+        bus.flush()
+        assert order == ["erase", "bet_reset"]
 
-    def test_null_bus_normalises_to_none(self):
+    def test_attach_bus_none_detaches(self):
         flash = NandFlash(MLC2_TINY)
-        flash.attach_bus(NULL_BUS)
-        assert flash._obs is None
         flash.attach_bus(EventBus())
         assert flash._obs is not None
         flash.attach_bus(None)
@@ -744,6 +727,7 @@ class TestDisabledPath:
         pages = stack.layer.num_logical_pages
         for index in range(3000):
             stack.layer.write(index % pages)
+        bus.flush()
         kinds = {record.event.kind for record in records}
         assert {"program", "erase", "gc_start", "gc_end"} <= kinds
         # Timestamps track the device's simulated busy time.
@@ -876,3 +860,19 @@ class TestTelemetryFacade:
         document = json.load(open(files["chrome"]))
         assert document["traceEvents"]
         assert "repro_flash_erases_total" in files["prometheus"].read_text()
+
+    @pytest.mark.parametrize("again", ["finish", "snapshot"])
+    def test_finish_is_idempotent_and_leaves_the_facade_usable(self, tmp_path, again):
+        # Both raised ValueError (closed file): the closed JSONL exporter stayed attached.
+        telemetry = Telemetry.to_directory(tmp_path / "out")
+        stack = build_stack(MLC2_TINY, "ftl", bus=telemetry.bus)
+        stack.layer.write(0)
+        files = telemetry.finish()
+        written = {name: path.read_bytes() for name, path in files.items()}
+        stack.layer.write(1)  # emitted after the files were finalised
+        if again == "finish":
+            assert telemetry.finish() == files
+        else:
+            counters = telemetry.snapshot().counters
+            assert counters["repro_flash_programs_total"].value == 2
+        assert {n: p.read_bytes() for n, p in files.items()} == written
