@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-quick bench-trajectory bench-hotpath scale-gate examples clean
+.PHONY: install test bench bench-quick bench-trajectory bench-hotpath bench-pairs scale-gate examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -32,6 +32,16 @@ bench-trajectory:
 bench-hotpath:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_hotpath.py
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_hotpath.py --check-golden
+
+# Alternated parent/change pairs of one whole-stack workload, e.g.
+#   make bench-pairs PARENT=/root/scratch/parent WORKLOAD=hotspot_swl_nftl_1ch
+# (CHANGE defaults to this checkout, PAIRS to 10, SEED to 1).
+PAIRS ?= 10
+SEED ?= 1
+CHANGE ?= .
+bench-pairs:
+	$(PYTHON) scripts/bench_pairs.py $(PARENT) $(CHANGE) \
+	    --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED)
 
 # On-runner scale-feature budgets (telemetry overhead, parallel sweep).
 scale-gate:

@@ -305,21 +305,17 @@ class NFTL(TranslationLayer):
         whose primary block has the smallest erase count wins — the
         baseline dynamic wear leveling of paper Section 5.1.  Folding a
         chain without a replacement frees no block, so such chains (and
-        unwritten VBAs) tally zero benefit and never qualify.
+        unwritten VBAs) are not candidates at all.
         """
-        benefit = [0] * self.num_vbas
-        cost = [0] * self.num_vbas
-        wear = [0] * self.num_vbas
         erase_counts = self.mtd.erase_counts
-        chains = self._chains
-        for vba in self._replaced:
-            chain = chains[vba]
-            benefit[vba] = chain.invalid_pages()
-            cost[vba] = chain.valid_offsets
-            wear[vba] = erase_counts[chain.primary]
-        victim = self.scanner.find_least_worn(benefit, cost, wear)
+        candidates = [
+            (chain.vba, chain.invalid_pages(), chain.valid_offsets,
+             erase_counts[chain.primary])
+            for chain in map(self._chains.__getitem__, self._replaced)
+        ]
+        victim = self.scanner.find_least_worn(candidates)
         if victim is None:
-            victim = self.scanner.find_best_fallback(benefit, cost)
+            victim = self.scanner.find_best_fallback(candidates)
         if victim is None:
             raise OutOfSpaceError(
                 "garbage collection found no replacement block to merge; "

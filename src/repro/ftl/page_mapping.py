@@ -23,7 +23,7 @@ Implementation notes
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from repro.flash.chip import PAGE_FREE, PAGE_VALID
 from repro.flash.errors import (
@@ -35,7 +35,7 @@ from repro.flash.errors import (
 from repro.flash.mtd import MtdDevice
 from repro.ftl.allocator import BlockAllocator
 from repro.ftl.base import DEFAULT_OP_RATIO, GC_FREE_FRACTION, TranslationLayer
-from repro.ftl.cleaner import CyclicScanner
+from repro.ftl.cleaner import Candidate, CyclicScanner
 from repro.obs.bus import M_RECOVERY
 from repro.obs.events import Recovery
 from repro.util.diagnostics import fault_log
@@ -339,19 +339,35 @@ class PageMappingFTL(TranslationLayer):
         """
         frontiers = self._frontier_blocks()
         in_free = self.allocator.contains
-        valid = self._valid
+        valid, invalid = self._valid, self._invalid
+        wear = self.mtd.erase_counts
+        ppb = self.geometry.pages_per_block
 
         def dead(block: int) -> bool:
             return not (in_free(block) or block in frontiers or valid[block])
 
-        victim = self.scanner.find_least_worn(
-            self._invalid, valid, self.mtd.erase_counts, dead,
-            min_benefit=self.geometry.pages_per_block,
-        )
+        # Only a block whose every page is invalid can be dead, and
+        # ``list.index`` finds those without a Python-level walk.
+        candidates = []
+        block = -1
+        try:
+            while True:
+                block = invalid.index(ppb, block + 1)
+                candidates.append((block, ppb, valid[block], wear[block]))
+        except ValueError:
+            pass
+        victim = self.scanner.find_least_worn(candidates, dead, min_benefit=ppb)
         if victim is not None:
             self.stats.dead_recycles += 1
             with self._leveler_suspended(), self._gc_traced("dead", victim):
                 self._relocate_and_erase(victim)
+
+    def _ring(self) -> Iterator[Candidate]:
+        """Every block as a Cleaner candidate, in ring order."""
+        return zip(
+            range(self.geometry.num_blocks),
+            self._invalid, self._valid, self.mtd.erase_counts,
+        )
 
     def _frontier_blocks(self) -> set[int]:
         blocks = set()
@@ -389,13 +405,9 @@ class PageMappingFTL(TranslationLayer):
         def in_service(block: int) -> bool:
             return not (in_free(block) or block in retired or block in frontiers)
 
-        victim = self.scanner.find_least_worn(
-            self._invalid, self._valid, self.mtd.erase_counts, in_service
-        )
+        victim = self.scanner.find_least_worn(self._ring(), in_service)
         if victim is None:
-            victim = self.scanner.find_best_fallback(
-                self._invalid, self._valid, in_service
-            )
+            victim = self.scanner.find_best_fallback(self._ring(), in_service)
         if victim is None:
             raise OutOfSpaceError(
                 "garbage collection found no block with reclaimable pages; "

@@ -105,7 +105,7 @@ class GcScan(Event):
 
     kind: ClassVar[str] = "gc_scan"
     mode: str       #: "least-worn", "first-fit", or "fallback"
-    probes: int     #: candidates examined by this scan
+    probes: int     #: ring positions this scan's revolution accounts for
     victim: int     #: selected unit, -1 when the scan found none
 
 

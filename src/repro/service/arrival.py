@@ -23,7 +23,6 @@ pattern* of the workload while replacing its *timing*.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from typing import Iterable, Iterator
 
 from repro.traces.model import Request
@@ -60,7 +59,7 @@ def poisson_arrivals(
     expovariate = rng.expovariate
     for request in requests:
         now += expovariate(rate)
-        yield replace(request, time=now)
+        yield Request(now, request.op, request.lba, request.sectors)
 
 
 def trace_paced(
@@ -81,4 +80,6 @@ def trace_paced(
         yield from requests
         return
     for request in requests:
-        yield replace(request, time=request.time / speedup)
+        yield Request(
+            request.time / speedup, request.op, request.lba, request.sectors
+        )

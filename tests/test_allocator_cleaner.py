@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -166,17 +164,25 @@ def tallies(size, scores):
     return benefit, cost
 
 
-def reference_gc_scan(cursor, benefit, cost, wear, eligible):
+def ring(benefit, cost, wear):
+    """Every unit as a ``(unit, benefit, cost, wear)`` candidate."""
+    return list(zip(range(len(benefit)), benefit, cost, wear))
+
+
+def reference_gc_scan(cursor, benefit, cost, wear, eligible, min_benefit=1):
     """The callback-era ``find_least_worn`` -> ``find_best_fallback`` pair.
 
     One object-free transcription of the scans as they were before the
-    flat-tally contract: returns ``(victim, cursor, probes)``.
+    flat-tally contract, walking the whole ring: returns ``(victim,
+    cursor, probes)``.
     """
     size = len(benefit)
     probes = size
     best = None
     for unit in [*range(cursor, size), *range(cursor)]:
         if not eligible(unit) or benefit[unit] <= cost[unit]:
+            continue
+        if benefit[unit] < min_benefit:
             continue
         if best is None or wear[unit] < wear[best]:
             best = unit
@@ -199,22 +205,22 @@ class TestCyclicScanner:
         scanner = CyclicScanner(8)
         benefit, cost = tallies(8, {3: (5, 0), 6: (9, 0)})
         wear = [0] * 8
-        assert scanner.find_least_worn(benefit, cost, wear) == 3
+        assert scanner.find_least_worn(ring(benefit, cost, wear)) == 3
         assert scanner.cursor == 4
-        assert scanner.find_least_worn(benefit, cost, wear) == 6
+        assert scanner.find_least_worn(ring(benefit, cost, wear)) == 6
 
     def test_wraps_around(self):
         scanner = CyclicScanner(8)
         scanner.cursor = 7
         benefit, cost = tallies(8, {2: (4, 1)})
-        assert scanner.find_least_worn(benefit, cost, [0] * 8) == 2
+        assert scanner.find_least_worn(ring(benefit, cost, [0] * 8)) == 2
 
     def test_wraparound_tie_breaks_in_scan_order(self):
         # Units 1 and 6 tie on wear; from cursor 5 the ring meets 6 first.
         scanner = CyclicScanner(8)
         scanner.cursor = 5
         benefit, cost = tallies(8, {1: (4, 1), 6: (4, 1)})
-        assert scanner.find_least_worn(benefit, cost, [3] * 8) == 6
+        assert scanner.find_least_worn(ring(benefit, cost, [3] * 8)) == 6
         assert scanner.cursor == 7
 
     def test_skips_non_qualifying(self):
@@ -222,16 +228,20 @@ class TestCyclicScanner:
         # zero" — benefit equal to cost does not qualify.
         scanner = CyclicScanner(4)
         benefit, cost = tallies(4, {0: (1, 5), 1: (2, 2), 2: (6, 1)})
-        assert scanner.find_least_worn(benefit, cost, [0] * 4) == 2
+        assert scanner.find_least_worn(ring(benefit, cost, [0] * 4)) == 2
 
     def test_none_when_no_candidates(self):
         # An all-free pool tallies 0/0 everywhere: nothing qualifies, the
-        # cursor stays, and the revolution is still accounted.
+        # cursor stays, and the revolution is still accounted — whether
+        # the driver hands in the whole ring or nothing at all.
         scanner = CyclicScanner(4)
         scanner.cursor = 2
-        assert scanner.find_least_worn([0] * 4, [0] * 4, [0] * 4) is None
-        assert scanner.find_best_fallback([0] * 4, [0] * 4) is None
+        assert scanner.find_least_worn(ring([0] * 4, [0] * 4, [0] * 4)) is None
+        assert scanner.find_best_fallback(ring([0] * 4, [0] * 4, [0] * 4)) is None
         assert (scanner.cursor, scanner.probes) == (2, 8)
+        assert scanner.find_least_worn(()) is None
+        assert scanner.find_best_fallback(()) is None
+        assert (scanner.cursor, scanner.probes) == (2, 16)
 
     def test_ineligible_unit_never_wins(self):
         # Unit 1 has the best score and the least wear but is vetoed (a
@@ -239,15 +249,16 @@ class TestCyclicScanner:
         # the tallies admit.
         scanner = CyclicScanner(4)
         benefit, cost = tallies(4, {1: (9, 0), 3: (2, 1)})
+        candidates = ring(benefit, cost, [0, 0, 0, 7])
         asked = []
 
         def eligible(unit):
             asked.append(unit)
             return unit != 1
 
-        assert scanner.find_least_worn(benefit, cost, [0, 0, 0, 7], eligible) == 3
+        assert scanner.find_least_worn(candidates, eligible) == 3
         assert set(asked) <= {1, 3}
-        assert scanner.find_best_fallback(benefit, cost, eligible) == 3
+        assert scanner.find_best_fallback(candidates, eligible) == 3
 
     def test_min_benefit_skips_the_revolution(self):
         # Dead-block recycle: no unit is fully invalid, so nothing is
@@ -260,12 +271,12 @@ class TestCyclicScanner:
         benefit, cost = tallies(4, {0: (3, 0), 2: (2, 1)})
         walked = []
         assert scanner.find_least_worn(
-            benefit, cost, [0] * 4, walked.append, min_benefit=4
+            ring(benefit, cost, [0] * 4), walked.append, min_benefit=4
         ) is None
         assert not walked and scanner.probes == 4 and scanner.cursor == 0
         benefit[2], cost[2] = 4, 0
         assert scanner.find_least_worn(
-            benefit, cost, [0] * 4, min_benefit=4
+            ring(benefit, cost, [0] * 4), min_benefit=4
         ) == 2
         bus.flush()
         scans = [record.event for record in events]
@@ -277,11 +288,11 @@ class TestCyclicScanner:
         scanner = CyclicScanner(4)
         # Unit 3 has nothing reclaimable.
         benefit, cost = tallies(4, {0: (2, 10), 1: (3, 5), 3: (0, 0)})
-        assert scanner.find_best_fallback(benefit, cost) == 1
+        assert scanner.find_best_fallback(ring(benefit, cost, [0] * 4)) == 1
 
     def test_fallback_requires_positive_benefit(self):
         scanner = CyclicScanner(2)
-        assert scanner.find_best_fallback([0, 0], [0, 0]) is None
+        assert scanner.find_best_fallback(ring([0, 0], [0, 0], [0, 0])) is None
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
@@ -289,30 +300,78 @@ class TestCyclicScanner:
 
     def test_probe_accounting(self):
         scanner = CyclicScanner(4)
-        scanner.find_least_worn([0] * 4, [0] * 4, [0] * 4)
+        scanner.find_least_worn(ring([0] * 4, [0] * 4, [0] * 4))
         assert scanner.probes == 4
 
-    def test_matches_the_callback_era_scans(self):
-        # Victim, cursor and probes of least-worn -> fallback on random
-        # hand-sized tallies (ties, free 0/0 units, vetoed units) equal
-        # the sequence the scanner ran before the flat-tally contract.
-        rng = random.Random(5)
-        for _ in range(300):
-            size = rng.randint(1, 12)
-            benefit = [rng.choice((0, 0, 1, 2, 3, 4)) for _ in range(size)]
-            cost = [rng.randint(0, 4 - gain) for gain in benefit]
-            wear = [rng.randint(0, 2) for _ in range(size)]
-            vetoed = {u for u in range(size) if rng.random() < 0.2}
-            scanner = CyclicScanner(size)
-            scanner.cursor = rng.randrange(size)
+    @pytest.mark.parametrize("field, value, message", [
+        ("size", 5, "covers 5 units"),
+        ("cursor", 4, "cursor 4 outside"),
+        ("cursor", -1, "cursor -1 outside"),
+        ("probes", -8, "probes -8 is negative"),
+    ])
+    def test_restore_rejects_a_corrupt_snapshot(self, field, value, message):
+        # Checkpoint images are outside input: a wrong size, a cursor off
+        # the ring or a negative probe count must not be adopted.
+        scanner = CyclicScanner(4)
+        scanner.find_least_worn(ring([0, 3, 0, 0], [0] * 4, [0] * 4))
+        good = scanner.snapshot_state()
+        with pytest.raises(ValueError, match=message):
+            scanner.restore_state({**good, field: value})
+        assert scanner.snapshot_state() == good
+        scanner.restore_state(good)
+        assert (scanner.cursor, scanner.probes) == (2, 4)
 
-            def eligible(unit):
-                return unit not in vetoed
+    @given(
+        units=st.lists(
+            st.tuples(
+                st.sampled_from((0, 0, 1, 2, 3, 4)),  # benefit; 0 = free or clean
+                st.integers(0, 4),                    # cost
+                st.integers(0, 2),                    # wear, narrow to force ties
+                st.booleans(),                        # handed in even without benefit
+            ),
+            min_size=1, max_size=12,
+        ),
+        vetoed=st.sets(st.integers(0, 11)),
+        cursor=st.integers(0, 11),
+        min_benefit=st.integers(1, 4),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_matches_the_callback_era_scans(
+        self, units, vetoed, cursor, min_benefit, rng
+    ):
+        """Victim, cursor, probes and the ``GcScan`` stream of least-worn ->
+        fallback equal the whole-ring scans of the callback era, whatever
+        shuffled superset of the units that tally a benefit is handed in."""
+        size = len(units)
+        benefit, cost, wear, extra = map(list, zip(*units))
+        candidates = [
+            candidate for candidate in ring(benefit, cost, wear)
+            if candidate[1] or extra[candidate[0]]
+        ]
+        rng.shuffle(candidates)
+        scanner = CyclicScanner(size)
+        scanner.cursor = cursor % size
+        bus = EventBus()
+        records = []
+        bus.subscribe(records.append)
+        scanner.attach_bus(bus)
 
-            expected = reference_gc_scan(
-                scanner.cursor, benefit, cost, wear, eligible
-            )
-            victim = scanner.find_least_worn(benefit, cost, wear, eligible)
-            if victim is None:
-                victim = scanner.find_best_fallback(benefit, cost, eligible)
-            assert (victim, scanner.cursor, scanner.probes) == expected
+        def eligible(unit):
+            return unit not in vetoed
+
+        expected = reference_gc_scan(
+            scanner.cursor, benefit, cost, wear, eligible, min_benefit
+        )
+        # A set is the shape NFTL hands over: no order to lean on at all.
+        victim = scanner.find_least_worn(
+            set(candidates), eligible, min_benefit=min_benefit
+        )
+        scans = [("least-worn", size, -1 if victim is None else victim)]
+        if victim is None:
+            victim = scanner.find_best_fallback(candidates, eligible)
+            scans.append(("fallback", size, -1 if victim is None else victim))
+        assert (victim, scanner.cursor, scanner.probes) == expected
+        bus.flush()
+        assert [
+            (r.event.mode, r.event.probes, r.event.victim) for r in records
+        ] == scans

@@ -16,6 +16,8 @@ from repro.ftl.factory import build_stack
 from repro.ftl.nftl import NFTL
 from repro.ftl.page_mapping import PageMappingFTL
 
+from tests.test_allocator_cleaner import reference_gc_scan, ring
+
 
 def make_ftl(geometry, **kwargs):
     chip = NandFlash(geometry, store_data=True)
@@ -27,20 +29,20 @@ class TestFindLeastWorn:
         scanner = CyclicScanner(6)
         benefit = [0, 5, 0, 5, 0, 5]
         wear = [0, 9, 0, 2, 0, 4]
-        assert scanner.find_least_worn(benefit, [0] * 6, wear) == 3
+        assert scanner.find_least_worn(ring(benefit, [0] * 6, wear)) == 3
 
     def test_ignores_non_qualifying_even_if_unworn(self):
         scanner = CyclicScanner(4)
         benefit, cost = [1, 0, 3, 0], [5, 0, 1, 0]
-        assert scanner.find_least_worn(benefit, cost, [0, 0, 100, 0]) == 2
+        assert scanner.find_least_worn(ring(benefit, cost, [0, 0, 100, 0])) == 2
 
     def test_none_when_nothing_qualifies(self):
         scanner = CyclicScanner(4)
-        assert scanner.find_least_worn([0] * 4, [0] * 4, [0] * 4) is None
+        assert scanner.find_least_worn(ring([0] * 4, [0] * 4, [0] * 4)) is None
 
     def test_cursor_advances_past_choice(self):
         scanner = CyclicScanner(4)
-        scanner.find_least_worn([0, 5, 0, 0], [0] * 4, [0] * 4)
+        scanner.find_least_worn(ring([0, 5, 0, 0], [0] * 4, [0] * 4))
         assert scanner.cursor == 2
 
 
@@ -68,6 +70,53 @@ class TestEraseOnDemand:
                 ftl.write(lpn)
         worn = [count for count in chip.erase_counts if count > 0]
         assert max(worn) >= 10  # the hot blocks absorb the cycling
+
+
+    @pytest.mark.parametrize("cursor", [0, 30, 31])
+    def test_tied_dead_blocks_recycle_in_ring_order(self, small_geometry, cursor):
+        # The dead-block search hands the scanner only the fully-invalid
+        # blocks; with several dead at equal wear it must still pick what
+        # a walk of the whole ring from the cursor picks.
+        ftl, chip = make_ftl(small_geometry)
+        ppb = small_geometry.pages_per_block
+        lpns = range(3 * ppb)
+        last_pages = range(ppb - 1, 3 * ppb, ppb)
+        for lpn in lpns:
+            ftl.write(lpn)
+        blocks = [ftl.mapping_of(lpn)[0] for lpn in last_pages]
+        for lpn in lpns:  # leave one live page in each of the three
+            if lpn not in last_pages:
+                ftl.write(lpn)
+        assert ftl.stats.dead_recycles == 0
+        for lpn in last_pages:  # ... and kill all three inside one block
+            ftl.write(lpn)
+        assert sorted(blocks) == [29, 30, 31]
+        assert [chip.erase_counts[block] for block in blocks] == [0, 0, 0]
+
+        ftl.scanner.cursor = cursor
+        frontiers = ftl._frontier_blocks()
+
+        def dead(block):
+            return not (
+                ftl.allocator.contains(block) or block in frontiers
+                or ftl._valid[block]
+            )
+
+        while True:
+            victim, after, _ = reference_gc_scan(
+                ftl.scanner.cursor, ftl._invalid, ftl._valid,
+                chip.erase_counts, dead, min_benefit=ppb,
+            )
+            if victim is None:
+                break
+            recycled = ftl.stats.dead_recycles
+            ftl._recycle_dead_block()
+            assert ftl.stats.dead_recycles == recycled + 1
+            assert chip.erase_counts[victim] == 1 and ftl.scanner.cursor == after
+            blocks.remove(victim)
+        assert not blocks
+        ftl._recycle_dead_block()  # nothing left: accounted, not recycled
+        assert ftl.stats.dead_recycles == 3 and ftl.scanner.cursor == after
 
 
 class TestColdFrontierSeparation:

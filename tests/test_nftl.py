@@ -13,6 +13,8 @@ from repro.flash.geometry import FlashGeometry
 from repro.flash.mtd import MtdDevice
 from repro.ftl.nftl import NFTL
 
+from tests.test_allocator_cleaner import reference_gc_scan
+
 
 def make_nftl(geometry, **kwargs):
     chip = NandFlash(geometry, store_data=True)
@@ -119,6 +121,62 @@ class TestGarbageCollection:
         assert nftl.stats.folds > 0
         assert chip.counters.erases > 0
         assert nftl.allocator.free_count >= 1
+
+    def test_victims_match_the_dense_tally(self, small_geometry):
+        # The Cleaner is handed only the chains indexed in ``_replaced``;
+        # every pass must still pick what a walk over all VBAs with three
+        # num_vbas-long tallies picks — through hotspot churn over static
+        # cold data, a checkpoint restore and an attach-time rebuild.
+        nftl, chip = make_nftl(small_geometry)
+        rng = random.Random(6)
+        span = nftl.num_logical_pages
+        passes = []
+
+        def check_gc_passes(layer):
+            gc_once = layer._gc_once
+
+            def checked_gc_once():
+                size = layer.num_vbas
+                benefit, cost, wear = [0] * size, [0] * size, [0] * size
+                for chain in layer._chains:
+                    if chain is not None and chain.replacement is not None:
+                        benefit[chain.vba] = chain.invalid_pages()
+                        cost[chain.vba] = chain.valid_offsets
+                        wear[chain.vba] = chip.erase_counts[chain.primary]
+                scanner = layer.scanner
+                victim, cursor, probes = reference_gc_scan(
+                    scanner.cursor, benefit, cost, wear, lambda unit: True
+                )
+                expected = (cursor, scanner.probes + probes)
+                gc_once()
+                # The cursor sits one past the victim, so it pins it.
+                assert (scanner.cursor, scanner.probes) == expected
+                passes.append((victim, probes > size))
+
+            layer._gc_once = checked_gc_once
+
+        def churn(layer, writes):
+            for _ in range(writes):
+                layer.write(2 * int(span // 2 * rng.random() ** 6))
+
+        check_gc_passes(nftl)
+        # Even pages only: a half-full chain qualifies under the strict
+        # rule once its replacement is over half written, so both the
+        # least-worn scan and the fallback get to decide passes.
+        for lpn in range(0, span, 2):
+            nftl.write(lpn)
+        churn(nftl, 1500)
+        restored = NFTL(MtdDevice(chip))
+        restored.restore_state(nftl.snapshot_state())
+        check_gc_passes(restored)
+        churn(restored, 1500)
+        restored.rebuild_mapping()
+        churn(restored, 1500)
+        restored.assert_internal_consistency()
+        assert len(passes) > 300
+        # Both scans decided passes, over more victims than one hot chain.
+        assert {fell_back for _, fell_back in passes} == {False, True}
+        assert len({victim for victim, _ in passes}) > 3
 
     def test_data_integrity_under_churn(self, small_geometry):
         nftl, _ = make_nftl(small_geometry)
