@@ -8,10 +8,12 @@ map.  The rule of thumb it demonstrates: SWL's benefit is proportional to
 how much of the device sits pinned under write-once data, not to how
 skewed the *active* traffic is.
 
-Run:  python examples/workload_comparison.py     (~2-3 minutes)
+Run:  python examples/workload_comparison.py     (under a minute)
 """
 
 from __future__ import annotations
+
+from itertools import takewhile
 
 from repro import SWLConfig, build_stack
 from repro.analysis.figures import wear_map
@@ -19,13 +21,14 @@ from repro.flash.geometry import FlashGeometry
 from repro.sim.engine import Simulator, StopCondition
 from repro.sim.metrics import EraseDistribution, improvement_ratio
 from repro.traces.generator import MobilePCWorkload, WorkloadParams
-from repro.traces.synthetic import (
-    SequentialLogWorkload,
-    SyntheticParams,
-    UniformWorkload,
-    ZipfianWorkload,
-)
+from repro.traces.model import Op, Request
 from repro.util.tables import render_table
+from repro.workloads import (
+    MultiTenantWorkload,
+    ShapeParams,
+    TenantSpec,
+    make_shape,
+)
 
 GEOMETRY = FlashGeometry(64, 32, 2048, 300, name="demo-64b")
 SECTORS = 55 * 32 * 4  # the logical space the drivers will export
@@ -37,20 +40,37 @@ def mobile_pc():
     return workload.prefill_requests() + workload.requests()
 
 
-def synthetic(factory, pinned: float, **kwargs):
-    params = SyntheticParams(
-        total_sectors=SECTORS, duration=3600.0, write_rate=30.0,
-        pinned_fraction=pinned, seed=4,
+def shaped(name: str, pinned: float, **kwargs):
+    """One hour of a workload shape behind a write-once pinned prefix.
+
+    The lowest ``pinned`` fraction of the device is written once up front
+    (the data the SW Leveler must keep moving); the shape then runs as
+    the only tenant of the region above it.
+    """
+    step = 8
+    pinned_sectors = int(SECTORS * pinned)
+    prefill = [
+        Request(0.0, Op.WRITE, start, min(step, pinned_sectors - start))
+        for start in range(0, pinned_sectors, step)
+    ]
+    params = ShapeParams(
+        total_sectors=SECTORS - pinned_sectors, rate=30.0,
+        request_sectors=step, seed=4,
     )
-    workload = factory(params, **kwargs)
-    return workload.prefill_requests() + workload.requests()
+    active = MultiTenantWorkload(
+        [TenantSpec("active", make_shape(name, params, **kwargs),
+                    region=(pinned_sectors, SECTORS))],
+        SECTORS,
+    )
+    hour = takewhile(lambda r: r.time < 3600.0, active.iter_requests())
+    return prefill + list(hour)
 
 
 WORKLOADS = {
     "mobile-pc (paper)": mobile_pc,
-    "uniform, no pinned data": lambda: synthetic(UniformWorkload, 0.0),
-    "zipf a=1.2, 50% pinned": lambda: synthetic(ZipfianWorkload, 0.5, alpha=1.2),
-    "circular log, 60% pinned": lambda: synthetic(SequentialLogWorkload, 0.6),
+    "uniform, no pinned data": lambda: shaped("uniform", 0.0),
+    "zipf a=1.2, 50% pinned": lambda: shaped("hotspot", 0.5, theta=1.2),
+    "circular log, 60% pinned": lambda: shaped("sequential", 0.6),
 }
 
 

@@ -77,7 +77,6 @@ from repro.flash import (
     slc_large_block,
     slc_small_block,
 )
-from repro.fs import FatFileSystem
 from repro.obs import (
     EventBus,
     MetricsCollector,
@@ -89,7 +88,6 @@ from repro.obs import (
 )
 from repro.ftl import (
     NFTL,
-    BlockDevice,
     PageMappingFTL,
     StorageBackend,
     StorageStack,
@@ -124,7 +122,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BetStore",
-    "BlockDevice",
     "BlockErasingTable",
     "CacheAvoidLeveler",
     "CrashConsistencyHarness",
@@ -133,7 +130,6 @@ __all__ = [
     "EnduranceProjection",
     "EventBus",
     "ExperimentSpec",
-    "FatFileSystem",
     "FaultCampaignResult",
     "FaultInjector",
     "FaultPlan",

@@ -1,19 +1,12 @@
-"""Analytic models of paper Section 4 and endurance-distribution tools.
+"""Analytic models of paper Section 4 and text-mode figures.
 
 :mod:`repro.analysis.memory` regenerates Table 1 (BET RAM requirements);
 :mod:`repro.analysis.overhead` regenerates Tables 2-3 (worst-case extra
-erases and live-page copyings); :mod:`repro.analysis.endurance` adds
-distribution diagnostics and lifetime projection used by the examples.
+erases and live-page copyings); :mod:`repro.analysis.figures` renders
+the terminal charts the reports and examples use.  Lifetime projection
+lives in :mod:`repro.endurance`.
 """
 
-from repro.analysis.endurance import (
-    LifetimeProjection,
-    erase_histogram,
-    ideal_leveling_gain,
-    pinned_fraction,
-    project_lifetime,
-    wear_gini,
-)
 from repro.analysis.figures import bar_chart, series_chart, sparkline, wear_map
 from repro.analysis.memory import (
     bet_size_bytes,
@@ -32,7 +25,6 @@ from repro.analysis.overhead import (
 )
 
 __all__ = [
-    "LifetimeProjection",
     "TABLE2_CONFIGS",
     "TABLE3_CONFIGS",
     "TABLE3_PAGES_PER_BLOCK",
@@ -40,11 +32,7 @@ __all__ = [
     "bar_chart",
     "bet_size_bytes",
     "bet_size_for",
-    "erase_histogram",
-    "ideal_leveling_gain",
     "mlc2_reduction",
-    "pinned_fraction",
-    "project_lifetime",
     "series_chart",
     "sparkline",
     "table1",

@@ -207,8 +207,8 @@ def run_arena(
     Every leveler replays every workload over ``horizon`` simulated
     seconds; each workload's trace is materialized once, so all
     mechanisms of one workload see bit-identical requests (and the
-    paper-SWL cells replay exactly as the classic ``SWLConfig`` stack
-    would — same construction, same RNG streams).  ``run_faults=False``
+    paper-SWL cells replay exactly as the paper-protocol runners' stack
+    does — same construction, same RNG streams).  ``run_faults=False``
     skips the fault campaign (its column reports ``True`` trivially);
     smoke configurations use it to stay fast.
     """

@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.array.coordinator import WearCoordinator
 from repro.array.striping import StripingPolicy, make_striping
-from repro.core.config import SWLConfig
 from repro.core.policies import LevelerSpec
 from repro.core.leveler import RequestClock
 from repro.flash.chip import FirstFailure
@@ -108,21 +107,16 @@ class DeviceArray:
         # which knows whether the driver takes spans or a write
         # interceptor sits in front.  Bound as *instance* attributes the
         # closures shadow the generic methods below, which remain the
-        # fallback for non-fusing policies and for batch shapes the
-        # closures delegate back (multi-page non-range sequences, e.g.
-        # lba-modulo wraps).
+        # fallback for batch shapes the closures delegate back
+        # (multi-page non-range sequences, e.g. lba-modulo wraps).
         self._write_ops = [shard.write_pages for shard in self.shards]
         self._read_ops = [shard.read_pages for shard in self.shards]
-        write_dispatch = striping.compile_pages_dispatch(
+        self.write_pages = striping.compile_pages_dispatch(  # type: ignore[method-assign]
             self._write_ops, self.write_pages
         )
-        if write_dispatch is not None:
-            self.write_pages = write_dispatch  # type: ignore[method-assign]
-        read_dispatch = striping.compile_pages_dispatch(
+        self.read_pages = striping.compile_pages_dispatch(  # type: ignore[method-assign]
             self._read_ops, self.read_pages
         )
-        if read_dispatch is not None:
-            self.read_pages = read_dispatch  # type: ignore[method-assign]
         # The engine polls first_failure once per request, so it is a
         # plain data attribute: each chip's one-shot failure sink
         # re-derives it (at most N times per run) and the poll costs an
@@ -149,7 +143,7 @@ class DeviceArray:
         # With the paper's erase-driven trigger on every shard (the
         # default), a request carries no per-leveler work at all — skip
         # the shard loop outright.  Safe to precompute: triggers are
-        # wired once at construction (config._make_trigger) and never
+        # wired once at construction (make_trigger_policy) and never
         # reassigned on live stacks.
         self._any_request_driven = any(
             leveler._request_driven for leveler in self._levelers
@@ -203,25 +197,12 @@ class DeviceArray:
     def num_logical_pages(self) -> int:
         return self.striping.total_pages
 
-    def _group(self, lpns: Sequence[int]) -> list[tuple[int, list[int]]]:
-        """The batched dispatcher: one ``(shard, local LPNs)`` batch each.
-
-        Pages keep their request order within a shard; shards are applied
-        in ascending index so replays are deterministic regardless of the
-        span's starting channel.
-        """
-        buffers: list[list[int]] = [[] for _ in self.shards]
-        self.striping.route_batch(lpns, buffers)
-        return [
-            (shard, batch) for shard, batch in enumerate(buffers) if batch
-        ]
-
     def write_pages(self, lpns: Sequence[int]) -> int:
         """Generic batched dispatcher: route, group per shard, apply.
 
-        Striping policies that can compile a fused dispatcher shadow
-        this method with an instance-bound closure (see ``__init__``);
-        it then only serves the closure's fallback shapes.
+        The striping policy's fused dispatcher shadows this method with
+        an instance-bound closure (see ``__init__``); it only serves the
+        closure's fallback shapes.
         """
         return self._dispatch(lpns, self._write_ops)
 
@@ -433,7 +414,7 @@ class DeviceArray:
 def build_array(
     geometry: "FlashGeometry",
     driver: str = "ftl",
-    swl: SWLConfig | LevelerSpec | None = None,
+    swl: LevelerSpec | None = None,
     *,
     channels: int,
     striping: str = "page",

@@ -85,25 +85,12 @@ class StripingPolicy(ABC):
             shard, local = self.route(lpn)
             buffers[shard].append(local)
 
-    def route_span(
-        self, start: int, stop: int
-    ) -> list[tuple[int, range]] | None:
-        """Route the contiguous span ``[start, stop)`` as per-shard ranges.
-
-        Returns one ``(shard, local range)`` batch per touched shard in
-        ascending shard order, each local range ascending — exactly the
-        batches :meth:`route_batch` would build for the same ascending
-        span, without the per-page arithmetic.  Policies whose local
-        image of a span is not contiguous return ``None``; callers then
-        fall back to :meth:`route_batch`.
-        """
-        return None
-
+    @abstractmethod
     def compile_pages_dispatch(
         self,
         span_ops: Sequence[Callable[[Sequence[int]], int]],
         fallback: Callable[[Sequence[int]], int],
-    ) -> Callable[[Sequence[int]], int] | None:
+    ) -> Callable[[Sequence[int]], int]:
         """Compile a complete page-batch dispatcher for this policy.
 
         The returned closure ``dispatch(lpns) -> pages`` is a drop-in
@@ -122,10 +109,8 @@ class StripingPolicy(ABC):
         bit-identical to the generic dispatcher.  On a
         :class:`PowerLossError` the closure adds the pages completed on
         *earlier* shards to the exception's ``pages_done`` (the failing
-        shard has already counted its own) and re-raises.  Policies that
-        cannot fuse return ``None``.
+        shard has already counted its own) and re-raises.
         """
-        return None
 
     def __repr__(self) -> str:
         return (
@@ -155,32 +140,11 @@ class PageInterleaved(StripingPolicy):
             else:
                 self.check(lpn)
 
-    def route_span(
-        self, start: int, stop: int
-    ) -> list[tuple[int, range]] | None:
-        # Shard s owns the lpns ≡ s (mod N); within an ascending span they
-        # are N apart, so their local images (lpn // N) are consecutive.
-        if start < 0:
-            self.check(start)
-        if stop > self.total_pages:
-            self.check(stop - 1)
-        shards = self.num_shards
-        batches: list[tuple[int, range]] = []
-        for shard in range(shards):
-            first = start + (shard - start) % shards
-            if first >= stop:
-                continue
-            last = first + (stop - 1 - first) // shards * shards
-            batches.append(
-                (shard, range(first // shards, last // shards + 1))
-            )
-        return batches
-
     def compile_pages_dispatch(
         self,
         span_ops: Sequence[Callable[[Sequence[int]], int]],
         fallback: Callable[[Sequence[int]], int],
-    ) -> Callable[[Sequence[int]], int] | None:
+    ) -> Callable[[Sequence[int]], int]:
         shards = self.num_shards
         total = self.total_pages
         check = self.check
@@ -258,33 +222,11 @@ class ContiguousRange(StripingPolicy):
             else:
                 self.check(lpn)
 
-    def route_span(
-        self, start: int, stop: int
-    ) -> list[tuple[int, range]] | None:
-        # A span intersected with shard s's contiguous slice is itself
-        # contiguous; shifting by the slice base gives the local range.
-        if start < 0:
-            self.check(start)
-        if stop > self.total_pages:
-            self.check(stop - 1)
-        if start >= stop:
-            return []
-        per_shard = self.pages_per_shard
-        batches: list[tuple[int, range]] = []
-        for shard in range(start // per_shard, (stop - 1) // per_shard + 1):
-            base = shard * per_shard
-            batches.append(
-                (shard,
-                 range(max(start, base) - base,
-                       min(stop, base + per_shard) - base))
-            )
-        return batches
-
     def compile_pages_dispatch(
         self,
         span_ops: Sequence[Callable[[Sequence[int]], int]],
         fallback: Callable[[Sequence[int]], int],
-    ) -> Callable[[Sequence[int]], int] | None:
+    ) -> Callable[[Sequence[int]], int]:
         per_shard = self.pages_per_shard
         total = self.total_pages
         check = self.check

@@ -4,9 +4,9 @@ Three layers, bottom-up:
 
 * :mod:`repro.ckpt.image` — the on-disk container: versioned, CRC-guarded,
   atomically replaced, canonical-JSON payload;
-* :mod:`repro.ckpt.runner` — :func:`run_resumable`, the segment-driven
-  replay loop that snapshots the whole stack at segment boundaries and
-  resumes bit-identically;
+* :mod:`repro.ckpt.runner` — :func:`run_resumable`, the replay that
+  snapshots the whole stack at segment boundaries and resumes
+  bit-identically;
 * :mod:`repro.ckpt.supervisor` — :func:`run_supervised_matrix`, the
   fault-tolerant campaign driver (per-cell timeout, seeded retry,
   checkpoint-resume, quarantine).
@@ -27,7 +27,6 @@ from repro.ckpt.image import (
 from repro.ckpt.runner import (
     CheckpointPolicy,
     ReplayInterrupted,
-    build_spec_backend,
     checkpoint_spec_seed,
     fault_plan_state,
     resume_spec,
@@ -56,7 +55,6 @@ __all__ = [
     "CheckpointVersionError",
     "ReplayInterrupted",
     "SupervisorPolicy",
-    "build_spec_backend",
     "checkpoint_spec_seed",
     "encode_payload",
     "fault_plan_state",

@@ -2,11 +2,12 @@
 
 :func:`run_resumable` is :func:`~repro.sim.experiment.run_until_first_failure`
 / :func:`~repro.sim.experiment.run_fixed_horizon` with durability: it
-drives the same resampled-segment replay loop the plain runners use, but
-at segment boundaries it can freeze the whole stack — chip wear state,
-FTL/NFTL tables, SW Leveler + BET, every RNG stream, fault-plan cursors,
-the engine's bookkeeping, and the resampler's position — into one
-CRC-guarded image (:mod:`repro.ckpt.image`).
+hands :meth:`~repro.sim.engine.Simulator.run` the same resampled endless
+trace the plain runners do, from a generator that between segments can
+freeze the whole stack — chip wear state, FTL/NFTL tables, SW Leveler +
+BET, every RNG stream, fault-plan cursors, the engine's bookkeeping, and
+the resampler's position — into one CRC-guarded image
+(:mod:`repro.ckpt.image`).
 
 The resume contract is exact: a replay interrupted at any checkpoint and
 resumed from it produces a :meth:`~repro.sim.engine.SimResult.as_dict`
@@ -29,17 +30,15 @@ different one with :class:`~repro.ckpt.image.CheckpointMismatchError`.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.ckpt.image import (
     CheckpointMismatchError,
     read_image,
     write_image,
 )
-from repro.flash.errors import PowerLossError
-from repro.ftl.factory import StorageBackend, build_backend
 from repro.sim.engine import SimResult, Simulator, StopCondition
 from repro.sim.experiment import DEFAULT_REQUEST_CAP, ExperimentSpec
 from repro.traces.extend import SegmentResampler
@@ -106,43 +105,6 @@ class CheckpointPolicy:
 # ----------------------------------------------------------------------
 # Configuration fingerprints
 # ----------------------------------------------------------------------
-def _swl_state(swl: object) -> dict[str, object]:
-    """JSON-friendly identity of a wear-leveling config.
-
-    The :class:`~repro.core.config.SWLConfig` form is frozen exactly as
-    historical checkpoints wrote it, so pre-arena images keep matching;
-    a :class:`~repro.core.policies.LevelerSpec` adds a ``kind`` tag plus
-    its per-kind knobs — a different shape, so a checkpoint taken under
-    one config class can never silently resume under the other.
-    """
-    from repro.core.policies import LevelerSpec
-
-    if isinstance(swl, LevelerSpec):
-        return {
-            "kind": swl.kind,
-            "enabled": swl.enabled,
-            "threshold": swl.threshold,
-            "k": swl.k,
-            "selection": swl.selection,
-            "trigger": swl.trigger,
-            "trigger_param": swl.trigger_param,
-            "delta": swl.delta,
-            "check_period": swl.check_period,
-            "batch": swl.batch,
-            "cache_pages": swl.cache_pages,
-            "period_requests": swl.period_requests,
-            "span_blocks": swl.span_blocks,
-        }
-    return {
-        "enabled": swl.enabled,  # type: ignore[attr-defined]
-        "threshold": swl.threshold,  # type: ignore[attr-defined]
-        "k": swl.k,  # type: ignore[attr-defined]
-        "selection": swl.selection,  # type: ignore[attr-defined]
-        "trigger": swl.trigger,  # type: ignore[attr-defined]
-        "trigger_param": swl.trigger_param,  # type: ignore[attr-defined]
-    }
-
-
 def spec_state(spec: ExperimentSpec) -> dict[str, object]:
     """JSON-friendly identity of a spec; pins a checkpoint to its config."""
     geometry = spec.geometry
@@ -156,7 +118,8 @@ def spec_state(spec: ExperimentSpec) -> dict[str, object]:
             "endurance": geometry.endurance,
             "cell_type": geometry.cell_type.name,
         },
-        "swl": None if spec.swl is None else _swl_state(spec.swl),
+        # One fingerprint shape for every mechanism: kind plus all knobs.
+        "swl": None if spec.swl is None else asdict(spec.swl),
         "op_ratio": spec.op_ratio,
         "alloc_policy": spec.alloc_policy,
         "seed": spec.seed,
@@ -194,34 +157,6 @@ def trace_digest(trace: Sequence[Request] | None) -> str | None:
             f"{request.sectors}\n".encode()
         )
     return digest.hexdigest()
-
-
-# ----------------------------------------------------------------------
-# Stack construction (mirrors ExperimentSpec.build + optional faults)
-# ----------------------------------------------------------------------
-def build_spec_backend(
-    spec: ExperimentSpec, *, fault_plan: FaultPlan | None = None
-) -> StorageBackend:
-    """Build a spec's backend, optionally with per-shard fault injectors.
-
-    With ``fault_plan=None`` this is exactly
-    :meth:`~repro.sim.experiment.ExperimentSpec.build` — same construction
-    order, same RNG streams — so checkpoint runs stay bit-identical to
-    the plain runners.
-    """
-    rng = make_rng(spec.seed)
-    return build_backend(
-        spec.geometry,
-        spec.driver,
-        spec.swl,
-        channels=spec.channels,
-        striping=spec.striping,
-        swl_scope=spec.swl_scope,
-        op_ratio=spec.op_ratio,
-        alloc_policy=spec.alloc_policy,
-        rng=spawn_rng(rng, "leveler"),
-        fault_plan=fault_plan,
-    )
 
 
 def _replay_payload(
@@ -304,17 +239,20 @@ def run_resumable(
         max_time=horizon,
         max_requests=request_cap,
     )
+    # Digesting a one-day base trace costs 0.4-0.7 s, as much as replaying
+    # hours of it, and only an image ever reads the digests.
+    durable = checkpoint is not None or resume_from is not None
     mode: dict[str, object] = {
         "horizon": horizon,
         "request_cap": request_cap,
         "skip_reads": skip_reads,
         "fault_plan": fault_plan_state(fault_plan),
-        "warmup_sha256": trace_digest(warmup),
+        "warmup_sha256": trace_digest(warmup) if durable else None,
     }
-    trace_id = trace_digest(base_trace)
+    trace_id = trace_digest(base_trace) if durable else None
 
     simulator = Simulator(
-        build_spec_backend(spec, fault_plan=fault_plan), skip_reads=skip_reads
+        spec.build(fault_plan=fault_plan), skip_reads=skip_reads
     )
     resampler = SegmentResampler(
         base_trace, rng=spawn_rng(make_rng(spec.seed), "resampler")
@@ -334,67 +272,49 @@ def run_resumable(
         for request in warmup:
             simulator.apply(request)
 
-    check_failure = stop.until_first_failure
-    backend = simulator.stack
-    last_checkpoint: int | None = None
-    checkpoints_written = 0
-    done = False
-    while not done:
-        if checkpoint is not None and (
-            (last_checkpoint is None and checkpoint.initial)
-            or (
-                last_checkpoint is not None
-                and simulator.requests_done - last_checkpoint
-                >= checkpoint.every_requests
-            )
-            or (
-                last_checkpoint is None
-                and not checkpoint.initial
-                and simulator.requests_done >= checkpoint.every_requests
-            )
-        ):
-            write_image(
-                checkpoint.path,
-                _replay_payload(simulator, resampler, spec, mode, trace_id),
-            )
-            last_checkpoint = simulator.requests_done
-            checkpoints_written += 1
-            ckpt_log.debug(
-                "checkpoint %d at %d requests -> %s",
-                checkpoints_written, simulator.requests_done, checkpoint.path,
-            )
-            if checkpoint.on_checkpoint is not None:
-                checkpoint.on_checkpoint(checkpoints_written)
-            if (
-                checkpoint.crash_after is not None
-                and checkpoints_written >= checkpoint.crash_after
-            ):
-                raise ReplayInterrupted(
-                    f"crash_after={checkpoint.crash_after} checkpoints "
-                    f"written to {checkpoint.path}"
+    def checkpointed(policy: CheckpointPolicy) -> Iterator[Request]:
+        """The endless trace, with an image between segments when due.
+
+        ``Simulator.run`` asks for the next request only after every stop
+        check on the previous one passed, so an image is never written
+        for a replay that has already ended.
+        """
+        last_checkpoint: int | None = None
+        checkpoints_written = 0
+        while True:
+            done = simulator.requests_done
+            if last_checkpoint is None:
+                due = policy.initial or done >= policy.every_requests
+            else:
+                due = done - last_checkpoint >= policy.every_requests
+            if due:
+                write_image(
+                    policy.path,
+                    _replay_payload(simulator, resampler, spec, mode, trace_id),
                 )
-        # The replay body below mirrors Simulator.run exactly (stop-check
-        # order included) so resumable results match the plain runners.
-        for request in resampler.next_segment():
-            if stop.max_time is not None and request.time > stop.max_time:
-                done = True
-                break
-            try:
-                simulator.apply(request)
-            except PowerLossError:
-                simulator.power_lost = True
-                done = True
-                break
-            if check_failure and backend.first_failure is not None:
-                done = True
-                break
-            if (
-                stop.max_requests is not None
-                and simulator.requests_done >= stop.max_requests
-            ):
-                done = True
-                break
-    return simulator.result(label=label or spec.label())
+                last_checkpoint = done
+                checkpoints_written += 1
+                ckpt_log.debug(
+                    "checkpoint %d at %d requests -> %s",
+                    checkpoints_written, done, policy.path,
+                )
+                if policy.on_checkpoint is not None:
+                    policy.on_checkpoint(checkpoints_written)
+                if (
+                    policy.crash_after is not None
+                    and checkpoints_written >= policy.crash_after
+                ):
+                    raise ReplayInterrupted(
+                        f"crash_after={policy.crash_after} checkpoints "
+                        f"written to {policy.path}"
+                    )
+            yield from resampler.next_segment()
+
+    requests = (
+        resampler.iter_requests() if checkpoint is None
+        else checkpointed(checkpoint)
+    )
+    return simulator.run(requests, stop, label=label or spec.label())
 
 
 def checkpoint_spec_seed(path: str | Path) -> int:

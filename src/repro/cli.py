@@ -72,6 +72,7 @@ from repro.sim.experiment import (
 )
 from repro.sim.metrics import improvement_ratio
 from repro.sim.reporting import (
+    failure_cell,
     fault_campaign_report,
     save_endurance_report,
     save_report,
@@ -452,8 +453,7 @@ def _command_simulate(args: argparse.Namespace) -> int:
     distribution = result.erase_distribution
     rows: list[list[object]] = [
         ["configuration", result.label],
-        ["first failure (simulated days)",
-         round((result.first_failure_time or 0.0) / DAY, 3)],
+        ["first failure (simulated)", failure_cell(result)],
         ["total block erases", result.total_erases],
         ["live-page copies", result.live_page_copies],
         ["erase avg / dev / max",

@@ -1,89 +1,22 @@
-"""Configuration record for the SW Leveler.
+"""The paper's SW Leveler configuration sweep.
 
-Bundles the paper's two tunables — the unevenness threshold ``T``
-(Section 3.3) and the BET resolution exponent ``k`` (Section 3.2) — plus
-the policy choices, into one value that experiment sweeps can enumerate.
+The leveler config itself is :class:`~repro.core.policies.LevelerSpec`;
+``SWLConfig`` is the same class under the name the paper-protocol code
+uses (its defaults are the paper's mechanism: ``kind="swl"`` with the
+unevenness threshold ``T`` of Section 3.3 and the BET resolution
+exponent ``k`` of Section 3.2).  This module adds the constants and the
+enumeration behind the Section 5 sweeps.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-
-from repro.core.leveler import SWLeveler, WearLevelingHost
-from repro.core.policies import (
-    TriggerPolicy,
-    make_selection_policy,
-    make_trigger_policy,
-)
+from repro.core.policies import LevelerSpec
 
 #: The sweeps of paper Section 5 (Figures 5-7, Table 4).
 PAPER_THRESHOLDS = (100, 400, 700, 1000)
 PAPER_K_VALUES = (0, 1, 2, 3)
 
-
-@dataclass(frozen=True)
-class SWLConfig:
-    """Declarative SW Leveler configuration.
-
-    Parameters
-    ----------
-    enabled:
-        ``False`` produces the paper's baseline (plain FTL / NFTL).
-    threshold:
-        Unevenness-level threshold ``T``.
-    k:
-        BET set-size exponent (one flag per ``2^k`` blocks).
-    selection:
-        ``"sequential"`` (paper) or ``"random"`` (ablation).
-    trigger:
-        ``"on-erase"`` (default), ``"every-n-requests"``, or ``"periodic"``.
-    trigger_param:
-        ``n`` for the request trigger, ``period`` seconds for the timer.
-    """
-
-    enabled: bool = True
-    threshold: float = 100.0
-    k: int = 0
-    selection: str = "sequential"
-    trigger: str = "on-erase"
-    trigger_param: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.enabled and self.threshold <= 0:
-            raise ValueError(f"threshold must be positive, got {self.threshold}")
-        if self.k < 0:
-            raise ValueError(f"k must be >= 0, got {self.k}")
-
-    def label(self) -> str:
-        """Row label in the paper's style, e.g. ``SWL+k=0+T=100``."""
-        if not self.enabled:
-            return "baseline"
-        return f"SWL+k={self.k}+T={int(self.threshold)}"
-
-    def _make_trigger(self) -> TriggerPolicy:
-        return make_trigger_policy(self.trigger, self.trigger_param)
-
-    def build(
-        self,
-        num_blocks: int,
-        host: WearLevelingHost,
-        *,
-        rng: random.Random | None = None,
-    ) -> SWLeveler | None:
-        """Instantiate the leveler, or ``None`` when disabled."""
-        if not self.enabled:
-            return None
-        return SWLeveler(
-            num_blocks,
-            host,
-            threshold=self.threshold,
-            k=self.k,
-            selection=make_selection_policy(self.selection),
-            trigger=self._make_trigger(),
-            rng=rng,
-        )
-
+SWLConfig = LevelerSpec
 
 #: Baseline (no static wear leveling) configuration.
 DISABLED = SWLConfig(enabled=False)

@@ -18,12 +18,13 @@ On top of the two axes sits the **leveler registry**: a
 :class:`LevelerSpec` names a complete wear-leveling *mechanism* — the
 paper's BET-based SW Leveler or one of the challengers from
 :mod:`repro.core.alternatives` — plus its knobs, and builds it against
-any :class:`~repro.core.leveler.WearLevelingHost`.  The spec is a frozen,
-picklable drop-in for :class:`~repro.core.config.SWLConfig` everywhere a
-config rides (``build_stack``/``build_backend``, ``ExperimentSpec``, the
+any :class:`~repro.core.leveler.WearLevelingHost`.  The spec is the one
+leveler config: a frozen, picklable record that rides everywhere a config
+does (``build_stack``/``build_backend``, ``ExperimentSpec``, the
 checkpoint supervisor, the fault campaign), which is what lets the
 policy-arena tournament drive every mechanism by name through the same
-harnesses.
+harnesses.  :data:`repro.core.config.SWLConfig` is this class under the
+paper-protocol name.
 """
 
 from __future__ import annotations
@@ -349,8 +350,10 @@ class LevelerSpec:
 
     ``"swl"``
         The paper's BET-based SW Leveler — ``threshold``, ``k``,
-        ``selection``, ``trigger``, ``trigger_param`` (exactly
-        :class:`~repro.core.config.SWLConfig`'s knobs).
+        ``selection`` (``"sequential"``, the paper's, or ``"random"``),
+        ``trigger`` (``"on-erase"``, ``"every-n-requests"`` or
+        ``"periodic"``) and ``trigger_param`` (``n`` for the request
+        trigger, the period in simulated seconds for the timer).
     ``"dual-pool"``
         Ban-patent counter-based leveling — ``delta``, ``check_period``,
         ``batch``.
@@ -363,6 +366,9 @@ class LevelerSpec:
         a cyclic scrubber rotates cold data by force-recycling the next
         block span every ``period_requests`` host requests —
         ``span_blocks``.
+
+    ``enabled=False`` is the paper's baseline (plain FTL / NFTL) whatever
+    the kind: nothing is built and no knob is validated.
     """
 
     kind: str = "swl"
@@ -422,7 +428,7 @@ class LevelerSpec:
                 )
 
     def label(self) -> str:
-        """Row label for tables; matches ``SWLConfig.label`` for ``swl``."""
+        """Row label for tables, e.g. ``SWL+k=0+T=100`` in the paper's style."""
         if not self.enabled:
             return "baseline"
         if self.kind == "swl":

@@ -9,12 +9,11 @@ projected first-failure horizon.
 One WAF-aware chokepoint
 ------------------------
 :func:`first_failure_horizon` is the single formula every lifetime
-extrapolation in the repository goes through (the legacy
-``repro.analysis.endurance.project_lifetime`` delegates here).  It
-linearly extrapolates the hottest block's erase rate to the endurance
-budget, optionally rescaled by a projected/observed WAF ratio — the fix
-for the historical extrapolation that ignored write amplification
-entirely.
+extrapolation in the repository goes through.  It linearly extrapolates
+the hottest block's erase rate to the endurance budget, optionally
+rescaled by a projected/observed WAF ratio — an extrapolation that
+ignores write amplification misjudges any workload whose WAF will
+differ from the observed one.
 
 Exact WAF
 ---------

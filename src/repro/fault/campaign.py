@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.core.config import SWLConfig
 from repro.core.policies import LevelerSpec
 from repro.fault.crashsim import CrashConsistencyHarness, CrashSweepReport
 from repro.fault.injector import FaultInjector
@@ -85,7 +84,7 @@ class FaultCampaignResult:
 def run_fault_campaign(
     geometry: FlashGeometry,
     driver: str = "ftl",
-    swl: "SWLConfig | LevelerSpec | None" = None,
+    swl: LevelerSpec | None = None,
     *,
     plan: FaultPlan | None = None,
     seed: int = 0,

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.core.bet import BetStore
-from repro.core.config import SWLConfig
+from repro.core.policies import LevelerSpec
 from repro.fault.injector import FaultInjector
 from repro.fault.plan import FaultPlan
 from repro.flash.errors import OutOfSpaceError, PowerLossError
@@ -116,7 +116,7 @@ class CrashConsistencyHarness:
         self,
         geometry: FlashGeometry,
         driver: str = "ftl",
-        swl: SWLConfig | None = None,
+        swl: LevelerSpec | None = None,
         *,
         plan: FaultPlan | None = None,
         seed: int = 0,

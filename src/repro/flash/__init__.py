@@ -5,8 +5,8 @@ paper's system architecture (Figure 1): the raw NAND chip with its
 page/block organization, wear accounting and out-place-update constraints
 (:mod:`repro.flash.chip`), catalog geometries including the paper's 1 GB
 MLC×2 part (:mod:`repro.flash.geometry`), datasheet timing
-(:mod:`repro.flash.timing`), spare-area records (:mod:`repro.flash.spare`),
-and the MTD primitive-operation layer (:mod:`repro.flash.mtd`).
+(:mod:`repro.flash.timing`), and the MTD primitive-operation layer
+(:mod:`repro.flash.mtd`).
 """
 
 from repro.flash.chip import (
@@ -41,7 +41,6 @@ from repro.flash.geometry import (
     slc_small_block,
 )
 from repro.flash.mtd import MtdDevice
-from repro.flash.spare import FREE_RECORD, RECORD_SIZE, PageStatus, SpareRecord
 from repro.flash.timing import MLC2_TIMING, SLC_TIMING, TimingModel, timing_for
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "FirstFailure",
     "FlashError",
     "FlashGeometry",
-    "FREE_RECORD",
     "GIB",
     "KIB",
     "MIB",
@@ -66,12 +64,9 @@ __all__ = [
     "PAGE_FREE",
     "PAGE_INVALID",
     "PAGE_VALID",
-    "PageStatus",
     "ProgramError",
-    "RECORD_SIZE",
     "SECTOR_SIZE",
     "SLC_TIMING",
-    "SpareRecord",
     "TimingModel",
     "TranslationError",
     "WearOutError",

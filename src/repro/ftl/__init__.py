@@ -16,7 +16,6 @@ from repro.ftl.base import (
     LayerStats,
     TranslationLayer,
 )
-from repro.ftl.blockdev import BlockDevice
 from repro.ftl.cleaner import CyclicScanner
 from repro.ftl.factory import (
     StorageBackend,
@@ -32,7 +31,6 @@ from repro.ftl.page_mapping import PageMappingFTL
 __all__ = [
     "BlockAllocator",
     "BlockChain",
-    "BlockDevice",
     "CyclicScanner",
     "DEFAULT_OP_RATIO",
     "GC_FREE_FRACTION",

@@ -1,8 +1,8 @@
 """Convenience constructors wiring chip + MTD + driver + SW Leveler.
 
 Experiments build the same stack over and over; :func:`build_stack`
-assembles it in one call from a geometry, a driver name, and an
-:class:`~repro.core.config.SWLConfig`.
+assembles it in one call from a geometry, a driver name, and a
+:class:`~repro.core.policies.LevelerSpec`.
 
 This module also defines the :class:`StorageBackend` protocol — the
 surface the simulation engine drives.  A :class:`StorageStack` is the
@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence, runtime_checkable
 
-from repro.core.config import SWLConfig
 from repro.core.leveler import WearLeveler
 from repro.core.policies import LevelerSpec
 from repro.flash.chip import FirstFailure, NandFlash
@@ -349,7 +348,7 @@ class StorageStack:
 def build_stack(
     geometry: FlashGeometry,
     driver: str = "ftl",
-    swl: SWLConfig | LevelerSpec | None = None,
+    swl: LevelerSpec | None = None,
     *,
     op_ratio: float = DEFAULT_OP_RATIO,
     gc_free_fraction: float = GC_FREE_FRACTION,
@@ -369,10 +368,9 @@ def build_stack(
     driver:
         ``"ftl"`` or ``"nftl"``.
     swl:
-        Wear-leveling configuration — an :class:`SWLConfig` (the paper's
-        SW Leveler) or a :class:`~repro.core.policies.LevelerSpec`
-        naming any registered mechanism; ``None`` or a disabled config
-        yields the paper's baseline system.
+        Wear-leveling configuration — the paper's SW Leveler by default,
+        or any registered mechanism by ``kind``; ``None`` or a disabled
+        config yields the paper's baseline system.
     alloc_policy:
         Free-block allocation order (see :mod:`repro.ftl.allocator`).
     store_data:
@@ -428,7 +426,7 @@ def build_stack(
 def build_backend(
     geometry: FlashGeometry,
     driver: str = "ftl",
-    swl: SWLConfig | LevelerSpec | None = None,
+    swl: LevelerSpec | None = None,
     *,
     channels: int = 1,
     striping: str = "page",

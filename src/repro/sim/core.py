@@ -19,13 +19,16 @@ a multi-channel :class:`~repro.array.DeviceArray` alike.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.flash.errors import PowerLossError, TranslationError
 from repro.ftl.factory import StorageBackend
 from repro.obs.heatmap import WearHeatmap
 from repro.sim.metrics import EraseDistribution, first_failure_years
 from repro.traces.model import Request
+
+if TYPE_CHECKING:
+    from repro.obs.telemetry import Telemetry
 
 
 @dataclass(frozen=True)
@@ -240,19 +243,6 @@ class RequestCore:
         self._span_buffer: list[int] = []
 
     # ------------------------------------------------------------------
-    def _page_span(self, request: Request) -> range:
-        """Logical pages touched by a sector request."""
-        first = request.lba // self._spp
-        last = (request.end_lba - 1) // self._spp
-        if self.lba_modulo:
-            return range(first, last + 1)  # wrapped per-page below
-        if last >= self._logical_pages:
-            raise TranslationError(
-                f"request [{request.lba}, {request.end_lba}) exceeds the "
-                f"logical space of {self._logical_pages} pages"
-            )
-        return range(first, last + 1)
-
     def apply(self, request: Request) -> None:
         """Apply one request to the backend and advance the clock.
 
@@ -405,3 +395,16 @@ class RequestCore:
             ),
             heatmaps=list(self.heatmaps),
         )
+
+
+def heatmap_kwargs(telemetry: "Telemetry | None") -> dict[str, Any]:
+    """Engine constructor arguments for a run's wear-heatmap preferences.
+
+    Without telemetry the engines keep their defaults: no heatmaps.
+    """
+    if telemetry is None:
+        return {}
+    return {
+        "heatmap_interval": telemetry.heatmap_interval,
+        "heatmap_bins": telemetry.heatmap_bins,
+    }

@@ -26,15 +26,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from repro.core.config import SWLConfig
 from repro.core.policies import LevelerSpec
 from repro.flash.geometry import CellType, FlashGeometry
 from repro.ftl.base import DEFAULT_OP_RATIO
 from repro.ftl.factory import StorageBackend, build_backend
-from repro.obs.telemetry import DEFAULT_HEATMAP_BINS
 from repro.service.arrival import poisson_arrivals, trace_paced
 from repro.service.engine import ServiceEngine
 from repro.service.results import ServiceResult
+from repro.sim.core import heatmap_kwargs
 from repro.sim.engine import Simulator, SimResult, StopCondition
 from repro.traces.extend import SegmentResampler
 from repro.traces.generator import MobilePCWorkload, WorkloadParams
@@ -43,6 +42,7 @@ from repro.util.rng import make_rng, spawn_rng
 
 if TYPE_CHECKING:
     from repro.ckpt.supervisor import SupervisorPolicy
+    from repro.fault.plan import FaultPlan
     from repro.obs.telemetry import Telemetry
 
 #: Hard request cap for "endless" replays — a defensive bound far above
@@ -116,9 +116,9 @@ class ExperimentSpec:
 
     driver: str
     geometry: FlashGeometry
-    #: Wear-leveling mechanism: an :class:`SWLConfig` (the paper's SW
-    #: Leveler) or any :class:`~repro.core.policies.LevelerSpec` kind.
-    swl: SWLConfig | LevelerSpec | None = None
+    #: Wear-leveling mechanism (the paper's SW Leveler or a challenger
+    #: kind); ``None`` or a disabled spec is the baseline.
+    swl: LevelerSpec | None = None
     op_ratio: float = DEFAULT_OP_RATIO
     alloc_policy: str = "lifo"
     seed: int = 0
@@ -134,12 +134,18 @@ class ExperimentSpec:
             base = f"{base}x{self.channels}[{self.striping},{self.swl_scope}]"
         return base
 
-    def build(self, *, telemetry: "Telemetry | None" = None) -> StorageBackend:
+    def build(
+        self,
+        *,
+        telemetry: "Telemetry | None" = None,
+        fault_plan: "FaultPlan | None" = None,
+    ) -> StorageBackend:
         """Wire the backend; ``telemetry`` attaches its event bus.
 
         The bus rides alongside the stack without touching any RNG
         stream, so a telemetry-on build replays bit-identically to a
-        telemetry-off one.
+        telemetry-off one.  ``fault_plan`` attaches one fault injector
+        per shard (each with its own derived seed).
         """
         rng = make_rng(self.seed)
         return build_backend(
@@ -152,6 +158,7 @@ class ExperimentSpec:
             op_ratio=self.op_ratio,
             alloc_policy=self.alloc_policy,
             rng=spawn_rng(rng, "leveler"),
+            fault_plan=fault_plan,
             bus=telemetry.bus if telemetry is not None else None,
         )
 
@@ -192,13 +199,23 @@ def make_base_trace(params: WorkloadParams) -> list[Request]:
     return make_workload(params).requests()
 
 
-def _start_simulator(
+# ----------------------------------------------------------------------
+# Runners
+# ----------------------------------------------------------------------
+def _replay(
     spec: ExperimentSpec,
-    warmup: list[Request] | None,
-    skip_reads: bool,
+    base_trace: list[Request],
+    horizon: float | None,
+    *,
+    warmup: list[Request] | None = None,
+    skip_reads: bool = True,
+    request_cap: int = DEFAULT_REQUEST_CAP,
     telemetry: "Telemetry | None" = None,
-) -> Simulator:
-    """Build the stack and optionally install the disk image.
+) -> SimResult:
+    """Replay the resampled endless trace: the body of both runners.
+
+    ``horizon=None`` stops at the first worn-out block; a horizon replays
+    that many simulated seconds and lets wear-out pass.
 
     The warmup replays the workload's pre-existing data (every written
     extent once) at time zero, so static extents occupy blocks from the
@@ -215,23 +232,26 @@ def _start_simulator(
     simulator = Simulator(
         spec.build(telemetry=telemetry),
         skip_reads=skip_reads,
-        heatmap_interval=(
-            telemetry.heatmap_interval if telemetry is not None else None
-        ),
-        heatmap_bins=(
-            telemetry.heatmap_bins if telemetry is not None
-            else DEFAULT_HEATMAP_BINS
-        ),
+        **heatmap_kwargs(telemetry),
     )
     if warmup:
         for request in warmup:
             simulator.apply(request)
-    return simulator
+    rng = spawn_rng(make_rng(spec.seed), "resampler")
+    endless = SegmentResampler(base_trace, rng=rng)
+    stop = StopCondition(
+        until_first_failure=horizon is None,
+        max_time=horizon,
+        max_requests=request_cap,
+    )
+    result = simulator.run(endless.iter_requests(), stop, label=spec.label())
+    if telemetry is not None:
+        # Drain any batched events so collector/exporter state read
+        # directly off the facade is complete the moment the run returns.
+        telemetry.flush()
+    return result
 
 
-# ----------------------------------------------------------------------
-# Runners
-# ----------------------------------------------------------------------
 def run_until_first_failure(
     spec: ExperimentSpec,
     base_trace: list[Request],
@@ -248,16 +268,10 @@ def run_until_first_failure(
     trace segment".  The returned result's ``first_failure_years`` is the
     y-axis value.
     """
-    simulator = _start_simulator(spec, warmup, skip_reads, telemetry)
-    rng = spawn_rng(make_rng(spec.seed), "resampler")
-    endless = SegmentResampler(base_trace, rng=rng)
-    stop = StopCondition(until_first_failure=True, max_requests=request_cap)
-    result = simulator.run(endless.iter_requests(), stop, label=spec.label())
-    if telemetry is not None:
-        # Drain any batched events so collector/exporter state read
-        # directly off the facade is complete the moment the run returns.
-        telemetry.flush()
-    return result
+    return _replay(
+        spec, base_trace, None, warmup=warmup, skip_reads=skip_reads,
+        request_cap=request_cap, telemetry=telemetry,
+    )
 
 
 def run_fixed_horizon(
@@ -275,14 +289,10 @@ def run_fixed_horizon(
     Wear-out does not stop the run (paper Table 4: "trace simulations of
     10 years even though some blocks were worn out").
     """
-    simulator = _start_simulator(spec, warmup, skip_reads, telemetry)
-    rng = spawn_rng(make_rng(spec.seed), "resampler")
-    endless = SegmentResampler(base_trace, rng=rng)
-    stop = StopCondition(max_time=horizon, max_requests=request_cap)
-    result = simulator.run(endless.iter_requests(), stop, label=spec.label())
-    if telemetry is not None:
-        telemetry.flush()
-    return result
+    return _replay(
+        spec, base_trace, horizon, warmup=warmup, skip_reads=skip_reads,
+        request_cap=request_cap, telemetry=telemetry,
+    )
 
 
 def run_service_soak(
@@ -322,13 +332,7 @@ def run_service_soak(
         spec.build(telemetry=telemetry),
         queue_depth=queue_depth,
         telemetry=telemetry,
-        heatmap_interval=(
-            telemetry.heatmap_interval if telemetry is not None else None
-        ),
-        heatmap_bins=(
-            telemetry.heatmap_bins if telemetry is not None
-            else DEFAULT_HEATMAP_BINS
-        ),
+        **heatmap_kwargs(telemetry),
     )
     if warmup:
         for request in warmup:
@@ -408,11 +412,7 @@ def _run_matrix_spec(spec: ExperimentSpec) -> SimResult:
     """One matrix cell against the worker's installed context."""
     assert _MATRIX_CTX is not None, "worker context not installed"
     base_trace, horizon, warmup, request_cap = _MATRIX_CTX
-    if horizon is None:
-        return run_until_first_failure(
-            spec, base_trace, warmup=warmup, request_cap=request_cap
-        )
-    return run_fixed_horizon(
+    return _replay(
         spec, base_trace, horizon, warmup=warmup, request_cap=request_cap
     )
 
@@ -465,15 +465,8 @@ def run_matrix(
         )
         return report.results()  # type: ignore[return-value]
     if workers is None or workers <= 1 or len(specs) <= 1:
-        if horizon is None:
-            return [
-                run_until_first_failure(
-                    spec, base_trace, warmup=warmup, request_cap=request_cap
-                )
-                for spec in specs
-            ]
         return [
-            run_fixed_horizon(
+            _replay(
                 spec, base_trace, horizon, warmup=warmup,
                 request_cap=request_cap
             )

@@ -32,6 +32,13 @@ def _markdown_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) ->
     return "\n".join(lines)
 
 
+def failure_cell(result: SimResult) -> str:
+    """First-failure time in days, or the time survived without one."""
+    if result.first_failure_time is None:
+        return f"> {result.sim_time / 86_400:.2f} d (no failure)"
+    return f"{result.first_failure_time / 86_400:.2f} d"
+
+
 def markdown_report(
     results: Sequence[SimResult],
     *,
@@ -51,11 +58,6 @@ def markdown_report(
         if not matches:
             raise ValueError(f"no result labelled {baseline_label!r}")
         baseline = matches[0]
-
-    def failure_cell(result: SimResult) -> str:
-        if result.first_failure_time is None:
-            return f"> {result.sim_time / 86_400:.2f} d (no failure)"
-        return f"{result.first_failure_time / 86_400:.2f} d"
 
     def gain_cell(result: SimResult) -> str:
         if result is baseline:

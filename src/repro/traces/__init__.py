@@ -25,12 +25,6 @@ from repro.traces.stats import (
     summarize,
     write_frequency_by_region,
 )
-from repro.traces.synthetic import (
-    SequentialLogWorkload,
-    SyntheticParams,
-    UniformWorkload,
-    ZipfianWorkload,
-)
 
 __all__ = [
     "DAY",
@@ -40,12 +34,8 @@ __all__ = [
     "Request",
     "SEGMENT_SECONDS",
     "SegmentResampler",
-    "SequentialLogWorkload",
-    "SyntheticParams",
     "TraceSummary",
-    "UniformWorkload",
     "WorkloadParams",
-    "ZipfianWorkload",
     "iter_trace_binary",
     "iter_trace_csv",
     "load_trace",

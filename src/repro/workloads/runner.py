@@ -28,9 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from repro.obs.telemetry import DEFAULT_HEATMAP_BINS
 from repro.service.engine import ServiceEngine
 from repro.service.latency import LatencyHistogram, LatencySummary
+from repro.sim.core import heatmap_kwargs
 from repro.sim.engine import Simulator
 from repro.sim.metrics import TenantUsage
 from repro.workloads.tenants import MultiTenantWorkload
@@ -120,13 +120,7 @@ def run_multi_tenant_replay(
     simulator = Simulator(
         backend,
         skip_reads=False,
-        heatmap_interval=(
-            telemetry.heatmap_interval if telemetry is not None else None
-        ),
-        heatmap_bins=(
-            telemetry.heatmap_bins if telemetry is not None
-            else DEFAULT_HEATMAP_BINS
-        ),
+        **heatmap_kwargs(telemetry),
     )
     usage = [TenantUsage(name=t.name) for t in workload.tenants]
     erases = 0
@@ -180,13 +174,7 @@ def run_multi_tenant_service(
         backend,
         queue_depth=queue_depth,
         telemetry=telemetry,
-        heatmap_interval=(
-            telemetry.heatmap_interval if telemetry is not None else None
-        ),
-        heatmap_bins=(
-            telemetry.heatmap_bins if telemetry is not None
-            else DEFAULT_HEATMAP_BINS
-        ),
+        **heatmap_kwargs(telemetry),
     )
     usage = [TenantUsage(name=t.name) for t in workload.tenants]
     histograms = [LatencyHistogram() for _ in workload.tenants]

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis.endurance import erase_histogram, project_lifetime, wear_gini
 from repro.analysis.memory import (
     bet_size_bytes,
     bet_size_for,
@@ -148,87 +147,3 @@ class TestTable3:
         smaller_t = WorstCaseConfig(h, c, t)
         larger_t = WorstCaseConfig(h, c, t * 2)
         assert larger_t.extra_erase_ratio() < smaller_t.extra_erase_ratio()
-
-
-class TestEnduranceTools:
-    def test_histogram_bins(self):
-        histogram = erase_histogram([0, 1, 2, 3, 100], num_bins=4)
-        assert sum(count for _, count in histogram) == 5
-
-    def test_histogram_validation(self):
-        with pytest.raises(ValueError):
-            erase_histogram([])
-        with pytest.raises(ValueError):
-            erase_histogram([1], num_bins=0)
-
-    def test_gini_even_is_zero(self):
-        assert wear_gini([5, 5, 5, 5]) == pytest.approx(0.0)
-
-    def test_gini_concentrated_is_high(self):
-        assert wear_gini([0] * 99 + [100]) > 0.9
-
-    def test_gini_all_zero(self):
-        assert wear_gini([0, 0]) == 0.0
-
-    def test_gini_validation(self):
-        with pytest.raises(ValueError):
-            wear_gini([])
-
-    def test_lifetime_projection(self):
-        projection = project_lifetime([10, 50], observed_time=1000.0, endurance=100)
-        assert projection.projected_first_failure == pytest.approx(2000.0)
-        assert projection.max_erase_count == 50
-
-    def test_lifetime_projection_no_wear(self):
-        projection = project_lifetime([0, 0], observed_time=10.0, endurance=100)
-        assert projection.projected_first_failure == float("inf")
-
-    def test_lifetime_projection_validation(self):
-        with pytest.raises(ValueError):
-            project_lifetime([1], observed_time=0.0, endurance=10)
-        with pytest.raises(ValueError):
-            project_lifetime([1], observed_time=1.0, endurance=0)
-
-
-class TestPinnedFractionModel:
-    def test_unworn_chip_is_unpinned(self):
-        from repro.analysis.endurance import pinned_fraction
-
-        assert pinned_fraction([0, 0, 0]) == 0.0
-
-    def test_bimodal_distribution(self):
-        from repro.analysis.endurance import pinned_fraction
-
-        counts = [0] * 30 + [100] * 70
-        assert pinned_fraction(counts) == pytest.approx(0.3)
-
-    def test_threshold_widens_the_net(self):
-        from repro.analysis.endurance import pinned_fraction
-
-        counts = [0] * 10 + [8] * 10 + [100] * 80
-        assert pinned_fraction(counts, threshold=0.05) == pytest.approx(0.1)
-        assert pinned_fraction(counts, threshold=0.1) == pytest.approx(0.2)
-
-    def test_validation(self):
-        from repro.analysis.endurance import pinned_fraction
-
-        with pytest.raises(ValueError):
-            pinned_fraction([])
-        with pytest.raises(ValueError):
-            pinned_fraction([1], threshold=1.0)
-
-    def test_ideal_gain(self):
-        from repro.analysis.endurance import ideal_leveling_gain
-
-        assert ideal_leveling_gain(0.0) == 0.0
-        assert ideal_leveling_gain(0.5) == pytest.approx(1.0)
-        assert ideal_leveling_gain(0.25) == pytest.approx(1 / 3)
-        with pytest.raises(ValueError):
-            ideal_leveling_gain(1.0)
-
-    def test_gain_explains_measured_improvements(self):
-        # The EXPERIMENTS.md sanity check: a ~25%-pinned baseline bounds
-        # the FTL gain at ~+33%, consistent with the measured +19.7%.
-        from repro.analysis.endurance import ideal_leveling_gain
-
-        assert 0.30 < ideal_leveling_gain(0.25) < 0.35

@@ -107,40 +107,11 @@ class TestStriping:
 # Span routing and the compiled dispatcher (hot-path fusions)
 # ----------------------------------------------------------------------
 class TestSpanRouting:
-    """``route_span`` and ``compile_pages_dispatch`` against the generic
-    ``route_batch`` reference: same batches, same visit order, same
-    errors, same power-loss accounting."""
+    """``compile_pages_dispatch`` against the generic ``route_batch``
+    reference: same batches, same visit order, same errors, same
+    power-loss accounting."""
 
     POLICIES = [PageInterleaved, ContiguousRange]
-
-    @pytest.mark.parametrize("cls", POLICIES)
-    def test_route_span_matches_route_batch(self, cls):
-        rng = random.Random(11)
-        for _ in range(500):
-            shards = rng.randint(1, 7)
-            per_shard = rng.randint(1, 50)
-            policy = cls(shards, per_shard)
-            start = rng.randrange(policy.total_pages)
-            stop = rng.randint(start + 1, policy.total_pages)
-            buffers = [[] for _ in range(shards)]
-            policy.route_batch(range(start, stop), buffers)
-            expect = [(s, b) for s, b in enumerate(buffers) if b]
-            got = [
-                (s, list(r))
-                for s, r in policy.route_span(start, stop)
-                if len(r)
-            ]
-            assert got == expect, (shards, per_shard, start, stop)
-
-    @pytest.mark.parametrize("cls", POLICIES)
-    def test_route_span_bounds_and_empty(self, cls):
-        policy = cls(4, 10)
-        for start, stop in ((-3, 5), (35, 45)):
-            with pytest.raises(ValueError, match="out of range"):
-                policy.route_span(start, stop)
-        assert [
-            (s, r) for s, r in policy.route_span(7, 7) if len(r)
-        ] == []
 
     @staticmethod
     def _recording_dispatch(policy):
@@ -162,7 +133,6 @@ class TestSpanRouting:
         dispatch = policy.compile_pages_dispatch(
             [make_op(s) for s in range(policy.num_shards)], fallback
         )
-        assert dispatch is not None
         return dispatch, applied, fallback_batches
 
     @pytest.mark.parametrize("cls", POLICIES)
@@ -259,12 +229,6 @@ class TestDispatcher:
         return build_array(
             small_geometry, "ftl", channels=channels, rng=make_rng(7), **kwargs
         )
-
-    def test_group_batches_per_shard_in_request_order(self, small_geometry):
-        array = self._array(small_geometry)
-        # Page-interleaved over 2 shards: even LPNs -> shard 0, odd -> 1.
-        batches = array._group([3, 0, 2, 1])
-        assert batches == [(0, [0, 1]), (1, [1, 0])]
 
     def test_writes_fan_out_across_shards(self, small_geometry):
         array = self._array(small_geometry)

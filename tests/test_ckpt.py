@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,6 @@ from repro.ckpt import (
     CheckpointTruncatedError,
     CheckpointVersionError,
     ReplayInterrupted,
-    build_spec_backend,
     encode_payload,
     read_image,
     resume_spec,
@@ -30,17 +30,21 @@ from repro.ckpt import (
 )
 from repro.ckpt.image import CHECKPOINT_VERSION, MAGIC
 from repro.core.config import SWLConfig
+from repro.core.policies import LevelerSpec
 from repro.fault.plan import FaultPlan
 from repro.flash.errors import PowerLossError
 from repro.ftl.factory import build_stack
+from repro.sim.engine import Simulator, StopCondition
 from repro.sim.experiment import (
     ExperimentSpec,
     make_base_trace,
+    run_fixed_horizon,
     run_until_first_failure,
     scaled_mlc2_geometry,
     workload_params_for,
 )
-from repro.util.rng import make_rng
+from repro.traces.extend import SegmentResampler
+from repro.util.rng import make_rng, spawn_rng
 
 #: SHA-256 of the canonical ``SimResult.as_dict`` JSON of the golden
 #: configuration below.  Any change to replay semantics that moves this
@@ -186,11 +190,43 @@ class TestGoldenResume:
         resumed = run_resumable(golden_spec(), golden_trace, resume_from=path)
         assert result_sha256(resumed) == GOLDEN_SHA256
 
-    def test_matches_plain_runner(self, golden_trace):
+    def test_matches_plain_runner(self, golden_trace, tmp_path):
+        # Every stop criterion of Simulator.run, plus a scheduled power
+        # loss, with and without images being written along the way.
         spec = golden_spec()
-        plain = run_until_first_failure(spec, golden_trace)
-        resumable = run_resumable(spec, golden_trace)
-        assert plain.as_dict() == resumable.as_dict()
+        plan = FaultPlan(seed=5, power_loss_at=(60_000,))
+
+        def plain_power_loss():
+            simulator = Simulator(spec.build(fault_plan=plan), skip_reads=True)
+            endless = SegmentResampler(
+                golden_trace, rng=spawn_rng(make_rng(spec.seed), "resampler")
+            )
+            stop = StopCondition(until_first_failure=True)
+            return simulator.run(endless, stop, label=spec.label())
+
+        cases = {
+            "first failure": (
+                run_until_first_failure(spec, golden_trace), {}),
+            "horizon": (
+                run_fixed_horizon(spec, golden_trace, 2500.0),
+                {"horizon": 2500.0}),
+            "request cap": (
+                run_until_first_failure(spec, golden_trace, request_cap=12_345),
+                {"request_cap": 12_345}),
+            "power loss": (plain_power_loss(), {"fault_plan": plan}),
+        }
+        assert cases["first failure"][0].first_failure_time is not None
+        assert cases["horizon"][0].sim_time <= 2500.0
+        assert cases["request cap"][0].requests == 12_345
+        assert cases["power loss"][0].power_lost
+        policy = CheckpointPolicy(tmp_path / "c.ckpt", every_requests=3_000)
+        for name, (plain, kwargs) in cases.items():
+            for checkpoint in (None, policy):
+                resumable = run_resumable(
+                    spec, golden_trace, checkpoint=checkpoint, **kwargs
+                )
+                assert plain.as_dict() == resumable.as_dict(), (
+                    name, checkpoint is not None)
 
     def test_resume_rejects_wrong_spec(self, golden_trace, tmp_path):
         path = tmp_path / "c.ckpt"
@@ -200,11 +236,43 @@ class TestGoldenResume:
                 golden_trace,
                 checkpoint=CheckpointPolicy(path, crash_after=1),
             )
-        from dataclasses import replace
-
         other = replace(golden_spec(), seed=8)
         with pytest.raises(CheckpointMismatchError):
             run_resumable(other, golden_trace, resume_from=path)
+
+    def test_swlconfig_image_resumes_under_levelerspec(
+        self, golden_trace, tmp_path
+    ):
+        # One fingerprint shape: the config's two names write and accept
+        # the same image, and any other kind or knob is still refused.
+        def spec_with(swl):
+            return replace(golden_spec(), swl=swl)
+
+        path = tmp_path / "c.ckpt"
+        with pytest.raises(ReplayInterrupted):
+            run_resumable(
+                spec_with(SWLConfig(threshold=5, k=0)),
+                golden_trace,
+                checkpoint=CheckpointPolicy(
+                    path, every_requests=10_000, crash_after=2
+                ),
+            )
+        resumed = run_resumable(
+            spec_with(LevelerSpec(kind="swl", threshold=5, k=0)),
+            golden_trace,
+            resume_from=path,
+        )
+        whole = run_resumable(
+            spec_with(SWLConfig(threshold=5, k=0)), golden_trace
+        )
+        assert resumed.as_dict() == whole.as_dict()
+        for other in (
+            LevelerSpec(kind="softwear", threshold=5, k=0),
+            LevelerSpec(kind="swl", threshold=5, k=1),
+            LevelerSpec(kind="swl", threshold=5, k=0, delta=33),
+        ):
+            with pytest.raises(CheckpointMismatchError):
+                run_resumable(spec_with(other), golden_trace, resume_from=path)
 
     def test_resume_rejects_wrong_mode(self, golden_trace, tmp_path):
         path = tmp_path / "c.ckpt"
@@ -328,6 +396,47 @@ class TestPowerLossRestore:
 
 
 # ----------------------------------------------------------------------
+# ExperimentSpec.build(fault_plan=...): the one assembler, with faults
+# ----------------------------------------------------------------------
+#: channels -> (per-shard injector seeds, SHA-256 of the backend snapshot
+#: after the soak below), recorded at 13b1132 from the since-deleted
+#: ``ckpt.runner.build_spec_backend(spec, fault_plan=plan)``.
+FAULTED_BUILD_AT_PARENT = {
+    1: (
+        [5],
+        "45703dcdbd8ae53bc37e58270a758f3e4c7ab6e71f267a8faee2b464bb0a2336",
+    ),
+    4: (
+        [15053214346108, 28987656475469, 152943799649869, 36369190668883],
+        "3dfeaeeb422a96225426cf50ae1d6843485636b4aa32f59140e45490995b1db1",
+    ),
+}
+
+
+@pytest.mark.parametrize("channels", sorted(FAULTED_BUILD_AT_PARENT))
+def test_build_with_fault_plan_matches_the_deleted_assembler(channels):
+    seeds, digest = FAULTED_BUILD_AT_PARENT[channels]
+    plan = FaultPlan(seed=5, erase_fail_prob=0.05, program_fail_prob=0.0003)
+    spec = ExperimentSpec(
+        "ftl",
+        scaled_mlc2_geometry(32, scale=100),
+        SWLConfig(threshold=8, k=1),
+        seed=21,
+        channels=channels,
+    )
+    backend = spec.build(fault_plan=plan)
+    shards = getattr(backend, "shards", [backend])
+    assert [shard.flash.injector.plan.seed for shard in shards] == seeds
+    pages = backend.num_logical_pages
+    rng = make_rng(9)
+    for _ in range(6000):
+        backend.write_pages([rng.randrange(pages)])
+    assert backend.fault_stats()["program_faults"] > 0
+    snapshot = encode_payload(backend.snapshot_state())
+    assert hashlib.sha256(snapshot).hexdigest() == digest
+
+
+# ----------------------------------------------------------------------
 # Round-trip law: snapshot -> restore -> snapshot is byte-identical
 # ----------------------------------------------------------------------
 ROUND_TRIP_CONFIGS = [
@@ -353,13 +462,13 @@ def test_snapshot_round_trip_is_byte_identical(driver, k, channels, seed, writes
         seed=seed,
         channels=channels,
     )
-    backend = build_spec_backend(spec)
+    backend = spec.build()
     pages = backend.num_logical_pages
     for lpn in writes:
         backend.write_pages([lpn % pages])
     first = encode_payload(backend.snapshot_state())
 
-    fresh = build_spec_backend(spec)
+    fresh = spec.build()
     fresh.restore_state(json.loads(first))
     second = encode_payload(fresh.snapshot_state())
     assert first == second
@@ -375,14 +484,14 @@ def test_restored_backend_behaves_identically(driver, k, channels):
         seed=21,
         channels=channels,
     )
-    backend = build_spec_backend(spec)
+    backend = spec.build()
     pages = backend.num_logical_pages
     rng = make_rng(9)
     for _ in range(300):
         backend.write_pages([rng.randrange(pages)])
     frozen = json.loads(encode_payload(backend.snapshot_state()))
 
-    twin = build_spec_backend(spec)
+    twin = spec.build()
     twin.restore_state(frozen)
     tail_rng = make_rng(10)
     tail = [tail_rng.randrange(pages) for _ in range(200)]

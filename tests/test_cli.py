@@ -62,6 +62,25 @@ class TestSimulate:
         assert code == 0
         assert "FTL" in capsys.readouterr().out
 
+    def test_reports_survival_when_nothing_wore_out(self, capsys, monkeypatch):
+        # A replay that ends on the request cap has no first-failure
+        # time; the cell must say so, as the sweep report does, instead
+        # of printing a failure at day 0.
+        from functools import partial
+
+        import repro.cli as cli
+
+        monkeypatch.setattr(
+            cli, "run_until_first_failure",
+            partial(cli.run_until_first_failure, request_cap=500),
+        )
+        code = main(["simulate", "--blocks", "24", "--scale", "100",
+                     "--driver", "ftl", "--days", "0.1", "--seed", "2"])
+        assert code == 0
+        out = capsys.readouterr().out
+        row = next(line for line in out.splitlines() if "first failure" in line)
+        assert "d (no failure)" in row and "> 0.0" in row
+
     def test_baseline_flag(self, capsys):
         main(["simulate", "--blocks", "24", "--scale", "100",
               "--driver", "nftl", "--no-swl", "--days", "0.1"])

@@ -29,7 +29,6 @@ class TestExampleScripts:
             "crash_recovery.py",
             "mlc_vs_slc.py",
             "workload_comparison.py",
-            "filesystem_stack.py",
             "multi_tenant_endurance.py",
         }
         present = {path.name for path in EXAMPLES_DIR.glob("*.py")}
@@ -52,7 +51,7 @@ class TestExampleScripts:
     @pytest.mark.parametrize(
         "name",
         ["mobile_pc_endurance", "disk_cache_wear", "bet_tuning", "mlc_vs_slc",
-         "workload_comparison", "filesystem_stack", "multi_tenant_endurance"],
+         "workload_comparison", "multi_tenant_endurance"],
     )
     def test_long_examples_importable(self, name):
         # The long-running examples are exercised manually; importing them

@@ -1,4 +1,4 @@
-"""Tests for the MTD layer, spare-area records, and timing models."""
+"""Tests for the MTD layer and timing models."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from repro.flash.chip import PAGE_VALID, NandFlash
 from repro.flash.geometry import FlashGeometry, CellType
 from repro.flash.mtd import MtdDevice
-from repro.flash.spare import FREE_RECORD, RECORD_SIZE, PageStatus, SpareRecord
 from repro.flash.timing import MLC2_TIMING, SLC_TIMING, TimingModel, timing_for
 
 
@@ -61,39 +60,6 @@ class TestMtd:
         mtd.erase_block(0)
         assert mtd.counters.programs == 1
         assert mtd.erase_counts[0] == 1
-
-
-class TestSpareRecord:
-    def test_roundtrip(self):
-        record = SpareRecord(lba=123456, status=PageStatus.LIVE)
-        assert SpareRecord.decode(record.encode()) == record
-
-    def test_encoded_size(self):
-        assert len(SpareRecord(lba=1, status=PageStatus.LIVE).encode()) == RECORD_SIZE
-
-    def test_free_record(self):
-        assert FREE_RECORD.lba == -1
-        assert SpareRecord.decode(FREE_RECORD.encode()) == FREE_RECORD
-
-    def test_crc_detects_corruption(self):
-        raw = bytearray(SpareRecord(lba=7, status=PageStatus.LIVE).encode())
-        raw[0] ^= 0xFF
-        with pytest.raises(ValueError, match="CRC"):
-            SpareRecord.decode(bytes(raw))
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError, match="bytes"):
-            SpareRecord.decode(b"\x00")
-
-    def test_unknown_status_rejected(self):
-        import struct
-        import zlib
-
-        body = struct.pack("<iB", 1, 0x55)
-        crc = zlib.crc32(body) & 0xFFFFFFFF
-        raw = struct.pack("<iBxxxI", 1, 0x55, crc)
-        with pytest.raises(ValueError, match="status"):
-            SpareRecord.decode(raw)
 
 
 class TestTiming:

@@ -172,6 +172,13 @@ class TestTriggers:
 
 
 class TestSWLConfig:
+    def test_is_levelerspec(self):
+        # One leveler config class; the paper-protocol name is an alias.
+        assert SWLConfig is LevelerSpec
+        assert SWLConfig(threshold=5, k=0) == LevelerSpec(
+            kind="swl", threshold=5, k=0
+        )
+
     def test_label(self):
         assert SWLConfig(threshold=100, k=2).label() == "SWL+k=2+T=100"
         assert DISABLED.label() == "baseline"
@@ -207,8 +214,9 @@ class TestSWLConfig:
         assert isinstance(periodic_cfg.build(8, Host()).trigger, PeriodicTrigger)
 
     def test_unknown_trigger(self):
-        with pytest.raises(ValueError, match="trigger"):
-            SWLConfig(trigger="sometimes")._make_trigger()
+        # The name reaches make_trigger_policy when the leveler is built.
+        with pytest.raises(ValueError, match="unknown trigger"):
+            SWLConfig(trigger="sometimes").build(8, host=None)
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
+from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -66,3 +69,73 @@ class TestQuickstartContract:
             stack.layer.write(rng.randrange(8))
         assert sum(stack.flash.erase_counts) > 0
         assert isinstance(stack.leveler.stats.as_dict(), dict)
+
+
+class TestEveryModuleIsReached:
+    """AST-only import graph: nothing under ``src/repro`` is dead weight.
+
+    A module earns its place by being imported, directly or through
+    other reached modules, from something a user or CI runs: the CLI
+    (``repro/__main__.py``) or a file outside ``src/``, ``tests/`` and
+    ``examples/`` (``bench/``, ``benchmarks/``, ``scripts/``).  A
+    package ``__init__`` re-exporting its own modules does not count.
+    """
+
+    ROOT = Path(__file__).parent.parent
+    SRC = ROOT / "src"
+
+    def _file(self, name: str) -> Path | None:
+        base = self.SRC.joinpath(*name.split("."))
+        for path in (base.with_suffix(".py"), base / "__init__.py"):
+            if path.exists():
+                return path
+        return None
+
+    def _imports(self, path: Path) -> Iterator[tuple[str, str | None]]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                yield from ((alias.name, None) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                yield from ((node.module, alias.name) for alias in node.names)
+
+    def _resolve(self, module: str, name: str | None) -> str:
+        """The defining module behind ``from module import name``."""
+        if name is None or self._file(module) is None:
+            return module
+        if self._file(f"{module}.{name}") is not None:
+            return f"{module}.{name}"
+        if self._file(module).name == "__init__.py":
+            for source, bound in self._imports(self._file(module)):
+                if bound == name:
+                    return self._resolve(source, bound)
+        return module
+
+    def test_every_module_is_imported_by_something_that_runs(self):
+        reached: set[str] = set()
+        queue = [self.SRC / "repro" / "__main__.py"] + [
+            path for path in self.ROOT.rglob("*.py")
+            if path.relative_to(self.ROOT).parts[0]
+            not in ("src", "tests", "examples")
+        ]
+        while queue:
+            path = queue.pop()
+            own = None
+            if path.name == "__init__.py" and self.SRC in path.parents:
+                own = ".".join(path.relative_to(self.SRC).parts[:-1]) + "."
+            for module, name in self._imports(path):
+                target = self._resolve(module, name)
+                if own is not None and target.startswith(own):
+                    continue
+                # Importing a.b.c also runs a/__init__ and a/b/__init__.
+                parts = target.split(".")
+                for depth in range(1, len(parts) + 1):
+                    reaching = ".".join(parts[:depth])
+                    if reaching not in reached and self._file(reaching):
+                        reached.add(reaching)
+                        queue.append(self._file(reaching))
+        modules = {
+            ".".join(path.relative_to(self.SRC).with_suffix("").parts)
+            for path in (self.SRC / "repro").rglob("*.py")
+            if path.name not in ("__init__.py", "__main__.py")
+        }
+        assert sorted(modules - reached) == []
