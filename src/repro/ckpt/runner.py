@@ -206,7 +206,7 @@ def _check_resume_identity(
 # ----------------------------------------------------------------------
 def run_resumable(
     spec: ExperimentSpec,
-    base_trace: list[Request],
+    base_trace: Sequence[Request],
     *,
     horizon: float | None = None,
     warmup: list[Request] | None = None,

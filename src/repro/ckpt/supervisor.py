@@ -160,7 +160,7 @@ def _cell_worker(
     index: int,
     attempt: int,
     spec: ExperimentSpec,
-    base_trace: list[Request],
+    base_trace: Sequence[Request],
     horizon: float | None,
     warmup: list[Request] | None,
     request_cap: int,
@@ -306,7 +306,7 @@ def _mp_context() -> multiprocessing.context.BaseContext:
 
 def run_supervised_matrix(
     specs: Sequence[ExperimentSpec],
-    base_trace: list[Request],
+    base_trace: Sequence[Request],
     *,
     horizon: float | None = None,
     warmup: list[Request] | None = None,

@@ -92,6 +92,7 @@ from repro.workloads import (
 from repro.sim.results import format_channel_latency, format_latency
 from repro.traces.generator import DAY, WorkloadParams
 from repro.traces.io import load_trace, save_trace
+from repro.traces.model import Trace
 from repro.traces.stats import summarize
 from repro.util.diagnostics import configure_logging
 from repro.util.tables import format_table
@@ -486,7 +487,7 @@ def _command_simulate(args: argparse.Namespace) -> int:
 def _supervised_sweep(
     args: argparse.Namespace,
     specs: list[ExperimentSpec],
-    trace: list,
+    trace: Trace,
     warmup: list,
 ) -> int:
     """``repro sweep --resume DIR``: the sweep as a supervised campaign."""

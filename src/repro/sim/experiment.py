@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.policies import LevelerSpec
 from repro.flash.geometry import CellType, FlashGeometry
@@ -37,7 +37,7 @@ from repro.sim.core import heatmap_kwargs
 from repro.sim.engine import Simulator, SimResult, StopCondition
 from repro.traces.extend import SegmentResampler
 from repro.traces.generator import MobilePCWorkload, WorkloadParams
-from repro.traces.model import Request
+from repro.traces.model import Request, Trace
 from repro.util.rng import make_rng, spawn_rng
 
 if TYPE_CHECKING:
@@ -194,7 +194,7 @@ def make_workload(params: WorkloadParams) -> MobilePCWorkload:
     return MobilePCWorkload(params)
 
 
-def make_base_trace(params: WorkloadParams) -> list[Request]:
+def make_base_trace(params: WorkloadParams) -> Trace:
     """Materialize the base trace once; share it across a whole sweep."""
     return make_workload(params).requests()
 
@@ -204,7 +204,7 @@ def make_base_trace(params: WorkloadParams) -> list[Request]:
 # ----------------------------------------------------------------------
 def _replay(
     spec: ExperimentSpec,
-    base_trace: list[Request],
+    base_trace: Sequence[Request],
     horizon: float | None,
     *,
     warmup: list[Request] | None = None,
@@ -254,7 +254,7 @@ def _replay(
 
 def run_until_first_failure(
     spec: ExperimentSpec,
-    base_trace: list[Request],
+    base_trace: Sequence[Request],
     *,
     warmup: list[Request] | None = None,
     skip_reads: bool = True,
@@ -276,7 +276,7 @@ def run_until_first_failure(
 
 def run_fixed_horizon(
     spec: ExperimentSpec,
-    base_trace: list[Request],
+    base_trace: Sequence[Request],
     horizon: float,
     *,
     warmup: list[Request] | None = None,
@@ -297,7 +297,7 @@ def run_fixed_horizon(
 
 def run_service_soak(
     spec: ExperimentSpec,
-    base_trace: list[Request],
+    base_trace: Sequence[Request],
     *,
     rate: float | None = None,
     trace_speedup: float | None = None,
@@ -356,7 +356,7 @@ def run_service_soak(
 
 def run_service_matrix(
     specs: list[ExperimentSpec],
-    base_trace: list[Request],
+    base_trace: Sequence[Request],
     *,
     rate: float | None = None,
     trace_speedup: float | None = None,
@@ -393,12 +393,12 @@ def run_service_matrix(
 #: once per worker via the pool initializer (instead of once per task,
 #: as the old per-cell payloads did) is what makes the fan-out win.
 _MATRIX_CTX: tuple[
-    list[Request], float | None, list[Request] | None, int
+    Sequence[Request], float | None, list[Request] | None, int
 ] | None = None
 
 
 def _matrix_worker_init(
-    base_trace: list[Request],
+    base_trace: Sequence[Request],
     horizon: float | None,
     warmup: list[Request] | None,
     request_cap: int,
@@ -424,7 +424,7 @@ def _run_matrix_chunk(specs: list[ExperimentSpec]) -> list[SimResult]:
 
 def run_matrix(
     specs: list[ExperimentSpec],
-    base_trace: list[Request],
+    base_trace: Sequence[Request],
     *,
     horizon: float | None = None,
     warmup: list[Request] | None = None,

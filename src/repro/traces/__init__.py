@@ -19,7 +19,7 @@ from repro.traces.io import (
     save_trace_binary,
     save_trace_csv,
 )
-from repro.traces.model import Op, Request, TraceSummary
+from repro.traces.model import Op, Request, Trace, TraceSummary
 from repro.traces.stats import (
     sequentiality,
     summarize,
@@ -34,6 +34,7 @@ __all__ = [
     "Request",
     "SEGMENT_SECONDS",
     "SegmentResampler",
+    "Trace",
     "TraceSummary",
     "WorkloadParams",
     "iter_trace_binary",

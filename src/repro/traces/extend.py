@@ -3,10 +3,13 @@
 Paper Section 5.1: "In order to come out the first failure time of FTL and
 NFTL, a virtually unlimited experiment trace was also derived based on the
 collected trace by randomly picking up any 10-minute trace segment in the
-trace."  :class:`SegmentResampler` implements exactly that: it indexes the
-base trace, then emits an endless stream of randomly chosen 10-minute
-windows with timestamps re-based so simulated time advances monotonically
-by one segment length per segment.
+trace."  :class:`SegmentResampler` implements exactly that: it emits an
+endless stream of randomly chosen 10-minute windows with timestamps
+re-based so simulated time advances monotonically by one segment length
+per segment.  The base trace is read as the columns of a
+:class:`~repro.traces.model.Trace`: a window is two bisections of the
+time column and a slice of each, and constructing a resampler over a
+``Trace`` makes no pass over the base.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from repro.traces.model import Request
+from repro.traces.model import OPS, Request, Trace
 from repro.util.rng import make_rng
 
 #: The paper's segment length: 10 minutes.
@@ -30,7 +33,8 @@ class SegmentResampler:
     Parameters
     ----------
     base:
-        The finite base trace, time-ordered.
+        The finite base trace, time-ordered: a ``Trace``, or any other
+        request sequence (converted to one at construction).
     segment:
         Segment length in seconds (paper: 600).
     rng:
@@ -52,11 +56,12 @@ class SegmentResampler:
             raise ValueError("base trace is empty")
         if self.segment <= 0:
             raise ValueError(f"segment length must be positive, got {self.segment}")
-        times = [request.time for request in self.base]
-        if any(b < a for a, b in zip(times, times[1:])):
+        # Any other request sequence becomes columns here, once; a Trace
+        # passes through and already knows whether it is ordered.
+        self._trace = trace = Trace.from_requests(self.base)
+        if not trace.time_ordered:
             raise ValueError("base trace is not time-ordered")
-        self._times = times
-        self.duration = times[-1]
+        self.duration = trace.times[-1]
         if self.duration < self.segment:
             raise ValueError(
                 f"base trace covers {self.duration:.0f}s, shorter than one "
@@ -65,11 +70,6 @@ class SegmentResampler:
         if self.rng is None:
             self.rng = make_rng(None)
         self.segments_emitted = 0
-
-    def _segment_slice(self, start: float) -> tuple[int, int]:
-        lo = bisect.bisect_left(self._times, start)
-        hi = bisect.bisect_left(self._times, start + self.segment)
-        return lo, hi
 
     def next_segment(self) -> list[Request]:
         """Materialize the next segment's requests on the global clock.
@@ -84,15 +84,17 @@ class SegmentResampler:
         assert self.rng is not None
         clock = self.segments_emitted * self.segment
         start = self.rng.uniform(0.0, self.duration - self.segment)
-        lo, hi = self._segment_slice(start)
+        trace = self._trace
+        lo = bisect.bisect_left(trace.times, start)
+        hi = bisect.bisect_left(trace.times, start + self.segment)
         requests = [
-            Request(
-                time=clock + (request.time - start),
-                op=request.op,
-                lba=request.lba,
-                sectors=request.sectors,
+            Request(clock + (time - start), op, lba, sectors)
+            for time, op, lba, sectors in zip(
+                trace.times[lo:hi],
+                map(OPS.__getitem__, trace.ops[lo:hi]),
+                trace.lbas[lo:hi],
+                trace.sectors[lo:hi],
             )
-            for request in self.base[lo:hi]
         ]
         self.segments_emitted += 1
         return requests

@@ -28,18 +28,21 @@ behaviour under study is preserved — see DESIGN.md, Substitutions:
   invalid quickly.
 
 Everything is driven by one seed; the same parameters and seed always
-produce the identical trace.
+produce the identical trace.  The trace is built whole, as the four
+columns of a :class:`~repro.traces.model.Trace` (no object per request),
+by one loop in :meth:`MobilePCWorkload.requests`.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
 
-from repro.traces.model import Op, Request
+from repro.traces.model import Op, Request, Trace
 from repro.util.rng import make_rng
 
 DAY = 86_400.0
@@ -144,8 +147,9 @@ class _Extent:
 class MobilePCWorkload:
     """Seeded generator of mobile-PC style traces.
 
-    Build once, then call :meth:`requests` for the finite base trace or
-    iterate lazily with :meth:`iter_requests`.
+    Build once, then call :meth:`requests` for the finite base trace: a
+    columnar :class:`~repro.traces.model.Trace`, usable wherever a list of
+    requests was.
 
     Examples
     --------
@@ -251,9 +255,11 @@ class MobilePCWorkload:
     # ------------------------------------------------------------------
     # Request stream
     # ------------------------------------------------------------------
-    def _request_size(self, mean: int) -> int:
-        size = 1 + int(self._rng.expovariate(1.0 / max(1, mean - 1)))
-        return min(size, self.params.max_request_sectors)
+    def _sequential_pass(self, extent: _Extent) -> Iterator[tuple[int, int]]:
+        """The (lba, sectors) runs of one sequential write over an extent."""
+        step = self.params.max_request_sectors
+        for offset in range(0, extent.length, step):
+            yield extent.start + offset, min(step, extent.length - offset)
 
     def prefill_requests(self, *, at: float = 0.0) -> list[Request]:
         """One sequential write over every extent — the disk image.
@@ -263,14 +269,11 @@ class MobilePCWorkload:
         image once before the resampled trace (`warmup`), giving static
         data blocks to pin from the very first simulated second.
         """
-        image: list[Request] = []
-        for extent in sorted(self.extents, key=lambda e: e.start):
-            offset = 0
-            while offset < extent.length:
-                sectors = min(self.params.max_request_sectors, extent.length - offset)
-                image.append(Request(at, Op.WRITE, extent.start + offset, sectors))
-                offset += sectors
-        return image
+        return [
+            Request(at, Op.WRITE, lba, sectors)
+            for extent in sorted(self.extents, key=lambda e: e.start)
+            for lba, sectors in self._sequential_pass(extent)
+        ]
 
     def _static_write_schedule(self) -> list[tuple[float, _Extent]]:
         """One-time rewrites of static extents scattered over the trace.
@@ -304,83 +307,89 @@ class MobilePCWorkload:
             product *= self._rng.random()
         return count
 
-    def _extent_rewrite(self, time: float, extent: _Extent) -> Iterator[Request]:
-        """Sequentially rewrite a whole extent (a cold-data update burst)."""
-        # The whole burst carries one timestamp so the stream stays
-        # time-ordered regardless of how the burst interleaves with the
-        # Poisson arrivals around it.
-        offset = 0
-        while offset < extent.length:
-            sectors = min(self.params.max_request_sectors, extent.length - offset)
-            yield Request(time, Op.WRITE, extent.start + offset, sectors)
-            offset += sectors
-
-    def iter_requests(self) -> Iterator[Request]:
-        """Yield the base trace in time order.
+    def requests(self) -> Trace:
+        """Generate the base trace, time-ordered, as a :class:`Trace`.
 
         The stream interleaves Poisson hot/warm writes, Poisson reads, and
-        the scattered one-time static rewrites.
-        """
-        p = self.params
-        static_schedule = self._static_write_schedule()
-        static_index = 0
-        next_write = self._rng.expovariate(p.write_rate)
-        next_read = self._rng.expovariate(p.read_rate)
-        end = p.duration
-        while True:
-            time = min(next_write, next_read)
-            while (
-                static_index < len(static_schedule)
-                and static_schedule[static_index][0] <= time
-            ):
-                when, extent = static_schedule[static_index]
-                static_index += 1
-                yield from self._extent_rewrite(when, extent)
-            if time >= end:
-                return
-            if next_write <= next_read:
-                next_write = time + self._rng.expovariate(p.write_rate)
-                yield self._make_write(time)
-            else:
-                next_read = time + self._rng.expovariate(p.read_rate)
-                yield self._make_read(time)
+        the scattered one-time static rewrites (each a sequential burst
+        under one timestamp, so the stream stays ordered however the burst
+        interleaves with the arrivals around it).
 
-    def _make_write(self, time: float) -> Request:
-        """One daily write: a sequential burst or a small metadata update.
-
+        A daily write is a sequential burst or a small metadata update.
         Bulk writes (file saves, downloads) advance the extent's cyclic
         cursor — the paper's "hot data were often written in burst".
         Metadata writes (directory entries, the NTFS MFT) are small and
         land at random offsets; they are what makes coarse-grained NFTL
         fold whole primary/replacement pairs for a handful of stale pages,
         while fine-grained FTL absorbs them at page granularity
-        (Section 2.2's architectural contrast).
+        (Section 2.2's architectural contrast).  Reads touch the whole
+        written set, mildly biased to hot data.
+
+        This loop is the only code that draws for the stream, through the
+        public ``random.Random`` methods in a fixed order, so the trace is
+        a function of the parameters and the seed.
         """
         p = self.params
-        pool = (
-            self._hot
-            if (self._rng.random() < p.hot_write_share and self._hot)
-            else (self._warm or self._hot)
-        )
-        extent = self._rng.choice(pool)
-        if self._rng.random() < p.small_write_fraction:
-            sectors = self._rng.randint(1, min(p.small_write_max_sectors, extent.length))
-            offset = self._rng.randrange(max(1, extent.length - sectors + 1))
-            return Request(time, Op.WRITE, extent.start + offset, sectors)
-        lba, sectors = extent.next_run(self._request_size(p.mean_write_sectors))
-        return Request(time, Op.WRITE, lba, sectors)
+        rng = self._rng
+        rand, expovariate, choice = rng.random, rng.expovariate, rng.choice
+        randrange, randint = rng.randrange, rng.randint
+        hot, warm, extents = self._hot, self._warm, self.extents
+        write_rate, read_rate, end = p.write_rate, p.read_rate, p.duration
+        hot_write_share = p.hot_write_share
+        small_write_fraction = p.small_write_fraction
+        max_request = p.max_request_sectors
+        write_size_rate = 1.0 / max(1, p.mean_write_sectors - 1)
+        read_size_rate = 1.0 / max(1, p.mean_read_sectors - 1)
+        times, ops = array("d"), bytearray()
+        lbas, counts = array("q"), array("q")
+        add_time, add_op = times.append, ops.append
+        add_lba, add_count = lbas.append, counts.append
 
-    def _make_read(self, time: float) -> Request:
-        # Reads touch the whole written set, mildly biased to hot data.
-        pool = self._hot if (self._rng.random() < 0.5 and self._hot) else self.extents
-        extent = self._rng.choice(pool)
-        sectors = min(self._request_size(self.params.mean_read_sectors), extent.length)
-        offset = self._rng.randrange(max(1, extent.length - sectors + 1))
-        return Request(time, Op.READ, extent.start + offset, sectors)
+        rewrites = self._static_write_schedule()
+        rewrites.reverse()  # pop() takes the earliest
+        due = rewrites[-1][0] if rewrites else math.inf
+        next_write = expovariate(write_rate)
+        next_read = expovariate(read_rate)
+        while True:
+            is_write = next_write <= next_read
+            time = next_write if is_write else next_read
+            while due <= time:
+                _, cold = rewrites.pop()
+                for lba, sectors in self._sequential_pass(cold):
+                    add_time(due)
+                    add_op(1)
+                    add_lba(lba)
+                    add_count(sectors)
+                due = rewrites[-1][0] if rewrites else math.inf
+            if time >= end:
+                return Trace(times, ops, lbas, counts)
+            if is_write:
+                next_write = time + expovariate(write_rate)
+                extent = choice(
+                    hot if (rand() < hot_write_share and hot) else (warm or hot))
+                if rand() < small_write_fraction:
+                    sectors = randint(
+                        1, min(p.small_write_max_sectors, extent.length))
+                    lba = extent.start + randrange(
+                        max(1, extent.length - sectors + 1))
+                else:
+                    lba, sectors = extent.next_run(min(
+                        1 + int(expovariate(write_size_rate)), max_request))
+            else:
+                next_read = time + expovariate(read_rate)
+                extent = choice(hot if (rand() < 0.5 and hot) else extents)
+                sectors = min(1 + int(expovariate(read_size_rate)),
+                              max_request, extent.length)
+                lba = extent.start + randrange(
+                    max(1, extent.length - sectors + 1))
+            add_time(time)
+            add_op(is_write)
+            add_lba(lba)
+            add_count(sectors)
 
-    def requests(self) -> list[Request]:
-        """Materialize the full base trace."""
-        return list(self.iter_requests())
+    def iter_requests(self) -> Iterator[Request]:
+        """Iterate a freshly generated trace (materialized first, not lazy)."""
+        return iter(self.requests())
 
     # ------------------------------------------------------------------
     def written_sectors(self) -> int:

@@ -5,11 +5,16 @@ Two interchangeable formats:
 * **CSV** — one request per line (``time,op,lba,sectors``), human-readable,
   loads anywhere.
 * **Binary** — fixed 24-byte little-endian records behind a 16-byte
-  header; fixed-width, self-validating, and much faster to parse for
-  month-long traces.
+  header; fixed-width, self-validating (magic, version, and a record
+  count the file must match exactly — neither fewer bytes nor more), and
+  much faster to parse for month-long traces.
 
 Both round-trip exactly through :func:`save_trace` / :func:`load_trace`,
-which dispatch on the file extension (``.csv`` vs anything else).
+which dispatch on the file extension (``.csv`` vs anything else): CSV
+times are written with ``repr``, so a loaded trace has the
+``trace_digest`` of the one saved.  Savers take any iterable of requests;
+:func:`load_trace` returns a :class:`~repro.traces.model.Trace`, every
+record of which passed the validating ``Request`` constructor.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import struct
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.traces.model import Op, Request
+from repro.traces.model import Op, Request, Trace
 
 _MAGIC = b"FTRC"
 _HEADER = struct.Struct("<4sIQ")       # magic, version, record count
@@ -38,7 +43,7 @@ def save_trace_csv(path: str | Path, requests: Iterable[Request]) -> int:
         writer.writerow(["time", "op", "lba", "sectors"])
         for request in requests:
             writer.writerow(
-                [f"{request.time:.6f}", request.op.value, request.lba, request.sectors]
+                [repr(request.time), request.op.value, request.lba, request.sectors]
             )
             count += 1
     return count
@@ -101,6 +106,9 @@ def iter_trace_binary(path: str | Path) -> Iterator[Request]:
                 lba=lba,
                 sectors=sectors,
             )
+        if handle.read(1):
+            raise ValueError(
+                f"{path}: bytes remain after the {count} declared records")
 
 
 # ----------------------------------------------------------------------
@@ -113,8 +121,8 @@ def save_trace(path: str | Path, requests: Iterable[Request]) -> int:
     return save_trace_binary(path, requests)
 
 
-def load_trace(path: str | Path) -> list[Request]:
+def load_trace(path: str | Path) -> Trace:
     """Load a whole trace file (either format) into memory."""
     if str(path).endswith(".csv"):
-        return list(iter_trace_csv(path))
-    return list(iter_trace_binary(path))
+        return Trace.from_requests(iter_trace_csv(path))
+    return Trace.from_requests(iter_trace_binary(path))

@@ -3,14 +3,20 @@
 The paper's evaluation replays a block-level access trace "collected over a
 mobile PC with a 20GB hard disk (by NTFS) for a month" (Section 5.1).  A
 trace is a time-ordered sequence of sector-granular read/write requests;
-this module defines that request record and the summary statistics the
-paper reports about its trace.
+this module defines that request record, the columnar :class:`Trace` that
+holds a finite trace in memory, and the summary statistics the paper
+reports about its trace.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from math import inf
+from operator import eq, le
+from typing import overload
 
 
 class Op(Enum):
@@ -42,8 +48,8 @@ class Request:
     sectors: int = 1
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"negative request time {self.time}")
+        if not 0.0 <= self.time < inf:  # also false for NaN
+            raise ValueError(f"request time must be finite and >= 0, got {self.time}")
         if self.lba < 0:
             raise ValueError(f"negative LBA {self.lba}")
         if self.sectors < 1:
@@ -56,6 +62,109 @@ class Request:
 
     def is_write(self) -> bool:
         return self.op is Op.WRITE
+
+
+#: ``Trace.ops`` stores one byte per request, the index into this tuple
+#: (the same 0 = read / 1 = write the binary trace format writes).
+OPS = (Op.READ, Op.WRITE)
+
+
+class Trace(Sequence[Request]):
+    """A finite trace held as four parallel columns, not an object per request.
+
+    ``times`` (``array('d')``), ``ops`` (``bytearray``: 0 read, 1 write),
+    ``lbas`` and ``sectors`` (``array('q')``) take 25 bytes per request
+    where a list of :class:`Request` takes about 150.  A ``Trace`` still
+    *is* a ``Sequence[Request]``: indexing and iteration hand out requests
+    built by the validating constructor, a slice is a ``Trace``, ``+``
+    concatenates with any request sequence on either side, and ``==``
+    holds against any sequence of equal requests.  Construction checks
+    per column what ``Request.__post_init__`` checks per object and
+    records whether the times are non-decreasing (``time_ordered``), so
+    consumers need not look again.  The columns are read-only by
+    convention: nothing re-validates them afterwards.
+    """
+
+    __slots__ = ("times", "ops", "lbas", "sectors", "time_ordered")
+
+    def __init__(self, times: array[float], ops: bytearray,
+                 lbas: array[int], sectors: array[int]) -> None:
+        if not len(times) == len(ops) == len(lbas) == len(sectors):
+            raise ValueError("trace columns differ in length")
+        ordered = all(map(le, times, times[1:]))
+        # No comparison with NaN is true, so an ordered column of two or
+        # more holds none, and its two ends bound every value between.
+        for time in times[:1] + times[-1:] if ordered else times:
+            if not 0.0 <= time < inf:
+                raise ValueError(
+                    f"request time must be finite and >= 0, got {time}")
+        if ops.translate(None, b"\0\1"):
+            raise ValueError("trace ops must be 0 (read) or 1 (write)")
+        if min(lbas, default=0) < 0:
+            raise ValueError(f"negative LBA {min(lbas)}")
+        if min(sectors, default=1) < 1:
+            raise ValueError(f"sectors must be >= 1, got {min(sectors)}")
+        self.times = times
+        self.ops = ops
+        self.lbas = lbas
+        self.sectors = sectors
+        self.time_ordered = ordered
+
+    @classmethod
+    def from_requests(cls, requests: Iterable[Request]) -> Trace:
+        """The columns of any iterable of requests; a ``Trace`` comes back as is."""
+        if isinstance(requests, Trace):
+            return requests
+        times, ops = array("d"), bytearray()
+        lbas, sectors = array("q"), array("q")
+        for request in requests:
+            times.append(request.time)
+            ops.append(OPS.index(request.op))
+            lbas.append(request.lba)
+            sectors.append(request.sectors)
+        return cls(times, ops, lbas, sectors)
+
+    def __len__(self) -> int:
+        return len(self.ops)
+
+    @overload
+    def __getitem__(self, index: int) -> Request: ...
+    @overload
+    def __getitem__(self, index: slice) -> Trace: ...
+
+    def __getitem__(self, index: int | slice) -> Request | Trace:
+        if isinstance(index, slice):
+            return Trace(self.times[index], self.ops[index],
+                         self.lbas[index], self.sectors[index])
+        return Request(self.times[index], OPS[self.ops[index]],
+                       self.lbas[index], self.sectors[index])
+
+    def __iter__(self) -> Iterator[Request]:
+        return map(Request, self.times, map(OPS.__getitem__, self.ops),
+                   self.lbas, self.sectors)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Trace):
+            return (self.ops == other.ops and self.lbas == other.lbas
+                    and self.sectors == other.sectors
+                    and self.times == other.times)
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __add__(self, other: Iterable[Request]) -> Trace:
+        other = Trace.from_requests(other)
+        return Trace(self.times + other.times, self.ops + other.ops,
+                     self.lbas + other.lbas, self.sectors + other.sectors)
+
+    def __radd__(self, other: Iterable[Request]) -> Trace:
+        return Trace.from_requests(other) + self
+
+    def __reduce__(self) -> tuple[type[Trace], tuple[object, ...]]:
+        return Trace, (self.times, self.ops, self.lbas, self.sectors)
+
+    def __repr__(self) -> str:
+        return f"Trace({len(self)} requests)"
 
 
 @dataclass(frozen=True)

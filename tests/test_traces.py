@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import pickle
+import tracemalloc
+from array import array
+from bisect import bisect_left
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.ckpt.runner import trace_digest
 from repro.traces.extend import SegmentResampler
 from repro.traces.generator import (
+    DAY,
     MONTH,
     MobilePCWorkload,
     Temperature,
@@ -18,7 +25,7 @@ from repro.traces.io import (
     save_trace_binary,
     save_trace_csv,
 )
-from repro.traces.model import Op, Request
+from repro.traces.model import Op, Request, Trace
 from repro.traces.stats import sequentiality, summarize, write_frequency_by_region
 from repro.util.rng import make_rng
 
@@ -41,6 +48,8 @@ class TestRequestModel:
             {"time": -1.0},
             {"lba": -5},
             {"sectors": 0},
+            {"time": float("nan")},
+            {"time": float("inf")},
         ],
     )
     def test_validation(self, kwargs):
@@ -48,6 +57,52 @@ class TestRequestModel:
         fields.update(kwargs)
         with pytest.raises(ValueError):
             Request(**fields)
+
+
+def columns(times=(0.0, 1.0), ops=(0, 1), lbas=(0, 8), sectors=(8, 8)):
+    return array("d", times), bytearray(ops), array("q", lbas), array("q", sectors)
+
+
+class TestTraceColumns:
+    def test_is_a_sequence_of_validated_requests(self):
+        trace = Trace(*columns())
+        assert len(trace) == 2 and trace.time_ordered
+        assert trace[0] == Request(0.0, Op.READ, 0, 8)
+        assert trace[-1] == Request(1.0, Op.WRITE, 8, 8)
+        assert type(trace[1:]) is Trace and trace[1:] == [trace[1]]
+        assert trace == list(trace) and list(trace) == trace
+        assert trace != list(trace)[:1] and trace != 7
+        assert trace[1] in trace and trace.index(trace[1]) == 1
+        with pytest.raises(IndexError):
+            trace[2]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"times": (-1.0, 1.0)},
+            {"times": (0.0, float("nan"))},
+            {"times": (0.0, float("inf"))},
+            # Out of order, so the ends do not bound the column:
+            {"times": (5.0, float("nan"), 1.0, 2.0), "ops": (0,) * 4,
+             "lbas": (0,) * 4, "sectors": (1,) * 4},
+            {"times": (5.0, float("inf"), 1.0, 2.0), "ops": (0,) * 4,
+             "lbas": (0,) * 4, "sectors": (1,) * 4},
+            {"times": (float("nan"),), "ops": (0,), "lbas": (0,), "sectors": (1,)},
+            {"ops": (0, 2)},
+            {"lbas": (0, -8)},
+            {"sectors": (8, 0)},
+            {"sectors": (8,)},
+        ],
+    )
+    def test_rejects_per_column_what_request_rejects(self, bad):
+        with pytest.raises(ValueError):
+            Trace(*columns(**bad))
+
+    def test_time_ordered_is_recorded_not_enforced(self):
+        assert not Trace(*columns(times=(2.0, 1.0))).time_ordered
+        assert Trace(*columns())[::-1].time_ordered is False
+        assert Trace(*columns(times=(1.0, 1.0))).time_ordered
+        assert Trace.from_requests([]).time_ordered
 
 
 class TestWorkloadParams:
@@ -108,6 +163,58 @@ class TestLayout:
         first = MobilePCWorkload(small_params(seed=1)).requests()
         second = MobilePCWorkload(small_params(seed=2)).requests()
         assert first != second
+
+
+#: (parameters, requests, trace_digest) recorded at 752a69a, when
+#: ``requests()`` still built the trace an object at a time through
+#: ``_make_write`` / ``_make_read`` / ``_extent_rewrite``.
+PINNED_TRACES = {
+    # bench/workloads.py's base trace (BASE_TRACE_SEED, 256 blocks)
+    "bench": (dict(total_sectors=124_416, duration=DAY, seed=20070604), 327_075,
+              "3ca7b77d142f09af036afa993a9790e35c562db566bed2dcdcf83a4a418a3cc4"),
+    # 151 requests belong to scheduled static rewrites
+    "static_rewrites": (dict(total_sectors=131_072, duration=4 * 3600.0, seed=11,
+                             cold_write_period=600.0), 57_547,
+              "d4a0690f66872b6a2ba01757e4f12054ea7388fc7cc02a8b0f63a75858561f01"),
+    # no hot extent is carved (hot target 0): the smallest one is relabelled
+    "hot_relabel": (dict(total_sectors=2048, duration=2 * 3600.0, seed=5,
+                         hot_fraction=0.001, cold_write_period=1800.0), 27_512,
+              "131c44a5a71180a9ae1197775e176dd12bd823bcb32978af6b1644dfe86228a6"),
+    # no warm extent: non-hot writes fall back to the hot pool
+    "no_warm": (dict(total_sectors=2048, duration=3600.0, seed=1), 13_742,
+              "ae642525079369a8c2208484b2e808e1a6836ce1cc1b7b7110ce7048ae0cb35a"),
+    "defaults": (dict(total_sectors=65_536, duration=3600.0, seed=1), 13_531,
+              "d052bd41e0b05ef38f091b7166c5e61dd8affbc49ca7cbf3b1ce47258d85e4de"),
+}
+
+
+class TestGeneratedTrace:
+    @pytest.mark.parametrize("name", PINNED_TRACES)
+    def test_same_trace_as_the_per_object_generator(self, name):
+        kwargs, length, digest = PINNED_TRACES[name]
+        trace = MobilePCWorkload(WorkloadParams(**kwargs)).requests()
+        assert type(trace) is Trace and trace.time_ordered
+        assert len(trace) == length
+        assert trace_digest(trace) == digest
+
+    def test_iter_requests_is_the_materialized_trace(self):
+        assert (list(MobilePCWorkload(small_params()).iter_requests())
+                == MobilePCWorkload(small_params()).requests())
+
+    def test_stays_columnar(self):
+        # A return to one object per request (~150 bytes each, and a
+        # pickle that walks them) should fail here, not in a bench run.
+        workload = MobilePCWorkload(small_params(duration=6 * 3600.0))
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            trace = workload.requests()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace) > 50_000
+        assert retained < 48 * len(trace)
+        assert len(pickle.dumps(trace)) < 40 * len(trace)
 
 
 class TestRequestStream:
@@ -211,6 +318,15 @@ class TestSegmentResampler:
         with pytest.raises(ValueError, match="time-ordered"):
             SegmentResampler(base)
 
+    def test_a_trace_base_is_rejected_with_the_same_messages(self):
+        for times, message in (
+            ((), "empty"), ((0.0, 1.0), "shorter"), ((5.0, 1.0), "time-ordered")
+        ):
+            n = len(times)
+            base = Trace(*columns(times, (0,) * n, (0,) * n, (1,) * n))
+            with pytest.raises(ValueError, match=message):
+                SegmentResampler(base, segment=600.0)
+
     def test_deterministic(self):
         base = MobilePCWorkload(small_params()).requests()
         def first_n(seed):
@@ -266,6 +382,23 @@ class TestTraceIO:
         with pytest.raises(ValueError, match="truncated"):
             load_trace(path)
 
+    def test_binary_trailing_bytes(self, tmp_path):
+        path = tmp_path / "t.bin"
+        save_trace_binary(path, self._sample())
+        path.write_bytes(path.read_bytes() + bytes(24))
+        with pytest.raises(ValueError, match="bytes remain"):
+            load_trace(path)
+
+    def test_csv_non_finite_time_names_the_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("time,op,lba,sectors\n0.0,W,0,8\nnan,W,8,8\n"
+                        "700.0,R,0,8\ninf,R,8,8\n")
+        with pytest.raises(ValueError, match=r"t\.csv:3: malformed"):
+            load_trace(path)
+        path.write_text("time,op,lba,sectors\n0.0,W,0,8\n700.0,R,0,8\ninf,R,8,8\n")
+        with pytest.raises(ValueError, match=r"t\.csv:4: malformed"):
+            load_trace(path)
+
     def test_binary_bad_magic(self, tmp_path):
         path = tmp_path / "t.bin"
         path.write_bytes(b"XXXX" + b"\x00" * 12)
@@ -277,6 +410,15 @@ class TestTraceIO:
         path = tmp_path / "t.bin"
         save_trace(path, trace)
         assert load_trace(path) == trace
+
+    def test_csv_roundtrips_generated_trace(self, tmp_path):
+        # Six decimals used to come back: 0.18599698750453464 -> 0.185997.
+        trace = MobilePCWorkload(small_params(duration=1800.0)).requests()
+        path = tmp_path / "t.csv"
+        save_trace(path, trace)
+        loaded = load_trace(path)
+        assert loaded == trace
+        assert trace_digest(loaded) == trace_digest(trace)
 
 
 class TestStats:
@@ -347,3 +489,63 @@ def test_generated_trace_is_always_well_formed(seed):
         last_time = request.time
         assert 0 <= request.lba < params.total_sectors
         assert request.end_lba <= params.total_sectors
+
+
+def per_object_segments(base, segment, rng, count):
+    """The resampler's loop as it ran over a list of ``Request`` objects."""
+    times = [request.time for request in base]
+    for emitted in range(count):
+        clock = emitted * segment
+        start = rng.uniform(0.0, times[-1] - segment)
+        lo = bisect_left(times, start)
+        hi = bisect_left(times, start + segment)
+        yield [
+            Request(clock + (request.time - start), request.op,
+                    request.lba, request.sectors)
+            for request in base[lo:hi]
+        ]
+
+
+# LBA and sector bounds are the binary record's (<Q and <I) cut to what
+# the signed columns hold.
+valid_requests = st.builds(
+    Request,
+    time=st.floats(0.0, 1e12),
+    op=st.sampled_from(Op),
+    lba=st.integers(0, 2**63 - 1),
+    sectors=st.integers(1, 2**32 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(xs=st.lists(valid_requests, max_size=30), cut=st.slices(30),
+       seed=st.integers(0, 2**32))
+def test_a_trace_is_interchangeable_with_its_request_list(
+    xs, cut, seed, tmp_path_factory
+):
+    trace = Trace.from_requests(xs)
+    assert Trace.from_requests(trace) is trace
+    assert trace == xs and xs == trace and list(trace) == xs
+    assert len(trace) == len(xs) and list(reversed(trace)) == xs[::-1]
+    assert type(trace[cut]) is Trace and trace[cut] == xs[cut]
+    assert type(xs + trace) is Trace and xs + trace == xs + xs == trace + xs
+    assert trace_digest(trace) == trace_digest(xs)
+    assert trace.time_ordered == (xs == sorted(xs, key=lambda r: r.time))
+    assert pickle.loads(pickle.dumps(trace)) == xs
+
+    directory = tmp_path_factory.getbasetemp()
+    for name in ("interchangeable.bin", "interchangeable.csv"):
+        assert save_trace(directory / name, trace) == len(xs)
+        assert load_trace(directory / name) == xs
+
+    ordered = sorted(xs, key=lambda r: r.time)
+    segment = ordered[-1].time / 2 if ordered else 0.0
+    if segment == 0.0:  # nothing to resample: empty, or all at time zero
+        return
+    from_list = SegmentResampler(ordered, segment=segment, rng=make_rng(seed))
+    from_trace = SegmentResampler(
+        Trace.from_requests(ordered), segment=segment, rng=make_rng(seed))
+    for expected in per_object_segments(ordered, segment, make_rng(seed), 4):
+        assert from_list.next_segment() == expected
+        assert from_trace.next_segment() == expected
+    assert from_list.snapshot_state() == from_trace.snapshot_state()
