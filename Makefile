@@ -33,15 +33,17 @@ bench-hotpath:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_hotpath.py
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_hotpath.py --check-golden
 
-# Alternated parent/change pairs of one whole-stack workload, e.g.
+# Alternated parent/change pairs of whole-stack workloads, e.g.
 #   make bench-pairs PARENT=/root/scratch/parent WORKLOAD=hotspot_swl_nftl_1ch
-# (CHANGE defaults to this checkout, PAIRS to 10, SEED to 1).
+#   make bench-pairs PARENT=/root/scratch/parent WORKLOAD=all PAIRS=5
+# (CHANGE defaults to this checkout, PAIRS to 10, SEED to 1; WORKLOAD may
+# list several rows, space-separated, or be "all" — the no-regression sweep).
 PAIRS ?= 10
 SEED ?= 1
 CHANGE ?= .
 bench-pairs:
 	$(PYTHON) scripts/bench_pairs.py $(PARENT) $(CHANGE) \
-	    --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED)
+	    $(addprefix --workload ,$(WORKLOAD)) --pairs $(PAIRS) --seed $(SEED)
 
 # On-runner scale-feature budgets (telemetry overhead, parallel sweep).
 scale-gate:

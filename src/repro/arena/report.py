@@ -32,7 +32,9 @@ def arena_report(result: ArenaResult) -> str:
         "workloads); extra erases are summed against each workload's "
         "baseline; WAF counts physical programs per host page (cache "
         "absorption deducted); RAM is the mechanism's controller-memory "
-        "accounting; p99 comes from an open-loop service soak.",
+        "accounting; p99 comes from an open-loop service soak onto a "
+        "freshly built, empty device: too short to erase a block, it is "
+        "bare program latency, not leveling interference.",
         "",
         "## Leaderboard",
         "",

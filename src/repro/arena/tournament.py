@@ -6,9 +6,12 @@ One :func:`run_arena` call drives each roster entry through
   workload shapes (:func:`repro.endurance.run_endurance_matrix`), every
   mechanism of one workload seeing bit-identical requests, projected to
   endurance via :mod:`repro.endurance.projection`;
-* a **service soak** — the open-loop engine under the first workload's
-  trace, measuring the p99 a host observes while the mechanism levels
-  underneath (:func:`repro.sim.experiment.run_service_soak`);
+* a **service soak** — the open-loop engine serving ``service_requests``
+  requests of the first workload's trace onto a freshly built, *empty*
+  stack (:func:`repro.sim.experiment.run_service_soak`).  At the default
+  2,000 requests no contender erases a block, so ``p99_s`` is bare
+  program latency — one float for every mechanism that does not
+  intercept writes — not leveling interference (ROADMAP, aim-3 audit);
 * a **fault campaign** — the transient-fault soak plus the swept
   power-loss crash-consistency check
   (:func:`repro.fault.run_fault_campaign`), because a leveler that
@@ -259,7 +262,7 @@ def run_arena(
             arena_cells.append(cell)
             per_entry[name].append(cell)
 
-    # ---- service soak: p99 under leveling interference ------------------
+    # ---- service soak: p99 of an empty device (module docstring) --------
     soak_trace = make_shape(
         workloads[0],
         ShapeParams(

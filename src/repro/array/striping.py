@@ -25,7 +25,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Callable, Sequence
 
-from repro.flash.errors import PowerLossError
+from repro.flash.errors import PowerLossError, TranslationError
 
 
 class StripingPolicy(ABC):
@@ -58,7 +58,7 @@ class StripingPolicy(ABC):
 
     def check(self, lpn: int) -> None:
         if not 0 <= lpn < self.total_pages:
-            raise ValueError(
+            raise TranslationError(
                 f"array LPN {lpn} out of range [0, {self.total_pages})"
             )
 

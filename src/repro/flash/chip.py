@@ -358,9 +358,12 @@ class NandFlash:
 
     def read_pages(self, indices: Sequence[int]) -> bool:
         """Read the pages at ``indices`` for their side effects only."""
-        if self._watched(M_READ) or not self._contains_pages(indices):
+        count = len(indices)
+        if self._watched(M_READ) or (
+            count and not (0 <= min(indices) and max(indices) < len(self._states))
+        ):
             return False
-        self.counters.reads += len(indices)
+        self.counters.reads += count
         return True
 
     def _contains_pages(self, indices: Sequence[int]) -> bool:

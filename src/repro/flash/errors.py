@@ -135,5 +135,6 @@ class OutOfSpaceError(FlashError):
     """
 
 
-class TranslationError(FlashError):
-    """An LBA is out of the logical range exported by a translation layer."""
+class TranslationError(FlashError, ValueError):
+    """An LBA is out of the logical range a translation layer or an array's
+    striping policy exports (a ``ValueError`` too: it is a bad argument)."""

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Protocol, Sequence, runtime_checkabl
 from repro.core.leveler import WearLeveler
 from repro.core.policies import LevelerSpec
 from repro.flash.chip import FirstFailure, NandFlash
-from repro.flash.errors import PowerLossError
+from repro.flash.errors import PowerLossError, TranslationError
 from repro.flash.geometry import FlashGeometry
 from repro.flash.mtd import MtdDevice
 from repro.ftl.base import DEFAULT_OP_RATIO, GC_FREE_FRACTION, TranslationLayer
@@ -99,9 +99,16 @@ class StorageBackend(Protocol):
     @property
     def num_logical_pages(self) -> int: ...
 
-    def write_pages(self, lpns: Sequence[int]) -> int: ...
+    def write_pages(self, lpns: Sequence[int]) -> int:
+        """Write each page in order; returns the pages written.
 
-    def read_pages(self, lpns: Sequence[int]) -> int: ...
+        An out-of-range page raises ``TranslationError`` (a ``FlashError``):
+        a stack has applied the in-range prefix, ``pages_done`` pages; an
+        array validates the whole span first and has applied nothing.
+        """
+
+    def read_pages(self, lpns: Sequence[int]) -> int:
+        """Read each page in order; errors as for :meth:`write_pages`."""
 
     def on_request(self, now: float) -> None: ...
 
@@ -138,16 +145,16 @@ class StorageBackend(Protocol):
 def _each_page(page_op: Callable[[int], object], lpns: Sequence[int]) -> int:
     """Apply ``page_op`` to each page in order; returns the pages done.
 
-    A power loss aborts a batch mid-flight; the engine still reports the
-    partial request, so the completed page count rides on the exception
-    (``pages_done``) rather than being lost with the stack frame.
+    A power loss (or an out-of-range page) aborts a batch mid-flight; the
+    engine still reports the partial request, so the completed page count
+    rides on the exception (``pages_done``), not lost with the stack frame.
     """
     done = 0
     try:
         for lpn in lpns:
             page_op(lpn)
             done += 1
-    except PowerLossError as exc:
+    except (PowerLossError, TranslationError) as exc:
         exc.pages_done += done
         raise
     return done

@@ -136,11 +136,20 @@ class PageMappingFTL(TranslationLayer):
         A :class:`~repro.flash.errors.FlashError` out of the batch carries
         ``pages_done``, the pages read before it.
         """
-        total = len(lpns)
-        count = self._in_range(lpns, total)
+        count = total = len(lpns)
         l2p = self._l2p
-        indices = [l2p[lpn] for lpn in (lpns if count == total else lpns[:count])]
-        mapped = [index for index in indices if index != _UNMAPPED]
+        if (
+            type(lpns) is range and lpns.step == 1
+            and 0 <= lpns.start and lpns.stop <= self._num_logical_pages
+        ):
+            # Consecutive pages are consecutive table entries (Figure 2(a)).
+            indices = l2p[lpns.start:lpns.stop]
+        else:
+            count = self._in_range(lpns, total)
+            indices = [l2p[lpn] for lpn in (lpns if count == total else lpns[:count])]
+        mapped = indices
+        if _UNMAPPED in indices:  # a C scan: a fully mapped span is not copied
+            mapped = [index for index in indices if index != _UNMAPPED]
         try:
             self.mtd.read_pages(mapped)
         except FlashError as exc:

@@ -19,6 +19,7 @@ from repro.array import (
 )
 from repro.core.config import SWLConfig
 from repro.fault.plan import FaultPlan
+from repro.flash.errors import FlashError, TranslationError
 from repro.ftl.factory import StorageBackend, StorageStack, build_backend, build_stack
 from repro.sim.engine import Simulator, StopCondition
 from repro.sim.experiment import (
@@ -255,6 +256,44 @@ class TestDispatcher:
         assert isinstance(array, StorageBackend)
         assert array.num_shards == 2
         assert array.num_logical_pages == 2 * array.shards[0].num_logical_pages
+
+    @pytest.mark.parametrize("op", ["read_pages", "write_pages"])
+    @pytest.mark.parametrize("span, prefix", [
+        (lambda n: range(n - 3, n + 2), 3),
+        (lambda n: list(range(n - 3, n + 2)), 3),
+        (lambda n: (n,), 0),
+        (lambda n: range(-2, 3), 0),
+    ], ids=["range", "list", "single", "negative-start"])
+    @pytest.mark.parametrize("channels", [1, 4])
+    @pytest.mark.parametrize("driver", ["ftl", "nftl"])
+    def test_out_of_range_page_is_a_flash_error_on_either_backend(
+        self, small_geometry, driver, channels, span, prefix, op
+    ):
+        """The StorageBackend error contract: ``except FlashError`` catches
+        an out-of-range page on a stack and on an array, and ``pages_done``
+        says how much was applied before it — through a driver's span
+        entries (FTL) and through the per-page loop (NFTL) alike."""
+        if channels == 1:
+            backend = build_stack(small_geometry, driver, rng=make_rng(7))
+        else:
+            backend = build_array(
+                small_geometry, driver, channels=channels, rng=make_rng(7)
+            )
+        pages = backend.num_logical_pages
+        backend.write_pages(range(pages - 8, pages))
+        counted = "host_reads" if op == "read_pages" else "host_writes"
+        before = backend.layer_stats()
+        busy = backend.busy_time
+        with pytest.raises(FlashError, match="out of range") as caught:
+            getattr(backend, op)(span(pages))
+        assert isinstance(caught.value, TranslationError)
+        assert isinstance(caught.value, ValueError)  # what striping's callers catch
+        if channels == 1:  # a stack applies the in-range prefix first
+            assert caught.value.pages_done == prefix
+            assert backend.layer_stats()[counted] - before[counted] == prefix
+        else:  # an array validates the whole span before touching a shard
+            assert caught.value.pages_done == 0
+            assert (backend.layer_stats(), backend.busy_time) == (before, busy)
 
     def test_validation(self, small_geometry):
         shard = build_stack(small_geometry, "ftl")

@@ -21,6 +21,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.array import DeviceArray, build_array
 from repro.core.bet import BlockErasingTable
 from repro.core.config import SWLConfig
 from repro.fault.injector import FaultInjector
@@ -342,23 +343,55 @@ SPAN_PAGES = 88
 
 
 @st.composite
-def page_batches(draw):
+def page_batches(draw, pages=SPAN_PAGES, *, edges=False):
     """One host batch: a range, a wrapped list, a single page, or a
-    list with repeats — up to five frontier blocks long."""
-    shape = draw(st.sampled_from(("range", "wrapped", "single", "list")))
-    start = draw(st.integers(0, SPAN_PAGES - 1))
+    list with repeats — up to five frontier blocks long.  With ``edges``
+    also the shapes that leave the logical space or hold nothing: a range
+    with an out-of-range tail or a negative start, a list with a bad page
+    somewhere in it, an empty range, an empty list and a stepped range."""
+    shapes = ("range", "wrapped", "single", "list")
+    if edges:
+        shapes += ("tail", "negative", "bad-list", "empty", "stepped")
+    shape = draw(st.sampled_from(shapes))
+    start = draw(st.integers(0, pages - 1))
     if shape == "range":
-        return range(start, start + draw(st.integers(1, min(40, SPAN_PAGES - start))))
+        return range(start, start + draw(st.integers(1, min(40, pages - start))))
     if shape == "wrapped":
-        return [(start + i) % SPAN_PAGES for i in range(draw(st.integers(2, 40)))]
+        return [(start + i) % pages for i in range(draw(st.integers(2, 40)))]
     if shape == "single":
         return [start]
-    return draw(st.lists(st.integers(0, SPAN_PAGES - 1), min_size=1, max_size=30))
+    if shape == "tail":
+        return range(max(start, pages - 12), pages + draw(st.integers(1, 4)))
+    if shape == "negative":
+        return range(-draw(st.integers(1, 4)), min(start, 12))
+    if shape == "empty":
+        return draw(st.sampled_from((range(start, start), range(start, 0), [])))
+    if shape == "stepped":
+        return range(start, min(pages, start + 40), draw(st.integers(2, 5)))
+    lpns = draw(st.lists(st.integers(0, pages - 1), min_size=1, max_size=30))
+    if shape == "bad-list":
+        lpns.insert(draw(st.integers(0, len(lpns))),
+                    draw(st.sampled_from((-1, pages, pages + 9))))
+    return lpns
 
 
 host_batches = st.lists(
     st.tuples(st.sampled_from("wwwr"), page_batches()), min_size=1, max_size=30
 )
+
+
+def edge_batches(pages=SPAN_PAGES):
+    """Read-heavy, with the edge shapes: what the FTL's table slice must
+    get right."""
+    return st.lists(
+        st.tuples(st.sampled_from("wrr"), page_batches(pages, edges=True)),
+        min_size=1, max_size=30,
+    )
+
+
+#: Devices to start from: full, every other page, the lower half, blank.
+PREFILLS = (range(SPAN_PAGES), range(0, SPAN_PAGES, 2), range(SPAN_PAGES // 2),
+            range(0))
 
 
 def span_stack(*, per_page_chip=False, **kwargs):
@@ -442,6 +475,157 @@ def test_span_entries_match_through_gc_recycle_and_cold_moves():
     stats = spans.layer.stats
     assert min(stats.gc_runs, stats.dead_recycles, stats.forced_recycles,
                stats.live_page_copies, stats.host_reads) > 0
+
+
+class WrittenPages:
+    """Independent oracle for host reads: the set of pages ever written.
+
+    It knows nothing of the translation layer — only that reading a
+    written page costs one device read, that an unwritten page costs
+    none, that shard ``i`` of ``n`` owns the pages ``lpn % n == i``, and
+    that a batch with a bad page in it is served up to that page by a
+    stack and refused whole by an array (``atomic``).
+    """
+
+    def __init__(self, shards, *, atomic=False):
+        self.shards, self.atomic, self.written = shards, atomic, set()
+
+    def check(self, op, lpns, run):
+        """``run()`` the batch — it returns the error raised, if any —
+        and hold what the batch cost each shard against the model."""
+        shards, lpns = self.shards, list(lpns)
+        before = [(shard.flash.counters.reads, shard.layer.stats.host_reads,
+                   shard.mtd.busy_time) for shard in shards]
+        error = run()
+        pages = SPAN_PAGES * len(shards)
+        bad = [at for at, lpn in enumerate(lpns) if not 0 <= lpn < pages]
+        served = lpns if not bad else [] if self.atomic else lpns[:bad[0]]
+        assert (error is None) == (not bad)
+        if bad:
+            assert isinstance(error, TranslationError)
+            assert error.pages_done == len(served)
+        if op == "w":
+            self.written.update(served)
+            return
+        for index, (shard, (reads, host_reads, busy)) in enumerate(zip(shards, before)):
+            mine = [lpn for lpn in served if lpn % len(shards) == index]
+            hits = sum(lpn in self.written for lpn in mine)
+            assert shard.flash.counters.reads - reads == hits
+            assert shard.layer.stats.host_reads - host_reads == len(mine)
+            for _ in range(hits):
+                busy += shard.mtd.timing.read_page
+            assert shard.mtd.busy_time == busy  # the same float additions
+
+
+@settings(max_examples=60, deadline=None)
+@given(batches=edge_batches(), prefill=st.sampled_from(PREFILLS))
+def test_reads_of_unmapped_out_of_range_and_empty_spans_match(batches, prefill):
+    spans, pages = span_stack(), span_stack(per_page_chip=True)
+    model = WrittenPages([spans])
+    for op, lpns in [("w", prefill), *batches]:
+        model.check(op, lpns, partial(assert_same_outcome, spans, pages, op, lpns))
+
+
+#: Logical pages of the 4-channel array over SPAN_GEOMETRY.
+ARRAY_PAGES = 4 * SPAN_PAGES
+
+
+def span_array(*, per_page_chip=False):
+    array = build_array(
+        SPAN_GEOMETRY, "ftl", SWLConfig(threshold=2, k=0), channels=4,
+        rng=make_rng(7),
+    )
+    assert array.num_logical_pages == ARRAY_PAGES
+    for shard in array.shards:
+        shard.flash.enforce_sequential_program = per_page_chip
+    return array
+
+
+def drive_array(array, op, lpns, route):
+    """``(pages done, error)`` of one batch through the compiled
+    dispatcher, through the generic buffered one, or page by page."""
+    try:
+        if route == "compiled":
+            entry = array.write_pages if op == "w" else array.read_pages
+            return entry(lpns), None
+        if route == "buffered":
+            entry = DeviceArray.write_pages if op == "w" else DeviceArray.read_pages
+            return entry(array, list(lpns)), None
+        # Routed whole first: an array validates a span before it
+        # touches a shard.
+        routed = [array.striping.route(lpn) for lpn in lpns]
+        for shard, local in routed:
+            layer = array.shards[shard].layer
+            (layer.write if op == "w" else layer.read)(local)
+        return len(routed), None
+    except FlashError as exc:
+        return exc.pages_done, exc
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    batches=edge_batches(ARRAY_PAGES),
+    prefill=st.sampled_from(
+        (range(ARRAY_PAGES), range(0, ARRAY_PAGES, 3), range(0))
+    ),
+)
+def test_array_span_reads_match_the_buffered_and_per_page_routes(batches, prefill):
+    compiled, buffered, per_page = (
+        span_array(), span_array(), span_array(per_page_chip=True)
+    )
+    model = WrittenPages(compiled.shards, atomic=True)
+
+    def run(op, lpns):
+        done, error = drive_array(compiled, op, lpns, "compiled")
+        assert error is not None or done == len(lpns)
+        state = [observed(shard) for shard in compiled.shards]
+        for array, route in ((buffered, "buffered"), (per_page, "per-page")):
+            other_done, other_error = drive_array(array, op, lpns, route)
+            assert (other_done, type(other_error)) == (done, type(error))
+            assert [observed(shard) for shard in array.shards] == state
+        return error
+
+    for op, lpns in [("w", prefill), *batches]:
+        model.check(op, lpns, partial(run, op, lpns))
+
+
+def traced_bus():
+    bus = EventBus()
+    bus.subscribe(JsonlTraceExporter(io.StringIO()))
+    return bus
+
+
+@pytest.mark.parametrize("attach", [
+    lambda: {"injector": FaultInjector(FaultPlan(seed=1))},
+    lambda: {"store_data": True},
+    lambda: {"per_page_chip": True},
+    lambda: {"bus": traced_bus()},
+], ids=["injector", "store_data", "sequential", "subscriber"])
+def test_an_attachment_still_sees_every_page_of_a_span_read(attach):
+    stack = span_stack(**attach())
+    assert stack.flash._watched(M_READ)
+    stack.write_pages(range(0, 20, 2))
+    seen = []
+    read = stack.flash.read
+    stack.flash.read = lambda block, page: seen.append((block, page)) or read(block, page)
+    # Written and unwritten pages alternate: the unwritten ones reach no
+    # chip but still count as host reads.
+    assert stack.read_pages(range(4, 14)) == 10
+    assert seen == [stack.layer.mapping_of(lpn) for lpn in range(4, 14, 2)]
+    assert stack.layer.stats.host_reads == 10
+    assert stack.flash.counters.reads == 5
+
+
+def test_a_mapping_outside_the_chip_raises_from_the_per_page_loop():
+    stack = span_stack()
+    stack.write_pages(range(8))
+    # Behind the driver's back: page 5 now maps past the last block.
+    stack.layer._l2p[5] = SPAN_GEOMETRY.total_pages
+    with pytest.raises(AddressError) as caught:
+        stack.read_pages(range(2, 8))
+    assert caught.value.pages_done == 3
+    assert stack.layer.stats.host_reads == 4  # the page in flight was accepted
+    assert stack.flash.counters.reads == 3
 
 
 @settings(max_examples=60, deadline=None)
