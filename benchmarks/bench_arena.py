@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from repro.arena import arena_report, run_arena
-from repro.arena.report import arena_console_table
+from repro.arena.report import leaderboard_table
 from repro.sim.experiment import scaled_mlc2_geometry
 
 BENCH_PR_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR.json"
@@ -69,7 +69,7 @@ def main(argv: list[str]) -> int:
     REPORT_PATH.parent.mkdir(parents=True, exist_ok=True)
     REPORT_PATH.write_text(arena_report(result))
 
-    print(arena_console_table(result))
+    print(leaderboard_table(result).text())
     print(f"\nmerged arena section into {BENCH_PR_PATH}")
     print(f"markdown leaderboard written to {REPORT_PATH}")
     print(f"tournament wall clock: {elapsed:.1f}s")

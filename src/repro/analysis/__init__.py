@@ -7,7 +7,7 @@ the terminal charts the reports and examples use.  Lifetime projection
 lives in :mod:`repro.endurance`.
 """
 
-from repro.analysis.figures import bar_chart, series_chart, sparkline, wear_map
+from repro.analysis.figures import sparkline, wear_map
 from repro.analysis.memory import (
     bet_size_bytes,
     bet_size_for,
@@ -29,11 +29,9 @@ __all__ = [
     "TABLE3_CONFIGS",
     "TABLE3_PAGES_PER_BLOCK",
     "WorstCaseConfig",
-    "bar_chart",
     "bet_size_bytes",
     "bet_size_for",
     "mlc2_reduction",
-    "series_chart",
     "sparkline",
     "table1",
     "table1_headers",

@@ -1,55 +1,15 @@
 """Plain-text figure rendering.
 
-The paper's Figures 5-7 are line charts over k with one series per T.
-This module renders the same data as terminal-friendly charts — grouped
-bar charts and sparkline series — so benchmark output can *show* the
-shape, not just tabulate it, without a plotting dependency.
+Terminal-friendly renderings of wear data — one-line sparklines for the
+report's wear-evolution series and a per-block heat map — so a report or
+an example can *show* the shape without a plotting dependency.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
-_BLOCKS = " ▏▎▍▌▋▊▉█"
 _SPARKS = "▁▂▃▄▅▆▇█"
-
-
-def _bar(fraction: float, width: int) -> str:
-    """A horizontal bar filling ``fraction`` of ``width`` character cells."""
-    fraction = min(max(fraction, 0.0), 1.0)
-    eighths = round(fraction * width * 8)
-    full, partial = divmod(eighths, 8)
-    bar = _BLOCKS[-1] * full
-    if partial:
-        bar += _BLOCKS[partial]
-    return bar
-
-
-def bar_chart(
-    values: Mapping[str, float],
-    *,
-    width: int = 40,
-    title: str | None = None,
-    unit: str = "",
-    baseline: float = 0.0,
-) -> str:
-    """Render labelled values as a horizontal bar chart.
-
-    ``baseline`` shifts the bar origin (e.g. 100 for the paper's
-    increased-ratio figures, where every series starts at 100 %).
-    """
-    if not values:
-        raise ValueError("no values to chart")
-    label_width = max(len(label) for label in values)
-    top = max(max(values.values()) - baseline, 1e-12)
-    lines = [title] if title else []
-    for label, value in values.items():
-        fraction = (value - baseline) / top
-        lines.append(
-            f"{label.ljust(label_width)} │{_bar(fraction, width).ljust(width)}│ "
-            f"{value:g}{unit}"
-        )
-    return "\n".join(lines)
 
 
 def sparkline(values: Sequence[float]) -> str:
@@ -64,39 +24,6 @@ def sparkline(values: Sequence[float]) -> str:
         _SPARKS[min(int((value - low) / span * len(_SPARKS)), len(_SPARKS) - 1)]
         for value in values
     )
-
-
-def series_chart(
-    x_labels: Sequence[object],
-    series: Mapping[str, Sequence[float]],
-    *,
-    width: int = 40,
-    title: str | None = None,
-    unit: str = "",
-) -> str:
-    """Render multiple series over a shared x-axis (the Figure 5 layout).
-
-    Each series becomes one row: a sparkline over the x points plus the
-    per-point values, so trends in k (or T) are visible at a glance.
-    """
-    if not series:
-        raise ValueError("no series to chart")
-    for name, values in series.items():
-        if len(values) != len(x_labels):
-            raise ValueError(
-                f"series {name!r} has {len(values)} points for "
-                f"{len(x_labels)} x labels"
-            )
-    label_width = max(len(name) for name in series)
-    lines = [title] if title else []
-    lines.append(
-        f"{''.ljust(label_width)}   x = "
-        + ", ".join(str(label) for label in x_labels)
-    )
-    for name, values in series.items():
-        rendered = ", ".join(f"{value:g}{unit}" for value in values)
-        lines.append(f"{name.ljust(label_width)}   {sparkline(values)}  {rendered}")
-    return "\n".join(lines)
 
 
 def wear_map(erase_counts: Sequence[int], *, columns: int = 32) -> str:

@@ -1,9 +1,9 @@
-"""Markdown leaderboard for a policy-arena tournament."""
+"""Leaderboard and cell tables of a policy-arena tournament."""
 
 from __future__ import annotations
 
 from repro.arena.tournament import ArenaResult
-from repro.util.tables import format_table
+from repro.util.tables import Table, markdown_document
 
 
 def _days(value: float) -> str:
@@ -18,15 +18,47 @@ def _ram(ram_bytes: int) -> str:
     return f"{ram_bytes} B"
 
 
+def leaderboard_table(result: ArenaResult) -> Table:
+    """One row per leveler, aggregated over every workload."""
+    return Table(
+        ["leveler", "label", "endurance (days)", "gain", "extra erases",
+         "WAF", "RAM", "p99 (ms)", "faults"],
+        [
+            [entry.leveler,
+             entry.label,
+             _days(entry.endurance_days),
+             f"{entry.endurance_gain:.2f}x",
+             entry.extra_erases,
+             f"{entry.waf:.3f}",
+             _ram(entry.ram_bytes),
+             f"{entry.p99_s * 1e3:.2f}",
+             "ok" if entry.faults_ok else "FAIL"]
+            for entry in result.leaderboard
+        ],
+        "Policy arena leaderboard",
+    )
+
+
+def cells_table(result: ArenaResult) -> Table:
+    """One row per (workload × leveler) cell."""
+    return Table(
+        ["workload", "leveler", "total erases", "extra", "WAF", "skew",
+         "endurance (days)"],
+        [
+            [cell.workload, cell.leveler, cell.total_erases,
+             cell.extra_erases, f"{cell.waf:.3f}", f"{cell.wear_skew:.2f}",
+             _days(cell.endurance_days)]
+            for cell in result.cells
+        ],
+    )
+
+
 def arena_report(result: ArenaResult) -> str:
     """The tournament as a markdown document (leaderboard + cell table)."""
-    lines = [
-        "# Policy arena",
-        "",
+    return markdown_document("Policy arena", [
         f"Geometry `{result.geometry}`, driver `{result.driver}`, "
         f"horizon {result.horizon_s / 86_400.0:.2f} simulated days, "
         f"seed {result.seed}.",
-        "",
         f"Workloads: {', '.join(result.workloads)}.  Endurance is the "
         "projected first-failure horizon at the replayed pace (mean over "
         "workloads); extra erases are summed against each workload's "
@@ -35,58 +67,8 @@ def arena_report(result: ArenaResult) -> str:
         "accounting; p99 comes from an open-loop service soak onto a "
         "freshly built, empty device: too short to erase a block, it is "
         "bare program latency, not leveling interference.",
-        "",
         "## Leaderboard",
-        "",
-        "| leveler | label | endurance (days) | gain | extra erases "
-        "| WAF | RAM | p99 (ms) | faults |",
-        "|---|---|---|---|---|---|---|---|---|",
-    ]
-    for entry in result.leaderboard:
-        lines.append(
-            f"| {entry.leveler} | `{entry.label}` "
-            f"| {_days(entry.endurance_days)} "
-            f"| {entry.endurance_gain:.2f}x "
-            f"| {entry.extra_erases} "
-            f"| {entry.waf:.3f} "
-            f"| {_ram(entry.ram_bytes)} "
-            f"| {entry.p99_s * 1e3:.2f} "
-            f"| {'ok' if entry.faults_ok else 'FAIL'} |"
-        )
-    lines += ["", "## Cells", ""]
-    lines.append(
-        "| workload | leveler | total erases | extra | WAF | skew "
-        "| endurance (days) |"
-    )
-    lines.append("|---|---|---|---|---|---|---|")
-    for cell in result.cells:
-        lines.append(
-            f"| {cell.workload} | {cell.leveler} | {cell.total_erases} "
-            f"| {cell.extra_erases} | {cell.waf:.3f} "
-            f"| {cell.wear_skew:.2f} | {_days(cell.endurance_days)} |"
-        )
-    lines.append("")
-    return "\n".join(lines)
-
-
-def arena_console_table(result: ArenaResult) -> str:
-    """The leaderboard as a console table (``repro arena`` output)."""
-    rows: list[list[object]] = []
-    for entry in result.leaderboard:
-        rows.append([
-            entry.leveler,
-            entry.label,
-            _days(entry.endurance_days),
-            f"{entry.endurance_gain:.2f}x",
-            entry.extra_erases,
-            f"{entry.waf:.3f}",
-            _ram(entry.ram_bytes),
-            f"{entry.p99_s * 1e3:.2f}",
-            "ok" if entry.faults_ok else "FAIL",
-        ])
-    return format_table(
-        ["leveler", "label", "endure(d)", "gain", "extra-er",
-         "WAF", "RAM", "p99(ms)", "faults"],
-        rows,
-        title="Policy arena leaderboard",
-    )
+        leaderboard_table(result).markdown(),
+        "## Cells",
+        cells_table(result).markdown(),
+    ])

@@ -34,7 +34,7 @@ from repro.array.striping import StripingPolicy, make_striping
 from repro.core.policies import LevelerSpec
 from repro.core.leveler import RequestClock
 from repro.flash.chip import FirstFailure
-from repro.flash.errors import PowerLossError
+from repro.flash.errors import FlashError
 from repro.ftl.base import DEFAULT_OP_RATIO, GC_FREE_FRACTION
 from repro.ftl.factory import StorageStack, build_stack
 from repro.obs.heatmap import WearHeatmap
@@ -219,7 +219,7 @@ class DeviceArray:
             for index, batch in enumerate(buffers):
                 if batch:
                     done += span_ops[index](batch)
-        except PowerLossError as exc:
+        except FlashError as exc:
             exc.pages_done += done
             raise
         finally:

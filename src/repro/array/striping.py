@@ -25,7 +25,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Callable, Sequence
 
-from repro.flash.errors import PowerLossError, TranslationError
+from repro.flash.errors import FlashError, TranslationError
 
 
 class StripingPolicy(ABC):
@@ -107,7 +107,7 @@ class StripingPolicy(ABC):
         local range — the same visit order as :meth:`route_batch` feeding
         per-shard batches, which is what keeps a compiled array
         bit-identical to the generic dispatcher.  On a
-        :class:`PowerLossError` the closure adds the pages completed on
+        :class:`FlashError` the closure adds the pages completed on
         *earlier* shards to the exception's ``pages_done`` (the failing
         shard has already counted its own) and re-raises.
         """
@@ -184,7 +184,7 @@ class PageInterleaved(StripingPolicy):
                             continue
                         count = (n - 1 - offset) // shards + 1
                         done += ops[shard](range(lo, lo + count))
-                except PowerLossError as exc:
+                except FlashError as exc:
                     exc.pages_done += done
                     raise
                 return done
@@ -252,7 +252,7 @@ class ContiguousRange(StripingPolicy):
                         lo = start - base if start > base else 0
                         hi = stop - base if stop - base < per_shard else per_shard
                         done += ops[shard](range(lo, hi))
-                except PowerLossError as exc:
+                except FlashError as exc:
                     exc.pages_done += done
                     raise
                 return done

@@ -43,23 +43,23 @@ enable the library's diagnostics logging channels.
 from __future__ import annotations
 
 import argparse
+import json
 import re
 import sys
+from collections.abc import Callable
 from dataclasses import replace
 from pathlib import Path
+from typing import TypeVar
 
-from repro.arena.report import arena_console_table, arena_report
-from repro.arena.tournament import (
-    DEFAULT_ROSTER,
-    DEFAULT_WORKLOADS,
-    run_arena,
-)
+from repro.arena.report import arena_report, leaderboard_table
+from repro.arena.tournament import DEFAULT_ROSTER, DEFAULT_WORKLOADS, run_arena
 from repro.core.config import SWLConfig
 from repro.endurance import endurance_cells, run_endurance_matrix
 from repro.fault.campaign import run_fault_campaign
 from repro.fault.plan import FaultPlan
 from repro.obs.telemetry import DEFAULT_HEATMAP_BINS, Telemetry
 from repro.service.arrival import open_loop_rate
+from repro.service.results import ServiceResult
 from repro.sim.experiment import (
     ExperimentSpec,
     logical_sectors_of,
@@ -70,13 +70,21 @@ from repro.sim.experiment import (
     scaled_mlc2_geometry,
     workload_params_for,
 )
-from repro.sim.metrics import improvement_ratio
 from repro.sim.reporting import (
-    failure_cell,
+    campaign_markdown_report,
+    channel_latency_table,
+    endurance_markdown_report,
+    endurance_table,
     fault_campaign_report,
-    save_endurance_report,
-    save_report,
-    save_service_report,
+    fault_tables,
+    latency_table,
+    markdown_report,
+    replay_detail_table,
+    replay_summary_table,
+    service_markdown_report,
+    shard_table,
+    supervision_table,
+    tenant_attribution_table,
 )
 from repro.workloads import (
     DEFAULT_PHASE_PERIOD,
@@ -89,22 +97,28 @@ from repro.workloads import (
     make_shape,
     run_multi_tenant_replay,
 )
-from repro.sim.results import format_channel_latency, format_latency
 from repro.traces.generator import DAY, WorkloadParams
 from repro.traces.io import load_trace, save_trace
 from repro.traces.model import Trace
 from repro.traces.stats import summarize
 from repro.util.diagnostics import configure_logging
-from repro.util.tables import format_table
+from repro.util.tables import Table
+
+_Result = TypeVar("_Result")
 
 
-def _add_stack_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--driver", choices=("ftl", "nftl"), default="nftl",
-                        help="translation layer (default: nftl)")
+def _add_chip_arguments(parser: argparse.ArgumentParser, driver: str) -> None:
+    parser.add_argument("--driver", choices=("ftl", "nftl"), default=driver,
+                        help=f"translation layer (default: {driver})")
     parser.add_argument("--blocks", type=int, default=64,
                         help="simulated chip size in blocks (default: 64)")
     parser.add_argument("--scale", type=int, default=5,
                         help="endurance scale: cycles = 10000/scale (default: 5)")
+    parser.add_argument("--seed", type=int, default=0, help="master seed")
+
+
+def _add_stack_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_chip_arguments(parser, "nftl")
     parser.add_argument("--threshold", "-T", type=float, default=100.0,
                         help="SWL unevenness threshold T (default: 100)")
     parser.add_argument("--k", type=int, default=0,
@@ -124,7 +138,6 @@ def _add_stack_arguments(parser: argparse.ArgumentParser) -> None:
                         help="wear-leveling coordination: independent "
                              "per-shard thresholds or one array-wide "
                              "global-T coordinator (default: per-shard)")
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
 
 
 def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
@@ -324,19 +337,15 @@ def _build_parser() -> argparse.ArgumentParser:
     arena.add_argument("--workers", type=int, default=None,
                        help="worker processes for the workload matrix "
                             "(default: serial)")
-    arena.add_argument("--driver", choices=("ftl", "nftl"), default="ftl",
-                       help="translation layer (default: ftl)")
-    arena.add_argument("--blocks", type=int, default=64,
-                       help="simulated chip size in blocks (default: 64)")
-    arena.add_argument("--scale", type=int, default=5,
-                       help="endurance scale: cycles = 10000/scale "
-                            "(default: 5)")
-    arena.add_argument("--seed", type=int, default=0, help="master seed")
     arena.add_argument("--report", metavar="PATH",
                        help="also write the markdown leaderboard to PATH")
     arena.add_argument("--json", metavar="PATH",
                        help="also write the full arena result as JSON to "
                             "PATH")
+    # The arena races its own levelers on a plain single-channel stack.
+    _add_chip_arguments(arena, "ftl")
+    arena.set_defaults(no_swl=True, channels=1, striping="page",
+                       swl_scope="per-shard")
 
     faults = commands.add_parser(
         "faults", help="run a fault-injection and crash-consistency campaign"
@@ -390,33 +399,83 @@ def _spec(args: argparse.Namespace) -> ExperimentSpec:
     )
 
 
-def _slugify(label: str) -> str:
-    """A label as a safe directory name (``NFTL+SWL(T=100,k=0)`` etc.)."""
-    return re.sub(r"[^A-Za-z0-9._+=-]+", "_", label)
+def _swl_cells(
+    spec: ExperimentSpec, thresholds: list[float], ks: list[int]
+) -> list[ExperimentSpec]:
+    """The SWL-off baseline, then SWL-on at every (T, k) point."""
+    return [replace(spec, swl=None)] + [
+        replace(spec, swl=SWLConfig(threshold=threshold, k=k))
+        for threshold in thresholds
+        for k in ks
+    ]
 
 
-def _make_telemetry(
-    args: argparse.Namespace, run_name: str, directory: str | None = None
-) -> Telemetry | None:
+def _mobile_pc_trace(
+    spec: ExperimentSpec, args: argparse.Namespace, days: float
+) -> tuple[Trace, list]:
+    """The synthetic mobile-PC base trace sized for ``spec``, and its prefill."""
+    params = workload_params_for(spec, duration=days * DAY, seed=args.seed + 1)
+    workload = make_workload(params)
+    return workload.requests(), workload.prefill_requests()
+
+
+def _title(args: argparse.Namespace, what: str) -> str:
+    return (f"{what}, {args.driver.upper()} "
+            f"({args.blocks} blocks, endurance {10_000 // args.scale})")
+
+
+def _write_report(path: str, document: str) -> None:
+    Path(path).write_text(document)
+    print(f"\nmarkdown report written to {path}")
+
+
+def _make_telemetry(args: argparse.Namespace, run_name: str) -> Telemetry | None:
     """Telemetry per the command's ``--telemetry``/``--trace-out`` flags.
 
     Heatmaps default to one per simulated day — first-failure horizons
     are open-ended, and the engine's decimation bounds the series.
     """
-    if not (args.telemetry or args.trace_out):
-        return None
-    if directory is None:
-        directory = args.trace_out
-    if directory is not None:
+    if args.trace_out:
         return Telemetry.to_directory(
-            directory, run_name=run_name, heatmap_interval=DAY
+            args.trace_out, run_name=run_name, heatmap_interval=DAY
         )
-    return Telemetry(run_name=run_name, heatmap_interval=DAY)
+    if args.telemetry:
+        return Telemetry(run_name=run_name, heatmap_interval=DAY)
+    return None
 
 
-def _print_telemetry_summary(
-    telemetry: Telemetry, heatmaps: int
-) -> None:
+def _run_cells(
+    args: argparse.Namespace,
+    cells: list[ExperimentSpec],
+    run: Callable[[ExperimentSpec, Telemetry | None], _Result],
+) -> list[_Result]:
+    """Run each cell with its own artifact directory under ``--trace-out``.
+
+    A bare ``--telemetry`` has nowhere to put a whole matrix's traces,
+    so the cells then run without telemetry.
+    """
+    if args.telemetry and not args.trace_out:
+        print(f"{args.command} telemetry over several configurations needs "
+              "--trace-out DIR (one artifact set per configuration); "
+              "continuing without telemetry", file=sys.stderr)
+    results = []
+    for cell in cells:
+        telemetry = None
+        if args.trace_out:
+            directory = re.sub(r"[^A-Za-z0-9._+=-]+", "_", cell.label())
+            telemetry = Telemetry.to_directory(
+                Path(args.trace_out) / directory,
+                run_name=cell.label(), heatmap_interval=DAY,
+            )
+        results.append(run(cell, telemetry))
+        if telemetry is not None:
+            telemetry.finish()
+    if args.trace_out:
+        print(f"telemetry artifacts written under {args.trace_out}/")
+    return results
+
+
+def _print_telemetry_summary(telemetry: Telemetry, heatmaps: int) -> None:
     files = telemetry.finish()
     snapshot = telemetry.snapshot()
     rows: list[list[object]] = [
@@ -430,7 +489,7 @@ def _print_telemetry_summary(
     for kind, path in files.items():
         rows.append([f"{kind} file", str(path)])
     print()
-    print(format_table(["telemetry", "value"], rows, title="Telemetry"))
+    print(Table(["telemetry", "value"], rows, "Telemetry").text())
     if "chrome" in files:
         print(f"  open {files['chrome']} in Perfetto (https://ui.perfetto.dev)")
 
@@ -438,64 +497,46 @@ def _print_telemetry_summary(
 def _command_simulate(args: argparse.Namespace) -> int:
     spec = _spec(args)
     if args.trace:
-        trace = load_trace(args.trace)
-        warmup = None
+        trace, warmup = load_trace(args.trace), None
     else:
-        params = workload_params_for(
-            spec, duration=args.days * DAY, seed=args.seed + 1
-        )
-        workload = make_workload(params)
-        trace = workload.requests()
-        warmup = workload.prefill_requests()
+        trace, warmup = _mobile_pc_trace(spec, args, args.days)
     telemetry = _make_telemetry(args, spec.label())
     result = run_until_first_failure(
         spec, trace, warmup=warmup, telemetry=telemetry
     )
-    distribution = result.erase_distribution
-    rows: list[list[object]] = [
-        ["configuration", result.label],
-        ["first failure (simulated)", failure_cell(result)],
-        ["total block erases", result.total_erases],
-        ["live-page copies", result.live_page_copies],
-        ["erase avg / dev / max",
-         f"{distribution.average:.0f} / {distribution.deviation:.0f} / "
-         f"{distribution.maximum}"],
-    ]
-    print(format_table(["metric", "value"], rows, title="Simulation report"))
+    print(replay_detail_table(result, title="Simulation report").text())
     if result.shard_erase_distributions:
-        shard_rows: list[list[object]] = [
-            [f"shard {index}", f"{dist.average:.0f}",
-             f"{dist.deviation:.0f}", dist.maximum, dist.total]
-            for index, dist in enumerate(result.shard_erase_distributions)
-        ]
-        shard_rows.append(
-            ["merged", f"{distribution.average:.0f}",
-             f"{distribution.deviation:.0f}", distribution.maximum,
-             distribution.total]
-        )
         print()
-        print(format_table(
-            ["shard", "erase avg", "dev", "max", "total"],
-            shard_rows,
-            title=f"Per-shard erase distributions ({result.channels} channels)",
-        ))
+        print(shard_table(result).text())
     if telemetry is not None:
         _print_telemetry_summary(telemetry, len(result.heatmaps))
     return 0
 
 
-def _supervised_sweep(
-    args: argparse.Namespace,
-    specs: list[ExperimentSpec],
-    trace: Trace,
-    warmup: list,
-) -> int:
-    """``repro sweep --resume DIR``: the sweep as a supervised campaign."""
-    from repro.ckpt.supervisor import SupervisorPolicy, run_supervised_matrix
-    from repro.sim.reporting import campaign_markdown_report
+def _command_sweep(args: argparse.Namespace) -> int:
+    spec = _spec(args)
+    trace, warmup = _mobile_pc_trace(spec, args, 1.0)
+    cells = _swl_cells(spec, args.thresholds, args.ks)
+    title = f"{args.driver.upper()} first-failure sweep"
+    if not args.resume:
+        results = _run_cells(
+            args, cells,
+            lambda cell, telemetry: run_until_first_failure(
+                cell, trace, warmup=warmup, telemetry=telemetry
+            ),
+        )
+        print(replay_summary_table(
+            results, title=_title(args, "First-failure sweep")
+        ).text())
+        if args.report:
+            _write_report(args.report, markdown_report(results, title=title))
+        return 0
 
-    report = run_supervised_matrix(
-        specs,
+    # ``--resume DIR``: the same sweep as a supervised campaign.
+    from repro.ckpt.supervisor import SupervisorPolicy, run_supervised_matrix
+
+    campaign = run_supervised_matrix(
+        cells,
         trace,
         warmup=warmup,
         workers=args.workers,
@@ -505,157 +546,52 @@ def _supervised_sweep(
             timeout=args.timeout,
         ),
     )
-    baseline = report.cells[0].result
-    rows: list[list[object]] = []
-    for cell in report.cells:
-        if cell.result is None:
-            rows.append([cell.label, "quarantined", "-", cell.attempts])
-            continue
-        failure_days = round(cell.result.first_failure_time / DAY, 3)
-        if cell.result is baseline or baseline is None:
-            gain = "-"
-        else:
-            gain = f"{improvement_ratio(cell.result.first_failure_time, baseline.first_failure_time):+.1f}%"
-        rows.append([cell.label, failure_days, gain, cell.attempts])
-    print(format_table(
-        ["Configuration", "First failure (days)", "vs baseline", "Attempts"],
-        rows,
-        title=f"Supervised first-failure sweep, {args.driver.upper()} "
-              f"({args.blocks} blocks, endurance {10_000 // args.scale})",
-    ))
-    for cell in report.quarantined:
+    print(supervision_table(
+        campaign, title=_title(args, "Supervised first-failure sweep")
+    ).text())
+    finished = [result for result in campaign.results() if result is not None]
+    if finished:
+        print()
+        print(replay_summary_table(finished, title="Finished cells").text())
+    for cell in campaign.quarantined:
         print(f"  quarantined: {cell.label} after {cell.attempts} "
               f"attempt(s): {cell.error}")
     if args.report:
-        with open(args.report, "w") as handle:
-            handle.write(campaign_markdown_report(
-                report,
-                title=f"{args.driver.upper()} first-failure sweep",
-            ))
-        print(f"\nmarkdown report written to {args.report}")
+        _write_report(
+            args.report, campaign_markdown_report(campaign, title=title)
+        )
     print(f"campaign state kept in {args.resume}/ "
           "(re-run with the same --resume to continue)")
-    return 0 if report.ok else 1
-
-
-def _command_sweep(args: argparse.Namespace) -> int:
-    spec = _spec(args)
-    params = workload_params_for(spec, duration=1.0 * DAY, seed=args.seed + 1)
-    workload = make_workload(params)
-    trace = workload.requests()
-    warmup = workload.prefill_requests()
-    if args.resume:
-        specs = [replace(spec, swl=None)] + [
-            replace(spec, swl=SWLConfig(threshold=threshold, k=k))
-            for threshold in args.thresholds
-            for k in args.ks
-        ]
-        return _supervised_sweep(args, specs, trace, warmup)
-    def cell_telemetry(label: str) -> Telemetry | None:
-        # One artifact directory per sweep cell; a bare --telemetry has
-        # nowhere to put a whole sweep's traces, so it needs --trace-out.
-        if not args.trace_out:
-            return None
-        return _make_telemetry(
-            args, label, directory=str(Path(args.trace_out) / _slugify(label))
-        )
-
-    if args.telemetry and not args.trace_out:
-        print("sweep telemetry needs --trace-out DIR (one artifact set "
-              "per configuration); continuing without telemetry",
-              file=sys.stderr)
-    baseline_spec = replace(spec, swl=None)
-    baseline_telemetry = cell_telemetry(baseline_spec.label())
-    baseline = run_until_first_failure(
-        baseline_spec, trace, warmup=warmup, telemetry=baseline_telemetry
-    )
-    if baseline_telemetry is not None:
-        baseline_telemetry.finish()
-    results = [baseline]
-    rows: list[list[object]] = [
-        [baseline.label, round(baseline.first_failure_time / DAY, 3), "-"]
-    ]
-    for threshold in args.thresholds:
-        for k in args.ks:
-            point = replace(spec, swl=SWLConfig(threshold=threshold, k=k))
-            telemetry = cell_telemetry(point.label())
-            result = run_until_first_failure(
-                point, trace, warmup=warmup, telemetry=telemetry
-            )
-            if telemetry is not None:
-                telemetry.finish()
-            results.append(result)
-            gain = improvement_ratio(
-                result.first_failure_time, baseline.first_failure_time
-            )
-            rows.append(
-                [result.label, round(result.first_failure_time / DAY, 3),
-                 f"{gain:+.1f}%"]
-            )
-    print(format_table(
-        ["Configuration", "First failure (days)", "vs baseline"],
-        rows,
-        title=f"First-failure sweep, {args.driver.upper()} "
-              f"({args.blocks} blocks, endurance {10_000 // args.scale})",
-    ))
-    if args.report:
-        save_report(
-            args.report, results,
-            title=f"{args.driver.upper()} first-failure sweep",
-        )
-        print(f"\nmarkdown report written to {args.report}")
-    if args.trace_out:
-        print(f"telemetry artifacts written under {args.trace_out}/")
-    return 0
+    return 0 if campaign.ok else 1
 
 
 def _command_trace(args: argparse.Namespace) -> int:
     spec = _spec(args)
-    params = workload_params_for(
-        spec, duration=args.days * DAY, seed=args.seed + 1
-    )
-    workload = make_workload(params)
-    trace = workload.requests()
-    warmup = workload.prefill_requests()
+    trace, warmup = _mobile_pc_trace(spec, args, args.days)
     horizon = args.hours * 3600.0
+    interval = args.heatmap_interval
     telemetry = Telemetry.to_directory(
         args.output,
         run_name=spec.label(),
         log_events=args.log_events,
         heatmap_bins=args.heatmap_bins,
-        heatmap_interval=args.heatmap_interval or horizon / 16,
+        heatmap_interval=horizon / 16 if interval is None else interval,
     )
     result = run_fixed_horizon(
         spec, trace, horizon, warmup=warmup, telemetry=telemetry
     )
-    distribution = result.erase_distribution
-    print(format_table(
-        ["metric", "value"],
-        [
-            ["configuration", result.label],
-            ["simulated hours", round(result.sim_time / 3600.0, 2)],
-            ["requests replayed", result.requests],
-            ["total block erases", result.total_erases],
-            ["erase avg / dev / max",
-             f"{distribution.average:.0f} / {distribution.deviation:.0f} / "
-             f"{distribution.maximum}"],
-        ],
-        title="Traced replay",
-    ))
+    print(replay_detail_table(result, title="Traced replay").text())
     _print_telemetry_summary(telemetry, len(result.heatmaps))
     return 0
 
 
 def _command_serve(args: argparse.Namespace) -> int:
     spec = _spec(args)
-    params = workload_params_for(
-        spec, duration=args.days * DAY, seed=args.seed + 1
-    )
-    workload = make_workload(params)
-    trace = workload.requests()
-    warmup = workload.prefill_requests()
+    trace, warmup = _mobile_pc_trace(spec, args, args.days)
     if args.mode == "poisson":
-        rate = args.rate or open_loop_rate(args.clients, args.think_time)
+        rate = args.rate
+        if rate is None:
+            rate = open_loop_rate(args.clients, args.think_time)
         speedup = None
         arrival_note = f"poisson, {rate:.1f} req/s"
     else:
@@ -664,7 +600,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         arrival_note = f"trace-paced, speedup x{speedup:g}"
     max_time = args.hours * 3600.0 if args.hours is not None else None
 
-    def soak(cell: ExperimentSpec, telemetry: Telemetry | None):
+    def soak(cell: ExperimentSpec, telemetry: Telemetry | None) -> ServiceResult:
         return run_service_soak(
             cell, trace,
             rate=rate, trace_speedup=speedup,
@@ -674,43 +610,24 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     telemetry = None
     if args.compare:
-        if (args.telemetry or args.trace_out) and not args.trace_out:
-            print("compare-mode telemetry needs --trace-out DIR (one "
-                  "artifact set per configuration); continuing without "
-                  "telemetry", file=sys.stderr)
-        cells = [replace(spec, swl=None)] + [
-            replace(spec, swl=SWLConfig(threshold=threshold, k=args.k))
-            for threshold in args.thresholds
-        ]
-        results = []
-        for cell in cells:
-            cell_telemetry = None
-            if args.trace_out:
-                cell_telemetry = _make_telemetry(
-                    args, cell.label(),
-                    directory=str(Path(args.trace_out) / _slugify(cell.label())),
-                )
-            results.append(soak(cell, cell_telemetry))
-            if cell_telemetry is not None:
-                cell_telemetry.finish()
+        results = _run_cells(
+            args, _swl_cells(spec, args.thresholds, [args.k]), soak
+        )
     else:
         telemetry = _make_telemetry(args, spec.label())
         results = [soak(spec, telemetry)]
 
-    print(format_latency(
+    print(latency_table(
         results,
         title=f"Service soak ({arrival_note}, queue depth {args.depth})",
-    ))
+    ).text())
     for result in results:
         print()
-        print(format_channel_latency(result))
+        print(channel_latency_table(result).text())
     if args.report:
-        save_service_report(args.report, results)
-        print(f"\nmarkdown report written to {args.report}")
+        _write_report(args.report, service_markdown_report(results))
     if telemetry is not None:
         _print_telemetry_summary(telemetry, len(results[0].replay.heatmaps))
-    elif args.trace_out:
-        print(f"telemetry artifacts written under {args.trace_out}/")
     return 0
 
 
@@ -745,40 +662,12 @@ def _command_endure(args: argparse.Namespace) -> int:
         )
         if result is not None
     ]
-    # SWL-on cells report their TBW gain over the matching SWL-off cell
-    # (same workload, same channel count).
-    swl_off_tbw = {
-        (r.cell.workload, r.cell.spec.channels): r.projection.tbw_bytes
-        for r in results
-        if r.cell.spec.swl is None
-    }
-    gb = 1e9
-    rows: list[list[object]] = []
-    for result in results:
-        projection = result.projection
-        key = (result.cell.workload, result.cell.spec.channels)
-        if result.cell.spec.swl is None or key not in swl_off_tbw:
-            gain = "—"
-        else:
-            gain = f"{(projection.tbw_bytes / swl_off_tbw[key] - 1) * 100:+.1f}%"
-        rows.append([
-            projection.label,
-            f"{projection.waf:.3f}",
-            projection.erase_maximum,
-            f"{projection.wear_skew:.2f}",
-            f"{projection.tbw_bytes / gb:.2f}",
-            f"{projection.days_at_one_dwpd:.1f}",
-            f"{projection.projected_first_failure_days:.1f}",
-            gain,
-        ])
-    print(format_table(
-        ["Cell", "WAF", "Erase max", "Skew", "TBW (GB)",
-         "Days @1 DWPD", "First failure (d)", "SWL TBW gain"],
-        rows,
+    print(endurance_table(
+        results,
         title=f"Endurance projections ({args.blocks} blocks/channel, "
               f"endurance {10_000 // args.scale}, "
               f"{args.horizon_days:g}-day horizon)",
-    ))
+    ).text())
 
     tenants = None
     tenant_replay = None
@@ -817,23 +706,12 @@ def _command_endure(args: argparse.Namespace) -> int:
         )
         tenants = attribution.tenants
         tenant_replay = attribution.replay
-        tenant_rows: list[list[object]] = [
-            [t.name, t.requests, t.pages_written, t.erases,
-             f"{t.busy_time:.3f}"]
-            for t in tenants
-        ]
-        tenant_rows.append([
-            "device", tenant_replay.requests, tenant_replay.pages_written,
-            tenant_replay.total_erases,
-            f"{tenant_replay.device_busy_time:.3f}",
-        ])
         print()
-        print(format_table(
-            ["Tenant", "Requests", "Pages written", "Erases", "Busy (s)"],
-            tenant_rows,
+        print(tenant_attribution_table(
+            tenants, tenant_replay,
             title=f"Per-tenant attribution ({tenant_replay.label}, "
                   f"policy {args.tenant_policy})",
-        ))
+        ).text())
         errors = attribution.conservation_errors()
         if errors:
             status = 1
@@ -848,38 +726,31 @@ def _command_endure(args: argparse.Namespace) -> int:
               "pass --tenants N to enable it", file=sys.stderr)
 
     if args.report:
-        save_endurance_report(
-            args.report, results, tenants=tenants, tenant_replay=tenant_replay
-        )
-        print(f"\nmarkdown report written to {args.report}")
+        _write_report(args.report, endurance_markdown_report(
+            results, tenants=tenants, tenant_replay=tenant_replay
+        ))
     return status
 
 
 def _command_arena(args: argparse.Namespace) -> int:
-    geometry = scaled_mlc2_geometry(args.blocks, scale=args.scale)
+    spec = _spec(args)
     result = run_arena(
-        geometry,
-        args.driver,
+        spec.geometry,
+        spec.driver,
         workloads=args.workloads,
         levelers=args.levelers,
         horizon=args.horizon_days * DAY,
         rate=args.rate,
-        seed=args.seed,
+        seed=spec.seed,
         workers=args.workers,
         service_requests=args.service_requests,
         run_faults=not args.no_faults,
     )
-    print(arena_console_table(result))
+    print(leaderboard_table(result).text())
     if args.report:
-        with open(args.report, "w") as handle:
-            handle.write(arena_report(result))
-        print(f"\nmarkdown leaderboard written to {args.report}")
+        _write_report(args.report, arena_report(result))
     if args.json:
-        import json
-
-        with open(args.json, "w") as handle:
-            json.dump(result.as_dict(), handle, indent=2)
-            handle.write("\n")
+        Path(args.json).write_text(json.dumps(result.as_dict(), indent=2) + "\n")
         print(f"arena JSON written to {args.json}")
     return 0 if all(entry.faults_ok for entry in result.leaderboard) else 1
 
@@ -889,8 +760,7 @@ def _command_faults(args: argparse.Namespace) -> int:
         print("the faults campaign drives a single-channel stack; "
               "--channels must be 1", file=sys.stderr)
         return 2
-    geometry = scaled_mlc2_geometry(args.blocks, scale=args.scale)
-    swl = None if args.no_swl else SWLConfig(threshold=args.threshold, k=args.k)
+    spec = _spec(args)
     plan = FaultPlan(
         seed=args.seed + 1,
         erase_fail_prob=args.erase_fail_prob,
@@ -899,51 +769,31 @@ def _command_faults(args: argparse.Namespace) -> int:
         read_ber=args.read_ber,
     )
     result = run_fault_campaign(
-        geometry,
-        args.driver,
-        swl,
+        spec.geometry,
+        spec.driver,
+        spec.swl,
         plan=plan,
-        seed=args.seed,
+        seed=spec.seed,
         soak_writes=args.soak_writes,
         loss_points=args.loss_points,
     )
-    crash = result.crash_report
-    recovery = result.recovery_summary()
-    print(format_table(
-        ["metric", "value"],
-        [
-            ["configuration", result.label],
-            ["verdict", "PASS" if result.ok else "FAIL"],
-            ["soak writes acknowledged", result.soak_writes],
-            ["blocks retired", result.retired_blocks],
-            ["erase faults injected",
-             result.injector_stats.get("erase_faults", 0)],
-            ["program faults injected",
-             result.injector_stats.get("program_faults", 0)],
-            ["read errors corrected",
-             result.injector_stats.get("read_errors_corrected", 0)],
-            ["unrecovered faults", result.unrecovered_faults],
-            ["recovery copies", recovery.recovery_copies],
-            ["recovery erase overhead",
-             f"{recovery.recovery_erase_overhead:.2f}%"],
-            ["loss points swept / fired",
-             f"{len(crash.verdicts)} / {crash.crashes}"],
-            ["invariant violations", len(result.violations)],
-        ],
-        title="Fault campaign report",
-    ))
+    print(f"Fault campaign report: {result.label} — "
+          f"{'PASS' if result.ok else 'FAIL'}, "
+          f"{len(result.violations)} invariant violation(s)")
+    for table in fault_tables(result):
+        print()
+        print(table.text())
     for violation in result.violations:
         print(f"  violation: {violation}")
     if args.report:
-        with open(args.report, "w") as handle:
-            handle.write(fault_campaign_report(result))
-        print(f"\nmarkdown report written to {args.report}")
+        _write_report(args.report, fault_campaign_report(result))
     return 0 if result.ok else 1
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.log_level:
         configure_logging(args.log_level, channels=args.log_channel)
     handlers = {
@@ -956,7 +806,13 @@ def main(argv: list[str] | None = None) -> int:
         "faults": _command_faults,
         "trace": _command_trace,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ValueError as error:
+        # The library validates what a spec, workload, arrival model or
+        # telemetry is built from and says what is wrong with it; for a
+        # command line that is a usage error, not a traceback.
+        parser.error(str(error))
 
 
 if __name__ == "__main__":

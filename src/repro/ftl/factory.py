@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Protocol, Sequence, runtime_checkabl
 from repro.core.leveler import WearLeveler
 from repro.core.policies import LevelerSpec
 from repro.flash.chip import FirstFailure, NandFlash
-from repro.flash.errors import PowerLossError, TranslationError
+from repro.flash.errors import FlashError
 from repro.flash.geometry import FlashGeometry
 from repro.flash.mtd import MtdDevice
 from repro.ftl.base import DEFAULT_OP_RATIO, GC_FREE_FRACTION, TranslationLayer
@@ -145,16 +145,16 @@ class StorageBackend(Protocol):
 def _each_page(page_op: Callable[[int], object], lpns: Sequence[int]) -> int:
     """Apply ``page_op`` to each page in order; returns the pages done.
 
-    A power loss (or an out-of-range page) aborts a batch mid-flight; the
-    engine still reports the partial request, so the completed page count
-    rides on the exception (``pages_done``), not lost with the stack frame.
+    Any flash error (power loss, out-of-range page, full device) aborts a
+    batch mid-flight; the engine still reports the partial request, so the
+    completed page count rides on the exception (``pages_done``).
     """
     done = 0
     try:
         for lpn in lpns:
             page_op(lpn)
             done += 1
-    except (PowerLossError, TranslationError) as exc:
+    except FlashError as exc:
         exc.pages_done += done
         raise
     return done

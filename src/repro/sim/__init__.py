@@ -3,8 +3,8 @@
 :mod:`repro.sim.engine` replays traces against a storage stack;
 :mod:`repro.sim.metrics` computes the endurance and overhead metrics of
 Section 5; :mod:`repro.sim.experiment` packages the first-failure and
-fixed-horizon protocols; :mod:`repro.sim.results` renders results in the
-paper's table/figure layouts.
+fixed-horizon protocols; :mod:`repro.sim.reporting` builds the report
+tables and markdown documents.
 """
 
 from repro.sim.engine import Simulator, SimResult, StopCondition, WearSample
@@ -31,17 +31,7 @@ from repro.sim.metrics import (
 from repro.sim.reporting import (
     endurance_markdown_report,
     markdown_report,
-    save_endurance_report,
-    save_report,
     tenant_attribution_table,
-)
-from repro.sim.results import (
-    fig5_rows,
-    format_fig5,
-    format_overheads,
-    format_table4,
-    overhead_rows,
-    table4_rows,
 )
 
 __all__ = [
@@ -55,24 +45,16 @@ __all__ = [
     "TenantUsage",
     "WearSample",
     "endurance_markdown_report",
-    "fig5_rows",
     "first_failure_years",
-    "format_fig5",
-    "format_overheads",
-    "format_table4",
     "improvement_ratio",
     "increased_ratio",
     "logical_sectors_of",
     "make_base_trace",
     "markdown_report",
     "make_workload",
-    "overhead_rows",
     "run_fixed_horizon",
     "run_matrix",
     "run_until_first_failure",
-    "save_endurance_report",
-    "save_report",
-    "table4_rows",
     "tenant_attribution_table",
     "unevenness_of",
     "workload_params_for",

@@ -13,8 +13,9 @@ The request-application mechanics live in
 (:mod:`repro.service`).  The replay driver adds what the closed loop
 needs on top: the :class:`~repro.sim.core.StopCondition`-governed
 ``run()`` loop and durable checkpointing (see :mod:`repro.ckpt`).
-The historic names (``StopCondition``, ``WearSample``, ``SimResult``,
-the decimation defaults) are re-exported here unchanged.
+``StopCondition``, ``WearSample``, ``SimResult`` and the decimation
+defaults are defined there and re-exported here; the one place a
+``SimResult`` becomes a table or a document is :mod:`repro.sim.reporting`.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ tables so that a bench run prints rows directly comparable with the paper.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from typing import TextIO
 
 
@@ -18,57 +18,87 @@ def _stringify(cell: object) -> str:
     return str(cell)
 
 
+@dataclass(frozen=True)
+class Table:
+    """One report table: built once, rendered for the console or as markdown.
+
+    Both renderers print the same cell strings (floats trimmed to three
+    decimals), so a console table and its ``--report`` twin cannot drift.
+    """
+
+    headers: Sequence[str]
+    rows: Sequence[Sequence[object]]
+    title: str | None = None
+
+    def cells(self) -> list[list[str]]:
+        """The body cells as printed; rejects rows of the wrong width."""
+        ncols = len(self.headers)
+        materialized = [[_stringify(cell) for cell in row] for row in self.rows]
+        for row in materialized:
+            if len(row) != ncols:
+                raise ValueError(
+                    f"row has {len(row)} cells but the table has {ncols} columns: {row}"
+                )
+        return materialized
+
+    def text(self) -> str:
+        """An aligned monospace table under the title.
+
+        Column widths adapt to the content; numeric cells are
+        right-aligned, text cells left-aligned.
+        """
+        materialized = self.cells()
+        widths = [len(h) for h in self.headers]
+        for row in materialized:
+            for i, cell in enumerate(row):
+                widths[i] = max(widths[i], len(cell))
+
+        def is_numeric(text: str) -> bool:
+            stripped = text.rstrip("%")
+            try:
+                float(stripped)
+            except ValueError:
+                return False
+            return True
+
+        def fmt_row(cells: Sequence[str]) -> str:
+            parts = []
+            for i, cell in enumerate(cells):
+                if is_numeric(cell):
+                    parts.append(cell.rjust(widths[i]))
+                else:
+                    parts.append(cell.ljust(widths[i]))
+            return "| " + " | ".join(parts) + " |"
+
+        separator = "+-" + "-+-".join("-" * w for w in widths) + "-+"
+        lines = [self.title] if self.title else []
+        lines += [separator, fmt_row(self.headers), separator]
+        lines += [fmt_row(row) for row in materialized]
+        lines.append(separator)
+        return "\n".join(lines)
+
+    def markdown(self) -> str:
+        """A markdown pipe table (the title is the document's to place)."""
+        rule = ["---"] * len(self.headers)
+        return "\n".join(
+            "| " + " | ".join(row) + " |"
+            for row in [list(self.headers), rule, *self.cells()]
+        )
+
+
+def markdown_document(title: str, blocks: Iterable[str]) -> str:
+    """A markdown document: the H1, then blank-line-separated blocks."""
+    return "\n\n".join([f"# {title}", *blocks]) + "\n"
+
+
 def format_table(
     headers: Sequence[str],
     rows: Iterable[Sequence[object]],
     *,
     title: str | None = None,
 ) -> str:
-    """Render ``rows`` under ``headers`` as an aligned monospace table.
-
-    Column widths adapt to the content; numeric cells are right-aligned,
-    text cells left-aligned.  Returns the table as a single string.
-    """
-    materialized = [[_stringify(cell) for cell in row] for row in rows]
-    ncols = len(headers)
-    for row in materialized:
-        if len(row) != ncols:
-            raise ValueError(
-                f"row has {len(row)} cells but the table has {ncols} columns: {row}"
-            )
-    widths = [len(h) for h in headers]
-    for row in materialized:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-
-    def is_numeric(text: str) -> bool:
-        stripped = text.rstrip("%")
-        try:
-            float(stripped)
-        except ValueError:
-            return False
-        return True
-
-    def fmt_row(cells: Sequence[str]) -> str:
-        parts = []
-        for i, cell in enumerate(cells):
-            if is_numeric(cell):
-                parts.append(cell.rjust(widths[i]))
-            else:
-                parts.append(cell.ljust(widths[i]))
-        return "| " + " | ".join(parts) + " |"
-
-    separator = "+-" + "-+-".join("-" * w for w in widths) + "-+"
-    lines: list[str] = []
-    if title:
-        lines.append(title)
-    lines.append(separator)
-    lines.append(fmt_row(list(headers)))
-    lines.append(separator)
-    for row in materialized:
-        lines.append(fmt_row(row))
-    lines.append(separator)
-    return "\n".join(lines)
+    """``Table(headers, rows, title).text()`` for callers that hold rows."""
+    return Table(headers, list(rows), title).text()
 
 
 def render_table(
@@ -83,23 +113,4 @@ def render_table(
     Convenience for benches and examples; library code that needs the
     table as data should call :func:`format_table` directly.
     """
-    out = stream if stream is not None else sys.stdout
-    out.write(format_table(headers, rows, title=title) + "\n")
-
-
-def format_series(
-    name: str,
-    xs: Sequence[object],
-    ys: Sequence[object],
-    *,
-    x_label: str = "x",
-    y_label: str = "y",
-) -> str:
-    """Render one figure series (e.g., first-failure time vs k) as a table."""
-    if len(xs) != len(ys):
-        raise ValueError(f"series {name!r}: {len(xs)} xs but {len(ys)} ys")
-    return format_table(
-        [x_label, y_label],
-        [[x, y] for x, y in zip(xs, ys)],
-        title=name,
-    )
+    print(format_table(headers, rows, title=title), file=stream)

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.arena import DEFAULT_ROSTER, arena_report, roster_specs, run_arena
-from repro.arena.report import arena_console_table
+from repro.arena.report import leaderboard_table
 from repro.arena.tournament import DEFAULT_WORKLOADS, arena_waf
 from repro.sim.experiment import scaled_mlc2_geometry
 
@@ -111,7 +111,7 @@ class TestSmokeTournament:
             assert entry.label in report
 
     def test_console_table_renders(self, smoke_result):
-        table = arena_console_table(smoke_result)
+        table = leaderboard_table(smoke_result).text()
         assert "Policy arena leaderboard" in table
         assert "dual-pool" in table
 

@@ -19,7 +19,7 @@ from repro.array import (
 )
 from repro.core.config import SWLConfig
 from repro.fault.plan import FaultPlan
-from repro.flash.errors import FlashError, TranslationError
+from repro.flash.errors import FlashError, PowerLossError, TranslationError
 from repro.ftl.factory import StorageBackend, StorageStack, build_backend, build_stack
 from repro.sim.engine import Simulator, StopCondition
 from repro.sim.experiment import (
@@ -182,8 +182,6 @@ class TestSpanRouting:
 
     @pytest.mark.parametrize("cls", POLICIES)
     def test_compiled_dispatch_power_loss_accounting(self, cls):
-        from repro.flash.errors import PowerLossError
-
         rng = random.Random(37)
         for _ in range(200):
             shards = rng.randint(1, 5)
@@ -226,9 +224,9 @@ class TestSpanRouting:
 # The batched dispatcher
 # ----------------------------------------------------------------------
 class TestDispatcher:
-    def _array(self, small_geometry, channels=2, **kwargs):
+    def _array(self, small_geometry, channels=2, driver="ftl", **kwargs):
         return build_array(
-            small_geometry, "ftl", channels=channels, rng=make_rng(7), **kwargs
+            small_geometry, driver, channels=channels, rng=make_rng(7), **kwargs
         )
 
     def test_writes_fan_out_across_shards(self, small_geometry):
@@ -294,6 +292,48 @@ class TestDispatcher:
         else:  # an array validates the whole span before touching a shard
             assert caught.value.pages_done == 0
             assert (backend.layer_stats(), backend.busy_time) == (before, busy)
+
+    @pytest.mark.parametrize("driver, striping, batch", [
+        ("ftl", "page", range),    # the compiled page-interleaved dispatch
+        ("ftl", "range", range),   # the compiled contiguous-range dispatch
+        ("ftl", "page", list),     # the generic buffered dispatcher
+        ("nftl", "page", range),   # both, over the per-page shard entry
+        ("nftl", "page", list),
+    ])
+    def test_pages_done_counts_every_shard_on_any_flash_error(
+        self, small_geometry, driver, striping, batch
+    ):
+        """A batch ended by a flash error other than a power loss still
+        reports the pages the chips programmed: the earlier shards' plus
+        the failing shard's own (only PowerLossError used to)."""
+        array = self._array(
+            small_geometry, channels=4, driver=driver, striping=striping
+        )
+        if striping == "page":   # two pages per shard; shard 2 fails
+            span, failing, landed = range(8), 2, 2 + 2 + 1
+        else:                    # the tail of shard 0, the head of shard 1
+            per_shard = array.striping.pages_per_shard
+            span, failing, landed = range(per_shard - 2, per_shard + 2), 1, 3
+        array.write_pages(span)
+        array.write_pages(span)  # NFTL: every chain now appends to a replacement
+        # Behind the failing shard's back, use up the page after its next
+        # one, so it lands one page and then hits a non-free page.
+        victim = array.shards[failing]
+        if driver == "ftl":
+            block, page = victim.layer._host_frontier
+        else:
+            chain = victim.layer._chains[0]
+            block, page = chain.replacement, chain.repl_next
+        victim.flash.enforce_sequential_program = False
+        victim.flash.program(block, page + 1, lba=0)
+        programmed = sum(s.flash.counters.programs for s in array.shards)
+        with pytest.raises(FlashError) as caught:
+            array.write_pages(span if batch is range else list(span))
+        assert not isinstance(caught.value, PowerLossError)
+        assert caught.value.pages_done == landed
+        assert sum(
+            s.flash.counters.programs for s in array.shards
+        ) - programmed == landed
 
     def test_validation(self, small_geometry):
         shard = build_stack(small_geometry, "ftl")

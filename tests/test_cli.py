@@ -178,6 +178,29 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--rate", "0", "--requests", "50", "--days", "0.02",
+         "--blocks", "24", "--scale", "100"],
+        ["trace", "{out}", "--heatmap-interval", "0", "--hours", "0.1",
+         "--days", "0.02", "--blocks", "24", "--scale", "100"],
+        ["trace", "{out}", "--heatmap-interval", "-5", "--hours", "0.1",
+         "--days", "0.02", "--blocks", "24", "--scale", "100"],
+        ["simulate", "--scale", "3"],
+        ["simulate", "-T", "0", "--blocks", "24", "--scale", "100"],
+        ["simulate", "--blocks", "0"],
+    ], ids=["rate-0", "heatmap-interval-0", "heatmap-interval-negative",
+            "scale-3", "threshold-0", "blocks-0"])
+    def test_out_of_range_value_is_a_usage_error(self, argv, tmp_path, capsys):
+        # An explicit zero is a value, not "flag not given", and a value
+        # the library rejects is reported on one line with exit status 2.
+        argv = [arg.format(out=tmp_path / "artifacts") for arg in argv]
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1].startswith("repro: error: ")
+        assert "Traceback" not in captured.err and not captured.out
+
 
 class TestTraceCommand:
     def test_exports_artifact_set(self, tmp_path, capsys):

@@ -1,11 +1,10 @@
-"""Tests for experiment specs/runners and the paper-layout result tables."""
+"""Tests for experiment specs and runners."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.config import SWLConfig
-from repro.sim.engine import SimResult
 from repro.sim.experiment import (
     ExperimentSpec,
     logical_sectors_of,
@@ -17,15 +16,6 @@ from repro.sim.experiment import (
     scaled_mlc2_geometry,
     scaled_threshold,
     workload_params_for,
-)
-from repro.sim.metrics import EraseDistribution
-from repro.sim.results import (
-    fig5_rows,
-    format_fig5,
-    format_overheads,
-    format_table4,
-    overhead_rows,
-    table4_rows,
 )
 
 
@@ -141,57 +131,3 @@ class TestRunners:
         nftl_result = run_fixed_horizon(nftl_spec, trace, 3600.0, warmup=warmup)
         assert ftl_result.requests == nftl_result.requests
         assert ftl_result.pages_written == nftl_result.pages_written
-
-
-def _result(label, *, years=None, erases=100, copies=50, counts=(1, 2, 3)):
-    failure = None if years is None else years * 365 * 86_400.0
-    return SimResult(
-        label=label,
-        requests=10,
-        pages_written=10,
-        pages_read=0,
-        sim_time=failure or 1000.0,
-        first_failure_time=failure,
-        erase_distribution=EraseDistribution.from_counts(list(counts)),
-        total_erases=erases,
-        live_page_copies=copies,
-        gc_runs=5,
-        layer_stats={},
-    )
-
-
-class TestResultTables:
-    def test_table4_rows(self):
-        rows = table4_rows([_result("FTL", counts=(900, 900, 900))])
-        assert rows == [["FTL", 900, 0, 900]]
-        assert "Avg." in format_table4([_result("FTL")])
-
-    def test_fig5_rows_improvement(self):
-        baseline = _result("FTL", years=2.0)
-        swl = _result("FTL+SWL", years=3.0)
-        rows = fig5_rows(baseline, [swl])
-        assert rows[0][0] == "FTL"
-        assert rows[1][2] == "+50.0%"
-        assert "First failure" in format_fig5(baseline, [swl])
-
-    def test_fig5_rows_unfinished_run(self):
-        baseline = _result("FTL", years=2.0)
-        unfinished = _result("FTL+SWL", years=None)
-        rows = fig5_rows(baseline, [unfinished])
-        assert str(rows[1][1]).startswith(">")
-        assert rows[1][2] == "n/a"
-
-    def test_overhead_rows(self):
-        baseline = _result("NFTL", erases=1000, copies=2000)
-        swl = _result("NFTL+SWL", erases=1010, copies=2030)
-        rows = overhead_rows(baseline, [swl])
-        assert rows[0] == ["NFTL", 100.0, 100.0]
-        assert rows[1][1] == pytest.approx(101.0)
-        assert rows[1][2] == pytest.approx(101.5)
-        assert "Block erases" in format_overheads(baseline, [swl])
-
-    def test_overhead_rows_zero_copy_baseline(self):
-        baseline = _result("FTL", copies=0)
-        swl = _result("FTL+SWL", copies=10)
-        rows = overhead_rows(baseline, [swl])
-        assert rows[1][2] == float("inf")

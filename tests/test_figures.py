@@ -5,29 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis.figures import bar_chart, series_chart, sparkline, wear_map
-
-
-class TestBarChart:
-    def test_basic_render(self):
-        chart = bar_chart({"FTL": 100.0, "FTL+SWL": 105.7}, title="Fig")
-        lines = chart.splitlines()
-        assert lines[0] == "Fig"
-        assert "FTL    " in lines[1]
-        assert "105.7" in lines[2]
-
-    def test_baseline_shifts_origin(self):
-        chart = bar_chart({"a": 100.0, "b": 110.0}, baseline=100.0, width=10)
-        a_line, b_line = chart.splitlines()
-        assert a_line.count("█") == 0   # at the baseline: empty bar
-        assert b_line.count("█") == 10  # the max fills the width
-
-    def test_unit_suffix(self):
-        assert "7%" in bar_chart({"x": 7.0}, unit="%")
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            bar_chart({})
+from repro.analysis.figures import sparkline, wear_map
 
 
 class TestSparkline:
@@ -47,26 +25,6 @@ class TestSparkline:
     @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=50))
     def test_length_preserved(self, values):
         assert len(sparkline(values)) == len(values)
-
-
-class TestSeriesChart:
-    def test_figure5_layout(self):
-        chart = series_chart(
-            [0, 1, 2, 3],
-            {"T=100": [10, 9, 8, 8], "T=1000": [4, 4, 3, 3]},
-            title="Figure 5(a)",
-        )
-        assert "Figure 5(a)" in chart
-        assert "x = 0, 1, 2, 3" in chart
-        assert "T=100" in chart and "T=1000" in chart
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="points"):
-            series_chart([0, 1], {"s": [1.0]})
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            series_chart([0], {})
 
 
 class TestWearMap:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.sim.engine import SimResult, WearSample
 from repro.sim.metrics import EraseDistribution
-from repro.sim.reporting import markdown_report, save_report
+from repro.sim.reporting import markdown_report, replay_summary_table
 
 
 def make_result(label, *, failure_days=2.0, timeline=False, swl=False):
@@ -61,6 +61,15 @@ class TestMarkdownReport:
         report = markdown_report([make_result("A", failure_days=None)])
         assert "no failure" in report
 
+    def test_summary_row_without_a_failure(self):
+        # The console sweep table used to divide first_failure_time by
+        # DAY unguarded; the one builder both renderers share must not.
+        table = replay_summary_table(
+            [make_result("A"), make_result("B", failure_days=None)]
+        )
+        assert table.cells()[1][:3] == ["B", "> 1.00 d (no failure)", "n/a"]
+        assert "no failure" in table.text()
+
     def test_swl_stats_section(self):
         report = markdown_report([make_result("X", swl=True)])
         assert "SWL swl erases" in report
@@ -71,10 +80,13 @@ class TestMarkdownReport:
         assert "Wear evolution" in report
         assert "deviation `" in report
 
-    def test_save_report(self, tmp_path):
+    def test_save_report(self, tmp_path, capsys):
+        from repro.cli import _write_report
+
         path = tmp_path / "out.md"
-        save_report(str(path), [make_result("A")], title="T")
+        _write_report(str(path), markdown_report([make_result("A")], title="T"))
         assert path.read_text().startswith("# T")
+        assert str(path) in capsys.readouterr().out
 
 
 class TestCliReportFlag:
@@ -91,3 +103,69 @@ class TestCliReportFlag:
         assert "first-failure sweep" in text
         assert "NFTL+SWL+k=0+T=10" in text
         assert "markdown report written" in capsys.readouterr().out
+
+
+def _cells(line):
+    return [cell.strip() for cell in line.strip().strip("|").split("|")]
+
+
+def console_tables(text):
+    """(headers, rows) of every ``Table.text()`` rendering in ``text``."""
+    tables, rows, rules = [], [], 0
+    for line in text.splitlines():
+        if line.startswith("+-"):
+            rules += 1
+            if rules == 3:
+                tables.append((rows[0], rows[1:]))
+                rows, rules = [], 0
+        elif rules and line.startswith("|"):
+            rows.append(_cells(line))
+    return tables
+
+
+def markdown_tables(text):
+    """(headers, rows) of every pipe table in a markdown document."""
+    tables, rows = [], []
+    for line in text.splitlines() + [""]:
+        if line.startswith("|"):
+            rows.append(_cells(line))
+        elif rows:
+            tables.append((rows[0], rows[2:]))
+            rows = []
+    return tables
+
+
+TINY = ["--blocks", "24", "--scale", "100", "--seed", "3"]
+
+
+class TestConsoleMatchesReport:
+    """Every table a command prints is a table its ``--report`` file holds."""
+
+    @pytest.mark.parametrize("argv, tables", [
+        (["sweep", "--thresholds", "10", "--ks", "0", *TINY], 1),
+        (["sweep", "--thresholds", "10", "--ks", "0", "--resume", "{tmp}/camp",
+          *TINY], 2),
+        (["serve", "--compare", "--thresholds", "10", "--channels", "2",
+          "--requests", "500", "--days", "0.02", *TINY], 3),
+        (["endure", "--driver", "ftl", "--shapes", "hotspot", "--tenants", "2",
+          "--horizon-days", "0.02", "--tenant-requests", "1000", *TINY], 2),
+        (["faults", "--soak-writes", "200", "--loss-points", "2", *TINY], 2),
+        (["arena", "--levelers", "baseline", "swl", "--workloads", "hotspot",
+          "--horizon-days", "0.02", "--service-requests", "200", "--no-faults",
+          *TINY], 1),
+    ], ids=["sweep", "sweep-resume", "serve-compare", "endure-tenants",
+            "faults", "arena"])
+    def test_console_tables_are_the_report_tables(
+        self, argv, tables, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "report.md"
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main([*argv, "--report", str(path)]) == 0
+        printed = console_tables(capsys.readouterr().out)
+        written = markdown_tables(path.read_text())
+        assert len(printed) == tables
+        for table in printed:
+            assert table[1], "a printed table has no rows"
+            assert table in written

@@ -117,9 +117,13 @@ class TestSupervisedMatrix:
         monkeypatch.setattr(
             supervisor_module, "_disturbance", hang_first_attempt
         )
+        # The test waits out the timeout once, so it is set from the floor:
+        # an undisturbed attempt (worker start-up plus one cell) takes
+        # 0.5-1 s here, and a healthy attempt that overran would be killed
+        # too and show up as a third attempt.
         report = run_supervised_matrix(
             specs_pair(), shared_trace, workers=2,
-            policy=fast_policy(tmp_path / "camp", timeout=15.0),
+            policy=fast_policy(tmp_path / "camp", timeout=4.0),
         )
         assert report.ok
         hung = report.cells[0]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.util.rng import DEFAULT_SEED, make_rng, spawn_rng
-from repro.util.tables import format_series, format_table
+from repro.util.tables import format_table
 
 
 class TestFormatTable:
@@ -43,16 +43,6 @@ class TestFormatTable:
     def test_empty_rows_ok(self):
         text = format_table(["a"], [])
         assert "a" in text
-
-
-class TestFormatSeries:
-    def test_series(self):
-        text = format_series("s", [0, 1], [10, 20], x_label="k", y_label="years")
-        assert "k" in text and "years" in text and "20" in text
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="xs"):
-            format_series("s", [1], [1, 2])
 
 
 class TestRng:
