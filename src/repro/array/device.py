@@ -471,10 +471,7 @@ def build_array(
     if swl is not None and swl.enabled:
         levelers = [shard.leveler for shard in shards]
         assert all(leveler is not None for leveler in levelers)
-        if all(
-            getattr(leveler, "supports_coordination", False)
-            for leveler in levelers
-        ):
+        if all(leveler.supports_coordination for leveler in levelers):
             coordinator = WearCoordinator(swl.threshold, scope=swl_scope)
             for leveler in levelers:
                 coordinator.attach(leveler)

@@ -2,12 +2,13 @@
 
 * :mod:`repro.core.bet` — the Block Erasing Table (Section 3.2) and its
   dual-buffer persistent store.
-* :mod:`repro.core.leveler` — the SW Leveler running SWL-Procedure and
-  SWL-BETUpdate (Section 3.3, Algorithms 1-2).
+* :mod:`repro.core.leveler` — the ``WearLeveler`` base class (the driver
+  boundary every mechanism inherits) and the SW Leveler running
+  SWL-Procedure and SWL-BETUpdate (Section 3.3, Algorithms 1-2).
 * :mod:`repro.core.policies` — block-set selection and trigger policies,
   plus the :class:`LevelerSpec` mechanism registry behind the arena.
-* :mod:`repro.core.alternatives` — challenger mechanisms (dual-pool,
-  cache-based avoidance, software-only scrubbing).
+* :mod:`repro.core.alternatives` — challenger mechanisms on the same
+  base (dual-pool, cache-based avoidance, software-only scrubbing).
 * :mod:`repro.core.config` — declarative configuration and the paper's
   (k, T) sweep.
 """

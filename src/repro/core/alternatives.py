@@ -9,12 +9,12 @@ a threshold — precise, but with a RAM cost the paper's one-bit-per-set
 BET undercuts by 16-32x.
 
 Three challengers live here, all drop-ins for
-:class:`~repro.core.leveler.SWLeveler` at the driver boundary — same
-``on_block_erased`` / ``on_request`` / ``suspend`` / ``resume`` /
-``on_block_retired`` / ``snapshot_state`` / ``restore_state`` surface,
-same :class:`~repro.core.leveler.WearLevelingHost` usage — so
-:class:`~repro.core.policies.LevelerSpec` can build any of them into any
-harness:
+:class:`~repro.core.leveler.SWLeveler` at the driver boundary because
+they inherit it: :class:`~repro.core.leveler.WearLeveler` owns the
+clock, suspension with its deferred trigger, the cost-attributed forced
+recycle and the snapshot envelope, and each class below adds only its
+mechanism — so :class:`~repro.core.policies.LevelerSpec` can build any
+of them into any harness:
 
 * :class:`DualPoolLeveler` — the classic counter-based design (equal or
   better leveling quality, at ``num_blocks * 4`` bytes of RAM versus the
@@ -31,29 +31,14 @@ harness:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Any
 
-from repro.core.leveler import RequestClock, WearLevelingHost
+from repro.core.leveler import WearLeveler, WearLevelingHost
+from repro.core.policies import check_knobs
 
-
-def host_erase_counts(host: WearLevelingHost, num_blocks: int) -> list[int]:
-    """The live per-block erase-count list behind a translation layer.
-
-    Counter-based mechanisms share the chip's own array (4 bytes/block of
-    controller RAM in a real device).  The checkpoint machinery restores
-    chip counts in place, so the reference stays valid across restores.
-    """
-    counts = getattr(getattr(host, "mtd", None), "erase_counts", None)
-    if counts is None:
-        raise TypeError(
-            "host exposes no mtd.erase_counts; pass the erase-count list "
-            "to DualPoolLeveler directly"
-        )
-    if len(counts) != num_blocks:
-        raise ValueError(
-            f"host tracks {len(counts)} blocks, leveler expects {num_blocks}"
-        )
-    return counts
+if TYPE_CHECKING:
+    from repro.ftl.base import TranslationLayer
 
 
 @dataclass
@@ -66,15 +51,10 @@ class DualPoolStats:
     swl_copies: int = 0        #: copies attributable to leveling
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "checks": self.checks,
-            "swaps": self.swaps,
-            "swl_erases": self.swl_erases,
-            "swl_copies": self.swl_copies,
-        }
+        return asdict(self)
 
 
-class DualPoolLeveler:
+class DualPoolLeveler(WearLeveler):
     """Counter-based static wear leveling (Ban-patent style).
 
     Keeps the full per-block erase-count array (shared with the chip) and,
@@ -96,10 +76,8 @@ class DualPoolLeveler:
         Cold blocks evicted per triggered check.
     """
 
-    supports_coordination = False
-    intercepts_writes = False
-    #: Erase-driven only; arrays skip the per-request tick entirely.
-    _request_driven = False
+    kind = "dual-pool"
+    _config_fields = ("kind", "delta", "check_period", "batch", "num_blocks")
 
     def __init__(
         self,
@@ -110,32 +88,18 @@ class DualPoolLeveler:
         check_period: int = 64,
         batch: int = 1,
     ) -> None:
-        if delta <= 0:
-            raise ValueError(f"delta must be positive, got {delta}")
-        if check_period <= 0:
-            raise ValueError(f"check_period must be positive, got {check_period}")
-        if batch <= 0:
-            raise ValueError(f"batch must be positive, got {batch}")
+        check_knobs(delta=delta, check_period=check_period, batch=batch)
+        super().__init__(host, DualPoolStats())
         self.erase_counts = erase_counts
-        self.host = host
+        self.num_blocks = len(erase_counts)
         self.delta = delta
         self.check_period = check_period
         self.batch = batch
-        self.stats = DualPoolStats()
         self._erases_since_check = 0
-        self._suspended = 0
-        self._deferred = False
-        self._in_procedure = False
         #: Blocks permanently out of service; never selected as coldest
         #: (their frozen counts would otherwise pin the cold end forever).
         self._retired: set[int] = set()
-        #: Interface parity with SWLeveler; this mechanism never reads it,
-        #: but a DeviceArray installs its shared clock on every leveler.
-        self.clock = RequestClock()
 
-    # ------------------------------------------------------------------
-    # Driver-boundary surface (mirrors SWLeveler)
-    # ------------------------------------------------------------------
     @property
     def label(self) -> str:
         """Mechanism label for backend names, e.g. ``DP+d=32+p=64``."""
@@ -147,40 +111,24 @@ class DualPoolLeveler:
 
         Contrast with the BET (paper Table 1): one bit per 2^k blocks.
         """
-        return 4 * len(self.erase_counts)
+        return 4 * self.num_blocks
 
     def on_block_retired(self, block: int) -> None:
         """Exclude a grown-bad block from future coldest-block selection."""
         self._retired.add(block)
 
     def on_block_erased(self, block: int) -> None:
+        """Count erases; every ``check_period``-th one is the trigger."""
         if self._in_procedure:
             return
         self._erases_since_check += 1
-        if self._erases_since_check < self.check_period:
-            return
-        if self._suspended:
-            self._deferred = True
-            return
+        if self._erases_since_check >= self.check_period:
+            self._trigger_fired()
+
+    def _dispatch_trigger(self) -> None:
         self._erases_since_check = 0
         self._maybe_level()
 
-    def on_request(self, now: float | None = None) -> None:
-        """Kept for interface parity; this design is erase-driven only."""
-
-    def suspend(self) -> None:
-        self._suspended += 1
-
-    def resume(self) -> None:
-        if self._suspended <= 0:
-            raise RuntimeError("resume() without a matching suspend()")
-        self._suspended -= 1
-        if self._suspended == 0 and self._deferred:
-            self._deferred = False
-            self._erases_since_check = 0
-            self._maybe_level()
-
-    # ------------------------------------------------------------------
     def _maybe_level(self) -> None:
         self.stats.checks += 1
         counts = self.erase_counts
@@ -206,14 +154,7 @@ class DualPoolLeveler:
                 hottest = max(counts[block] for block in candidates)
                 if hottest - counts[coldest] < self.delta:
                     return
-                erases_before, copies_before = self.host.swl_cost_probe()
-                recycled = self.host.recycle_block_range(
-                    range(coldest, coldest + 1)
-                )
-                erases_after, copies_after = self.host.swl_cost_probe()
-                self.stats.swl_erases += erases_after - erases_before
-                self.stats.swl_copies += copies_after - copies_before
-                if not recycled:
+                if not self._forced_recycle(range(coldest, coldest + 1)):
                     # The coldest block was free: the host promoted it
                     # into the rotation without an erase.  That is not a
                     # swap, but it must not abort the whole batch either —
@@ -226,60 +167,21 @@ class DualPoolLeveler:
         finally:
             self._in_procedure = False
 
-    # ------------------------------------------------------------------
-    # Checkpointing (see repro.ckpt)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict[str, object]:
-        """Freeze the leveler's trigger phase, retirements, and counters.
+    def _snapshot_extra(self) -> dict[str, Any]:
+        """The trigger phase and the retirements.
 
         The erase-count array itself belongs to the chip and rides in the
         chip's snapshot; this mechanism shares the live list, which the
-        chip restores in place.  Snapshots are taken at request
-        boundaries, so no procedure is in flight and no suspension held.
+        chip restores in place.
         """
         return {
-            "kind": "dual-pool",
-            "delta": self.delta,
-            "check_period": self.check_period,
-            "batch": self.batch,
-            "num_blocks": len(self.erase_counts),
             "erases_since_check": self._erases_since_check,
-            "deferred": self._deferred,
             "retired": sorted(self._retired),
-            "stats": self.stats.as_dict(),
         }
 
-    def restore_state(self, state: dict[str, object]) -> None:
-        """Inverse of :meth:`snapshot_state`; rejects config mismatches."""
-        if state.get("kind") != "dual-pool":
-            raise ValueError(
-                f"leveler snapshot kind {state.get('kind')!r} does not "
-                f"match 'dual-pool'"
-            )
-        for field_name in ("delta", "check_period", "batch"):
-            if state[field_name] != getattr(self, field_name):
-                raise ValueError(
-                    f"leveler snapshot {field_name}={state[field_name]} "
-                    f"does not match {getattr(self, field_name)}"
-                )
-        if state["num_blocks"] != len(self.erase_counts):
-            raise ValueError(
-                f"leveler snapshot covers {state['num_blocks']} blocks, "
-                f"leveler tracks {len(self.erase_counts)}"
-            )
-        self._erases_since_check = int(state["erases_since_check"])  # type: ignore[arg-type]
-        self._deferred = bool(state["deferred"])
-        self._retired = set(state["retired"])  # type: ignore[arg-type]
-        stats = state["stats"]
-        assert isinstance(stats, dict)
-        self.stats = DualPoolStats(
-            checks=stats["checks"],
-            swaps=stats["swaps"],
-            swl_erases=stats["swl_erases"],
-            swl_copies=stats["swl_copies"],
-        )
-        self._suspended = 0
-        self._in_procedure = False
+    def _restore_extra(self, state: dict[str, Any]) -> None:
+        self._erases_since_check = int(state["erases_since_check"])
+        self._retired = set(state["retired"])
 
     def __repr__(self) -> str:
         return (
@@ -299,16 +201,11 @@ class CacheAvoidStats:
     resident: int = 0          #: dirty pages currently held in the cache
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "cache_hits": self.hits,
-            "cache_misses": self.misses,
-            "cache_evictions": self.evictions,
-            "cache_read_hits": self.read_hits,
-            "cache_resident": self.resident,
-        }
+        """The counters as report columns: ``cache_hits`` ... ``cache_resident``."""
+        return {f"cache_{name}": count for name, count in asdict(self).items()}
 
 
-class CacheAvoidLeveler:
+class CacheAvoidLeveler(WearLeveler):
     """Cache-based wear *avoidance* (Boukhobza-style write cache).
 
     Instead of moving cold data once wear skews, this mechanism prevents
@@ -325,12 +222,12 @@ class CacheAvoidLeveler:
     magnitude above any leveler's bookkeeping), and the dirty cached
     pages are volatile, so a power loss forfeits them (wear avoidance
     buys endurance at a crash-durability cost the BET never pays).
-    Erase-count feedback is not used; ``on_block_erased`` is a no-op.
+    Erase-count feedback is not used: no notification is overridden.
     """
 
-    supports_coordination = False
+    kind = "cache-avoid"
     intercepts_writes = True
-    _request_driven = False
+    _config_fields = ("kind", "capacity", "page_size")
 
     def __init__(
         self,
@@ -338,22 +235,14 @@ class CacheAvoidLeveler:
         cache_pages: int = 64,
         page_size: int = 2048,
     ) -> None:
-        if cache_pages <= 0:
-            raise ValueError(f"cache_pages must be positive, got {cache_pages}")
-        if page_size <= 0:
-            raise ValueError(f"page_size must be positive, got {page_size}")
+        check_knobs(cache_pages=cache_pages, page_size=page_size)
+        # No host: the stack hands the layer to host_write/host_read.
+        super().__init__(None, CacheAvoidStats())  # type: ignore[arg-type]
         self.capacity = cache_pages
         self.page_size = page_size
         #: Insertion-ordered dict as the LRU set: oldest first, MRU last.
         self._cache: dict[int, None] = {}
-        self.stats = CacheAvoidStats()
-        self._suspended = 0
-        self._in_procedure = False
-        self.clock = RequestClock()
 
-    # ------------------------------------------------------------------
-    # Driver-boundary surface (mirrors SWLeveler)
-    # ------------------------------------------------------------------
     @property
     def label(self) -> str:
         """Mechanism label for backend names, e.g. ``CACHE+64p``."""
@@ -364,30 +253,10 @@ class CacheAvoidLeveler:
         """Controller RAM: a page buffer plus a 4-byte tag per slot."""
         return self.capacity * (self.page_size + 4)
 
-    def on_block_erased(self, block: int) -> None:
-        """No erase-count feedback in this mechanism."""
-
-    def on_block_retired(self, block: int) -> None:
-        """Physical retirement does not touch the logical-page cache."""
-
-    def on_request(self, now: float | None = None) -> None:
-        clock = self.clock
-        clock.requests += 1
-        if now is not None:
-            clock.now = now
-
-    def suspend(self) -> None:
-        self._suspended += 1
-
-    def resume(self) -> None:
-        if self._suspended <= 0:
-            raise RuntimeError("resume() without a matching suspend()")
-        self._suspended -= 1
-
     # ------------------------------------------------------------------
     # Write-path interception (the mechanism itself)
     # ------------------------------------------------------------------
-    def host_write(self, layer: WearLevelingHost, lpn: int) -> None:
+    def host_write(self, layer: "TranslationLayer", lpn: int) -> None:
         """Absorb one host page write, flushing an LRU victim if full.
 
         A rewrite of a cached page is a pure hit: no flash program
@@ -408,53 +277,22 @@ class CacheAvoidLeveler:
             victim = next(iter(cache))
             del cache[victim]
             self.stats.evictions += 1
-            layer.write(victim)  # type: ignore[attr-defined]
+            layer.write(victim)
         self.stats.resident = len(cache)
 
-    def host_read(self, layer: WearLevelingHost, lpn: int) -> None:
+    def host_read(self, layer: "TranslationLayer", lpn: int) -> None:
         """Serve one host page read, preferring the dirty cached copy."""
         if lpn in self._cache:
             self.stats.read_hits += 1
             return
-        layer.read(lpn)  # type: ignore[attr-defined]
+        layer.read(lpn)
 
-    # ------------------------------------------------------------------
-    # Checkpointing (see repro.ckpt)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict[str, object]:
-        """Freeze the cache contents (in LRU order) and the counters."""
-        return {
-            "kind": "cache-avoid",
-            "capacity": self.capacity,
-            "page_size": self.page_size,
-            "cache": list(self._cache),
-            "stats": self.stats.as_dict(),
-        }
+    def _snapshot_extra(self) -> dict[str, Any]:
+        """The cached logical pages, in LRU order."""
+        return {"cache": list(self._cache)}
 
-    def restore_state(self, state: dict[str, object]) -> None:
-        """Inverse of :meth:`snapshot_state`; rejects config mismatches."""
-        if state.get("kind") != "cache-avoid":
-            raise ValueError(
-                f"leveler snapshot kind {state.get('kind')!r} does not "
-                f"match 'cache-avoid'"
-            )
-        if state["capacity"] != self.capacity:
-            raise ValueError(
-                f"leveler snapshot capacity {state['capacity']} does not "
-                f"match {self.capacity}"
-            )
-        self._cache = {int(lpn): None for lpn in state["cache"]}  # type: ignore[union-attr]
-        stats = state["stats"]
-        assert isinstance(stats, dict)
-        self.stats = CacheAvoidStats(
-            hits=stats["cache_hits"],
-            misses=stats["cache_misses"],
-            evictions=stats["cache_evictions"],
-            read_hits=stats["cache_read_hits"],
-            resident=stats["cache_resident"],
-        )
-        self._suspended = 0
-        self._in_procedure = False
+    def _restore_extra(self, state: dict[str, Any]) -> None:
+        self._cache = {int(lpn): None for lpn in state["cache"]}
 
     def __repr__(self) -> str:
         return (
@@ -474,16 +312,10 @@ class SoftWearStats:
     swl_copies: int = 0        #: copies attributable to scrubbing
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "scrubs": self.scrubs,
-            "moves": self.moves,
-            "skipped_free": self.skipped_free,
-            "swl_erases": self.swl_erases,
-            "swl_copies": self.swl_copies,
-        }
+        return asdict(self)
 
 
-class SoftWearLeveler:
+class SoftWearLeveler(WearLeveler):
     """Software-only static wear leveling (SoftWear-style).
 
     The mechanism a host-side driver can run with *no* wear feedback
@@ -499,9 +331,9 @@ class SoftWearLeveler:
     (``num_blocks / span_blocks`` periods) rather than by a threshold.
     """
 
-    supports_coordination = False
-    intercepts_writes = False
+    kind = "softwear"
     _request_driven = True
+    _config_fields = ("kind", "period_requests", "span_blocks", "num_blocks")
 
     def __init__(
         self,
@@ -511,31 +343,20 @@ class SoftWearLeveler:
         period_requests: int = 256,
         span_blocks: int = 1,
     ) -> None:
-        if num_blocks <= 0:
-            raise ValueError(f"num_blocks must be positive, got {num_blocks}")
-        if period_requests <= 0:
-            raise ValueError(
-                f"period_requests must be positive, got {period_requests}"
-            )
-        if span_blocks <= 0:
-            raise ValueError(f"span_blocks must be positive, got {span_blocks}")
+        check_knobs(
+            num_blocks=num_blocks,
+            period_requests=period_requests,
+            span_blocks=span_blocks,
+        )
+        super().__init__(host, SoftWearStats())
         self.num_blocks = num_blocks
-        self.host = host
         self.period_requests = period_requests
         self.span_blocks = span_blocks
         self.cursor = 0
-        self.stats = SoftWearStats()
-        self.clock = RequestClock()
-        self._suspended = 0
-        self._deferred = False
-        self._in_procedure = False
         #: Bucket 0 covers requests [0, n): never scrub an idle device.
         self._last_bucket = 0
         self._retired: set[int] = set()
 
-    # ------------------------------------------------------------------
-    # Driver-boundary surface (mirrors SWLeveler)
-    # ------------------------------------------------------------------
     @property
     def label(self) -> str:
         """Mechanism label, e.g. ``SOFTWEAR+n=256+s=1``."""
@@ -546,45 +367,22 @@ class SoftWearLeveler:
         """Controller RAM: the cyclic cursor and the request counter."""
         return 8
 
-    def on_block_erased(self, block: int) -> None:
-        """Software-only: the mechanism cannot observe device erases."""
-
     def on_block_retired(self, block: int) -> None:
         """Skip a grown-bad block on every future cursor pass."""
         self._retired.add(block)
 
-    def on_request(self, now: float | None = None) -> None:
-        clock = self.clock
-        clock.requests += 1
-        if now is not None:
-            clock.now = now
-        if not self._in_procedure:
-            self._request_tick()
-
     def _request_tick(self) -> None:
-        """Scrub once per ``period_requests`` bucket of host requests."""
+        """Scrub once per ``period_requests`` bucket of host requests.
+
+        Software-only: device erases are invisible (``on_block_erased``
+        stays the base's no-op), so the request count is the only trigger.
+        """
         bucket = self.clock.requests // self.period_requests
-        if bucket == self._last_bucket:
-            return
-        self._last_bucket = bucket
-        if self._suspended:
-            self._deferred = True
-            return
-        self._scrub()
+        if bucket != self._last_bucket:
+            self._last_bucket = bucket
+            self._trigger_fired()
 
-    def suspend(self) -> None:
-        self._suspended += 1
-
-    def resume(self) -> None:
-        if self._suspended <= 0:
-            raise RuntimeError("resume() without a matching suspend()")
-        self._suspended -= 1
-        if self._suspended == 0 and self._deferred:
-            self._deferred = False
-            self._scrub()
-
-    # ------------------------------------------------------------------
-    def _scrub(self) -> None:
+    def _dispatch_trigger(self) -> None:
         """Force-recycle the next ``span_blocks`` live blocks at the cursor."""
         self._in_procedure = True
         try:
@@ -596,14 +394,7 @@ class SoftWearLeveler:
                 visited += 1
                 if block in self._retired:
                     continue
-                erases_before, copies_before = self.host.swl_cost_probe()
-                recycled = self.host.recycle_block_range(
-                    range(block, block + 1)
-                )
-                erases_after, copies_after = self.host.swl_cost_probe()
-                self.stats.swl_erases += erases_after - erases_before
-                self.stats.swl_copies += copies_after - copies_before
-                if recycled:
+                if self._forced_recycle(range(block, block + 1)):
                     self.stats.moves += 1
                 else:
                     self.stats.skipped_free += 1
@@ -612,55 +403,18 @@ class SoftWearLeveler:
         finally:
             self._in_procedure = False
 
-    # ------------------------------------------------------------------
-    # Checkpointing (see repro.ckpt)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict[str, object]:
-        """Freeze the cursor, trigger bucket, clock, and counters."""
+    def _snapshot_extra(self) -> dict[str, Any]:
+        """The cursor, the trigger bucket and the retirements."""
         return {
-            "kind": "softwear",
-            "period_requests": self.period_requests,
-            "span_blocks": self.span_blocks,
-            "num_blocks": self.num_blocks,
             "cursor": self.cursor,
             "last_bucket": self._last_bucket,
-            "deferred": self._deferred,
             "retired": sorted(self._retired),
-            "requests_seen": self.clock.requests,
-            "now": self.clock.now,
-            "stats": self.stats.as_dict(),
         }
 
-    def restore_state(self, state: dict[str, object]) -> None:
-        """Inverse of :meth:`snapshot_state`; rejects config mismatches."""
-        if state.get("kind") != "softwear":
-            raise ValueError(
-                f"leveler snapshot kind {state.get('kind')!r} does not "
-                f"match 'softwear'"
-            )
-        for field_name in ("period_requests", "span_blocks", "num_blocks"):
-            if state[field_name] != getattr(self, field_name):
-                raise ValueError(
-                    f"leveler snapshot {field_name}={state[field_name]} "
-                    f"does not match {getattr(self, field_name)}"
-                )
-        self.cursor = int(state["cursor"])  # type: ignore[arg-type]
-        self._last_bucket = int(state["last_bucket"])  # type: ignore[arg-type]
-        self._deferred = bool(state["deferred"])
-        self._retired = set(state["retired"])  # type: ignore[arg-type]
-        self.clock.requests = int(state["requests_seen"])  # type: ignore[arg-type]
-        self.clock.now = float(state["now"])  # type: ignore[arg-type]
-        stats = state["stats"]
-        assert isinstance(stats, dict)
-        self.stats = SoftWearStats(
-            scrubs=stats["scrubs"],
-            moves=stats["moves"],
-            skipped_free=stats["skipped_free"],
-            swl_erases=stats["swl_erases"],
-            swl_copies=stats["swl_copies"],
-        )
-        self._suspended = 0
-        self._in_procedure = False
+    def _restore_extra(self, state: dict[str, Any]) -> None:
+        self.cursor = int(state["cursor"])
+        self._last_bucket = int(state["last_bucket"])
+        self._retired = set(state["retired"])
 
     def __repr__(self) -> str:
         return (

@@ -22,9 +22,12 @@ goal ("without many modifications to popular implementation designs").
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import random
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING, Any, Protocol
 
 from repro.core.bet import BetStore, BlockErasingTable
 from repro.core.policies import (
@@ -32,6 +35,7 @@ from repro.core.policies import (
     SelectionPolicy,
     SequentialSelection,
     TriggerPolicy,
+    check_knobs,
 )
 from repro.obs.bus import M_BET_RESET, M_SWL_INVOKE
 from repro.obs.events import BetReset as BetResetEvent
@@ -41,11 +45,22 @@ from repro.util.rng import make_rng, rng_state_from_json, rng_state_to_json
 
 if TYPE_CHECKING:
     from repro.array.coordinator import WearCoordinator
+    from repro.flash.geometry import FlashGeometry
+    from repro.flash.mtd import MtdDevice
     from repro.obs.bus import BusLike
 
 
 class WearLevelingHost(Protocol):
-    """What the SW Leveler needs from a Flash Translation Layer driver."""
+    """What a wear leveler needs from a Flash Translation Layer driver.
+
+    The paper's leveler calls only the two methods; ``mtd`` and
+    ``geometry`` are what the registry reads to build a challenger (the
+    live ``mtd.erase_counts`` list a counter-based mechanism shares,
+    ``geometry.page_size`` for a page cache).
+    """
+
+    mtd: "MtdDevice"
+    geometry: "FlashGeometry"
 
     def recycle_block_range(self, blocks: range) -> int:
         """Garbage collect every block in ``blocks`` (EraseBlockSet).
@@ -67,19 +82,44 @@ class WearLevelingHost(Protocol):
         ...
 
 
-class WearLeveler(Protocol):
-    """The driver-boundary surface every wear-leveling mechanism presents.
+class RequestClock:
+    """Request counter and host clock a leveler's trigger policy reads.
+
+    Standalone stacks give every leveler its own clock; a
+    :class:`~repro.array.DeviceArray` installs one *shared* instance
+    across its shard levelers, because each of them observes every host
+    request anyway — one ``requests += 1`` then replaces one store per
+    shard on the per-request hot path, with identical counter values.
+    """
+
+    __slots__ = ("requests", "now")
+
+    def __init__(self) -> None:
+        self.requests = 0
+        self.now = 0.0
+
+
+class WearLeveler(ABC):
+    """The driver boundary of every wear-leveling mechanism, stated once.
 
     :class:`SWLeveler` (the paper's design) and every challenger in
-    :mod:`repro.core.alternatives` implement this protocol, so the
-    translation layers, the device array, the checkpoint machinery, and
-    the policy arena can drive any mechanism interchangeably — the
+    :mod:`repro.core.alternatives` inherit this class, so the translation
+    layers, the device array, the checkpoint machinery and the policy
+    arena drive any mechanism through plain attributes of one type — the
     pluggability :class:`~repro.core.policies.LevelerSpec` builds on.
+
+    The base owns the ``host``, the :class:`RequestClock`, nested
+    :meth:`suspend`/:meth:`resume` replaying one deferred trigger through
+    :meth:`_dispatch_trigger`, :meth:`on_request`, no-op notifications,
+    the cost-attributed :meth:`_forced_recycle` and the snapshot envelope.
+    A mechanism supplies ``kind``, ``label``, ``ram_bytes`` and a ``stats``
+    dataclass (with ``swl_erases``/``swl_copies`` if it force-recycles),
+    and overrides only the notifications it acts on.
 
     Two class-level capability flags steer the wiring:
 
     ``supports_coordination``
-        ``True`` only for BET-carrying levelers a
+        ``True`` only for BET-carrying levelers (``leveler.bet``) that a
         :class:`~repro.array.coordinator.WearCoordinator` can read.
     ``intercepts_writes``
         ``True`` for mechanisms that sit *on* the host write path (the
@@ -88,32 +128,177 @@ class WearLeveler(Protocol):
         translation layer directly.
     """
 
-    supports_coordination: bool
-    intercepts_writes: bool
+    #: Registry name of the mechanism (``LevelerSpec.kind``).
+    kind: str
+    supports_coordination = False
+    intercepts_writes = False
+    #: ``True`` when :meth:`_request_tick` must run at every request edge.
+    #: A flag, so the erase-driven default exits :meth:`on_request` on an
+    #: attribute test; an array skips its shard loop when none is set.
+    _request_driven = False
+    #: Attributes a snapshot records as they are and :meth:`restore_state`
+    #: requires to be equal (the knobs; ``kind`` where the image names it).
+    _config_fields: tuple[str, ...] = ()
+
+    def __init__(self, host: WearLevelingHost, stats: Any) -> None:
+        self.host = host
+        self.stats = stats
+        #: Request/time counters; an array swaps in a shared instance.
+        self.clock = RequestClock()
+        self._in_procedure = False
+        self._suspended = 0
+        self._deferred_check = False
 
     @property
+    @abstractmethod
     def label(self) -> str:
         """Mechanism label composed into backend names."""
-        ...
 
     @property
+    @abstractmethod
     def ram_bytes(self) -> int:
         """Controller RAM footprint of the mechanism's bookkeeping."""
-        ...
 
-    def on_block_erased(self, block: int) -> None: ...
+    # ------------------------------------------------------------------
+    # Host-facing notifications (no-ops unless the mechanism uses them)
+    # ------------------------------------------------------------------
+    def on_block_erased(self, block: int) -> None:
+        """The Cleaner erased ``block`` (every erase, forced ones included)."""
 
-    def on_block_retired(self, block: int) -> None: ...
+    def on_block_retired(self, block: int) -> None:
+        """``block`` left service permanently (grown bad / worn out)."""
 
-    def on_request(self, now: float | None = None) -> None: ...
+    def attach_bus(self, bus: "BusLike | None") -> None:
+        """Emit telemetry on ``bus``; mechanisms without events stay silent."""
 
-    def suspend(self) -> None: ...
+    def persist(self, store: BetStore) -> None:
+        """Save media-resident state; RAM-only mechanisms have none."""
 
-    def resume(self) -> None: ...
+    def restore(self, store: BetStore) -> bool:
+        """Reload what :meth:`persist` saved; ``False`` when nothing was."""
+        return False
 
-    def snapshot_state(self) -> dict[str, object]: ...
+    def on_request(self, now: float | None = None) -> None:
+        """Advance request/time counters for request- and timer-triggers.
 
-    def restore_state(self, state: dict[str, object]) -> None: ...
+        A :class:`~repro.array.DeviceArray` advances the (shared)
+        :class:`RequestClock` once for all shard levelers and calls
+        :meth:`_request_tick` directly — keep the two paths in step.
+        """
+        clock = self.clock
+        clock.requests += 1
+        if now is not None:
+            clock.now = now
+        if self._request_driven and not self._in_procedure:
+            self._request_tick()
+
+    def _request_tick(self) -> None:
+        """Evaluate a request- or timer-driven trigger at a request edge."""
+
+    # ------------------------------------------------------------------
+    # Suspension: the host defers leveling while inside its own GC/merge
+    # ------------------------------------------------------------------
+    @property
+    def in_procedure(self) -> bool:
+        """``True`` while the mechanism is force-recycling blocks."""
+        return self._in_procedure
+
+    @property
+    def suspended(self) -> bool:
+        """``True`` while the host driver has procedure runs deferred."""
+        return self._suspended > 0
+
+    def suspend(self) -> None:
+        """Defer procedure runs (the host is inside its own GC/merge).
+
+        Erase bookkeeping continues; a trigger that fires meanwhile is
+        remembered and replayed by :meth:`resume`.  Calls nest.
+        """
+        self._suspended += 1
+
+    def resume(self) -> None:
+        """Re-enable procedure runs and replay any deferred trigger."""
+        if self._suspended <= 0:
+            raise RuntimeError("resume() without a matching suspend()")
+        self._suspended -= 1
+        if self._suspended == 0 and self._deferred_check:
+            self._deferred_check = False
+            self._dispatch_trigger()
+
+    def _trigger_fired(self) -> None:
+        """Act on a fired trigger now, or at the outermost :meth:`resume`."""
+        if self._suspended:
+            self._note_deferred()
+        else:
+            self._dispatch_trigger()
+
+    def _note_deferred(self) -> None:
+        """Remember a trigger deferred by suspension."""
+        self._deferred_check = True
+
+    def _dispatch_trigger(self) -> None:
+        """The mechanism's response to a fired (or replayed) trigger."""
+
+    def _forced_recycle(self, blocks: range) -> int:
+        """EraseBlockSet over ``blocks``, its cost charged to the mechanism.
+
+        The erase and live-copy deltas around the call land in
+        ``stats.swl_erases``/``stats.swl_copies`` (the quantities behind
+        paper Figures 6 and 7).  Returns the blocks actually recycled.
+        """
+        host = self.host
+        erases_before, copies_before = host.swl_cost_probe()
+        recycled = host.recycle_block_range(blocks)
+        erases_after, copies_after = host.swl_cost_probe()
+        self.stats.swl_erases += erases_after - erases_before
+        self.stats.swl_copies += copies_after - copies_before
+        return recycled
+
+    # ------------------------------------------------------------------
+    # Checkpointing (see repro.ckpt)
+    # ------------------------------------------------------------------
+    def snapshot_state(self) -> dict[str, Any]:
+        """Freeze the leveler: knobs, deferred trigger, clock, counters.
+
+        Snapshots are taken at request boundaries, where no procedure is
+        in flight and no suspension is held, so only the deferred trigger
+        survives; mechanism state comes from :meth:`_snapshot_extra`.
+        """
+        state = {name: getattr(self, name) for name in self._config_fields}
+        state["deferred_check"] = self._deferred_check
+        state["requests_seen"] = self.clock.requests
+        state["now"] = self.clock.now
+        state["stats"] = dataclasses.asdict(self.stats)
+        state.update(self._snapshot_extra())
+        return state
+
+    def restore_state(self, state: dict[str, Any]) -> None:
+        """Inverse of :meth:`snapshot_state`; rejects config mismatches.
+
+        An image of another mechanism lacks this one's knobs (or names
+        another ``kind``), so it is refused like a changed knob.
+        """
+        for name in self._config_fields:
+            if state.get(name) != getattr(self, name):
+                raise ValueError(
+                    f"leveler snapshot {name}={state.get(name)!r} does not "
+                    f"match {getattr(self, name)!r}"
+                )
+        self._restore_extra(state)
+        self._deferred_check = bool(state["deferred_check"])
+        self.clock.requests = state["requests_seen"]
+        self.clock.now = state["now"]
+        # Copied, so a restored leveler never shares a list with the image.
+        self.stats = dataclasses.replace(self.stats, **copy.deepcopy(state["stats"]))
+        self._in_procedure = False
+        self._suspended = 0
+
+    def _snapshot_extra(self) -> dict[str, Any]:
+        """Mechanism state beyond the envelope (JSON-friendly)."""
+        return {}
+
+    def _restore_extra(self, state: dict[str, Any]) -> None:
+        """Validate, then restore, what :meth:`_snapshot_extra` froze."""
 
 
 #: ``findex_history`` length bound.  When recording would grow past it,
@@ -169,24 +354,7 @@ class SWLStats:
         }
 
 
-class RequestClock:
-    """Request counter and host clock a leveler's trigger policy reads.
-
-    Standalone stacks give every leveler its own clock; a
-    :class:`~repro.array.DeviceArray` installs one *shared* instance
-    across its shard levelers, because each of them observes every host
-    request anyway — one ``requests += 1`` then replaces one store per
-    shard on the per-request hot path, with identical counter values.
-    """
-
-    __slots__ = ("requests", "now")
-
-    def __init__(self) -> None:
-        self.requests = 0
-        self.now = 0.0
-
-
-class SWLeveler:
+class SWLeveler(WearLeveler):
     """Static wear leveler (SW Leveler) for a Flash Translation Layer.
 
     Parameters
@@ -210,13 +378,13 @@ class SWLeveler:
         (Algorithm 1, step 6); seeded deterministically when omitted.
     """
 
+    kind = "swl"
     #: The BET exposes per-set unevenness to an array-level
-    #: :class:`~repro.array.coordinator.WearCoordinator`; counter-free
-    #: challengers (see :mod:`repro.core.alternatives`) set this False.
+    #: :class:`~repro.array.coordinator.WearCoordinator`.
     supports_coordination = True
-    #: This mechanism never sits on the host write path (contrast the
-    #: cache-avoidance challenger, which does).
-    intercepts_writes = False
+    #: The image names no ``kind``: its shape predates the registry and
+    #: its digest is pinned (``tests/test_ckpt.py``).
+    _config_fields = ("threshold",)
 
     def __init__(
         self,
@@ -229,9 +397,8 @@ class SWLeveler:
         trigger: TriggerPolicy | None = None,
         rng: random.Random | None = None,
     ) -> None:
-        if threshold <= 0:
-            raise ValueError(f"threshold T must be positive, got {threshold}")
-        self.host = host
+        check_knobs(threshold=threshold, k=k)
+        super().__init__(host, SWLStats())
         self.threshold = threshold
         self.bet = BlockErasingTable(num_blocks, k)
         self.selection = selection or SequentialSelection()
@@ -240,17 +407,11 @@ class SWLeveler:
         #: Cyclic scan cursor of Algorithm 1 ("the index in the selection
         #: of a block set for static wear leveling").
         self.findex = 0
-        self.stats = SWLStats()
         #: Flag indices whose block sets contain at least one retired
         #: (grown-bad) block.  They are kept permanently set — re-marked
         #: after every BET reset and restore — so SWL-Procedure's zero-flag
         #: scan never selects a retired set for forced recycling.
         self._retired_flags: set[int] = set()
-        self._in_procedure = False
-        self._suspended = 0
-        self._deferred_check = False
-        #: Request/time counters; an array swaps in a shared instance.
-        self.clock = RequestClock()
         #: Array-scale coordination hook.  ``None`` (standalone stacks)
         #: keeps the paper's behaviour: every fired trigger evaluates this
         #: leveler's own threshold.  A :class:`~repro.array.coordinator.
@@ -274,7 +435,8 @@ class SWLeveler:
 
         The Cleaner invokes this on *every* block erase, including erases
         the leveler itself caused; re-entrant procedure runs are suppressed
-        so forced recycles update the BET without recursing.
+        so forced recycles update the BET without recursing.  (Once per
+        erase: ``_trigger_fired`` is spelled out here, not called.)
         """
         self.bet.record_erase(block)
         if self._in_procedure:
@@ -289,7 +451,7 @@ class SWLeveler:
                 self._dispatch_trigger()
 
     def _note_deferred(self) -> None:
-        """Remember a trigger deferred by suspension (and when it fired)."""
+        """Remember a deferred trigger, and the ``ecnt`` it first fired at."""
         self._deferred_check = True
         if self._deferred_at_ecnt is None:
             self._deferred_at_ecnt = self.bet.ecnt
@@ -300,33 +462,6 @@ class SWLeveler:
             self.coordinator.on_trigger(self)
         else:
             self.maybe_run()
-
-    @property
-    def in_procedure(self) -> bool:
-        """``True`` while SWL-Procedure is running on this leveler."""
-        return self._in_procedure
-
-    @property
-    def suspended(self) -> bool:
-        """``True`` while the host driver has procedure runs deferred."""
-        return self._suspended > 0
-
-    def suspend(self) -> None:
-        """Defer procedure runs (the host is inside its own GC/merge).
-
-        BET updates continue; the threshold check is remembered and
-        re-evaluated at :meth:`resume` so no trigger is lost.  Calls nest.
-        """
-        self._suspended += 1
-
-    def resume(self) -> None:
-        """Re-enable procedure runs and replay any deferred trigger check."""
-        if self._suspended <= 0:
-            raise RuntimeError("resume() without a matching suspend()")
-        self._suspended -= 1
-        if self._suspended == 0 and self._deferred_check:
-            self._deferred_check = False
-            self._dispatch_trigger()
 
     def on_block_retired(self, block: int) -> None:
         """A block left service permanently (grown bad / worn out).
@@ -380,30 +515,12 @@ class SWLeveler:
         # not an isinstance.
         self._request_driven = not isinstance(policy, OnEraseTrigger)
 
-    def on_request(self, now: float | None = None) -> None:
-        """Advance request/time counters for request- and timer-triggers.
-
-        A :class:`~repro.array.DeviceArray` advances the (shared)
-        :class:`RequestClock` once for all shard levelers and calls
-        :meth:`_request_tick` directly — keep the two paths in step.
-        """
-        clock = self.clock
-        clock.requests += 1
-        if now is not None:
-            clock.now = now
-        if self._request_driven and not self._in_procedure:
-            self._request_tick()
-
     def _request_tick(self) -> None:
-        """Evaluate a request- or timer-driven trigger at a request edge."""
         clock = self.clock
         if self._trigger.should_check(
             erases=self.bet.ecnt, requests=clock.requests, now=clock.now
         ):
-            if self._suspended:
-                self._note_deferred()
-            else:
-                self._dispatch_trigger()
+            self._trigger_fired()
 
     # ------------------------------------------------------------------
     # Algorithm 1 — SWL-Procedure
@@ -493,16 +610,11 @@ class SWLeveler:
     def _erase_block_set(self, findex: int) -> None:
         """Step 11: request garbage collection over the selected block set.
 
-        Overhead deltas around the call are attributed to static wear
-        leveling.  If the host recycled nothing (the set was entirely free
-        blocks) the flag is set directly so the scan makes progress — see
+        If the host recycled nothing (the set was entirely free blocks)
+        the flag is set directly so the scan makes progress — see
         DESIGN.md for the rationale of this deviation.
         """
-        erases_before, copies_before = self.host.swl_cost_probe()
-        recycled = self.host.recycle_block_range(self.bet.blocks_in_set(findex))
-        erases_after, copies_after = self.host.swl_cost_probe()
-        self.stats.swl_erases += erases_after - erases_before
-        self.stats.swl_copies += copies_after - copies_before
+        recycled = self._forced_recycle(self.bet.blocks_in_set(findex))
         self.stats.record_findex(findex)
         if recycled:
             self.stats.forced_recycles += 1
@@ -540,19 +652,14 @@ class SWLeveler:
     # ------------------------------------------------------------------
     # Checkpointing (see repro.ckpt)
     # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict[str, object]:
-        """Freeze the leveler: BET image, cursor, RNG stream, statistics.
+    def _snapshot_extra(self) -> dict[str, Any]:
+        """BET image, cursor, RNG stream, policies, retirements.
 
         The BET rides as its own CRC-guarded image (:meth:`BlockErasingTable.
         to_bytes`), hex-encoded for the JSON payload; ``resets`` is carried
-        separately because the image format predates the counter.  Snapshots
-        are taken at request boundaries, where no procedure is in flight and
-        no suspension is held, so only the deferred-trigger bookkeeping
-        needs to survive.
+        separately because the image format predates the counter.
         """
-        stats = self.stats
         return {
-            "threshold": self.threshold,
             "bet": self.bet.to_bytes().hex(),
             "bet_resets": self.bet.resets,
             "findex": self.findex,
@@ -567,77 +674,35 @@ class SWLeveler:
                 "state": self._trigger.snapshot_state(),
             },
             "retired_flags": sorted(self._retired_flags),
-            "deferred_check": self._deferred_check,
             "deferred_at_ecnt": self._deferred_at_ecnt,
-            "requests_seen": self.clock.requests,
-            "now": self.clock.now,
-            "stats": {
-                "procedure_runs": stats.procedure_runs,
-                "procedure_checks": stats.procedure_checks,
-                "forced_recycles": stats.forced_recycles,
-                "direct_marks": stats.direct_marks,
-                "swl_erases": stats.swl_erases,
-                "swl_copies": stats.swl_copies,
-                "bet_resets": stats.bet_resets,
-                "findex_history": list(stats.findex_history),
-                "findex_seen": stats.findex_seen,
-                "findex_stride": stats.findex_stride,
-            },
         }
 
-    def restore_state(self, state: dict[str, object]) -> None:
-        """Inverse of :meth:`snapshot_state`; rejects config mismatches."""
-        if state["threshold"] != self.threshold:
-            raise ValueError(
-                f"leveler snapshot threshold {state['threshold']} does not "
-                f"match {self.threshold}"
-            )
-        bet, _sequence = BlockErasingTable.from_bytes(
-            bytes.fromhex(state["bet"])  # type: ignore[arg-type]
-        )
+    def _restore_extra(self, state: dict[str, Any]) -> None:
+        bet, _sequence = BlockErasingTable.from_bytes(bytes.fromhex(state["bet"]))
         if bet.num_blocks != self.bet.num_blocks or bet.k != self.bet.k:
             raise ValueError(
                 f"leveler snapshot BET geometry ({bet.num_blocks} blocks, "
                 f"k={bet.k}) does not match ({self.bet.num_blocks} blocks, "
                 f"k={self.bet.k})"
             )
-        bet.resets = state["bet_resets"]  # type: ignore[assignment]
+        bet.resets = state["bet_resets"]
         if state["selection"] != self.selection.name:
             raise ValueError(
                 f"leveler snapshot selection policy {state['selection']!r} "
                 f"does not match {self.selection.name!r}"
             )
-        trigger_state = state["trigger"]  # type: ignore[assignment]
-        if trigger_state["kind"] != self._trigger.name:  # type: ignore[index]
+        trigger_state = state["trigger"]
+        if trigger_state["kind"] != self._trigger.name:
             raise ValueError(
-                f"leveler snapshot trigger policy "
-                f"{trigger_state['kind']!r} does not match "  # type: ignore[index]
-                f"{self._trigger.name!r}"
+                f"leveler snapshot trigger policy {trigger_state['kind']!r} "
+                f"does not match {self._trigger.name!r}"
             )
-        self._trigger.restore_state(trigger_state["state"])  # type: ignore[index]
+        self._trigger.restore_state(trigger_state["state"])
         self.bet = bet
-        self.findex = state["findex"]  # type: ignore[assignment]
-        self.rng.setstate(rng_state_from_json(state["rng"]))  # type: ignore[arg-type]
-        self._retired_flags = set(state["retired_flags"])  # type: ignore[arg-type]
-        self._deferred_check = bool(state["deferred_check"])
-        self._deferred_at_ecnt = state["deferred_at_ecnt"]  # type: ignore[assignment]
-        self.clock.requests = state["requests_seen"]  # type: ignore[assignment]
-        self.clock.now = state["now"]  # type: ignore[assignment]
-        self._in_procedure = False
-        self._suspended = 0
-        stats = state["stats"]  # type: ignore[assignment]
-        self.stats = SWLStats(
-            procedure_runs=stats["procedure_runs"],  # type: ignore[index]
-            procedure_checks=stats["procedure_checks"],  # type: ignore[index]
-            forced_recycles=stats["forced_recycles"],  # type: ignore[index]
-            direct_marks=stats["direct_marks"],  # type: ignore[index]
-            swl_erases=stats["swl_erases"],  # type: ignore[index]
-            swl_copies=stats["swl_copies"],  # type: ignore[index]
-            bet_resets=stats["bet_resets"],  # type: ignore[index]
-            findex_history=list(stats["findex_history"]),  # type: ignore[index]
-            findex_seen=stats["findex_seen"],  # type: ignore[index]
-            findex_stride=stats["findex_stride"],  # type: ignore[index]
-        )
+        self.findex = state["findex"]
+        self.rng.setstate(rng_state_from_json(state["rng"]))
+        self._retired_flags = set(state["retired_flags"])
+        self._deferred_at_ecnt = state["deferred_at_ecnt"]
 
     @property
     def unevenness(self) -> float:

@@ -29,15 +29,16 @@ paper-protocol name.
 
 from __future__ import annotations
 
+import functools
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from repro.core.bet import BlockErasingTable
 
 if TYPE_CHECKING:
-    from repro.core.leveler import WearLevelingHost
+    from repro.core.leveler import WearLeveler, WearLevelingHost
 
 
 # ----------------------------------------------------------------------
@@ -223,120 +224,128 @@ class PeriodicTrigger(TriggerPolicy):
         self._next_check = float(state["next_check"])  # type: ignore[arg-type]
 
 
-_TRIGGER_POLICIES = {
-    OnEraseTrigger.name: OnEraseTrigger,
-    EveryNRequestsTrigger.name: EveryNRequestsTrigger,
+#: name -> constructor over ``param`` (``n`` for ``every-n-requests``, the
+#: period in simulated seconds for ``periodic``; ``on-erase`` ignores it).
+_TRIGGER_POLICIES: dict[str, Callable[[float], TriggerPolicy]] = {
+    OnEraseTrigger.name: lambda param: OnEraseTrigger(),
+    EveryNRequestsTrigger.name: lambda param: EveryNRequestsTrigger(int(param)),
     PeriodicTrigger.name: PeriodicTrigger,
 }
 
 
 def make_trigger_policy(name: str, param: float = 0.0) -> TriggerPolicy:
-    """Instantiate a trigger policy by name.
-
-    ``param`` is ``n`` for ``every-n-requests`` and the period in
-    simulated seconds for ``periodic``; ``on-erase`` ignores it.
-    """
-    if name == OnEraseTrigger.name:
-        return OnEraseTrigger()
-    if name == EveryNRequestsTrigger.name:
-        return EveryNRequestsTrigger(int(param))
-    if name == PeriodicTrigger.name:
-        return PeriodicTrigger(param)
-    raise ValueError(
-        f"unknown trigger policy {name!r}; "
-        f"choose from {sorted(_TRIGGER_POLICIES)}"
-    )
+    """Instantiate a trigger policy by name, with its one parameter."""
+    if name not in _TRIGGER_POLICIES:
+        raise ValueError(
+            f"unknown trigger policy {name!r}; "
+            f"choose from {sorted(_TRIGGER_POLICIES)}"
+        )
+    return _TRIGGER_POLICIES[name](param)
 
 
 # ----------------------------------------------------------------------
 # The leveler registry: mechanisms behind one driver surface
 # ----------------------------------------------------------------------
-#: Builder signature: ``(spec, num_blocks, host, rng) -> leveler``.
-_LevelerBuilder = Callable[
-    ["LevelerSpec", int, "WearLevelingHost", random.Random | None], object
-]
+def check_knobs(**knobs: float) -> None:
+    """Range-check numeric mechanism knobs, by name.
+
+    The one statement of every knob's range, reached from a new
+    :class:`LevelerSpec` and from each mechanism's constructor.  ``k``
+    may be 0 and ``threshold`` fractional; every other knob is a positive
+    whole number (the label would show a fraction the mechanism drops).
+    """
+    for name, value in knobs.items():
+        if name != "threshold" and value % 1 != 0:
+            raise ValueError(f"{name} must be a whole number, got {value}")
+        if value < 0 or (value == 0 and name != "k"):
+            bound = ">= 0" if name == "k" else "positive"
+            raise ValueError(f"{name} must be {bound}, got {value}")
 
 
-def _build_swl(
-    spec: "LevelerSpec",
-    num_blocks: int,
-    host: "WearLevelingHost",
-    rng: random.Random | None,
-) -> object:
-    # Deferred import: repro.core.leveler imports this module.
+class _Kind(NamedTuple):
+    """One registered mechanism, as :class:`LevelerSpec` needs it."""
+
+    #: Numeric spec fields the mechanism reads (see :func:`check_knobs`).
+    knobs: tuple[str, ...]
+    label: Callable[["LevelerSpec"], str]
+    build: Callable[
+        ["LevelerSpec", int, "WearLevelingHost", random.Random | None],
+        "WearLeveler",
+    ]
+    #: Instantiates the named policies a spec carries, which validates them.
+    policies: Callable[["LevelerSpec"], dict[str, object]] = lambda spec: {}
+
+
+def _swl_policies(spec: "LevelerSpec") -> dict[str, object]:
+    return {
+        "selection": make_selection_policy(spec.selection),
+        "trigger": make_trigger_policy(spec.trigger, spec.trigger_param),
+    }
+
+
+def _shared_erase_counts(host: "WearLevelingHost", num_blocks: int) -> list[int]:
+    """The chip's live per-block erase-count list, shared not copied.
+
+    Counter-based mechanisms read the chip's own array (4 bytes/block of
+    controller RAM in a real device).  The checkpoint machinery restores
+    chip counts in place, so the reference stays valid across restores.
+    """
+    counts = host.mtd.erase_counts
+    if len(counts) != num_blocks:
+        raise ValueError(
+            f"host tracks {len(counts)} blocks, leveler expects {num_blocks}"
+        )
+    return counts
+
+
+@functools.cache
+def _registry() -> dict[str, _Kind]:
+    """The per-kind table behind :class:`LevelerSpec`."""
+    # Deferred: both modules import this one for the policy classes.
+    from repro.core.alternatives import CacheAvoidLeveler, DualPoolLeveler, SoftWearLeveler
     from repro.core.leveler import SWLeveler
 
-    return SWLeveler(
-        num_blocks,
-        host,
-        threshold=spec.threshold,
-        k=spec.k,
-        selection=make_selection_policy(spec.selection),
-        trigger=make_trigger_policy(spec.trigger, spec.trigger_param),
-        rng=rng,
-    )
-
-
-def _build_dual_pool(
-    spec: "LevelerSpec",
-    num_blocks: int,
-    host: "WearLevelingHost",
-    rng: random.Random | None,
-) -> object:
-    from repro.core.alternatives import DualPoolLeveler, host_erase_counts
-
-    return DualPoolLeveler(
-        host_erase_counts(host, num_blocks),
-        host,
-        delta=int(spec.delta),
-        check_period=int(spec.check_period),
-        batch=int(spec.batch),
-    )
-
-
-def _build_cache_avoid(
-    spec: "LevelerSpec",
-    num_blocks: int,
-    host: "WearLevelingHost",
-    rng: random.Random | None,
-) -> object:
-    from repro.core.alternatives import CacheAvoidLeveler
-
-    geometry = getattr(host, "geometry", None)
-    page_size = getattr(geometry, "page_size", 2048)
-    return CacheAvoidLeveler(
-        cache_pages=int(spec.cache_pages),
-        page_size=int(page_size),
-    )
-
-
-def _build_softwear(
-    spec: "LevelerSpec",
-    num_blocks: int,
-    host: "WearLevelingHost",
-    rng: random.Random | None,
-) -> object:
-    from repro.core.alternatives import SoftWearLeveler
-
-    return SoftWearLeveler(
-        num_blocks,
-        host,
-        period_requests=int(spec.period_requests),
-        span_blocks=int(spec.span_blocks),
-    )
-
-
-_LEVELER_KINDS: dict[str, _LevelerBuilder] = {
-    "swl": _build_swl,
-    "dual-pool": _build_dual_pool,
-    "cache-avoid": _build_cache_avoid,
-    "softwear": _build_softwear,
-}
+    return {
+        "swl": _Kind(
+            ("threshold", "k"),
+            lambda spec: f"SWL+k={spec.k}+T={int(spec.threshold)}",
+            lambda spec, num_blocks, host, rng: SWLeveler(
+                num_blocks, host, threshold=spec.threshold, k=spec.k, rng=rng,
+                **_swl_policies(spec),
+            ),
+            _swl_policies,
+        ),
+        "dual-pool": _Kind(
+            ("delta", "check_period", "batch"),
+            lambda spec: f"DP+d={spec.delta}+p={spec.check_period}",
+            lambda spec, num_blocks, host, rng: DualPoolLeveler(
+                _shared_erase_counts(host, num_blocks), host,
+                delta=int(spec.delta), check_period=int(spec.check_period),
+                batch=int(spec.batch),
+            ),
+        ),
+        "cache-avoid": _Kind(
+            ("cache_pages",),
+            lambda spec: f"CACHE+{spec.cache_pages}p",
+            lambda spec, num_blocks, host, rng: CacheAvoidLeveler(
+                cache_pages=int(spec.cache_pages),
+                page_size=host.geometry.page_size,
+            ),
+        ),
+        "softwear": _Kind(
+            ("period_requests", "span_blocks"),
+            lambda spec: f"SOFTWEAR+n={spec.period_requests}+s={spec.span_blocks}",
+            lambda spec, num_blocks, host, rng: SoftWearLeveler(
+                num_blocks, host, period_requests=int(spec.period_requests),
+                span_blocks=int(spec.span_blocks),
+            ),
+        ),
+    }
 
 
 def leveler_kinds() -> list[str]:
     """Registered mechanism names accepted by :class:`LevelerSpec`."""
-    return sorted(_LEVELER_KINDS)
+    return sorted(_registry())
 
 
 @dataclass(frozen=True)
@@ -390,54 +399,23 @@ class LevelerSpec:
     span_blocks: int = 1
 
     def __post_init__(self) -> None:
-        if self.kind not in _LEVELER_KINDS:
+        row = _registry().get(self.kind)
+        if row is None:
             raise ValueError(
                 f"unknown leveler kind {self.kind!r}; "
                 f"choose from {leveler_kinds()}"
             )
-        if not self.enabled:
-            return
-        if self.kind == "swl":
-            if self.threshold <= 0:
-                raise ValueError(
-                    f"threshold must be positive, got {self.threshold}"
-                )
-            if self.k < 0:
-                raise ValueError(f"k must be >= 0, got {self.k}")
-        elif self.kind == "dual-pool":
-            for field_name in ("delta", "check_period", "batch"):
-                if getattr(self, field_name) <= 0:
-                    raise ValueError(
-                        f"{field_name} must be positive, "
-                        f"got {getattr(self, field_name)}"
-                    )
-        elif self.kind == "cache-avoid":
-            if self.cache_pages <= 0:
-                raise ValueError(
-                    f"cache_pages must be positive, got {self.cache_pages}"
-                )
-        elif self.kind == "softwear":
-            if self.period_requests <= 0:
-                raise ValueError(
-                    f"period_requests must be positive, "
-                    f"got {self.period_requests}"
-                )
-            if self.span_blocks <= 0:
-                raise ValueError(
-                    f"span_blocks must be positive, got {self.span_blocks}"
-                )
+        if self.enabled:
+            # A spec that could not build is refused here, not in a
+            # sweep worker that would retry it and quarantine the cell.
+            check_knobs(**{name: getattr(self, name) for name in row.knobs})
+            row.policies(self)
 
     def label(self) -> str:
         """Row label for tables, e.g. ``SWL+k=0+T=100`` in the paper's style."""
         if not self.enabled:
             return "baseline"
-        if self.kind == "swl":
-            return f"SWL+k={self.k}+T={int(self.threshold)}"
-        if self.kind == "dual-pool":
-            return f"DP+d={self.delta}+p={self.check_period}"
-        if self.kind == "cache-avoid":
-            return f"CACHE+{self.cache_pages}p"
-        return f"SOFTWEAR+n={self.period_requests}+s={self.span_blocks}"
+        return _registry()[self.kind].label(self)
 
     def build(
         self,
@@ -445,15 +423,12 @@ class LevelerSpec:
         host: "WearLevelingHost",
         *,
         rng: random.Random | None = None,
-    ) -> object | None:
+    ) -> WearLeveler | None:
         """Instantiate the named mechanism, or ``None`` when disabled.
 
-        Every mechanism returned implements the common leveler driver
-        surface (``on_block_erased`` / ``on_request`` / ``suspend`` /
-        ``resume`` / ``on_block_retired`` / ``snapshot_state`` /
-        ``restore_state`` / ``label`` / ``ram_bytes`` / ``stats``), so
-        the stack and the array drive any of them interchangeably.
+        Every mechanism is a :class:`~repro.core.leveler.WearLeveler`,
+        so the stack and the array drive any of them interchangeably.
         """
         if not self.enabled:
             return None
-        return _LEVELER_KINDS[self.kind](self, num_blocks, host, rng)
+        return _registry()[self.kind].build(self, num_blocks, host, rng)

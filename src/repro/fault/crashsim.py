@@ -188,12 +188,9 @@ class CrashConsistencyHarness:
             acked[lpn] = payload
             # Only the BET-carrying SW Leveler persists state to the
             # media (dual-buffer BetStore); challenger mechanisms hold
-            # RAM-only bookkeeping and reboot blank by design.
-            if (
-                leveler is not None
-                and hasattr(leveler, "persist")
-                and count % self.persist_every == 0
-            ):
+            # RAM-only bookkeeping (persist is a no-op, restore False)
+            # and reboot blank by design.
+            if leveler is not None and count % self.persist_every == 0:
                 leveler.persist(store)
 
         verdict = CrashVerdict(
@@ -235,8 +232,7 @@ class CrashConsistencyHarness:
                 self.geometry.num_blocks, layer, rng=make_rng(self.seed + 1)
             )
             layer.attach_leveler(leveler)
-            if hasattr(leveler, "restore"):
-                restored = leveler.restore(store)
+            restored = leveler.restore(store)
         stack.layer = layer
         stack.leveler = leveler
         stack.__post_init__()  # re-resolve the page entry points
@@ -269,7 +265,7 @@ class CrashConsistencyHarness:
                 violations.append(f"internal consistency: {exc}")
 
         # 3. Restored BET self-consistency (BET-carrying levelers only).
-        if leveler is not None and hasattr(leveler, "bet"):
+        if leveler is not None and leveler.supports_coordination:
             bet = leveler.bet
             if bet._flags.popcount() != bet.fcnt:
                 violations.append(

@@ -155,7 +155,9 @@ def _each_page(page_op: Callable[[int], object], lpns: Sequence[int]) -> int:
             page_op(lpn)
             done += 1
     except FlashError as exc:
-        exc.pages_done += done
+        # A page op is one host page: whatever count the failing op left
+        # on the exception is device pages (an NFTL fold's span), not ours.
+        exc.pages_done = done
         raise
     return done
 
@@ -189,7 +191,7 @@ class StorageStack:
         # (``write_pages``/``read_pages``) takes whole batches, and one
         # without is driven page by page.
         layer, leveler = self.layer, self.leveler
-        if getattr(leveler, "intercepts_writes", False):
+        if leveler is not None and leveler.intercepts_writes:
             self.write_pages = partial(
                 _each_page, partial(leveler.host_write, layer))
             self.read_pages = partial(
@@ -421,10 +423,8 @@ def build_stack(
         # place of per-operation events (repro.obs.bus).
         bus.register_hot_source(flash)
         layer.attach_bus(bus)
-        if leveler is not None and hasattr(leveler, "attach_bus"):
-            # Only the paper's SW Leveler emits telemetry; challengers
-            # run silent.
-            leveler.attach_bus(bus)
+        if leveler is not None:
+            leveler.attach_bus(bus)  # challengers run silent (a no-op)
         if injector is not None:
             injector.attach_bus(bus)
     return StorageStack(flash=flash, mtd=mtd, layer=layer, leveler=leveler)

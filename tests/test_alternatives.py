@@ -142,26 +142,6 @@ class TestLeveling:
         assert min(stack.flash.erase_counts) > 0
 
 
-class TestSuspension:
-    def test_deferred_while_suspended(self, small_geometry):
-        stack = build_stack(small_geometry, "ftl")
-        leveler = attach_dual_pool(stack, delta=1, check_period=1)
-        leveler.suspend()
-        stack.layer.write(0)
-        # Manually pump erases through the hook while suspended.
-        for _ in range(5):
-            leveler.on_block_erased(0)
-        swaps_before = leveler.stats.swaps
-        leveler.resume()
-        assert leveler.stats.checks >= 1 or swaps_before == leveler.stats.swaps
-
-    def test_unbalanced_resume(self, small_geometry):
-        stack = build_stack(small_geometry, "ftl")
-        leveler = DualPoolLeveler(stack.flash.erase_counts, stack.layer)
-        with pytest.raises(RuntimeError):
-            leveler.resume()
-
-
 class TestBatchLeveling:
     """Regression: a free coldest block must not abort the batch."""
 

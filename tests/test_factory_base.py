@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.config import DISABLED, SWLConfig
+from repro.fault.injector import FaultInjector
+from repro.fault.plan import FaultPlan
+from repro.flash.errors import PowerLossError
+from repro.flash.geometry import CellType, FlashGeometry
 from repro.ftl.factory import build_stack, driver_names, make_layer
 from repro.ftl.nftl import NFTL
 from repro.ftl.page_mapping import PageMappingFTL
@@ -53,6 +59,29 @@ class TestFactory:
         stack = build_stack(small_geometry, "ftl", store_data=True)
         stack.layer.write(0, data=b"z")
         assert stack.layer.read(0) == b"z"
+
+
+class TestPagesDoneIsHostPages:
+    def test_nftl_power_loss_inside_a_fold_reports_no_device_pages(self):
+        """A power loss that ends a one-page batch completed zero host pages.
+
+        An NFTL fold copies a span, and the MTD leaves that span's
+        *device*-page count on the exception; the per-page loop used to
+        add its own count to it, so ``RequestCore.pages_written`` counted
+        up to seven pages for a write of one.
+        """
+        geometry = FlashGeometry(
+            num_blocks=16, pages_per_block=8, page_size=2048,
+            endurance=10**6, cell_type=CellType.MLC2, name="fold",
+        )
+        for at in range(50, 1201, 7):
+            plan = FaultPlan(seed=1, power_loss_at=(at,))
+            stack = build_stack(geometry, "nftl", injector=FaultInjector(plan))
+            rng = random.Random(at)
+            with pytest.raises(PowerLossError) as caught:
+                while True:
+                    stack.write_pages((rng.randrange(stack.num_logical_pages),))
+            assert caught.value.pages_done == 0, f"power loss at op {at}"
 
 
 class TestTranslationLayerBase:

@@ -139,3 +139,37 @@ class TestEveryModuleIsReached:
             if path.name not in ("__init__.py", "__main__.py")
         }
         assert sorted(modules - reached) == []
+
+    def test_no_leveler_or_host_is_probed_for_attributes(self):
+        """The wiring reads a leveler's attributes; it never feels for them.
+
+        ``WearLeveler`` declares every attribute a consumer needs (the
+        capability flags, no-op ``attach_bus``/``persist``/``restore``)
+        and ``WearLevelingHost`` declares ``mtd`` and ``geometry``, so a
+        ``hasattr`` or a defaulted ``getattr`` on either is a mechanism
+        that left the contract — or a consumer that stopped trusting it.
+        """
+        def is_probe(call: ast.Call) -> bool:
+            if not isinstance(call.func, ast.Name):
+                return False
+            return call.func.id == "hasattr" or (
+                call.func.id == "getattr"
+                and len(call.args) + len(call.keywords) == 3
+            )
+
+        def names_a_leveler_or_host(node: ast.expr) -> bool:
+            if isinstance(node, ast.Call):
+                return is_probe(node)  # getattr(getattr(host, ...), ...)
+            name = node.attr if isinstance(node, ast.Attribute) else (
+                node.id if isinstance(node, ast.Name) else None
+            )
+            return name in ("leveler", "host")
+
+        probes = [
+            f"{path.relative_to(self.ROOT)}:{node.lineno}"
+            for path in sorted((self.SRC / "repro").rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and is_probe(node)
+            and node.args and names_a_leveler_or_host(node.args[0])
+        ]
+        assert probes == []
