@@ -23,6 +23,7 @@ pattern* of the workload while replacing its *timing*.
 from __future__ import annotations
 
 import random
+from itertools import accumulate, repeat
 from typing import Iterable, Iterator
 
 from repro.traces.model import Request
@@ -51,15 +52,17 @@ def poisson_arrivals(
 
     Inter-arrival gaps are exponential draws from ``rng`` (a dedicated
     stream — see :func:`repro.util.rng.spawn_rng` — so arrival timing
-    never perturbs resampling or leveler randomness).
+    never perturbs resampling or leveler randomness).  ``rate`` is
+    checked here, before any request is drawn.
     """
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate}")
-    now = 0.0
-    expovariate = rng.expovariate
-    for request in requests:
-        now += expovariate(rate)
-        yield Request(now, request.op, request.lba, request.sectors)
+    # zip draws a gap only after a request came: one draw per arrival.
+    arrivals = accumulate(map(rng.expovariate, repeat(rate)))
+    return (
+        Request(now, op, lba, sectors)
+        for (_, op, lba, sectors), now in zip(requests, arrivals)
+    )
 
 
 def trace_paced(
@@ -72,14 +75,14 @@ def trace_paced(
     ``speedup=1`` preserves the recorded pacing (and burst structure);
     larger values replay the same pattern proportionally faster, the
     usual way to turn a lightly-loaded desktop trace into an overload
-    experiment without synthesizing a new workload.
+    experiment without synthesizing a new workload.  ``speedup`` is
+    checked here, before any request is drawn.
     """
     if speedup <= 0:
         raise ValueError(f"speedup must be positive, got {speedup}")
     if speedup == 1.0:
-        yield from requests
-        return
-    for request in requests:
-        yield Request(
-            request.time / speedup, request.op, request.lba, request.sectors
-        )
+        return iter(requests)
+    return (
+        Request(time / speedup, op, lba, sectors)
+        for time, op, lba, sectors in requests
+    )

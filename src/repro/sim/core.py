@@ -25,7 +25,7 @@ from repro.flash.errors import PowerLossError, TranslationError
 from repro.ftl.factory import StorageBackend
 from repro.obs.heatmap import WearHeatmap
 from repro.sim.metrics import EraseDistribution, first_failure_years
-from repro.traces.model import Request
+from repro.traces.model import Op, Request
 
 if TYPE_CHECKING:
     from repro.obs.telemetry import Telemetry
@@ -144,6 +144,10 @@ DEFAULT_MAX_SAMPLES = 4096
 #: Heatmap count at which sampling decimates (see ``max_heatmaps``).
 DEFAULT_MAX_HEATMAPS = 64
 
+#: Bound once: reading a member off its ``Enum`` class goes through the
+#: metaclass's ``__getattr__`` hook, a cost ``apply`` would pay per request.
+_WRITE = Op.WRITE
+
 
 class RequestCore:
     """Applies requests to one storage backend; the shared driver core.
@@ -252,13 +256,15 @@ class RequestCore:
         two bit-identical at one channel.
         """
         backend = self.stack
-        self.clock = max(self.clock, request.time)
-        is_write = request.is_write()
-        first = request.lba // self._spp
-        last = (request.end_lba - 1) // self._spp
+        time, op, lba, sectors = request
+        if time > self.clock:  # what max() keeps, without its call
+            self.clock = time
+        is_write = op is _WRITE
+        first = lba // self._spp
+        last = (lba + sectors - 1) // self._spp
         if not self.lba_modulo and last >= self._logical_pages:
             raise TranslationError(
-                f"request [{request.lba}, {request.end_lba}) exceeds the "
+                f"request [{lba}, {lba + sectors}) exceeds the "
                 f"logical space of {self._logical_pages} pages"
             )
         if not is_write and self.skip_reads:

@@ -8,18 +8,20 @@ endless stream of randomly chosen 10-minute windows with timestamps
 re-based so simulated time advances monotonically by one segment length
 per segment.  The base trace is read as the columns of a
 :class:`~repro.traces.model.Trace`: a window is two bisections of the
-time column and a slice of each, and constructing a resampler over a
-``Trace`` makes no pass over the base.
+time column and a slice of each, handed out as a ``Trace`` itself, and
+constructing a resampler over a ``Trace`` makes no pass over the base.
 """
 
 from __future__ import annotations
 
 import bisect
 import random
+from array import array
 from dataclasses import dataclass
+from itertools import chain, repeat, starmap
 from typing import Iterator, Sequence
 
-from repro.traces.model import OPS, Request, Trace
+from repro.traces.model import Request, Trace
 from repro.util.rng import make_rng
 
 #: The paper's segment length: 10 minutes.
@@ -71,8 +73,8 @@ class SegmentResampler:
             self.rng = make_rng(None)
         self.segments_emitted = 0
 
-    def next_segment(self) -> list[Request]:
-        """Materialize the next segment's requests on the global clock.
+    def next_segment(self) -> Trace:
+        """The next segment's requests on the global clock, as columns.
 
         The segment's clock base is ``segments_emitted * segment`` — exact
         float arithmetic identical to the cumulative ``+= segment`` it
@@ -80,33 +82,35 @@ class SegmentResampler:
         ``n * 600.0`` equals the running sum bit for bit) — which is what
         lets a restored resampler resume mid-stream: ``segments_emitted``
         plus the RNG state fully determine every future request.
+
+        The segment is the base's column slices with the time column
+        re-based, so it passes the same column checks as any ``Trace``;
+        rounding is monotone, so the re-based times stay ordered and only
+        their two ends are range-checked.
         """
         assert self.rng is not None
-        clock = self.segments_emitted * self.segment
+        clock = float(self.segments_emitted * self.segment)
         start = self.rng.uniform(0.0, self.duration - self.segment)
         trace = self._trace
         lo = bisect.bisect_left(trace.times, start)
         hi = bisect.bisect_left(trace.times, start + self.segment)
-        requests = [
-            Request(clock + (time - start), op, lba, sectors)
-            for time, op, lba, sectors in zip(
-                trace.times[lo:hi],
-                map(OPS.__getitem__, trace.ops[lo:hi]),
-                trace.lbas[lo:hi],
-                trace.sectors[lo:hi],
-            )
-        ]
+        # clock + (time - start), one C call per operation; clock is a
+        # float even for an int segment, or its __add__ would refuse one.
+        times = array("d", map(clock.__add__,
+                               map(start.__rsub__, trace.times[lo:hi])))
         self.segments_emitted += 1
-        return requests
+        return Trace(times, trace.ops[lo:hi], trace.lbas[lo:hi],
+                     trace.sectors[lo:hi])
 
     def iter_requests(self) -> Iterator[Request]:
         """Yield requests forever; ``.time`` grows monotonically.
 
         Each emitted request keeps its offset within the chosen segment,
-        shifted onto the global clock.
+        shifted onto the global clock.  A segment is drawn only once the
+        previous one is used up, and the requests between are chained in
+        C, with no Python frame per request.
         """
-        while True:
-            yield from self.next_segment()
+        return chain.from_iterable(starmap(self.next_segment, repeat(())))
 
     def __iter__(self) -> Iterator[Request]:
         return self.iter_requests()

@@ -14,9 +14,10 @@ from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from math import inf
 from operator import eq, le
-from typing import overload
+from typing import NamedTuple, overload
 
 
 class Op(Enum):
@@ -26,9 +27,15 @@ class Op(Enum):
     WRITE = "W"
 
 
-@dataclass(frozen=True, slots=True)
-class Request:
-    """One block-device request.
+class _RequestFields(NamedTuple):
+    time: float
+    op: Op
+    lba: int
+    sectors: int = 1
+
+
+class Request(_RequestFields):
+    """One block-device request: the 4-tuple ``(time, op, lba, sectors)``.
 
     Attributes
     ----------
@@ -40,20 +47,32 @@ class Request:
         First 512-byte sector addressed.
     sectors:
         Number of consecutive sectors transferred (>= 1).
+
+    Calling ``Request(...)`` (and ``_make`` / ``_replace``, and unpickling)
+    validates the fields.  A :class:`Trace` checks its columns once and
+    hands out rows built by ``tuple.__new__``, so replaying a trace
+    re-validates nothing; a hot loop reads a request by unpacking it.
+    Being a tuple, a request compares equal to a plain 4-tuple of the
+    same fields.
     """
 
-    time: float
-    op: Op
-    lba: int
-    sectors: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.time < inf:  # also false for NaN
-            raise ValueError(f"request time must be finite and >= 0, got {self.time}")
-        if self.lba < 0:
-            raise ValueError(f"negative LBA {self.lba}")
-        if self.sectors < 1:
-            raise ValueError(f"sectors must be >= 1, got {self.sectors}")
+    def __new__(cls, time: float, op: Op, lba: int, sectors: int = 1) -> Request:
+        if not 0.0 <= time < inf:  # also false for NaN
+            raise ValueError(f"request time must be finite and >= 0, got {time}")
+        if lba < 0:
+            raise ValueError(f"negative LBA {lba}")
+        if sectors < 1:
+            raise ValueError(f"sectors must be >= 1, got {sectors}")
+        return tuple.__new__(cls, (time, op, lba, sectors))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> Request:
+        return cls(*iterable)
+
+    def __reduce__(self) -> tuple[type[Request], tuple[object, ...]]:
+        return type(self), tuple(self)
 
     @property
     def end_lba(self) -> int:
@@ -75,14 +94,15 @@ class Trace(Sequence[Request]):
     ``times`` (``array('d')``), ``ops`` (``bytearray``: 0 read, 1 write),
     ``lbas`` and ``sectors`` (``array('q')``) take 25 bytes per request
     where a list of :class:`Request` takes about 150.  A ``Trace`` still
-    *is* a ``Sequence[Request]``: indexing and iteration hand out requests
-    built by the validating constructor, a slice is a ``Trace``, ``+``
-    concatenates with any request sequence on either side, and ``==``
-    holds against any sequence of equal requests.  Construction checks
-    per column what ``Request.__post_init__`` checks per object and
-    records whether the times are non-decreasing (``time_ordered``), so
-    consumers need not look again.  The columns are read-only by
-    convention: nothing re-validates them afterwards.
+    *is* a ``Sequence[Request]``: indexing and iteration hand out requests,
+    a slice is a ``Trace``, ``+`` concatenates with any request sequence
+    on either side, and ``==`` holds against any sequence of equal
+    requests.  Construction checks per column what ``Request.__new__``
+    checks per object and records whether the times are non-decreasing
+    (``time_ordered``), so consumers need not look again.  The columns
+    are read-only by convention: nothing re-validates them afterwards,
+    and the rows handed out are built by ``tuple.__new__``, skipping the
+    per-object checks the columns already passed.
     """
 
     __slots__ = ("times", "ops", "lbas", "sectors", "time_ordered")
@@ -136,12 +156,13 @@ class Trace(Sequence[Request]):
         if isinstance(index, slice):
             return Trace(self.times[index], self.ops[index],
                          self.lbas[index], self.sectors[index])
-        return Request(self.times[index], OPS[self.ops[index]],
-                       self.lbas[index], self.sectors[index])
+        return tuple.__new__(Request, (self.times[index], OPS[self.ops[index]],
+                                       self.lbas[index], self.sectors[index]))
 
     def __iter__(self) -> Iterator[Request]:
-        return map(Request, self.times, map(OPS.__getitem__, self.ops),
-                   self.lbas, self.sectors)
+        return map(tuple.__new__, repeat(Request),
+                   zip(self.times, map(OPS.__getitem__, self.ops),
+                       self.lbas, self.sectors))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Trace):

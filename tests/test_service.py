@@ -204,6 +204,25 @@ class TestArrivals:
         with pytest.raises(ValueError):
             list(trace_paced(self.requests(), speedup=0.0))
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0])
+    def test_poisson_rate_checked_at_call_time(self, rate):
+        with pytest.raises(ValueError, match="rate must be positive"):
+            poisson_arrivals(self.requests(), rate, random.Random(1))
+
+    @pytest.mark.parametrize("speedup", [0.0, -2.0])
+    def test_trace_paced_speedup_checked_at_call_time(self, speedup):
+        with pytest.raises(ValueError, match="speedup must be positive"):
+            trace_paced(self.requests(), speedup=speedup)
+
+    def test_poisson_draws_one_gap_per_arrival(self):
+        rng, reference_rng = random.Random(5), random.Random(5)
+        arrivals = poisson_arrivals(self.requests(), 50.0, rng)
+        now = 0.0
+        for request, arrival in zip(self.requests(4), arrivals):
+            now += reference_rng.expovariate(50.0)
+            assert arrival == Request(now, request.op, request.lba, request.sectors)
+        assert rng.getstate() == reference_rng.getstate()
+
 
 # ----------------------------------------------------------------------
 # Channel queue math

@@ -14,7 +14,10 @@ from repro.sim.metrics import (
     increased_ratio,
     unevenness_of,
 )
+from repro.traces.extend import SegmentResampler
+from repro.traces.generator import MobilePCWorkload, WorkloadParams
 from repro.traces.model import Op, Request
+from repro.util.rng import make_rng
 
 
 def write(time, lba, sectors=1):
@@ -184,6 +187,29 @@ class TestRun:
         for key, value in result.layer_stats.items():
             assert data[f"layer_{key}"] == value
         assert data["layer_host_writes"] == 200
+
+    def test_resampled_replay_validates_no_row(self, small_geometry, monkeypatch):
+        # A Trace checks its columns once; the rows the resampler hands to
+        # the replay are tuples built in C, not Request.__new__ calls.
+        base = MobilePCWorkload(WorkloadParams(
+            total_sectors=131_072, duration=4 * 3600.0, seed=11)).requests()
+        validating_new = Request.__new__
+        calls = 0
+
+        def counting_new(cls, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return validating_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Request, "__new__", counting_new)
+        write(0.0, 0)
+        assert calls == 1  # the counter sees a validating construction
+
+        simulator = Simulator(build_stack(small_geometry, "ftl"))
+        stream = SegmentResampler(base, rng=make_rng(5)).iter_requests()
+        result = simulator.run(stream, StopCondition(max_requests=10_000))
+        assert result.requests == 10_000
+        assert calls == 1
 
 
 class TestTimelineBound:

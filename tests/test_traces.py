@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import pickle
 import tracemalloc
 from array import array
@@ -549,3 +550,42 @@ def test_a_trace_is_interchangeable_with_its_request_list(
         assert from_list.next_segment() == expected
         assert from_trace.next_segment() == expected
     assert from_list.snapshot_state() == from_trace.snapshot_state()
+
+
+@settings(max_examples=60, deadline=None)
+@given(request=valid_requests)
+def test_a_request_is_one_row_however_it_is_built(request):
+    row = tuple(request)
+    trace = Trace.from_requests([request])
+    for built in (Request(*row), trace[0], next(iter(trace))):
+        assert type(built) is Request
+        assert built == request == row and hash(built) == hash(row)
+        for copied in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
+            assert type(copied) is Request and copied == request
+
+
+class TestRequestTuple:
+    def test_repr_keeps_the_dataclass_spelling(self):
+        assert (repr(Request(1.5, Op.WRITE, 100, 8))
+                == "Request(time=1.5, op=<Op.WRITE: 'W'>, lba=100, sectors=8)")
+
+    def test_is_a_four_tuple_with_a_default_size(self):
+        request = Request(2.0, Op.READ, 7)
+        assert request == (2.0, Op.READ, 7, 1)
+        assert request._replace(sectors=3) == Request(2.0, Op.READ, 7, 3)
+        with pytest.raises(ValueError):
+            request._replace(lba=-1)
+
+    @pytest.mark.parametrize("row", [
+        (-1.0, Op.READ, 0, 1),
+        (float("nan"), Op.READ, 0, 1),
+        (0.0, Op.WRITE, -5, 1),
+        (0.0, Op.WRITE, 0, 0),
+    ])
+    def test_a_forged_row_is_refused_on_unpickle(self, row):
+        forged = tuple.__new__(Request, row)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            with pytest.raises(ValueError):
+                pickle.loads(pickle.dumps(forged, protocol))
+        with pytest.raises(ValueError):
+            copy.deepcopy(forged)
