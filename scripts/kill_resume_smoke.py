@@ -1,17 +1,21 @@
 #!/usr/bin/env python
 """CI smoke: SIGKILL a sweep worker mid-cell, resume, compare reports.
 
-Runs a two-cell first-failure matrix twice:
+Runs a two-cell first-failure matrix three times:
 
 1. a clean, unsupervised ``run_matrix`` — the reference;
 2. under the campaign supervisor, with a hook that SIGKILLs the worker of
-   cell 1 right after its second checkpoint image lands on disk.
+   cell 1 right after its second checkpoint image lands on disk;
+3. under the supervisor again, in the same workdir, with cell 1's
+   threshold changed.
 
 The supervisor must retry the killed cell by resuming its checkpoint, and
-the final results must be **byte-identical** to the clean run (compared
-as canonical ``SimResult.as_dict`` JSON — the markdown report is not the
+the results must be **byte-identical** to the clean run (compared as
+canonical ``SimResult.as_dict`` JSON — the markdown report is not the
 comparison target because its supervision table legitimately differs in
-attempt counts).
+attempt counts).  On the rerun, cell 0 is adopted and cell 1 — whose
+result now belongs to another experiment — must run again and match a
+clean ``run_matrix`` of its new spec.
 
 Exits 0 on success, 1 with a diagnostic on any divergence.
 """
@@ -23,6 +27,7 @@ import os
 import signal
 import sys
 import tempfile
+from dataclasses import replace
 
 from repro.ckpt import SupervisorPolicy, run_supervised_matrix
 import repro.ckpt.supervisor as supervisor_module
@@ -70,20 +75,25 @@ def main() -> int:
     print("[smoke] clean reference run ...", flush=True)
     clean = run_matrix(specs, trace)
 
-    print("[smoke] supervised run with mid-cell SIGKILL ...", flush=True)
-    supervisor_module._checkpoint_observer = kill_after_second_checkpoint
+    changed = replace(
+        specs[KILL_CELL], swl=SWLConfig(enabled=True, threshold=5, k=0)
+    )
+    print(f"[smoke] clean reference run of {changed.label()} ...", flush=True)
+    (clean_changed,) = run_matrix([changed], trace)
+
     with tempfile.TemporaryDirectory(prefix="kill-resume-smoke-") as workdir:
-        report = run_supervised_matrix(
-            specs,
-            trace,
-            workers=2,
-            policy=SupervisorPolicy(
-                workdir=workdir,
-                max_attempts=3,
-                backoff=0.05,
-                checkpoint_every_requests=2_000,
-            ),
+        policy = SupervisorPolicy(
+            workdir=workdir, max_attempts=3, checkpoint_every_requests=2_000
         )
+        print("[smoke] supervised run with mid-cell SIGKILL ...", flush=True)
+        supervisor_module._checkpoint_observer = kill_after_second_checkpoint
+        report = run_supervised_matrix(specs, trace, workers=2, policy=policy)
+        supervisor_module._checkpoint_observer = None
+
+        print(f"[smoke] rerun of the same workdir with cell {KILL_CELL} "
+              f"as {changed.label()} ...", flush=True)
+        specs[KILL_CELL] = changed
+        rerun = run_supervised_matrix(specs, trace, workers=2, policy=policy)
 
     failures: list[str] = []
     if not report.ok:
@@ -96,11 +106,6 @@ def main() -> int:
             f"killed cell ran {killed.attempts} attempt(s), expected 2 "
             "(one kill, one resume)"
         )
-    if len(set(killed.seeds)) != 1:
-        failures.append(
-            f"killed cell changed seeds {killed.seeds}; a crash retry must "
-            "resume the checkpoint, not rotate the seed"
-        )
     for index, (reference, outcome) in enumerate(
         zip(clean, report.results())
     ):
@@ -110,6 +115,20 @@ def main() -> int:
             failures.append(
                 f"cell {index} diverged from the clean run after resume"
             )
+    if not rerun.ok or [cell.attempts for cell in rerun.cells] != [1, 1]:
+        failures.append(
+            "rerun with a changed cell: expected cell 0 adopted and cell "
+            f"{KILL_CELL} rerun once, got attempts "
+            f"{[cell.attempts for cell in rerun.cells]} "
+            f"({[cell.error for cell in rerun.quarantined]})"
+        )
+    elif canonical(rerun.results()[0]) != canonical(clean[0]):
+        failures.append("rerun: adopted cell 0 diverged from the clean run")
+    elif canonical(rerun.results()[KILL_CELL]) != canonical(clean_changed):
+        failures.append(
+            f"rerun: cell {KILL_CELL} is not the clean result of "
+            f"{changed.label()}"
+        )
 
     for failure in failures:
         print(f"[smoke] FAIL: {failure}", flush=True)
@@ -118,7 +137,8 @@ def main() -> int:
     print(
         f"[smoke] PASS: killed worker resumed after "
         f"{killed.attempts - 1} retry; all {len(clean)} cells "
-        "byte-identical to the clean run",
+        "byte-identical to the clean run; the changed cell reran and "
+        "matches its own clean run",
         flush=True,
     )
     return 0

@@ -236,7 +236,6 @@ def run_arena(
     stride = len(names)
     for group, workload in enumerate(workloads):
         group_results = matrix[group * stride:(group + 1) * stride]
-        assert all(result is not None for result in group_results)
         baseline_erases = (
             group_results[names.index("baseline")].replay.total_erases
             if "baseline" in roster else 0

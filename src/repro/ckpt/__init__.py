@@ -6,10 +6,10 @@ Three layers, bottom-up:
   atomically replaced, canonical-JSON payload;
 * :mod:`repro.ckpt.runner` — :func:`run_resumable`, the replay that
   snapshots the whole stack at segment boundaries and resumes
-  bit-identically;
+  bit-identically, pinned to its :func:`replay_identity`;
 * :mod:`repro.ckpt.supervisor` — :func:`run_supervised_matrix`, the
-  fault-tolerant campaign driver (per-cell timeout, seeded retry,
-  checkpoint-resume, quarantine).
+  fault-tolerant campaign driver (one cell directory per experiment,
+  resume-with-the-same-seed retry, progress timeout, quarantine).
 """
 
 from repro.ckpt.image import (
@@ -27,18 +27,13 @@ from repro.ckpt.image import (
 from repro.ckpt.runner import (
     CheckpointPolicy,
     ReplayInterrupted,
-    checkpoint_spec_seed,
-    fault_plan_state,
-    resume_spec,
+    replay_identity,
     run_resumable,
-    spec_state,
-    trace_digest,
 )
 from repro.ckpt.supervisor import (
     CampaignReport,
     CellOutcome,
     SupervisorPolicy,
-    retry_seed,
     run_supervised_matrix,
 )
 
@@ -55,15 +50,10 @@ __all__ = [
     "CheckpointVersionError",
     "ReplayInterrupted",
     "SupervisorPolicy",
-    "checkpoint_spec_seed",
     "encode_payload",
-    "fault_plan_state",
     "read_image",
-    "resume_spec",
-    "retry_seed",
+    "replay_identity",
     "run_resumable",
     "run_supervised_matrix",
-    "spec_state",
-    "trace_digest",
     "write_image",
 ]

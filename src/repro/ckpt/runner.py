@@ -22,15 +22,16 @@ cheap to guarantee:
   pickled — every component contributes a JSON-friendly
   ``snapshot_state()`` and a validating ``restore_state()``.
 
-A checkpoint also pins the configuration that produced it (spec, replay
-mode, base-trace digest); :func:`run_resumable` refuses to resume into a
-different one with :class:`~repro.ckpt.image.CheckpointMismatchError`.
+A checkpoint also pins the configuration that produced it
+(:func:`replay_identity`: spec, replay mode, base-trace digest);
+:func:`run_resumable` refuses to resume into a different one with
+:class:`~repro.ckpt.image.CheckpointMismatchError`.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -70,11 +71,9 @@ class CheckpointPolicy:
     every_requests:
         Request-count cadence, enforced at segment boundaries: a new
         image is written at the first boundary where at least this many
-        requests completed since the previous one.
-    initial:
-        Also checkpoint at the very first boundary (before any segment),
-        so even a run killed in its first segment can resume with its
-        original seed instead of rerunning from scratch.
+        requests completed since the previous one.  The first boundary
+        (before any segment) always gets an image, so even a run killed
+        in its first segment resumes instead of rerunning its warmup.
     crash_after:
         Testing hook: raise :class:`ReplayInterrupted` immediately after
         writing this many checkpoints.  ``None`` (default) never raises.
@@ -87,7 +86,6 @@ class CheckpointPolicy:
 
     path: str | Path
     every_requests: int = 100_000
-    initial: bool = True
     crash_after: int | None = None
     on_checkpoint: "Callable[[int], None] | None" = None
 
@@ -159,46 +157,57 @@ def trace_digest(trace: Sequence[Request] | None) -> str | None:
     return digest.hexdigest()
 
 
-def _replay_payload(
-    simulator: Simulator,
-    resampler: SegmentResampler,
+def replay_identity(
     spec: ExperimentSpec,
-    mode: dict[str, object],
-    trace_id: str | None,
+    base_trace: Sequence[Request],
+    *,
+    horizon: float | None = None,
+    warmup: Sequence[Request] | None = None,
+    request_cap: int = DEFAULT_REQUEST_CAP,
+    skip_reads: bool = True,
+    fault_plan: FaultPlan | None = None,
 ) -> dict[str, object]:
+    """The configuration a replay's result belongs to.
+
+    Spec, replay mode and base-trace digest: every checkpoint image pins
+    it, and the campaign supervisor adopts a cell's image or result only
+    under an equal one.  The code revision is not part of it.
+    """
     return {
-        "kind": "replay",
         "spec": spec_state(spec),
-        "mode": mode,
-        "trace_sha256": trace_id,
-        "simulator": simulator.snapshot_state(),
-        "backend": simulator.stack.snapshot_state(),  # type: ignore[attr-defined]
-        "resampler": resampler.snapshot_state(),
+        "mode": {
+            "horizon": horizon,
+            "request_cap": request_cap,
+            "skip_reads": skip_reads,
+            "fault_plan": fault_plan_state(fault_plan),
+            "warmup_sha256": trace_digest(warmup),
+        },
+        "trace_sha256": trace_digest(base_trace),
     }
 
 
-def _check_resume_identity(
-    payload: dict[str, object],
-    spec: ExperimentSpec,
-    mode: dict[str, object],
-    trace_id: str | None,
-    source: str | Path,
-) -> None:
+def read_replay_image(
+    path: str | Path, identity: dict[str, object]
+) -> dict[str, object]:
+    """Read a replay checkpoint and check it belongs to ``identity``.
+
+    Raises a :class:`~repro.ckpt.image.CheckpointError`: the image's own
+    error for a damaged one, :class:`CheckpointMismatchError` for one
+    written by another configuration.
+    """
+    payload = read_image(path)
     if payload.get("kind") != "replay":
         raise CheckpointMismatchError(
-            f"{source}: image holds a {payload.get('kind')!r} payload, "
+            f"{path}: image holds a {payload.get('kind')!r} payload, "
             "expected a replay checkpoint"
         )
-    for key, expected in (
-        ("spec", spec_state(spec)),
-        ("mode", mode),
-        ("trace_sha256", trace_id),
-    ):
+    for key, expected in identity.items():
         if payload.get(key) != expected:
             raise CheckpointMismatchError(
-                f"{source}: checkpoint {key} {payload.get(key)!r} does not "
+                f"{path}: checkpoint {key} {payload.get(key)!r} does not "
                 f"match this run's {expected!r}"
             )
+    return payload
 
 
 # ----------------------------------------------------------------------
@@ -215,7 +224,6 @@ def run_resumable(
     fault_plan: FaultPlan | None = None,
     checkpoint: CheckpointPolicy | None = None,
     resume_from: str | Path | None = None,
-    label: str | None = None,
 ) -> SimResult:
     """Replay a spec with optional checkpointing and/or resumption.
 
@@ -242,15 +250,14 @@ def run_resumable(
     # Digesting a one-day base trace (327,075 requests) costs about 0.45 s
     # on a Xeon core, as much as replaying hours of it, and only an image
     # ever reads the digests.
-    durable = checkpoint is not None or resume_from is not None
-    mode: dict[str, object] = {
-        "horizon": horizon,
-        "request_cap": request_cap,
-        "skip_reads": skip_reads,
-        "fault_plan": fault_plan_state(fault_plan),
-        "warmup_sha256": trace_digest(warmup) if durable else None,
-    }
-    trace_id = trace_digest(base_trace) if durable else None
+    identity = (
+        replay_identity(
+            spec, base_trace, horizon=horizon, warmup=warmup,
+            request_cap=request_cap, skip_reads=skip_reads,
+            fault_plan=fault_plan,
+        )
+        if checkpoint is not None or resume_from is not None else {}
+    )
 
     simulator = Simulator(
         spec.build(fault_plan=fault_plan), skip_reads=skip_reads
@@ -259,8 +266,7 @@ def run_resumable(
         base_trace, rng=spawn_rng(make_rng(spec.seed), "resampler")
     )
     if resume_from is not None:
-        payload = read_image(resume_from)
-        _check_resume_identity(payload, spec, mode, trace_id, resume_from)
+        payload = read_replay_image(resume_from, identity)
         simulator.restore_state(payload["simulator"])  # type: ignore[arg-type]
         simulator.stack.restore_state(payload["backend"])  # type: ignore[attr-defined]
         resampler.restore_state(payload["resampler"])  # type: ignore[arg-type]
@@ -284,15 +290,17 @@ def run_resumable(
         checkpoints_written = 0
         while True:
             done = simulator.requests_done
-            if last_checkpoint is None:
-                due = policy.initial or done >= policy.every_requests
-            else:
-                due = done - last_checkpoint >= policy.every_requests
-            if due:
-                write_image(
-                    policy.path,
-                    _replay_payload(simulator, resampler, spec, mode, trace_id),
-                )
+            if (
+                last_checkpoint is None
+                or done - last_checkpoint >= policy.every_requests
+            ):
+                write_image(policy.path, {
+                    "kind": "replay",
+                    **identity,
+                    "simulator": simulator.snapshot_state(),
+                    "backend": simulator.stack.snapshot_state(),  # type: ignore[attr-defined]
+                    "resampler": resampler.snapshot_state(),
+                })
                 last_checkpoint = done
                 checkpoints_written += 1
                 ckpt_log.debug(
@@ -315,25 +323,5 @@ def run_resumable(
         resampler.iter_requests() if checkpoint is None
         else checkpointed(checkpoint)
     )
-    return simulator.run(requests, stop, label=label or spec.label())
+    return simulator.run(requests, stop, label=spec.label())
 
-
-def checkpoint_spec_seed(path: str | Path) -> int:
-    """The spec seed recorded in a checkpoint image.
-
-    The campaign supervisor uses this to resume a cell with the seed that
-    actually wrote the checkpoint — which, after a seed-rotating retry, is
-    no longer necessarily the spec's original seed.
-    """
-    payload = read_image(path)
-    try:
-        return int(payload["spec"]["seed"])  # type: ignore[index, call-overload]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointMismatchError(
-            f"{path}: image does not record a spec seed"
-        ) from exc
-
-
-def resume_spec(spec: ExperimentSpec, path: str | Path) -> ExperimentSpec:
-    """``spec`` adjusted to the seed its checkpoint at ``path`` records."""
-    return replace(spec, seed=checkpoint_spec_seed(path))

@@ -1,28 +1,27 @@
 """Fault-tolerant campaign supervisor for experiment matrices.
 
 :func:`run_supervised_matrix` runs each matrix cell in its own worker
-process and survives the failure modes a long sweep actually hits:
+process.  Two rules make it survive a long sweep without changing what
+the sweep measures:
 
-* **crashes / kills** — a worker that dies mid-cell (OOM kill, SIGKILL,
-  unhandled exception) is retried; because every cell checkpoints through
-  :func:`repro.ckpt.runner.run_resumable`, the retry *resumes* from the
-  last image with the same seed, so the final result is bit-identical to
-  an undisturbed run;
-* **hangs** — a worker that exceeds the per-attempt timeout is killed and
-  retried with a **fresh deterministic seed** (:func:`retry_seed`): a
-  livelock is usually seed-dependent, so replaying the same checkpoint
-  would hang again.  The stale checkpoint is discarded;
-* **supervisor restarts** — per-cell results and attempt counts persist
-  under ``policy.workdir`` (``cell-NNN/result.pkl``, ``state.json``), so
+* **a cell directory holds one experiment** — ``cell-NNN/`` under
+  ``policy.workdir`` keeps the cell's checkpoint image, its pickled
+  result and an attempt-count sidecar (``state.json``).  The image and
+  the result both record the cell's :func:`~repro.ckpt.runner.replay_identity`
+  (spec, replay mode, base-trace digest); a rerun adopts them only under
+  an equal identity.  One with another identity, or a damaged one, is
+  discarded with a log line and the cell starts over at attempt 1.  So
   re-invoking the supervisor with the same workdir skips finished cells
-  and resumes interrupted ones instead of starting over;
-* **exhausted retries** — a cell that fails ``max_attempts`` times is
-  **quarantined**: the campaign completes, the report flags the cell with
-  its attempt history and last error, and the remaining cells' results
-  are delivered normally instead of the whole sweep raising.
-
-Retries back off exponentially (``backoff * 2**(attempt-1)`` seconds)
-without blocking other cells.
+  and resumes interrupted ones, and a changed matrix reruns exactly the
+  cells that changed;
+* **one retry rule** — a worker that crashes, is killed, raises, or writes
+  no checkpoint image for ``policy.timeout`` seconds is retried by
+  resuming its newest image with the same seed (or from zero when it has
+  none), so the final result is bit-identical to an undisturbed run.  The
+  simulator is deterministic: a cell that keeps failing is a bug to
+  report, so after ``max_attempts`` it is **quarantined** — the campaign
+  completes, the report flags the cell with its last error, and the other
+  cells' results are delivered normally.
 """
 
 from __future__ import annotations
@@ -31,15 +30,21 @@ import json
 import multiprocessing
 import os
 import pickle
-import random
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.ckpt.image import CheckpointError
-from repro.ckpt.runner import CheckpointPolicy, resume_spec, run_resumable
+from repro.ckpt.runner import (
+    CheckpointPolicy,
+    read_replay_image,
+    replay_identity,
+    run_resumable,
+    spec_state,
+)
 from repro.fault.plan import FaultPlan
 from repro.sim.engine import SimResult
 from repro.sim.experiment import DEFAULT_REQUEST_CAP, ExperimentSpec
@@ -56,17 +61,6 @@ _disturbance: Callable[[int, int], None] | None = None
 _checkpoint_observer: Callable[[int, int, int], None] | None = None
 
 
-def retry_seed(seed: int, attempt: int) -> int:
-    """Fresh deterministic seed for retry ``attempt`` (2, 3, ...) of a cell.
-
-    Mirrors the derived-stream idiom used for per-shard fault plans
-    (:meth:`~repro.fault.plan.FaultPlan.for_shard`): the new seed is a
-    pure function of the original seed and the attempt number, so a rerun
-    of the whole campaign retries with the same seeds.
-    """
-    return random.Random(f"{seed}:retry{attempt}").getrandbits(48)
-
-
 @dataclass(frozen=True)
 class SupervisorPolicy:
     """Retry/timeout/persistence policy for :func:`run_supervised_matrix`.
@@ -80,21 +74,18 @@ class SupervisorPolicy:
     max_attempts:
         Attempts per cell before quarantine (first run included).
     timeout:
-        Wall-clock seconds per attempt; ``None`` never times out.
-    backoff:
-        Base retry delay; attempt ``n`` waits ``backoff * 2**(n-1)``.
+        Seconds an attempt may go without writing a checkpoint image
+        before it is killed; ``None`` never times out.  This bounds
+        progress, not total time, so it must exceed the wall-clock of
+        ``checkpoint_every_requests`` requests (plus worker start-up).
     checkpoint_every_requests:
         Cadence forwarded to each cell's :class:`CheckpointPolicy`.
-    poll_interval:
-        Supervisor polling granularity in seconds.
     """
 
     workdir: str | Path
     max_attempts: int = 3
     timeout: float | None = None
-    backoff: float = 0.5
     checkpoint_every_requests: int = 100_000
-    poll_interval: float = 0.05
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -103,8 +94,6 @@ class SupervisorPolicy:
             )
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(f"timeout must be positive, got {self.timeout}")
-        if self.backoff < 0:
-            raise ValueError(f"backoff must be >= 0, got {self.backoff}")
 
 
 @dataclass
@@ -115,7 +104,6 @@ class CellOutcome:
     label: str
     status: str  # "ok" | "quarantined"
     attempts: int
-    seeds: list[int]
     result: SimResult | None = None
     error: str | None = None
 
@@ -160,6 +148,7 @@ def _cell_worker(
     index: int,
     attempt: int,
     spec: ExperimentSpec,
+    identity: dict[str, object],
     base_trace: Sequence[Request],
     horizon: float | None,
     warmup: list[Request] | None,
@@ -174,16 +163,6 @@ def _cell_worker(
         if _disturbance is not None:
             _disturbance(index, attempt)
         ckpt_path = directory / "checkpoint.ckpt"
-        resume_from: Path | None = None
-        run_spec = spec
-        if ckpt_path.exists():
-            try:
-                run_spec = resume_spec(spec, ckpt_path)
-                resume_from = ckpt_path
-            except CheckpointError:
-                # A corrupt or foreign image never blocks the retry — the
-                # cell simply restarts from scratch with its given seed.
-                ckpt_path.unlink(missing_ok=True)
         if _checkpoint_observer is not None:
             observer = _checkpoint_observer
 
@@ -193,7 +172,7 @@ def _cell_worker(
             on_checkpoint = None
 
         result = run_resumable(
-            run_spec,
+            spec,
             base_trace,
             horizon=horizon,
             warmup=warmup,
@@ -204,12 +183,11 @@ def _cell_worker(
                 every_requests=every_requests,
                 on_checkpoint=on_checkpoint,
             ),
-            resume_from=resume_from,
-            label=spec.label(),
+            resume_from=ckpt_path if ckpt_path.exists() else None,
         )
         _atomic_pickle(
             directory / "result.pkl",
-            {"result": result, "seed": run_spec.seed},
+            {"result": result, "identity": identity},
         )
     except BaseException as exc:  # report, then die nonzero
         try:
@@ -230,10 +208,9 @@ def _cell_worker(
 class _CellState:
     index: int
     spec: ExperimentSpec
+    identity: dict[str, object]
     directory: Path
     attempts: int = 0
-    seeds: list[int] = field(default_factory=list)
-    not_before: float = 0.0
     process: multiprocessing.process.BaseProcess | None = None
     deadline: float = float("inf")
     last_error: str | None = None
@@ -247,13 +224,16 @@ class _CellState:
     def result_path(self) -> Path:
         return self.directory / "result.pkl"
 
+    @property
+    def checkpoint_path(self) -> Path:
+        return self.directory / "checkpoint.ckpt"
+
     def save_sidecar(self, status: str) -> None:
         tmp = self.state_path.with_name(self.state_path.name + ".tmp")
         tmp.write_text(
             json.dumps(
                 {
                     "attempts": self.attempts,
-                    "seeds": self.seeds,
                     "status": status,
                     "error": self.last_error,
                 },
@@ -268,31 +248,69 @@ class _CellState:
         try:
             state = json.loads(self.state_path.read_text())
             self.attempts = int(state.get("attempts", 0))
-            self.seeds = [int(seed) for seed in state.get("seeds", [])]
             self.last_error = state.get("error")
         except (ValueError, TypeError):
             # A torn sidecar only loses attempt history, never results.
             pass
 
-
-def _load_result(state: _CellState) -> CellOutcome | None:
-    """Adopt a finished result from disk, if one exists and loads."""
-    if not state.result_path.exists():
-        return None
-    try:
-        with open(state.result_path, "rb") as handle:
-            payload = pickle.load(handle)
-        return CellOutcome(
-            index=state.index,
-            label=state.spec.label(),
-            status="ok",
-            attempts=max(state.attempts, 1),
-            seeds=state.seeds or [payload["seed"]],
-            result=payload["result"],
+    def discard(self, path: Path, why: object) -> None:
+        supervisor_log.warning(
+            "cell %d (%s): discarding %s: %s",
+            self.index, self.spec.label(), path, why,
         )
-    except Exception:
-        state.result_path.unlink(missing_ok=True)
+        path.unlink(missing_ok=True)
+
+    def load_result(self) -> CellOutcome | None:
+        """Adopt the finished result on disk if it is this cell's."""
+        if not self.result_path.exists():
+            return None
+        try:
+            with open(self.result_path, "rb") as handle:
+                payload = pickle.load(handle)
+            if payload["identity"] == self.identity:
+                return CellOutcome(
+                    index=self.index,
+                    label=self.spec.label(),
+                    status="ok",
+                    attempts=max(self.attempts, 1),
+                    result=payload["result"],
+                )
+            why: object = "result of another experiment"
+        except Exception as exc:
+            why = exc
+        self.discard(self.result_path, why)
         return None
+
+    def claim(self) -> None:
+        """Make the directory hold this cell's experiment and nothing else.
+
+        A finished result is adopted; a foreign or damaged result or
+        image is discarded, and the attempt history goes with it.
+        """
+        self.load_sidecar()
+        stale = self.result_path.exists()
+        self.outcome = self.load_result()
+        if self.outcome is not None:
+            supervisor_log.info(
+                "cell %d (%s): adopting finished result from %s",
+                self.index, self.spec.label(), self.result_path,
+            )
+            return
+        if self.checkpoint_path.exists():
+            try:
+                read_replay_image(self.checkpoint_path, self.identity)
+            except CheckpointError as exc:
+                self.discard(self.checkpoint_path, exc)
+                stale = True
+        if stale:
+            self.attempts, self.last_error = 0, None
+
+    def last_checkpoint_at(self) -> float:
+        """Wall-clock time the newest image landed (0 for none)."""
+        try:
+            return self.checkpoint_path.stat().st_mtime
+        except FileNotFoundError:
+            return 0.0
 
 
 def _mp_context() -> multiprocessing.context.BaseContext:
@@ -319,8 +337,8 @@ def run_supervised_matrix(
 
     Semantics match :func:`repro.sim.experiment.run_matrix` (``horizon``
     selects first-failure vs fixed-horizon mode; one shared base trace),
-    with durability on top — see the module docstring for the retry,
-    resume, and quarantine rules.  Returns a :class:`CampaignReport` in
+    with durability on top — see the module docstring for the identity,
+    retry and quarantine rules.  Returns a :class:`CampaignReport` in
     spec order.
     """
     if workers < 1:
@@ -328,19 +346,23 @@ def run_supervised_matrix(
     workdir = Path(policy.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     context = _mp_context()
+    # Cells differ only in their spec: digest the shared traces once.
+    shared = replay_identity(
+        specs[0], base_trace, horizon=horizon, warmup=warmup,
+        request_cap=request_cap, fault_plan=fault_plan,
+    ) if specs else {}
 
     states: list[_CellState] = []
     for index, spec in enumerate(specs):
         directory = workdir / f"cell-{index:03d}"
         directory.mkdir(exist_ok=True)
-        state = _CellState(index=index, spec=spec, directory=directory)
-        state.load_sidecar()
-        state.outcome = _load_result(state)
-        if state.outcome is not None:
-            supervisor_log.info(
-                "cell %d (%s): adopting finished result from %s",
-                index, spec.label(), state.result_path,
-            )
+        state = _CellState(
+            index=index,
+            spec=spec,
+            identity={**shared, "spec": spec_state(spec)},
+            directory=directory,
+        )
+        state.claim()
         states.append(state)
 
     pending = [state for state in states if state.outcome is None]
@@ -348,106 +370,89 @@ def run_supervised_matrix(
 
     def launch(state: _CellState) -> None:
         state.attempts += 1
-        attempt = state.attempts
-        spec = state.spec
-        if attempt > 1 and not (state.directory / "checkpoint.ckpt").exists():
-            # No image to resume — rotate to a fresh deterministic seed.
-            spec = replace(spec, seed=retry_seed(state.spec.seed, attempt))
-        state.seeds.append(spec.seed)
         state.save_sidecar("running")
         state.process = context.Process(
             target=_cell_worker,
             args=(
-                state.index, attempt, spec, base_trace, horizon, warmup,
-                request_cap, fault_plan, str(state.directory),
-                policy.checkpoint_every_requests,
+                state.index, state.attempts, state.spec, state.identity,
+                base_trace, horizon, warmup, request_cap, fault_plan,
+                str(state.directory), policy.checkpoint_every_requests,
             ),
             daemon=True,
         )
         state.process.start()
-        state.deadline = (
-            time.monotonic() + policy.timeout
-            if policy.timeout is not None else float("inf")
-        )
+        if policy.timeout is not None:
+            # Wall-clock, not monotonic: progress is read off image mtimes.
+            state.deadline = time.time() + policy.timeout
         supervisor_log.info(
-            "cell %d (%s): attempt %d/%d started (seed %d)",
-            state.index, state.spec.label(), attempt,
-            policy.max_attempts, spec.seed,
+            "cell %d (%s): attempt %d/%d started",
+            state.index, state.spec.label(), state.attempts,
+            policy.max_attempts,
         )
 
-    def settle_failure(state: _CellState, reason: str, *, hung: bool) -> None:
-        state.last_error = reason
-        if hung:
-            # A livelock is usually seed-dependent; resuming the same
-            # checkpoint would hang again, so the next attempt restarts
-            # from scratch with a rotated seed.
-            (state.directory / "checkpoint.ckpt").unlink(missing_ok=True)
-        if state.attempts >= policy.max_attempts:
-            state.outcome = CellOutcome(
-                index=state.index,
-                label=state.spec.label(),
-                status="quarantined",
-                attempts=state.attempts,
-                seeds=list(state.seeds),
-                error=reason,
-            )
-            state.save_sidecar("quarantined")
-            supervisor_log.warning(
-                "cell %d (%s): quarantined after %d attempts: %s",
-                state.index, state.spec.label(), state.attempts, reason,
-            )
+    def settle(state: _CellState, timed_out: bool) -> None:
+        state.outcome = state.load_result()
+        if state.outcome is not None:
+            # A complete result on disk is authoritative even if the
+            # worker died after writing it (the write is atomic).
+            state.save_sidecar("ok")
+            return
+        error_path = state.directory / "error.txt"
+        if timed_out:
+            detail = f"no checkpoint for {policy.timeout:g}s"
+        elif error_path.exists():
+            detail = error_path.read_text().strip()
         else:
-            state.not_before = (
-                time.monotonic() + policy.backoff * 2 ** (state.attempts - 1)
-            )
+            detail = f"worker exited with code {state.process.exitcode}"  # type: ignore[union-attr]
+        error_path.unlink(missing_ok=True)
+        state.last_error = f"attempt {state.attempts}: {detail}"
+        if state.attempts < policy.max_attempts:
             pending.append(state)
             state.save_sidecar("retrying")
+            return
+        state.outcome = CellOutcome(
+            index=state.index,
+            label=state.spec.label(),
+            status="quarantined",
+            attempts=state.attempts,
+            error=state.last_error,
+        )
+        state.save_sidecar("quarantined")
+        supervisor_log.warning(
+            "cell %d (%s): quarantined after %d attempts: %s",
+            state.index, state.spec.label(), state.attempts,
+            state.last_error,
+        )
 
     while pending or running:
-        now = time.monotonic()
-        for state in [s for s in pending if s.not_before <= now]:
-            if len(running) >= workers:
-                break
-            pending.remove(state)
+        while pending and len(running) < workers:
+            state = pending.pop(0)
             launch(state)
             running.append(state)
-
-        time.sleep(policy.poll_interval)
-        now = time.monotonic()
+        next_deadline = min(state.deadline for state in running)
+        wait(
+            [state.process.sentinel for state in running],  # type: ignore[union-attr]
+            None if next_deadline == float("inf")
+            else max(0.0, next_deadline - time.time()),
+        )
         for state in list(running):
             process = state.process
             assert process is not None
+            timed_out = False
             if process.is_alive():
-                if now >= state.deadline:
-                    process.kill()
-                    process.join()
-                    running.remove(state)
-                    settle_failure(
-                        state,
-                        f"attempt {state.attempts} timed out after "
-                        f"{policy.timeout:.1f}s",
-                        hung=True,
-                    )
-                continue
+                if time.time() < state.deadline:
+                    continue
+                # Past the deadline: spared only by an image that landed
+                # less than ``timeout`` seconds ago.
+                state.deadline = (
+                    state.last_checkpoint_at() + policy.timeout  # type: ignore[operator]
+                )
+                if time.time() < state.deadline:
+                    continue
+                process.kill()
+                timed_out = True
             process.join()
             running.remove(state)
-            outcome = _load_result(state)
-            if outcome is not None:
-                # A complete result on disk is authoritative even if the
-                # worker died after writing it (the write is atomic).
-                state.outcome = outcome
-                state.save_sidecar("ok")
-                continue
-            error_path = state.directory / "error.txt"
-            detail = (
-                error_path.read_text().strip()
-                if error_path.exists()
-                else f"worker exited with code {process.exitcode}"
-            )
-            error_path.unlink(missing_ok=True)
-            settle_failure(
-                state, f"attempt {state.attempts}: {detail}", hung=False
-            )
+            settle(state, timed_out)
 
-    report = CampaignReport(cells=[state.outcome for state in states])  # type: ignore[misc]
-    return report
+    return CampaignReport(cells=[state.outcome for state in states])  # type: ignore[misc]

@@ -195,14 +195,15 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run under the fault-tolerant campaign "
                             "supervisor with scratch directory DIR: cells "
                             "checkpoint as they run, and re-running with "
-                            "the same DIR resumes interrupted cells and "
-                            "skips finished ones")
+                            "the same DIR resumes interrupted cells, skips "
+                            "finished ones and reruns changed ones")
     sweep.add_argument("--workers", type=int, default=1,
                        help="supervised worker processes (default: 1; "
                             "needs --resume)")
     sweep.add_argument("--timeout", type=float, default=None,
-                       help="per-attempt wall-clock timeout in seconds "
-                            "for supervised cells (default: none)")
+                       help="kill and retry a supervised attempt that "
+                            "writes no checkpoint for this many seconds "
+                            "(default: none)")
     sweep.add_argument("--max-attempts", type=int, default=3,
                        help="attempts per supervised cell before "
                             "quarantine (default: 3)")
@@ -649,19 +650,15 @@ def _command_endure(args: argparse.Namespace) -> int:
         for swl in swl_variants
     ]
     cells = endurance_cells(list(args.shapes), specs)
-    results = [
-        result
-        for result in run_endurance_matrix(
-            cells,
-            horizon=args.horizon_days * DAY,
-            rate=args.rate,
-            theta=args.theta,
-            period=args.period,
-            seed=args.seed,
-            workers=args.workers,
-        )
-        if result is not None
-    ]
+    results = run_endurance_matrix(
+        cells,
+        horizon=args.horizon_days * DAY,
+        rate=args.rate,
+        theta=args.theta,
+        period=args.period,
+        seed=args.seed,
+        workers=args.workers,
+    )
     print(endurance_table(
         results,
         title=f"Endurance projections ({args.blocks} blocks/channel, "

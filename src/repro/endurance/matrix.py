@@ -6,9 +6,9 @@ trace; the endurance matrix varies the *workload shape* too.  An
 groups cells by workload, materializes each shape's trace once (sized to
 the largest logical space among that workload's specs — smaller backends
 wrap via the replay engine's LBA modulo), and dispatches each group
-through :func:`repro.sim.experiment.run_matrix`, so worker fan-out and
-the fault-tolerant supervisor policy come along for free.  Each replay
-is then projected through :func:`repro.endurance.projection.project_endurance`.
+through :func:`repro.sim.experiment.run_matrix`, so worker fan-out comes
+along for free.  Each replay is then projected through
+:func:`repro.endurance.projection.project_endurance`.
 
 Generated traces flow through the same
 :class:`~repro.traces.extend.SegmentResampler` protocol as the paper's
@@ -33,7 +33,6 @@ from repro.workloads.generators import (
 )
 
 if TYPE_CHECKING:
-    from repro.ckpt.supervisor import SupervisorPolicy
     from repro.sim.engine import SimResult
     from repro.sim.experiment import ExperimentSpec
 
@@ -82,13 +81,10 @@ def run_endurance_matrix(
     period: float = DEFAULT_PHASE_PERIOD,
     seed: int = 0,
     workers: int | None = None,
-    policy: "SupervisorPolicy | None" = None,
-) -> list[EnduranceCellResult | None]:
+) -> list[EnduranceCellResult]:
     """Run every cell for ``horizon`` simulated seconds and project it.
 
-    Results come back in cell order.  A ``None`` slot appears only under
-    a supervisor ``policy`` whose cell was quarantined (mirroring
-    :func:`~repro.sim.experiment.run_matrix`).
+    Results come back in cell order.
 
     Within one workload group the trace is generated **once** from the
     shape's own seeded RNG stream, so every spec of that workload sees
@@ -100,7 +96,7 @@ def run_endurance_matrix(
     groups: dict[str, list[int]] = {}
     for index, cell in enumerate(cells):
         groups.setdefault(cell.workload, []).append(index)
-    results: list[EnduranceCellResult | None] = [None] * len(cells)
+    results: dict[int, EnduranceCellResult] = {}
     base_duration = max(horizon, MIN_TRACE_DURATION)
     for workload, indices in groups.items():
         group_specs = [cells[index].spec for index in indices]
@@ -117,16 +113,8 @@ def run_endurance_matrix(
             period=period,
         )
         trace = shape.requests(base_duration)
-        replays = run_matrix(
-            group_specs,
-            trace,
-            horizon=horizon,
-            workers=workers,
-            policy=policy,
-        )
+        replays = run_matrix(group_specs, trace, horizon=horizon, workers=workers)
         for index, replay in zip(indices, replays):
-            if replay is None:
-                continue
             cell = cells[index]
             results[index] = EnduranceCellResult(
                 cell=cell,
@@ -135,4 +123,4 @@ def run_endurance_matrix(
                     replay, cell.spec.geometry, label=cell.label()
                 ),
             )
-    return results
+    return [results[index] for index in range(len(cells))]

@@ -41,7 +41,6 @@ from repro.traces.model import Request, Trace
 from repro.util.rng import make_rng, spawn_rng
 
 if TYPE_CHECKING:
-    from repro.ckpt.supervisor import SupervisorPolicy
     from repro.fault.plan import FaultPlan
     from repro.obs.telemetry import Telemetry
 
@@ -430,7 +429,6 @@ def run_matrix(
     warmup: list[Request] | None = None,
     request_cap: int = DEFAULT_REQUEST_CAP,
     workers: int | None = None,
-    policy: "SupervisorPolicy | None" = None,
 ) -> list[SimResult]:
     """Run many specs over one shared base trace.
 
@@ -441,29 +439,9 @@ def run_matrix(
     stochastic stream is derived from the spec's own seed, never from
     shared state — so parallel results are identical to serial ones, in
     the same order; only the wall-clock changes.  ``None`` or ``1`` runs
-    serially in-process.
-
-    ``policy`` routes the matrix through the fault-tolerant campaign
-    supervisor (:func:`repro.ckpt.supervisor.run_supervised_matrix`): each
-    cell checkpoints as it runs, a crashed or killed worker is retried by
-    resuming its last image (bit-identical to an undisturbed run), a hung
-    worker is retried with a fresh deterministic retry seed, and a cell
-    that exhausts its attempts is **quarantined** — its slot in the
-    returned list is ``None`` — instead of the whole sweep raising.
+    serially in-process.  For a matrix that must survive crashes, kills
+    and hangs, use :func:`repro.ckpt.supervisor.run_supervised_matrix`.
     """
-    if policy is not None:
-        from repro.ckpt.supervisor import run_supervised_matrix
-
-        report = run_supervised_matrix(
-            specs,
-            base_trace,
-            horizon=horizon,
-            warmup=warmup,
-            request_cap=request_cap,
-            workers=workers or 1,
-            policy=policy,
-        )
-        return report.results()  # type: ignore[return-value]
     if workers is None or workers <= 1 or len(specs) <= 1:
         return [
             _replay(

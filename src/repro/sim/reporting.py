@@ -189,14 +189,11 @@ def markdown_report(
 def supervision_table(
     campaign: "CampaignReport", *, title: str | None = None
 ) -> Table:
-    """Status, attempt count and the seeds each attempt ran with, per cell."""
+    """Status and attempt count per cell."""
     return Table(
-        ["Configuration", "Status", "Attempts", "Seeds"],
+        ["Configuration", "Status", "Attempts"],
         [
-            [cell.label,
-             "ok" if cell.ok else "**quarantined**",
-             cell.attempts,
-             ", ".join(str(seed) for seed in cell.seeds) or "—"]
+            [cell.label, "ok" if cell.ok else "**quarantined**", cell.attempts]
             for cell in campaign.cells
         ],
         title,

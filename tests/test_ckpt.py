@@ -24,7 +24,6 @@ from repro.ckpt import (
     ReplayInterrupted,
     encode_payload,
     read_image,
-    resume_spec,
     run_resumable,
     write_image,
 )
@@ -297,16 +296,6 @@ class TestGoldenResume:
             )
         with pytest.raises(CheckpointMismatchError):
             run_resumable(golden_spec(), golden_trace[:-1], resume_from=path)
-
-    def test_resume_spec_reads_seed_back(self, golden_trace, tmp_path):
-        path = tmp_path / "c.ckpt"
-        with pytest.raises(ReplayInterrupted):
-            run_resumable(
-                golden_spec(),
-                golden_trace,
-                checkpoint=CheckpointPolicy(path, crash_after=1),
-            )
-        assert resume_spec(golden_spec(), path) == golden_spec()
 
 
 # ----------------------------------------------------------------------

@@ -168,6 +168,40 @@ class TestSweep:
         second = capsys.readouterr().out
         assert first.splitlines()[:8] == second.splitlines()[:8]
 
+    def test_resume_after_changing_the_sweep_reruns_the_changed_cell(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import repro.cli as cli
+
+        # A shorter base trace: the three sweeps must agree, not be long.
+        one_day = cli._mobile_pc_trace
+        monkeypatch.setattr(
+            cli, "_mobile_pc_trace",
+            lambda spec, args, days: one_day(spec, args, days / 20),
+        )
+
+        def summary(out: str) -> list[str]:
+            lines = out.splitlines()
+            start = next(
+                index for index, line in enumerate(lines)
+                if "First failure" in line
+            ) - 1
+            end = start
+            while end < len(lines) and lines[end].startswith(("+", "|")):
+                end += 1
+            return lines[start:end]
+
+        argv = ["sweep", "--blocks", "24", "--scale", "100", "--driver", "ftl",
+                "--ks", "0", "--seed", "3", "--thresholds"]
+        resume = ["--resume", str(tmp_path / "campaign")]
+        assert main([*argv, "10", *resume]) == 0
+        capsys.readouterr()
+        assert main([*argv, "5", *resume]) == 0
+        resumed = summary(capsys.readouterr().out)
+        assert main([*argv, "5"]) == 0
+        assert resumed == summary(capsys.readouterr().out)
+        assert any("T=5" in line for line in resumed)
+
 
 class TestParser:
     def test_unknown_command_rejected(self):

@@ -2,8 +2,9 @@
 
 These tests inject real process-level failures — SIGKILL mid-cell, hung
 workers — through the supervisor's fork-inherited test hooks, and assert
-the campaign completes with results bit-identical to an undisturbed run
-(crash path) or with deterministically rotated retry seeds (hang path).
+the campaign completes with results bit-identical to an undisturbed run.
+A workdir left behind by another experiment, or a damaged image, must
+never leak into a cell's result.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import repro.ckpt.supervisor as supervisor_module
 from repro.ckpt import (
     CampaignReport,
     SupervisorPolicy,
-    retry_seed,
     run_supervised_matrix,
+    write_image,
 )
 from repro.core.config import SWLConfig
 from repro.sim.experiment import (
@@ -58,9 +59,7 @@ def fast_policy(workdir, **overrides) -> SupervisorPolicy:
     defaults = dict(
         workdir=workdir,
         max_attempts=3,
-        backoff=0.01,
         checkpoint_every_requests=2_000,
-        poll_interval=0.02,
     )
     defaults.update(overrides)
     return SupervisorPolicy(**defaults)
@@ -74,9 +73,11 @@ class TestSupervisedMatrix:
     def test_undisturbed_matches_run_matrix(
         self, shared_trace, clean_results, tmp_path
     ):
+        # Each cell runs ~0.5 s and writes an image every ~0.02 s: the
+        # timeout bounds the gap between images, not the attempt.
         report = run_supervised_matrix(
             specs_pair(), shared_trace, workers=2,
-            policy=fast_policy(tmp_path / "camp"),
+            policy=fast_policy(tmp_path / "camp", timeout=0.3),
         )
         assert report.ok
         assert [cell.attempts for cell in report.cells] == [1, 1]
@@ -101,14 +102,12 @@ class TestSupervisedMatrix:
         assert report.ok
         killed = report.cells[1]
         assert killed.attempts == 2
-        # The retry resumed the checkpoint — same seed, not a rotated one.
-        assert killed.seeds == [7, 7]
         assert [as_blob(r) for r in report.results()] == [
             as_blob(r) for r in clean_results
         ]
 
-    def test_hung_worker_is_killed_and_reseeded(
-        self, shared_trace, tmp_path, monkeypatch
+    def test_hung_worker_is_killed_and_resumed(
+        self, shared_trace, clean_results, tmp_path, monkeypatch
     ):
         def hang_first_attempt(index, attempt):
             if index == 0 and attempt == 1:
@@ -117,20 +116,19 @@ class TestSupervisedMatrix:
         monkeypatch.setattr(
             supervisor_module, "_disturbance", hang_first_attempt
         )
-        # The test waits out the timeout once, so it is set from the floor:
-        # an undisturbed attempt (worker start-up plus one cell) takes
-        # 0.5-1 s here, and a healthy attempt that overran would be killed
-        # too and show up as a third attempt.
+        # The timeout bounds the gap between checkpoint images, not the
+        # attempt: a healthy cell here writes its first image within
+        # ~0.02 s and one every ~0.03 s after, so 0.5 s only ever fires
+        # on the hang.
         report = run_supervised_matrix(
             specs_pair(), shared_trace, workers=2,
-            policy=fast_policy(tmp_path / "camp", timeout=4.0),
+            policy=fast_policy(tmp_path / "camp", timeout=0.5),
         )
         assert report.ok
         hung = report.cells[0]
         assert hung.attempts == 2
-        # A hang retries from scratch with the derived attempt-2 seed.
-        assert hung.seeds == [7, retry_seed(7, 2)]
-        assert hung.result is not None
+        # Same seed, so the retry lands on the undisturbed result.
+        assert as_blob(hung.result) == as_blob(clean_results[0])
 
     def test_exhausted_retries_quarantine_not_raise(
         self, shared_trace, tmp_path, monkeypatch
@@ -172,8 +170,8 @@ class TestSupervisedMatrix:
         # Second campaign over the same workdir: the finished cell is
         # adopted from disk (attempt counter does not advance), and the
         # quarantined one gets fresh attempts now that the fault cleared —
-        # continuing the attempt numbering recorded in its sidecar, so the
-        # retry runs with the deterministically rotated attempt-2 seed.
+        # continuing the attempt numbering recorded in its sidecar, with
+        # the spec's own seed.
         monkeypatch.setattr(supervisor_module, "_disturbance", None)
         second = run_supervised_matrix(
             specs_pair(), shared_trace, workers=2,
@@ -184,32 +182,66 @@ class TestSupervisedMatrix:
         assert as_blob(second.results()[1]) == as_blob(clean_results[1])
         revived = second.cells[0]
         assert revived.attempts == 2
-        assert revived.seeds == [7, retry_seed(7, 2)]
-        assert revived.result is not None
+        assert as_blob(revived.result) == as_blob(clean_results[0])
 
-    def test_run_matrix_policy_delegates_to_supervisor(
+
+class TestCellIdentity:
+    """A cell directory holds one experiment: anything else is discarded."""
+
+    def test_stale_result_is_not_adopted(
+        self, shared_trace, clean_results, tmp_path
+    ):
+        baseline, swl = specs_pair()
+        workdir = tmp_path / "camp"
+        run_supervised_matrix([baseline], shared_trace, policy=fast_policy(workdir))
+        report = run_supervised_matrix(
+            [swl], shared_trace, policy=fast_policy(workdir)
+        )
+        assert report.ok
+        assert report.cells[0].attempts == 1
+        assert as_blob(report.results()[0]) == as_blob(clean_results[1])
+
+    def test_stale_checkpoint_is_discarded(
         self, shared_trace, clean_results, tmp_path, monkeypatch
     ):
-        def always_die(index, attempt):
-            if index == 0:
-                raise RuntimeError("boom")
+        def kill_mid_run(index, attempt, count):
+            if count >= 2:
+                os.kill(os.getpid(), signal.SIGKILL)
 
-        monkeypatch.setattr(supervisor_module, "_disturbance", always_die)
-        results = run_matrix(
-            specs_pair(), shared_trace, workers=2,
-            policy=fast_policy(tmp_path / "camp", max_attempts=2),
+        baseline, swl = specs_pair()
+        workdir = tmp_path / "camp"
+        monkeypatch.setattr(
+            supervisor_module, "_checkpoint_observer", kill_mid_run
         )
-        assert results[0] is None
-        assert as_blob(results[1]) == as_blob(clean_results[1])
+        killed = run_supervised_matrix(
+            [baseline], shared_trace,
+            policy=fast_policy(workdir, max_attempts=1),
+        )
+        assert not killed.ok
+        assert (workdir / "cell-000" / "checkpoint.ckpt").exists()
 
+        monkeypatch.setattr(supervisor_module, "_checkpoint_observer", None)
+        report = run_supervised_matrix(
+            [swl], shared_trace, policy=fast_policy(workdir)
+        )
+        assert report.ok
+        assert report.cells[0].attempts == 1
+        assert as_blob(report.results()[0]) == as_blob(clean_results[1])
 
-class TestRetrySeeds:
-    def test_deterministic_and_distinct(self):
-        assert retry_seed(7, 2) == retry_seed(7, 2)
-        seeds = {retry_seed(7, attempt) for attempt in range(2, 10)}
-        assert len(seeds) == 8
-        assert 7 not in seeds
-        assert retry_seed(7, 2) != retry_seed(8, 2)
+    def test_truncated_checkpoint_is_discarded(
+        self, shared_trace, clean_results, tmp_path
+    ):
+        image = tmp_path / "camp" / "cell-000" / "checkpoint.ckpt"
+        image.parent.mkdir(parents=True)
+        write_image(image, {"kind": "replay", "padding": list(range(100))})
+        image.write_bytes(image.read_bytes()[:-5])
+        report = run_supervised_matrix(
+            specs_pair()[:1], shared_trace,
+            policy=fast_policy(tmp_path / "camp"),
+        )
+        assert report.ok
+        assert report.cells[0].attempts == 1
+        assert as_blob(report.results()[0]) == as_blob(clean_results[0])
 
 
 class TestCampaignMarkdown:
@@ -249,7 +281,7 @@ class TestCampaignMarkdown:
         report = CampaignReport(cells=[
             CellOutcome(
                 index=0, label=spec.label(), status="ok",
-                attempts=1, seeds=[7], result=result,
+                attempts=1, result=result,
             )
         ])
         document = campaign_markdown_report(report)
