@@ -28,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.config import SWLConfig
+from repro.core.config import PAPER_K_VALUES, PAPER_THRESHOLDS, SWLConfig
 from repro.sim.engine import SimResult
 from repro.sim.experiment import (
     ExperimentSpec,
@@ -46,8 +46,8 @@ BLOCKS = int(os.environ.get("REPRO_BENCH_BLOCKS", "64"))
 SCALE = int(os.environ.get("REPRO_BENCH_SCALE", "5"))
 
 #: Paper sweep (Figures 5-7): k values and unevenness thresholds.
-K_VALUES = (0, 3) if QUICK else (0, 1, 2, 3)
-THRESHOLDS = (100, 1000) if QUICK else (100, 400, 700, 1000)
+K_VALUES = (0, 3) if QUICK else PAPER_K_VALUES
+THRESHOLDS = (100, 1000) if QUICK else PAPER_THRESHOLDS
 
 #: Fixed horizon of the Table 4 / Figures 6-7 runs, in simulated seconds.
 #: The paper runs 10 simulated years on a 10,000-cycle chip; with the

@@ -25,7 +25,7 @@ from repro.sim.experiment import (
     workload_params_for,
 )
 from repro.traces.generator import DAY
-from repro.util.tables import render_table
+from repro.util.tables import Table
 
 
 def main() -> None:
@@ -54,12 +54,12 @@ def main() -> None:
                  round(result.erase_distribution.deviation, 1),
                  f"{extra:+.1f}%"]
             )
-    render_table(
+    print(Table(
         ["k", "T", "BET RAM", "Erase dev.", "Extra erases"],
         rows,
         title=f"Design space on the simulated chip (baseline dev "
               f"{baseline.erase_distribution.deviation:.0f})",
-    )
+    ).text())
 
     # The Section 4 analytic bounds for the real 1 GB part, for context.
     analytic = []
@@ -72,11 +72,11 @@ def main() -> None:
              f"{100 * config.extra_erase_ratio():.3f}%",
              f"{100 * config.extra_copy_ratio(128, 16):.3f}%"]
         )
-    render_table(
+    print(Table(
         ["T", "BET RAM (k=0)", "Worst-case extra erases", "Worst-case extra copyings"],
         analytic,
         title="Analytic worst case for the paper's 1GB MLC x2 chip (Section 4)",
-    )
+    ).text())
     print(
         "\nReading the tables: k=0 with a moderate T gives the best leveling "
         "per byte of controller RAM; larger k halves the RAM but overlooks "

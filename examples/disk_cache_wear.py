@@ -27,7 +27,7 @@ from repro.sim.experiment import (
 )
 from repro.sim.metrics import SECONDS_PER_YEAR, improvement_ratio
 from repro.traces.generator import DAY
-from repro.util.tables import render_table
+from repro.util.tables import Table
 
 
 def main() -> None:
@@ -63,11 +63,11 @@ def main() -> None:
              round(result.erase_distribution.deviation)]
         )
     baseline_days, leveled_days = rows[0][1], rows[1][1]
-    render_table(
+    print(Table(
         ["Configuration", "First failure (days)", "(years)", "Max erases", "Dev"],
         rows,
         title="Disk-cache deployment: 50x access frequency",
-    )
+    ).text())
     gain = improvement_ratio(leveled_days, baseline_days)
     unscaled_years = baseline_days * 10 / 365  # endurance scale was 10
     print(

@@ -24,7 +24,7 @@ from repro.sim.experiment import (
 )
 from repro.sim.metrics import improvement_ratio
 from repro.traces.generator import DAY
-from repro.util.tables import render_table
+from repro.util.tables import Table
 
 SCALE = 10  # endurance divided by 10 so runs finish in minutes
 
@@ -65,12 +65,12 @@ def main() -> None:
              round(leveled.first_failure_time / DAY, 2),
              f"{gain:+.1f}%"]
         )
-    render_table(
+    print(Table(
         ["Cell type", "Rated endurance", "Baseline failure (days)",
          "With SWL (days)", "SWL gain"],
         rows,
         title=f"Same NFTL workload, equal capacity (endurance scaled 1/{SCALE})",
-    )
+    ).text())
     slc_days, mlc_days = rows[0][2], rows[1][2]
     print(
         f"\nThe MLC×2 device dies ~{slc_days / max(mlc_days, 1e-9):.0f}x sooner "

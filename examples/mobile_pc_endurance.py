@@ -26,7 +26,7 @@ from repro.sim.experiment import (
 from repro.sim.metrics import improvement_ratio
 from repro.traces.generator import DAY
 from repro.traces.stats import summarize
-from repro.util.tables import render_table
+from repro.util.tables import Table
 
 
 def main() -> None:
@@ -66,12 +66,12 @@ def main() -> None:
              round(baseline.erase_distribution.deviation),
              round(leveled.erase_distribution.deviation)]
         )
-    render_table(
+    print(Table(
         ["Driver", "Baseline first failure (y)", "With SWL (y)",
          "Improvement", "Dev before", "Dev after"],
         rows,
         title="First failure time, scaled chip (paper: +51.2% FTL, +87.5% NFTL)",
-    )
+    ).text())
     print(
         "\nTimes are simulated years on an endurance-scaled chip; compare "
         "the improvement percentages and the deviation collapse, not the "

@@ -24,7 +24,7 @@ from repro.sim.experiment import (
     scaled_mlc2_geometry,
 )
 from repro.sim.metrics import TenantUsage
-from repro.util.tables import render_table  # prints directly
+from repro.util.tables import Table
 from repro.workloads import (
     MultiTenantWorkload,
     ShapeParams,
@@ -87,12 +87,12 @@ def main() -> None:
          result.replay.total_erases,
          f"{result.replay.device_busy_time:.2f}", "100.0%"]
     )
-    render_table(
+    print(Table(
         ["tenant", "requests", "pages written", "erases", "busy (s)",
          "wear share"],
         rows,
         title="Per-tenant wear attribution (columns sum to the device row)",
-    )
+    ).text())
 
     print()
     print("Lifetime projection of the same traffic, SWL on vs off:")

@@ -14,9 +14,8 @@ from __future__ import annotations
 import random
 
 from repro import MLC2_TINY, SWLConfig, build_stack
-from repro.analysis.figures import wear_map
 from repro.sim.metrics import EraseDistribution
-from repro.util.tables import render_table
+from repro.util.tables import Table
 
 
 def run_workload(with_swl: bool, *, writes: int = 40_000):
@@ -43,19 +42,13 @@ def run_workload(with_swl: bool, *, writes: int = 40_000):
 
     # Data is intact either way.
     assert all(layer.read(lpn) == b"cold" for lpn in cold)
-    counts = list(stack.flash.erase_counts)
-    return EraseDistribution.from_counts(counts), counts
+    return EraseDistribution.from_counts(list(stack.flash.erase_counts))
 
 
 def main() -> None:
-    baseline, baseline_counts = run_workload(with_swl=False)
-    leveled, leveled_counts = run_workload(with_swl=True)
-    print("Physical wear, one character per block (NFTL baseline):")
-    print(wear_map(baseline_counts))
-    print("\nSame workload with the SW Leveler:")
-    print(wear_map(leveled_counts))
-    print()
-    render_table(
+    baseline = run_workload(with_swl=False)
+    leveled = run_workload(with_swl=True)
+    print(Table(
         ["System", "Avg erases", "Deviation", "Max", "Min"],
         [
             ["NFTL (baseline)", round(baseline.average, 1),
@@ -64,7 +57,7 @@ def main() -> None:
              round(leveled.deviation, 1), leveled.maximum, leveled.minimum],
         ],
         title="Erase-count distribution after the same workload",
-    )
+    ).text())
     print(
         "\nWithout the SW Leveler the blocks pinned under cold data sit at "
         f"{baseline.minimum} erases while the hottest reaches {baseline.maximum}; "

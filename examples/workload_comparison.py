@@ -3,8 +3,8 @@
 
 Runs the SW Leveler against four access patterns — the paper's mobile-PC
 mix, uniform random, Zipf-skewed, and an append-only circular log — on
-the same chip, and renders each run's physical wear as a terminal heat
-map.  The rule of thumb it demonstrates: SWL's benefit is proportional to
+the same chip, and tabulates each run's erase-count deviation with and
+without SWL.  The rule of thumb it demonstrates: SWL's benefit is proportional to
 how much of the device sits pinned under write-once data, not to how
 skewed the *active* traffic is.
 
@@ -16,13 +16,12 @@ from __future__ import annotations
 from itertools import takewhile
 
 from repro import SWLConfig, build_stack
-from repro.analysis.figures import wear_map
 from repro.flash.geometry import FlashGeometry
 from repro.sim.engine import Simulator, StopCondition
 from repro.sim.metrics import EraseDistribution, improvement_ratio
 from repro.traces.generator import MobilePCWorkload, WorkloadParams
 from repro.traces.model import Op, Request
-from repro.util.tables import render_table
+from repro.util.tables import Table
 from repro.workloads import (
     MultiTenantWorkload,
     ShapeParams,
@@ -111,14 +110,11 @@ def main() -> None:
              round(leveled.erase_distribution.deviation),
              f"{gain:+.1f}%"]
         )
-        print(f"--- {name}: baseline wear map ---")
-        print(wear_map(baseline_counts, columns=32))
-        print()
-    render_table(
+    print(Table(
         ["Workload", "Baseline dev.", "Leveled dev.", "SWL lifetime gain"],
         rows,
         title="Static wear leveling benefit by workload shape",
-    )
+    ).text())
     print(
         "\nUniform traffic with nothing pinned gains ~nothing (dynamic wear "
         "leveling already suffices); the more of the chip sits under "

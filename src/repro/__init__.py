@@ -51,7 +51,6 @@ from repro.core import (
     SWLeveler,
     SoftWearLeveler,
     leveler_kinds,
-    paper_sweep,
 )
 from repro.endurance import (
     EnduranceProjection,
@@ -75,7 +74,6 @@ from repro.flash import (
     NandFlash,
     mlc2,
     slc_large_block,
-    slc_small_block,
 )
 from repro.obs import (
     EventBus,
@@ -177,7 +175,6 @@ __all__ = [
     "make_striping",
     "markdown_report",
     "mlc2",
-    "paper_sweep",
     "project_endurance",
     "render_prometheus",
     "run_endurance_matrix",
@@ -188,6 +185,5 @@ __all__ = [
     "run_multi_tenant_service",
     "run_until_first_failure",
     "slc_large_block",
-    "slc_small_block",
     "workload_params_for",
 ]

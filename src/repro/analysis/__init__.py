@@ -7,7 +7,7 @@ the terminal charts the reports and examples use.  Lifetime projection
 lives in :mod:`repro.endurance`.
 """
 
-from repro.analysis.figures import sparkline, wear_map
+from repro.analysis.figures import sparkline
 from repro.analysis.memory import (
     bet_size_bytes,
     bet_size_for,
@@ -37,5 +37,4 @@ __all__ = [
     "table1_headers",
     "table2",
     "table3",
-    "wear_map",
 ]

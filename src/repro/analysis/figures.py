@@ -1,8 +1,8 @@
 """Plain-text figure rendering.
 
-Terminal-friendly renderings of wear data — one-line sparklines for the
-report's wear-evolution series and a per-block heat map — so a report or
-an example can *show* the shape without a plotting dependency.
+Terminal-friendly rendering of wear data — one-line sparklines for the
+report's wear-evolution series — so a report or an example can *show*
+the shape without a plotting dependency.
 """
 
 from __future__ import annotations
@@ -25,24 +25,3 @@ def sparkline(values: Sequence[float]) -> str:
         for value in values
     )
 
-
-def wear_map(erase_counts: Sequence[int], *, columns: int = 32) -> str:
-    """Render per-block erase counts as a block heat map.
-
-    One character per physical block, row-major; darker means more worn.
-    Makes pinned cold regions (runs of light cells) directly visible.
-    """
-    if not erase_counts:
-        raise ValueError("no erase counts")
-    top = max(max(erase_counts), 1)
-    lines = []
-    for start in range(0, len(erase_counts), columns):
-        row = erase_counts[start:start + columns]
-        lines.append(
-            "".join(
-                _SPARKS[min(int(count / top * len(_SPARKS)), len(_SPARKS) - 1)]
-                for count in row
-            )
-        )
-    lines.append(f"(scale: ▁ = 0 … █ = {top} erases)")
-    return "\n".join(lines)

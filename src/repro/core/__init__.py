@@ -27,7 +27,6 @@ from repro.core.config import (
     PAPER_K_VALUES,
     PAPER_THRESHOLDS,
     SWLConfig,
-    paper_sweep,
 )
 from repro.core.leveler import (
     SWLeveler,
@@ -77,5 +76,4 @@ __all__ = [
     "leveler_kinds",
     "make_selection_policy",
     "make_trigger_policy",
-    "paper_sweep",
 ]

@@ -4,8 +4,8 @@ The leveler config itself is :class:`~repro.core.policies.LevelerSpec`;
 ``SWLConfig`` is the same class under the name the paper-protocol code
 uses (its defaults are the paper's mechanism: ``kind="swl"`` with the
 unevenness threshold ``T`` of Section 3.3 and the BET resolution
-exponent ``k`` of Section 3.2).  This module adds the constants and the
-enumeration behind the Section 5 sweeps.
+exponent ``k`` of Section 3.2).  This module adds the constants behind
+the Section 5 sweeps.
 """
 
 from __future__ import annotations
@@ -21,11 +21,3 @@ SWLConfig = LevelerSpec
 #: Baseline (no static wear leveling) configuration.
 DISABLED = SWLConfig(enabled=False)
 
-
-def paper_sweep() -> list[SWLConfig]:
-    """All (k, T) combinations evaluated in paper Figures 5-7."""
-    return [
-        SWLConfig(threshold=t, k=k)
-        for k in PAPER_K_VALUES
-        for t in PAPER_THRESHOLDS
-    ]

@@ -38,7 +38,6 @@ from repro.flash.geometry import (
     FlashGeometry,
     mlc2,
     slc_large_block,
-    slc_small_block,
 )
 from repro.flash.mtd import MtdDevice
 from repro.flash.timing import MLC2_TIMING, SLC_TIMING, TimingModel, timing_for
@@ -72,6 +71,5 @@ __all__ = [
     "WearOutError",
     "mlc2",
     "slc_large_block",
-    "slc_small_block",
     "timing_for",
 ]

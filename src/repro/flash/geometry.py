@@ -150,18 +150,6 @@ def _blocks_for(capacity_bytes: int, pages_per_block: int, page_size: int) -> in
     return capacity_bytes // block_size
 
 
-def slc_small_block(capacity_bytes: int, *, name: str | None = None) -> FlashGeometry:
-    """Small-block SLC: 512 B pages, 32 pages/block, 100k endurance."""
-    return FlashGeometry(
-        num_blocks=_blocks_for(capacity_bytes, 32, 512),
-        pages_per_block=32,
-        page_size=512,
-        endurance=100_000,
-        cell_type=CellType.SLC,
-        name=name or f"slc-small-{capacity_bytes // MIB}MB",
-    )
-
-
 def slc_large_block(capacity_bytes: int, *, name: str | None = None) -> FlashGeometry:
     """Large-block SLC: 2 KB pages, 64 pages/block, 100k endurance."""
     return FlashGeometry(

@@ -9,19 +9,28 @@ from per-shard sufficient statistics:
 
 * counters add;
 * histograms with identical bucket bounds add bucket-wise (sum and
-  count included), which is exact because the buckets are fixed-width
-  and agreed on up front;
+  count included), which is exact because the buckets are fixed and
+  agreed on up front — asking the registry for a histogram under other
+  bounds than it was created with is an error;
 * gauges carry an explicit aggregation (``"sum"``, ``"max"``, ``"min"``)
   chosen per metric — e.g. the unevenness gauge merges with ``max``
   (the array's wear ceiling is its worst shard).
 
+:class:`Histogram` is the one histogram type in the package: the
+registry's instruments, the service engine's latency histograms
+(:class:`repro.service.latency.LatencyHistogram` fixes its bounds) and
+the per-tenant latencies all bin and estimate through it, and
+:meth:`Histogram.quantile` is the one quantile estimator.
+
 :func:`render_prometheus` serialises a snapshot in the Prometheus text
 exposition format (``# HELP`` / ``# TYPE`` / samples, histogram
-``_bucket{le=...}`` with cumulative counts).
+``_bucket{le=...}`` with cumulative counts).  Prometheus gets buckets,
+not quantiles: it computes its own ``histogram_quantile`` from them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 
@@ -55,10 +64,17 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket histogram; ``buckets`` are upper bounds, ascending.
+    """Fixed-bucket histogram of non-negative observations.
 
-    ``counts`` has one slot per bucket plus a final +Inf overflow slot.
+    ``buckets`` are upper bounds, ascending; ``counts`` has one slot per
+    bucket plus a final +Inf overflow slot, and an observation lands in
+    the first bucket whose bound is ``>= value``.  Exact ``count``,
+    ``sum``, ``minimum`` and ``maximum`` ride alongside the bins, so only
+    the interior quantiles are estimates.
     """
+
+    __slots__ = ("name", "help", "buckets", "counts", "sum", "count",
+                 "minimum", "maximum")
 
     def __init__(self, name: str, help: str,
                  buckets: tuple[float, ...]) -> None:
@@ -70,36 +86,68 @@ class Histogram:
         self.counts = [0] * (len(buckets) + 1)
         self.sum: float = 0.0
         self.count: int = 0
+        self.minimum = float("inf")
+        self.maximum = 0.0
 
     def observe(self, value: float) -> None:
-        self.sum += value
+        """Record one observation (runs once per request on the service row)."""
+        self.counts[bisect_left(self.buckets, value)] += 1
         self.count += 1
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[index] += 1
-                return
-        self.counts[-1] += 1
+        self.sum += value
+        if value > self.maximum:
+            self.maximum = value
+        if value < self.minimum:
+            self.minimum = value
 
-    def add_counts(self, counts: "list[int] | tuple[int, ...]",
-                   *, total: float = 0.0) -> None:
-        """Fold pre-binned observations in bulk (exact, like ``merge``).
+    def quantile(self, q: float) -> float:
+        """Estimate the ``q``-quantile by interpolating within buckets.
 
-        ``counts`` must carry one slot per bucket plus the trailing +Inf
-        overflow slot, binned against this histogram's own bounds —
-        the shape :class:`HistogramSample` exposes.  ``total`` is the sum
-        of the folded observations.  The service engine uses this to
-        publish millions of per-request latency observations into the
-        registry as one fold instead of one ``observe`` call each.
+        Observations are taken as uniform within their bucket, and the
+        first bucket interpolates from zero.  The estimate is clamped to
+        the exact observed ``[min, max]``, so p0 and p100 (and any
+        quantile landing in the first or final occupied bucket) never
+        leave the range of values that actually happened; the overflow
+        slot interpolates up to the exact maximum.  Returns 0.0 when
+        empty.
         """
-        if len(counts) != len(self.counts):
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile must be in [0, 1], got {q}")
+        if self.count == 0:
+            return 0.0
+        buckets = self.buckets
+        rank = q * self.count
+        cumulative = 0
+        for index, bucket_count in enumerate(self.counts):
+            if bucket_count and cumulative + bucket_count >= rank:
+                # An empty bucket never satisfies the rank: when the rank
+                # was met exactly at the previous bucket's boundary, the
+                # samples that meet it live in this, the *next occupied*
+                # bucket — interpolating from an empty one would take the
+                # wrong bucket's edges with a non-positive fraction.
+                lower = buckets[index - 1] if index else 0.0
+                if index < len(buckets):
+                    upper = buckets[index]
+                else:
+                    upper = self.maximum  # overflow slot: exact ceiling
+                fraction = max(0.0, (rank - cumulative) / bucket_count)
+                estimate = lower + (upper - lower) * fraction
+                return min(max(estimate, self.minimum), self.maximum)
+            cumulative += bucket_count
+        return self.maximum
+
+    def merge(self, other: "Histogram") -> None:
+        """Fold ``other`` into this histogram in place (exact)."""
+        if other.buckets != self.buckets:
             raise ValueError(
-                f"histogram {self.name!r} has {len(self.counts)} slots, "
-                f"got {len(counts)}"
-            )
-        for index, bucket_count in enumerate(counts):
+                f"histogram {self.name!r} merged with differing buckets")
+        for index, bucket_count in enumerate(other.counts):
             self.counts[index] += bucket_count
-        self.count += sum(counts)
-        self.sum += total
+        self.count += other.count
+        self.sum += other.sum
+        if other.maximum > self.maximum:
+            self.maximum = other.maximum
+        if other.minimum < self.minimum:
+            self.minimum = other.minimum
 
 
 @dataclass(frozen=True)
@@ -132,32 +180,6 @@ class HistogramSample:
     sum: float
     count: int
 
-    def quantile(self, q: float) -> float:
-        """Estimate the ``q``-quantile by interpolating within buckets.
-
-        The same estimate Prometheus's ``histogram_quantile`` computes:
-        observations are assumed uniform within their bucket, the first
-        bucket interpolates from zero, and a quantile landing in the
-        +Inf overflow slot clamps to the highest finite bound (the
-        histogram cannot resolve beyond it).  Returns 0.0 when empty.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        cumulative = 0
-        for index, bound in enumerate(self.buckets):
-            bucket_count = self.counts[index]
-            if cumulative + bucket_count >= rank:
-                if bucket_count == 0:
-                    return bound
-                lower = self.buckets[index - 1] if index else 0.0
-                fraction = (rank - cumulative) / bucket_count
-                return lower + (bound - lower) * fraction
-            cumulative += bucket_count
-        return self.buckets[-1] if self.buckets else 0.0
-
 
 class MetricsRegistry:
     """Get-or-create registry of instruments, keyed by metric name."""
@@ -179,12 +201,15 @@ class MetricsRegistry:
             existing = self._gauges[name] = Gauge(name, help, agg)
         return existing
 
-    def histogram(self, name: str, help: str = "",
-                  buckets: tuple[float, ...] = (1.0, 2.0, 5.0, 10.0)
-                  ) -> Histogram:
+    def histogram(self, name: str, help: str = "", *,
+                  buckets: tuple[float, ...]) -> Histogram:
+        """The histogram called ``name``; its bounds must be ``buckets``."""
         existing = self._histograms.get(name)
         if existing is None:
             existing = self._histograms[name] = Histogram(name, help, buckets)
+        elif existing.buckets != tuple(float(b) for b in buckets):
+            raise ValueError(
+                f"histogram {name!r} already registered with other buckets")
         return existing
 
     def snapshot(self) -> "MetricsSnapshot":

@@ -46,10 +46,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 from repro.flash.errors import PowerLossError
 from repro.obs.bus import M_QUEUE_DEPTH
 from repro.obs.events import QueueDepth
-from repro.service.latency import (
-    LATENCY_BUCKET_BOUNDS,
-    LatencyHistogram,
-)
+from repro.service.latency import LATENCY_BUCKET_BOUNDS, LatencyHistogram
 from repro.service.results import ChannelServiceStats, ServiceResult
 from repro.sim.core import RequestCore
 from repro.traces.model import Request
@@ -303,7 +300,7 @@ class ServiceEngine(RequestCore):
             )
 
     def _publish_metrics(self) -> None:
-        """Fold latency histograms into the telemetry registries, once.
+        """Merge the latency histograms into the telemetry registries, once.
 
         Per-channel service latencies land in each shard's registry (they
         merge exactly into the device-wide histogram, the same discipline
@@ -316,15 +313,14 @@ class ServiceEngine(RequestCore):
         self._metrics_published = True
         assert self.telemetry is not None
         collector = self.telemetry.collector
-        bounds = LATENCY_BUCKET_BOUNDS
         for shard, channel in enumerate(self.channels):
             collector.registry(shard).histogram(
                 "repro_service_channel_latency_seconds",
                 "Per-channel request service latency (queueing included)",
-                buckets=bounds,
-            ).add_counts(channel.latency.counts, total=channel.latency.total)
+                buckets=LATENCY_BUCKET_BOUNDS,
+            ).merge(channel.latency)
         collector.registry(0).histogram(
             "repro_service_request_latency_seconds",
             "End-to-end request latency (slowest channel of each request)",
-            buckets=bounds,
-        ).add_counts(self.latency.counts, total=self.latency.total)
+            buckets=LATENCY_BUCKET_BOUNDS,
+        ).merge(self.latency)

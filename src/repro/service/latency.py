@@ -2,22 +2,27 @@
 
 A soak run pushes millions of requests through the service engine;
 keeping every latency sample would cost gigabytes and sorting them for
-percentiles would dominate the run.  :class:`LatencyHistogram` bins
-observations into fixed geometric buckets (eight per decade from 1 µs to
-10,000 s) and estimates quantiles by linear interpolation within the
-landing bucket — the same estimator Prometheus's ``histogram_quantile``
-applies to the exported form of this very histogram, so the in-process
-p99 and the dashboard p99 agree by construction.
-
-Exact ``count``/``total``/``min``/``max`` ride alongside the bins, so
-mean and worst-case latency are precise; only the interior quantiles are
+percentiles would dominate the run.  :class:`LatencyHistogram` is the
+package's one histogram type, :class:`repro.obs.metrics.Histogram`, on
+fixed geometric buckets (eight per decade from 1 µs to 10,000 s): it
+bins with a bisect, keeps exact ``count``/``sum``/``minimum``/``maximum``
+beside the bins, and estimates quantiles by linear interpolation within
+the landing bucket, clamped to the observed range.  Mean and worst-case
+latency are therefore precise; only the interior quantiles are
 interpolated (to within one bucket's ~33 % width).
+
+Every published percentile — the service result, the per-tenant
+summaries, ``bench/``'s ``sim_p50_ms``/``sim_p99_ms`` — comes from
+:meth:`~repro.obs.metrics.Histogram.quantile`.  The metrics registry
+receives the same histograms by exact merge and exports their *buckets*;
+Prometheus computes its own ``histogram_quantile`` from those.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
+
+from repro.obs.metrics import Histogram
 
 #: Bucket upper bounds: eight per decade, 1 µs .. 10,000 s.  Latencies in
 #: this simulator are NAND service times (25 µs reads to multi-second
@@ -53,81 +58,19 @@ class LatencySummary:
         }
 
 
-class LatencyHistogram:
-    """Geometric-bucket latency accumulator with interpolated quantiles."""
+class LatencyHistogram(Histogram):
+    """A :class:`~repro.obs.metrics.Histogram` on ``LATENCY_BUCKET_BOUNDS``."""
 
-    __slots__ = ("counts", "count", "total", "minimum", "maximum")
+    __slots__ = ()
 
     def __init__(self) -> None:
-        #: One slot per bound plus the trailing +Inf overflow slot.
-        self.counts = [0] * (len(LATENCY_BUCKET_BOUNDS) + 1)
-        self.count = 0
-        self.total = 0.0
-        self.minimum = float("inf")
-        self.maximum = 0.0
-
-    def observe(self, value: float) -> None:
-        """Record one latency sample (seconds, >= 0)."""
-        self.counts[bisect_left(LATENCY_BUCKET_BOUNDS, value)] += 1
-        self.count += 1
-        self.total += value
-        if value > self.maximum:
-            self.maximum = value
-        if value < self.minimum:
-            self.minimum = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Estimate the ``q``-quantile by interpolating within buckets.
-
-        The estimate is clamped to the exact observed ``[min, max]``, so
-        p0 and p100 (and any quantile landing in the first or final
-        occupied bucket) never leave the range of latencies that actually
-        happened.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        cumulative = 0
-        for index, bucket_count in enumerate(self.counts):
-            if bucket_count and cumulative + bucket_count >= rank:
-                # An empty bucket never satisfies the rank: when the rank
-                # was met exactly at the previous bucket's boundary, the
-                # samples that meet it live in this, the *next occupied*
-                # bucket — interpolating from an empty one would take the
-                # wrong bucket's edges with a non-positive fraction.
-                lower = LATENCY_BUCKET_BOUNDS[index - 1] if index else 0.0
-                if index < len(LATENCY_BUCKET_BOUNDS):
-                    upper = LATENCY_BUCKET_BOUNDS[index]
-                else:
-                    upper = self.maximum  # overflow slot: exact ceiling
-                fraction = max(0.0, (rank - cumulative) / bucket_count)
-                estimate = lower + (upper - lower) * fraction
-                return min(max(estimate, self.minimum), self.maximum)
-            cumulative += bucket_count
-        return self.maximum
-
-    def merge(self, other: "LatencyHistogram") -> None:
-        """Fold ``other`` into this histogram in place (exact)."""
-        for index, bucket_count in enumerate(other.counts):
-            self.counts[index] += bucket_count
-        self.count += other.count
-        self.total += other.total
-        if other.maximum > self.maximum:
-            self.maximum = other.maximum
-        if other.minimum < self.minimum:
-            self.minimum = other.minimum
+        super().__init__("latency", "", LATENCY_BUCKET_BOUNDS)
 
     def summary(self) -> LatencySummary:
         """Freeze the population into a :class:`LatencySummary`."""
         return LatencySummary(
             count=self.count,
-            mean=self.mean,
+            mean=self.sum / self.count if self.count else 0.0,
             p50=self.quantile(0.50),
             p95=self.quantile(0.95),
             p99=self.quantile(0.99),

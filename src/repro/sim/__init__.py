@@ -26,7 +26,6 @@ from repro.sim.metrics import (
     first_failure_years,
     improvement_ratio,
     increased_ratio,
-    unevenness_of,
 )
 from repro.sim.reporting import (
     endurance_markdown_report,
@@ -56,6 +55,5 @@ __all__ = [
     "run_matrix",
     "run_until_first_failure",
     "tenant_attribution_table",
-    "unevenness_of",
     "workload_params_for",
 ]

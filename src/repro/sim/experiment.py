@@ -12,9 +12,9 @@ reusable functions:
   continuing past wear-out exactly like the paper's 10-year Table 4 runs;
 * :func:`run_matrix` executes a list of configurations against one shared
   base trace, which is how every figure's k x T sweep is produced;
-* :func:`run_service_soak` / :func:`run_service_matrix` drive the
-  open-loop service engine (:mod:`repro.service`) instead of the replay
-  loop, reporting latency percentiles rather than endurance.
+* :func:`run_service_soak` drives the open-loop service engine
+  (:mod:`repro.service`) instead of the replay loop, reporting latency
+  percentiles rather than endurance.
 
 Scaled geometries keep all structural parameters of the paper's setup
 (pages/block, GC trigger, greedy policy) — see DESIGN.md, Substitutions.
@@ -81,6 +81,9 @@ def scaled_mlc2_geometry(
     )
 
 
+# Only tests call this today.  ROADMAP item 2 (number audit) decides
+# whether T scales with endurance: then this becomes the rule, otherwise
+# it goes.
 def scaled_threshold(paper_threshold: float, *, scale: int = DEFAULT_ENDURANCE_SCALE) -> float:
     """Map a paper threshold T to a time-compressed equivalent T/scale.
 
@@ -351,40 +354,6 @@ def run_service_soak(
         max_time=max_time,
         label=spec.label(),
     )
-
-
-def run_service_matrix(
-    specs: list[ExperimentSpec],
-    base_trace: Sequence[Request],
-    *,
-    rate: float | None = None,
-    trace_speedup: float | None = None,
-    max_requests: int | None = None,
-    max_time: float | None = None,
-    queue_depth: int = 64,
-    warmup: list[Request] | None = None,
-) -> list[ServiceResult]:
-    """Soak each spec against one shared trace and arrival model.
-
-    The standard comparison is SWL-off vs SWL-on at the paper's T
-    thresholds: identical requests, identical arrivals, so any latency
-    difference is cleaning/leveling interference.  Runs serially — each
-    cell is deterministic from its spec alone, and service runs are
-    usually few (one per T) rather than a full k x T sweep.
-    """
-    return [
-        run_service_soak(
-            spec,
-            base_trace,
-            rate=rate,
-            trace_speedup=trace_speedup,
-            max_requests=max_requests,
-            max_time=max_time,
-            queue_depth=queue_depth,
-            warmup=warmup,
-        )
-        for spec in specs
-    ]
 
 
 #: Per-worker matrix context installed by :func:`_matrix_worker_init`.

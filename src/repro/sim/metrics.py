@@ -374,16 +374,6 @@ def improvement_ratio(value: float, baseline: float) -> float:
     return 100.0 * (value - baseline) / baseline
 
 
-def unevenness_of(counts: Sequence[int]) -> float:
-    """Max/mean erase-count ratio: a scale-free wear-imbalance indicator."""
-    if not counts:
-        raise ValueError("no erase counts")
-    mean = sum(counts) / len(counts)
-    if mean == 0:
-        return 0.0
-    return max(counts) / mean
-
-
 @dataclass(frozen=True)
 class FaultRecoverySummary:
     """Cost of fault recovery during one run or campaign.

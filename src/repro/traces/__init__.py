@@ -23,7 +23,6 @@ from repro.traces.model import Op, Request, Trace, TraceSummary
 from repro.traces.stats import (
     sequentiality,
     summarize,
-    write_frequency_by_region,
 )
 
 __all__ = [
@@ -45,5 +44,4 @@ __all__ = [
     "save_trace_csv",
     "sequentiality",
     "summarize",
-    "write_frequency_by_region",
 ]

@@ -8,8 +8,7 @@ against the published targets: written-LBA coverage 36.62 %, 1.82 writes/s,
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.traces.model import Request, TraceSummary
 
@@ -66,23 +65,6 @@ def _covered(intervals: list[tuple[int, int]]) -> int:
         else:
             current_end = max(current_end, end)
     return covered + (current_end - current_start)
-
-
-def write_frequency_by_region(
-    requests: Iterable[Request],
-    total_sectors: int,
-    *,
-    num_regions: int = 100,
-) -> list[int]:
-    """Write-op counts per equal-size address region (hot/cold skew view)."""
-    if num_regions <= 0:
-        raise ValueError("num_regions must be positive")
-    region_size = max(1, total_sectors // num_regions)
-    counts: Counter[int] = Counter()
-    for request in requests:
-        if request.is_write():
-            counts[min(request.lba // region_size, num_regions - 1)] += 1
-    return [counts.get(region, 0) for region in range(num_regions)]
 
 
 def sequentiality(requests: Sequence[Request], *, window: int = 1) -> float:

@@ -9,12 +9,11 @@ This package deliberately contains only dependency-free building blocks:
 
 from repro.util.bitarray import BitArray
 from repro.util.rng import make_rng, spawn_rng
-from repro.util.tables import format_table, render_table
+from repro.util.tables import format_table
 
 __all__ = [
     "BitArray",
     "make_rng",
     "spawn_rng",
     "format_table",
-    "render_table",
 ]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import TextIO
 
 
 def _stringify(cell: object) -> str:
@@ -100,17 +99,3 @@ def format_table(
     """``Table(headers, rows, title).text()`` for callers that hold rows."""
     return Table(headers, list(rows), title).text()
 
-
-def render_table(
-    headers: Sequence[str],
-    rows: Iterable[Sequence[object]],
-    *,
-    title: str | None = None,
-    stream: TextIO | None = None,
-) -> None:
-    """Write :func:`format_table` output to ``stream`` (default stdout).
-
-    Convenience for benches and examples; library code that needs the
-    table as data should call :func:`format_table` directly.
-    """
-    print(format_table(headers, rows, title=title), file=stream)

@@ -143,8 +143,19 @@ class TestSweep:
         assert "vs baseline" in out
         assert "NFTL+SWL+k=0+T=10" in out
 
+    @pytest.fixture
+    def short_trace(self, monkeypatch):
+        """A 1/20-day base trace: these sweeps must agree, not be long."""
+        import repro.cli as cli
+
+        one_day = cli._mobile_pc_trace
+        monkeypatch.setattr(
+            cli, "_mobile_pc_trace",
+            lambda spec, args, days: one_day(spec, args, days / 20),
+        )
+
     def test_supervised_sweep_resumes_and_reports_attempts(
-        self, capsys, tmp_path
+        self, capsys, tmp_path, short_trace
     ):
         workdir = tmp_path / "campaign"
         report_path = tmp_path / "sweep.md"
@@ -169,17 +180,8 @@ class TestSweep:
         assert first.splitlines()[:8] == second.splitlines()[:8]
 
     def test_resume_after_changing_the_sweep_reruns_the_changed_cell(
-        self, capsys, tmp_path, monkeypatch
+        self, capsys, tmp_path, short_trace
     ):
-        import repro.cli as cli
-
-        # A shorter base trace: the three sweeps must agree, not be long.
-        one_day = cli._mobile_pc_trace
-        monkeypatch.setattr(
-            cli, "_mobile_pc_trace",
-            lambda spec, args, days: one_day(spec, args, days / 20),
-        )
-
         def summary(out: str) -> list[str]:
             lines = out.splitlines()
             start = next(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis.figures import sparkline, wear_map
+from repro.analysis.figures import sparkline
 
 
 class TestSparkline:
@@ -26,20 +26,3 @@ class TestSparkline:
     def test_length_preserved(self, values):
         assert len(sparkline(values)) == len(values)
 
-
-class TestWearMap:
-    def test_shape(self):
-        chart = wear_map([0] * 64 + [100] * 64, columns=32)
-        lines = chart.splitlines()
-        assert len(lines) == 5  # 4 rows + scale line
-        assert lines[0] == "▁" * 32
-        assert lines[3] == "█" * 32
-        assert "scale" in lines[-1]
-
-    def test_all_zero(self):
-        chart = wear_map([0, 0, 0])
-        assert "▁▁▁" in chart
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            wear_map([])

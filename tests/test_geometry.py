@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from repro.flash.geometry import (
     GIB,
-    MIB,
     MLC2_1GB,
     MLC2_BENCH,
     MLC2_TINY,
@@ -15,19 +14,11 @@ from repro.flash.geometry import (
     FlashGeometry,
     mlc2,
     slc_large_block,
-    slc_small_block,
 )
 
 
 class TestPaperParts:
     """Section 1 / 5.1 fix these organizations exactly."""
-
-    def test_small_block_slc(self):
-        geometry = slc_small_block(128 * MIB)
-        assert geometry.page_size == 512
-        assert geometry.pages_per_block == 32
-        assert geometry.endurance == 100_000
-        assert geometry.capacity_bytes == 128 * MIB
 
     def test_large_block_slc(self):
         geometry = slc_large_block(1 * GIB)

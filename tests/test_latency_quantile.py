@@ -1,16 +1,23 @@
-"""Property tests: histogram quantiles versus a sorted-sample oracle.
+"""Property tests: histogram quantiles versus two oracles.
 
-:meth:`LatencyHistogram.quantile` interpolates within geometric buckets
-(eight per decade), so its estimate may differ from the exact sorted
-sample — but never by more than one bucket's width (a factor of
-``10^(1/8)``), and it must be monotone in ``q``.  These are the two laws
-the bugfix in this PR restored at the bucket-boundary rank (a rank met
-exactly at a boundary used to interpolate from the wrong, empty bucket).
+:meth:`Histogram.quantile` is the one estimator behind every published
+percentile (service results, tenant summaries, the benchmark's
+``sim_p50_ms``/``sim_p99_ms``), so it must give *exactly* what the
+latency-only histogram it replaced gave.  :class:`ReferenceLatencyHistogram`
+keeps that histogram's binning and estimator verbatim, and the first
+property compares the two with ``==``.
+
+The estimate interpolates within geometric buckets (eight per decade),
+so it may differ from the exact sorted sample — but never by more than
+one bucket's width (a factor of ``10^(1/8)``), and it must be monotone
+in ``q``.  A rank met exactly at a bucket boundary must interpolate in
+the next occupied bucket, not the empty one before it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +32,79 @@ samples_strategy = st.lists(
     min_size=1,
     max_size=200,
 )
+
+
+class ReferenceLatencyHistogram:
+    """The former latency-only histogram: binning and estimator, verbatim."""
+
+    def __init__(self) -> None:
+        self.counts = [0] * (len(LATENCY_BUCKET_BOUNDS) + 1)
+        self.count = 0
+        self.total = 0.0
+        self.minimum = float("inf")
+        self.maximum = 0.0
+
+    def observe(self, value: float) -> None:
+        self.counts[bisect_left(LATENCY_BUCKET_BOUNDS, value)] += 1
+        self.count += 1
+        self.total += value
+        if value > self.maximum:
+            self.maximum = value
+        if value < self.minimum:
+            self.minimum = value
+
+    def quantile(self, q: float) -> float:
+        """Estimate the ``q``-quantile by interpolating within buckets.
+
+        The estimate is clamped to the exact observed ``[min, max]``, so
+        p0 and p100 (and any quantile landing in the first or final
+        occupied bucket) never leave the range of latencies that actually
+        happened.
+        """
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile must be in [0, 1], got {q}")
+        if self.count == 0:
+            return 0.0
+        rank = q * self.count
+        cumulative = 0
+        for index, bucket_count in enumerate(self.counts):
+            if bucket_count and cumulative + bucket_count >= rank:
+                # An empty bucket never satisfies the rank: when the rank
+                # was met exactly at the previous bucket's boundary, the
+                # samples that meet it live in this, the *next occupied*
+                # bucket — interpolating from an empty one would take the
+                # wrong bucket's edges with a non-positive fraction.
+                lower = LATENCY_BUCKET_BOUNDS[index - 1] if index else 0.0
+                if index < len(LATENCY_BUCKET_BOUNDS):
+                    upper = LATENCY_BUCKET_BOUNDS[index]
+                else:
+                    upper = self.maximum  # overflow slot: exact ceiling
+                fraction = max(0.0, (rank - cumulative) / bucket_count)
+                estimate = lower + (upper - lower) * fraction
+                return min(max(estimate, self.minimum), self.maximum)
+            cumulative += bucket_count
+        return self.maximum
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    samples=st.lists(
+        # Up to past the last bound, so the overflow slot is exercised;
+        # from zero, so the first bucket's interpolation from 0 is too.
+        st.floats(min_value=0.0, max_value=1e5, allow_nan=False),
+        max_size=200,
+    ),
+    qs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+)
+def test_quantile_equals_the_reference_estimator(samples, qs):
+    hist, reference = LatencyHistogram(), ReferenceLatencyHistogram()
+    for sample in samples:
+        hist.observe(sample)
+        reference.observe(sample)
+    assert hist.counts == reference.counts
+    assert hist.sum == reference.total
+    for q in qs + [0.0, 0.5, 0.99, 1.0]:
+        assert hist.quantile(q) == reference.quantile(q)
 
 
 def oracle_quantile(samples: list[float], q: float) -> float:

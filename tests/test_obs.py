@@ -177,6 +177,21 @@ class TestMetrics:
         b.histogram("h", buckets=(1.0, 3.0)).observe(1)
         with pytest.raises(ValueError, match="differing buckets"):
             a.snapshot().merge(b.snapshot())
+        with pytest.raises(ValueError, match="differing buckets"):
+            a.histogram("h", buckets=(1.0, 2.0)).merge(
+                b.histogram("h", buckets=(1.0, 3.0)))
+
+    def test_registry_rejects_a_histogram_under_other_buckets(self):
+        # Handing back the existing (1, 2) histogram for a (1, 5) request
+        # would bin the caller's observations against bounds it never
+        # asked for.
+        registry = MetricsRegistry()
+        registry.histogram("h", buckets=(1.0, 2.0)).observe(1.5)
+        with pytest.raises(ValueError, match="other buckets"):
+            registry.histogram("h", buckets=(1.0, 5.0))
+        with pytest.raises(ValueError, match="other buckets"):
+            registry.histogram("h", buckets=(1.0, 2.0, 5.0))
+        assert registry.histogram("h", buckets=(1, 2)).count == 1
 
     def test_one_sided_metrics_pass_through(self):
         a, b = MetricsRegistry(), MetricsRegistry()

@@ -1,4 +1,4 @@
-"""Tests for selection/trigger policies and the SWLConfig sweep helper."""
+"""Tests for selection/trigger policies and the paper's SWLConfig sweep."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.core.config import (
     PAPER_K_VALUES,
     PAPER_THRESHOLDS,
     SWLConfig,
-    paper_sweep,
 )
 from repro.core.alternatives import (
     CacheAvoidLeveler,
@@ -232,13 +231,6 @@ class TestSWLConfig:
 
 
 class TestPaperSweep:
-    def test_matrix_is_full_cross_product(self):
-        sweep = paper_sweep()
-        assert len(sweep) == len(PAPER_K_VALUES) * len(PAPER_THRESHOLDS)
-        labels = {config.label() for config in sweep}
-        assert "SWL+k=0+T=100" in labels
-        assert "SWL+k=3+T=1000" in labels
-
     def test_paper_constants(self):
         assert PAPER_THRESHOLDS == (100, 400, 700, 1000)
         assert PAPER_K_VALUES == (0, 1, 2, 3)

@@ -140,6 +140,56 @@ class TestEveryModuleIsReached:
         }
         assert sorted(modules - reached) == []
 
+    #: Public names only tests call, each waiting on the ROADMAP item that
+    #: decides its fate (item 2: does T scale with endurance?).
+    AWAITING_A_DECISION = {"repro.sim.experiment.scaled_threshold"}
+
+    def test_every_public_name_has_a_caller(self):
+        """No public top-level name under ``src/repro`` lives only for tests.
+
+        A caller is any import, name or attribute spelled like the name
+        in a file outside ``tests/`` and ``examples/`` — the defining
+        module included — except a package ``__init__``: re-exporting a
+        name is not using it.  Matching is by spelling, so the guard can
+        miss a dead name that shares it with a live one; a name spelled
+        only inside strings (quoted annotations, ``getattr``) does not
+        count as used.
+        """
+        spelled: set[str] = set()
+        for path in self.ROOT.rglob("*.py"):
+            parts = path.relative_to(self.ROOT).parts
+            if parts[0] in ("tests", "examples") or (
+                path.name == "__init__.py" and parts[0] == "src"
+            ):
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    spelled.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    spelled.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    spelled.add(node.name.rpartition(".")[2])
+        unused = set()
+        for path in (self.SRC / "repro").rglob("*.py"):
+            if path.name in ("__init__.py", "__main__.py"):
+                continue
+            module = ".".join(path.relative_to(self.SRC).with_suffix("").parts)
+            for node in ast.parse(path.read_text()).body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign):
+                    names = [t.id for t in node.targets
+                             if isinstance(t, ast.Name)]
+                elif isinstance(node, ast.AnnAssign):
+                    names = [node.target.id]  # a module-level x: T = v
+                else:
+                    continue
+                unused.update(
+                    f"{module}.{name}" for name in names
+                    if not name.startswith("_") and name not in spelled
+                )
+        assert sorted(unused) == sorted(self.AWAITING_A_DECISION)
+
     def test_no_leveler_or_host_is_probed_for_attributes(self):
         """The wiring reads a leveler's attributes; it never feels for them.
 

@@ -88,7 +88,8 @@ class TestLatencyHistogram:
         for value in (1e-5, 2e-4, 3e-3, 4e-2):
             hist.observe(value)
         assert hist.count == 4
-        assert hist.mean == pytest.approx((1e-5 + 2e-4 + 3e-3 + 4e-2) / 4)
+        assert hist.summary().mean == pytest.approx(
+            (1e-5 + 2e-4 + 3e-3 + 4e-2) / 4)
         assert hist.maximum == 4e-2
         assert hist.minimum == 1e-5
 
@@ -119,8 +120,8 @@ class TestLatencyHistogram:
     def test_empty(self):
         hist = LatencyHistogram()
         assert hist.quantile(0.99) == 0.0
-        assert hist.mean == 0.0
         summary = hist.summary()
+        assert summary.mean == 0.0
         assert summary.count == 0
         assert summary.p99 == 0.0
 
@@ -149,7 +150,7 @@ class TestLatencyHistogram:
         left.merge(right)
         assert left.counts == whole.counts
         assert left.count == whole.count
-        assert left.total == pytest.approx(whole.total)
+        assert left.sum == pytest.approx(whole.sum)
         assert left.maximum == whole.maximum
         assert left.minimum == whole.minimum
 
@@ -364,18 +365,21 @@ class TestServiceTelemetry:
         return telemetry, chrome, result
 
     def test_latency_histograms_in_registry(self, spec, base_trace):
-        telemetry, _, result = self.run_with_telemetry(spec, base_trace)
+        telemetry = Telemetry(run_name="svc-test")
+        engine = ServiceEngine(
+            spec.build(telemetry=telemetry), queue_depth=4,
+            telemetry=telemetry, queue_sample_every=100,
+        )
+        result = engine.serve(arrival_stream(spec, base_trace, 1200),
+                              max_requests=1200)
         snapshot = telemetry.snapshot()
+        # The registry holds the engine's own histogram, merged exactly:
+        # the exported buckets are the ones every percentile came from.
         overall = snapshot.histograms["repro_service_request_latency_seconds"]
-        assert overall.count == result.requests
-        assert overall.sum == pytest.approx(
-            result.latency.mean * result.requests
-        )
-        # The registry quantile and the in-process quantile agree: same
-        # buckets, same estimator (max-clamping differs only at the top).
-        assert overall.quantile(0.5) == pytest.approx(
-            result.latency.p50, rel=0.35
-        )
+        assert overall.buckets == engine.latency.buckets
+        assert overall.counts == tuple(engine.latency.counts)
+        assert overall.sum == engine.latency.sum
+        assert overall.count == engine.latency.count == result.requests
         per_channel = snapshot.histograms[
             "repro_service_channel_latency_seconds"
         ]

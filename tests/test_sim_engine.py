@@ -12,7 +12,6 @@ from repro.sim.metrics import (
     first_failure_years,
     improvement_ratio,
     increased_ratio,
-    unevenness_of,
 )
 from repro.traces.extend import SegmentResampler
 from repro.traces.generator import MobilePCWorkload, WorkloadParams
@@ -297,10 +296,3 @@ class TestMetrics:
     def test_improvement_ratio_paper_headline(self):
         # Paper: FTL first failure improved by 51.2%.
         assert improvement_ratio(151.2, 100.0) == pytest.approx(51.2)
-
-    def test_unevenness_of(self):
-        assert unevenness_of([5, 5, 5]) == pytest.approx(1.0)
-        assert unevenness_of([0, 0, 30]) == pytest.approx(3.0)
-        assert unevenness_of([0, 0]) == 0.0
-        with pytest.raises(ValueError):
-            unevenness_of([])

@@ -27,7 +27,7 @@ from repro.traces.io import (
     save_trace_csv,
 )
 from repro.traces.model import Op, Request, Trace
-from repro.traces.stats import sequentiality, summarize, write_frequency_by_region
+from repro.traces.stats import sequentiality, summarize
 from repro.util.rng import make_rng
 
 
@@ -446,13 +446,6 @@ class TestStats:
         trace = workload.prefill_requests() + workload.requests()
         summary = summarize(trace, params.total_sectors)
         assert summary.written_lba_fraction == pytest.approx(0.3662, abs=0.01)
-
-    def test_region_frequency(self):
-        trace = [Request(0.0, Op.WRITE, 0, 1), Request(1.0, Op.WRITE, 99, 1)]
-        counts = write_frequency_by_region(trace, 100, num_regions=10)
-        assert counts[0] == 1
-        assert counts[-1] == 1
-        assert sum(counts) == 2
 
     def test_sequentiality(self):
         seq = [Request(0.0, Op.WRITE, 0, 8), Request(1.0, Op.WRITE, 8, 8)]
