@@ -17,7 +17,8 @@ Models exactly the properties the paper's experiments depend on:
 Data payloads are optional: wear-leveling behaviour depends only on page
 *state*, so by default the simulator tracks states and spare data without
 storing user bytes.  Tests that verify end-to-end data integrity enable
-``store_data``.
+``store_data``.  The chip emits only erase events; reads and programs are
+emitted by the MTD (:mod:`repro.flash.mtd`), which owns the device clock.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.flash.errors import (
     WearOutError,
 )
 from repro.flash.geometry import FlashGeometry
-from repro.obs.bus import M_ERASE, M_PROGRAM, M_READ
+from repro.obs.bus import M_ERASE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.fault.injector import FaultInjector
@@ -87,11 +88,6 @@ class NandFlash:
     store_data:
         When ``True``, page payloads are stored and returned by
         :meth:`read`; otherwise reads return ``None`` payloads.
-    enforce_sequential_program:
-        When ``True``, pages within a block must be programmed in ascending
-        order (a real MLC constraint).  NFTL's primary blocks legitimately
-        program pages out of order (Figure 2(b)), so this defaults to
-        ``False``; FTL-only setups may enable it as an extra invariant.
     """
 
     def __init__(
@@ -100,12 +96,10 @@ class NandFlash:
         *,
         fail_stop: bool = False,
         store_data: bool = False,
-        enforce_sequential_program: bool = False,
     ) -> None:
         self.geometry = geometry
         self.fail_stop = fail_stop
         self.store_data = store_data
-        self.enforce_sequential_program = enforce_sequential_program
 
         total_pages = geometry.total_pages
         self._num_blocks = geometry.num_blocks
@@ -164,18 +158,13 @@ class NandFlash:
         self._injector = injector
 
     def attach_bus(self, bus: "BusLike | None") -> None:
-        """Emit telemetry events on ``bus`` from now on (``None``: stop)."""
+        """Emit erase events on ``bus`` from now on (``None``: stop)."""
         self._obs = bus
 
     def mark_bad(self, block: int) -> None:
         """Record ``block`` in the on-flash grown-bad-block table."""
         self._check_block(block)
         self.bad_blocks.add(block)
-
-    def is_bad(self, block: int) -> bool:
-        """``True`` when ``block`` is marked grown bad."""
-        self._check_block(block)
-        return block in self.bad_blocks
 
     # ------------------------------------------------------------------
     # Address validation
@@ -211,9 +200,6 @@ class NandFlash:
         if self._injector is not None:
             self._injector.on_read(block, page)
         self.counters.reads += 1
-        obs = self._obs
-        if obs is not None and obs.mask & M_READ:
-            obs.emit_read(block, page)
         return self._spare_lba[index], self._data.get(index)
 
     def program(
@@ -226,8 +212,8 @@ class NandFlash:
     ) -> None:
         """Program one free page with a logical tag and optional payload.
 
-        Raises :class:`ProgramError` on overwrite of a non-free page, and on
-        out-of-order programming when ``enforce_sequential_program`` is set.
+        Raises :class:`ProgramError` on overwrite of a non-free page; pages
+        of a block may be programmed in any order (NFTL's home offsets).
         """
         index = self._check_page(block, page)
         if self._states[index] != PAGE_FREE:
@@ -237,15 +223,6 @@ class NandFlash:
                 block=block,
                 page=page,
             )
-        if self.enforce_sequential_program and page > 0:
-            prev = self.geometry.page_index(block, page - 1)
-            if self._states[prev] == PAGE_FREE:
-                raise ProgramError(
-                    f"page ({block}, {page}) programmed before page "
-                    f"({block}, {page - 1}); sequential order required",
-                    block=block,
-                    page=page,
-                )
         if self._injector is not None:
             try:
                 self._injector.on_program(block, page)
@@ -270,9 +247,6 @@ class NandFlash:
         if self.store_data and data is not None:
             self._data[index] = bytes(data)
         self.counters.programs += 1
-        obs = self._obs
-        if obs is not None and obs.mask & M_PROGRAM:
-            obs.emit_program(block, page, lba)
 
     def invalidate(self, block: int, page: int) -> None:
         """Mark a valid page invalid (out-place update of its logical data)."""
@@ -290,26 +264,14 @@ class NandFlash:
     # Span primitives (DESIGN.md 5j)
     # ------------------------------------------------------------------
     # Each does the work of a run of per-page calls at once and returns
-    # ``True``, or changes nothing and returns ``False`` — because an
-    # attachment must see every page (:meth:`_watched`) or because the
-    # per-page call would raise somewhere in the run.  The caller then
-    # issues the per-page calls, so hooks fire and errors surface exactly
-    # where they always did.
-    def _watched(self, kinds: int) -> bool:
-        """``True`` when something attached must see each page operation.
-
-        A fault injector draws per operation, payloads travel per page,
-        sequential-program enforcement inspects each page's predecessor,
-        and a bus subscriber interested in ``kinds`` wants one event per
-        operation.  The metrics collector leaves the hot mask bits clear.
-        """
-        obs = self._obs
-        return (
-            self._injector is not None
-            or self.store_data
-            or self.enforce_sequential_program
-            or (obs is not None and bool(obs.mask & kinds))
-        )
+    # ``True``, or changes nothing and returns ``False`` — because the run
+    # must go page by page (:meth:`_watched`) or a per-page call would
+    # raise in it.  The caller then issues the per-page calls, so faults
+    # strike and errors surface exactly where they always did.
+    def _watched(self) -> bool:
+        """``True`` when a run must go page by page: an injector draws per
+        operation (and may cut the run short), payloads travel per page."""
+        return self._injector is not None or self.store_data
 
     def _free_run(self, block: int, first_page: int, count: int) -> int:
         """Page index of an in-range, entirely free run; -1 otherwise."""
@@ -327,7 +289,7 @@ class NandFlash:
     def program_span(self, block: int, first_page: int, lbas: Sequence[int]) -> bool:
         """Program ``len(lbas)`` consecutive free pages from ``first_page``."""
         count = len(lbas)
-        if self._watched(M_PROGRAM):
+        if self._watched():
             return False
         start = self._free_run(block, first_page, count)
         if start < 0:
@@ -344,7 +306,7 @@ class NandFlash:
         pages; the sources stay as they are (their block is erased next).
         """
         count = len(sources)
-        if self._watched(M_READ | M_PROGRAM):
+        if self._watched():
             return False
         start = self._free_run(block, first_page, count)
         if start < 0 or not self._contains_pages(sources):
@@ -359,7 +321,7 @@ class NandFlash:
     def read_pages(self, indices: Sequence[int]) -> bool:
         """Read the pages at ``indices`` for their side effects only."""
         count = len(indices)
-        if self._watched(M_READ) or (
+        if self._watched() or (
             count and not (0 <= min(indices) and max(indices) < len(self._states))
         ):
             return False

@@ -6,7 +6,8 @@ erase over flash memory".  This class is that layer for the simulator: a
 thin pass-through to :class:`~repro.flash.chip.NandFlash` that additionally
 accumulates device-busy time from a :class:`~repro.flash.timing.TimingModel`
 and exposes operation counters, so higher layers never touch the chip
-object directly.
+object directly.  It is also the one read/program emit site: each event
+carries ``busy_time`` after its own operation, spans included.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from repro.flash.chip import NandFlash, OpCounters
 from repro.flash.errors import FlashError
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import TimingModel, timing_for
+from repro.obs.bus import M_PROGRAM, M_READ, BusLike
 
 
 class MtdDevice:
@@ -50,6 +52,17 @@ class MtdDevice:
         self.geometry = flash.geometry
         self.timing = timing or timing_for(flash.geometry)
         self.busy_time = 0.0
+        self._obs: BusLike | None = None
+
+    def attach_bus(self, bus: BusLike) -> None:
+        """Report this device on ``bus``: reads and programs here, erases via
+        the chip, the chip's counters for the collector to pull, and
+        ``busy_time`` as the clock of a bus that has none."""
+        self._obs = bus
+        self.flash.attach_bus(bus)
+        bus.register_hot_source(self.flash)
+        if bus.clock is None:
+            bus.clock = lambda: self.busy_time
 
     # ------------------------------------------------------------------
     # Primitive operations (paper Figure 1: read / write / erase)
@@ -57,7 +70,11 @@ class MtdDevice:
     def read_page(self, block: int, page: int) -> tuple[int, bytes | None]:
         """Read one page; returns ``(spare_lba, payload)``."""
         self.busy_time += self.timing.read_page
-        return self.flash.read(block, page)
+        spare = self.flash.read(block, page)
+        obs = self._obs
+        if obs is not None and obs.mask & M_READ:
+            obs.emit_read(block, page)
+        return spare
 
     def write_page(
         self, block: int, page: int, *, lba: int, data: bytes | None = None
@@ -65,6 +82,9 @@ class MtdDevice:
         """Program one page."""
         self.busy_time += self.timing.program_page
         self.flash.program(block, page, lba=lba, data=data)
+        obs = self._obs
+        if obs is not None and obs.mask & M_PROGRAM:
+            obs.emit_program(block, page, lba)
 
     def erase_block(self, block: int) -> None:
         """Erase one block (~1.5 ms on MLC×2 per the paper's datasheet)."""
@@ -80,9 +100,9 @@ class MtdDevice:
     # ------------------------------------------------------------------
     # Each equals the per-page calls above issued in order.  When the chip
     # takes a span at once, busy time still advances by the same repeated
-    # additions — ``n * t`` rounds differently.  When it declines, the
-    # per-page calls run here; a :class:`FlashError` out of them carries
-    # ``pages_done``, the pages of the span completed before it.
+    # additions (``n * t`` rounds differently), stored before each event a
+    # subscriber wants.  When it declines, the per-page calls run here; a
+    # :class:`FlashError` out of them carries ``pages_done``.
     def program_span(
         self,
         block: int,
@@ -93,9 +113,15 @@ class MtdDevice:
         """Program ``len(lbas)`` consecutive pages from ``first_page``."""
         if self.flash.program_span(block, first_page, lbas):
             busy, elapsed = self.busy_time, self.timing.program_page
-            for _ in lbas:
-                busy += elapsed
-            self.busy_time = busy
+            obs = self._obs
+            if obs is not None and obs.mask & M_PROGRAM:
+                for page, lba in enumerate(lbas, first_page):
+                    self.busy_time = busy = busy + elapsed
+                    obs.emit_program(block, page, lba)
+            else:
+                for _ in lbas:
+                    busy += elapsed
+                self.busy_time = busy
             return
         done = 0
         try:
@@ -131,16 +157,28 @@ class MtdDevice:
         has landed — an NFTL fold, whose old blocks stay readable until
         the whole chain has moved.  Page by page the source is invalidated
         before the next page is read, so an interrupted span never leaves
-        two valid copies of a page; a span the chip takes at once is
-        observed by nothing in between and invalidates its sources after.
+        two valid copies of a page; a span the chip takes at once has no
+        injector to cut it short and invalidates its sources after.
         """
         if carry is None and self.flash.copy_span(sources, block, first_page):
             busy = self.busy_time
             read, program = self.timing.read_page, self.timing.program_page
-            for _ in sources:
-                busy += read
-                busy += program
-            self.busy_time = busy
+            obs = self._obs
+            if obs is not None and obs.mask & (M_READ | M_PROGRAM):
+                # The copies' spare tags are in place: each program reads its own.
+                pages_per_block = self.geometry.pages_per_block
+                for page, index in enumerate(sources, first_page):
+                    self.busy_time = busy = busy + read
+                    if obs.mask & M_READ:
+                        obs.emit_read(*divmod(index, pages_per_block))
+                    self.busy_time = busy = busy + program
+                    if obs.mask & M_PROGRAM:
+                        obs.emit_program(block, page, self.flash.page_lba(block, page))
+            else:
+                for _ in sources:
+                    busy += read
+                    busy += program
+                self.busy_time = busy
             if supersede:
                 self.flash.invalidate_pages(sources)
             return
@@ -166,9 +204,16 @@ class MtdDevice:
         """Read the pages at ``indices``, discarding what they hold."""
         if self.flash.read_pages(indices):
             busy, elapsed = self.busy_time, self.timing.read_page
-            for _ in indices:
-                busy += elapsed
-            self.busy_time = busy
+            obs = self._obs
+            if obs is not None and obs.mask & M_READ:
+                pages_per_block = self.geometry.pages_per_block
+                for index in indices:
+                    self.busy_time = busy = busy + elapsed
+                    obs.emit_read(*divmod(index, pages_per_block))
+            else:
+                for _ in indices:
+                    busy += elapsed
+                self.busy_time = busy
             return
         pages_per_block = self.geometry.pages_per_block
         done = 0

@@ -413,15 +413,7 @@ def build_stack(
         assert leveler is not None
         layer.attach_leveler(leveler)
     if bus is not None:
-        # Timestamps are simulated device time: the accumulated busy
-        # time of this stack's MTD (per-shard clocks in an array).
-        if bus.clock is None:
-            bus.clock = lambda: mtd.busy_time
-        flash.attach_bus(bus)
-        # The chip's cumulative OpCounters are where the metrics
-        # collector reads read/program/erase totals at flush time, in
-        # place of per-operation events (repro.obs.bus).
-        bus.register_hot_source(flash)
+        mtd.attach_bus(bus)
         layer.attach_bus(bus)
         if leveler is not None:
             leveler.attach_bus(bus)  # challengers run silent (a no-op)

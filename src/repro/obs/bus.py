@@ -41,7 +41,7 @@ traffic where hot kinds flow (``Telemetry.to_directory``) the buffer was
 1.64-1.82x faster than synchronous dispatch, artifacts byte-identical.
 
 Timestamps come from an injectable ``clock`` callable, not wall time:
-the factory wires it to the device's accumulated ``busy_time``, so
+the MTD wires it to its accumulated ``busy_time``, so
 traces are in *simulated* seconds and runs are reproducible.  When no
 subscriber needs timestamps (the collector declares ``needs_timestamps =
 False``) the clock is never read.  Multi-channel arrays hand each shard
@@ -161,8 +161,8 @@ class _Emitter:
     _root: "EventBus"
     #: Tag stamped on every op emitted here (0 on the root bus).
     shard: int
-    #: Current simulated time; ``None`` until the factory wires it to
-    #: the backing device (a view then falls back to the root's).
+    #: Current simulated time; ``None`` until an MTD wires it to its
+    #: ``busy_time`` (a view then falls back to the root's).
     clock: Optional[Clock]
     #: Union of the subscribers' kind interests — a plain attribute,
     #: because emit sites test their kind bit against it per operation.

@@ -43,3 +43,15 @@ def chip(tiny_geometry: FlashGeometry) -> NandFlash:
 @pytest.fixture
 def mtd(chip: NandFlash) -> MtdDevice:
     return MtdDevice(chip)
+
+
+@pytest.fixture
+def short_trace(monkeypatch: pytest.MonkeyPatch) -> None:
+    """A 1/20-day base trace for CLI runs that must agree, not be long."""
+    import repro.cli as cli
+
+    one_day = cli._mobile_pc_trace
+    monkeypatch.setattr(
+        cli, "_mobile_pc_trace",
+        lambda spec, args, days: one_day(spec, args, days / 20),
+    )

@@ -324,7 +324,6 @@ class TestDispatcher:
         else:
             chain = victim.layer._chains[0]
             block, page = chain.replacement, chain.repl_next
-        victim.flash.enforce_sequential_program = False
         victim.flash.program(block, page + 1, lba=0)
         programmed = sum(s.flash.counters.programs for s in array.shards)
         with pytest.raises(FlashError) as caught:

@@ -60,17 +60,6 @@ class TestPageLifecycle:
 
 
 class TestSequentialProgramming:
-    def test_out_of_order_rejected_when_enforced(self, tiny_geometry):
-        chip = NandFlash(tiny_geometry, enforce_sequential_program=True)
-        chip.program(0, 0, lba=1)
-        with pytest.raises(ProgramError, match="sequential"):
-            chip.program(0, 2, lba=2)
-
-    def test_in_order_accepted_when_enforced(self, tiny_geometry):
-        chip = NandFlash(tiny_geometry, enforce_sequential_program=True)
-        for page in range(tiny_geometry.pages_per_block):
-            chip.program(0, page, lba=page)
-
     def test_out_of_order_allowed_by_default(self, chip):
         chip.program(0, 3, lba=1)  # NFTL writes at home offsets
 

@@ -143,17 +143,6 @@ class TestSweep:
         assert "vs baseline" in out
         assert "NFTL+SWL+k=0+T=10" in out
 
-    @pytest.fixture
-    def short_trace(self, monkeypatch):
-        """A 1/20-day base trace: these sweeps must agree, not be long."""
-        import repro.cli as cli
-
-        one_day = cli._mobile_pc_trace
-        monkeypatch.setattr(
-            cli, "_mobile_pc_trace",
-            lambda spec, args, days: one_day(spec, args, days / 20),
-        )
-
     def test_supervised_sweep_resumes_and_reports_attempts(
         self, capsys, tmp_path, short_trace
     ):

@@ -14,7 +14,9 @@ not merely close; see DESIGN.md, hot-path accounting invariants).
 from __future__ import annotations
 
 import io
+import json
 import random
+from collections import Counter
 from functools import partial
 from typing import NamedTuple
 
@@ -39,7 +41,7 @@ from repro.flash.errors import (
 from repro.flash.geometry import CellType, FlashGeometry
 from repro.flash.mtd import MtdDevice
 from repro.ftl.factory import build_stack, make_layer
-from repro.obs.bus import M_PROGRAM, M_READ, EventBus
+from repro.obs.bus import EventBus
 from repro.obs.export import JsonlTraceExporter
 from repro.obs.heatmap import WearHeatmap
 from repro.obs.telemetry import Telemetry
@@ -330,10 +332,10 @@ def test_bet_counters_and_scan_with_short_tail_sets(num_blocks, k, seed):
 # Two fresh FTL stacks take the same batches.  One is driven through the
 # span entries (``write_pages``/``read_pages``) over a chip free to take
 # runs at once; the other page by page (``layer.write``/``layer.read``),
-# over a chip whose sequential-program enforcement makes every primitive
-# take its per-page route.  The FTL only ever programs a block in
-# ascending order, so the enforcement never fires — it is the one
-# attachment that forces the route without changing anything observable.
+# over a chip forced onto its per-page route by an instance override of
+# ``_watched`` — which changes nothing a snapshot holds — and whose
+# ``program`` fails the test on a page programmed before its predecessor:
+# the FTL fills every block in ascending page order.
 SPAN_GEOMETRY = FlashGeometry(
     num_blocks=16, pages_per_block=8, page_size=2048, endurance=50,
     cell_type=CellType.MLC2, name="span-equivalence",
@@ -394,12 +396,33 @@ PREFILLS = (range(SPAN_PAGES), range(0, SPAN_PAGES, 2), range(SPAN_PAGES // 2),
             range(0))
 
 
+def force_per_page(flash):
+    """Send every span of ``flash`` down the per-page route, as an
+    injector or ``store_data`` would, with nothing else attached."""
+    flash._watched = lambda: True
+
+
+def ascending_programs(flash):
+    """Fail on a program whose predecessor page is still free."""
+    program = flash.program
+
+    def checked(block, page, **kwargs):
+        program(block, page, **kwargs)
+        assert page == 0 or flash.page_state(block, page - 1) != PAGE_FREE, (
+            f"page ({block}, {page}) programmed before page ({block}, {page - 1})"
+        )
+
+    flash.program = checked
+
+
 def span_stack(*, per_page_chip=False, **kwargs):
     stack = build_stack(
         SPAN_GEOMETRY, "ftl", SWLConfig(threshold=2, k=0), rng=make_rng(7), **kwargs
     )
     assert stack.num_logical_pages == SPAN_PAGES
-    stack.flash.enforce_sequential_program = per_page_chip
+    if per_page_chip:
+        force_per_page(stack.flash)
+        ascending_programs(stack.flash)
     return stack
 
 
@@ -423,8 +446,8 @@ def drive(stack, op, lpns, *, batched):
 
 
 def observed(stack):
-    if stack.flash._obs is not None:
-        stack.flash._obs.flush()  # a trace stream is current only after a flush
+    if stack.mtd._obs is not None:
+        stack.mtd._obs.flush()  # a trace stream is current only after a flush
     injector = stack.flash.injector
     return {
         "flash": stack.flash.snapshot_state(),
@@ -530,14 +553,16 @@ def test_reads_of_unmapped_out_of_range_and_empty_spans_match(batches, prefill):
 ARRAY_PAGES = 4 * SPAN_PAGES
 
 
-def span_array(*, per_page_chip=False):
+def span_array(*, per_page_chip=False, **kwargs):
     array = build_array(
         SPAN_GEOMETRY, "ftl", SWLConfig(threshold=2, k=0), channels=4,
-        rng=make_rng(7),
+        rng=make_rng(7), **kwargs
     )
     assert array.num_logical_pages == ARRAY_PAGES
-    for shard in array.shards:
-        shard.flash.enforce_sequential_program = per_page_chip
+    if per_page_chip:
+        for shard in array.shards:
+            force_per_page(shard.flash)
+            ascending_programs(shard.flash)
     return array
 
 
@@ -589,21 +614,19 @@ def test_array_span_reads_match_the_buffered_and_per_page_routes(batches, prefil
         model.check(op, lpns, partial(run, op, lpns))
 
 
-def traced_bus():
+def traced_bus(stream):
     bus = EventBus()
-    bus.subscribe(JsonlTraceExporter(io.StringIO()))
+    bus.subscribe(JsonlTraceExporter(stream))
     return bus
 
 
 @pytest.mark.parametrize("attach", [
     lambda: {"injector": FaultInjector(FaultPlan(seed=1))},
     lambda: {"store_data": True},
-    lambda: {"per_page_chip": True},
-    lambda: {"bus": traced_bus()},
-], ids=["injector", "store_data", "sequential", "subscriber"])
+], ids=["injector", "store_data"])
 def test_an_attachment_still_sees_every_page_of_a_span_read(attach):
     stack = span_stack(**attach())
-    assert stack.flash._watched(M_READ)
+    assert stack.flash._watched()
     stack.write_pages(range(0, 20, 2))
     seen = []
     read = stack.flash.read
@@ -674,30 +697,72 @@ def test_payloads_travel_with_relocated_pages(seed):
 @settings(max_examples=25, deadline=None)
 @given(batches=host_batches)
 def test_trace_exporter_sees_the_same_event_stream(batches):
-    streams = []
-    stacks = []
-    for _ in range(2):
-        stream = io.StringIO()
-        bus = EventBus()
-        bus.subscribe(JsonlTraceExporter(stream))
-        stacks.append(span_stack(bus=bus))
-        streams.append(stream)
-    spans, pages = stacks
+    # Span entries over a flat-route chip, whose MTD emits each span's
+    # events itself, against the per-page oracle: byte-equal streams.
+    streams = io.StringIO(), io.StringIO()
+    spans = span_stack(bus=traced_bus(streams[0]))
+    pages = span_stack(per_page_chip=True, bus=traced_bus(streams[1]))
     for op, lpns in [("w", range(SPAN_PAGES)), *batches]:
         assert_same_outcome(spans, pages, op, lpns)
         assert streams[0].getvalue() == streams[1].getvalue()
     assert '"kind": "gc_scan"' in streams[0].getvalue()
 
 
+@settings(max_examples=25, deadline=None)
+@given(batches=host_batches)
+def test_array_trace_exporter_sees_the_same_event_stream(batches):
+    # Four shards on one bus: shard tags and per-shard clocks, through
+    # the compiled dispatcher over flat-route and per-page chips.
+    streams = io.StringIO(), io.StringIO()
+    arrays = (span_array(bus=traced_bus(streams[0])),
+              span_array(per_page_chip=True, bus=traced_bus(streams[1])))
+    for op, lpns in [("w", range(ARRAY_PAGES)), *batches]:
+        outcomes = []
+        for array in arrays:
+            done, error = drive_array(array, op, lpns, "compiled")
+            outcomes.append((done, type(error),
+                             [observed(shard) for shard in array.shards]))
+        assert outcomes[0] == outcomes[1]
+        assert streams[0].getvalue() == streams[1].getvalue()
+    shards = {json.loads(line)["shard"] for line in streams[0].getvalue().splitlines()}
+    assert shards == {0, 1, 2, 3}
+
+
 def test_plain_telemetry_keeps_the_flat_route():
     # The collector reads the chip's counters at flush time and leaves
-    # the per-operation mask bits clear, so spans stay whole.
+    # the per-operation mask bits clear.
     telemetry = Telemetry()
     stack = span_stack(bus=telemetry.bus)
-    assert not stack.flash._watched(M_READ | M_PROGRAM)
+    assert not stack.flash._watched()
     stack.write_pages(range(SPAN_PAGES))
     programs = telemetry.snapshot().counters["repro_flash_programs_total"]
     assert programs.value == SPAN_PAGES
+
+
+def test_a_trace_exporter_keeps_the_flat_route(monkeypatch):
+    # Watching does not change the work: with a JSONL exporter attached
+    # the chip still takes host writes, host reads and GC copies as
+    # spans, and the exporter still gets one event per page.
+    stream = io.StringIO()
+    stack = span_stack(bus=traced_bus(stream))
+    assert not stack.flash._watched()
+    per_page = []
+    for name in ("program", "read"):
+        original = getattr(NandFlash, name)
+        monkeypatch.setattr(NandFlash, name, lambda self, *args, _call=original,
+                            _name=name, **kwargs: per_page.append(_name)
+                            or _call(self, *args, **kwargs))
+    stack.write_pages(range(SPAN_PAGES))
+    stack.read_pages(range(SPAN_PAGES))
+    stack.write_pages(range(0, SPAN_PAGES, 2))  # victims hold live pages
+    assert stack.layer.stats.live_page_copies > 0
+    assert per_page == []
+    stack.mtd._obs.flush()
+    kinds = Counter(json.loads(line)["kind"] for line in stream.getvalue().splitlines())
+    counters = stack.flash.counters
+    assert (kinds["program"], kinds["read"], kinds["erase"]) == (
+        counters.programs, counters.reads, counters.erases
+    )
 
 
 class TestSpanErrorParity:
@@ -716,12 +781,9 @@ class TestSpanErrorParity:
         for stack in (spans, pages):
             stack.write_pages(range(3))
             block, page = stack.layer._host_frontier
-            # Behind the driver's back (and out of order, so enforcement
-            # steps aside): two pages ahead is no longer free.
-            enforced = stack.flash.enforce_sequential_program
-            stack.flash.enforce_sequential_program = False
-            stack.flash.program(block, page + 2, lba=0)
-            stack.flash.enforce_sequential_program = enforced
+            # Behind the driver's back (and out of order, past the
+            # oracle's ascending check): two pages ahead is no longer free.
+            NandFlash.program(stack.flash, block, page + 2, lba=0)
         error = assert_same_outcome(spans, pages, "w", range(10, 15))
         assert isinstance(error, ProgramError) and error.pages_done == 2
         assert spans.layer.stats.host_writes == 3 + 2 + 1
@@ -780,21 +842,21 @@ def per_offset_merge(layer, vba, locations, failed_primaries, buffered=None):
             return new_primary, copied
 
 
-def nftl_stack(*, per_offset=False, traced=None, **kwargs):
+def nftl_stack(*, per_offset=False, per_page_chip=False, traced=None, **kwargs):
     """An NFTL stack over SPAN_GEOMETRY.
 
-    ``traced`` (a text stream) attaches a hot-kind subscriber, the one
-    attachment that forces the chip per page and changes nothing a
-    snapshot holds; NFTL programs home offsets out of order, so
-    sequential-program enforcement is not an option here.
+    ``traced`` (a text stream) attaches a JSONL exporter;
+    ``per_page_chip`` forces the chip onto its per-page route (NFTL
+    programs home offsets out of order, so no ascending check here).
     """
     if traced is not None:
-        kwargs["bus"] = EventBus()
-        kwargs["bus"].subscribe(JsonlTraceExporter(traced))
+        kwargs["bus"] = traced_bus(traced)
     stack = build_stack(
         SPAN_GEOMETRY, "nftl", SWLConfig(threshold=2, k=0), rng=make_rng(7), **kwargs
     )
     assert stack.num_logical_pages == SPAN_PAGES
+    if per_page_chip:
+        force_per_page(stack.flash)
     if per_offset:
         stack.layer._merge_into_fresh_primary = partial(per_offset_merge, stack.layer)
     return stack
@@ -838,14 +900,18 @@ SPARSE_FILL = [lpn for lpn in range(SPAN_PAGES) if lpn % 8 not in (2, 5)]
 
 def three_routes():
     """Folds as spans on the flat route, folds as spans with the chip
-    forced per page, and the historical loop — the last two with a trace
-    exporter each, whose streams must agree event for event."""
-    streams = io.StringIO(), io.StringIO()
+    forced per page, and the historical loop over a per-page chip — each
+    with a trace exporter, whose streams must agree event for event."""
+    streams = io.StringIO(), io.StringIO(), io.StringIO()
     return [
-        nftl_stack(),
         nftl_stack(traced=streams[0]),
-        nftl_stack(per_offset=True, traced=streams[1]),
+        nftl_stack(per_page_chip=True, traced=streams[1]),
+        nftl_stack(per_offset=True, per_page_chip=True, traced=streams[2]),
     ], streams
+
+
+def assert_same_streams(streams):
+    assert streams[0].getvalue() == streams[1].getvalue() == streams[2].getvalue()
 
 
 @settings(max_examples=60, deadline=None)
@@ -854,7 +920,7 @@ def test_nftl_fold_spans_match_the_per_offset_loop(batches):
     stacks, streams = three_routes()
     for op, arg in [("w", SPARSE_FILL), *batches]:
         assert_same_nftl_outcome(stacks, op, arg)
-        assert streams[0].getvalue() == streams[1].getvalue()
+        assert_same_streams(streams)
         for stack in stacks:
             stack.layer.assert_internal_consistency()
 
@@ -879,7 +945,7 @@ def test_nftl_fold_spans_match_through_every_kind_of_fold():
         lpns = [(start + i * rng.randint(1, 2)) % SPAN_PAGES
                 for i in range(rng.randint(1, 24))]
         assert_same_nftl_outcome(stacks, rng.choice("wwwr"), lpns)
-    assert streams[0].getvalue() == streams[1].getvalue()
+    assert_same_streams(streams)
     for reason in ("fold", "free-space", "swl"):
         assert f'"kind": "gc_start", "reason": "{reason}"' in streams[0].getvalue()
     stats = spans.layer.stats

@@ -32,7 +32,7 @@ from repro.obs.bus import (
     M_PROGRAM,
     M_READ,
 )
-from repro.flash import MLC2_TINY, NandFlash
+from repro.flash import MLC2_TINY, MtdDevice, NandFlash
 from repro.ftl.factory import build_stack
 from repro.obs import (
     ChromeTraceExporter,
@@ -591,19 +591,27 @@ class TestExporters:
 # ----------------------------------------------------------------------
 class TestChipInstrumentation:
     def test_chip_emits_program_read_erase(self):
-        flash = NandFlash(MLC2_TINY)
+        # Reads and programs are emitted by the MTD, erases by the chip;
+        # each is stamped with the device's busy time after that op.
+        mtd = MtdDevice(NandFlash(MLC2_TINY))
         bus = EventBus()
         records = []
         bus.subscribe(records.append)
-        flash.attach_bus(bus)
-        flash.program(0, 0, lba=5)
-        flash.read(0, 0)
-        flash.erase(0)
+        mtd.attach_bus(bus)
+        mtd.write_page(0, 0, lba=5)
+        mtd.read_page(0, 0)
+        mtd.erase_block(0)
         bus.flush()
         kinds = [r.event.kind for r in records]
         assert kinds == ["program", "read", "erase"]
         assert records[0].event.payload() == {"block": 0, "page": 0, "lba": 5}
         assert records[2].event.payload() == {"block": 0, "count": 1}
+        timing = mtd.timing
+        assert [r.ts for r in records] == [
+            timing.program_page,
+            timing.program_page + timing.read_page,
+            timing.program_page + timing.read_page + timing.erase_block,
+        ]
 
     def test_erase_event_precedes_listener_work(self):
         """SWL work an erase listener triggers must trace causally after."""

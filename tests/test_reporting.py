@@ -156,10 +156,12 @@ class TestConsoleMatchesReport:
     ], ids=["sweep", "sweep-resume", "serve-compare", "endure-tenants",
             "faults", "arena"])
     def test_console_tables_are_the_report_tables(
-        self, argv, tables, tmp_path, capsys
+        self, argv, tables, tmp_path, capsys, request
     ):
         from repro.cli import main
 
+        if argv[0] == "sweep":
+            request.getfixturevalue("short_trace")
         path = tmp_path / "report.md"
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         assert main([*argv, "--report", str(path)]) == 0
