@@ -132,7 +132,7 @@ class TestFaultsCommand:
 
 
 class TestSweep:
-    def test_sweep_table(self, capsys):
+    def test_sweep_table(self, capsys, short_trace):
         code = main([
             "sweep", "--blocks", "24", "--scale", "100", "--driver", "nftl",
             "--thresholds", "10", "--ks", "0", "--seed", "3",
@@ -257,7 +257,9 @@ class TestTraceCommand:
         assert "Telemetry" in out
         assert "wear heatmaps" in out
 
-    def test_sweep_trace_out_writes_per_cell_dirs(self, tmp_path, capsys):
+    def test_sweep_trace_out_writes_per_cell_dirs(
+        self, tmp_path, capsys, short_trace
+    ):
         out_dir = tmp_path / "sweep"
         code = main([
             "sweep", "--blocks", "24", "--scale", "100", "--thresholds",
@@ -269,7 +271,7 @@ class TestTraceCommand:
         for cell in cells:
             assert (out_dir / cell / "metrics.prom").exists()
 
-    def test_sweep_bare_telemetry_warns(self, capsys):
+    def test_sweep_bare_telemetry_warns(self, capsys, short_trace):
         code = main([
             "sweep", "--blocks", "24", "--scale", "100", "--thresholds",
             "20", "--ks", "0", "--seed", "3", "--telemetry",
