@@ -153,12 +153,13 @@ class MtdDevice:
         handing it back with the remaining sources re-issues that program
         without a second read.
 
-        ``supersede`` also invalidates each (valid) source once its copy
-        has landed — an NFTL fold, whose old blocks stay readable until
-        the whole chain has moved.  Page by page the source is invalidated
+        ``supersede`` is an NFTL fold, whose old blocks stay readable until
+        the whole chain has moved; the caller erases every source block
+        next.  Page by page — the route an injector, and so a power cut,
+        forces — each source is invalidated once its copy has landed and
         before the next page is read, so an interrupted span never leaves
-        two valid copies of a page; a span the chip takes at once has no
-        injector to cut it short and invalidates its sources after.
+        two valid copies of a page.  A span the chip takes at once has no
+        injector to cut it short: its sources are left to the erase.
         """
         if carry is None and self.flash.copy_span(sources, block, first_page):
             busy = self.busy_time
@@ -179,8 +180,6 @@ class MtdDevice:
                     busy += read
                     busy += program
                 self.busy_time = busy
-            if supersede:
-                self.flash.invalidate_pages(sources)
             return
         pages_per_block = self.geometry.pages_per_block
         done = 0

@@ -194,10 +194,12 @@ class TestEveryModuleIsReached:
         """The wiring reads a leveler's attributes; it never feels for them.
 
         ``WearLeveler`` declares every attribute a consumer needs (the
-        capability flags, no-op ``attach_bus``/``persist``/``restore``)
-        and ``WearLevelingHost`` declares ``mtd`` and ``geometry``, so a
-        ``hasattr`` or a defaulted ``getattr`` on either is a mechanism
-        that left the contract — or a consumer that stopped trusting it.
+        capability flags, no-op ``attach_bus``/``persist``/``restore``),
+        ``WearLevelingHost`` declares ``mtd`` and ``geometry``, and
+        ``TranslationLayer`` declares both host entries
+        (``read_pages``/``write_pages``), so a ``hasattr`` or a defaulted
+        ``getattr`` on a leveler, a host or a layer is a mechanism that
+        left the contract — or a consumer that stopped trusting it.
         """
         def is_probe(call: ast.Call) -> bool:
             if not isinstance(call.func, ast.Name):
@@ -213,7 +215,7 @@ class TestEveryModuleIsReached:
             name = node.attr if isinstance(node, ast.Attribute) else (
                 node.id if isinstance(node, ast.Name) else None
             )
-            return name in ("leveler", "host")
+            return name in ("leveler", "host", "layer")
 
         probes = [
             f"{path.relative_to(self.ROOT)}:{node.lineno}"
