@@ -304,15 +304,22 @@ class NandFlash:
 
         The Cleaner's live-page relocation: spare tags travel with the
         pages; the sources stay as they are (their block is erased next).
+        One ``min`` rejects a negative source (a list would wrap it); the
+        tag gather, run before anything is written, declines on a source
+        past the end.
         """
         count = len(sources)
         if self._watched():
             return False
         start = self._free_run(block, first_page, count)
-        if start < 0 or not self._contains_pages(sources):
+        if start < 0 or min(sources, default=0) < 0:
             return False
         spare = self._spare_lba
-        spare[start:start + count] = [spare[index] for index in sources]
+        try:
+            tags = [spare[index] for index in sources]
+        except IndexError:
+            return False
+        spare[start:start + count] = tags
         self._states[start:start + count] = _VALID * count
         self.counters.reads += count
         self.counters.programs += count
@@ -327,11 +334,6 @@ class NandFlash:
             return False
         self.counters.reads += count
         return True
-
-    def _contains_pages(self, indices: Sequence[int]) -> bool:
-        return not indices or (
-            0 <= min(indices) and max(indices) < len(self._states)
-        )
 
     def invalidate_pages(self, indices: Sequence[int]) -> None:
         """:meth:`invalidate` each page index of ``indices``, in order."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
@@ -47,6 +47,41 @@ ERASE_RETRY_LIMIT = 3
 #: driver needs some slack to garbage collect, so simulations reserve 5 %
 #: unless configured otherwise (documented per experiment in DESIGN.md).
 DEFAULT_OP_RATIO = 0.05
+
+
+class _NoBracket:
+    """A ``with`` bracket that does nothing: for a GC pass that nothing
+    traces, or a driver without a leveler to suspend."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc_info: object) -> None:
+        return None
+
+
+_NO_BRACKET = _NoBracket()
+
+
+class _Suspension:
+    """Suspends ``leveler`` for the ``with`` body; resumes on every exit.
+
+    Its own object, not the leveler: ``with`` looks ``__enter__`` up on
+    the type, past a proxy's ``__getattr__`` (``bench/tracing.py``).
+    """
+
+    __slots__ = ("_leveler",)
+
+    def __init__(self, leveler: WearLeveler) -> None:
+        self._leveler = leveler
+
+    def __enter__(self) -> None:
+        self._leveler.suspend()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._leveler.resume()
 
 
 @dataclass
@@ -153,6 +188,7 @@ class TranslationLayer(ABC):
         self._failed_blocks: set[int] = set()
         self.stats = LayerStats()
         self.leveler: WearLeveler | None = None
+        self._suspension: AbstractContextManager[None] = _NO_BRACKET
         self._obs: "BusLike | None" = None
 
     def attach_bus(self, bus: "BusLike | None") -> None:
@@ -166,18 +202,25 @@ class TranslationLayer(ABC):
         if scanner is not None:
             scanner.attach_bus(bus)
 
-    @contextmanager
-    def _gc_traced(self, reason: str, victim: int) -> Iterator[None]:
+    def _gc_traced(self, reason: str, victim: int) -> AbstractContextManager[None]:
         """Bracket one GC pass with ``GcStart``/``GcEnd`` telemetry.
 
         The end event carries the pass's measured cost as deltas of the
-        driver's copy counter and the device's erase counter.  Off the
-        GC path entirely when no bus is attached.
+        driver's copy counter and the device's erase counter.  With no bus,
+        or one that does not take GC events, the bracket is the shared
+        no-op: one test, and no generator is built (DESIGN.md, the
+        overhead contract).
         """
         obs = self._obs
         if obs is None or not obs.mask & (M_GC_START | M_GC_END):
-            yield
-            return
+            return _NO_BRACKET
+        return self._traced_gc_pass(obs, reason, victim)
+
+    @contextmanager
+    def _traced_gc_pass(
+        self, obs: "BusLike", reason: str, victim: int
+    ) -> Iterator[None]:
+        """The traced :meth:`_gc_traced` bracket."""
         obs.emit(GcStart(reason, victim))
         copies_before = self.stats.live_page_copies
         erases_before = self.mtd.counters.erases
@@ -376,6 +419,7 @@ class TranslationLayer(ABC):
         if self.leveler is not None:
             raise RuntimeError(f"{self.name} already has a leveler attached")
         self.leveler = leveler
+        self._suspension = _Suspension(leveler)
         self.mtd.add_erase_listener(leveler.on_block_erased)
         # A leveler attached after a reboot must learn about blocks retired
         # in earlier sessions, so their BET sets stay permanently flagged.
@@ -393,22 +437,15 @@ class TranslationLayer(ABC):
         See :class:`~repro.core.leveler.WearLevelingHost`.
         """
 
-    @contextmanager
-    def _leveler_suspended(self) -> Iterator[None]:
+    def _leveler_suspended(self) -> AbstractContextManager[None]:
         """Defer SWL-Procedure while the driver is mid-GC.
 
         BET updates still happen on every erase; the threshold check
         replays once the driver returns to a quiescent state, so a nested
         forced recycle can never interleave with an in-flight merge.
+        Without a leveler the bracket is the shared no-op.
         """
-        if self.leveler is None:
-            yield
-            return
-        self.leveler.suspend()
-        try:
-            yield
-        finally:
-            self.leveler.resume()
+        return self._suspension
 
     # ------------------------------------------------------------------
     # Checkpointing (see repro.ckpt)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.flash.chip import PAGE_VALID, NandFlash
+from repro.flash.errors import AddressError
 from repro.flash.geometry import FlashGeometry, CellType
 from repro.flash.mtd import MtdDevice
 from repro.flash.timing import MLC2_TIMING, SLC_TIMING, TimingModel, timing_for
@@ -48,6 +49,42 @@ class TestMtd:
         assert mtd.read_page(1, 2) == (4, b"e")
         assert mtd.counters.reads - before.reads == 2 + 2
         assert mtd.counters.programs - before.programs == 2
+
+    @pytest.mark.parametrize("supersede", [False, True])
+    @pytest.mark.parametrize("at", [0, 1, 2], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [-1, 64], ids=["negative", "past-the-end"])
+    def test_copy_span_with_an_out_of_range_source(
+        self, tiny_geometry, bad, at, supersede
+    ):
+        """The chip declines the span untouched; the MTD's per-page route
+        then fails at the bad source exactly as a watched chip does.
+
+        A negative index must be caught by a test of its own: a Python
+        list wraps it to a page at the end of the chip.
+        """
+        assert tiny_geometry.total_pages == 64
+        sources = [0, 5, 2]
+        sources[at] = bad
+        outcomes = []
+        for per_page in (False, True):
+            mtd = MtdDevice(geometry=tiny_geometry)
+            mtd.program_span(0, 0, [10, 11, 12, 13])
+            mtd.program_span(1, 0, [14, 15])
+            mtd.write_page(15, 3, lba=99)  # the page a wrapped -1 would copy
+            if per_page:
+                mtd.flash._watched = lambda: True
+            else:
+                before = mtd.flash.snapshot_state()
+                assert mtd.flash.copy_span(sources, 3, 0) is False
+                assert mtd.flash.snapshot_state() == before
+            with pytest.raises(AddressError) as caught:
+                mtd.copy_span(sources, 3, 0, supersede=supersede)
+            error = caught.value
+            assert error.pages_done == at and error.carry is None
+            outcomes.append((
+                str(error), mtd.flash.snapshot_state(), mtd.busy_time,
+            ))
+        assert outcomes[0] == outcomes[1]
 
     def test_erase_listener_passthrough(self, mtd):
         seen = []

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import random
 from types import SimpleNamespace
 from unittest import mock
 
@@ -689,6 +690,18 @@ class _CountingEvent:
         type(self).instances += 1
 
 
+def _gc_heavy_stack(driver, bus=None):
+    """A full device rewritten hot enough to collect and force-recycle."""
+    stack = build_stack(MLC2_TINY, driver, SWLConfig(threshold=2, k=0), bus=bus)
+    pages = stack.layer.num_logical_pages
+    stack.write_pages(range(pages))
+    rng = random.Random(7)
+    for _ in range(3000):
+        hot = rng.random() < 0.9
+        stack.write_pages((rng.randrange(pages // 8 if hot else pages),))
+    return stack
+
+
 class TestDisabledPath:
     def test_disabled_stack_emits_and_allocates_nothing(self, monkeypatch):
         # Hot events are built inside the bus module's emit_* fast paths
@@ -739,6 +752,47 @@ class TestDisabledPath:
         assert stack.total_erases() > 0
         assert _CountingEvent.instances == 0
         assert clock_calls == []
+
+    @pytest.mark.parametrize("driver", ["ftl", "nftl"])
+    def test_disabled_gc_passes_build_no_traced_bracket(
+        self, monkeypatch, driver
+    ):
+        # Collection and forced recycles both run, and none of their
+        # brackets builds an event or the traced generator.
+        _CountingEvent.instances = 0
+        for name in ("GcStart", "GcEnd"):
+            monkeypatch.setattr(ftl_base_module, name, _CountingEvent)
+        traced = []
+        monkeypatch.setattr(
+            ftl_base_module.TranslationLayer, "_traced_gc_pass",
+            lambda *args: traced.append(args),
+        )
+        stack = _gc_heavy_stack(driver)
+        assert stack.layer.stats.gc_runs > 0
+        assert stack.layer.stats.forced_recycles > 0
+        assert _CountingEvent.instances == 0 and traced == []
+
+    @pytest.mark.parametrize("driver", ["ftl", "nftl"])
+    def test_enabled_gc_passes_pair_every_start_with_one_end(self, driver):
+        bus = EventBus()
+        records = []
+        bus.subscribe(records.append)
+        stack = _gc_heavy_stack(driver, bus=bus)
+        bus.flush()
+        open_passes, reasons = [], set()
+        for record in records:
+            event = record.event
+            if event.kind == "gc_start":
+                open_passes.append((event.reason, event.victim))
+                reasons.add(event.reason)
+            elif event.kind == "gc_end":
+                assert open_passes.pop() == (event.reason, event.victim)
+        assert open_passes == []
+        assert {"free-space", "swl"} <= reasons
+        gc_passes = sum(1 for record in records if record.event.kind == "gc_end")
+        assert gc_passes >= (
+            stack.layer.stats.gc_runs + stack.layer.stats.forced_recycles
+        )
 
     def test_enabled_stack_does_emit(self):
         bus = EventBus()
