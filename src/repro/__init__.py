@@ -90,7 +90,6 @@ from repro.ftl import (
     StorageBackend,
     StorageStack,
     TranslationLayer,
-    build_backend,
     build_stack,
 )
 from repro.sim import (
@@ -166,7 +165,6 @@ __all__ = [
     "WearSample",
     "WorkloadParams",
     "build_array",
-    "build_backend",
     "build_stack",
     "endurance_cells",
     "leveler_kinds",

@@ -35,7 +35,7 @@ from repro.core.policies import LevelerSpec
 from repro.core.leveler import RequestClock
 from repro.flash.chip import FirstFailure
 from repro.flash.errors import FlashError
-from repro.ftl.base import DEFAULT_OP_RATIO, GC_FREE_FRACTION
+from repro.ftl.base import DEFAULT_OP_RATIO
 from repro.ftl.factory import StorageStack, build_stack
 from repro.obs.heatmap import WearHeatmap
 from repro.util.rng import make_rng, spawn_rng
@@ -420,7 +420,6 @@ def build_array(
     striping: str = "page",
     swl_scope: str = "per-shard",
     op_ratio: float = DEFAULT_OP_RATIO,
-    gc_free_fraction: float = GC_FREE_FRACTION,
     alloc_policy: str = "lifo",
     retire_worn: bool = False,
     store_data: bool = False,
@@ -458,7 +457,6 @@ def build_array(
                 driver,
                 swl,
                 op_ratio=op_ratio,
-                gc_free_fraction=gc_free_fraction,
                 alloc_policy=alloc_policy,
                 retire_worn=retire_worn,
                 store_data=store_data,

@@ -4,9 +4,10 @@ Three layers, bottom-up:
 
 * :mod:`repro.ckpt.image` — the on-disk container: versioned, CRC-guarded,
   atomically replaced, canonical-JSON payload;
-* :mod:`repro.ckpt.runner` — :func:`run_resumable`, the replay that
-  snapshots the whole stack at segment boundaries and resumes
-  bit-identically, pinned to its :func:`replay_identity`;
+* :mod:`repro.ckpt.runner` — the image side of
+  :func:`~repro.sim.experiment.run_replay`: a :class:`CheckpointPolicy`
+  snapshots the whole stack at segment boundaries, and a replay resumes
+  from one bit-identically, pinned to its :func:`replay_identity`;
 * :mod:`repro.ckpt.supervisor` — :func:`run_supervised_matrix`, the
   fault-tolerant campaign driver (one cell directory per experiment,
   resume-with-the-same-seed retry, progress timeout, quarantine).
@@ -26,9 +27,7 @@ from repro.ckpt.image import (
 )
 from repro.ckpt.runner import (
     CheckpointPolicy,
-    ReplayInterrupted,
     replay_identity,
-    run_resumable,
 )
 from repro.ckpt.supervisor import (
     CampaignReport,
@@ -48,12 +47,10 @@ __all__ = [
     "CheckpointPolicy",
     "CheckpointTruncatedError",
     "CheckpointVersionError",
-    "ReplayInterrupted",
     "SupervisorPolicy",
     "encode_payload",
     "read_image",
     "replay_identity",
-    "run_resumable",
     "run_supervised_matrix",
     "write_image",
 ]

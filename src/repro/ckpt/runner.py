@@ -1,13 +1,14 @@
 """Resumable replay: periodic checkpoints of the full simulator stack.
 
-:func:`run_resumable` is :func:`~repro.sim.experiment.run_until_first_failure`
-/ :func:`~repro.sim.experiment.run_fixed_horizon` with durability: it
-hands :meth:`~repro.sim.engine.Simulator.run` the same resampled endless
-trace the plain runners do, from a generator that between segments can
-freeze the whole stack — chip wear state, FTL/NFTL tables, SW Leveler +
-BET, every RNG stream, fault-plan cursors, the engine's bookkeeping, and
-the resampler's position — into one CRC-guarded image
-(:mod:`repro.ckpt.image`).
+This module is the image side of :func:`~repro.sim.experiment.run_replay`,
+the one replay body; the replay imports it only when it is handed a
+:class:`CheckpointPolicy` or an image to resume from.  Between segments
+of the resampled endless trace, :func:`checkpointed_requests` can freeze
+the whole stack — chip wear state, FTL/NFTL tables, SW Leveler + BET,
+every RNG stream, fault-plan cursors, the engine's bookkeeping, and the
+resampler's position — into one CRC-guarded image
+(:mod:`repro.ckpt.image`); :func:`restore_replay` thaws one into a fresh
+replay.
 
 The resume contract is exact: a replay interrupted at any checkpoint and
 resumed from it produces a :meth:`~repro.sim.engine.SimResult.as_dict`
@@ -23,8 +24,8 @@ cheap to guarantee:
   ``snapshot_state()`` and a validating ``restore_state()``.
 
 A checkpoint also pins the configuration that produced it
-(:func:`replay_identity`: spec, replay mode, base-trace digest);
-:func:`run_resumable` refuses to resume into a different one with
+(:func:`replay_identity`: spec, replay mode, base-trace digest); a
+replay refuses to resume into a different one with
 :class:`~repro.ckpt.image.CheckpointMismatchError`.
 """
 
@@ -40,29 +41,19 @@ from repro.ckpt.image import (
     read_image,
     write_image,
 )
-from repro.sim.engine import SimResult, Simulator, StopCondition
+from repro.fault.plan import FaultPlan
+from repro.sim.engine import Simulator
 from repro.sim.experiment import DEFAULT_REQUEST_CAP, ExperimentSpec
 from repro.traces.extend import SegmentResampler
-from repro.fault.plan import FaultPlan
 from repro.traces.model import Request
 from repro.util.diagnostics import get_logger
-from repro.util.rng import make_rng, spawn_rng
 
 ckpt_log = get_logger("ckpt")
 
 
-class ReplayInterrupted(RuntimeError):
-    """Raised by the ``crash_after`` test hook right after a checkpoint.
-
-    The image on disk is then exactly the state the exception interrupted,
-    which is what crash/resume tests and the CI kill-and-resume smoke use
-    to simulate dying mid-run at a known-durable instant.
-    """
-
-
 @dataclass(frozen=True)
 class CheckpointPolicy:
-    """Where and how often :func:`run_resumable` checkpoints.
+    """Where and how often a replay checkpoints.
 
     Parameters
     ----------
@@ -74,29 +65,23 @@ class CheckpointPolicy:
         requests completed since the previous one.  The first boundary
         (before any segment) always gets an image, so even a run killed
         in its first segment resumes instead of rerunning its warmup.
-    crash_after:
-        Testing hook: raise :class:`ReplayInterrupted` immediately after
-        writing this many checkpoints.  ``None`` (default) never raises.
     on_checkpoint:
         Observer called with the running checkpoint count right after
-        each image lands on disk.  The campaign supervisor's tests and
-        the CI kill-and-resume smoke hang or SIGKILL workers from here —
-        at an instant where a durable image is guaranteed to exist.
+        each image lands on disk, so an image that decodes to the state
+        just frozen exists when it runs.  The campaign supervisor's
+        tests and the CI kill-and-resume smoke hang or SIGKILL workers
+        from here; an observer that raises interrupts the replay at that
+        durable instant.
     """
 
     path: str | Path
     every_requests: int = 100_000
-    crash_after: int | None = None
     on_checkpoint: "Callable[[int], None] | None" = None
 
     def __post_init__(self) -> None:
         if self.every_requests <= 0:
             raise ValueError(
                 f"every_requests must be positive, got {self.every_requests}"
-            )
-        if self.crash_after is not None and self.crash_after <= 0:
-            raise ValueError(
-                f"crash_after must be positive, got {self.crash_after}"
             )
 
 
@@ -211,117 +196,58 @@ def read_replay_image(
 
 
 # ----------------------------------------------------------------------
-# The resumable replay loop
+# Restore, and images between segments
 # ----------------------------------------------------------------------
-def run_resumable(
-    spec: ExperimentSpec,
-    base_trace: Sequence[Request],
-    *,
-    horizon: float | None = None,
-    warmup: list[Request] | None = None,
-    request_cap: int = DEFAULT_REQUEST_CAP,
-    skip_reads: bool = True,
-    fault_plan: FaultPlan | None = None,
-    checkpoint: CheckpointPolicy | None = None,
-    resume_from: str | Path | None = None,
-) -> SimResult:
-    """Replay a spec with optional checkpointing and/or resumption.
+def restore_replay(
+    path: str | Path,
+    identity: dict[str, object],
+    simulator: Simulator,
+    resampler: SegmentResampler,
+) -> None:
+    """Overwrite a freshly built replay with the image at ``path``."""
+    payload = read_replay_image(path, identity)
+    simulator.restore_state(payload["simulator"])  # type: ignore[arg-type]
+    simulator.stack.restore_state(payload["backend"])  # type: ignore[attr-defined]
+    resampler.restore_state(payload["resampler"])  # type: ignore[arg-type]
+    ckpt_log.info(
+        "resumed at %d requests / %d segments from %s",
+        simulator.requests_done, resampler.segments_emitted, path,
+    )
 
-    ``horizon=None`` runs until the first block wears out (Figure 5 mode);
-    otherwise the replay covers ``horizon`` simulated seconds (Table 4
-    mode).  Both match the plain runners request for request.
 
-    ``resume_from`` restores a checkpoint image written by a previous
-    invocation with the same spec, mode, and base trace (validated; a
-    mismatch raises :class:`~repro.ckpt.image.CheckpointMismatchError`)
-    and continues the replay exactly where the image froze it.  The
-    warmup is *not* replayed on resume — its effects are part of the
-    restored state.
+def checkpointed_requests(
+    policy: CheckpointPolicy,
+    identity: dict[str, object],
+    simulator: Simulator,
+    resampler: SegmentResampler,
+) -> Iterator[Request]:
+    """The endless trace, with an image between segments when due.
 
-    ``checkpoint`` enables periodic images per :class:`CheckpointPolicy`;
-    checkpointing changes no RNG stream and no replay decision, so a
-    checkpointed run returns the same result as an uncheckpointed one.
+    ``Simulator.run`` asks for the next request only after every stop
+    check on the previous one passed, so an image is never written for a
+    replay that has already ended.
     """
-    stop = StopCondition(
-        until_first_failure=horizon is None,
-        max_time=horizon,
-        max_requests=request_cap,
-    )
-    # Digesting a one-day base trace (327,075 requests) costs about 0.45 s
-    # on a Xeon core, as much as replaying hours of it, and only an image
-    # ever reads the digests.
-    identity = (
-        replay_identity(
-            spec, base_trace, horizon=horizon, warmup=warmup,
-            request_cap=request_cap, skip_reads=skip_reads,
-            fault_plan=fault_plan,
-        )
-        if checkpoint is not None or resume_from is not None else {}
-    )
-
-    simulator = Simulator(
-        spec.build(fault_plan=fault_plan), skip_reads=skip_reads
-    )
-    resampler = SegmentResampler(
-        base_trace, rng=spawn_rng(make_rng(spec.seed), "resampler")
-    )
-    if resume_from is not None:
-        payload = read_replay_image(resume_from, identity)
-        simulator.restore_state(payload["simulator"])  # type: ignore[arg-type]
-        simulator.stack.restore_state(payload["backend"])  # type: ignore[attr-defined]
-        resampler.restore_state(payload["resampler"])  # type: ignore[arg-type]
-        ckpt_log.info(
-            "resumed %s at %d requests / %d segments from %s",
-            spec.label(), simulator.requests_done,
-            resampler.segments_emitted, resume_from,
-        )
-    elif warmup:
-        for request in warmup:
-            simulator.apply(request)
-
-    def checkpointed(policy: CheckpointPolicy) -> Iterator[Request]:
-        """The endless trace, with an image between segments when due.
-
-        ``Simulator.run`` asks for the next request only after every stop
-        check on the previous one passed, so an image is never written
-        for a replay that has already ended.
-        """
-        last_checkpoint: int | None = None
-        checkpoints_written = 0
-        while True:
-            done = simulator.requests_done
-            if (
-                last_checkpoint is None
-                or done - last_checkpoint >= policy.every_requests
-            ):
-                write_image(policy.path, {
-                    "kind": "replay",
-                    **identity,
-                    "simulator": simulator.snapshot_state(),
-                    "backend": simulator.stack.snapshot_state(),  # type: ignore[attr-defined]
-                    "resampler": resampler.snapshot_state(),
-                })
-                last_checkpoint = done
-                checkpoints_written += 1
-                ckpt_log.debug(
-                    "checkpoint %d at %d requests -> %s",
-                    checkpoints_written, done, policy.path,
-                )
-                if policy.on_checkpoint is not None:
-                    policy.on_checkpoint(checkpoints_written)
-                if (
-                    policy.crash_after is not None
-                    and checkpoints_written >= policy.crash_after
-                ):
-                    raise ReplayInterrupted(
-                        f"crash_after={policy.crash_after} checkpoints "
-                        f"written to {policy.path}"
-                    )
-            yield from resampler.next_segment()
-
-    requests = (
-        resampler.iter_requests() if checkpoint is None
-        else checkpointed(checkpoint)
-    )
-    return simulator.run(requests, stop, label=spec.label())
-
+    last_checkpoint: int | None = None
+    checkpoints_written = 0
+    while True:
+        done = simulator.requests_done
+        if (
+            last_checkpoint is None
+            or done - last_checkpoint >= policy.every_requests
+        ):
+            write_image(policy.path, {
+                "kind": "replay",
+                **identity,
+                "simulator": simulator.snapshot_state(),
+                "backend": simulator.stack.snapshot_state(),  # type: ignore[attr-defined]
+                "resampler": resampler.snapshot_state(),
+            })
+            last_checkpoint = done
+            checkpoints_written += 1
+            ckpt_log.debug(
+                "checkpoint %d at %d requests -> %s",
+                checkpoints_written, done, policy.path,
+            )
+            if policy.on_checkpoint is not None:
+                policy.on_checkpoint(checkpoints_written)
+        yield from resampler.next_segment()

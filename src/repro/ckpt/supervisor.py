@@ -42,12 +42,11 @@ from repro.ckpt.runner import (
     CheckpointPolicy,
     read_replay_image,
     replay_identity,
-    run_resumable,
     spec_state,
 )
 from repro.fault.plan import FaultPlan
 from repro.sim.engine import SimResult
-from repro.sim.experiment import DEFAULT_REQUEST_CAP, ExperimentSpec
+from repro.sim.experiment import DEFAULT_REQUEST_CAP, ExperimentSpec, run_replay
 from repro.traces.model import Request
 from repro.util.diagnostics import get_logger
 
@@ -171,10 +170,10 @@ def _cell_worker(
         else:
             on_checkpoint = None
 
-        result = run_resumable(
+        result = run_replay(
             spec,
             base_trace,
-            horizon=horizon,
+            horizon,
             warmup=warmup,
             request_cap=request_cap,
             fault_plan=fault_plan,

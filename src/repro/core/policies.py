@@ -20,7 +20,7 @@ paper's BET-based SW Leveler or one of the challengers from
 :mod:`repro.core.alternatives` — plus its knobs, and builds it against
 any :class:`~repro.core.leveler.WearLevelingHost`.  The spec is the one
 leveler config: a frozen, picklable record that rides everywhere a config
-does (``build_stack``/``build_backend``, ``ExperimentSpec``, the
+does (``build_stack``/``build_array``, ``ExperimentSpec``, the
 checkpoint supervisor, the fault campaign), which is what lets the
 policy-arena tournament drive every mechanism by name through the same
 harnesses.  :data:`repro.core.config.SWLConfig` is this class under the

@@ -20,7 +20,6 @@ from repro.ftl.cleaner import CyclicScanner
 from repro.ftl.factory import (
     StorageBackend,
     StorageStack,
-    build_backend,
     build_stack,
     driver_names,
     make_layer,
@@ -40,7 +39,6 @@ __all__ = [
     "StorageBackend",
     "StorageStack",
     "TranslationLayer",
-    "build_backend",
     "build_stack",
     "driver_names",
     "make_layer",

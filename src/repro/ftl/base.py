@@ -130,6 +130,9 @@ class TranslationLayer(ABC):
     Concrete subclasses implement the Allocator (address translation) and
     the Cleaner (garbage collection).  The base class provides logical
     sizing, SW Leveler attachment, and the ``WearLevelingHost`` cost probe.
+    The Cleaner engages when free blocks fall to :data:`GC_FREE_FRACTION`
+    of the chip, the paper's fixed 0.2 % (Section 5.1); it is a constant,
+    not a parameter.
 
     Parameters
     ----------
@@ -137,8 +140,6 @@ class TranslationLayer(ABC):
         The MTD device to manage.
     op_ratio:
         Fraction of physical capacity withheld from the logical space.
-    gc_free_fraction:
-        Free-block fraction below which the Cleaner engages (paper: 0.2 %).
     alloc_policy:
         Free-block allocation order: ``"lifo"`` (default, the era's
         firmware behaviour and the baseline the paper's Table 4 implies)
@@ -161,24 +162,20 @@ class TranslationLayer(ABC):
         mtd: MtdDevice,
         *,
         op_ratio: float = DEFAULT_OP_RATIO,
-        gc_free_fraction: float = GC_FREE_FRACTION,
         alloc_policy: str = "lifo",
         retire_worn: bool = False,
     ) -> None:
         if not 0.0 < op_ratio < 1.0:
             raise ValueError(f"op_ratio must be in (0, 1), got {op_ratio}")
-        if not 0.0 < gc_free_fraction < 1.0:
-            raise ValueError(
-                f"gc_free_fraction must be in (0, 1), got {gc_free_fraction}"
-            )
         self.mtd = mtd
         self.geometry = mtd.geometry
         self.op_ratio = op_ratio
         self.alloc_policy = alloc_policy
-        # The Cleaner engages when free blocks drop to this count.  At the
-        # paper's scale 0.2% of 4096 blocks is 8; small simulated chips
-        # floor at 2 so GC always has one block of headroom to copy into.
-        self.gc_free_blocks = max(2, round(gc_free_fraction * self.geometry.num_blocks))
+        # The Cleaner engages when free blocks drop to this count, the
+        # paper's fixed GC_FREE_FRACTION of the chip.  At the paper's
+        # scale 0.2% of 4096 blocks is 8; small simulated chips floor at
+        # 2 so GC always has one block of headroom to copy into.
+        self.gc_free_blocks = max(2, round(GC_FREE_FRACTION * self.geometry.num_blocks))
         self.retire_worn = retire_worn
         #: Blocks withdrawn from service: worn out (with ``retire_worn``)
         #: or grown bad under fault injection.

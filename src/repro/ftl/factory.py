@@ -7,8 +7,9 @@ assembles it in one call from a geometry, a driver name, and a
 This module also defines the :class:`StorageBackend` protocol — the
 surface the simulation engine drives.  A :class:`StorageStack` is the
 1-channel backend; :class:`~repro.array.DeviceArray` implements the same
-protocol over N channel shards, and :func:`build_backend` picks between
-them from a channel count.
+protocol over N channel shards, and
+:meth:`~repro.sim.experiment.ExperimentSpec.build` picks between them
+from a channel count.
 """
 
 from __future__ import annotations
@@ -24,15 +25,13 @@ from repro.flash.chip import FirstFailure, NandFlash
 from repro.flash.errors import FlashError
 from repro.flash.geometry import FlashGeometry
 from repro.flash.mtd import MtdDevice
-from repro.ftl.base import DEFAULT_OP_RATIO, GC_FREE_FRACTION, TranslationLayer
+from repro.ftl.base import DEFAULT_OP_RATIO, TranslationLayer
 from repro.ftl.nftl import NFTL
 from repro.ftl.page_mapping import PageMappingFTL
 from repro.obs.heatmap import WearHeatmap
 
 if TYPE_CHECKING:
-    from repro.array.device import DeviceArray
     from repro.fault.injector import FaultInjector
-    from repro.fault.plan import FaultPlan
     from repro.obs.bus import BusLike
     # Annotation-only: importing repro.sim.metrics at runtime would
     # initialize the repro.sim package, whose engine imports this module
@@ -55,7 +54,6 @@ def make_layer(
     mtd: MtdDevice,
     *,
     op_ratio: float = DEFAULT_OP_RATIO,
-    gc_free_fraction: float = GC_FREE_FRACTION,
     alloc_policy: str = "lifo",
     retire_worn: bool = False,
 ) -> TranslationLayer:
@@ -69,7 +67,6 @@ def make_layer(
     return cls(
         mtd,
         op_ratio=op_ratio,
-        gc_free_fraction=gc_free_fraction,
         alloc_policy=alloc_policy,
         retire_worn=retire_worn,
     )
@@ -360,7 +357,6 @@ def build_stack(
     swl: LevelerSpec | None = None,
     *,
     op_ratio: float = DEFAULT_OP_RATIO,
-    gc_free_fraction: float = GC_FREE_FRACTION,
     alloc_policy: str = "lifo",
     retire_worn: bool = False,
     store_data: bool = False,
@@ -403,7 +399,6 @@ def build_stack(
         driver,
         mtd,
         op_ratio=op_ratio,
-        gc_free_fraction=gc_free_fraction,
         alloc_policy=alloc_policy,
         retire_worn=retire_worn,
     )
@@ -421,76 +416,3 @@ def build_stack(
             injector.attach_bus(bus)
     return StorageStack(flash=flash, mtd=mtd, layer=layer, leveler=leveler)
 
-
-def build_backend(
-    geometry: FlashGeometry,
-    driver: str = "ftl",
-    swl: LevelerSpec | None = None,
-    *,
-    channels: int = 1,
-    striping: str = "page",
-    swl_scope: str = "per-shard",
-    op_ratio: float = DEFAULT_OP_RATIO,
-    gc_free_fraction: float = GC_FREE_FRACTION,
-    alloc_policy: str = "lifo",
-    retire_worn: bool = False,
-    store_data: bool = False,
-    rng: random.Random | None = None,
-    injector: "FaultInjector | None" = None,
-    fault_plan: "FaultPlan | None" = None,
-    bus: "BusLike | None" = None,
-) -> "StorageStack | DeviceArray":
-    """Build a :class:`StorageBackend` with the requested channel count.
-
-    ``channels=1`` returns a plain :class:`StorageStack` built exactly as
-    :func:`build_stack` would — same construction order, same RNG stream —
-    so single-channel behaviour is bit-identical to the pre-array code
-    path.  ``channels > 1`` returns a
-    :class:`~repro.array.DeviceArray` of independent shards, each a full
-    chip + FTL + SW Leveler stack over ``geometry``, routed by the named
-    striping policy and coordinated per ``swl_scope`` (``"per-shard"`` or
-    ``"global"``).  ``fault_plan`` attaches one derived-seed injector per
-    shard; ``injector`` is the single-channel form and rejected for
-    arrays (shards must not share injector state).
-    """
-    if channels == 1:
-        if fault_plan is not None and injector is None:
-            from repro.fault.injector import FaultInjector
-
-            injector = FaultInjector(fault_plan)
-        return build_stack(
-            geometry,
-            driver,
-            swl,
-            op_ratio=op_ratio,
-            gc_free_fraction=gc_free_fraction,
-            alloc_policy=alloc_policy,
-            retire_worn=retire_worn,
-            store_data=store_data,
-            rng=rng,
-            injector=injector,
-            bus=bus,
-        )
-    from repro.array.device import build_array
-
-    if injector is not None:
-        raise ValueError(
-            "a shared injector cannot serve a multi-channel array; "
-            "pass fault_plan= to derive one injector per shard"
-        )
-    return build_array(
-        geometry,
-        driver,
-        swl,
-        channels=channels,
-        striping=striping,
-        swl_scope=swl_scope,
-        op_ratio=op_ratio,
-        gc_free_fraction=gc_free_fraction,
-        alloc_policy=alloc_policy,
-        retire_worn=retire_worn,
-        store_data=store_data,
-        rng=rng,
-        fault_plan=fault_plan,
-        bus=bus,
-    )

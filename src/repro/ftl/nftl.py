@@ -45,7 +45,7 @@ from repro.flash.errors import (
 )
 from repro.flash.mtd import MtdDevice
 from repro.ftl.allocator import BlockAllocator
-from repro.ftl.base import DEFAULT_OP_RATIO, GC_FREE_FRACTION, TranslationLayer
+from repro.ftl.base import DEFAULT_OP_RATIO, TranslationLayer
 from repro.ftl.cleaner import CyclicScanner
 from repro.obs.bus import M_RECOVERY
 from repro.obs.events import Recovery
@@ -105,14 +105,12 @@ class NFTL(TranslationLayer):
         mtd: MtdDevice,
         *,
         op_ratio: float = DEFAULT_OP_RATIO,
-        gc_free_fraction: float = GC_FREE_FRACTION,
         alloc_policy: str = "lifo",
         retire_worn: bool = False,
     ) -> None:
         super().__init__(
             mtd,
             op_ratio=op_ratio,
-            gc_free_fraction=gc_free_fraction,
             alloc_policy=alloc_policy,
             retire_worn=retire_worn,
         )

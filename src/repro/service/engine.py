@@ -145,7 +145,6 @@ class ServiceEngine(RequestCore):
         stack: "StorageBackend",
         *,
         queue_depth: int = 64,
-        lba_modulo: bool = True,
         telemetry: "Telemetry | None" = None,
         queue_sample_every: int = DEFAULT_QUEUE_SAMPLE_EVERY,
         sample_interval: float | None = None,
@@ -160,7 +159,6 @@ class ServiceEngine(RequestCore):
             )
         super().__init__(
             stack,
-            lba_modulo=lba_modulo,
             skip_reads=False,
             sample_interval=sample_interval,
             heatmap_interval=heatmap_interval,

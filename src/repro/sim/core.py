@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.flash.errors import PowerLossError, TranslationError
+from repro.flash.errors import PowerLossError
 from repro.ftl.factory import StorageBackend
 from repro.obs.heatmap import WearHeatmap
 from repro.sim.metrics import EraseDistribution, first_failure_years
@@ -157,12 +157,10 @@ class RequestCore:
     stack:
         A wired :class:`~repro.ftl.factory.StorageBackend` — a single
         :class:`~repro.ftl.factory.StorageStack` or a multi-channel
-        :class:`~repro.array.DeviceArray`.
-    lba_modulo:
-        When ``True`` (default), sector addresses beyond the logical space
-        wrap around instead of raising — the paper keeps "accesses within
-        the first 2,097,152 LBAs", and wrapping lets any trace drive any
-        chip size.
+        :class:`~repro.array.DeviceArray`.  Sector addresses beyond its
+        logical space always wrap around — the paper keeps "accesses
+        within the first 2,097,152 LBAs", and wrapping lets any trace
+        drive any chip size.
     skip_reads:
         When ``True``, read requests advance the clock and counters but do
         not touch the stack.  Reads cannot change wear (NAND reads neither
@@ -197,7 +195,6 @@ class RequestCore:
         self,
         stack: StorageBackend,
         *,
-        lba_modulo: bool = True,
         skip_reads: bool = False,
         sample_interval: float | None = None,
         max_samples: int | None = DEFAULT_MAX_SAMPLES,
@@ -220,7 +217,6 @@ class RequestCore:
         if max_heatmaps is not None and max_heatmaps < 2:
             raise ValueError(f"max_heatmaps must be >= 2, got {max_heatmaps}")
         self.stack = stack
-        self.lba_modulo = lba_modulo
         self.skip_reads = skip_reads
         self.sample_interval = sample_interval
         self.max_samples = max_samples
@@ -262,11 +258,6 @@ class RequestCore:
         is_write = op is _WRITE
         first = lba // self._spp
         last = (lba + sectors - 1) // self._spp
-        if not self.lba_modulo and last >= self._logical_pages:
-            raise TranslationError(
-                f"request [{lba}, {lba + sectors}) exceeds the "
-                f"logical space of {self._logical_pages} pages"
-            )
         if not is_write and self.skip_reads:
             self.pages_read += last - first + 1
         else:
@@ -275,11 +266,9 @@ class RequestCore:
                 # Single-page fast path — the dominant request shape in
                 # the paper's traces.
                 buffer = self._single_page
-                buffer[0] = (
-                    first % self._logical_pages if self.lba_modulo else first
-                )
+                buffer[0] = first % self._logical_pages
                 lpns = buffer
-            elif not self.lba_modulo or last < self._logical_pages:
+            elif last < self._logical_pages:
                 # In-range span: the modulo is the identity, so a lazy
                 # range replaces the per-page list materialization.
                 lpns = range(first, last + 1)

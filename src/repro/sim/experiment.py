@@ -6,8 +6,10 @@ reusable functions:
 * :func:`workload_params_for` sizes the synthetic mobile-PC workload to a
   chip's logical space (the paper uses "accesses within the first
   2,097,152 LBAs" of its 1 GB chip);
-* :func:`run_until_first_failure` replays the resampled endless trace
-  until the first block wears out (Figure 5);
+* :func:`run_replay` replays the resampled endless trace — the one
+  replay body, optionally checkpointed or resumed (:mod:`repro.ckpt`);
+* :func:`run_until_first_failure` replays until the first block wears
+  out (Figure 5);
 * :func:`run_fixed_horizon` replays for a fixed amount of simulated time,
   continuing past wear-out exactly like the paper's 10-year Table 4 runs;
 * :func:`run_matrix` executes a list of configurations against one shared
@@ -24,12 +26,14 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from pathlib import Path
+from typing import TYPE_CHECKING, Iterator, Sequence
 
+from repro.array.device import build_array
 from repro.core.policies import LevelerSpec
 from repro.flash.geometry import CellType, FlashGeometry
 from repro.ftl.base import DEFAULT_OP_RATIO
-from repro.ftl.factory import StorageBackend, build_backend
+from repro.ftl.factory import StorageBackend, build_stack
 from repro.service.arrival import poisson_arrivals, trace_paced
 from repro.service.engine import ServiceEngine
 from repro.service.results import ServiceResult
@@ -41,6 +45,7 @@ from repro.traces.model import Request, Trace
 from repro.util.rng import make_rng, spawn_rng
 
 if TYPE_CHECKING:
+    from repro.ckpt.runner import CheckpointPolicy
     from repro.fault.plan import FaultPlan
     from repro.obs.telemetry import Telemetry
 
@@ -144,13 +149,33 @@ class ExperimentSpec:
     ) -> StorageBackend:
         """Wire the backend; ``telemetry`` attaches its event bus.
 
-        The bus rides alongside the stack without touching any RNG
-        stream, so a telemetry-on build replays bit-identically to a
+        One channel builds a :func:`~repro.ftl.factory.build_stack`
+        stack, more a :func:`~repro.array.device.build_array` array; both
+        draw the leveler's randomness from the spec seed's ``"leveler"``
+        stream.  The bus rides alongside the stack without touching any
+        RNG stream, so a telemetry-on build replays bit-identically to a
         telemetry-off one.  ``fault_plan`` attaches one fault injector
         per shard (each with its own derived seed).
         """
-        rng = make_rng(self.seed)
-        return build_backend(
+        rng = spawn_rng(make_rng(self.seed), "leveler")
+        bus = telemetry.bus if telemetry is not None else None
+        if self.channels == 1:
+            injector = None
+            if fault_plan is not None:
+                from repro.fault.injector import FaultInjector
+
+                injector = FaultInjector(fault_plan)
+            return build_stack(
+                self.geometry,
+                self.driver,
+                self.swl,
+                op_ratio=self.op_ratio,
+                alloc_policy=self.alloc_policy,
+                rng=rng,
+                injector=injector,
+                bus=bus,
+            )
+        return build_array(
             self.geometry,
             self.driver,
             self.swl,
@@ -159,9 +184,9 @@ class ExperimentSpec:
             swl_scope=self.swl_scope,
             op_ratio=self.op_ratio,
             alloc_policy=self.alloc_policy,
-            rng=spawn_rng(rng, "leveler"),
+            rng=rng,
             fault_plan=fault_plan,
-            bus=telemetry.bus if telemetry is not None else None,
+            bus=bus,
         )
 
 
@@ -204,17 +229,20 @@ def make_base_trace(params: WorkloadParams) -> Trace:
 # ----------------------------------------------------------------------
 # Runners
 # ----------------------------------------------------------------------
-def _replay(
+def run_replay(
     spec: ExperimentSpec,
     base_trace: Sequence[Request],
-    horizon: float | None,
+    horizon: float | None = None,
     *,
     warmup: list[Request] | None = None,
     skip_reads: bool = True,
     request_cap: int = DEFAULT_REQUEST_CAP,
     telemetry: "Telemetry | None" = None,
+    fault_plan: "FaultPlan | None" = None,
+    checkpoint: "CheckpointPolicy | None" = None,
+    resume_from: str | Path | None = None,
 ) -> SimResult:
-    """Replay the resampled endless trace: the body of both runners.
+    """Replay the resampled endless trace: the body of every replay runner.
 
     ``horizon=None`` stops at the first worn-out block; a horizon replays
     that many simulated seconds and lets wear-out pass.
@@ -229,24 +257,56 @@ def _replay(
     runs roughly twice as fast.
 
     ``telemetry`` attaches its event bus to the backend and carries the
-    wear-heatmap preferences into the engine.
+    wear-heatmap preferences into the engine; ``fault_plan`` attaches
+    fault injectors (see :meth:`ExperimentSpec.build`).
+
+    ``checkpoint`` writes an image of the whole stack between resampled
+    segments per :class:`~repro.ckpt.runner.CheckpointPolicy`; it changes
+    no RNG stream and no replay decision, so the result is the same.
+    ``resume_from`` restores such an image, written by a replay of the
+    same spec, mode and base trace (a mismatch raises
+    :class:`~repro.ckpt.image.CheckpointMismatchError`), and continues
+    exactly where it froze; the warmup is not replayed, its effects are
+    part of the restored state.  An interrupted replay resumed this way
+    returns a result byte-identical to the uninterrupted one.
     """
     simulator = Simulator(
-        spec.build(telemetry=telemetry),
+        spec.build(telemetry=telemetry, fault_plan=fault_plan),
         skip_reads=skip_reads,
         **heatmap_kwargs(telemetry),
     )
+    resampler = SegmentResampler(
+        base_trace, rng=spawn_rng(make_rng(spec.seed), "resampler")
+    )
+    requests: Iterator[Request] = resampler.iter_requests()
+    if checkpoint is not None or resume_from is not None:
+        # Only a replay that writes or reads an image imports repro.ckpt
+        # and digests the traces the image is pinned to: digesting a
+        # one-day base trace (327,075 requests) costs about 0.45 s on a
+        # Xeon core, as much as replaying hours of it.
+        from repro.ckpt import runner as images
+
+        identity = images.replay_identity(
+            spec, base_trace, horizon=horizon, warmup=warmup,
+            request_cap=request_cap, skip_reads=skip_reads,
+            fault_plan=fault_plan,
+        )
+        if resume_from is not None:
+            images.restore_replay(resume_from, identity, simulator, resampler)
+            warmup = None  # its effects are part of the restored state
+        if checkpoint is not None:
+            requests = images.checkpointed_requests(
+                checkpoint, identity, simulator, resampler
+            )
     if warmup:
         for request in warmup:
             simulator.apply(request)
-    rng = spawn_rng(make_rng(spec.seed), "resampler")
-    endless = SegmentResampler(base_trace, rng=rng)
     stop = StopCondition(
         until_first_failure=horizon is None,
         max_time=horizon,
         max_requests=request_cap,
     )
-    result = simulator.run(endless.iter_requests(), stop, label=spec.label())
+    result = simulator.run(requests, stop, label=spec.label())
     if telemetry is not None:
         # Drain any batched events so collector/exporter state read
         # directly off the facade is complete the moment the run returns.
@@ -270,7 +330,7 @@ def run_until_first_failure(
     trace segment".  The returned result's ``first_failure_years`` is the
     y-axis value.
     """
-    return _replay(
+    return run_replay(
         spec, base_trace, None, warmup=warmup, skip_reads=skip_reads,
         request_cap=request_cap, telemetry=telemetry,
     )
@@ -291,7 +351,7 @@ def run_fixed_horizon(
     Wear-out does not stop the run (paper Table 4: "trace simulations of
     10 years even though some blocks were worn out").
     """
-    return _replay(
+    return run_replay(
         spec, base_trace, horizon, warmup=warmup, skip_reads=skip_reads,
         request_cap=request_cap, telemetry=telemetry,
     )
@@ -380,7 +440,7 @@ def _run_matrix_spec(spec: ExperimentSpec) -> SimResult:
     """One matrix cell against the worker's installed context."""
     assert _MATRIX_CTX is not None, "worker context not installed"
     base_trace, horizon, warmup, request_cap = _MATRIX_CTX
-    return _replay(
+    return run_replay(
         spec, base_trace, horizon, warmup=warmup, request_cap=request_cap
     )
 
@@ -413,7 +473,7 @@ def run_matrix(
     """
     if workers is None or workers <= 1 or len(specs) <= 1:
         return [
-            _replay(
+            run_replay(
                 spec, base_trace, horizon, warmup=warmup,
                 request_cap=request_cap
             )

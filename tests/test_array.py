@@ -4,6 +4,7 @@ wear coordination, and the 1-channel bit-for-bit equivalence guarantee."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +21,7 @@ from repro.array import (
 from repro.core.config import SWLConfig
 from repro.fault.plan import FaultPlan
 from repro.flash.errors import FlashError, PowerLossError, TranslationError
-from repro.ftl.factory import StorageBackend, StorageStack, build_backend, build_stack
+from repro.ftl.factory import StorageBackend, StorageStack, build_stack
 from repro.sim.engine import Simulator, StopCondition
 from repro.sim.experiment import (
     ExperimentSpec,
@@ -461,9 +462,12 @@ class TestSingleChannelEquivalence:
         assert result_array.shard_erase_distributions == []
 
     def test_build_backend_dispatches_on_channels(self, small_geometry):
-        single = build_backend(small_geometry, "ftl", channels=1)
+        # ExperimentSpec.build is the one assembler: a stack for one
+        # channel, an array for more.
+        spec = ExperimentSpec("ftl", small_geometry)
+        single = spec.build()
         assert isinstance(single, StorageStack)
-        array = build_backend(small_geometry, "ftl", channels=2)
+        array = replace(spec, channels=2).build()
         assert isinstance(array, DeviceArray)
         assert isinstance(single, StorageBackend)
 
@@ -602,12 +606,3 @@ class TestFaultPlanSharding:
         injectors = {id(shard.flash.injector) for shard in array.shards}
         assert len(injectors) == 2
         assert all(shard.flash.injector is not None for shard in array.shards)
-
-    def test_shared_injector_rejected_for_arrays(self, small_geometry):
-        from repro.fault.injector import FaultInjector
-
-        injector = FaultInjector(FaultPlan(seed=1))
-        with pytest.raises(ValueError, match="injector"):
-            build_backend(
-                small_geometry, "ftl", channels=2, injector=injector
-            )

@@ -11,20 +11,20 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import replace
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.ckpt.runner as runner_module
 from repro.ckpt import (
     CheckpointCorruptError,
     CheckpointMismatchError,
     CheckpointPolicy,
     CheckpointTruncatedError,
     CheckpointVersionError,
-    ReplayInterrupted,
     encode_payload,
     read_image,
-    run_resumable,
     write_image,
 )
 from repro.ckpt.image import CHECKPOINT_VERSION, MAGIC
@@ -37,8 +37,7 @@ from repro.sim.engine import Simulator, StopCondition
 from repro.sim.experiment import (
     ExperimentSpec,
     make_base_trace,
-    run_fixed_horizon,
-    run_until_first_failure,
+    run_replay,
     scaled_mlc2_geometry,
     workload_params_for,
 )
@@ -51,6 +50,23 @@ from repro.util.rng import make_rng, spawn_rng
 GOLDEN_SHA256 = (
     "0b4613179265a40590cfe4f5123c2ee5db75b49fb3e5a886aa94c3f09b36e282"
 )
+
+
+class ReplayInterrupted(RuntimeError):
+    """Raised by an :func:`interrupt_after` observer."""
+
+
+def interrupt_after(count: int) -> Callable[[int], None]:
+    """An ``on_checkpoint`` observer that dies at the ``count``-th image.
+
+    The image on disk is then exactly the state the exception
+    interrupted: a replay dying mid-run at a known-durable instant.
+    """
+    def observer(written: int) -> None:
+        if written >= count:
+            raise ReplayInterrupted(f"interrupted after checkpoint {written}")
+
+    return observer
 
 
 def golden_spec() -> ExperimentSpec:
@@ -163,11 +179,11 @@ class TestImage:
 # ----------------------------------------------------------------------
 class TestGoldenResume:
     def test_uninterrupted_matches_golden_hash(self, golden_trace):
-        result = run_resumable(golden_spec(), golden_trace)
+        result = run_replay(golden_spec(), golden_trace)
         assert result_sha256(result) == GOLDEN_SHA256
 
     def test_checkpointing_changes_nothing(self, golden_trace, tmp_path):
-        result = run_resumable(
+        result = run_replay(
             golden_spec(),
             golden_trace,
             checkpoint=CheckpointPolicy(tmp_path / "c.ckpt", every_requests=20_000),
@@ -179,23 +195,25 @@ class TestGoldenResume:
     ):
         path = tmp_path / "c.ckpt"
         with pytest.raises(ReplayInterrupted):
-            run_resumable(
+            run_replay(
                 golden_spec(),
                 golden_trace,
                 checkpoint=CheckpointPolicy(
-                    path, every_requests=10_000, crash_after=4
+                    path, every_requests=10_000, on_checkpoint=interrupt_after(4)
                 ),
             )
-        resumed = run_resumable(golden_spec(), golden_trace, resume_from=path)
+        resumed = run_replay(golden_spec(), golden_trace, resume_from=path)
         assert result_sha256(resumed) == GOLDEN_SHA256
 
     def test_matches_plain_runner(self, golden_trace, tmp_path):
         # Every stop criterion of Simulator.run, plus a scheduled power
-        # loss, with and without images being written along the way.
+        # loss, once without and once with images written along the way.
+        # The power-loss case's reference is a replay built by hand, not
+        # by run_replay.
         spec = golden_spec()
         plan = FaultPlan(seed=5, power_loss_at=(60_000,))
 
-        def plain_power_loss():
+        def hand_built_power_loss():
             simulator = Simulator(spec.build(fault_plan=plan), skip_reads=True)
             endless = SegmentResampler(
                 golden_trace, rng=spawn_rng(make_rng(spec.seed), "resampler")
@@ -204,40 +222,64 @@ class TestGoldenResume:
             return simulator.run(endless, stop, label=spec.label())
 
         cases = {
-            "first failure": (
-                run_until_first_failure(spec, golden_trace), {}),
-            "horizon": (
-                run_fixed_horizon(spec, golden_trace, 2500.0),
-                {"horizon": 2500.0}),
-            "request cap": (
-                run_until_first_failure(spec, golden_trace, request_cap=12_345),
-                {"request_cap": 12_345}),
-            "power loss": (plain_power_loss(), {"fault_plan": plan}),
+            "first failure": {},
+            "horizon": {"horizon": 2500.0},
+            "request cap": {"request_cap": 12_345},
+            "power loss": {"fault_plan": plan},
         }
-        assert cases["first failure"][0].first_failure_time is not None
-        assert cases["horizon"][0].sim_time <= 2500.0
-        assert cases["request cap"][0].requests == 12_345
-        assert cases["power loss"][0].power_lost
         policy = CheckpointPolicy(tmp_path / "c.ckpt", every_requests=3_000)
-        for name, (plain, kwargs) in cases.items():
-            for checkpoint in (None, policy):
-                resumable = run_resumable(
-                    spec, golden_trace, checkpoint=checkpoint, **kwargs
-                )
-                assert plain.as_dict() == resumable.as_dict(), (
-                    name, checkpoint is not None)
+        plain = {}
+        for name, kwargs in cases.items():
+            plain[name] = (
+                hand_built_power_loss() if name == "power loss"
+                else run_replay(spec, golden_trace, **kwargs)
+            )
+            checkpointed = run_replay(
+                spec, golden_trace, checkpoint=policy, **kwargs
+            )
+            assert plain[name].as_dict() == checkpointed.as_dict(), name
+        assert plain["first failure"].first_failure_time is not None
+        assert plain["horizon"].sim_time <= 2500.0
+        assert plain["request cap"].requests == 12_345
+        assert plain["power loss"].power_lost
+
+    def test_on_checkpoint_sees_the_image_just_written(
+        self, golden_trace, tmp_path, monkeypatch
+    ):
+        # The supervisor's SIGKILL hooks rely on this: when the observer
+        # runs, the image on disk decodes to the state just frozen.
+        path = tmp_path / "c.ckpt"
+        written = []
+
+        def recording_write_image(target, payload):
+            written.append(encode_payload(payload))
+            return write_image(target, payload)
+
+        def observer(count):
+            assert count == len(written)
+            assert encode_payload(read_image(path)) == written[-1]
+
+        monkeypatch.setattr(runner_module, "write_image", recording_write_image)
+        run_replay(
+            golden_spec(), golden_trace, request_cap=20_000,
+            checkpoint=CheckpointPolicy(
+                path, every_requests=3_000, on_checkpoint=observer
+            ),
+        )
+        assert len(written) >= 4
+        assert len(set(written)) == len(written)
 
     def test_resume_rejects_wrong_spec(self, golden_trace, tmp_path):
         path = tmp_path / "c.ckpt"
         with pytest.raises(ReplayInterrupted):
-            run_resumable(
+            run_replay(
                 golden_spec(),
                 golden_trace,
-                checkpoint=CheckpointPolicy(path, crash_after=1),
+                checkpoint=CheckpointPolicy(path, on_checkpoint=interrupt_after(1)),
             )
         other = replace(golden_spec(), seed=8)
         with pytest.raises(CheckpointMismatchError):
-            run_resumable(other, golden_trace, resume_from=path)
+            run_replay(other, golden_trace, resume_from=path)
 
     def test_swlconfig_image_resumes_under_levelerspec(
         self, golden_trace, tmp_path
@@ -249,19 +291,19 @@ class TestGoldenResume:
 
         path = tmp_path / "c.ckpt"
         with pytest.raises(ReplayInterrupted):
-            run_resumable(
+            run_replay(
                 spec_with(SWLConfig(threshold=5, k=0)),
                 golden_trace,
                 checkpoint=CheckpointPolicy(
-                    path, every_requests=10_000, crash_after=2
+                    path, every_requests=10_000, on_checkpoint=interrupt_after(2)
                 ),
             )
-        resumed = run_resumable(
+        resumed = run_replay(
             spec_with(LevelerSpec(kind="swl", threshold=5, k=0)),
             golden_trace,
             resume_from=path,
         )
-        whole = run_resumable(
+        whole = run_replay(
             spec_with(SWLConfig(threshold=5, k=0)), golden_trace
         )
         assert resumed.as_dict() == whole.as_dict()
@@ -271,31 +313,31 @@ class TestGoldenResume:
             LevelerSpec(kind="swl", threshold=5, k=0, delta=33),
         ):
             with pytest.raises(CheckpointMismatchError):
-                run_resumable(spec_with(other), golden_trace, resume_from=path)
+                run_replay(spec_with(other), golden_trace, resume_from=path)
 
     def test_resume_rejects_wrong_mode(self, golden_trace, tmp_path):
         path = tmp_path / "c.ckpt"
         with pytest.raises(ReplayInterrupted):
-            run_resumable(
+            run_replay(
                 golden_spec(),
                 golden_trace,
-                checkpoint=CheckpointPolicy(path, crash_after=1),
+                checkpoint=CheckpointPolicy(path, on_checkpoint=interrupt_after(1)),
             )
         with pytest.raises(CheckpointMismatchError):
-            run_resumable(
+            run_replay(
                 golden_spec(), golden_trace, horizon=3600.0, resume_from=path
             )
 
     def test_resume_rejects_wrong_trace(self, golden_trace, tmp_path):
         path = tmp_path / "c.ckpt"
         with pytest.raises(ReplayInterrupted):
-            run_resumable(
+            run_replay(
                 golden_spec(),
                 golden_trace,
-                checkpoint=CheckpointPolicy(path, crash_after=1),
+                checkpoint=CheckpointPolicy(path, on_checkpoint=interrupt_after(1)),
             )
         with pytest.raises(CheckpointMismatchError):
-            run_resumable(golden_spec(), golden_trace[:-1], resume_from=path)
+            run_replay(golden_spec(), golden_trace[:-1], resume_from=path)
 
 
 # ----------------------------------------------------------------------
@@ -364,20 +406,20 @@ class TestPowerLossRestore:
         # resumed, reports the identical (power-lost) result.
         spec = golden_spec()
         plan = FaultPlan(seed=5, power_loss_at=(60_000,))
-        clean = run_resumable(spec, golden_trace, fault_plan=plan)
+        clean = run_replay(spec, golden_trace, fault_plan=plan)
         assert clean.power_lost
 
         path = tmp_path / "c.ckpt"
         with pytest.raises(ReplayInterrupted):
-            run_resumable(
+            run_replay(
                 spec,
                 golden_trace,
                 fault_plan=plan,
                 checkpoint=CheckpointPolicy(
-                    path, every_requests=5_000, crash_after=2
+                    path, every_requests=5_000, on_checkpoint=interrupt_after(2)
                 ),
             )
-        resumed = run_resumable(
+        resumed = run_replay(
             spec, golden_trace, fault_plan=plan, resume_from=path
         )
         assert resumed.power_lost

@@ -91,10 +91,6 @@ class TestTranslationLayerBase:
         with pytest.raises(ValueError, match="op_ratio"):
             build_stack(small_geometry, "ftl", op_ratio=1.0)
 
-    def test_gc_fraction_validation(self, small_geometry):
-        with pytest.raises(ValueError, match="gc_free_fraction"):
-            build_stack(small_geometry, "ftl", gc_free_fraction=0.0)
-
     def test_reserve_floor_exceeds_tiny_chip(self):
         from repro.flash.geometry import FlashGeometry
 

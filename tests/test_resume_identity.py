@@ -16,15 +16,17 @@ import json
 
 import pytest
 
-from repro.ckpt import CheckpointPolicy, ReplayInterrupted, run_resumable
+from repro.ckpt import CheckpointPolicy
 from repro.core.config import SWLConfig
 from repro.core.policies import LevelerSpec
 from repro.sim.experiment import (
     ExperimentSpec,
     make_base_trace,
+    run_replay,
     scaled_mlc2_geometry,
     workload_params_for,
 )
+from tests.test_ckpt import ReplayInterrupted, interrupt_after
 
 #: Same constant as ``tests/test_ckpt.py``: the uninterrupted fixed-seed
 #: golden replay.  The registry's paper-SWL kind must land on it too.
@@ -97,15 +99,17 @@ RESUME_VARIANTS = [
 def test_interrupted_resume_is_bit_identical(swl, resume_trace, tmp_path):
     """Crash mid-replay, resume, and land on the uninterrupted hash."""
     spec = _spec(swl)
-    uninterrupted = run_resumable(spec, resume_trace)
+    uninterrupted = run_replay(spec, resume_trace)
     path = tmp_path / "resume.ckpt"
     with pytest.raises(ReplayInterrupted):
-        run_resumable(
+        run_replay(
             spec,
             resume_trace,
-            checkpoint=CheckpointPolicy(path, every_requests=2_000, crash_after=3),
+            checkpoint=CheckpointPolicy(
+                path, every_requests=2_000, on_checkpoint=interrupt_after(3)
+            ),
         )
-    resumed = run_resumable(spec, resume_trace, resume_from=path)
+    resumed = run_replay(spec, resume_trace, resume_from=path)
     assert result_sha256(resumed) == result_sha256(uninterrupted)
 
 
@@ -118,7 +122,7 @@ def test_leveler_spec_swl_matches_swlconfig_golden():
         seed=7,
     )
     trace = make_base_trace(workload_params_for(spec, duration=1200.0, seed=3))
-    assert result_sha256(run_resumable(spec, trace)) == GOLDEN_SHA256
+    assert result_sha256(run_replay(spec, trace)) == GOLDEN_SHA256
 
 
 # ----------------------------------------------------------------------

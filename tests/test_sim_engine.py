@@ -87,26 +87,6 @@ class TestSimulatorBasics:
         stack.layer.read(1)
         assert stack.flash.counters.reads == reads_before + 2
 
-    def test_lba_strict_rejects_wrapping_span(self, small_geometry):
-        from repro.flash.errors import TranslationError
-
-        stack = build_stack(small_geometry, "ftl")
-        simulator = Simulator(stack, lba_modulo=False)
-        spp = small_geometry.sectors_per_page
-        last_page = stack.layer.num_logical_pages - 1
-        with pytest.raises(TranslationError):
-            simulator.apply(write(0.0, last_page * spp, sectors=3 * spp))
-        assert simulator.pages_written == 0
-
-    def test_lba_strict_raises(self, small_geometry):
-        from repro.flash.errors import TranslationError
-
-        stack = build_stack(small_geometry, "ftl")
-        simulator = Simulator(stack, lba_modulo=False)
-        big_lba = stack.layer.num_logical_pages * small_geometry.sectors_per_page * 3
-        with pytest.raises(TranslationError):
-            simulator.apply(write(0.0, big_lba))
-
     def test_skip_reads_counts_but_does_not_touch(self, small_geometry):
         stack = build_stack(small_geometry, "ftl")
         simulator = Simulator(stack, skip_reads=True)
