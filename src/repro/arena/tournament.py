@@ -64,6 +64,13 @@ DEFAULT_ROSTER: dict[str, LevelerSpec] = {
 #: three regimes that separate leveling philosophies most sharply.
 DEFAULT_WORKLOADS = ("hotspot", "sequential", "mixed")
 
+#: Trace time compression of the service soak.
+SERVICE_SPEEDUP = 50.0
+
+#: Writes of each entry's fault-campaign soak, and its power-loss points.
+FAULT_SOAK_WRITES = 600
+FAULT_LOSS_POINTS = 10
+
 
 def roster_specs(levelers: list[str] | tuple[str, ...]) -> dict[str, LevelerSpec]:
     """Resolve roster names to :class:`LevelerSpec` values, in order."""
@@ -200,9 +207,6 @@ def run_arena(
     seed: int = 0,
     workers: int | None = None,
     service_requests: int = 2_000,
-    service_speedup: float = 50.0,
-    fault_soak_writes: int = 600,
-    fault_loss_points: int = 10,
     run_faults: bool = True,
 ) -> ArenaResult:
     """Run the tournament and build the leaderboard.
@@ -275,7 +279,7 @@ def run_arena(
         soak = run_service_soak(
             spec,
             soak_trace,
-            trace_speedup=service_speedup,
+            trace_speedup=SERVICE_SPEEDUP,
             max_requests=service_requests,
         )
         p99[name] = soak.latency.p99
@@ -290,8 +294,8 @@ def run_arena(
                 leveler_spec if leveler_spec.enabled else None,
                 plan=FaultPlan(seed=seed),
                 seed=seed,
-                soak_writes=fault_soak_writes,
-                loss_points=fault_loss_points,
+                soak_writes=FAULT_SOAK_WRITES,
+                loss_points=FAULT_LOSS_POINTS,
             )
             faults_ok[name] = campaign.ok
 

@@ -109,7 +109,7 @@ class WearCoordinator:
     # The leveler-side hook
     # ------------------------------------------------------------------
     def on_trigger(self, source: SWLeveler) -> None:
-        """A shard leveler's trigger policy fired; decide what runs.
+        """A shard leveler's erase-driven check fired; decide what runs.
 
         Re-entrant calls (a forced recycle on one shard causing erases
         whose trigger checks land back here) are absorbed: the outer run

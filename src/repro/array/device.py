@@ -140,11 +140,11 @@ class DeviceArray:
         self._req_clock = RequestClock()
         for leveler in self._levelers:
             leveler.clock = self._req_clock
-        # With the paper's erase-driven trigger on every shard (the
-        # default), a request carries no per-leveler work at all — skip
-        # the shard loop outright.  Safe to precompute: triggers are
-        # wired once at construction (make_trigger_policy) and never
-        # reassigned on live stacks.
+        # Only a request-driven mechanism (the SoftWear scrubber) acts at
+        # request edges; the paper's SW Leveler checks its threshold on
+        # erases, so with it on every shard a request carries no
+        # per-leveler work at all — skip the shard loop outright.  Safe
+        # to precompute: the flag is a class attribute of the mechanism.
         self._any_request_driven = any(
             leveler._request_driven for leveler in self._levelers
         )
@@ -229,9 +229,9 @@ class DeviceArray:
         return done
 
     def on_request(self, now: float) -> None:
-        # SWLeveler.on_request inlined across shards: the shared request
-        # clock advances once for all of them, and with the paper's
-        # erase-driven trigger (the common case) the per-leveler work is
+        # WearLeveler.on_request inlined across shards: the shared request
+        # clock advances once for all of them, and with an erase-driven
+        # mechanism (the paper's, the common case) the per-leveler work is
         # a flag test — a call frame per shard per request would cost
         # more than the work itself.
         clock = self._req_clock
@@ -421,7 +421,6 @@ def build_array(
     swl_scope: str = "per-shard",
     op_ratio: float = DEFAULT_OP_RATIO,
     alloc_policy: str = "lifo",
-    retire_worn: bool = False,
     store_data: bool = False,
     rng: random.Random | None = None,
     fault_plan: "FaultPlan | None" = None,
@@ -458,7 +457,6 @@ def build_array(
                 swl,
                 op_ratio=op_ratio,
                 alloc_policy=alloc_policy,
-                retire_worn=retire_worn,
                 store_data=store_data,
                 rng=spawn_rng(base, f"shard{index}"),
                 injector=injector,

@@ -5,7 +5,7 @@
 * :mod:`repro.core.leveler` — the ``WearLeveler`` base class (the driver
   boundary every mechanism inherits) and the SW Leveler running
   SWL-Procedure and SWL-BETUpdate (Section 3.3, Algorithms 1-2).
-* :mod:`repro.core.policies` — block-set selection and trigger policies,
+* :mod:`repro.core.policies` — block-set selection policies,
   plus the :class:`LevelerSpec` mechanism registry behind the arena.
 * :mod:`repro.core.alternatives` — challenger mechanisms on the same
   base (dual-pool, cache-based avoidance, software-only scrubbing).
@@ -35,17 +35,12 @@ from repro.core.leveler import (
     WearLevelingHost,
 )
 from repro.core.policies import (
-    EveryNRequestsTrigger,
     LevelerSpec,
-    OnEraseTrigger,
-    PeriodicTrigger,
     RandomSelection,
     SelectionPolicy,
     SequentialSelection,
-    TriggerPolicy,
     leveler_kinds,
     make_selection_policy,
-    make_trigger_policy,
 )
 
 __all__ = [
@@ -56,12 +51,9 @@ __all__ = [
     "DISABLED",
     "DualPoolLeveler",
     "DualPoolStats",
-    "EveryNRequestsTrigger",
     "LevelerSpec",
-    "OnEraseTrigger",
     "PAPER_K_VALUES",
     "PAPER_THRESHOLDS",
-    "PeriodicTrigger",
     "RandomSelection",
     "SWLConfig",
     "SWLStats",
@@ -70,10 +62,8 @@ __all__ = [
     "SequentialSelection",
     "SoftWearLeveler",
     "SoftWearStats",
-    "TriggerPolicy",
     "WearLeveler",
     "WearLevelingHost",
     "leveler_kinds",
     "make_selection_policy",
-    "make_trigger_policy",
 ]

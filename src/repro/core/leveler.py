@@ -30,13 +30,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Protocol
 
 from repro.core.bet import BetStore, BlockErasingTable
-from repro.core.policies import (
-    OnEraseTrigger,
-    SelectionPolicy,
-    SequentialSelection,
-    TriggerPolicy,
-    check_knobs,
-)
+from repro.core.policies import SelectionPolicy, SequentialSelection, check_knobs
 from repro.obs.bus import M_BET_RESET, M_SWL_INVOKE
 from repro.obs.events import BetReset as BetResetEvent
 from repro.obs.events import SwlInvoke as SwlInvokeEvent
@@ -83,7 +77,7 @@ class WearLevelingHost(Protocol):
 
 
 class RequestClock:
-    """Request counter and host clock a leveler's trigger policy reads.
+    """Request counter and host clock a request-driven mechanism reads.
 
     Standalone stacks give every leveler its own clock; a
     :class:`~repro.array.DeviceArray` installs one *shared* instance
@@ -179,7 +173,7 @@ class WearLeveler(ABC):
         return False
 
     def on_request(self, now: float | None = None) -> None:
-        """Advance request/time counters for request- and timer-triggers.
+        """Advance the request/time counters; tick a request-driven mechanism.
 
         A :class:`~repro.array.DeviceArray` advances the (shared)
         :class:`RequestClock` once for all shard levelers and calls
@@ -193,7 +187,7 @@ class WearLeveler(ABC):
             self._request_tick()
 
     def _request_tick(self) -> None:
-        """Evaluate a request- or timer-driven trigger at a request edge."""
+        """A request-driven mechanism's check at a request edge."""
 
     # ------------------------------------------------------------------
     # Suspension: the host defers leveling while inside its own GC/merge
@@ -357,6 +351,11 @@ class SWLStats:
 class SWLeveler(WearLeveler):
     """Static wear leveler (SW Leveler) for a Flash Translation Layer.
 
+    Erase-driven, as the paper's Cleaner drives it: every erase runs
+    SWL-BETUpdate and then checks ``ecnt / fcnt >= T`` — at once, or at
+    the host's outermost :meth:`resume` while it is suspended.  Host
+    requests carry no leveling work.
+
     Parameters
     ----------
     num_blocks:
@@ -371,8 +370,6 @@ class SWLeveler(WearLeveler):
     selection:
         Block-set selection policy; the paper's sequential cyclic scan by
         default.
-    trigger:
-        When to evaluate the threshold; after every erase by default.
     rng:
         Randomness source for the post-reset ``findex`` re-seed
         (Algorithm 1, step 6); seeded deterministically when omitted.
@@ -394,7 +391,6 @@ class SWLeveler(WearLeveler):
         threshold: float = 100.0,
         k: int = 0,
         selection: SelectionPolicy | None = None,
-        trigger: TriggerPolicy | None = None,
         rng: random.Random | None = None,
     ) -> None:
         check_knobs(threshold=threshold, k=k)
@@ -402,7 +398,6 @@ class SWLeveler(WearLeveler):
         self.threshold = threshold
         self.bet = BlockErasingTable(num_blocks, k)
         self.selection = selection or SequentialSelection()
-        self.trigger = trigger or OnEraseTrigger()  # property: caches kind
         self.rng = rng or make_rng()
         #: Cyclic scan cursor of Algorithm 1 ("the index in the selection
         #: of a block set for static wear leveling").
@@ -431,24 +426,21 @@ class SWLeveler(WearLeveler):
     # Host-facing notifications
     # ------------------------------------------------------------------
     def on_block_erased(self, block: int) -> None:
-        """SWL-BETUpdate (Algorithm 2) plus the trigger-policy check.
+        """SWL-BETUpdate (Algorithm 2), then the ``ecnt / fcnt >= T`` check.
 
         The Cleaner invokes this on *every* block erase, including erases
         the leveler itself caused; re-entrant procedure runs are suppressed
-        so forced recycles update the BET without recursing.  (Once per
-        erase: ``_trigger_fired`` is spelled out here, not called.)
+        so forced recycles update the BET without recursing.  While the
+        host is suspended the check is deferred to its :meth:`resume`.
+        (Once per erase: ``_trigger_fired`` is spelled out here, not called.)
         """
         self.bet.record_erase(block)
         if self._in_procedure:
             return
-        clock = self.clock
-        if self.trigger.should_check(
-            erases=self.bet.ecnt, requests=clock.requests, now=clock.now
-        ):
-            if self._suspended:
-                self._note_deferred()
-            else:
-                self._dispatch_trigger()
+        if self._suspended:
+            self._note_deferred()
+        else:
+            self._dispatch_trigger()
 
     def _note_deferred(self) -> None:
         """Remember a deferred trigger, and the ``ecnt`` it first fired at."""
@@ -500,27 +492,6 @@ class SWLeveler(WearLeveler):
         are O(1) registers on every mechanism and excluded throughout).
         """
         return (self.bet.size + 7) // 8
-
-    @property
-    def trigger(self) -> TriggerPolicy:
-        """The trigger policy; assignment refreshes the cached kind flag."""
-        return self._trigger
-
-    @trigger.setter
-    def trigger(self, policy: TriggerPolicy) -> None:
-        self._trigger = policy
-        # on_request runs once per host request per leveler — in a
-        # multi-channel array that is channels x requests calls — so the
-        # erase-triggered default (the paper's) must exit on a flag test,
-        # not an isinstance.
-        self._request_driven = not isinstance(policy, OnEraseTrigger)
-
-    def _request_tick(self) -> None:
-        clock = self.clock
-        if self._trigger.should_check(
-            erases=self.bet.ecnt, requests=clock.requests, now=clock.now
-        ):
-            self._trigger_fired()
 
     # ------------------------------------------------------------------
     # Algorithm 1 — SWL-Procedure
@@ -653,7 +624,7 @@ class SWLeveler(WearLeveler):
     # Checkpointing (see repro.ckpt)
     # ------------------------------------------------------------------
     def _snapshot_extra(self) -> dict[str, Any]:
-        """BET image, cursor, RNG stream, policies, retirements.
+        """BET image, cursor, RNG stream, selection policy, retirements.
 
         The BET rides as its own CRC-guarded image (:meth:`BlockErasingTable.
         to_bytes`), hex-encoded for the JSON payload; ``resets`` is carried
@@ -664,15 +635,7 @@ class SWLeveler(WearLeveler):
             "bet_resets": self.bet.resets,
             "findex": self.findex,
             "rng": rng_state_to_json(self.rng),
-            # Policy identity + internal cursors: a resumed
-            # EveryNRequestsTrigger._last_bucket / PeriodicTrigger
-            # ._next_check left at its construction value would re-fire
-            # (or skip) checks the uninterrupted run would not.
             "selection": self.selection.name,
-            "trigger": {
-                "kind": self._trigger.name,
-                "state": self._trigger.snapshot_state(),
-            },
             "retired_flags": sorted(self._retired_flags),
             "deferred_at_ecnt": self._deferred_at_ecnt,
         }
@@ -691,13 +654,6 @@ class SWLeveler(WearLeveler):
                 f"leveler snapshot selection policy {state['selection']!r} "
                 f"does not match {self.selection.name!r}"
             )
-        trigger_state = state["trigger"]
-        if trigger_state["kind"] != self._trigger.name:
-            raise ValueError(
-                f"leveler snapshot trigger policy {trigger_state['kind']!r} "
-                f"does not match {self._trigger.name!r}"
-            )
-        self._trigger.restore_state(trigger_state["state"])
         self.bet = bet
         self.findex = state["findex"]
         self.rng.setstate(rng_state_from_json(state["rng"]))

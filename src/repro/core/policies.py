@@ -1,20 +1,14 @@
 """Pluggable SW Leveler policies.
 
-Two policy axes from the paper's Section 3:
+**Selection** — how SWL-Procedure picks the next cold block set.  The
+paper uses a sequential cyclic scan from ``findex`` (Algorithm 1, steps
+9-10) and argues it "is close to that in a random selection policy in
+reality because cold data could virtually exist in any block".  We
+provide both so the claim can be tested (ablation bench A).  *When* the
+procedure runs is not a policy: the Cleaner calls SWL-BETUpdate on every
+erase and the leveler then checks ``ecnt / fcnt >= T`` (Algorithms 1-2).
 
-* **Selection** — how SWL-Procedure picks the next cold block set.  The
-  paper uses a sequential cyclic scan from ``findex`` (Algorithm 1, steps
-  9-10) and argues it "is close to that in a random selection policy in
-  reality because cold data could virtually exist in any block".  We
-  provide both so the claim can be tested (ablation bench A).
-
-* **Trigger** — when SWL-Procedure is invoked.  Section 3.1: "a thread or
-  a procedure triggered by a timer or the Allocator/Cleaner based on some
-  preset conditions".  The default checks the unevenness level after every
-  erase (the Cleaner-triggered variant); alternatives check every N
-  requests or on a simulated-time period.
-
-On top of the two axes sits the **leveler registry**: a
+On top of that axis sits the **leveler registry**: a
 :class:`LevelerSpec` names a complete wear-leveling *mechanism* — the
 paper's BET-based SW Leveler or one of the challengers from
 :mod:`repro.core.alternatives` — plus its knobs, and builds it against
@@ -113,137 +107,6 @@ def make_selection_policy(name: str) -> SelectionPolicy:
 
 
 # ----------------------------------------------------------------------
-# Trigger policies (when to evaluate the unevenness level)
-# ----------------------------------------------------------------------
-class TriggerPolicy(ABC):
-    """Decides when the leveler should evaluate ``ecnt/fcnt >= T``."""
-
-    name: str = "abstract"
-
-    @abstractmethod
-    def should_check(self, *, erases: int, requests: int, now: float) -> bool:
-        """``True`` when SWL-Procedure should be considered right now.
-
-        Parameters are cumulative counters/clock maintained by the caller:
-        total erases seen, total host requests served, simulated time.
-        """
-
-    # ------------------------------------------------------------------
-    # Checkpointing (see repro.ckpt): a trigger's internal cursor must
-    # survive a checkpoint/restore cycle or the resumed run's trigger
-    # grid diverges from the uninterrupted one.  Stateless triggers
-    # inherit the empty default.
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict[str, object]:
-        """JSON-friendly internal state (empty for stateless triggers)."""
-        return {}
-
-    def restore_state(self, state: dict[str, object]) -> None:
-        """Inverse of :meth:`snapshot_state`; rejects config mismatches."""
-
-
-class OnEraseTrigger(TriggerPolicy):
-    """Check after every block erase (the Cleaner-triggered variant).
-
-    This is the reference behaviour: SWL-BETUpdate runs on each erase and
-    the unevenness level can only change when ``ecnt`` or ``fcnt`` does.
-    """
-
-    name = "on-erase"
-
-    def should_check(self, *, erases: int, requests: int, now: float) -> bool:
-        return True
-
-
-class EveryNRequestsTrigger(TriggerPolicy):
-    """Check once every ``n`` host requests (the Allocator-driven variant)."""
-
-    name = "every-n-requests"
-
-    def __init__(self, n: int) -> None:
-        if n <= 0:
-            raise ValueError(f"n must be positive, got {n}")
-        self.n = n
-        self._last_bucket = -1
-
-    def should_check(self, *, erases: int, requests: int, now: float) -> bool:
-        bucket = requests // self.n
-        if bucket != self._last_bucket:
-            self._last_bucket = bucket
-            return True
-        return False
-
-    def snapshot_state(self) -> dict[str, object]:
-        return {"n": self.n, "last_bucket": self._last_bucket}
-
-    def restore_state(self, state: dict[str, object]) -> None:
-        if state["n"] != self.n:
-            raise ValueError(
-                f"trigger snapshot n={state['n']} does not match n={self.n}"
-            )
-        self._last_bucket = int(state["last_bucket"])  # type: ignore[arg-type]
-
-
-class PeriodicTrigger(TriggerPolicy):
-    """Check once every ``period`` seconds of simulated time (timer thread).
-
-    The check fires on a *fixed* grid anchored at t = 0: a check observed
-    late (the clock only advances at request edges, so arrival jitter is
-    the norm) still schedules the next one at the next grid point, not at
-    ``now + period`` — the latter would let every late arrival push the
-    whole timer grid, permanently drifting the check rate below
-    ``1/period``.
-    """
-
-    name = "periodic"
-
-    def __init__(self, period: float) -> None:
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period}")
-        self.period = period
-        self._next_check = 0.0
-
-    def should_check(self, *, erases: int, requests: int, now: float) -> bool:
-        if now < self._next_check:
-            return False
-        grid = self._next_check
-        while grid <= now:
-            grid += self.period
-        self._next_check = grid
-        return True
-
-    def snapshot_state(self) -> dict[str, object]:
-        return {"period": self.period, "next_check": self._next_check}
-
-    def restore_state(self, state: dict[str, object]) -> None:
-        if state["period"] != self.period:
-            raise ValueError(
-                f"trigger snapshot period={state['period']} does not match "
-                f"period={self.period}"
-            )
-        self._next_check = float(state["next_check"])  # type: ignore[arg-type]
-
-
-#: name -> constructor over ``param`` (``n`` for ``every-n-requests``, the
-#: period in simulated seconds for ``periodic``; ``on-erase`` ignores it).
-_TRIGGER_POLICIES: dict[str, Callable[[float], TriggerPolicy]] = {
-    OnEraseTrigger.name: lambda param: OnEraseTrigger(),
-    EveryNRequestsTrigger.name: lambda param: EveryNRequestsTrigger(int(param)),
-    PeriodicTrigger.name: PeriodicTrigger,
-}
-
-
-def make_trigger_policy(name: str, param: float = 0.0) -> TriggerPolicy:
-    """Instantiate a trigger policy by name, with its one parameter."""
-    if name not in _TRIGGER_POLICIES:
-        raise ValueError(
-            f"unknown trigger policy {name!r}; "
-            f"choose from {sorted(_TRIGGER_POLICIES)}"
-        )
-    return _TRIGGER_POLICIES[name](param)
-
-
-# ----------------------------------------------------------------------
 # The leveler registry: mechanisms behind one driver surface
 # ----------------------------------------------------------------------
 def check_knobs(**knobs: float) -> None:
@@ -272,15 +135,8 @@ class _Kind(NamedTuple):
         ["LevelerSpec", int, "WearLevelingHost", random.Random | None],
         "WearLeveler",
     ]
-    #: Instantiates the named policies a spec carries, which validates them.
-    policies: Callable[["LevelerSpec"], dict[str, object]] = lambda spec: {}
-
-
-def _swl_policies(spec: "LevelerSpec") -> dict[str, object]:
-    return {
-        "selection": make_selection_policy(spec.selection),
-        "trigger": make_trigger_policy(spec.trigger, spec.trigger_param),
-    }
+    #: Instantiates the named policy a spec carries, which validates it.
+    policy: Callable[["LevelerSpec"], object] = lambda spec: None
 
 
 def _shared_erase_counts(host: "WearLevelingHost", num_blocks: int) -> list[int]:
@@ -310,10 +166,10 @@ def _registry() -> dict[str, _Kind]:
             ("threshold", "k"),
             lambda spec: f"SWL+k={spec.k}+T={int(spec.threshold)}",
             lambda spec, num_blocks, host, rng: SWLeveler(
-                num_blocks, host, threshold=spec.threshold, k=spec.k, rng=rng,
-                **_swl_policies(spec),
+                num_blocks, host, threshold=spec.threshold, k=spec.k,
+                selection=make_selection_policy(spec.selection), rng=rng,
             ),
-            _swl_policies,
+            lambda spec: make_selection_policy(spec.selection),
         ),
         "dual-pool": _Kind(
             ("delta", "check_period", "batch"),
@@ -359,10 +215,7 @@ class LevelerSpec:
 
     ``"swl"``
         The paper's BET-based SW Leveler — ``threshold``, ``k``,
-        ``selection`` (``"sequential"``, the paper's, or ``"random"``),
-        ``trigger`` (``"on-erase"``, ``"every-n-requests"`` or
-        ``"periodic"``) and ``trigger_param`` (``n`` for the request
-        trigger, the period in simulated seconds for the timer).
+        and ``selection`` (``"sequential"``, the paper's, or ``"random"``).
     ``"dual-pool"``
         Ban-patent counter-based leveling — ``delta``, ``check_period``,
         ``batch``.
@@ -386,8 +239,6 @@ class LevelerSpec:
     threshold: float = 100.0
     k: int = 0
     selection: str = "sequential"
-    trigger: str = "on-erase"
-    trigger_param: float = 0.0
     # --- "dual-pool" knobs -------------------------------------------
     delta: int = 32
     check_period: int = 64
@@ -409,7 +260,7 @@ class LevelerSpec:
             # A spec that could not build is refused here, not in a
             # sweep worker that would retry it and quarantine the cell.
             check_knobs(**{name: getattr(self, name) for name in row.knobs})
-            row.policies(self)
+            row.policy(self)
 
     def label(self) -> str:
         """Row label for tables, e.g. ``SWL+k=0+T=100`` in the paper's style."""

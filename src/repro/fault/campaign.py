@@ -32,6 +32,15 @@ from repro.ftl.factory import build_stack
 from repro.util.diagnostics import fault_log
 from repro.util.rng import make_rng
 
+#: The crash sweep's first power-loss ordinal and the stride between
+#: losses: a prime-ish stride lands losses inside host writes, GC, folds
+#: and SWL moves alike rather than beating with any workload period.
+LOSS_START = 25
+LOSS_STRIDE = 13
+
+#: Host writes of each crash-sweep run.
+CRASH_WRITES = 600
+
 
 @dataclass
 class FaultCampaignResult:
@@ -90,9 +99,6 @@ def run_fault_campaign(
     seed: int = 0,
     soak_writes: int = 2000,
     loss_points: int = 50,
-    loss_start: int = 25,
-    loss_stride: int = 13,
-    crash_writes: int = 600,
 ) -> FaultCampaignResult:
     """Run a full fault campaign against one stack configuration.
 
@@ -101,11 +107,10 @@ def run_fault_campaign(
     plan:
         Transient-fault model for the soak; its power-loss schedule is
         ignored there (crashes belong to the sweep).
-    loss_points / loss_start / loss_stride:
+    loss_points:
         The crash sweep schedules ``loss_points`` power losses at
-        operation ordinals ``loss_start + i * loss_stride`` — a prime-ish
-        stride lands losses inside host writes, GC, folds, and SWL moves
-        alike rather than beating with any workload period.
+        operation ordinals ``LOSS_START + i * LOSS_STRIDE``, each over
+        a run of ``CRASH_WRITES`` host writes.
     """
     plan = plan or FaultPlan()
     soak_plan = replace(plan, power_loss_at=())
@@ -198,9 +203,9 @@ def run_fault_campaign(
         swl,
         plan=soak_plan,
         seed=seed,
-        writes=crash_writes,
+        writes=CRASH_WRITES,
     )
     result.crash_report = harness.sweep(
-        loss_start + i * loss_stride for i in range(loss_points)
+        LOSS_START + i * LOSS_STRIDE for i in range(loss_points)
     )
     return result

@@ -32,9 +32,16 @@ from repro.fault.injector import FaultInjector
 from repro.fault.plan import FaultPlan
 from repro.flash.errors import OutOfSpaceError, PowerLossError
 from repro.flash.geometry import FlashGeometry
-from repro.ftl.factory import build_stack, make_layer
+from repro.ftl.factory import StorageStack, build_stack, make_layer
 from repro.util.diagnostics import fault_log
 from repro.util.rng import make_rng
+
+#: The SW Leveler saves its BET to the dual-buffer store every this many
+#: acknowledged host writes.
+PERSIST_EVERY = 16
+
+#: Share of the logical pages that take the ``hot_fraction`` of writes.
+HOT_PAGES_FRACTION = 0.2
 
 
 @dataclass
@@ -105,11 +112,9 @@ class CrashConsistencyHarness:
         Master seed for the workload and the leveler.
     writes:
         Host writes attempted per run (the loss usually fires earlier).
-    persist_every:
-        BET saves to the dual-buffer store every this many host writes.
-    hot_fraction / hot_pages_fraction:
+    hot_fraction:
         Hot/cold skew: ``hot_fraction`` of writes land on
-        ``hot_pages_fraction`` of the logical pages.
+        :data:`HOT_PAGES_FRACTION` of the logical pages.
     """
 
     def __init__(
@@ -121,29 +126,23 @@ class CrashConsistencyHarness:
         plan: FaultPlan | None = None,
         seed: int = 0,
         writes: int = 400,
-        persist_every: int = 16,
         hot_fraction: float = 0.8,
-        hot_pages_fraction: float = 0.2,
     ) -> None:
         if writes <= 0:
             raise ValueError(f"writes must be positive, got {writes}")
-        if persist_every <= 0:
-            raise ValueError(f"persist_every must be positive, got {persist_every}")
         self.geometry = geometry
         self.driver = driver
         self.swl = swl
         self.plan = plan or FaultPlan()
         self.seed = seed
         self.writes = writes
-        self.persist_every = persist_every
         self.hot_fraction = hot_fraction
-        self.hot_pages_fraction = hot_pages_fraction
 
     # ------------------------------------------------------------------
     def _workload(self, num_pages: int):
         """Deterministic hot/cold write stream: (lpn, payload) pairs."""
         rng = make_rng(self.seed)
-        hot_pages = max(1, int(num_pages * self.hot_pages_fraction))
+        hot_pages = max(1, int(num_pages * HOT_PAGES_FRACTION))
         for version in range(self.writes):
             if rng.random() < self.hot_fraction:
                 lpn = rng.randrange(hot_pages)
@@ -190,7 +189,7 @@ class CrashConsistencyHarness:
             # media (dual-buffer BetStore); challenger mechanisms hold
             # RAM-only bookkeeping (persist is a no-op, restore False)
             # and reboot blank by design.
-            if leveler is not None and count % self.persist_every == 0:
+            if leveler is not None and count % PERSIST_EVERY == 0:
                 leveler.persist(store)
 
         verdict = CrashVerdict(
@@ -200,9 +199,10 @@ class CrashConsistencyHarness:
         # the checks model a later, fully powered session.
         injector.cancel_power_loss()
         if crashed:
-            layer, leveler, verdict.bet_restored, verdict.mappings_recovered = (
+            stack, verdict.bet_restored, verdict.mappings_recovered = (
                 self._reboot(stack, store)
             )
+            layer, leveler = stack.layer, stack.leveler
         if inflight is not None:
             # The write the crash interrupted was never acknowledged, so it
             # may legally be lost — or fully durable when the loss struck
@@ -217,8 +217,14 @@ class CrashConsistencyHarness:
         verdict.retired_blocks = len(layer.retired_blocks)
         return verdict
 
-    def _reboot(self, stack, store: BetStore):
-        """Power-cycle the device: drop RAM state, rebuild from the media."""
+    def _reboot(
+        self, stack: StorageStack, store: BetStore
+    ) -> tuple[StorageStack, bool, int]:
+        """Power-cycle the device: drop RAM state, rebuild from the media.
+
+        Returns the rebooted stack over the same chip, whether the BET
+        was restored, and the mappings the driver rebuilt.
+        """
         fault_log.info("rebooting %s after power loss", self.driver)
         # RAM wiring (erase listeners, driver tables, leveler) dies with
         # the power; the chip object *is* the persistent media.
@@ -233,10 +239,10 @@ class CrashConsistencyHarness:
             )
             layer.attach_leveler(leveler)
             restored = leveler.restore(store)
-        stack.layer = layer
-        stack.leveler = leveler
-        stack.__post_init__()  # re-resolve the page entry points
-        return layer, leveler, restored, recovered
+        rebooted = StorageStack(
+            flash=stack.flash, mtd=stack.mtd, layer=layer, leveler=leveler
+        )
+        return rebooted, restored, recovered
 
     def _check_invariants(
         self, stack, layer, leveler, acked, verdict, *, device_full: bool = False

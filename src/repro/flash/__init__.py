@@ -19,12 +19,10 @@ from repro.flash.chip import (
 )
 from repro.flash.errors import (
     AddressError,
-    EraseError,
     FlashError,
     OutOfSpaceError,
     ProgramError,
     TranslationError,
-    WearOutError,
 )
 from repro.flash.geometry import (
     GIB,
@@ -45,7 +43,6 @@ from repro.flash.timing import MLC2_TIMING, SLC_TIMING, TimingModel, timing_for
 __all__ = [
     "AddressError",
     "CellType",
-    "EraseError",
     "FirstFailure",
     "FlashError",
     "FlashGeometry",
@@ -68,7 +65,6 @@ __all__ = [
     "SLC_TIMING",
     "TimingModel",
     "TranslationError",
-    "WearOutError",
     "mlc2",
     "slc_large_block",
     "timing_for",

@@ -9,8 +9,7 @@ Models exactly the properties the paper's experiments depend on:
   (the out-place-update constraint that creates the wear-leveling problem);
 * every block has a rated erase endurance; the first block to exceed it
   defines the *first failure time* (Section 5.1), and — matching the
-  paper's Table 4 methodology — the chip keeps operating after wear-out
-  unless ``fail_stop`` is requested;
+  paper's Table 4 methodology — the chip keeps operating after wear-out;
 * each page carries a small spare-area record (the logical address tag and
   status of Figure 2(a)).
 
@@ -32,7 +31,6 @@ from repro.flash.errors import (
     PowerLossError,
     ProgramError,
     ProgramFaultError,
-    WearOutError,
 )
 from repro.flash.geometry import FlashGeometry
 from repro.obs.bus import M_ERASE
@@ -76,15 +74,15 @@ class OpCounters:
 class NandFlash:
     """Simulated NAND chip.
 
+    The chip has one end-of-life model, the paper's: erasing a block
+    beyond its endurance is recorded (:attr:`first_failure`,
+    :attr:`worn_blocks`) and the simulation continues, as in the
+    paper's Table 4 runs.
+
     Parameters
     ----------
     geometry:
         Chip organization (:class:`~repro.flash.geometry.FlashGeometry`).
-    fail_stop:
-        When ``True``, erasing a block beyond its endurance raises
-        :class:`~repro.flash.errors.WearOutError`.  Default ``False``:
-        the event is recorded (:attr:`first_failure`, :attr:`worn_blocks`)
-        and the simulation continues, as in the paper's Table 4 runs.
     store_data:
         When ``True``, page payloads are stored and returned by
         :meth:`read`; otherwise reads return ``None`` payloads.
@@ -94,11 +92,9 @@ class NandFlash:
         self,
         geometry: FlashGeometry,
         *,
-        fail_stop: bool = False,
         store_data: bool = False,
     ) -> None:
         self.geometry = geometry
-        self.fail_stop = fail_stop
         self.store_data = store_data
 
         total_pages = geometry.total_pages
@@ -348,15 +344,9 @@ class NandFlash:
     def erase(self, block: int) -> None:
         """Erase one block, freeing all of its pages and bumping wear.
 
-        Records the first wear-out event.  Erase listeners run after the
-        erase completes (the Cleaner uses one to trigger SWL-BETUpdate).
-
-        In ``fail_stop`` mode an erase past the endurance still happens —
-        it is counted, worn and cleared, and its erase event is emitted —
-        and then raises :class:`~repro.flash.errors.WearOutError` instead
-        of running the listeners.  Cleared matters: a driver erases a
-        block whose live pages it has already copied out, so a block left
-        holding them would leave two valid copies on the chip.
+        Records the first wear-out event; a worn block stays in service.
+        Erase listeners run after the erase completes (the Cleaner uses
+        one to trigger SWL-BETUpdate).
 
         With a fault injector attached the erase may fail before any state
         change: a :class:`~repro.flash.errors.TransientEraseError` leaves
@@ -370,7 +360,6 @@ class NandFlash:
         self.erase_counts[block] = previous + 1
         self.wear.record_erase(block, previous)
         self.counters.erases += 1
-        worn_out = False
         if self.erase_counts[block] > self.geometry.endurance:
             if block not in self.worn_blocks:
                 self.worn_blocks.add(block)
@@ -382,7 +371,6 @@ class NandFlash:
                     )
                     if self.failure_sink is not None:
                         self.failure_sink()
-            worn_out = self.fail_stop
         start = block * self._ppb
         stop = start + self._ppb
         self._states[start:stop] = bytes(self._ppb)  # PAGE_FREE
@@ -396,11 +384,6 @@ class NandFlash:
             # Before the listeners: SWL work a listener triggers then
             # traces causally after the erase that provoked it.
             obs.emit_erase(block, self.erase_counts[block])
-        if worn_out:
-            raise WearOutError(
-                f"block {block} exceeded endurance {self.geometry.endurance}",
-                block=block,
-            )
         for listener in self._erase_listeners:
             listener(block)
 

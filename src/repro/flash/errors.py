@@ -45,24 +45,6 @@ class ProgramError(FlashError):
         self.page = page
 
 
-class EraseError(FlashError):
-    """An erase operation failed (only in ``fail_stop`` wear-out mode)."""
-
-    def __init__(self, message: str, *, block: int) -> None:
-        super().__init__(message)
-        self.block = block
-
-
-class WearOutError(EraseError):
-    """A block exceeded its rated erase endurance in ``fail_stop`` mode.
-
-    The paper's endurance metric is the *first failure time* — the first
-    time any block wears out.  By default the chip only records that event
-    (matching the paper's Table 4 methodology, which keeps simulating after
-    wear-out); with ``fail_stop=True`` the erase raises this error instead.
-    """
-
-
 class FaultError(FlashError):
     """Base class for *injected* device faults.
 

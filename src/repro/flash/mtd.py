@@ -16,41 +16,22 @@ from collections.abc import Callable, Sequence
 
 from repro.flash.chip import NandFlash, OpCounters
 from repro.flash.errors import FlashError
-from repro.flash.geometry import FlashGeometry
-from repro.flash.timing import TimingModel, timing_for
+from repro.flash.timing import timing_for
 from repro.obs.bus import M_PROGRAM, M_READ, BusLike
 
 
 class MtdDevice:
     """Primitive read/write/erase interface over one NAND chip.
 
-    Parameters
-    ----------
-    flash:
-        The chip to drive, or ``None`` to create one from ``geometry``.
-    geometry:
-        Required when ``flash`` is ``None``.
-    timing:
-        Latency model; defaults to the chip's cell-type defaults.
+    ``MtdDevice(flash)`` drives an existing chip; its latency model is the
+    datasheet timing of the chip's cell type (:func:`~repro.flash.timing.
+    timing_for`).
     """
 
-    def __init__(
-        self,
-        flash: NandFlash | None = None,
-        *,
-        geometry: FlashGeometry | None = None,
-        timing: TimingModel | None = None,
-        **chip_kwargs: bool,
-    ) -> None:
-        if flash is None:
-            if geometry is None:
-                raise ValueError("either a flash chip or a geometry is required")
-            flash = NandFlash(geometry, **chip_kwargs)
-        elif chip_kwargs:
-            raise ValueError("chip kwargs are only valid when MTD creates the chip")
+    def __init__(self, flash: NandFlash) -> None:
         self.flash = flash
         self.geometry = flash.geometry
-        self.timing = timing or timing_for(flash.geometry)
+        self.timing = timing_for(flash.geometry)
         self.busy_time = 0.0
         self._obs: BusLike | None = None
 

@@ -145,13 +145,14 @@ class TranslationLayer(ABC):
         firmware behaviour and the baseline the paper's Table 4 implies)
         or ``"min-wear"`` (stronger allocation-side dynamic wear
         leveling).  See :mod:`repro.ftl.allocator`.
-    retire_worn:
-        When ``True``, a block erased past its rated endurance is retired
-        (grown-bad-block management): it never returns to the free pool,
-        physical capacity shrinks, and the device reaches end of life
-        when the Cleaner can no longer keep its reserve — surfacing as
-        :class:`~repro.flash.errors.OutOfSpaceError`.  Default ``False``,
-        matching the paper's runs that continue past wear-out.
+
+    A block worn past its rated endurance stays in service, as in the
+    paper's Table 4 runs (the chip records ``first_failure`` and
+    ``worn_blocks``).  Only a block a fault condemned is retired
+    (grown-bad-block management): it never returns to the free pool,
+    physical capacity shrinks, and the device reaches end of life when
+    the Cleaner can no longer keep its reserve — surfacing as
+    :class:`~repro.flash.errors.OutOfSpaceError`.
     """
 
     #: Short name used in reports ("FTL" / "NFTL").
@@ -163,7 +164,6 @@ class TranslationLayer(ABC):
         *,
         op_ratio: float = DEFAULT_OP_RATIO,
         alloc_policy: str = "lifo",
-        retire_worn: bool = False,
     ) -> None:
         if not 0.0 < op_ratio < 1.0:
             raise ValueError(f"op_ratio must be in (0, 1), got {op_ratio}")
@@ -176,9 +176,7 @@ class TranslationLayer(ABC):
         # scale 0.2% of 4096 blocks is 8; small simulated chips floor at
         # 2 so GC always has one block of headroom to copy into.
         self.gc_free_blocks = max(2, round(GC_FREE_FRACTION * self.geometry.num_blocks))
-        self.retire_worn = retire_worn
-        #: Blocks withdrawn from service: worn out (with ``retire_worn``)
-        #: or grown bad under fault injection.
+        #: Blocks withdrawn from service: grown bad under fault injection.
         self.retired_blocks: set[int] = set()
         #: Blocks condemned by a program/erase fault, awaiting retirement
         #: (their live data may still need draining).
@@ -231,7 +229,7 @@ class TranslationLayer(ABC):
             ))
 
     def _release_or_retire(self, block: int) -> None:
-        """Return an erased block to the pool, or retire it if worn/bad.
+        """Return an erased block to the pool, or retire it if condemned.
 
         The single chokepoint for grown-bad-block management: every block
         release in both drivers goes through here.  A retired block is
@@ -239,11 +237,7 @@ class TranslationLayer(ABC):
         it across reboots) and reported to the SW Leveler (so its BET set
         stays permanently flagged and SWL-Procedure never selects it).
         """
-        failed = block in self._failed_blocks
-        if failed or (
-            self.retire_worn
-            and self.mtd.erase_counts[block] > self.geometry.endurance
-        ):
+        if block in self._failed_blocks:
             self._failed_blocks.discard(block)
             self.retired_blocks.add(block)
             self.mtd.mark_bad(block)
@@ -251,10 +245,8 @@ class TranslationLayer(ABC):
             if self.leveler is not None:
                 self.leveler.on_block_retired(block)
             fault_log.info(
-                "%s: retired block %d (%s, wear %d)",
-                self.name, block,
-                "grown bad" if failed else "worn out",
-                self.mtd.erase_counts[block],
+                "%s: retired block %d (grown bad, wear %d)",
+                self.name, block, self.mtd.erase_counts[block],
             )
             if self._obs is not None and self._obs.mask & M_RECOVERY:
                 self._obs.emit(Recovery("retire", block))

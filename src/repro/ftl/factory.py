@@ -55,7 +55,6 @@ def make_layer(
     *,
     op_ratio: float = DEFAULT_OP_RATIO,
     alloc_policy: str = "lifo",
-    retire_worn: bool = False,
 ) -> TranslationLayer:
     """Instantiate a translation layer by name over an MTD device."""
     try:
@@ -64,12 +63,7 @@ def make_layer(
         raise ValueError(
             f"unknown translation layer {name!r}; choose from {driver_names()}"
         ) from None
-    return cls(
-        mtd,
-        op_ratio=op_ratio,
-        alloc_policy=alloc_policy,
-        retire_worn=retire_worn,
-    )
+    return cls(mtd, op_ratio=op_ratio, alloc_policy=alloc_policy)
 
 
 @runtime_checkable
@@ -358,7 +352,6 @@ def build_stack(
     *,
     op_ratio: float = DEFAULT_OP_RATIO,
     alloc_policy: str = "lifo",
-    retire_worn: bool = False,
     store_data: bool = False,
     rng: random.Random | None = None,
     injector: "FaultInjector | None" = None,
@@ -395,13 +388,7 @@ def build_stack(
     if injector is not None:
         flash.attach_injector(injector)
     mtd = MtdDevice(flash)
-    layer = make_layer(
-        driver,
-        mtd,
-        op_ratio=op_ratio,
-        alloc_policy=alloc_policy,
-        retire_worn=retire_worn,
-    )
+    layer = make_layer(driver, mtd, op_ratio=op_ratio, alloc_policy=alloc_policy)
     leveler = None
     if swl is not None and swl.enabled:
         leveler = swl.build(geometry.num_blocks, layer, rng=rng)

@@ -41,7 +41,6 @@ from repro.flash.errors import (
     FlashError,
     OutOfSpaceError,
     ProgramFaultError,
-    WearOutError,
 )
 from repro.flash.mtd import MtdDevice
 from repro.ftl.allocator import BlockAllocator
@@ -106,14 +105,8 @@ class NFTL(TranslationLayer):
         *,
         op_ratio: float = DEFAULT_OP_RATIO,
         alloc_policy: str = "lifo",
-        retire_worn: bool = False,
     ) -> None:
-        super().__init__(
-            mtd,
-            op_ratio=op_ratio,
-            alloc_policy=alloc_policy,
-            retire_worn=retire_worn,
-        )
+        super().__init__(mtd, op_ratio=op_ratio, alloc_policy=alloc_policy)
         geometry = self.geometry
         self.num_vbas = geometry.num_blocks - self._reserve_blocks()
         self._num_logical_pages = self.num_vbas * geometry.pages_per_block
@@ -398,7 +391,8 @@ class NFTL(TranslationLayer):
             drained.append(chain.replacement)
         for block in drained:
             self._owner[block] = None
-        self._erase_drained(drained + failed_primaries)
+        for block in drained + failed_primaries:
+            self._erase_and_release(block)
 
         chain.primary = new_primary
         chain.replacement = None
@@ -410,22 +404,6 @@ class NFTL(TranslationLayer):
     def _erase_and_release(self, block: int) -> None:
         self._erase_with_recovery(block)
         self._release_or_retire(block)
-
-    def _erase_drained(self, blocks: list[int]) -> None:
-        """Erase and pool every block a merge has just drained.
-
-        A span copy leaves its sources valid for this erase, so a
-        fail-stop wear-out on one block still erases the rest before the
-        error leaves: the chip never keeps two valid copies of a page.
-        """
-        worn: WearOutError | None = None
-        for block in blocks:
-            try:
-                self._erase_and_release(block)
-            except WearOutError as exc:
-                worn = worn or exc
-        if worn is not None:
-            raise worn
 
     def _merge_into_fresh_primary(
         self,
@@ -734,7 +712,8 @@ class NFTL(TranslationLayer):
         chain.primary_used = used
         self._chains[vba] = chain
         self._owner[primary] = chain
-        self._erase_drained(claimants + failed_primaries)
+        for block in claimants + failed_primaries:
+            self._erase_and_release(block)
 
     # ------------------------------------------------------------------
     # Invariants (crash-consistency harness)

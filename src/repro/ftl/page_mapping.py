@@ -57,14 +57,8 @@ class PageMappingFTL(TranslationLayer):
         *,
         op_ratio: float = DEFAULT_OP_RATIO,
         alloc_policy: str = "lifo",
-        retire_worn: bool = False,
     ) -> None:
-        super().__init__(
-            mtd,
-            op_ratio=op_ratio,
-            alloc_policy=alloc_policy,
-            retire_worn=retire_worn,
-        )
+        super().__init__(mtd, op_ratio=op_ratio, alloc_policy=alloc_policy)
         geometry = self.geometry
         self._num_logical_pages = (
             geometry.num_blocks - self._reserve_blocks()

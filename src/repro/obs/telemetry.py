@@ -28,9 +28,8 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import MetricsSnapshot, render_prometheus
 
-#: Default heatmap grid width (cells) and snapshot cap per run.
+#: Default heatmap grid width (cells).
 DEFAULT_HEATMAP_BINS = 64
-DEFAULT_MAX_HEATMAPS = 64
 
 
 class Telemetry:

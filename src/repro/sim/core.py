@@ -138,11 +138,14 @@ class SimResult:
         }
 
 
-#: Timeline length at which sampling decimates (see ``max_samples``).
-DEFAULT_MAX_SAMPLES = 4096
+#: Timeline length bound.  When an append would grow past it, the
+#: timeline is decimated — every other sample dropped, the sampling
+#: interval doubled — so a 10-year horizon holds the resolution it can
+#: afford instead of growing without bound.
+MAX_SAMPLES = 4096
 
-#: Heatmap count at which sampling decimates (see ``max_heatmaps``).
-DEFAULT_MAX_HEATMAPS = 64
+#: Heatmap count bound, decimated like the timeline (:data:`MAX_SAMPLES`).
+MAX_HEATMAPS = 64
 
 #: Bound once: reading a member off its ``Enum`` class goes through the
 #: metaclass's ``__getattr__`` hook, a cost ``apply`` would pay per request.
@@ -171,24 +174,18 @@ class RequestCore:
         :class:`WearSample` of the erase-count distribution every interval
         — the time series behind "the distribution of erase counts over
         blocks was much improved".  ``None`` (default) disables sampling.
-    max_samples:
-        Timeline length bound.  When an append would grow past it, the
-        timeline is decimated — every other sample dropped, the sampling
-        interval doubled — so a 10-year horizon holds the resolution it
-        can afford instead of growing without bound.  ``None`` disables
-        the cap.
+        The timeline holds at most :data:`MAX_SAMPLES` samples.
     heatmap_interval:
         When set (simulated seconds), the core snapshots a
         :class:`~repro.obs.heatmap.WearHeatmap` of per-block erase counts
         every interval — the spatial companion of the ``WearSample``
         timeline.  A final snapshot is always taken at the end of the
         run, so any enabled replay that advances the clock yields at
-        least two heatmaps.  ``None`` (default) disables them.
+        least two heatmaps.  ``None`` (default) disables them.  At most
+        :data:`MAX_HEATMAPS` are kept.
     heatmap_bins:
         Grid width of each heatmap (blocks are binned into this many
         fixed-width cells).
-    max_heatmaps:
-        Heatmap count bound, decimated like ``max_samples``.
     """
 
     def __init__(
@@ -197,32 +194,24 @@ class RequestCore:
         *,
         skip_reads: bool = False,
         sample_interval: float | None = None,
-        max_samples: int | None = DEFAULT_MAX_SAMPLES,
         heatmap_interval: float | None = None,
         heatmap_bins: int = 64,
-        max_heatmaps: int | None = DEFAULT_MAX_HEATMAPS,
     ) -> None:
         if sample_interval is not None and sample_interval <= 0:
             raise ValueError(
                 f"sample_interval must be positive, got {sample_interval}"
             )
-        if max_samples is not None and max_samples < 2:
-            raise ValueError(f"max_samples must be >= 2, got {max_samples}")
         if heatmap_interval is not None and heatmap_interval <= 0:
             raise ValueError(
                 f"heatmap_interval must be positive, got {heatmap_interval}"
             )
         if heatmap_bins <= 0:
             raise ValueError(f"heatmap_bins must be positive, got {heatmap_bins}")
-        if max_heatmaps is not None and max_heatmaps < 2:
-            raise ValueError(f"max_heatmaps must be >= 2, got {max_heatmaps}")
         self.stack = stack
         self.skip_reads = skip_reads
         self.sample_interval = sample_interval
-        self.max_samples = max_samples
         self.heatmap_interval = heatmap_interval
         self.heatmap_bins = heatmap_bins
-        self.max_heatmaps = max_heatmaps
         self.timeline: list[WearSample] = []
         self.heatmaps: list[WearHeatmap] = []
         self._next_sample = 0.0 if sample_interval else float("inf")
@@ -321,7 +310,7 @@ class RequestCore:
             )
         )
         assert self.sample_interval is not None
-        if self.max_samples is not None and len(self.timeline) >= self.max_samples:
+        if len(self.timeline) >= MAX_SAMPLES:
             # Decimate: keep every other sample and sample half as often,
             # holding memory flat over arbitrarily long horizons while
             # degrading resolution gracefully (oldest data thins first).
@@ -335,7 +324,7 @@ class RequestCore:
             self.stack.wear_heatmap(self.clock, bins=self.heatmap_bins)
         )
         assert self.heatmap_interval is not None
-        if self.max_heatmaps is not None and len(self.heatmaps) >= self.max_heatmaps:
+        if len(self.heatmaps) >= MAX_HEATMAPS:
             # Same decimation scheme as the WearSample timeline.
             del self.heatmaps[1::2]
             self.heatmap_interval *= 2

@@ -25,8 +25,8 @@ from typing import Iterable, Iterator
 from repro.flash.errors import PowerLossError
 from repro.obs.heatmap import WearHeatmap
 from repro.sim.core import (
-    DEFAULT_MAX_HEATMAPS,
-    DEFAULT_MAX_SAMPLES,
+    MAX_HEATMAPS,
+    MAX_SAMPLES,
     RequestCore,
     SimResult,
     StopCondition,
@@ -35,8 +35,8 @@ from repro.sim.core import (
 from repro.traces.model import Request
 
 __all__ = [
-    "DEFAULT_MAX_HEATMAPS",
-    "DEFAULT_MAX_SAMPLES",
+    "MAX_HEATMAPS",
+    "MAX_SAMPLES",
     "RequestCore",
     "SimResult",
     "Simulator",

@@ -48,6 +48,16 @@ from repro.util.rng import make_rng
 DAY = 86_400.0
 MONTH = 30 * DAY
 
+# Extent and request sizes, in sectors, calibrated to the paper's trace.
+MEAN_EXTENT_SECTORS = 2048          #: mean warm extent (file) size
+MEAN_HOT_EXTENT_SECTORS = 1024      #: hot extents are small (caches)
+MEAN_STATIC_EXTENT_SECTORS = 8192   #: static extents are large (media)
+MEAN_WRITE_SECTORS = 32             #: mean bulk-write request size
+MEAN_READ_SECTORS = 32              #: mean read request size
+MAX_REQUEST_SECTORS = 256           #: request size cap
+SMALL_WRITE_FRACTION = 0.30         #: metadata-style small random writes
+SMALL_WRITE_MAX_SECTORS = 8         #: size cap of metadata writes
+
 
 @dataclass(frozen=True)
 class WorkloadParams:
@@ -65,14 +75,6 @@ class WorkloadParams:
     hot_fraction: float = 0.125           #: hot share of the *written* set
     static_fraction: float = 0.70         #: write-once share of the written set
     hot_write_share: float = 0.90         #: daily writes landing on hot extents
-    mean_extent_sectors: int = 2048       #: mean warm extent (file) size
-    mean_hot_extent_sectors: int = 1024   #: hot extents are small (caches)
-    mean_static_extent_sectors: int = 8192  #: static extents are large (media)
-    mean_write_sectors: int = 32          #: mean bulk-write request size
-    mean_read_sectors: int = 32           #: mean read request size
-    max_request_sectors: int = 256        #: request size cap
-    small_write_fraction: float = 0.30    #: metadata-style small random writes
-    small_write_max_sectors: int = 8      #: size cap of metadata writes
     cold_write_period: float = MONTH      #: mean time between static rewrites
     seed: int | None = None
 
@@ -95,23 +97,9 @@ class WorkloadParams:
             raise ValueError("hot_write_share must be in [0, 1]")
         if self.cold_write_period <= 0:
             raise ValueError("cold_write_period must be positive")
-        if not 0.0 <= self.small_write_fraction <= 1.0:
-            raise ValueError("small_write_fraction must be in [0, 1]")
-        if self.small_write_max_sectors < 1:
-            raise ValueError("small_write_max_sectors must be >= 1")
         for name in ("write_rate", "read_rate"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in (
-            "mean_extent_sectors",
-            "mean_hot_extent_sectors",
-            "mean_static_extent_sectors",
-            "mean_write_sectors",
-            "mean_read_sectors",
-            "max_request_sectors",
-        ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
 
 
 class Temperature(Enum):
@@ -188,9 +176,9 @@ class MobilePCWorkload:
         target_written = int(p.total_sectors * p.written_fraction)
         class_plan = (
             # carve order matters: big static runs first, then hot, warm.
-            (Temperature.STATIC, p.static_fraction, p.mean_static_extent_sectors),
-            (Temperature.HOT, p.hot_fraction, p.mean_hot_extent_sectors),
-            (Temperature.WARM, None, p.mean_extent_sectors),
+            (Temperature.STATIC, p.static_fraction, MEAN_STATIC_EXTENT_SECTORS),
+            (Temperature.HOT, p.hot_fraction, MEAN_HOT_EXTENT_SECTORS),
+            (Temperature.WARM, None, MEAN_EXTENT_SECTORS),
         )
         slot = max(64, min(mean for _, _, mean in class_plan) // 4)
         # Tiny address spaces (unit tests, miniature chips) still need
@@ -257,11 +245,11 @@ class MobilePCWorkload:
     # ------------------------------------------------------------------
     def _sequential_pass(self, extent: _Extent) -> Iterator[tuple[int, int]]:
         """The (lba, sectors) runs of one sequential write over an extent."""
-        step = self.params.max_request_sectors
+        step = MAX_REQUEST_SECTORS
         for offset in range(0, extent.length, step):
             yield extent.start + offset, min(step, extent.length - offset)
 
-    def prefill_requests(self, *, at: float = 0.0) -> list[Request]:
+    def prefill_requests(self) -> list[Request]:
         """One sequential write over every extent — the disk image.
 
         The paper's machine had been in use before the trace started, so
@@ -270,7 +258,7 @@ class MobilePCWorkload:
         data blocks to pin from the very first simulated second.
         """
         return [
-            Request(at, Op.WRITE, lba, sectors)
+            Request(0.0, Op.WRITE, lba, sectors)
             for extent in sorted(self.extents, key=lambda e: e.start)
             for lba, sectors in self._sequential_pass(extent)
         ]
@@ -336,10 +324,10 @@ class MobilePCWorkload:
         hot, warm, extents = self._hot, self._warm, self.extents
         write_rate, read_rate, end = p.write_rate, p.read_rate, p.duration
         hot_write_share = p.hot_write_share
-        small_write_fraction = p.small_write_fraction
-        max_request = p.max_request_sectors
-        write_size_rate = 1.0 / max(1, p.mean_write_sectors - 1)
-        read_size_rate = 1.0 / max(1, p.mean_read_sectors - 1)
+        small_write_fraction = SMALL_WRITE_FRACTION
+        max_request = MAX_REQUEST_SECTORS
+        write_size_rate = 1.0 / max(1, MEAN_WRITE_SECTORS - 1)
+        read_size_rate = 1.0 / max(1, MEAN_READ_SECTORS - 1)
         times, ops = array("d"), bytearray()
         lbas, counts = array("q"), array("q")
         add_time, add_op = times.append, ops.append
@@ -369,7 +357,7 @@ class MobilePCWorkload:
                     hot if (rand() < hot_write_share and hot) else (warm or hot))
                 if rand() < small_write_fraction:
                     sectors = randint(
-                        1, min(p.small_write_max_sectors, extent.length))
+                        1, min(SMALL_WRITE_MAX_SECTORS, extent.length))
                     lba = extent.start + randrange(
                         max(1, extent.length - sectors + 1))
                 else:
@@ -386,10 +374,6 @@ class MobilePCWorkload:
             add_op(is_write)
             add_lba(lba)
             add_count(sectors)
-
-    def iter_requests(self) -> Iterator[Request]:
-        """Iterate a freshly generated trace (materialized first, not lazy)."""
-        return iter(self.requests())
 
     # ------------------------------------------------------------------
     def written_sectors(self) -> int:

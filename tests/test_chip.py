@@ -11,7 +11,7 @@ from repro.flash.chip import (
     PAGE_VALID,
     NandFlash,
 )
-from repro.flash.errors import AddressError, ProgramError, WearOutError
+from repro.flash.errors import AddressError, ProgramError
 from repro.flash.geometry import FlashGeometry
 
 
@@ -107,13 +107,6 @@ class TestWear:
             chip.erase(8)
         assert chip.first_failure.block == 7
         assert chip.worn_blocks == {7, 8}
-
-    def test_fail_stop_raises(self, tiny_geometry):
-        chip = NandFlash(tiny_geometry, fail_stop=True)
-        for _ in range(tiny_geometry.endurance):
-            chip.erase(0)
-        with pytest.raises(WearOutError):
-            chip.erase(0)
 
     def test_operation_counters(self, chip):
         chip.program(0, 0, lba=1)

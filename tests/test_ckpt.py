@@ -431,15 +431,17 @@ class TestPowerLossRestore:
 # ----------------------------------------------------------------------
 #: channels -> (per-shard injector seeds, SHA-256 of the backend snapshot
 #: after the soak below), recorded at 13b1132 from the since-deleted
-#: ``ckpt.runner.build_spec_backend(spec, fault_plan=plan)``.
+#: ``ckpt.runner.build_spec_backend(spec, fault_plan=plan)``.  Re-recorded
+#: when the leveler snapshot lost its ``"trigger"`` entry: that image with
+#: ``["leveler"]["trigger"]`` deleted from every shard re-encodes to these.
 FAULTED_BUILD_AT_PARENT = {
     1: (
         [5],
-        "45703dcdbd8ae53bc37e58270a758f3e4c7ab6e71f267a8faee2b464bb0a2336",
+        "3ff97d40b1fae0bb02c4bed3cd99da459e4bdc54db14de18763f019db3f91a3b",
     ),
     4: (
         [15053214346108, 28987656475469, 152943799649869, 36369190668883],
-        "3dfeaeeb422a96225426cf50ae1d6843485636b4aa32f59140e45490995b1db1",
+        "8a4a20ee183340dc50d912ac3973bfb5b56138605224278ddb4e64e1f8a4d00b",
     ),
 }
 

@@ -10,6 +10,7 @@ from repro.core.config import DISABLED, SWLConfig
 from repro.fault.injector import FaultInjector
 from repro.fault.plan import FaultPlan
 from repro.flash.errors import PowerLossError
+from repro.flash.chip import NandFlash
 from repro.flash.geometry import CellType, FlashGeometry
 from repro.ftl.factory import build_stack, driver_names, make_layer
 from repro.ftl.nftl import NFTL
@@ -22,14 +23,14 @@ class TestFactory:
         assert driver_names() == ["ftl", "nftl"]
 
     def test_make_layer_by_name(self, small_geometry):
-        mtd = MtdDevice(geometry=small_geometry)
+        mtd = MtdDevice(NandFlash(small_geometry))
         assert isinstance(make_layer("ftl", mtd), PageMappingFTL)
-        mtd = MtdDevice(geometry=small_geometry)
+        mtd = MtdDevice(NandFlash(small_geometry))
         assert isinstance(make_layer("NFTL", mtd), NFTL)
 
     def test_unknown_layer(self, small_geometry):
         with pytest.raises(ValueError, match="unknown translation layer"):
-            make_layer("ssd", MtdDevice(geometry=small_geometry))
+            make_layer("ssd", MtdDevice(NandFlash(small_geometry)))
 
     def test_build_stack_without_swl(self, small_geometry):
         stack = build_stack(small_geometry, "ftl")

@@ -256,15 +256,19 @@ class TestVictimIndex:
         assert picks == [("_gc_once", block, False)]
 
     def test_worn_out_dead_block_is_not_picked_again(self, small_geometry):
-        # A dead block erased past its endurance is retired, not pooled:
+        # A dead block whose erase fails for good is retired, not pooled:
         # no veto of the erase-on-demand pick covers it, only its refiling.
-        ftl, chip = make_ftl(small_geometry, retire_worn=True)
-        ppb = small_geometry.pages_per_block
-        picks = []
-        check_picks(ftl, chip, picks)
+        chip = NandFlash(small_geometry, store_data=True)
         block = small_geometry.num_blocks - 1  # LIFO hands it out first
         for _ in range(small_geometry.endurance):
             chip.erase(block)  # worn to its rating while still blank
+        # Erases fail for certain at the rating, all but never below it.
+        chip.attach_injector(FaultInjector(
+            FaultPlan(erase_fail_prob=1.0, erase_weibull_shape=64.0)))
+        ftl = PageMappingFTL(MtdDevice(chip))
+        ppb = small_geometry.pages_per_block
+        picks = []
+        check_picks(ftl, chip, picks)
         for lpn in range(ppb):
             ftl.write(lpn)
         assert ftl.mapping_of(0)[0] == block
@@ -274,7 +278,7 @@ class TestVictimIndex:
         ftl._recycle_dead_block()  # the last round's dead block
         ftl._recycle_dead_block()  # ... and then nothing, not the retiree
         assert block in ftl.retired_blocks
-        assert chip.erase_counts[block] == small_geometry.endurance + 1
+        assert chip.erase_counts[block] == small_geometry.endurance
         assert ("_recycle_dead_block", block, False) in picks
         assert picks[-1] == ("_recycle_dead_block", None, False)
 

@@ -1032,7 +1032,7 @@ def test_superseding_copy_leaves_the_same_chip_by_either_route():
     sources = [1, 8, 3, 9]
     outcomes = []
     for store_data in (False, True):  # flat route, per-page route
-        mtd = MtdDevice(geometry=SPAN_GEOMETRY, store_data=store_data)
+        mtd = MtdDevice(NandFlash(SPAN_GEOMETRY, store_data=store_data))
         mtd.program_span(0, 0, [10, 11, 12, 13])
         mtd.program_span(1, 0, [14, 15])
 

@@ -262,15 +262,11 @@ def test_replay_behind_proxies_is_identical(kind, channels):
 
 @pytest.mark.parametrize("attempt", [
     lambda: LevelerSpec(selection="bogus"),
-    lambda: LevelerSpec(trigger="bogus"),
-    lambda: LevelerSpec(trigger="every-n-requests"),  # trigger_param 0: n = 0
-    lambda: LevelerSpec(trigger="periodic", trigger_param=-1.0),
     lambda: LevelerSpec(kind="dual-pool", delta=1.5),  # built d=1, labelled 1.5
     lambda: CacheAvoidLeveler(cache_pages=4, page_size=512).restore_state(
         CacheAvoidLeveler(cache_pages=4, page_size=4096).snapshot_state()
     ),
-], ids=["selection", "trigger", "every-n-zero", "periodic-negative",
-        "fractional-delta", "snapshot-page-size"])
+], ids=["selection", "fractional-delta", "snapshot-page-size"])
 def test_a_config_that_cannot_hold_is_refused_where_it_is_read(attempt):
     """Each of these used to construct, and fail (or lie) only later."""
     with pytest.raises(ValueError):

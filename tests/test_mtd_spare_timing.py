@@ -12,19 +12,6 @@ from repro.flash.timing import MLC2_TIMING, SLC_TIMING, TimingModel, timing_for
 
 
 class TestMtd:
-    def test_requires_chip_or_geometry(self):
-        with pytest.raises(ValueError, match="geometry"):
-            MtdDevice()
-
-    def test_builds_chip_from_geometry(self, tiny_geometry):
-        mtd = MtdDevice(geometry=tiny_geometry, store_data=True)
-        mtd.write_page(0, 0, lba=5, data=b"x")
-        assert mtd.read_page(0, 0) == (5, b"x")
-
-    def test_chip_kwargs_conflict(self, chip):
-        with pytest.raises(ValueError, match="kwargs"):
-            MtdDevice(chip, store_data=True)
-
     def test_busy_time_accumulates(self, mtd):
         start = mtd.busy_time
         mtd.write_page(0, 0, lba=1)
@@ -67,7 +54,7 @@ class TestMtd:
         sources[at] = bad
         outcomes = []
         for per_page in (False, True):
-            mtd = MtdDevice(geometry=tiny_geometry)
+            mtd = MtdDevice(NandFlash(tiny_geometry))
             mtd.program_span(0, 0, [10, 11, 12, 13])
             mtd.program_span(1, 0, [14, 15])
             mtd.write_page(15, 3, lba=99)  # the page a wrapped -1 would copy

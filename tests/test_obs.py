@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.ftl.base as ftl_base_module
+import repro.sim.core as sim_core
 import repro.obs.bus as bus_module
 from repro.core.config import SWLConfig
 from repro.obs.bus import (
@@ -844,10 +845,10 @@ class TestEngineHeatmaps:
         assert result.heatmaps == []
         assert "heatmap_snapshots" not in result.as_dict()
 
-    def test_heatmap_decimation_bounds_series(self):
+    def test_heatmap_decimation_bounds_series(self, monkeypatch):
+        monkeypatch.setattr(sim_core, "MAX_HEATMAPS", 4)
         simulator = Simulator(
-            build_stack(MLC2_TINY, "ftl"),
-            heatmap_interval=1.0, max_heatmaps=4,
+            build_stack(MLC2_TINY, "ftl"), heatmap_interval=1.0
         )
         for _ in range(40):
             simulator.clock += 1.0

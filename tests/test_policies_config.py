@@ -1,4 +1,4 @@
-"""Tests for selection/trigger policies and the paper's SWLConfig sweep."""
+"""Tests for selection policies and the paper's SWLConfig sweep."""
 
 from __future__ import annotations
 
@@ -20,15 +20,11 @@ from repro.core.alternatives import (
 )
 from repro.core.leveler import SWLeveler
 from repro.core.policies import (
-    EveryNRequestsTrigger,
     LevelerSpec,
-    OnEraseTrigger,
-    PeriodicTrigger,
     RandomSelection,
     SequentialSelection,
     leveler_kinds,
     make_selection_policy,
-    make_trigger_policy,
 )
 
 
@@ -94,82 +90,6 @@ class TestSelectionFactory:
             make_selection_policy("zigzag")
 
 
-class TestTriggers:
-    def test_on_erase_always_checks(self):
-        trigger = OnEraseTrigger()
-        assert trigger.should_check(erases=0, requests=0, now=0.0)
-        assert trigger.should_check(erases=5, requests=9, now=1.0)
-
-    def test_every_n_requests(self):
-        trigger = EveryNRequestsTrigger(10)
-        fires = [
-            trigger.should_check(erases=0, requests=r, now=0.0) for r in range(25)
-        ]
-        assert fires.count(True) == 3  # buckets 0, 1, 2
-
-    def test_every_n_requires_positive(self):
-        with pytest.raises(ValueError):
-            EveryNRequestsTrigger(0)
-
-    def test_periodic(self):
-        trigger = PeriodicTrigger(10.0)
-        assert trigger.should_check(erases=0, requests=0, now=0.0)
-        assert not trigger.should_check(erases=0, requests=0, now=5.0)
-        assert trigger.should_check(erases=0, requests=0, now=10.0)
-        assert not trigger.should_check(erases=0, requests=0, now=19.0)
-
-    def test_periodic_requires_positive(self):
-        with pytest.raises(ValueError):
-            PeriodicTrigger(0.0)
-
-    def test_every_n_first_request_is_bucket_zero(self):
-        """Bucket 0 fires on the very first request, not after ``n``.
-
-        The cursor starts at -1, so the first evaluation (requests=0,
-        bucket 0) counts as a fresh bucket — the leveler gets one check
-        at startup and then exactly one per ``n`` requests.
-        """
-        trigger = EveryNRequestsTrigger(100)
-        assert trigger.should_check(erases=0, requests=0, now=0.0)
-        assert not trigger.should_check(erases=0, requests=50, now=0.0)
-        assert not trigger.should_check(erases=0, requests=99, now=0.0)
-        assert trigger.should_check(erases=0, requests=100, now=0.0)
-
-    def test_periodic_fires_once_per_period_under_jitter(self):
-        """N periods with jittered arrivals -> exactly N checks.
-
-        The fixed grid is the point of the bugfix: a late check must not
-        push the next one to ``now + period`` (which would drift the
-        rate below ``1/period`` forever), and multiple arrivals inside
-        one period must still yield one check.
-        """
-        rng = random.Random(2)
-        trigger = PeriodicTrigger(10.0)
-        fires = 0
-        periods = 50
-        for index in range(periods):
-            arrivals = sorted(
-                index * 10.0 + rng.uniform(0.0, 10.0) for _ in range(3)
-            )
-            for now in arrivals:
-                fires += trigger.should_check(erases=0, requests=0, now=now)
-        assert fires == periods
-
-    def test_periodic_skips_missed_grid_points_without_burst(self):
-        """A long gap yields one late check, not a catch-up burst."""
-        trigger = PeriodicTrigger(10.0)
-        assert trigger.should_check(erases=0, requests=0, now=0.0)
-        # Five grid points pass silently; the next arrival checks once...
-        assert trigger.should_check(erases=0, requests=0, now=57.0)
-        assert not trigger.should_check(erases=0, requests=0, now=58.0)
-        # ...and the grid stays anchored at multiples of the period.
-        assert trigger.should_check(erases=0, requests=0, now=60.0)
-
-    def test_trigger_factory_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown trigger"):
-            make_trigger_policy("lunar", 1.0)
-
-
 class TestSWLConfig:
     def test_is_levelerspec(self):
         # One leveler config class; the paper-protocol name is an alias.
@@ -198,24 +118,6 @@ class TestSWLConfig:
         assert leveler.threshold == 50
         assert leveler.bet.k == 1
         assert isinstance(leveler.selection, RandomSelection)
-
-    def test_trigger_variants(self):
-        class Host:
-            def recycle_block_range(self, blocks):
-                return 0
-
-            def swl_cost_probe(self):
-                return (0, 0)
-
-        request_cfg = SWLConfig(trigger="every-n-requests", trigger_param=100)
-        periodic_cfg = SWLConfig(trigger="periodic", trigger_param=60.0)
-        assert isinstance(request_cfg.build(8, Host()).trigger, EveryNRequestsTrigger)
-        assert isinstance(periodic_cfg.build(8, Host()).trigger, PeriodicTrigger)
-
-    def test_unknown_trigger(self):
-        # The name reaches make_trigger_policy when the leveler is built.
-        with pytest.raises(ValueError, match="unknown trigger"):
-            SWLConfig(trigger="sometimes").build(8, host=None)
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
@@ -324,14 +226,10 @@ class TestLevelerSpec:
             threshold=50,
             k=1,
             selection="random",
-            trigger="every-n-requests",
-            trigger_param=32,
         ).build(16, host)
         assert leveler.threshold == 50
         assert leveler.bet.k == 1
         assert isinstance(leveler.selection, RandomSelection)
-        assert isinstance(leveler._trigger, EveryNRequestsTrigger)
-        assert leveler._trigger.n == 32
 
     def test_cache_avoid_reads_page_size_from_host(self):
         leveler = LevelerSpec(kind="cache-avoid", cache_pages=8).build(

@@ -3,13 +3,60 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
+import inspect
+import itertools
 from pathlib import Path
 from typing import Iterator
 
 import pytest
 
 import repro
+
+
+#: The constructors and entry points below and beside the spec path whose
+#: every parameter must have a caller outside the tests, as
+#: ``module:name`` (``test_every_keyword_has_a_caller``).
+KEYWORD_SIGNATURES = (
+    "repro.flash.chip:NandFlash",
+    "repro.flash.mtd:MtdDevice",
+    "repro.ftl.base:TranslationLayer",
+    "repro.ftl.page_mapping:PageMappingFTL",
+    "repro.ftl.nftl:NFTL",
+    "repro.core.leveler:SWLeveler",
+    "repro.sim.core:RequestCore",
+    "repro.service.engine:ServiceEngine",
+    "repro.fault.crashsim:CrashConsistencyHarness",
+    "repro.ftl.factory:make_layer",
+    "repro.ftl.factory:build_stack",
+    "repro.array.device:build_array",
+    "repro.arena.tournament:run_arena",
+    "repro.fault.campaign:run_fault_campaign",
+    "repro.core.policies:LevelerSpec",
+    "repro.traces.generator:WorkloadParams",
+)
+
+
+def settable_slots() -> dict[str, list[str]]:
+    """Each signature's settable values: a dataclass's fields, else the
+    parameters of the function or of the class's ``__init__``.
+
+    CI prints the total beside the line counts, as the knob trend.
+    """
+    slots = {}
+    for entry in KEYWORD_SIGNATURES:
+        module, _, name = entry.partition(":")
+        target = getattr(importlib.import_module(module), name)
+        if dataclasses.is_dataclass(target):
+            slots[name] = [field.name for field in dataclasses.fields(target)]
+        else:
+            init = target.__init__ if inspect.isclass(target) else target
+            slots[name] = [
+                param for param in inspect.signature(init).parameters
+                if param != "self"
+            ]
+    return slots
 
 
 class TestTopLevelExports:
@@ -189,6 +236,116 @@ class TestEveryModuleIsReached:
                     if not name.startswith("_") and name not in spelled
                 )
         assert sorted(unused) == sorted(self.AWAITING_A_DECISION)
+
+    #: Parameters no scanned caller sets, each kept for the reason given.
+    #: ``signature.parameter`` -> why it stays a parameter.
+    KEPT_KEYWORDS = {
+        "LevelerSpec.selection": "the paper's Section 3.3 claim, run by "
+        "benchmarks/bench_ablation_selection.py through its own parameter",
+        "LevelerSpec.delta": "a challenger knob the arena roster leaves "
+        "at its default; the registry validates and labels it",
+        "LevelerSpec.check_period": "a challenger knob, as delta",
+        "LevelerSpec.batch": "a challenger knob, as delta",
+        "LevelerSpec.cache_pages": "a challenger knob, as delta",
+        "LevelerSpec.period_requests": "a challenger knob, as delta",
+        "LevelerSpec.span_blocks": "a challenger knob, as delta",
+        "ServiceEngine.queue_sample_every": "tests/test_obs_golden.py pins "
+        "its queue-depth events at 100",
+        "ServiceEngine.sample_interval": "nothing sets it; ROADMAP item 7 "
+        "lists it as the next constant",
+        "ServiceEngine.heatmap_interval": "set through "
+        "``**heatmap_kwargs(telemetry)``",
+        "ServiceEngine.heatmap_bins": "set through "
+        "``**heatmap_kwargs(telemetry)``",
+        "ServiceEngine.telemetry": "relayed by run_service_soak and the "
+        "tenant runner from the CLI's --telemetry",
+        "build_array.fault_plan": "the fault-plan path (ROADMAP item 1), "
+        "relayed by ExperimentSpec.build",
+        "build_array.store_data": "nothing sets it; ROADMAP item 7 lists "
+        "it as the next constant",
+        "CrashConsistencyHarness.hot_fraction": "nothing sets it; ROADMAP "
+        "item 7 lists it as the next constant",
+        "WorkloadParams.cold_write_period": "tests/test_traces.py "
+        "PINNED_TRACES pins traces generated at other periods",
+        "WorkloadParams.write_rate": "the paper's trace statistics (Section "
+        "5.1); examples/disk_cache_wear.py scales them",
+        "WorkloadParams.read_rate": "as write_rate",
+        "WorkloadParams.written_fraction": "as write_rate",
+        "WorkloadParams.hot_fraction": "as write_rate",
+        "WorkloadParams.static_fraction": "as write_rate",
+        "WorkloadParams.hot_write_share": "as write_rate",
+    }
+
+    def test_every_keyword_has_a_caller(self):
+        """Every parameter of these signatures is set outside the tests.
+
+        The keyword counterpart of :meth:`test_every_public_name_has_a_caller`:
+        a parameter or field is set when a call in ``src/repro``,
+        ``bench``, ``benchmarks`` or ``scripts`` passes it, by keyword or
+        by position.  A same-named pass-through (``f(x=x)`` inside a
+        function with a parameter ``x``) is not a caller by itself: it
+        relays the callers of the enclosing signature when that is one
+        of these, and counts for nothing otherwise.  Calls are matched by
+        spelling; ``super().__init__`` resolves to the first base class.
+        """
+        params = settable_slots()
+        # Other spellings of the same call: an alias, a subclass that
+        # inherits the constructor, make_layer's driver dispatch.
+        spellings = {"SWLConfig": ("LevelerSpec",),
+                     "Simulator": ("RequestCore",),
+                     "cls": ("PageMappingFTL", "NFTL")}
+
+        set_by: set[tuple[str, str]] = set()
+        relays: set[tuple[tuple[str, str], tuple[str, str]]] = set()
+
+        def scan(node: ast.AST, owner: str | None, scope: set[str],
+                 cls: ast.ClassDef | None) -> None:
+            if isinstance(node, ast.ClassDef):
+                cls = node
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = cls.name if node.name == "__init__" and cls else node.name
+                args = node.args
+                scope = {a.arg for a in args.posonlyargs + args.args
+                         + args.kwonlyargs}
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else (
+                    func.attr if isinstance(func, ast.Attribute) else None)
+                if (name == "__init__" and cls is not None and cls.bases
+                        and isinstance(func.value, ast.Call)
+                        and getattr(func.value.func, "id", None) == "super"):
+                    name = getattr(cls.bases[0], "id", None)
+                if name == "cls" and owner != "make_layer":
+                    name = None
+                for callee in spellings.get(name, (name,)):
+                    names = params.get(callee, [])
+                    passed = list(zip(names, itertools.takewhile(
+                        lambda arg: not isinstance(arg, ast.Starred),
+                        node.args)))
+                    passed += [(kw.arg, kw.value) for kw in node.keywords
+                               if kw.arg in names]
+                    for param, value in passed:
+                        if not (isinstance(value, ast.Name)
+                                and value.id == param and param in scope):
+                            set_by.add((callee, param))
+                        elif owner in params and param in params[owner]:
+                            relays.add(((owner, param), (callee, param)))
+            for child in ast.iter_child_nodes(node):
+                scan(child, owner, scope, cls)
+
+        for top in ("src/repro", "bench", "benchmarks", "scripts"):
+            for path in sorted((self.ROOT / top).rglob("*.py")):
+                scan(ast.parse(path.read_text()), None, set(), None)
+        grown = True
+        while grown:
+            reached = {dst for src, dst in relays if src in set_by}
+            grown = not reached <= set_by
+            set_by |= reached
+        unset = {
+            f"{callee}.{param}" for callee, names in params.items()
+            for param in names if (callee, param) not in set_by
+        }
+        assert sorted(unset) == sorted(self.KEPT_KEYWORDS)
 
     def test_no_leveler_or_host_is_probed_for_attributes(self):
         """The wiring reads a leveler's attributes; it never feels for them.

@@ -1,10 +1,10 @@
-"""Resume bit-identity across trigger policies and challenger mechanisms.
+"""Resume bit-identity across selection policies and challenger mechanisms.
 
 The checkpoint contract (see ``tests/test_ckpt.py``) is proved here for
-the configurations the golden hash does not cover: every trigger policy
-of the paper's SW Leveler, the random selection policy, and each
-registry challenger (:class:`~repro.core.policies.LevelerSpec` kinds).
-An interrupted-and-resumed replay must hash identically to the
+the configurations the golden hash does not cover: the paper's SW
+Leveler, its random selection policy, and each registry challenger
+(:class:`~repro.core.policies.LevelerSpec` kinds).  An
+interrupted-and-resumed replay must hash identically to the
 uninterrupted one, and the registry's ``"swl"`` kind must reproduce the
 classic ``SWLConfig`` stack bit for bit — the committed golden hash.
 """
@@ -55,28 +55,11 @@ def resume_trace():
     return make_base_trace(params)
 
 
-#: One configuration per trigger policy, plus the random selection
-#: ablation and one LevelerSpec per challenger mechanism.
+#: The paper's SW Leveler, the random selection ablation, and one
+#: LevelerSpec per challenger mechanism.
 RESUME_VARIANTS = [
     pytest.param(
         SWLConfig(enabled=True, threshold=8, k=0), id="swl-on-erase"
-    ),
-    pytest.param(
-        SWLConfig(
-            enabled=True,
-            threshold=8,
-            k=0,
-            trigger="every-n-requests",
-            trigger_param=64,
-        ),
-        id="swl-every-n-requests",
-    ),
-    pytest.param(
-        SWLConfig(
-            enabled=True, threshold=8, k=0, trigger="periodic",
-            trigger_param=120.0,
-        ),
-        id="swl-periodic",
     ),
     pytest.param(
         SWLConfig(enabled=True, threshold=8, k=0, selection="random"),
@@ -126,9 +109,9 @@ def test_leveler_spec_swl_matches_swlconfig_golden():
 
 
 # ----------------------------------------------------------------------
-# Leveler-level snapshot policy identity (satellite: snapshot_state /
-# restore_state carry the trigger and selection policy and reject
-# mismatched configurations instead of silently resuming wrong)
+# Leveler-level snapshot policy identity: snapshot_state / restore_state
+# carry the selection policy and reject a mismatched configuration
+# instead of silently resuming wrong
 # ----------------------------------------------------------------------
 class _Host:
     def recycle_block_range(self, blocks):
@@ -143,37 +126,8 @@ def _swl(**kwargs):
 
 
 class TestSnapshotPolicyIdentity:
-    def test_trigger_kind_mismatch_rejected(self):
-        source = _swl(trigger="every-n-requests", trigger_param=8)
-        target = _swl(trigger="periodic", trigger_param=60.0)
-        with pytest.raises(ValueError, match="trigger policy"):
-            target.restore_state(source.snapshot_state())
-
-    def test_trigger_param_mismatch_rejected(self):
-        source = _swl(trigger="every-n-requests", trigger_param=8)
-        target = _swl(trigger="every-n-requests", trigger_param=16)
-        with pytest.raises(ValueError, match="does not match"):
-            target.restore_state(source.snapshot_state())
-
     def test_selection_mismatch_rejected(self):
         source = _swl(selection="random")
         target = _swl(selection="sequential")
         with pytest.raises(ValueError, match="selection policy"):
             target.restore_state(source.snapshot_state())
-
-    def test_trigger_cursor_round_trips(self):
-        """A periodic trigger's grid cursor survives snapshot/restore."""
-        source = _swl(trigger="periodic", trigger_param=30.0)
-        for now in (0.0, 31.0, 70.0):
-            source._trigger.should_check(erases=0, requests=0, now=now)
-        target = _swl(trigger="periodic", trigger_param=30.0)
-        target.restore_state(source.snapshot_state())
-        assert target._trigger._next_check == source._trigger._next_check
-        assert target.snapshot_state() == source.snapshot_state()
-
-    def test_every_n_cursor_round_trips(self):
-        source = _swl(trigger="every-n-requests", trigger_param=10)
-        source._trigger.should_check(erases=0, requests=37, now=0.0)
-        target = _swl(trigger="every-n-requests", trigger_param=10)
-        target.restore_state(source.snapshot_state())
-        assert target._trigger._last_bucket == 3

@@ -1,4 +1,10 @@
-"""Tests for grown-bad-block retirement (device end-of-life model)."""
+"""Tests for grown-bad-block retirement (device end-of-life model).
+
+A block leaves service only when a fault condemns it.  Here the faults
+are wear-driven: a Weibull erase-failure hazard that reaches certainty at
+the rated endurance, so a block near wear-out fails its bounded erase
+retry and is retired.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +13,8 @@ import random
 import pytest
 
 from repro.core.config import SWLConfig
+from repro.fault.injector import FaultInjector
+from repro.fault.plan import FaultPlan
 from repro.flash.errors import OutOfSpaceError
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.factory import build_stack
@@ -17,9 +25,18 @@ def worn_geometry():
     return FlashGeometry(24, 8, 512, 30, name="retire-test")
 
 
+def wearing_stack(driver="ftl", swl=None, *, store_data=False, seed=0):
+    """A stack whose erases fail more often the more a block is worn."""
+    plan = FaultPlan(seed=seed, erase_fail_prob=1.0, erase_weibull_shape=8.0)
+    return build_stack(
+        worn_geometry(), driver, swl, store_data=store_data,
+        rng=random.Random(0), injector=FaultInjector(plan),
+    )
+
+
 class TestRetirementMechanics:
     def test_worn_blocks_leave_service(self):
-        stack = build_stack(worn_geometry(), "ftl", retire_worn=True)
+        stack = wearing_stack()
         layer = stack.layer
         rng = random.Random(1)
         try:
@@ -28,12 +45,12 @@ class TestRetirementMechanics:
         except OutOfSpaceError:
             pass
         assert layer.retired_blocks
+        assert layer.retired_blocks == stack.flash.bad_blocks
         for block in layer.retired_blocks:
             assert not layer.allocator.contains(block)
-            assert stack.flash.erase_counts[block] > worn_geometry().endurance
 
     def test_retired_blocks_never_erased_again(self):
-        stack = build_stack(worn_geometry(), "ftl", retire_worn=True)
+        stack = wearing_stack(seed=2)
         layer = stack.layer
         rng = random.Random(2)
         wear_at_retirement: dict[int, int] = {}
@@ -46,11 +63,12 @@ class TestRetirementMechanics:
                     )
         except OutOfSpaceError:
             pass
+        assert wear_at_retirement
         for block, wear in wear_at_retirement.items():
             assert stack.flash.erase_counts[block] == wear
 
     def test_device_reaches_end_of_life(self):
-        stack = build_stack(worn_geometry(), "ftl", retire_worn=True)
+        stack = wearing_stack(seed=3)
         layer = stack.layer
         rng = random.Random(3)
         with pytest.raises(OutOfSpaceError):
@@ -60,8 +78,7 @@ class TestRetirementMechanics:
         assert len(layer.retired_blocks) >= 1
 
     def test_data_intact_until_eol(self):
-        stack = build_stack(worn_geometry(), "ftl", retire_worn=True,
-                            store_data=True)
+        stack = wearing_stack(store_data=True, seed=4)
         layer = stack.layer
         cold = {}
         for lpn in range(32, 64):
@@ -74,11 +91,12 @@ class TestRetirementMechanics:
                 layer.write(rng.randrange(8), data=b"hot!")
         except OutOfSpaceError:
             pass
+        assert layer.retired_blocks
         for lpn, payload in cold.items():
             assert layer.read(lpn) == payload
 
     def test_nftl_retirement(self):
-        stack = build_stack(worn_geometry(), "nftl", retire_worn=True)
+        stack = wearing_stack("nftl", seed=5)
         layer = stack.layer
         rng = random.Random(5)
         try:
@@ -90,6 +108,7 @@ class TestRetirementMechanics:
         assert layer.stats.extra["retired"] == len(layer.retired_blocks)
 
     def test_disabled_by_default(self):
+        """Wear-out alone retires nothing: the paper's chip keeps going."""
         stack = build_stack(worn_geometry(), "ftl")
         layer = stack.layer
         rng = random.Random(6)
@@ -105,11 +124,8 @@ class TestRetirementWithSWL:
         lifetime version of the paper's first-failure claim."""
 
         def writes_until_first_retirement(with_swl: bool) -> int:
-            stack = build_stack(
-                worn_geometry(), "ftl",
-                SWLConfig(threshold=3, k=0) if with_swl else None,
-                retire_worn=True,
-                rng=random.Random(0),
+            stack = wearing_stack(
+                swl=SWLConfig(threshold=3, k=0) if with_swl else None
             )
             layer = stack.layer
             # Pin cold data on half the chip.
@@ -130,10 +146,7 @@ class TestRetirementWithSWL:
         assert leveled > baseline
 
     def test_swl_survives_retirements(self):
-        stack = build_stack(
-            worn_geometry(), "nftl", SWLConfig(threshold=3, k=0),
-            retire_worn=True, rng=random.Random(0),
-        )
+        stack = wearing_stack("nftl", SWLConfig(threshold=3, k=0), seed=8)
         layer = stack.layer
         rng = random.Random(8)
         try:
@@ -142,5 +155,9 @@ class TestRetirementWithSWL:
         except OutOfSpaceError:
             pass
         assert layer.retired_blocks
-        # The leveler kept functioning (no crash, BET consistent).
-        assert stack.leveler.bet.fcnt <= stack.leveler.bet.size
+        # The leveler kept functioning (no crash, BET consistent), and
+        # every retired block's set stays flagged.
+        leveler = stack.leveler
+        assert leveler.bet.fcnt <= leveler.bet.size
+        for block in layer.retired_blocks:
+            assert leveler.bet.is_set(leveler.bet.flag_index(block))

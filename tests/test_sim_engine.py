@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.sim.core as sim_core
 from repro.core.config import SWLConfig
 from repro.ftl.factory import build_stack
 from repro.sim.engine import Simulator, StopCondition
@@ -192,9 +193,14 @@ class TestRun:
 
 
 class TestTimelineBound:
+    @pytest.fixture
+    def four_samples(self, monkeypatch):
+        monkeypatch.setattr(sim_core, "MAX_SAMPLES", 4)
+
+    @pytest.mark.usefixtures("four_samples")
     def test_decimation_keeps_timeline_bounded(self, small_geometry):
         stack = build_stack(small_geometry, "ftl")
-        simulator = Simulator(stack, sample_interval=1.0, max_samples=4)
+        simulator = Simulator(stack, sample_interval=1.0)
         for i in range(64):
             simulator.apply(write(float(i), i % 8))
             assert len(simulator.timeline) <= 4
@@ -203,9 +209,10 @@ class TestTimelineBound:
         assert simulator.sample_interval > 1.0
         assert simulator.timeline[0].time < simulator.timeline[-1].time
 
+    @pytest.mark.usefixtures("four_samples")
     def test_decimation_doubles_interval_each_time(self, small_geometry):
         stack = build_stack(small_geometry, "ftl")
-        simulator = Simulator(stack, sample_interval=1.0, max_samples=4)
+        simulator = Simulator(stack, sample_interval=1.0)
         for i in range(64):
             simulator.apply(write(float(i), i % 8))
         # 64 seconds of 1 Hz sampling under a 4-sample cap needs the
@@ -213,17 +220,13 @@ class TestTimelineBound:
         assert simulator.sample_interval in {8.0, 16.0, 32.0}
 
     def test_no_cap_grows_freely(self, small_geometry):
+        # Below MAX_SAMPLES nothing is decimated.
         stack = build_stack(small_geometry, "ftl")
-        simulator = Simulator(stack, sample_interval=1.0, max_samples=None)
+        simulator = Simulator(stack, sample_interval=1.0)
         for i in range(32):
             simulator.apply(write(float(i), i % 8))
         assert len(simulator.timeline) == 32
         assert simulator.sample_interval == 1.0
-
-    def test_max_samples_validation(self, small_geometry):
-        stack = build_stack(small_geometry, "ftl")
-        with pytest.raises(ValueError, match="max_samples"):
-            Simulator(stack, sample_interval=1.0, max_samples=1)
 
 
 class TestMetrics:

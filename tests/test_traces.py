@@ -119,10 +119,7 @@ class TestWorkloadParams:
             {"hot_fraction": 0.5, "static_fraction": 0.5},
             {"hot_write_share": 1.5},
             {"write_rate": 0},
-            {"mean_write_sectors": 0},
             {"cold_write_period": 0},
-            {"small_write_fraction": -0.1},
-            {"small_write_max_sectors": 0},
         ],
     )
     def test_validation(self, kwargs):
@@ -198,10 +195,6 @@ class TestGeneratedTrace:
         assert len(trace) == length
         assert trace_digest(trace) == digest
 
-    def test_iter_requests_is_the_materialized_trace(self):
-        assert (list(MobilePCWorkload(small_params()).iter_requests())
-                == MobilePCWorkload(small_params()).requests())
-
     def test_stays_columnar(self):
         # A return to one object per request (~150 bytes each, and a
         # pickle that walks them) should fail here, not in a bench run.
@@ -243,7 +236,7 @@ class TestRequestStream:
             for e in workload.extents
             if e.temperature is Temperature.STATIC
         ]
-        for request in workload.iter_requests():
+        for request in workload.requests():
             if not request.is_write():
                 continue
             for start, end in static_spans:
@@ -257,7 +250,7 @@ class TestRequestStream:
         }
         hits = sum(
             1
-            for request in workload.iter_requests()
+            for request in workload.requests()
             if request.is_write() and request.lba in static_lbas
         )
         assert hits > 0
@@ -265,6 +258,7 @@ class TestRequestStream:
     def test_prefill_covers_every_extent(self):
         workload = MobilePCWorkload(small_params())
         image = workload.prefill_requests()
+        assert all(request.time == 0.0 for request in image)
         covered = set()
         for request in image:
             covered.update(range(request.lba, request.end_lba))
@@ -272,11 +266,6 @@ class TestRequestStream:
             assert extent.start in covered
             assert extent.start + extent.length - 1 in covered
         assert len(covered) == workload.written_sectors()
-
-    def test_prefill_at_custom_time(self):
-        workload = MobilePCWorkload(small_params())
-        image = workload.prefill_requests(at=5.0)
-        assert all(request.time == 5.0 for request in image)
 
 
 class TestSegmentResampler:
