@@ -35,12 +35,12 @@ from repro.core.config import SWLConfig
 from repro.sim.engine import Simulator, StopCondition
 from repro.sim.experiment import (
     ExperimentSpec,
-    make_workload,
     scaled_mlc2_geometry,
     workload_params_for,
 )
 from repro.sim.metrics import EraseDistribution
 from repro.traces.extend import SegmentResampler
+from repro.traces.generator import MobilePCWorkload
 from repro.util.bitarray import BitArray
 from repro.util.rng import make_rng, spawn_rng
 
@@ -207,7 +207,7 @@ def _golden_replay(driver: str, swl=None):
     params = workload_params_for(
         spec, duration=GOLDEN_HORIZON, seed=GOLDEN_SEED + 1
     )
-    workload = make_workload(params)
+    workload = MobilePCWorkload(params)
     simulator = Simulator(
         spec.build(),
         skip_reads=True,

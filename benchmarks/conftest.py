@@ -32,13 +32,12 @@ from repro.core.config import PAPER_K_VALUES, PAPER_THRESHOLDS, SWLConfig
 from repro.sim.engine import SimResult
 from repro.sim.experiment import (
     ExperimentSpec,
-    make_workload,
     run_fixed_horizon,
     run_until_first_failure,
     scaled_mlc2_geometry,
     workload_params_for,
 )
-from repro.traces.generator import DAY
+from repro.traces.generator import DAY, MobilePCWorkload
 from repro.traces.model import Request
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
@@ -158,7 +157,7 @@ def bench_setup() -> BenchSetup:
     params = workload_params_for(
         probe, duration=BASE_TRACE_DAYS * DAY, seed=WORKLOAD_SEED
     )
-    workload = make_workload(params)
+    workload = MobilePCWorkload(params)
     return BenchSetup(
         geometry=geometry,
         base_trace=workload.requests(),

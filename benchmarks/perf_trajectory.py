@@ -57,13 +57,13 @@ from repro.service.arrival import open_loop_rate
 from repro.sim.experiment import (
     ExperimentSpec,
     logical_sectors_of,
-    make_workload,
     run_fixed_horizon,
     run_matrix,
     run_service_soak,
     scaled_mlc2_geometry,
     workload_params_for,
 )
+from repro.traces.generator import MobilePCWorkload
 from repro.workloads import SHAPE_NAMES, ShapeParams, make_shape
 
 #: Quick-mode knobs: small chip, compressed endurance, short horizon.
@@ -115,7 +115,7 @@ def _git_revision() -> str | None:
 
 def _shared_trace(spec: ExperimentSpec):
     params = workload_params_for(spec, duration=HORIZON, seed=SEED + 1)
-    workload = make_workload(params)
+    workload = MobilePCWorkload(params)
     return workload.requests(), workload.prefill_requests()
 
 

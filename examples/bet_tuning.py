@@ -19,12 +19,11 @@ from repro.analysis.overhead import WorstCaseConfig
 from repro.flash.geometry import MLC2_1GB
 from repro.sim.experiment import (
     ExperimentSpec,
-    make_workload,
     run_fixed_horizon,
     scaled_mlc2_geometry,
     workload_params_for,
 )
-from repro.traces.generator import DAY
+from repro.traces.generator import DAY, MobilePCWorkload
 from repro.util.tables import Table
 
 
@@ -32,7 +31,7 @@ def main() -> None:
     geometry = scaled_mlc2_geometry(48, scale=10)
     probe = ExperimentSpec("ftl", geometry, seed=5)
     params = workload_params_for(probe, duration=DAY, seed=11)
-    workload = make_workload(params)
+    workload = MobilePCWorkload(params)
     trace = workload.requests()
     warmup = workload.prefill_requests()
     horizon = 3 * DAY

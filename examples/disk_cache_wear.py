@@ -20,13 +20,12 @@ from dataclasses import replace
 from repro import SWLConfig
 from repro.sim.experiment import (
     ExperimentSpec,
-    make_workload,
     run_until_first_failure,
     scaled_mlc2_geometry,
     workload_params_for,
 )
-from repro.sim.metrics import SECONDS_PER_YEAR, improvement_ratio
-from repro.traces.generator import DAY
+from repro.sim.metrics import improvement_ratio
+from repro.traces.generator import DAY, MobilePCWorkload
 from repro.util.tables import Table
 
 
@@ -46,7 +45,7 @@ def main() -> None:
         hot_fraction=0.15,         # write-back hot window
         hot_write_share=0.95,
     )
-    workload = make_workload(params)
+    workload = MobilePCWorkload(params)
     trace = workload.requests()
     warmup = workload.prefill_requests()
 

@@ -18,12 +18,11 @@ from repro import SWLConfig
 from repro.flash.geometry import CellType, FlashGeometry
 from repro.sim.experiment import (
     ExperimentSpec,
-    make_workload,
     run_until_first_failure,
     workload_params_for,
 )
 from repro.sim.metrics import improvement_ratio
-from repro.traces.generator import DAY
+from repro.traces.generator import DAY, MobilePCWorkload
 from repro.util.tables import Table
 
 SCALE = 10  # endurance divided by 10 so runs finish in minutes
@@ -44,7 +43,7 @@ def main() -> None:
         geometry = geometry_for(cell)
         probe = ExperimentSpec("nftl", geometry, seed=2)
         params = workload_params_for(probe, duration=DAY, seed=13)
-        workload = make_workload(params)
+        workload = MobilePCWorkload(params)
         trace = workload.requests()
         warmup = workload.prefill_requests()
 

@@ -18,13 +18,12 @@ import sys
 from repro import SWLConfig
 from repro.sim.experiment import (
     ExperimentSpec,
-    make_workload,
     run_until_first_failure,
     scaled_mlc2_geometry,
     workload_params_for,
 )
 from repro.sim.metrics import improvement_ratio
-from repro.traces.generator import DAY
+from repro.traces.generator import DAY, MobilePCWorkload
 from repro.traces.stats import summarize
 from repro.util.tables import Table
 
@@ -34,7 +33,7 @@ def main() -> None:
     geometry = scaled_mlc2_geometry(32 if fast else 64, scale=10 if fast else 5)
     probe = ExperimentSpec("ftl", geometry, seed=1)
     params = workload_params_for(probe, duration=2 * DAY, seed=42)
-    workload = make_workload(params)
+    workload = MobilePCWorkload(params)
     trace = workload.requests()
     warmup = workload.prefill_requests()
 

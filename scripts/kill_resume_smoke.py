@@ -34,11 +34,11 @@ import repro.ckpt.supervisor as supervisor_module
 from repro.core.config import SWLConfig
 from repro.sim.experiment import (
     ExperimentSpec,
-    make_base_trace,
     run_matrix,
     scaled_mlc2_geometry,
     workload_params_for,
 )
+from repro.traces.generator import MobilePCWorkload
 
 KILL_CELL = 1
 
@@ -70,7 +70,7 @@ def kill_after_second_checkpoint(index: int, attempt: int, count: int) -> None:
 def main() -> int:
     specs = build_matrix()
     params = workload_params_for(specs[0], duration=1200.0, seed=3)
-    trace = make_base_trace(params)
+    trace = MobilePCWorkload(params).requests()
 
     print("[smoke] clean reference run ...", flush=True)
     clean = run_matrix(specs, trace)

@@ -51,13 +51,13 @@ from repro.core.config import SWLConfig
 from repro.obs.telemetry import Telemetry
 from repro.sim.experiment import (
     ExperimentSpec,
-    make_workload,
     run_fixed_horizon,
     run_matrix,
     run_service_soak,
     scaled_mlc2_geometry,
     workload_params_for,
 )
+from repro.traces.generator import MobilePCWorkload
 
 #: Gate workload: same shape as benchmarks/perf_trajectory.py, half the
 #: horizon — large enough that pool start-up and trace pickling do not
@@ -90,7 +90,7 @@ SERVICE_DEPTH = 16
 
 def _shared_trace(spec: ExperimentSpec):
     params = workload_params_for(spec, duration=HORIZON, seed=SEED + 1)
-    workload = make_workload(params)
+    workload = MobilePCWorkload(params)
     return workload.requests(), workload.prefill_requests()
 
 

@@ -98,7 +98,6 @@ from repro.sim import (
     Simulator,
     StopCondition,
     WearSample,
-    make_base_trace,
     markdown_report,
     run_fixed_horizon,
     run_matrix,
@@ -168,7 +167,6 @@ __all__ = [
     "build_stack",
     "endurance_cells",
     "leveler_kinds",
-    "make_base_trace",
     "make_shape",
     "make_striping",
     "markdown_report",

@@ -48,7 +48,7 @@ from repro.sim.experiment import (
     run_service_soak,
 )
 from repro.traces.extend import SEGMENT_SECONDS
-from repro.workloads.generators import ShapeParams, make_shape
+from repro.traces.generator import ShapeParams, make_shape
 
 #: The shipped tournament roster, in leaderboard row order: the paper's
 #: baseline and SW Leveler, then one challenger per prior-art philosophy.

@@ -250,9 +250,6 @@ class DeviceArray:
             counts.extend(shard.erase_counts)
         return counts
 
-    def shard_erase_counts(self) -> list[list[int]]:
-        return [list(shard.erase_counts) for shard in self.shards]
-
     def _wear_key(self) -> tuple[tuple[int, int, int, int], ...]:
         """Per-shard wear moments; changes whenever any block is erased."""
         return tuple(
@@ -421,7 +418,6 @@ def build_array(
     swl_scope: str = "per-shard",
     op_ratio: float = DEFAULT_OP_RATIO,
     alloc_policy: str = "lifo",
-    store_data: bool = False,
     rng: random.Random | None = None,
     fault_plan: "FaultPlan | None" = None,
     bus: "BusLike | None" = None,
@@ -457,7 +453,6 @@ def build_array(
                 swl,
                 op_ratio=op_ratio,
                 alloc_policy=alloc_policy,
-                store_data=store_data,
                 rng=spawn_rng(base, f"shard{index}"),
                 injector=injector,
                 bus=bus.for_shard(index) if bus is not None else None,

@@ -150,7 +150,7 @@ def _cell_worker(
     identity: dict[str, object],
     base_trace: Sequence[Request],
     horizon: float | None,
-    warmup: list[Request] | None,
+    warmup: Sequence[Request] | None,
     request_cap: int,
     fault_plan: FaultPlan | None,
     cell_dir: str,
@@ -326,7 +326,7 @@ def run_supervised_matrix(
     base_trace: Sequence[Request],
     *,
     horizon: float | None = None,
-    warmup: list[Request] | None = None,
+    warmup: Sequence[Request] | None = None,
     request_cap: int = DEFAULT_REQUEST_CAP,
     fault_plan: FaultPlan | None = None,
     workers: int = 1,

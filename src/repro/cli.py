@@ -63,7 +63,6 @@ from repro.service.results import ServiceResult
 from repro.sim.experiment import (
     ExperimentSpec,
     logical_sectors_of,
-    make_workload,
     run_fixed_horizon,
     run_service_soak,
     run_until_first_failure,
@@ -97,7 +96,7 @@ from repro.workloads import (
     make_shape,
     run_multi_tenant_replay,
 )
-from repro.traces.generator import DAY, WorkloadParams
+from repro.traces.generator import DAY, MobilePCWorkload, WorkloadParams
 from repro.traces.io import load_trace, save_trace
 from repro.traces.model import Trace
 from repro.traces.stats import summarize
@@ -379,7 +378,7 @@ def _command_generate(args: argparse.Namespace) -> int:
     params = WorkloadParams(
         total_sectors=args.sectors, duration=args.days * DAY, seed=args.seed
     )
-    workload = make_workload(params)
+    workload = MobilePCWorkload(params)
     trace = workload.prefill_requests() + workload.requests()
     count = save_trace(args.output, trace)
     summary = summarize(trace, params.total_sectors)
@@ -413,10 +412,10 @@ def _swl_cells(
 
 def _mobile_pc_trace(
     spec: ExperimentSpec, args: argparse.Namespace, days: float
-) -> tuple[Trace, list]:
+) -> tuple[Trace, Trace]:
     """The synthetic mobile-PC base trace sized for ``spec``, and its prefill."""
     params = workload_params_for(spec, duration=days * DAY, seed=args.seed + 1)
-    workload = make_workload(params)
+    workload = MobilePCWorkload(params)
     return workload.requests(), workload.prefill_requests()
 
 

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 from repro.endurance.projection import EnduranceProjection, project_endurance
 from repro.sim.experiment import logical_sectors_of, run_matrix
 from repro.traces.extend import SEGMENT_SECONDS
-from repro.workloads.generators import (
+from repro.traces.generator import (
     DEFAULT_PHASE_PERIOD,
     DEFAULT_THETA,
     ShapeParams,

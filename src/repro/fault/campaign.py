@@ -23,7 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.core.policies import LevelerSpec
-from repro.fault.crashsim import CrashConsistencyHarness, CrashSweepReport
+from repro.fault.crashsim import (
+    CrashConsistencyHarness,
+    CrashSweepReport,
+    hot_cold_lpns,
+)
 from repro.fault.injector import FaultInjector
 from repro.fault.plan import FaultPlan
 from repro.flash.errors import OutOfSpaceError, UncorrectableReadError
@@ -128,14 +132,11 @@ def run_fault_campaign(
         injector=injector,
     )
     layer = stack.layer
-    rng = make_rng(seed)
-    num_pages = layer.num_logical_pages
-    hot_pages = max(1, num_pages // 5)
     acked: dict[int, bytes] = {}
     completed = 0
     device_full = False
-    for version in range(soak_writes):
-        lpn = rng.randrange(hot_pages if rng.random() < 0.8 else num_pages)
+    lpns = hot_cold_lpns(layer.num_logical_pages, soak_writes, seed)
+    for version, lpn in enumerate(lpns):
         payload = f"soak lpn={lpn} v={version}".encode()
         try:
             layer.write(lpn, payload)

@@ -25,6 +25,7 @@ fault-campaign acceptance gate of this repository.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 from repro.core.bet import BetStore
 from repro.core.policies import LevelerSpec
@@ -40,8 +41,22 @@ from repro.util.rng import make_rng
 #: acknowledged host writes.
 PERSIST_EVERY = 16
 
-#: Share of the logical pages that take the ``hot_fraction`` of writes.
-HOT_PAGES_FRACTION = 0.2
+#: Share of the fault workloads' host writes that land on the hot pages,
+#: the first fifth of the logical pages (:func:`hot_cold_lpns`).
+HOT_WRITE_SHARE = 0.8
+
+
+def hot_cold_lpns(num_pages: int, writes: int, seed: int) -> Iterator[int]:
+    """The seeded hot/cold page stream of the soak and the crash sweep.
+
+    ``HOT_WRITE_SHARE`` of the writes land on the first ``num_pages // 5``
+    pages (at least one), the rest anywhere; each write draws the hot/cold
+    coin, then the page.
+    """
+    rng = make_rng(seed)
+    hot_pages = max(1, num_pages // 5)
+    for _ in range(writes):
+        yield rng.randrange(hot_pages if rng.random() < HOT_WRITE_SHARE else num_pages)
 
 
 @dataclass
@@ -111,10 +126,8 @@ class CrashConsistencyHarness:
     seed:
         Master seed for the workload and the leveler.
     writes:
-        Host writes attempted per run (the loss usually fires earlier).
-    hot_fraction:
-        Hot/cold skew: ``hot_fraction`` of writes land on
-        :data:`HOT_PAGES_FRACTION` of the logical pages.
+        Host writes attempted per run (the loss usually fires earlier),
+        drawn by :func:`hot_cold_lpns`.
     """
 
     def __init__(
@@ -126,7 +139,6 @@ class CrashConsistencyHarness:
         plan: FaultPlan | None = None,
         seed: int = 0,
         writes: int = 400,
-        hot_fraction: float = 0.8,
     ) -> None:
         if writes <= 0:
             raise ValueError(f"writes must be positive, got {writes}")
@@ -136,19 +148,6 @@ class CrashConsistencyHarness:
         self.plan = plan or FaultPlan()
         self.seed = seed
         self.writes = writes
-        self.hot_fraction = hot_fraction
-
-    # ------------------------------------------------------------------
-    def _workload(self, num_pages: int):
-        """Deterministic hot/cold write stream: (lpn, payload) pairs."""
-        rng = make_rng(self.seed)
-        hot_pages = max(1, int(num_pages * HOT_PAGES_FRACTION))
-        for version in range(self.writes):
-            if rng.random() < self.hot_fraction:
-                lpn = rng.randrange(hot_pages)
-            else:
-                lpn = rng.randrange(num_pages)
-            yield lpn, f"lpn={lpn} v={version}".encode()
 
     # ------------------------------------------------------------------
     def run_once(self, loss_at: int) -> CrashVerdict:
@@ -169,9 +168,9 @@ class CrashConsistencyHarness:
         inflight: tuple[int, bytes] | None = None
         crashed = False
         device_full = False
-        for count, (lpn, payload) in enumerate(
-            self._workload(layer.num_logical_pages), start=1
-        ):
+        lpns = hot_cold_lpns(layer.num_logical_pages, self.writes, self.seed)
+        for count, lpn in enumerate(lpns, start=1):
+            payload = f"lpn={lpn} v={count - 1}".encode()
             try:
                 layer.write(lpn, payload)
             except PowerLossError:

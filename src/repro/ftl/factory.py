@@ -75,7 +75,7 @@ class StorageBackend(Protocol):
     runners, and reporting never depend on a concrete topology.  Methods
     that aggregate (``layer_stats``, ``total_erases``, ...) sum over every
     shard of the backend; per-shard breakdowns come from
-    :meth:`shard_erase_counts`.
+    :meth:`shard_erase_distributions`.
     """
 
     @property
@@ -108,8 +108,6 @@ class StorageBackend(Protocol):
 
     @property
     def erase_counts(self) -> list[int]: ...
-
-    def shard_erase_counts(self) -> list[list[int]]: ...
 
     def erase_distribution(self) -> EraseDistribution: ...
 
@@ -226,9 +224,6 @@ class StorageStack:
     @property
     def erase_counts(self) -> list[int]:
         return self.flash.erase_counts
-
-    def shard_erase_counts(self) -> list[list[int]]:
-        return [self.flash.erase_counts]
 
     def erase_distribution(self) -> EraseDistribution:
         """O(1) wear summary from the chip's incremental accumulator."""

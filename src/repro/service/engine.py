@@ -147,7 +147,6 @@ class ServiceEngine(RequestCore):
         queue_depth: int = 64,
         telemetry: "Telemetry | None" = None,
         queue_sample_every: int = DEFAULT_QUEUE_SAMPLE_EVERY,
-        sample_interval: float | None = None,
         heatmap_interval: float | None = None,
         heatmap_bins: int = 64,
     ) -> None:
@@ -160,7 +159,6 @@ class ServiceEngine(RequestCore):
         super().__init__(
             stack,
             skip_reads=False,
-            sample_interval=sample_interval,
             heatmap_interval=heatmap_interval,
             heatmap_bins=heatmap_bins,
         )

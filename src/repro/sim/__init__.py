@@ -12,8 +12,6 @@ from repro.sim.experiment import (
     DEFAULT_REQUEST_CAP,
     ExperimentSpec,
     logical_sectors_of,
-    make_base_trace,
-    make_workload,
     run_fixed_horizon,
     run_matrix,
     run_until_first_failure,
@@ -48,9 +46,7 @@ __all__ = [
     "improvement_ratio",
     "increased_ratio",
     "logical_sectors_of",
-    "make_base_trace",
     "markdown_report",
-    "make_workload",
     "run_fixed_horizon",
     "run_matrix",
     "run_until_first_failure",

@@ -40,8 +40,8 @@ from repro.service.results import ServiceResult
 from repro.sim.core import heatmap_kwargs
 from repro.sim.engine import Simulator, SimResult, StopCondition
 from repro.traces.extend import SegmentResampler
-from repro.traces.generator import MobilePCWorkload, WorkloadParams
-from repro.traces.model import Request, Trace
+from repro.traces.generator import WorkloadParams
+from repro.traces.model import Request
 from repro.util.rng import make_rng, spawn_rng
 
 if TYPE_CHECKING:
@@ -216,16 +216,6 @@ def workload_params_for(
     return replace(base, **overrides) if overrides else base
 
 
-def make_workload(params: WorkloadParams) -> MobilePCWorkload:
-    """Build the workload generator (exposes the disk image for warmup)."""
-    return MobilePCWorkload(params)
-
-
-def make_base_trace(params: WorkloadParams) -> Trace:
-    """Materialize the base trace once; share it across a whole sweep."""
-    return make_workload(params).requests()
-
-
 # ----------------------------------------------------------------------
 # Runners
 # ----------------------------------------------------------------------
@@ -234,7 +224,7 @@ def run_replay(
     base_trace: Sequence[Request],
     horizon: float | None = None,
     *,
-    warmup: list[Request] | None = None,
+    warmup: Sequence[Request] | None = None,
     skip_reads: bool = True,
     request_cap: int = DEFAULT_REQUEST_CAP,
     telemetry: "Telemetry | None" = None,
@@ -318,7 +308,7 @@ def run_until_first_failure(
     spec: ExperimentSpec,
     base_trace: Sequence[Request],
     *,
-    warmup: list[Request] | None = None,
+    warmup: Sequence[Request] | None = None,
     skip_reads: bool = True,
     request_cap: int = DEFAULT_REQUEST_CAP,
     telemetry: "Telemetry | None" = None,
@@ -341,7 +331,7 @@ def run_fixed_horizon(
     base_trace: Sequence[Request],
     horizon: float,
     *,
-    warmup: list[Request] | None = None,
+    warmup: Sequence[Request] | None = None,
     skip_reads: bool = True,
     request_cap: int = DEFAULT_REQUEST_CAP,
     telemetry: "Telemetry | None" = None,
@@ -366,7 +356,7 @@ def run_service_soak(
     max_requests: int | None = None,
     max_time: float | None = None,
     queue_depth: int = 64,
-    warmup: list[Request] | None = None,
+    warmup: Sequence[Request] | None = None,
     telemetry: "Telemetry | None" = None,
 ) -> ServiceResult:
     """Serve the resampled endless trace through the open-loop engine.
@@ -421,14 +411,14 @@ def run_service_soak(
 #: once per worker via the pool initializer (instead of once per task,
 #: as the old per-cell payloads did) is what makes the fan-out win.
 _MATRIX_CTX: tuple[
-    Sequence[Request], float | None, list[Request] | None, int
+    Sequence[Request], float | None, Sequence[Request] | None, int
 ] | None = None
 
 
 def _matrix_worker_init(
     base_trace: Sequence[Request],
     horizon: float | None,
-    warmup: list[Request] | None,
+    warmup: Sequence[Request] | None,
     request_cap: int,
 ) -> None:
     """Install the shared sweep context in a pool worker process."""
@@ -455,7 +445,7 @@ def run_matrix(
     base_trace: Sequence[Request],
     *,
     horizon: float | None = None,
-    warmup: list[Request] | None = None,
+    warmup: Sequence[Request] | None = None,
     request_cap: int = DEFAULT_REQUEST_CAP,
     workers: int | None = None,
 ) -> list[SimResult]:

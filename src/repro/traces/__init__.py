@@ -1,12 +1,14 @@
-"""Workload substrate: trace model, synthetic generator, resampling, I/O.
+"""Workload substrate: trace model, generators, resampling, I/O.
 
 The paper's evaluation (Section 5.1) replays a month-long mobile-PC trace
 and derives a "virtually unlimited" trace from it by resampling random
-10-minute segments.  This package provides a faithful synthetic stand-in
-(:mod:`repro.traces.generator` — see DESIGN.md, Substitutions), the
-resampler (:mod:`repro.traces.extend`), trace files
-(:mod:`repro.traces.io`), and validation statistics
-(:mod:`repro.traces.stats`).
+10-minute segments.  This package provides the columnar trace model
+(:mod:`repro.traces.model`), every workload generator
+(:mod:`repro.traces.generator`: a faithful synthetic stand-in for the
+paper's trace — see DESIGN.md, Substitutions — and the five synthetic
+shapes, each finite output a :class:`Trace`), the resampler
+(:mod:`repro.traces.extend`), trace files (:mod:`repro.traces.io`), and
+validation statistics (:mod:`repro.traces.stats`).
 """
 
 from repro.traces.extend import SEGMENT_SECONDS, SegmentResampler

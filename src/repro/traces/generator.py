@@ -1,8 +1,17 @@
-"""Synthetic mobile-PC workload generator.
+"""Seeded workload generators: the mobile-PC model and five synthetic shapes.
 
-The paper's trace is proprietary; this generator reproduces every property
-the paper reports about it (Section 5.1) so that the wear-leveling
-behaviour under study is preserved — see DESIGN.md, Substitutions:
+Every generator here is a pure function of its parameters and seed, and
+every finite output is a columnar :class:`~repro.traces.model.Trace`:
+:meth:`MobilePCWorkload.requests` (the base trace),
+:meth:`MobilePCWorkload.prefill_requests` (the disk image) and
+:meth:`WorkloadShape.requests` (a shape's stream up to a duration).
+
+Mobile-PC model
+---------------
+The paper's trace is proprietary; :class:`MobilePCWorkload` reproduces
+every property the paper reports about it (Section 5.1) so that the
+wear-leveling behaviour under study is preserved — see DESIGN.md,
+Substitutions:
 
 * "about 36.62% of LBAs being written in the collected trace" —
   ``written_fraction`` of the sector space belongs to written extents;
@@ -27,10 +36,40 @@ behaviour under study is preserved — see DESIGN.md, Substitutions:
   extent, advancing a cyclic per-extent cursor, so hot blocks become fully
   invalid quickly.
 
-Everything is driven by one seed; the same parameters and seed always
-produce the identical trace.  The trace is built whole, as the four
-columns of a :class:`~repro.traces.model.Trace` (no object per request),
-by one loop in :meth:`MobilePCWorkload.requests`.
+The base trace is built whole, as the four columns of a ``Trace`` (no
+object per request), by one loop in :meth:`MobilePCWorkload.requests`.
+Its parameters are the paper's trace statistics (:class:`WorkloadParams`),
+not :class:`ShapeParams`, so it is built directly rather than through
+:func:`make_shape`.
+
+Workload shapes
+---------------
+The paper's evaluation replays one desktop trace; generalization studies
+need other traffic.  Each shape is a seeded generator of an endless
+request stream (:meth:`WorkloadShape.iter_requests`):
+
+* :class:`HotspotWorkload` — Zipf(θ)-popular chunks over a seeded random
+  placement; θ ≈ 0.99 is the classic YCSB-style skew.
+* :class:`SequentialStreamWorkload` — an append-only circular stream
+  (log shipping, media ingest).
+* :class:`UniformAccessWorkload` — uniformly random requests, the
+  no-skew null case.
+* :class:`MixedWorkload` — uniform placement with a configurable
+  read/write ratio (the default through :func:`make_shape` is 50/50).
+* :class:`PhaseShiftingWorkload` — a Zipf hot set that *migrates* on a
+  configurable period, modeling tenant churn and working-set drift; the
+  stress case for a static wear leveler, whose cold blocks keep turning
+  hot.
+
+Every shape draws from its own ``spawn_rng(make_rng(seed),
+"workload:<name>")`` stream — a sibling of the ``"leveler"``,
+``"resampler"``, and ``"arrivals"`` streams — so generating or consuming
+workload traffic can never perturb replay randomness (the seed-stability
+tests pin this: the golden replay digest is unchanged with workloads
+active).  Arrival times are Poisson at ``params.rate`` requests per
+second.  The read/write decision is drawn on every request even when
+``read_fraction`` is 0, so changing the mix changes *only* the ops of a
+stream, never its LBA sequence — mixes stay directly comparable.
 """
 
 from __future__ import annotations
@@ -38,12 +77,13 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import takewhile
 from typing import Iterator
 
 from repro.traces.model import Op, Request, Trace
-from repro.util.rng import make_rng
+from repro.util.rng import make_rng, spawn_rng
 
 DAY = 86_400.0
 MONTH = 30 * DAY
@@ -135,9 +175,9 @@ class _Extent:
 class MobilePCWorkload:
     """Seeded generator of mobile-PC style traces.
 
-    Build once, then call :meth:`requests` for the finite base trace: a
-    columnar :class:`~repro.traces.model.Trace`, usable wherever a list of
-    requests was.
+    Build once, then call :meth:`requests` for the finite base trace and
+    :meth:`prefill_requests` for the disk image, each a columnar
+    :class:`~repro.traces.model.Trace`.
 
     Examples
     --------
@@ -249,7 +289,7 @@ class MobilePCWorkload:
         for offset in range(0, extent.length, step):
             yield extent.start + offset, min(step, extent.length - offset)
 
-    def prefill_requests(self) -> list[Request]:
+    def prefill_requests(self) -> Trace:
         """One sequential write over every extent — the disk image.
 
         The paper's machine had been in use before the trace started, so
@@ -257,11 +297,11 @@ class MobilePCWorkload:
         image once before the resampled trace (`warmup`), giving static
         data blocks to pin from the very first simulated second.
         """
-        return [
+        return Trace.from_requests(
             Request(0.0, Op.WRITE, lba, sectors)
             for extent in sorted(self.extents, key=lambda e: e.start)
             for lba, sectors in self._sequential_pass(extent)
-        ]
+        )
 
     def _static_write_schedule(self) -> list[tuple[float, _Extent]]:
         """One-time rewrites of static extents scattered over the trace.
@@ -392,3 +432,259 @@ class MobilePCWorkload:
 
     def static_sectors(self) -> int:
         return self.sectors_by_temperature()[Temperature.STATIC]
+
+
+# ----------------------------------------------------------------------
+# Workload shapes
+# ----------------------------------------------------------------------
+#: Default Zipf exponent for hotspot-style shapes (YCSB's zipfian θ).
+DEFAULT_THETA = 0.99
+
+#: Default hot-set migration period of the phase-shifting shape (1 h).
+DEFAULT_PHASE_PERIOD = 3600.0
+
+
+@dataclass(frozen=True)
+class ShapeParams:
+    """Common knobs of every workload shape.
+
+    ``rate`` is the total request rate (reads and writes together); the
+    mobile-PC trace runs at roughly 4 requests per second, which is the
+    default so generated workloads are comparable to the paper's.
+    """
+
+    total_sectors: int
+    rate: float = 4.0                 #: requests per second (Poisson)
+    request_sectors: int = 8          #: sectors per request
+    read_fraction: float = 0.0        #: probability a request is a read
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.total_sectors <= 0:
+            raise ValueError("total_sectors must be positive")
+        if self.rate <= 0:
+            raise ValueError("rate must be positive")
+        if self.request_sectors < 1:
+            raise ValueError("request_sectors must be >= 1")
+        if not 0.0 <= self.read_fraction < 1.0:
+            raise ValueError(
+                f"read_fraction must be in [0, 1), got {self.read_fraction}"
+            )
+
+
+class WorkloadShape:
+    """Base shape: Poisson arrivals, per-shape LBA policy, own RNG stream."""
+
+    #: Stable shape identifier; also names the RNG stream, so two shapes
+    #: with the same seed still draw decorrelated randomness.
+    shape_name = "abstract"
+
+    def __init__(self, params: ShapeParams) -> None:
+        self.params = params
+        self._rng = spawn_rng(
+            make_rng(params.seed), f"workload:{self.shape_name}"
+        )
+
+    def _next_lba(self, now: float) -> int:
+        """First sector of the next request (shape-specific)."""
+        raise NotImplementedError
+
+    def _reset_stream(self) -> None:
+        """Restart the stream state (RNG and any cursors).
+
+        Called at the top of every :meth:`iter_requests`, so each call
+        replays the *identical* stream — the stream is a pure function
+        of (seed, shape), and one shape instance can drive a replay run
+        and a service run with the same requests.  The ``:stream`` salt
+        keeps arrival draws decorrelated from the construction-time
+        placement shuffle.  One active iteration per instance: a second
+        concurrent iterator would share (and reset) this state.
+        """
+        self._rng = spawn_rng(
+            make_rng(self.params.seed), f"workload:{self.shape_name}:stream"
+        )
+
+    def iter_requests(self) -> Iterator[Request]:
+        """Endless request stream; bound it with a stop condition."""
+        self._reset_stream()
+        params = self.params
+        rng = self._rng
+        rate = params.rate
+        read_fraction = params.read_fraction
+        total = params.total_sectors
+        step = params.request_sectors
+        now = 0.0
+        while True:
+            now += rng.expovariate(rate)
+            # The op draw always happens so read_fraction never shifts
+            # the LBA stream (see module docstring).
+            op = Op.READ if rng.random() < read_fraction else Op.WRITE
+            lba = self._next_lba(now)
+            yield Request(now, op, lba, min(step, total - lba))
+
+    def requests(self, duration: float) -> Trace:
+        """The stream's requests before ``duration`` simulated seconds."""
+        if duration <= 0:
+            raise ValueError("duration must be positive")
+        return Trace.from_requests(
+            takewhile(lambda request: request.time < duration,
+                      self.iter_requests()))
+
+
+class _ZipfChunks(WorkloadShape):
+    """Shared machinery: Zipf(θ) popularity over permuted fixed chunks."""
+
+    def __init__(self, params: ShapeParams, *, theta: float = DEFAULT_THETA) -> None:
+        if theta <= 0:
+            raise ValueError(f"theta must be positive, got {theta}")
+        super().__init__(params)
+        self.theta = theta
+        count = max(1, params.total_sectors // params.request_sectors)
+        # A seeded permutation scatters the popularity ranks over the
+        # address space, so "hot" is not synonymous with "low LBA".
+        self._placement = list(range(count))
+        self._rng.shuffle(self._placement)
+        weights = [1.0 / (rank + 1) ** theta for rank in range(count)]
+        total = sum(weights)
+        running = 0.0
+        self._cdf = []
+        for weight in weights:
+            running += weight / total
+            self._cdf.append(running)
+
+    @property
+    def chunk_count(self) -> int:
+        return len(self._cdf)
+
+    def _zipf_rank(self) -> int:
+        """Draw a popularity rank (0 = hottest) by CDF binary search."""
+        point = self._rng.random()
+        lo, hi = 0, len(self._cdf) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self._cdf[mid] < point:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    def _chunk_for(self, rank: int, now: float) -> int:
+        return self._placement[rank]
+
+    def _next_lba(self, now: float) -> int:
+        chunk = self._chunk_for(self._zipf_rank(), now)
+        return chunk * self.params.request_sectors
+
+
+class HotspotWorkload(_ZipfChunks):
+    """Zipf(θ)-skewed requests: a few chunks absorb most traffic."""
+
+    shape_name = "hotspot"
+
+
+class PhaseShiftingWorkload(_ZipfChunks):
+    """A Zipf hot set that migrates across the space every ``period``.
+
+    Each phase rotates the popularity placement by a fixed stride
+    (about a third of the space), so the blocks that were cold last
+    phase — exactly the ones a static wear leveler would park behind
+    its BET flags — turn hot in the next.  The phase index is derived
+    from the request's own timestamp, so the stream stays a pure
+    function of (seed, time): replaying any prefix is deterministic.
+    """
+
+    shape_name = "phase"
+
+    def __init__(
+        self,
+        params: ShapeParams,
+        *,
+        theta: float = DEFAULT_THETA,
+        period: float = DEFAULT_PHASE_PERIOD,
+    ) -> None:
+        if period <= 0:
+            raise ValueError(f"period must be positive, got {period}")
+        super().__init__(params, theta=theta)
+        self.period = period
+        self._stride = max(1, self.chunk_count // 3)
+
+    def _chunk_for(self, rank: int, now: float) -> int:
+        phase = int(now // self.period)
+        return self._placement[
+            (rank + phase * self._stride) % self.chunk_count
+        ]
+
+
+class SequentialStreamWorkload(WorkloadShape):
+    """Append-only circular stream over the whole space."""
+
+    shape_name = "sequential"
+
+    def __init__(self, params: ShapeParams) -> None:
+        super().__init__(params)
+        self._cursor = 0
+
+    def _reset_stream(self) -> None:
+        super()._reset_stream()
+        self._cursor = 0
+
+    def _next_lba(self, now: float) -> int:
+        params = self.params
+        if self._cursor + params.request_sectors > params.total_sectors:
+            self._cursor = 0
+        lba = self._cursor
+        self._cursor += params.request_sectors
+        return lba
+
+
+class UniformAccessWorkload(WorkloadShape):
+    """Uniformly random requests — the no-skew null case."""
+
+    shape_name = "uniform"
+
+    def _next_lba(self, now: float) -> int:
+        params = self.params
+        span = max(1, params.total_sectors - params.request_sectors + 1)
+        return self._rng.randrange(span)
+
+
+class MixedWorkload(UniformAccessWorkload):
+    """Uniform placement with a read/write mix (default 50/50 via factory)."""
+
+    shape_name = "mixed"
+
+
+#: Shape names accepted by :func:`make_shape`, in canonical order.
+SHAPE_NAMES = ("hotspot", "sequential", "uniform", "mixed", "phase")
+
+
+def make_shape(
+    name: str,
+    params: ShapeParams,
+    *,
+    theta: float = DEFAULT_THETA,
+    period: float = DEFAULT_PHASE_PERIOD,
+) -> WorkloadShape:
+    """Build a workload shape by name.
+
+    ``theta`` applies to the hotspot and phase-shifting shapes,
+    ``period`` to phase-shifting only.  The mixed shape defaults its
+    read fraction to 0.5 when ``params`` leaves it at 0 — passing an
+    explicit nonzero fraction always wins.
+    """
+    key = name.lower()
+    if key == "hotspot":
+        return HotspotWorkload(params, theta=theta)
+    if key == "sequential":
+        return SequentialStreamWorkload(params)
+    if key == "uniform":
+        return UniformAccessWorkload(params)
+    if key == "mixed":
+        if params.read_fraction == 0.0:
+            params = replace(params, read_fraction=0.5)
+        return MixedWorkload(params)
+    if key == "phase":
+        return PhaseShiftingWorkload(params, theta=theta, period=period)
+    raise ValueError(
+        f"unknown workload shape {name!r}; choose from {SHAPE_NAMES}"
+    )

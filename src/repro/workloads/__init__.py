@@ -1,18 +1,19 @@
-"""Composable workload generators and the multi-tenant multiplexer.
+"""The multi-tenant layer over the workload shapes.
 
-Workload *shapes* (:mod:`repro.workloads.generators`) produce endless
-seeded request streams — hotspot, sequential, uniform, mixed
-read/write, and the phase-shifting migrating hot set.  The multiplexer
-(:mod:`repro.workloads.tenants`) interleaves N tenant shapes onto
-regions of one device, and the runners (:mod:`repro.workloads.runner`)
-drive them through the closed-loop Simulator or the open-loop
-ServiceEngine with per-tenant wear and latency attribution.
+The shapes themselves — hotspot, sequential, uniform, mixed read/write,
+and the phase-shifting migrating hot set — live beside the mobile-PC
+model in :mod:`repro.traces.generator` and are re-exported here.  The
+multiplexer (:mod:`repro.workloads.tenants`) interleaves N tenant shapes
+onto regions of one device, and the runners
+(:mod:`repro.workloads.runner`) drive them through the closed-loop
+Simulator or the open-loop ServiceEngine with per-tenant wear and
+latency attribution.
 
 All randomness lives on dedicated ``"workload:*"`` RNG streams; replay
 randomness is untouched (see DESIGN.md §5h).
 """
 
-from repro.workloads.generators import (
+from repro.traces.generator import (
     DEFAULT_PHASE_PERIOD,
     DEFAULT_THETA,
     SHAPE_NAMES,

@@ -34,9 +34,9 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from repro.traces.generator import WorkloadShape
 from repro.traces.model import Request
 from repro.util.rng import make_rng, spawn_rng
-from repro.workloads.generators import WorkloadShape
 
 #: Interleaving policies accepted by :class:`MultiTenantWorkload`.
 TENANT_POLICIES = ("merge", "round-robin")

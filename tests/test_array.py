@@ -25,12 +25,12 @@ from repro.ftl.factory import StorageBackend, StorageStack, build_stack
 from repro.sim.engine import Simulator, StopCondition
 from repro.sim.experiment import (
     ExperimentSpec,
-    make_workload,
     run_matrix,
     scaled_mlc2_geometry,
     workload_params_for,
 )
 from repro.sim.metrics import EraseDistribution
+from repro.traces.generator import MobilePCWorkload
 from repro.traces.model import Op, Request
 from repro.util.rng import make_rng, spawn_rng
 
@@ -247,7 +247,9 @@ class TestDispatcher:
         array.write_pages(list(range(8)))
         assert array.layer_stats()["host_writes"] == 8
         assert len(array.erase_counts) == 2 * small_geometry.num_blocks
-        assert len(array.shard_erase_counts()) == 2
+        shards = array.shard_erase_distributions()
+        assert [d.blocks for d in shards] == [small_geometry.num_blocks] * 2
+        assert sum(d.total for d in shards) == array.total_erases()
         assert array.total_erases() == sum(array.erase_counts)
 
     def test_backend_protocol(self, small_geometry):
@@ -558,7 +560,7 @@ class TestRunMatrixWorkers:
             for t in (100.0, 1000.0)
         ]
         params = workload_params_for(specs[0], duration=0.02 * 86_400, seed=8)
-        workload = make_workload(params)
+        workload = MobilePCWorkload(params)
         trace = workload.requests()
         serial = run_matrix(specs, trace, horizon=0.02 * 86_400)
         parallel = run_matrix(specs, trace, horizon=0.02 * 86_400, workers=2)
@@ -571,7 +573,7 @@ class TestRunMatrixWorkers:
         geometry = scaled_mlc2_geometry(24, scale=100)
         spec = ExperimentSpec("ftl", geometry, seed=1)
         params = workload_params_for(spec, duration=0.01 * 86_400, seed=1)
-        trace = make_workload(params).requests()
+        trace = MobilePCWorkload(params).requests()
         results = run_matrix([spec], trace, horizon=0.01 * 86_400, workers=4)
         assert len(results) == 1  # single spec short-circuits to serial
 

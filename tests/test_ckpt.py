@@ -36,12 +36,12 @@ from repro.ftl.factory import build_stack
 from repro.sim.engine import Simulator, StopCondition
 from repro.sim.experiment import (
     ExperimentSpec,
-    make_base_trace,
     run_replay,
     scaled_mlc2_geometry,
     workload_params_for,
 )
 from repro.traces.extend import SegmentResampler
+from repro.traces.generator import MobilePCWorkload
 from repro.util.rng import make_rng, spawn_rng
 
 #: SHA-256 of the canonical ``SimResult.as_dict`` JSON of the golden
@@ -82,7 +82,7 @@ def golden_spec() -> ExperimentSpec:
 def golden_trace():
     spec = golden_spec()
     params = workload_params_for(spec, duration=1200.0, seed=3)
-    return make_base_trace(params)
+    return MobilePCWorkload(params).requests()
 
 
 def result_sha256(result) -> str:

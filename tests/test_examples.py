@@ -1,5 +1,6 @@
 """Smoke tests: the fast example scripts run end-to-end, and every
-example script (plus ``benchmarks/perf_trajectory.py``) imports."""
+example script (plus ``benchmarks/perf_trajectory.py`` and ``scripts/``)
+imports."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ EXAMPLES_DIR = ROOT / "examples"
 #: name removed from the library cannot rot in them unseen.
 SCRIPTS = sorted(EXAMPLES_DIR.glob("*.py")) + [
     ROOT / "benchmarks" / "perf_trajectory.py"
-]
+] + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def load_script(path: Path):

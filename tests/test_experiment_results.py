@@ -8,8 +8,6 @@ from repro.core.config import SWLConfig
 from repro.sim.experiment import (
     ExperimentSpec,
     logical_sectors_of,
-    make_base_trace,
-    make_workload,
     run_fixed_horizon,
     run_matrix,
     run_until_first_failure,
@@ -17,6 +15,7 @@ from repro.sim.experiment import (
     scaled_threshold,
     workload_params_for,
 )
+from repro.traces.generator import MobilePCWorkload
 
 
 def fast_geometry():
@@ -79,7 +78,7 @@ class TestRunners:
     def shared(self):
         spec = ExperimentSpec("ftl", fast_geometry(), seed=1)
         params = fast_params(spec)
-        workload = make_workload(params)
+        workload = MobilePCWorkload(params)
         return spec, workload.requests(), workload.prefill_requests()
 
     def test_first_failure_run(self, shared):

@@ -22,12 +22,12 @@ from repro.ftl.factory import build_stack
 from repro.sim.engine import Simulator, StopCondition
 from repro.sim.experiment import (
     ExperimentSpec,
-    make_workload,
     run_until_first_failure,
     scaled_mlc2_geometry,
     workload_params_for,
 )
 from repro.sim.metrics import EraseDistribution
+from repro.traces.generator import MobilePCWorkload
 
 
 def small_bench_geometry():
@@ -41,7 +41,7 @@ def shared_trace():
     geometry = small_bench_geometry()
     spec = ExperimentSpec("ftl", geometry, seed=2)
     params = workload_params_for(spec, duration=3 * 3600.0, seed=7)
-    workload = make_workload(params)
+    workload = MobilePCWorkload(params)
     return geometry, workload.requests(), workload.prefill_requests()
 
 

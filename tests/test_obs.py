@@ -59,11 +59,11 @@ from repro.obs.events import (
 from repro.sim.engine import Simulator
 from repro.sim.experiment import (
     ExperimentSpec,
-    make_base_trace,
     run_fixed_horizon,
     scaled_mlc2_geometry,
     workload_params_for,
 )
+from repro.traces.generator import MobilePCWorkload
 
 
 # ----------------------------------------------------------------------
@@ -822,7 +822,7 @@ def small_run():
         SWLConfig(threshold=20, k=2), seed=3,
     )
     params = workload_params_for(spec, duration=1800.0, seed=3)
-    return spec, make_base_trace(params)
+    return spec, MobilePCWorkload(params).requests()
 
 
 class TestEngineHeatmaps:

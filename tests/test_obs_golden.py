@@ -23,12 +23,12 @@ from repro.obs import Telemetry
 from repro.service import ServiceEngine, poisson_arrivals
 from repro.sim.experiment import (
     ExperimentSpec,
-    make_base_trace,
     run_fixed_horizon,
     scaled_mlc2_geometry,
     workload_params_for,
 )
 from repro.traces.extend import SegmentResampler
+from repro.traces.generator import MobilePCWorkload
 from repro.util.rng import make_rng, spawn_rng
 
 GOLDEN_PATH = Path(__file__).with_name("obs_golden.json")
@@ -40,7 +40,7 @@ def ftl_1ch_swl(directory: Path) -> None:
         "ftl", scaled_mlc2_geometry(24, scale=100),
         SWLConfig(threshold=20, k=2), seed=3,
     )
-    trace = make_base_trace(workload_params_for(spec, duration=1800.0, seed=3))
+    trace = MobilePCWorkload(workload_params_for(spec, duration=1800.0, seed=3)).requests()
     telemetry = Telemetry.to_directory(directory, heatmap_interval=600.0)
     run_fixed_horizon(spec, trace, 3600.0, telemetry=telemetry)
     telemetry.finish()
@@ -52,7 +52,7 @@ def nftl_4ch_service(directory: Path) -> None:
         "nftl", scaled_mlc2_geometry(24, scale=100),
         SWLConfig(threshold=20, k=2), seed=11, channels=4,
     )
-    trace = make_base_trace(workload_params_for(spec, duration=1800.0, seed=3))
+    trace = MobilePCWorkload(workload_params_for(spec, duration=1800.0, seed=3)).requests()
     rng = make_rng(spec.seed)
     endless = SegmentResampler(
         trace, rng=spawn_rng(rng, "resampler")

@@ -251,8 +251,6 @@ class TestEveryModuleIsReached:
         "LevelerSpec.span_blocks": "a challenger knob, as delta",
         "ServiceEngine.queue_sample_every": "tests/test_obs_golden.py pins "
         "its queue-depth events at 100",
-        "ServiceEngine.sample_interval": "nothing sets it; ROADMAP item 7 "
-        "lists it as the next constant",
         "ServiceEngine.heatmap_interval": "set through "
         "``**heatmap_kwargs(telemetry)``",
         "ServiceEngine.heatmap_bins": "set through "
@@ -261,10 +259,6 @@ class TestEveryModuleIsReached:
         "tenant runner from the CLI's --telemetry",
         "build_array.fault_plan": "the fault-plan path (ROADMAP item 1), "
         "relayed by ExperimentSpec.build",
-        "build_array.store_data": "nothing sets it; ROADMAP item 7 lists "
-        "it as the next constant",
-        "CrashConsistencyHarness.hot_fraction": "nothing sets it; ROADMAP "
-        "item 7 lists it as the next constant",
         "WorkloadParams.cold_write_period": "tests/test_traces.py "
         "PINNED_TRACES pins traces generated at other periods",
         "WorkloadParams.write_rate": "the paper's trace statistics (Section "

@@ -21,11 +21,11 @@ from repro.core.config import SWLConfig
 from repro.core.policies import LevelerSpec
 from repro.sim.experiment import (
     ExperimentSpec,
-    make_base_trace,
     run_replay,
     scaled_mlc2_geometry,
     workload_params_for,
 )
+from repro.traces.generator import MobilePCWorkload
 from tests.test_ckpt import ReplayInterrupted, interrupt_after
 
 #: Same constant as ``tests/test_ckpt.py``: the uninterrupted fixed-seed
@@ -52,7 +52,7 @@ def _spec(swl) -> ExperimentSpec:
 def resume_trace():
     spec = _spec(SWLConfig(enabled=True, threshold=8, k=0))
     params = workload_params_for(spec, duration=900.0, seed=5)
-    return make_base_trace(params)
+    return MobilePCWorkload(params).requests()
 
 
 #: The paper's SW Leveler, the random selection ablation, and one
@@ -104,7 +104,7 @@ def test_leveler_spec_swl_matches_swlconfig_golden():
         LevelerSpec(kind="swl", threshold=10, k=0),
         seed=7,
     )
-    trace = make_base_trace(workload_params_for(spec, duration=1200.0, seed=3))
+    trace = MobilePCWorkload(workload_params_for(spec, duration=1200.0, seed=3)).requests()
     assert result_sha256(run_replay(spec, trace)) == GOLDEN_SHA256
 
 

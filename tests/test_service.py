@@ -36,12 +36,12 @@ from repro.service.engine import _Channel
 from repro.sim.engine import Simulator, StopCondition
 from repro.sim.experiment import (
     ExperimentSpec,
-    make_base_trace,
     run_service_soak,
     scaled_mlc2_geometry,
     workload_params_for,
 )
 from repro.traces.extend import SegmentResampler
+from repro.traces.generator import MobilePCWorkload
 from repro.traces.model import Op, Request
 from repro.util.rng import make_rng, spawn_rng
 
@@ -63,7 +63,7 @@ def spec() -> ExperimentSpec:
 @pytest.fixture(scope="module")
 def base_trace(spec: ExperimentSpec) -> list[Request]:
     params = workload_params_for(spec, duration=1800.0, seed=3)
-    return make_base_trace(params)
+    return MobilePCWorkload(params).requests()
 
 
 def arrival_stream(

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import SWLConfig
 from repro.flash.chip import PAGE_VALID
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.factory import build_stack
-from repro.sim.engine import Simulator, StopCondition
+from repro.sim.engine import Simulator
 from repro.traces.model import Op, Request
 
 
@@ -82,15 +81,15 @@ def test_same_seed_same_simulation(seed):
     """Whole-stack determinism: identical seeds give identical wear."""
     from repro.sim.experiment import (
         ExperimentSpec,
-        make_workload,
         run_until_first_failure,
         workload_params_for,
     )
+    from repro.traces.generator import MobilePCWorkload
 
     geometry = FlashGeometry(24, 8, 2048, 40, name="prop")
     spec = ExperimentSpec("nftl", geometry, SWLConfig(threshold=3), seed=seed)
     params = workload_params_for(spec, duration=1800.0, seed=seed)
-    workload = make_workload(params)
+    workload = MobilePCWorkload(params)
     trace = workload.requests()
     warmup = workload.prefill_requests()
     first = run_until_first_failure(spec, trace, warmup=warmup)

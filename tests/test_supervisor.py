@@ -26,12 +26,12 @@ from repro.ckpt import (
 from repro.core.config import SWLConfig
 from repro.sim.experiment import (
     ExperimentSpec,
-    make_base_trace,
     run_matrix,
     scaled_mlc2_geometry,
     workload_params_for,
 )
 from repro.sim.reporting import campaign_markdown_report
+from repro.traces.generator import MobilePCWorkload
 
 
 def specs_pair() -> list[ExperimentSpec]:
@@ -47,7 +47,7 @@ def specs_pair() -> list[ExperimentSpec]:
 @pytest.fixture(scope="module")
 def shared_trace():
     params = workload_params_for(specs_pair()[0], duration=1200.0, seed=3)
-    return make_base_trace(params)
+    return MobilePCWorkload(params).requests()
 
 
 @pytest.fixture(scope="module")
@@ -276,7 +276,7 @@ class TestCampaignMarkdown:
 
         spec = specs_pair()[0]
         params = workload_params_for(spec, duration=1200.0, seed=3)
-        trace = make_base_trace(params)
+        trace = MobilePCWorkload(params).requests()
         result = run_until_first_failure(spec, trace)
         report = CampaignReport(cells=[
             CellOutcome(

@@ -1,5 +1,6 @@
 """Workload-shape tests: seed stability, replay-RNG independence,
-well-formedness, and the phase-shifting migration contract."""
+well-formedness, the phase-shifting migration contract, and the one
+finite-output contract every generator shares (a columnar ``Trace``)."""
 
 from __future__ import annotations
 
@@ -8,12 +9,16 @@ import pytest
 from repro.core.config import SWLConfig
 from repro.sim.experiment import (
     ExperimentSpec,
-    make_workload,
     run_fixed_horizon,
     scaled_mlc2_geometry,
     workload_params_for,
 )
-from repro.traces.model import Op
+from repro.traces.generator import (
+    MAX_REQUEST_SECTORS,
+    MobilePCWorkload,
+    WorkloadParams,
+)
+from repro.traces.model import Op, Request, Trace
 from repro.workloads import (
     SHAPE_NAMES,
     PhaseShiftingWorkload,
@@ -73,7 +78,7 @@ class TestReplayIndependence:
             SWLConfig(threshold=50.0), seed=3,
         )
         params = workload_params_for(spec, duration=900.0, seed=4)
-        trace = make_workload(params).requests()
+        trace = MobilePCWorkload(params).requests()
         before = run_fixed_horizon(spec, trace, 700.0).as_dict()
         # Interleave heavy workload-generator activity...
         for name in SHAPE_NAMES:
@@ -143,6 +148,36 @@ class TestWellFormedness:
             make_shape("phase", ShapeParams(total_sectors=10), period=0.0)
         with pytest.raises(ValueError):
             make_shape("hotspot", ShapeParams(total_sectors=10), theta=0.0)
+
+
+class TestFiniteOutputIsATrace:
+    @pytest.mark.parametrize("name", SHAPE_NAMES)
+    def test_shape_requests_are_the_stream_prefix(self, name):
+        shape = make_shape(name, ShapeParams(total_sectors=SECTORS, rate=10.0,
+                                             seed=3))
+        trace = shape.requests(120.0)
+        assert type(trace) is Trace
+        prefix = []
+        for request in shape.iter_requests():
+            if request.time >= 120.0:
+                break
+            prefix.append(request)
+        assert len(trace) == len(prefix) > 0
+        assert list(trace) == prefix
+
+    def test_prefill_is_one_sequential_pass_per_extent(self):
+        workload = MobilePCWorkload(
+            WorkloadParams(total_sectors=65_536, duration=600.0, seed=2))
+        image = workload.prefill_requests()
+        assert type(image) is Trace
+        expected = [
+            Request(0.0, Op.WRITE, lba,
+                    min(MAX_REQUEST_SECTORS, extent.start + extent.length - lba))
+            for extent in sorted(workload.extents, key=lambda e: e.start)
+            for lba in range(extent.start, extent.start + extent.length,
+                             MAX_REQUEST_SECTORS)
+        ]
+        assert list(image) == expected
 
 
 class TestHotspotSkew:
