@@ -63,8 +63,12 @@ from repro.sim.experiment import (
     scaled_mlc2_geometry,
     workload_params_for,
 )
-from repro.traces.generator import MobilePCWorkload
-from repro.workloads import SHAPE_NAMES, ShapeParams, make_shape
+from repro.traces.generator import (
+    SHAPE_NAMES,
+    MobilePCWorkload,
+    ShapeParams,
+    make_shape,
+)
 
 #: Quick-mode knobs: small chip, compressed endurance, short horizon.
 BLOCKS = 48

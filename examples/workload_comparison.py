@@ -13,21 +13,18 @@ Run:  python examples/workload_comparison.py     (under a minute)
 
 from __future__ import annotations
 
-from itertools import takewhile
-
 from repro import SWLConfig, build_stack
 from repro.flash.geometry import FlashGeometry
 from repro.sim.engine import Simulator, StopCondition
 from repro.sim.metrics import EraseDistribution, improvement_ratio
-from repro.traces.generator import MobilePCWorkload, WorkloadParams
-from repro.traces.model import Op, Request
-from repro.util.tables import Table
-from repro.workloads import (
-    MultiTenantWorkload,
+from repro.traces.generator import (
+    MobilePCWorkload,
     ShapeParams,
-    TenantSpec,
+    WorkloadParams,
     make_shape,
 )
+from repro.traces.model import Op, Request
+from repro.util.tables import Table
 
 GEOMETRY = FlashGeometry(64, 32, 2048, 300, name="demo-64b")
 SECTORS = 55 * 32 * 4  # the logical space the drivers will export
@@ -43,8 +40,8 @@ def shaped(name: str, pinned: float, **kwargs):
     """One hour of a workload shape behind a write-once pinned prefix.
 
     The lowest ``pinned`` fraction of the device is written once up front
-    (the data the SW Leveler must keep moving); the shape then runs as
-    the only tenant of the region above it.
+    (the data the SW Leveler must keep moving); the shape then runs in
+    the region above it, its LBAs offset past the prefix.
     """
     step = 8
     pinned_sectors = int(SECTORS * pinned)
@@ -56,13 +53,10 @@ def shaped(name: str, pinned: float, **kwargs):
         total_sectors=SECTORS - pinned_sectors, rate=30.0,
         request_sectors=step, seed=4,
     )
-    active = MultiTenantWorkload(
-        [TenantSpec("active", make_shape(name, params, **kwargs),
-                    region=(pinned_sectors, SECTORS))],
-        SECTORS,
-    )
-    hour = takewhile(lambda r: r.time < 3600.0, active.iter_requests())
-    return prefill + list(hour)
+    hour = make_shape(name, params, **kwargs).requests(3600.0)
+    return prefill + [
+        Request(r.time, r.op, pinned_sectors + r.lba, r.sectors) for r in hour
+    ]
 
 
 WORKLOADS = {

@@ -17,9 +17,6 @@ build (DESIGN.md §5f):
 * **service mode** — a short open-loop soak through the service engine
   must serve every request and report finite, ordered latency
   percentiles overall and per channel (DESIGN.md §5g);
-* **tenant attribution** — multi-tenant replay and service runs must
-  conserve attribution exactly: per-tenant erase, page, and busy-time
-  sums equal the device totals (DESIGN.md §5h);
 * **replay golden hash** — the closed-loop replay digest must match the
   committed golden (``benchmarks/golden_hotpath.json``): the service
   refactor must never perturb replay results;
@@ -213,71 +210,6 @@ def gate_service() -> list[str]:
     return failures
 
 
-#: Tenant-conservation gate shape: three tenants (hotspot, phase-shifting,
-#: mixed) over two channels — enough that GC and SWL work fires and must
-#: land in some tenant's ledger.
-TENANT_REQUESTS = 10_000
-
-
-def gate_tenant_conservation() -> list[str]:
-    """Per-tenant attribution must sum exactly to the device totals.
-
-    Exercises both runners: the closed-loop replay and the open-loop
-    service engine (DESIGN.md §5h conservation invariant).  Exact
-    equality, not a tolerance — attribution diffs cumulative counters,
-    so any drift means a request's work was dropped or double-billed.
-    """
-    from repro.sim.experiment import logical_sectors_of
-    from repro.workloads import (
-        MultiTenantWorkload,
-        ShapeParams,
-        TenantSpec,
-        make_shape,
-        run_multi_tenant_replay,
-        run_multi_tenant_service,
-    )
-
-    geometry = scaled_mlc2_geometry(BLOCKS, scale=SCALE)
-    spec = ExperimentSpec("ftl", geometry, SWLConfig(threshold=100, k=0),
-                          seed=SEED, channels=2)
-    sectors = logical_sectors_of(spec)
-    workload = MultiTenantWorkload(
-        [
-            TenantSpec(
-                name=f"tenant-{shape}",
-                shape=make_shape(
-                    shape,
-                    ShapeParams(total_sectors=sectors, rate=20.0,
-                                seed=SEED + index),
-                    period=600.0,
-                ),
-                weight=1.0 + index,
-            )
-            for index, shape in enumerate(("hotspot", "phase", "mixed"))
-        ],
-        sectors,
-        seed=SEED,
-    )
-    failures = []
-    replay = run_multi_tenant_replay(
-        spec, workload, max_requests=TENANT_REQUESTS
-    )
-    for error in replay.conservation_errors():
-        failures.append(f"tenant replay attribution: {error}")
-    service = run_multi_tenant_service(
-        spec, workload, max_requests=TENANT_REQUESTS, queue_depth=SERVICE_DEPTH
-    )
-    for error in service.conservation_errors():
-        failures.append(f"tenant service attribution: {error}")
-    shares = ", ".join(
-        f"{usage.name} {usage.erases}" for usage in replay.tenants
-    )
-    print(f"tenant attribution: {TENANT_REQUESTS} requests x 2 engines, "
-          f"erases by tenant [{shares}] sum to "
-          f"{replay.replay.total_erases} (exact)")
-    return failures
-
-
 def gate_replay_golden() -> list[str]:
     """The committed golden replay hash must survive the service refactor."""
     sys.path.insert(
@@ -332,7 +264,6 @@ def main() -> int:
         gate_telemetry()
         + gate_parallel_sweep()
         + gate_service()
-        + gate_tenant_conservation()
         + gate_replay_golden()
         + gate_arena()
     )

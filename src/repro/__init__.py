@@ -13,15 +13,13 @@ The package layers exactly like the paper's Figure 1:
   translation drivers with the greedy Cleaner and dynamic wear leveling;
 * :mod:`repro.core` — the SW Leveler: Block Erasing Table, SWL-Procedure,
   SWL-BETUpdate (the paper's contribution);
-* :mod:`repro.traces` — the synthetic mobile-PC workload and the
-  10-minute segment resampler of Section 5.1;
+* :mod:`repro.traces` — the synthetic mobile-PC workload, the
+  composable workload shapes (hotspot, sequential, uniform, mixed,
+  phase-shifting), and the 10-minute segment resampler of Section 5.1;
 * :mod:`repro.sim` — the trace-replay engine and experiment protocols;
 * :mod:`repro.analysis` — the analytic models of Section 4;
 * :mod:`repro.obs` — the telemetry subsystem: typed event tracing,
   metrics, wear heatmaps, and exporters (off by default, zero-cost);
-* :mod:`repro.workloads` — composable workload shapes (hotspot,
-  sequential, uniform, mixed, phase-shifting) and the multi-tenant
-  multiplexer with per-tenant wear attribution;
 * :mod:`repro.endurance` — lifetime projection: WAF, TBW, DWPD, and
   first-failure horizons via the ``repro endure`` CLI.
 
@@ -105,14 +103,7 @@ from repro.sim import (
     workload_params_for,
 )
 from repro.traces import MobilePCWorkload, Op, Request, SegmentResampler, WorkloadParams
-from repro.workloads import (
-    MultiTenantWorkload,
-    ShapeParams,
-    TenantSpec,
-    make_shape,
-    run_multi_tenant_replay,
-    run_multi_tenant_service,
-)
+from repro.traces.generator import ShapeParams, make_shape
 
 __version__ = "1.0.0"
 
@@ -139,7 +130,6 @@ __all__ = [
     "MetricsSnapshot",
     "MobilePCWorkload",
     "MtdDevice",
-    "MultiTenantWorkload",
     "NFTL",
     "NandFlash",
     "Op",
@@ -157,7 +147,6 @@ __all__ = [
     "StorageStack",
     "StripingPolicy",
     "Telemetry",
-    "TenantSpec",
     "TranslationLayer",
     "WearCoordinator",
     "WearHeatmap",
@@ -177,8 +166,6 @@ __all__ = [
     "run_fault_campaign",
     "run_fixed_horizon",
     "run_matrix",
-    "run_multi_tenant_replay",
-    "run_multi_tenant_service",
     "run_until_first_failure",
     "slc_large_block",
     "workload_params_for",

@@ -18,9 +18,7 @@ These commands cover the library's main workflows without writing code:
 ``endure``
     Project device lifetime (WAF, TBW, DWPD, first-failure horizon)
     across generated workload shapes, SWL-on vs SWL-off, single- and
-    multi-channel — optionally with a multi-tenant replay whose
-    per-tenant wear attribution rows must sum exactly to the device
-    totals.
+    multi-channel.
 ``arena``
     Policy tournament: race the paper's SW Leveler against the
     challenger mechanisms (dual-pool, cache-based avoidance, SoftWear
@@ -62,7 +60,6 @@ from repro.service.arrival import open_loop_rate
 from repro.service.results import ServiceResult
 from repro.sim.experiment import (
     ExperimentSpec,
-    logical_sectors_of,
     run_fixed_horizon,
     run_service_soak,
     run_until_first_failure,
@@ -83,20 +80,15 @@ from repro.sim.reporting import (
     service_markdown_report,
     shard_table,
     supervision_table,
-    tenant_attribution_table,
 )
-from repro.workloads import (
+from repro.traces.generator import (
+    DAY,
     DEFAULT_PHASE_PERIOD,
     DEFAULT_THETA,
     SHAPE_NAMES,
-    TENANT_POLICIES,
-    MultiTenantWorkload,
-    ShapeParams,
-    TenantSpec,
-    make_shape,
-    run_multi_tenant_replay,
+    MobilePCWorkload,
+    WorkloadParams,
 )
-from repro.traces.generator import DAY, MobilePCWorkload, WorkloadParams
 from repro.traces.io import load_trace, save_trace
 from repro.traces.model import Trace
 from repro.traces.stats import summarize
@@ -297,19 +289,9 @@ def _build_parser() -> argparse.ArgumentParser:
     endure.add_argument("--workers", type=int, default=None,
                         help="worker processes for the cell matrix "
                              "(default: serial)")
-    endure.add_argument("--tenants", type=int, default=0,
-                        help="also run a multi-tenant attribution replay "
-                             "with this many tenants (default: 0 = skip)")
-    endure.add_argument("--tenant-requests", type=int, default=20_000,
-                        help="requests in the multi-tenant replay "
-                             "(default: 20000)")
-    endure.add_argument("--tenant-policy", choices=TENANT_POLICIES,
-                        default="merge",
-                        help="tenant interleaving policy (default: merge)")
     endure.add_argument("--report", metavar="PATH",
                         help="also write a markdown projection report to PATH")
     _add_stack_arguments(endure)
-    _add_telemetry_arguments(endure)
 
     arena = commands.add_parser(
         "arena",
@@ -631,12 +613,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Shapes cycled over the tenants of ``repro endure --tenants N`` — the
-#: first three give the canonical demo: a hotspot tenant, a
-#: phase-shifting one, and a mixed read/write one.
-_TENANT_SHAPE_CYCLE = ("hotspot", "phase", "mixed")
-
-
 def _command_endure(args: argparse.Namespace) -> int:
     spec = _spec(args)
     channel_counts = sorted({1, args.channels})
@@ -664,68 +640,9 @@ def _command_endure(args: argparse.Namespace) -> int:
               f"endurance {10_000 // args.scale}, "
               f"{args.horizon_days:g}-day horizon)",
     ).text())
-
-    tenants = None
-    tenant_replay = None
-    status = 0
-    if args.tenants > 0:
-        tenant_spec = specs[-1]  # SWL-on (unless --no-swl) at --channels
-        sectors = logical_sectors_of(tenant_spec)
-        tenant_specs = [
-            TenantSpec(
-                name=f"tenant{index}-{_TENANT_SHAPE_CYCLE[index % 3]}",
-                shape=make_shape(
-                    _TENANT_SHAPE_CYCLE[index % 3],
-                    ShapeParams(
-                        total_sectors=sectors,
-                        rate=args.rate,
-                        seed=args.seed + index,
-                    ),
-                    theta=args.theta,
-                    period=args.period,
-                ),
-                weight=1.0 + 0.5 * index,
-            )
-            for index in range(args.tenants)
-        ]
-        workload = MultiTenantWorkload(
-            tenant_specs, sectors, policy=args.tenant_policy, seed=args.seed
-        )
-        telemetry = _make_telemetry(
-            args, f"{tenant_spec.label()}-tenants{args.tenants}"
-        )
-        attribution = run_multi_tenant_replay(
-            tenant_spec,
-            workload,
-            max_requests=args.tenant_requests,
-            telemetry=telemetry,
-        )
-        tenants = attribution.tenants
-        tenant_replay = attribution.replay
-        print()
-        print(tenant_attribution_table(
-            tenants, tenant_replay,
-            title=f"Per-tenant attribution ({tenant_replay.label}, "
-                  f"policy {args.tenant_policy})",
-        ).text())
-        errors = attribution.conservation_errors()
-        if errors:
-            status = 1
-            for error in errors:
-                print(f"  conservation violation: {error}", file=sys.stderr)
-        else:
-            print("  conservation: per-tenant sums equal device totals")
-        if telemetry is not None:
-            _print_telemetry_summary(telemetry, len(tenant_replay.heatmaps))
-    elif args.telemetry or args.trace_out:
-        print("endure telemetry attaches to the multi-tenant replay; "
-              "pass --tenants N to enable it", file=sys.stderr)
-
     if args.report:
-        _write_report(args.report, endurance_markdown_report(
-            results, tenants=tenants, tenant_replay=tenant_replay
-        ))
-    return status
+        _write_report(args.report, endurance_markdown_report(results))
+    return 0
 
 
 def _command_arena(args: argparse.Namespace) -> int:

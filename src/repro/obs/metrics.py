@@ -17,9 +17,10 @@ from per-shard sufficient statistics:
   (the array's wear ceiling is its worst shard).
 
 :class:`Histogram` is the one histogram type in the package: the
-registry's instruments, the service engine's latency histograms
-(:class:`repro.service.latency.LatencyHistogram` fixes its bounds) and
-the per-tenant latencies all bin and estimate through it, and
+registry's instruments and the service engine's overall and
+per-channel latency histograms
+(:class:`repro.service.latency.LatencyHistogram` fixes its bounds) all
+bin and estimate through it, and
 :meth:`Histogram.quantile` is the one quantile estimator.
 
 :func:`render_prometheus` serialises a snapshot in the Prometheus text

@@ -41,7 +41,7 @@ per-channel completions does.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.flash.errors import PowerLossError
 from repro.obs.bus import M_QUEUE_DEPTH
@@ -167,12 +167,6 @@ class ServiceEngine(RequestCore):
         self.queue_sample_every = queue_sample_every
         self.channels = [_Channel() for _ in range(stack.num_shards)]
         self.latency = LatencyHistogram()
-        #: Optional per-request observer, called as ``on_served(request,
-        #: latency)`` right after a request's end-to-end latency is
-        #: recorded.  Pure accounting — it cannot influence scheduling —
-        #: used by :mod:`repro.workloads.runner` for per-tenant
-        #: attribution.
-        self.on_served: Callable[[Request, float], None] | None = None
         self._metrics_published = False
         # Queue samples are timestamped with the *arrival clock*, not a
         # device's busy time: occupancy over virtual time is the curve an
@@ -219,7 +213,6 @@ class ServiceEngine(RequestCore):
         shard_busy_times = stack.shard_busy_times
         telemetry = self.telemetry
         sample_every = self.queue_sample_every if telemetry is not None else 0
-        on_served = self.on_served
         served = 0
         before = shard_busy_times()
         for request in requests:
@@ -241,8 +234,6 @@ class ServiceEngine(RequestCore):
                         completion = done
             before = after
             overall.observe(completion - arrival)
-            if on_served is not None:
-                on_served(request, completion - arrival)
             served += 1
             if sample_every and served % sample_every == 0:
                 self._sample_queues(arrival)

@@ -11,11 +11,12 @@ the landing bucket, clamped to the observed range.  Mean and worst-case
 latency are therefore precise; only the interior quantiles are
 interpolated (to within one bucket's ~33 % width).
 
-Every published percentile — the service result, the per-tenant
-summaries, ``bench/``'s ``sim_p50_ms``/``sim_p99_ms`` — comes from
-:meth:`~repro.obs.metrics.Histogram.quantile`.  The metrics registry
-receives the same histograms by exact merge and exports their *buckets*;
-Prometheus computes its own ``histogram_quantile`` from those.
+Every published percentile — the service result's overall and
+per-channel summaries, ``bench/``'s ``sim_p50_ms``/``sim_p99_ms`` —
+comes from :meth:`~repro.obs.metrics.Histogram.quantile`.  The metrics
+registry receives the same histograms by exact merge and exports their
+*buckets*; Prometheus computes its own ``histogram_quantile`` from
+those.
 """
 
 from __future__ import annotations

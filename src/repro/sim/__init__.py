@@ -20,16 +20,11 @@ from repro.sim.experiment import (
 from repro.sim.metrics import (
     SECONDS_PER_YEAR,
     EraseDistribution,
-    TenantUsage,
     first_failure_years,
     improvement_ratio,
     increased_ratio,
 )
-from repro.sim.reporting import (
-    endurance_markdown_report,
-    markdown_report,
-    tenant_attribution_table,
-)
+from repro.sim.reporting import endurance_markdown_report, markdown_report
 
 __all__ = [
     "DEFAULT_REQUEST_CAP",
@@ -39,7 +34,6 @@ __all__ = [
     "SimResult",
     "Simulator",
     "StopCondition",
-    "TenantUsage",
     "WearSample",
     "endurance_markdown_report",
     "first_failure_years",
@@ -50,6 +44,5 @@ __all__ = [
     "run_fixed_horizon",
     "run_matrix",
     "run_until_first_failure",
-    "tenant_attribution_table",
     "workload_params_for",
 ]

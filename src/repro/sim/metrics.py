@@ -306,49 +306,6 @@ class WearAccumulator:
         )
 
 
-@dataclass
-class TenantUsage:
-    """Per-tenant resource attribution over one multi-tenant run.
-
-    Filled by the runners in :mod:`repro.workloads.runner` by diffing
-    the backend's counters around every request application, so GC and
-    SWL work triggered by a request is charged to the tenant that
-    issued it.  Because every request is applied on behalf of exactly
-    one tenant, the **conservation invariant** holds by construction:
-    summing any field over all tenants reproduces the device total
-    (asserted by the tenant-attribution tests and the CI scale gate).
-    """
-
-    name: str
-    requests: int = 0
-    pages_written: int = 0
-    pages_read: int = 0
-    erases: int = 0
-    busy_time: float = 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "requests": self.requests,
-            "pages_written": self.pages_written,
-            "pages_read": self.pages_read,
-            "erases": self.erases,
-            "busy_time": self.busy_time,
-        }
-
-    @staticmethod
-    def totals(tenants: Sequence["TenantUsage"]) -> "TenantUsage":
-        """Field-wise sum — the device-side of the conservation check."""
-        total = TenantUsage(name="total")
-        for tenant in tenants:
-            total.requests += tenant.requests
-            total.pages_written += tenant.pages_written
-            total.pages_read += tenant.pages_read
-            total.erases += tenant.erases
-            total.busy_time += tenant.busy_time
-        return total
-
-
 def first_failure_years(sim_time: Optional[float]) -> Optional[float]:
     """Convert a simulated first-failure instant to years (Figure 5 y-axis)."""
     if sim_time is None:

@@ -26,7 +26,6 @@ if TYPE_CHECKING:
     from repro.fault.campaign import FaultCampaignResult
     from repro.service.latency import LatencySummary
     from repro.service.results import ServiceResult
-    from repro.sim.metrics import TenantUsage
 
 
 def _gain(value: float | None, base: float | None) -> str:
@@ -426,48 +425,12 @@ def endurance_table(
     )
 
 
-def tenant_attribution_table(
-    tenants: "Sequence[TenantUsage]",
-    replay: SimResult,
-    *,
-    title: str | None = None,
-) -> Table:
-    """Per-tenant usage rows plus the device-total row they must sum to.
-
-    The final row restates the device's own counters; the conservation
-    invariant (DESIGN.md §5h) says each column above it sums exactly to
-    that row.
-    """
-    rows: list[list[object]] = [
-        [tenant.name, tenant.requests, tenant.pages_written,
-         tenant.pages_read, tenant.erases, f"{tenant.busy_time:.3f}"]
-        for tenant in tenants
-    ]
-    rows.append(
-        ["**device**", replay.requests, replay.pages_written,
-         replay.pages_read, replay.total_erases,
-         f"{replay.device_busy_time:.3f}"]
-    )
-    return Table(
-        ["Tenant", "Requests", "Pages written", "Pages read",
-         "Erases", "Busy time (s)"],
-        rows,
-        title,
-    )
-
-
 def endurance_markdown_report(
     results: "Sequence[EnduranceCellResult]",
     *,
     title: str = "Endurance projection report",
-    tenants: "Sequence[TenantUsage] | None" = None,
-    tenant_replay: SimResult | None = None,
 ) -> str:
-    """Render endurance-matrix cells as a markdown document.
-
-    ``tenants`` (with the ``tenant_replay`` that produced them) appends a
-    per-tenant wear attribution section.
-    """
+    """Render endurance-matrix cells as a markdown document."""
     blocks = [
         "Projections extrapolate each cell's measured erase rates to the "
         "geometry's P/E-cycle budget (WAF-aware chokepoint: "
@@ -476,13 +439,4 @@ def endurance_markdown_report(
         "budget at the measured skew.",
         endurance_table(results).markdown(),
     ]
-    if tenants is not None:
-        if tenant_replay is None:
-            raise ValueError("tenants need the replay that produced them")
-        blocks += [
-            "## Per-tenant wear attribution",
-            "Each column sums exactly to the device row (conservation "
-            "invariant).",
-            tenant_attribution_table(tenants, tenant_replay).markdown(),
-        ]
     return markdown_document(title, blocks)

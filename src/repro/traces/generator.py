@@ -57,9 +57,9 @@ request stream (:meth:`WorkloadShape.iter_requests`):
 * :class:`MixedWorkload` — uniform placement with a configurable
   read/write ratio (the default through :func:`make_shape` is 50/50).
 * :class:`PhaseShiftingWorkload` — a Zipf hot set that *migrates* on a
-  configurable period, modeling tenant churn and working-set drift; the
-  stress case for a static wear leveler, whose cold blocks keep turning
-  hot.
+  configurable period, modeling application churn and working-set
+  drift; the stress case for a static wear leveler, whose cold blocks
+  keep turning hot.
 
 Every shape draws from its own ``spawn_rng(make_rng(seed),
 "workload:<name>")`` stream — a sibling of the ``"leveler"``,

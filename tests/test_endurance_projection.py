@@ -9,7 +9,6 @@ import pytest
 from repro.cli import main
 from repro.core.config import SWLConfig
 from repro.endurance import (
-    EnduranceCell,
     endurance_cells,
     first_failure_horizon,
     project_endurance,
@@ -18,7 +17,7 @@ from repro.endurance import (
 from repro.sim.engine import Simulator
 from repro.sim.experiment import ExperimentSpec, scaled_mlc2_geometry
 from repro.sim.reporting import endurance_markdown_report
-from repro.workloads import ShapeParams, make_shape
+from repro.traces.generator import ShapeParams, make_shape
 
 
 def small_spec(**overrides):
@@ -184,15 +183,10 @@ class TestEndureCli:
         status = main([
             "endure", "--driver", "ftl", "--blocks", "16", "--scale", "100",
             "--shapes", "hotspot", "mixed", "--horizon-days", "0.02",
-            "--channels", "2", "--tenants", "3", "--tenant-requests", "2000",
-            "--seed", "7", "--report", str(report),
+            "--channels", "2", "--seed", "7", "--report", str(report),
         ])
         assert status == 0
         out = capsys.readouterr().out
         assert "Endurance projections" in out
         assert "hotspot×FTL" in out
-        assert "Per-tenant attribution" in out
-        assert "conservation: per-tenant sums equal device totals" in out
-        text = report.read_text()
-        assert "Per-tenant wear attribution" in text
-        assert "**device**" in text
+        assert "Days @ 1 DWPD" in report.read_text()

@@ -42,7 +42,6 @@ class TestExampleScripts:
             "crash_recovery.py",
             "mlc_vs_slc.py",
             "workload_comparison.py",
-            "multi_tenant_endurance.py",
         }
         present = {path.name for path in EXAMPLES_DIR.glob("*.py")}
         assert expected <= present

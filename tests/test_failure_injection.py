@@ -10,7 +10,6 @@ import pytest
 from repro.core.bet import BetStore, BlockErasingTable
 from repro.core.config import SWLConfig
 from repro.flash.chip import NandFlash
-from repro.flash.errors import OutOfSpaceError
 from repro.flash.geometry import FlashGeometry
 from repro.flash.mtd import MtdDevice
 from repro.ftl.factory import build_stack, make_layer

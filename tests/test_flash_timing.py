@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.flash.geometry import CellType, FlashGeometry
-from repro.flash.mtd import MtdDevice
 from repro.flash.timing import (
     MLC2_TIMING,
     SLC_TIMING,

@@ -7,7 +7,6 @@ import random
 
 import pytest
 
-from repro.core.config import SWLConfig
 from repro.fault.injector import FaultInjector
 from repro.fault.plan import FaultPlan
 from repro.flash.chip import NandFlash

@@ -1,11 +1,11 @@
 """Property tests: histogram quantiles versus two oracles.
 
 :meth:`Histogram.quantile` is the one estimator behind every published
-percentile (service results, tenant summaries, the benchmark's
-``sim_p50_ms``/``sim_p99_ms``), so it must give *exactly* what the
-latency-only histogram it replaced gave.  :class:`ReferenceLatencyHistogram`
-keeps that histogram's binning and estimator verbatim, and the first
-property compares the two with ``==``.
+percentile (service results, per channel and end to end, and the
+benchmark's ``sim_p50_ms``/``sim_p99_ms``), so it must give *exactly*
+what the latency-only histogram it replaced gave.
+:class:`ReferenceLatencyHistogram` keeps that histogram's binning and
+estimator verbatim, and the first property compares the two with ``==``.
 
 The estimate interpolates within geometric buckets (eight per decade),
 so it may differ from the exact sorted sample — but never by more than

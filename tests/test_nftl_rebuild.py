@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.flash.chip import NandFlash

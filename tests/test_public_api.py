@@ -255,8 +255,8 @@ class TestEveryModuleIsReached:
         "``**heatmap_kwargs(telemetry)``",
         "ServiceEngine.heatmap_bins": "set through "
         "``**heatmap_kwargs(telemetry)``",
-        "ServiceEngine.telemetry": "relayed by run_service_soak and the "
-        "tenant runner from the CLI's --telemetry",
+        "ServiceEngine.telemetry": "relayed by run_service_soak from the "
+        "CLI's --telemetry",
         "build_array.fault_plan": "the fault-plan path (ROADMAP item 1), "
         "relayed by ExperimentSpec.build",
         "WorkloadParams.cold_write_period": "tests/test_traces.py "

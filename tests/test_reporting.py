@@ -147,13 +147,13 @@ class TestConsoleMatchesReport:
           *TINY], 2),
         (["serve", "--compare", "--thresholds", "10", "--channels", "2",
           "--requests", "500", "--days", "0.02", *TINY], 3),
-        (["endure", "--driver", "ftl", "--shapes", "hotspot", "--tenants", "2",
-          "--horizon-days", "0.02", "--tenant-requests", "1000", *TINY], 2),
+        (["endure", "--driver", "ftl", "--shapes", "hotspot",
+          "--horizon-days", "0.02", *TINY], 1),
         (["faults", "--soak-writes", "200", "--loss-points", "2", *TINY], 2),
         (["arena", "--levelers", "baseline", "swl", "--workloads", "hotspot",
           "--horizon-days", "0.02", "--service-requests", "200", "--no-faults",
           *TINY], 1),
-    ], ids=["sweep", "sweep-resume", "serve-compare", "endure-tenants",
+    ], ids=["sweep", "sweep-resume", "serve-compare", "endure",
             "faults", "arena"])
     def test_console_tables_are_the_report_tables(
         self, argv, tables, tmp_path, capsys, request

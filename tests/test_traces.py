@@ -15,7 +15,6 @@ from repro.ckpt.runner import trace_digest
 from repro.traces.extend import SegmentResampler
 from repro.traces.generator import (
     DAY,
-    MONTH,
     MobilePCWorkload,
     Temperature,
     WorkloadParams,
@@ -121,6 +120,7 @@ class TestWorkloadParams:
             {"write_rate": 0},
             {"cold_write_period": 0},
         ],
+        ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()),
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -15,17 +15,15 @@ from repro.sim.experiment import (
 )
 from repro.traces.generator import (
     MAX_REQUEST_SECTORS,
-    MobilePCWorkload,
-    WorkloadParams,
-)
-from repro.traces.model import Op, Request, Trace
-from repro.workloads import (
     SHAPE_NAMES,
+    MobilePCWorkload,
     PhaseShiftingWorkload,
     SequentialStreamWorkload,
     ShapeParams,
+    WorkloadParams,
     make_shape,
 )
+from repro.traces.model import Op, Request, Trace
 
 SECTORS = 4096
 
