@@ -28,10 +28,9 @@ bench-quick:
 bench-trajectory:
 	PYTHONPATH=src $(PYTHON) benchmarks/perf_trajectory.py
 
-# Hot-path microbenches + fixed-seed golden replay check.
+# Hot-path microbenches (the golden replay is tier-1's replay/hotpath).
 bench-hotpath:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_hotpath.py
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_hotpath.py --check-golden
 
 # Alternated parent/change pairs of whole-stack workloads, e.g.
 #   make bench-pairs PARENT=/root/scratch/parent WORKLOAD=hotspot_swl_nftl_1ch

@@ -14,41 +14,32 @@ from __future__ import annotations
 
 from benchmarks.conftest import SEED, THRESHOLDS, BenchSetup, report
 from repro.analysis.memory import bet_size_bytes
-from repro.core.alternatives import DualPoolLeveler
-from repro.core.config import SWLConfig
-from repro.sim.engine import Simulator, StopCondition
+from repro.core.policies import LevelerSpec
 from repro.sim.experiment import ExperimentSpec, run_until_first_failure
-from repro.traces.extend import SegmentResampler
-from repro.util.rng import make_rng, spawn_rng
 from repro.util.tables import format_table
 
 
 def _run_dual_pool(setup: BenchSetup):
-    spec = ExperimentSpec("nftl", setup.geometry, None, seed=SEED)
-    stack = spec.build()
-    leveler = DualPoolLeveler(
-        stack.flash.erase_counts, stack.layer,
-        delta=setup.geometry.endurance // 20, check_period=64,
+    """The counter-based cell's first failure, and its controller RAM."""
+    counters = LevelerSpec(
+        kind="dual-pool", delta=setup.geometry.endurance // 20,
+        check_period=64,
     )
-    stack.layer.attach_leveler(leveler)
-    simulator = Simulator(stack, skip_reads=True)
-    for request in setup.warmup:
-        simulator.apply(request)
-    rng = spawn_rng(make_rng(SEED), "resampler")
-    endless = SegmentResampler(setup.base_trace, rng=rng)
-    stop = StopCondition(until_first_failure=True, max_requests=100_000_000)
-    result = simulator.run(endless.iter_requests(), stop, label="NFTL+counters")
-    return result, leveler
+    spec = ExperimentSpec("nftl", setup.geometry, counters, seed=SEED)
+    result = run_until_first_failure(
+        spec, setup.base_trace, warmup=setup.warmup
+    )
+    return result, spec.build().leveler.ram_bytes
 
 
 def test_ablation_mechanism_comparison(bench_setup, matrix, benchmark):
     def comparison():
         baseline = matrix.first_failure("nftl", None)
         bet_result = matrix.first_failure("nftl", (0, THRESHOLDS[0]))
-        counter_result, counter_leveler = _run_dual_pool(bench_setup)
-        return baseline, bet_result, counter_result, counter_leveler
+        counter_result, counter_ram = _run_dual_pool(bench_setup)
+        return baseline, bet_result, counter_result, counter_ram
 
-    baseline, bet_result, counter_result, counter_leveler = benchmark.pedantic(
+    baseline, bet_result, counter_result, counter_ram = benchmark.pedantic(
         comparison, rounds=1, iterations=1
     )
     num_blocks = bench_setup.geometry.num_blocks
@@ -65,7 +56,7 @@ def test_ablation_mechanism_comparison(bench_setup, matrix, benchmark):
         row(f"BET SW Leveler (k=0, T={THRESHOLDS[0]})",
             f"{bet_size_bytes(num_blocks, 0)}B", bet_result),
         row("Counter-based (Ban-style)",
-            f"{counter_leveler.ram_bytes}B", counter_result),
+            f"{counter_ram}B", counter_result),
     ]
     report("ablation_mechanism", format_table(
         ["Mechanism", "Controller RAM", "First failure (y)",
@@ -77,4 +68,4 @@ def test_ablation_mechanism_comparison(bench_setup, matrix, benchmark):
     assert bet_result.first_failure_years > baseline.first_failure_years * 1.3
     assert counter_result.first_failure_years > baseline.first_failure_years * 1.3
     # ...but the BET does it in a fraction of the RAM (the paper's claim).
-    assert bet_size_bytes(num_blocks, 0) * 8 <= counter_leveler.ram_bytes
+    assert bet_size_bytes(num_blocks, 0) * 8 <= counter_ram

@@ -1,30 +1,25 @@
-"""Hot-path microbenchmarks and fixed-seed golden replay check.
+"""Hot-path microbenchmarks and the fixed-seed golden replay.
 
-Two jobs, both about the wear-accounting hot path (word-level
-``BitArray``, incremental ``WearAccumulator``, batched page spans):
+Both about the wear-accounting hot path (word-level ``BitArray``,
+incremental ``WearAccumulator``, batched page spans):
 
 * **Microbenchmarks** — time the rewritten operations against the
   pre-rewrite reference implementations (embedded below, so before and
   after are measured in one process on one machine) and an end-to-end
   replay.  Results merge into ``BENCH_PR.json`` under ``"hotpath"``.
-* **Golden replay check** — replay a tiny fixed-seed trace and hash the
-  full ``SimResult.as_dict()`` (plus the sampled timeline and heatmaps).
-  ``--check-golden`` fails when the hash drifts from the committed
-  ``benchmarks/golden_hotpath.json``; the CI bench-smoke job runs it so
-  any change to the accounting hot path that alters replayed results is
-  caught at review time, not in a downstream experiment.
+* **Golden replay** — :func:`golden_replay` replays a tiny fixed-seed
+  trace; ``tests/goldens.json`` pins the hash of both drivers' full
+  results (``replay/hotpath``, checked by ``tests/test_goldens.py``), so
+  any change to the accounting hot path that alters replayed results
+  fails tier-1.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_hotpath.py                # bench + BENCH_PR.json
-    PYTHONPATH=src python benchmarks/bench_hotpath.py --check-golden
-    PYTHONPATH=src python benchmarks/bench_hotpath.py --update-golden
+    PYTHONPATH=src python benchmarks/bench_hotpath.py    # bench + BENCH_PR.json
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import json
 import random
 import sys
@@ -44,7 +39,6 @@ from repro.traces.generator import MobilePCWorkload
 from repro.util.bitarray import BitArray
 from repro.util.rng import make_rng, spawn_rng
 
-GOLDEN_PATH = Path(__file__).resolve().parent / "golden_hotpath.json"
 BENCH_PR_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR.json"
 
 #: Golden replay knobs: tiny geometry, ~seconds of wall clock.
@@ -188,7 +182,7 @@ def bench_take_sample() -> dict[str, object]:
 def bench_replay() -> dict[str, object]:
     """End-to-end req/s on the golden configuration (sampling enabled, so
     the run exercises the batched page spans and the O(1) sampling)."""
-    result, elapsed = _golden_replay("ftl")
+    result, elapsed = golden_replay("ftl")
     return {
         "requests": result.requests,
         "wall_s": round(elapsed, 3),
@@ -199,11 +193,12 @@ def bench_replay() -> dict[str, object]:
 # ----------------------------------------------------------------------
 # Golden replay
 # ----------------------------------------------------------------------
-def _golden_replay(driver: str, swl=None):
+def golden_replay(driver: str):
+    """The fixed-seed replay of ``driver``, and its wall-clock seconds."""
     geometry = scaled_mlc2_geometry(GOLDEN_BLOCKS, scale=GOLDEN_SCALE)
-    if swl is None:
-        swl = SWLConfig(threshold=100, k=0)
-    spec = ExperimentSpec(driver, geometry, swl, seed=GOLDEN_SEED)
+    spec = ExperimentSpec(
+        driver, geometry, SWLConfig(threshold=100, k=0), seed=GOLDEN_SEED
+    )
     params = workload_params_for(
         spec, duration=GOLDEN_HORIZON, seed=GOLDEN_SEED + 1
     )
@@ -226,68 +221,6 @@ def _golden_replay(driver: str, swl=None):
         label=spec.label(),
     )
     return result, time.perf_counter() - start
-
-
-def golden_digest(swl=None) -> dict[str, object]:
-    """Replay both drivers and hash everything the engine reports.
-
-    ``swl`` substitutes the leveler configuration (default: the classic
-    ``SWLConfig``); the scale gate passes ``LevelerSpec(kind="swl")`` to
-    prove the registry path replays the very same digest.
-    """
-    payload: dict[str, object] = {}
-    for driver in ("ftl", "nftl"):
-        result, _ = _golden_replay(driver, swl=swl)
-        payload[driver] = {
-            "as_dict": result.as_dict(),
-            "timeline": [
-                [s.time, s.average, s.deviation, s.maximum, s.total_erases]
-                for s in result.timeline
-            ],
-            "heatmaps": [h.as_dict() for h in result.heatmaps],
-        }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return {
-        "schema": 1,
-        "config": {
-            "blocks": GOLDEN_BLOCKS,
-            "scale": GOLDEN_SCALE,
-            "horizon_s": GOLDEN_HORIZON,
-            "seed": GOLDEN_SEED,
-        },
-        "result_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
-    }
-
-
-def check_golden() -> int:
-    if not GOLDEN_PATH.exists():
-        print(f"no golden at {GOLDEN_PATH}; run --update-golden first")
-        return 2
-    committed = json.loads(GOLDEN_PATH.read_text())
-    current = golden_digest()
-    if current["config"] != committed.get("config"):
-        print("golden config mismatch; regenerate with --update-golden")
-        print(f"  committed: {committed.get('config')}")
-        print(f"  current:   {current['config']}")
-        return 2
-    if current["result_sha256"] != committed.get("result_sha256"):
-        print("FAIL: replayed results drifted from the committed golden")
-        print(f"  committed: {committed.get('result_sha256')}")
-        print(f"  current:   {current['result_sha256']}")
-        print(
-            "If the drift is intentional (a documented behaviour change), "
-            "refresh with --update-golden and explain it in the PR."
-        )
-        return 1
-    print(f"golden OK ({current['result_sha256'][:16]}…)")
-    return 0
-
-
-def update_golden() -> int:
-    digest = golden_digest()
-    GOLDEN_PATH.write_text(json.dumps(digest, indent=2) + "\n")
-    print(f"wrote {GOLDEN_PATH} ({digest['result_sha256'][:16]}…)")
-    return 0
 
 
 # ----------------------------------------------------------------------
@@ -316,24 +249,5 @@ def run_benches() -> int:
     return 0
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--check-golden", action="store_true",
-        help="verify the fixed-seed replay hash against the committed golden",
-    )
-    group.add_argument(
-        "--update-golden", action="store_true",
-        help="regenerate benchmarks/golden_hotpath.json",
-    )
-    args = parser.parse_args(argv[1:])
-    if args.check_golden:
-        return check_golden()
-    if args.update_golden:
-        return update_golden()
-    return run_benches()
-
-
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(run_benches())

@@ -16,14 +16,7 @@ build (DESIGN.md §5f):
   and reporting pool overhead as a regression would be dishonest;
 * **service mode** — a short open-loop soak through the service engine
   must serve every request and report finite, ordered latency
-  percentiles overall and per channel (DESIGN.md §5g);
-* **replay golden hash** — the closed-loop replay digest must match the
-  committed golden (``benchmarks/golden_hotpath.json``): the service
-  refactor must never perturb replay results;
-* **arena registry identity** — the same golden replay driven through
-  ``LevelerSpec(kind="swl")`` (the policy arena's paper-SWL cell) must
-  produce the identical digest: the leveler registry is an indirection,
-  not a behaviour change.
+  percentiles overall and per channel (DESIGN.md §5g).
 
 The thresholds are deliberately loose (the full-precision trajectory
 point lives in ``BENCH_PR.json`` via ``make bench-trajectory``): this
@@ -42,7 +35,6 @@ import math
 import os
 import sys
 import time
-from pathlib import Path
 
 from repro.core.config import SWLConfig
 from repro.obs.telemetry import Telemetry
@@ -210,63 +202,8 @@ def gate_service() -> list[str]:
     return failures
 
 
-def gate_replay_golden() -> list[str]:
-    """The committed golden replay hash must survive the service refactor."""
-    sys.path.insert(
-        0, str(Path(__file__).resolve().parent.parent / "benchmarks")
-    )
-    from bench_hotpath import check_golden
-
-    if check_golden() != 0:
-        return ["closed-loop replay digest drifted from the committed "
-                "golden (benchmarks/golden_hotpath.json)"]
-    return []
-
-
-def gate_arena() -> list[str]:
-    """The arena's paper-SWL cell replays the classic stack bit for bit.
-
-    The policy arena drives its roster through ``LevelerSpec``; this gate
-    re-runs the golden replay with ``LevelerSpec(kind="swl")`` standing
-    in for ``SWLConfig`` and requires the digest to equal the committed
-    golden (``benchmarks/golden_hotpath.json``) — the registry must be a
-    zero-cost indirection for the paper's mechanism, never a behaviour
-    change.
-    """
-    import json
-
-    sys.path.insert(
-        0, str(Path(__file__).resolve().parent.parent / "benchmarks")
-    )
-    from bench_hotpath import GOLDEN_PATH, golden_digest
-
-    from repro.core.policies import LevelerSpec
-
-    committed = json.loads(GOLDEN_PATH.read_text())
-    current = golden_digest(swl=LevelerSpec(kind="swl", threshold=100, k=0))
-    if current["result_sha256"] != committed.get("result_sha256"):
-        return [
-            "arena LevelerSpec(kind='swl') replay digest "
-            f"{current['result_sha256'][:16]}… drifted from the committed "
-            f"golden {str(committed.get('result_sha256'))[:16]}… — the "
-            "registry's paper-SWL cell is no longer bit-identical to the "
-            "classic SWLConfig stack"
-        ]
-    print(
-        "arena: LevelerSpec(kind='swl') replay digest matches the "
-        f"committed golden ({current['result_sha256'][:16]}…)"
-    )
-    return []
-
-
 def main() -> int:
-    failures = (
-        gate_telemetry()
-        + gate_parallel_sweep()
-        + gate_service()
-        + gate_replay_golden()
-        + gate_arena()
-    )
+    failures = gate_telemetry() + gate_parallel_sweep() + gate_service()
     if failures:
         for failure in failures:
             print(f"SCALE GATE FAILURE: {failure}", file=sys.stderr)

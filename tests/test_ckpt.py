@@ -1,14 +1,14 @@
 """Checkpoint/restore: image format, resumable replay, round-trip laws.
 
-The heart of this suite is the golden-hash pair: an uninterrupted
-fixed-seed replay and one interrupted at a mid-run checkpoint and resumed
-must both produce a ``SimResult.as_dict`` that hashes to the same
-committed constant — the bit-identity contract of :mod:`repro.ckpt`.
+The heart of this suite is the golden-hash pair: a fixed-seed replay
+that writes checkpoints along the way, and one interrupted at a mid-run
+checkpoint and resumed, must both produce a ``SimResult.as_dict`` that
+hashes to the uninterrupted replay's ``replay/ckpt`` entry of
+``tests/goldens.json`` — the bit-identity contract of :mod:`repro.ckpt`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import replace
 from typing import Callable
@@ -38,18 +38,10 @@ from repro.sim.experiment import (
     ExperimentSpec,
     run_replay,
     scaled_mlc2_geometry,
-    workload_params_for,
 )
 from repro.traces.extend import SegmentResampler
-from repro.traces.generator import MobilePCWorkload
 from repro.util.rng import make_rng, spawn_rng
-
-#: SHA-256 of the canonical ``SimResult.as_dict`` JSON of the golden
-#: configuration below.  Any change to replay semantics that moves this
-#: hash is a reproducibility break and must be deliberate.
-GOLDEN_SHA256 = (
-    "0b4613179265a40590cfe4f5123c2ee5db75b49fb3e5a886aa94c3f09b36e282"
-)
+from tests.test_goldens import ckpt_spec, ckpt_trace, recorded, result_sha256
 
 
 class ReplayInterrupted(RuntimeError):
@@ -69,27 +61,9 @@ def interrupt_after(count: int) -> Callable[[int], None]:
     return observer
 
 
-def golden_spec() -> ExperimentSpec:
-    return ExperimentSpec(
-        "ftl",
-        scaled_mlc2_geometry(32, scale=100),
-        SWLConfig(enabled=True, threshold=10, k=0),
-        seed=7,
-    )
-
-
 @pytest.fixture(scope="module")
 def golden_trace():
-    spec = golden_spec()
-    params = workload_params_for(spec, duration=1200.0, seed=3)
-    return MobilePCWorkload(params).requests()
-
-
-def result_sha256(result) -> str:
-    blob = json.dumps(
-        result.as_dict(), sort_keys=True, separators=(",", ":")
-    ).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return ckpt_trace()
 
 
 # ----------------------------------------------------------------------
@@ -178,17 +152,13 @@ class TestImage:
 # Resumable replay: the golden-hash bit-identity contract
 # ----------------------------------------------------------------------
 class TestGoldenResume:
-    def test_uninterrupted_matches_golden_hash(self, golden_trace):
-        result = run_replay(golden_spec(), golden_trace)
-        assert result_sha256(result) == GOLDEN_SHA256
-
     def test_checkpointing_changes_nothing(self, golden_trace, tmp_path):
         result = run_replay(
-            golden_spec(),
+            ckpt_spec(),
             golden_trace,
             checkpoint=CheckpointPolicy(tmp_path / "c.ckpt", every_requests=20_000),
         )
-        assert result_sha256(result) == GOLDEN_SHA256
+        assert result_sha256(result) == recorded()["replay/ckpt"]
 
     def test_interrupted_and_resumed_matches_golden_hash(
         self, golden_trace, tmp_path
@@ -196,21 +166,21 @@ class TestGoldenResume:
         path = tmp_path / "c.ckpt"
         with pytest.raises(ReplayInterrupted):
             run_replay(
-                golden_spec(),
+                ckpt_spec(),
                 golden_trace,
                 checkpoint=CheckpointPolicy(
                     path, every_requests=10_000, on_checkpoint=interrupt_after(4)
                 ),
             )
-        resumed = run_replay(golden_spec(), golden_trace, resume_from=path)
-        assert result_sha256(resumed) == GOLDEN_SHA256
+        resumed = run_replay(ckpt_spec(), golden_trace, resume_from=path)
+        assert result_sha256(resumed) == recorded()["replay/ckpt"]
 
     def test_matches_plain_runner(self, golden_trace, tmp_path):
         # Every stop criterion of Simulator.run, plus a scheduled power
         # loss, once without and once with images written along the way.
         # The power-loss case's reference is a replay built by hand, not
         # by run_replay.
-        spec = golden_spec()
+        spec = ckpt_spec()
         plan = FaultPlan(seed=5, power_loss_at=(60_000,))
 
         def hand_built_power_loss():
@@ -261,7 +231,7 @@ class TestGoldenResume:
 
         monkeypatch.setattr(runner_module, "write_image", recording_write_image)
         run_replay(
-            golden_spec(), golden_trace, request_cap=20_000,
+            ckpt_spec(), golden_trace, request_cap=20_000,
             checkpoint=CheckpointPolicy(
                 path, every_requests=3_000, on_checkpoint=observer
             ),
@@ -273,11 +243,11 @@ class TestGoldenResume:
         path = tmp_path / "c.ckpt"
         with pytest.raises(ReplayInterrupted):
             run_replay(
-                golden_spec(),
+                ckpt_spec(),
                 golden_trace,
                 checkpoint=CheckpointPolicy(path, on_checkpoint=interrupt_after(1)),
             )
-        other = replace(golden_spec(), seed=8)
+        other = replace(ckpt_spec(), seed=8)
         with pytest.raises(CheckpointMismatchError):
             run_replay(other, golden_trace, resume_from=path)
 
@@ -287,7 +257,7 @@ class TestGoldenResume:
         # One fingerprint shape: the config's two names write and accept
         # the same image, and any other kind or knob is still refused.
         def spec_with(swl):
-            return replace(golden_spec(), swl=swl)
+            return replace(ckpt_spec(), swl=swl)
 
         path = tmp_path / "c.ckpt"
         with pytest.raises(ReplayInterrupted):
@@ -319,25 +289,25 @@ class TestGoldenResume:
         path = tmp_path / "c.ckpt"
         with pytest.raises(ReplayInterrupted):
             run_replay(
-                golden_spec(),
+                ckpt_spec(),
                 golden_trace,
                 checkpoint=CheckpointPolicy(path, on_checkpoint=interrupt_after(1)),
             )
         with pytest.raises(CheckpointMismatchError):
             run_replay(
-                golden_spec(), golden_trace, horizon=3600.0, resume_from=path
+                ckpt_spec(), golden_trace, horizon=3600.0, resume_from=path
             )
 
     def test_resume_rejects_wrong_trace(self, golden_trace, tmp_path):
         path = tmp_path / "c.ckpt"
         with pytest.raises(ReplayInterrupted):
             run_replay(
-                golden_spec(),
+                ckpt_spec(),
                 golden_trace,
                 checkpoint=CheckpointPolicy(path, on_checkpoint=interrupt_after(1)),
             )
         with pytest.raises(CheckpointMismatchError):
-            run_replay(golden_spec(), golden_trace[:-1], resume_from=path)
+            run_replay(ckpt_spec(), golden_trace[:-1], resume_from=path)
 
 
 # ----------------------------------------------------------------------
@@ -404,7 +374,7 @@ class TestPowerLossRestore:
         # End-to-end via the runner: a replay whose fault plan schedules a
         # power loss, interrupted at a checkpoint before the loss and
         # resumed, reports the identical (power-lost) result.
-        spec = golden_spec()
+        spec = ckpt_spec()
         plan = FaultPlan(seed=5, power_loss_at=(60_000,))
         clean = run_replay(spec, golden_trace, fault_plan=plan)
         assert clean.power_lost
@@ -424,49 +394,6 @@ class TestPowerLossRestore:
         )
         assert resumed.power_lost
         assert resumed.as_dict() == clean.as_dict()
-
-
-# ----------------------------------------------------------------------
-# ExperimentSpec.build(fault_plan=...): the one assembler, with faults
-# ----------------------------------------------------------------------
-#: channels -> (per-shard injector seeds, SHA-256 of the backend snapshot
-#: after the soak below), recorded at 13b1132 from the since-deleted
-#: ``ckpt.runner.build_spec_backend(spec, fault_plan=plan)``.  Re-recorded
-#: when the leveler snapshot lost its ``"trigger"`` entry: that image with
-#: ``["leveler"]["trigger"]`` deleted from every shard re-encodes to these.
-FAULTED_BUILD_AT_PARENT = {
-    1: (
-        [5],
-        "3ff97d40b1fae0bb02c4bed3cd99da459e4bdc54db14de18763f019db3f91a3b",
-    ),
-    4: (
-        [15053214346108, 28987656475469, 152943799649869, 36369190668883],
-        "8a4a20ee183340dc50d912ac3973bfb5b56138605224278ddb4e64e1f8a4d00b",
-    ),
-}
-
-
-@pytest.mark.parametrize("channels", sorted(FAULTED_BUILD_AT_PARENT))
-def test_build_with_fault_plan_matches_the_deleted_assembler(channels):
-    seeds, digest = FAULTED_BUILD_AT_PARENT[channels]
-    plan = FaultPlan(seed=5, erase_fail_prob=0.05, program_fail_prob=0.0003)
-    spec = ExperimentSpec(
-        "ftl",
-        scaled_mlc2_geometry(32, scale=100),
-        SWLConfig(threshold=8, k=1),
-        seed=21,
-        channels=channels,
-    )
-    backend = spec.build(fault_plan=plan)
-    shards = getattr(backend, "shards", [backend])
-    assert [shard.flash.injector.plan.seed for shard in shards] == seeds
-    pages = backend.num_logical_pages
-    rng = make_rng(9)
-    for _ in range(6000):
-        backend.write_pages([rng.randrange(pages)])
-    assert backend.fault_stats()["program_faults"] > 0
-    snapshot = encode_payload(backend.snapshot_state())
-    assert hashlib.sha256(snapshot).hexdigest() == digest
 
 
 # ----------------------------------------------------------------------

@@ -242,15 +242,13 @@ class TestEveryModuleIsReached:
     KEPT_KEYWORDS = {
         "LevelerSpec.selection": "the paper's Section 3.3 claim, run by "
         "benchmarks/bench_ablation_selection.py through its own parameter",
-        "LevelerSpec.delta": "a challenger knob the arena roster leaves "
-        "at its default; the registry validates and labels it",
-        "LevelerSpec.check_period": "a challenger knob, as delta",
-        "LevelerSpec.batch": "a challenger knob, as delta",
-        "LevelerSpec.cache_pages": "a challenger knob, as delta",
-        "LevelerSpec.period_requests": "a challenger knob, as delta",
-        "LevelerSpec.span_blocks": "a challenger knob, as delta",
-        "ServiceEngine.queue_sample_every": "tests/test_obs_golden.py pins "
-        "its queue-depth events at 100",
+        "LevelerSpec.batch": "a challenger knob the arena roster leaves "
+        "at its default; the registry validates it",
+        "LevelerSpec.cache_pages": "a challenger knob, as batch",
+        "LevelerSpec.period_requests": "a challenger knob, as batch",
+        "LevelerSpec.span_blocks": "a challenger knob, as batch",
+        "ServiceEngine.queue_sample_every": "the obs/nftl_4ch_service golden "
+        "pins its queue-depth events at 100",
         "ServiceEngine.heatmap_interval": "set through "
         "``**heatmap_kwargs(telemetry)``",
         "ServiceEngine.heatmap_bins": "set through "
@@ -259,8 +257,8 @@ class TestEveryModuleIsReached:
         "CLI's --telemetry",
         "build_array.fault_plan": "the fault-plan path (ROADMAP item 1), "
         "relayed by ExperimentSpec.build",
-        "WorkloadParams.cold_write_period": "tests/test_traces.py "
-        "PINNED_TRACES pins traces generated at other periods",
+        "WorkloadParams.cold_write_period": "the trace/* goldens pin traces "
+        "generated at other periods",
         "WorkloadParams.write_rate": "the paper's trace statistics (Section "
         "5.1); examples/disk_cache_wear.py scales them",
         "WorkloadParams.read_rate": "as write_rate",

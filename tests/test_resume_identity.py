@@ -5,14 +5,10 @@ the configurations the golden hash does not cover: the paper's SW
 Leveler, its random selection policy, and each registry challenger
 (:class:`~repro.core.policies.LevelerSpec` kinds).  An
 interrupted-and-resumed replay must hash identically to the
-uninterrupted one, and the registry's ``"swl"`` kind must reproduce the
-classic ``SWLConfig`` stack bit for bit — the committed golden hash.
+uninterrupted one.
 """
 
 from __future__ import annotations
-
-import hashlib
-import json
 
 import pytest
 
@@ -27,19 +23,7 @@ from repro.sim.experiment import (
 )
 from repro.traces.generator import MobilePCWorkload
 from tests.test_ckpt import ReplayInterrupted, interrupt_after
-
-#: Same constant as ``tests/test_ckpt.py``: the uninterrupted fixed-seed
-#: golden replay.  The registry's paper-SWL kind must land on it too.
-GOLDEN_SHA256 = (
-    "0b4613179265a40590cfe4f5123c2ee5db75b49fb3e5a886aa94c3f09b36e282"
-)
-
-
-def result_sha256(result) -> str:
-    blob = json.dumps(
-        result.as_dict(), sort_keys=True, separators=(",", ":")
-    ).encode()
-    return hashlib.sha256(blob).hexdigest()
+from tests.test_goldens import result_sha256
 
 
 def _spec(swl) -> ExperimentSpec:
@@ -94,18 +78,6 @@ def test_interrupted_resume_is_bit_identical(swl, resume_trace, tmp_path):
         )
     resumed = run_replay(spec, resume_trace, resume_from=path)
     assert result_sha256(resumed) == result_sha256(uninterrupted)
-
-
-def test_leveler_spec_swl_matches_swlconfig_golden():
-    """The registry's paper-SWL kind is the classic stack, bit for bit."""
-    spec = ExperimentSpec(
-        "ftl",
-        scaled_mlc2_geometry(32, scale=100),
-        LevelerSpec(kind="swl", threshold=10, k=0),
-        seed=7,
-    )
-    trace = MobilePCWorkload(workload_params_for(spec, duration=1200.0, seed=3)).requests()
-    assert result_sha256(run_replay(spec, trace)) == GOLDEN_SHA256
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from repro.ckpt.runner import trace_digest
 from repro.traces.extend import SegmentResampler
 from repro.traces.generator import (
-    DAY,
     MobilePCWorkload,
     Temperature,
     WorkloadParams,
@@ -163,38 +162,7 @@ class TestLayout:
         assert first != second
 
 
-#: (parameters, requests, trace_digest) recorded at 752a69a, when
-#: ``requests()`` still built the trace an object at a time through
-#: ``_make_write`` / ``_make_read`` / ``_extent_rewrite``.
-PINNED_TRACES = {
-    # bench/workloads.py's base trace (BASE_TRACE_SEED, 256 blocks)
-    "bench": (dict(total_sectors=124_416, duration=DAY, seed=20070604), 327_075,
-              "3ca7b77d142f09af036afa993a9790e35c562db566bed2dcdcf83a4a418a3cc4"),
-    # 151 requests belong to scheduled static rewrites
-    "static_rewrites": (dict(total_sectors=131_072, duration=4 * 3600.0, seed=11,
-                             cold_write_period=600.0), 57_547,
-              "d4a0690f66872b6a2ba01757e4f12054ea7388fc7cc02a8b0f63a75858561f01"),
-    # no hot extent is carved (hot target 0): the smallest one is relabelled
-    "hot_relabel": (dict(total_sectors=2048, duration=2 * 3600.0, seed=5,
-                         hot_fraction=0.001, cold_write_period=1800.0), 27_512,
-              "131c44a5a71180a9ae1197775e176dd12bd823bcb32978af6b1644dfe86228a6"),
-    # no warm extent: non-hot writes fall back to the hot pool
-    "no_warm": (dict(total_sectors=2048, duration=3600.0, seed=1), 13_742,
-              "ae642525079369a8c2208484b2e808e1a6836ce1cc1b7b7110ce7048ae0cb35a"),
-    "defaults": (dict(total_sectors=65_536, duration=3600.0, seed=1), 13_531,
-              "d052bd41e0b05ef38f091b7166c5e61dd8affbc49ca7cbf3b1ce47258d85e4de"),
-}
-
-
 class TestGeneratedTrace:
-    @pytest.mark.parametrize("name", PINNED_TRACES)
-    def test_same_trace_as_the_per_object_generator(self, name):
-        kwargs, length, digest = PINNED_TRACES[name]
-        trace = MobilePCWorkload(WorkloadParams(**kwargs)).requests()
-        assert type(trace) is Trace and trace.time_ordered
-        assert len(trace) == length
-        assert trace_digest(trace) == digest
-
     def test_stays_columnar(self):
         # A return to one object per request (~150 bytes each, and a
         # pickle that walks them) should fail here, not in a bench run.
