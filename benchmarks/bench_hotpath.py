@@ -194,7 +194,8 @@ def bench_replay() -> dict[str, object]:
 # Golden replay
 # ----------------------------------------------------------------------
 def golden_replay(driver: str):
-    """The fixed-seed replay of ``driver``, and its wall-clock seconds."""
+    """The fixed-seed replay of ``driver``, and its wall-clock seconds
+    (prefill and replay; the base trace is generated before the clock)."""
     geometry = scaled_mlc2_geometry(GOLDEN_BLOCKS, scale=GOLDEN_SCALE)
     spec = ExperimentSpec(
         driver, geometry, SWLConfig(threshold=100, k=0), seed=GOLDEN_SEED
@@ -203,6 +204,8 @@ def golden_replay(driver: str):
         spec, duration=GOLDEN_HORIZON, seed=GOLDEN_SEED + 1
     )
     workload = MobilePCWorkload(params)
+    # Generated before the clock starts: the region times the replay only.
+    base = workload.requests()
     simulator = Simulator(
         spec.build(),
         skip_reads=True,
@@ -214,7 +217,7 @@ def golden_replay(driver: str):
     for request in workload.prefill_requests():
         simulator.apply(request)
     rng = spawn_rng(make_rng(spec.seed), "resampler")
-    endless = SegmentResampler(workload.requests(), rng=rng)
+    endless = SegmentResampler(base, rng=rng)
     result = simulator.run(
         endless.iter_requests(),
         StopCondition(max_time=GOLDEN_HORIZON, max_requests=10_000_000),

@@ -35,7 +35,7 @@ from repro.obs.bus import M_BET_RESET, M_SWL_INVOKE
 from repro.obs.events import BetReset as BetResetEvent
 from repro.obs.events import SwlInvoke as SwlInvokeEvent
 from repro.util.diagnostics import leveler_log
-from repro.util.rng import make_rng, rng_state_from_json, rng_state_to_json
+from repro.util.rng import below, make_rng, rng_state_from_json, rng_state_to_json
 
 if TYPE_CHECKING:
     from repro.array.coordinator import WearCoordinator
@@ -569,7 +569,7 @@ class SWLeveler(WearLeveler):
         self.bet.reset()
         for findex in self._retired_flags:
             self.bet.mark_handled(findex)
-        self.findex = self.rng.randrange(self.bet.size)
+        self.findex = below(self.rng, self.bet.size)
         self.stats.bet_resets = self.bet.resets
         leveler_log.debug(
             "BET reset #%d (findex -> %d, %d retired sets re-flagged)",

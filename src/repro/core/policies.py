@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from repro.core.bet import BlockErasingTable
+from repro.util.rng import below
 
 if TYPE_CHECKING:
     from repro.core.leveler import WearLeveler, WearLevelingHost
@@ -86,7 +87,7 @@ class RandomSelection(SelectionPolicy):
         zeros = bet.zero_flags()
         if not zeros:
             return None
-        return rng.choice(zeros)
+        return zeros[below(rng, len(zeros))]
 
 
 _SELECTION_POLICIES = {

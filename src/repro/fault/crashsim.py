@@ -35,7 +35,7 @@ from repro.flash.errors import OutOfSpaceError, PowerLossError
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.factory import StorageStack, build_stack, make_layer
 from repro.util.diagnostics import fault_log
-from repro.util.rng import make_rng
+from repro.util.rng import below, make_rng
 
 #: The SW Leveler saves its BET to the dual-buffer store every this many
 #: acknowledged host writes.
@@ -56,7 +56,7 @@ def hot_cold_lpns(num_pages: int, writes: int, seed: int) -> Iterator[int]:
     rng = make_rng(seed)
     hot_pages = max(1, num_pages // 5)
     for _ in range(writes):
-        yield rng.randrange(hot_pages if rng.random() < HOT_WRITE_SHARE else num_pages)
+        yield below(rng, hot_pages if rng.random() < HOT_WRITE_SHARE else num_pages)
 
 
 @dataclass
@@ -296,7 +296,7 @@ class CrashConsistencyHarness:
         rng = make_rng(self.seed + 2)
         extra = min(self.writes // 4, layer.num_logical_pages)
         for version in range(extra):
-            lpn = rng.randrange(layer.num_logical_pages)
+            lpn = below(rng, layer.num_logical_pages)
             payload = f"post lpn={lpn} v={version}".encode()
             try:
                 layer.write(lpn, payload)

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import random
 from itertools import accumulate, repeat
+from math import log
+from operator import neg, truediv
 from typing import Iterable, Iterator
 
 from repro.traces.model import Request
@@ -57,8 +59,12 @@ def poisson_arrivals(
     """
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate}")
-    # zip draws a gap only after a request came: one draw per arrival.
-    arrivals = accumulate(map(rng.expovariate, repeat(rate)))
+    # repro.util.rng.exponential as a chain of C calls, one random() per
+    # gap: -log(1.0 - random()) / rate.  zip draws a gap only after a
+    # request came: one draw per arrival.
+    draws = iter(rng.random, None)
+    gaps = map(truediv, map(neg, map(log, map((1.0).__sub__, draws))), repeat(rate))
+    arrivals = accumulate(gaps)
     return (
         Request(now, op, lba, sectors)
         for (_, op, lba, sectors), now in zip(requests, arrivals)

@@ -22,7 +22,7 @@ from itertools import chain, repeat, starmap
 from typing import Iterator, Sequence
 
 from repro.traces.model import Request, Trace
-from repro.util.rng import make_rng
+from repro.util.rng import make_rng, uniform
 
 #: The paper's segment length: 10 minutes.
 SEGMENT_SECONDS = 600.0
@@ -90,7 +90,7 @@ class SegmentResampler:
         """
         assert self.rng is not None
         clock = float(self.segments_emitted * self.segment)
-        start = self.rng.uniform(0.0, self.duration - self.segment)
+        start = uniform(self.rng, 0.0, self.duration - self.segment)
         trace = self._trace
         lo = bisect.bisect_left(trace.times, start)
         hi = bisect.bisect_left(trace.times, start + self.segment)

@@ -77,13 +77,22 @@ from __future__ import annotations
 import math
 import random
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import takewhile
+from math import log
 from typing import Iterator
 
 from repro.traces.model import Op, Request, Trace
-from repro.util.rng import make_rng, spawn_rng
+from repro.util.rng import (
+    below,
+    exponential,
+    make_rng,
+    shuffle,
+    spawn_rng,
+    uniform,
+)
 
 DAY = 86_400.0
 MONTH = 30 * DAY
@@ -230,7 +239,7 @@ class MobilePCWorkload:
                 f"total_sectors={p.total_sectors} too small for extent slots"
             )
         order = list(range(num_slots))
-        self._rng.shuffle(order)
+        shuffle(self._rng, order)
         used = bytearray(num_slots)
         extents: list[_Extent] = []
         carved = 0
@@ -321,7 +330,7 @@ class MobilePCWorkload:
                 continue
             rewrites = self._poisson(expectation)
             for _ in range(rewrites):
-                schedule.append((self._rng.uniform(0.0, p.duration), extent))
+                schedule.append((uniform(self._rng, 0.0, p.duration), extent))
         schedule.sort(key=lambda item: item[0])
         return schedule
 
@@ -353,18 +362,25 @@ class MobilePCWorkload:
         (Section 2.2's architectural contrast).  Reads touch the whole
         written set, mildly biased to hot data.
 
-        This loop is the only code that draws for the stream, through the
-        public ``random.Random`` methods in a fixed order, so the trace is
-        a function of the parameters and the seed.
+        This loop is the only code that draws for the stream, in a fixed
+        order, through the samplers of :mod:`repro.util.rng` (inside the
+        loop inlined, each under a comment naming the function), so the
+        trace is a function of the parameters and the seed, and of no
+        ``random.py``.
         """
         p = self.params
         rng = self._rng
-        rand, expovariate, choice = rng.random, rng.expovariate, rng.choice
-        randrange, randint = rng.randrange, rng.randint
-        hot, warm, extents = self._hot, self._warm, self.extents
+        rand, getrandbits = rng.random, rng.getrandbits
+        # The three extent pools a draw picks from, each with its size and
+        # bit length for the inlined below(len(pool)); the layout always
+        # has a hot extent.
+        hot, cool, every = (
+            (pool, len(pool), len(pool).bit_length())
+            for pool in (self._hot, self._warm or self._hot, self.extents))
         write_rate, read_rate, end = p.write_rate, p.read_rate, p.duration
         hot_write_share = p.hot_write_share
         small_write_fraction = SMALL_WRITE_FRACTION
+        small_write_max = SMALL_WRITE_MAX_SECTORS
         max_request = MAX_REQUEST_SECTORS
         write_size_rate = 1.0 / max(1, MEAN_WRITE_SECTORS - 1)
         read_size_rate = 1.0 / max(1, MEAN_READ_SECTORS - 1)
@@ -376,8 +392,8 @@ class MobilePCWorkload:
         rewrites = self._static_write_schedule()
         rewrites.reverse()  # pop() takes the earliest
         due = rewrites[-1][0] if rewrites else math.inf
-        next_write = expovariate(write_rate)
-        next_read = expovariate(read_rate)
+        next_write = exponential(rng, write_rate)
+        next_read = exponential(rng, read_rate)
         while True:
             is_write = next_write <= next_read
             time = next_write if is_write else next_read
@@ -392,24 +408,56 @@ class MobilePCWorkload:
             if time >= end:
                 return Trace(times, ops, lbas, counts)
             if is_write:
-                next_write = time + expovariate(write_rate)
-                extent = choice(
-                    hot if (rand() < hot_write_share and hot) else (warm or hot))
+                # exponential(rate), inlined here and below:
+                # -log(1.0 - random()) / rate
+                next_write = time + -log(1.0 - rand()) / write_rate
+                # below(n) for the extent, inlined here and below: draw
+                # n.bit_length() bits until the draw is under n.
+                pool, n, bits = hot if rand() < hot_write_share else cool
+                pick = getrandbits(bits)
+                while pick >= n:
+                    pick = getrandbits(bits)
+                extent = pool[pick]
+                length = extent.length
                 if rand() < small_write_fraction:
-                    sectors = randint(
-                        1, min(SMALL_WRITE_MAX_SECTORS, extent.length))
-                    lba = extent.start + randrange(
-                        max(1, extent.length - sectors + 1))
+                    # 1 + below(n): the run's size
+                    n = small_write_max if length > small_write_max else length
+                    bits = n.bit_length()
+                    sectors = getrandbits(bits)
+                    while sectors >= n:
+                        sectors = getrandbits(bits)
+                    sectors += 1
+                    # below(n): the run's offset in the extent
+                    n = length - sectors + 1 if length > sectors else 1
+                    bits = n.bit_length()
+                    offset = getrandbits(bits)
+                    while offset >= n:
+                        offset = getrandbits(bits)
+                    lba = extent.start + offset
                 else:
-                    lba, sectors = extent.next_run(min(
-                        1 + int(expovariate(write_size_rate)), max_request))
+                    size = 1 + int(-log(1.0 - rand()) / write_size_rate)
+                    lba, sectors = extent.next_run(
+                        size if size < max_request else max_request)
             else:
-                next_read = time + expovariate(read_rate)
-                extent = choice(hot if (rand() < 0.5 and hot) else extents)
-                sectors = min(1 + int(expovariate(read_size_rate)),
-                              max_request, extent.length)
-                lba = extent.start + randrange(
-                    max(1, extent.length - sectors + 1))
+                next_read = time + -log(1.0 - rand()) / read_rate
+                pool, n, bits = hot if rand() < 0.5 else every
+                pick = getrandbits(bits)
+                while pick >= n:
+                    pick = getrandbits(bits)
+                extent = pool[pick]
+                length = extent.length
+                sectors = 1 + int(-log(1.0 - rand()) / read_size_rate)
+                if sectors > max_request:
+                    sectors = max_request
+                if sectors > length:
+                    sectors = length
+                # below(n): the read's offset in the extent
+                n = length - sectors + 1 if length > sectors else 1
+                bits = n.bit_length()
+                offset = getrandbits(bits)
+                while offset >= n:
+                    offset = getrandbits(bits)
+                lba = extent.start + offset
             add_time(time)
             add_op(is_write)
             add_lba(lba)
@@ -509,16 +557,18 @@ class WorkloadShape:
         self._reset_stream()
         params = self.params
         rng = self._rng
+        rand = rng.random
         rate = params.rate
         read_fraction = params.read_fraction
         total = params.total_sectors
         step = params.request_sectors
         now = 0.0
         while True:
-            now += rng.expovariate(rate)
+            # exponential(rate), inlined: -log(1 - random()) / rate
+            now += -log(1.0 - rand()) / rate
             # The op draw always happens so read_fraction never shifts
             # the LBA stream (see module docstring).
-            op = Op.READ if rng.random() < read_fraction else Op.WRITE
+            op = Op.READ if rand() < read_fraction else Op.WRITE
             lba = self._next_lba(now)
             yield Request(now, op, lba, min(step, total - lba))
 
@@ -543,7 +593,7 @@ class _ZipfChunks(WorkloadShape):
         # A seeded permutation scatters the popularity ranks over the
         # address space, so "hot" is not synonymous with "low LBA".
         self._placement = list(range(count))
-        self._rng.shuffle(self._placement)
+        shuffle(self._rng, self._placement)
         weights = [1.0 / (rank + 1) ** theta for rank in range(count)]
         total = sum(weights)
         running = 0.0
@@ -557,16 +607,14 @@ class _ZipfChunks(WorkloadShape):
         return len(self._cdf)
 
     def _zipf_rank(self) -> int:
-        """Draw a popularity rank (0 = hottest) by CDF binary search."""
-        point = self._rng.random()
-        lo, hi = 0, len(self._cdf) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cdf[mid] < point:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        """Draw a popularity rank (0 = hottest) by CDF binary search.
+
+        The first rank whose CDF reaches the draw; the last rank when
+        rounding leaves ``cdf[-1]`` below it.
+        """
+        cdf = self._cdf
+        rank = bisect_left(cdf, self._rng.random())
+        return rank if rank < len(cdf) else len(cdf) - 1
 
     def _chunk_for(self, rank: int, now: float) -> int:
         return self._placement[rank]
@@ -645,7 +693,7 @@ class UniformAccessWorkload(WorkloadShape):
     def _next_lba(self, now: float) -> int:
         params = self.params
         span = max(1, params.total_sectors - params.request_sectors + 1)
-        return self._rng.randrange(span)
+        return below(self._rng, span)
 
 
 class MixedWorkload(UniformAccessWorkload):
