@@ -44,7 +44,7 @@ bench-pairs:
 	$(PYTHON) scripts/bench_pairs.py $(PARENT) $(CHANGE) \
 	    $(addprefix --workload ,$(WORKLOAD)) --pairs $(PAIRS) --seed $(SEED)
 
-# On-runner scale-feature budgets (telemetry overhead, parallel sweep).
+# On-runner scale-feature budgets (telemetry overhead, service soak).
 scale-gate:
 	PYTHONPATH=src $(PYTHON) scripts/scale_gate.py
 

@@ -37,7 +37,7 @@ from repro.sim.metrics import EraseDistribution
 from repro.traces.extend import SegmentResampler
 from repro.traces.generator import MobilePCWorkload
 from repro.util.bitarray import BitArray
-from repro.util.rng import make_rng, spawn_rng
+from repro.util.rng import below, make_rng, spawn_rng
 
 BENCH_PR_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR.json"
 
@@ -164,7 +164,7 @@ def bench_take_sample() -> dict[str, object]:
     counts = [0] * SAMPLE_BLOCKS
     wear = WearAccumulator(SAMPLE_BLOCKS)
     for _ in range(4 * SAMPLE_BLOCKS):
-        block = rng.randrange(SAMPLE_BLOCKS)
+        block = below(rng, SAMPLE_BLOCKS)
         wear.record_erase(block, counts[block])
         counts[block] += 1
     reference = EraseDistribution.from_counts(counts)

@@ -14,12 +14,6 @@ comparable breadcrumb trail:
   SWL (T = 100 and T = 1000) over the no-SWL baseline, next to the
   paper's analytic worst-case ratios for the matching Table 2 rows (the
   measured average-case must sit far below the worst case);
-* **run_matrix parallelism** — wall-clock of a 4-spec sweep serial vs
-  ``workers=4`` plus a result-equality check.  Speedup depends on the
-  host's core count, so the point records ``cpu_count`` and a
-  ``speedup_meaningful`` flag: on a runner with fewer cores than
-  workers the process pool cannot win, and the speedup target is
-  annotated as not applicable rather than reported as a regression;
 * **telemetry overhead** — replay req/s with telemetry off vs on
   (metrics collector attached, no file exporters), guarding the
   :mod:`repro.obs` off-path contract: the *off* point must track the
@@ -42,7 +36,6 @@ Usage::
 from __future__ import annotations
 
 import json
-import os
 import platform
 import subprocess
 import sys
@@ -58,7 +51,6 @@ from repro.sim.experiment import (
     ExperimentSpec,
     logical_sectors_of,
     run_fixed_horizon,
-    run_matrix,
     run_service_soak,
     scaled_mlc2_geometry,
     workload_params_for,
@@ -204,48 +196,6 @@ def measure_table2_deltas() -> list[dict[str, object]]:
             ),
         })
     return rows
-
-
-def measure_run_matrix_parallel() -> dict[str, object]:
-    """Serial vs workers=4 wall-clock over a 4-spec sweep; results equal."""
-    geometry = scaled_mlc2_geometry(BLOCKS, scale=SCALE)
-    specs = [
-        ExperimentSpec("ftl", geometry, SWLConfig(threshold=t, k=k),
-                       seed=SEED)
-        for t in (100.0, 1000.0) for k in (0, 3)
-    ]
-    trace, warmup = _shared_trace(specs[0])
-    start = time.perf_counter()
-    serial = run_matrix(specs, trace, horizon=HORIZON, warmup=warmup)
-    serial_s = time.perf_counter() - start
-    workers = 4
-    start = time.perf_counter()
-    parallel = run_matrix(specs, trace, horizon=HORIZON, warmup=warmup,
-                          workers=workers)
-    parallel_s = time.perf_counter() - start
-    identical = all(
-        a.as_dict() == b.as_dict() for a, b in zip(serial, parallel)
-    )
-    cpus = os.cpu_count() or 1
-    point: dict[str, object] = {
-        "specs": len(specs),
-        "workers": workers,
-        "cpu_count": cpus,
-        "serial_wall_s": round(serial_s, 3),
-        "workers4_wall_s": round(parallel_s, 3),
-        "speedup": round(serial_s / parallel_s, 3),
-        # A process pool can only beat serial replay when the host has
-        # spare cores; below that the point documents pool overhead, not
-        # a scheduling regression, and speedup targets do not apply.
-        "speedup_meaningful": cpus >= 2,
-        "results_identical": identical,
-    }
-    if cpus < workers:
-        point["note"] = (
-            f"host has {cpus} CPU(s) < workers={workers}; "
-            "speedup target not applicable on this runner"
-        )
-    return point
 
 
 def measure_telemetry_overhead() -> dict[str, object]:
@@ -452,36 +402,17 @@ def main(argv: list[str]) -> int:
                    "horizon_s": HORIZON, "seed": SEED},
         "throughput": measure_throughput(),
         "table2_extra_erases": measure_table2_deltas(),
-        "run_matrix_parallel": measure_run_matrix_parallel(),
         "telemetry": measure_telemetry_overhead(),
         "service_latency": measure_service_latency(),
         "endurance": measure_endurance(),
     }
     output.write_text(json.dumps(point, indent=2) + "\n")
     print(f"wrote {output}")
-    matrix = point["run_matrix_parallel"]
     print(f"  replay: "
           f"{point['throughput']['single_channel']['requests_per_s']} req/s "
           f"(1ch), "
           f"{point['throughput']['four_channel_global']['requests_per_s']} "
           f"req/s (4ch)")
-    print(f"  run_matrix x{matrix['specs']}: {matrix['serial_wall_s']}s "
-          f"serial, {matrix['workers4_wall_s']}s with workers=4 "
-          f"(speedup {matrix['speedup']}x on {matrix['cpu_count']} CPUs, "
-          f"identical={matrix['results_identical']})")
-    if not matrix["speedup_meaningful"]:
-        banner = "!" * 72
-        print(
-            f"{banner}\n"
-            f"!! WARNING: parallel-sweep speedup point is NOT meaningful\n"
-            f"!!   {matrix['note']}\n"
-            f"!!   The recorded {matrix['speedup']}x documents process-pool\n"
-            f"!!   overhead on this host, not scheduling performance.  Do\n"
-            f"!!   not compare it against multi-core trajectory points or\n"
-            f"!!   cite it as a parallelism result.\n"
-            f"{banner}",
-            file=sys.stderr,
-        )
     telemetry = point["telemetry"]
     print(f"  telemetry: {telemetry['off_requests_per_s']} req/s off, "
           f"{telemetry['on_requests_per_s']} req/s on "

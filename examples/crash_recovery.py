@@ -22,6 +22,7 @@ from pathlib import Path
 
 from repro import MLC2_TINY, SWLConfig, build_stack
 from repro.core.bet import BetStore, BlockErasingTable
+from repro.util.rng import below
 
 
 def main() -> None:
@@ -38,13 +39,13 @@ def main() -> None:
         rng = random.Random(8)
         expected = {}
         for step in range(20_000):
-            lpn = rng.randrange(layer.num_logical_pages // 2)
+            lpn = below(rng, layer.num_logical_pages // 2)
             payload = step.to_bytes(4, "little")
             layer.write(lpn, data=payload)
             expected[lpn] = payload
         leveler.persist(store)          # periodic checkpoint
         for step in range(2_000):       # more hot churn, then a clean save
-            lpn = rng.randrange(8)
+            lpn = below(rng, 8)
             payload = (10**6 + step).to_bytes(4, "little")
             layer.write(lpn, data=payload)
             expected[lpn] = payload

@@ -15,6 +15,7 @@ import random
 
 from repro import MLC2_TINY, SWLConfig, build_stack
 from repro.sim.metrics import EraseDistribution
+from repro.util.rng import below
 from repro.util.tables import Table
 
 
@@ -38,7 +39,7 @@ def run_workload(with_swl: bool, *, writes: int = 40_000):
     # Then hammer a small hot set, as caches and logs do.
     hot = list(range(len(cold), len(cold) + layer.num_logical_pages // 10))
     for _ in range(writes):
-        layer.write(rng.choice(hot), data=b"hot!")
+        layer.write(hot[below(rng, len(hot))], data=b"hot!")
 
     # Data is intact either way.
     assert all(layer.read(lpn) == b"cold" for lpn in cold)

@@ -1,19 +1,12 @@
 """CI scale gate: on-runner budgets for the scale features.
 
-Measures, on the machine actually running the job, the two scale-feature
-budgets that regressed before PR 7 and are cheap enough to gate every
-build (DESIGN.md §5f):
+Measures, on the machine actually running the job, the scale-feature
+budgets that are cheap enough to gate every build (DESIGN.md §5f):
 
 * **telemetry overhead** — replay wall-clock with the full in-memory
   telemetry attached must stay within ``TELEMETRY_MAX_OVERHEAD_PCT`` of
   the telemetry-off replay, and the results must be identical minus the
   telemetry-only keys;
-* **parallel sweep speedup** — ``run_matrix(workers=2)`` over a 4-spec
-  sweep must beat the serial sweep (speedup >= ``MIN_PARALLEL_SPEEDUP``)
-  *when the runner has at least two CPUs*, and the parallel results must
-  equal the serial ones.  On a single-CPU runner the speedup target is
-  skipped with a note — a process pool cannot beat serial replay there,
-  and reporting pool overhead as a regression would be dishonest;
 * **service mode** — a short open-loop soak through the service engine
   must serve every request and report finite, ordered latency
   percentiles overall and per channel (DESIGN.md §5g).
@@ -21,7 +14,7 @@ build (DESIGN.md §5f):
 The thresholds are deliberately loose (the full-precision trajectory
 point lives in ``BENCH_PR.json`` via ``make bench-trajectory``): this
 gate exists to catch order-of-magnitude regressions — a hot-path event
-allocation sneaking back in, the sweep pool silently serialising — not
+allocation sneaking back in, a service soak that drops requests — not
 to police single-digit percentages on noisy shared runners.
 
 Usage::
@@ -32,7 +25,6 @@ Usage::
 from __future__ import annotations
 
 import math
-import os
 import sys
 import time
 
@@ -41,7 +33,6 @@ from repro.obs.telemetry import Telemetry
 from repro.sim.experiment import (
     ExperimentSpec,
     run_fixed_horizon,
-    run_matrix,
     run_service_soak,
     scaled_mlc2_geometry,
     workload_params_for,
@@ -49,8 +40,8 @@ from repro.sim.experiment import (
 from repro.traces.generator import MobilePCWorkload
 
 #: Gate workload: same shape as benchmarks/perf_trajectory.py, half the
-#: horizon — large enough that pool start-up and trace pickling do not
-#: dominate a 2-worker sweep, small enough for every CI build.
+#: horizon — long enough that the telemetry overhead is not start-up
+#: noise, small enough for every CI build.
 BLOCKS = 48
 SCALE = 100
 HORIZON = 0.5 * 86_400.0
@@ -64,10 +55,6 @@ REPEATS = 3
 #: tracks the precise figure (<10 % at PR 7); the gate only catches
 #: blow-ups.
 TELEMETRY_MAX_OVERHEAD_PCT = 25.0
-
-#: ``run_matrix(workers=2)`` must at least break even with serial when
-#: the runner has two CPUs to offer.
-MIN_PARALLEL_SPEEDUP = 1.0
 
 #: Service-gate soak shape: enough requests through two channels that
 #: queueing and percentile interpolation are exercised, small enough for
@@ -125,41 +112,6 @@ def gate_telemetry() -> list[str]:
     return failures
 
 
-def gate_parallel_sweep() -> list[str]:
-    geometry = scaled_mlc2_geometry(BLOCKS, scale=SCALE)
-    specs = [
-        ExperimentSpec("ftl", geometry, SWLConfig(threshold=t, k=k),
-                       seed=SEED)
-        for t in (100.0, 1000.0) for k in (0, 3)
-    ]
-    trace, warmup = _shared_trace(specs[0])
-    start = time.perf_counter()
-    serial = run_matrix(specs, trace, horizon=HORIZON, warmup=warmup)
-    serial_s = time.perf_counter() - start
-    start = time.perf_counter()
-    parallel = run_matrix(specs, trace, horizon=HORIZON, warmup=warmup,
-                          workers=2)
-    parallel_s = time.perf_counter() - start
-    speedup = serial_s / parallel_s
-    cpus = os.cpu_count() or 1
-    print(f"run_matrix x{len(specs)}: serial {serial_s:.3f}s, "
-          f"workers=2 {parallel_s:.3f}s "
-          f"(speedup {speedup:.3f}x on {cpus} CPUs)")
-    failures = []
-    if not all(a.as_dict() == b.as_dict() for a, b in zip(serial, parallel)):
-        failures.append("workers=2 results differ from serial results")
-    if cpus >= 2:
-        if speedup < MIN_PARALLEL_SPEEDUP:
-            failures.append(
-                f"workers=2 speedup {speedup:.3f}x below "
-                f"{MIN_PARALLEL_SPEEDUP:.1f}x on a {cpus}-CPU runner"
-            )
-    else:
-        print("  note: single-CPU runner; speedup target skipped "
-              "(pool cannot beat serial here)")
-    return failures
-
-
 def gate_service() -> list[str]:
     geometry = scaled_mlc2_geometry(BLOCKS, scale=SCALE)
     spec = ExperimentSpec("nftl", geometry, SWLConfig(threshold=100, k=0),
@@ -203,7 +155,7 @@ def gate_service() -> list[str]:
 
 
 def main() -> int:
-    failures = gate_telemetry() + gate_parallel_sweep() + gate_service()
+    failures = gate_telemetry() + gate_service()
     if failures:
         for failure in failures:
             print(f"SCALE GATE FAILURE: {failure}", file=sys.stderr)

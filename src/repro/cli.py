@@ -287,8 +287,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="hot-set migration period of the phase shape in "
                              f"seconds (default: {DEFAULT_PHASE_PERIOD:g})")
     endure.add_argument("--workers", type=int, default=None,
-                        help="worker processes for the cell matrix "
-                             "(default: serial)")
+                        help="worker processes for the cell matrix, run "
+                             "under the campaign supervisor (default: "
+                             "serial)")
     endure.add_argument("--report", metavar="PATH",
                         help="also write a markdown projection report to PATH")
     _add_stack_arguments(endure)
@@ -317,8 +318,9 @@ def _build_parser() -> argparse.ArgumentParser:
     arena.add_argument("--no-faults", action="store_true",
                        help="skip the per-leveler fault campaign")
     arena.add_argument("--workers", type=int, default=None,
-                       help="worker processes for the workload matrix "
-                            "(default: serial)")
+                       help="worker processes for the workload matrix, "
+                            "run under the campaign supervisor (default: "
+                            "serial)")
     arena.add_argument("--report", metavar="PATH",
                        help="also write the markdown leaderboard to PATH")
     arena.add_argument("--json", metavar="PATH",
@@ -496,6 +498,13 @@ def _command_simulate(args: argparse.Namespace) -> int:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
+    if args.workers > 1 and not args.resume:
+        # Only the campaign supervisor runs sweep cells in other
+        # processes, and it keeps its state in the --resume directory.
+        raise ValueError(
+            f"--workers {args.workers} needs --resume DIR: sweep cells run "
+            "in worker processes only under the campaign supervisor"
+        )
     spec = _spec(args)
     trace, warmup = _mobile_pc_trace(spec, args, 1.0)
     cells = _swl_cells(spec, args.thresholds, args.ks)

@@ -4,8 +4,8 @@
 extrapolation chokepoint (:func:`first_failure_horizon`) and the
 :class:`EnduranceProjection` record built from any measured replay;
 :mod:`repro.endurance.matrix` crosses workload shapes with backend
-specs into ``workload × policy`` cells runnable through
-:func:`repro.sim.experiment.run_matrix`.  The ``repro endure`` CLI
+specs into ``workload × policy`` cells, run serially or under the
+campaign supervisor.  The ``repro endure`` CLI
 subcommand is the front end.
 """
 

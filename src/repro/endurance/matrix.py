@@ -5,9 +5,9 @@ trace; the endurance matrix varies the *workload shape* too.  An
 :class:`EnduranceCell` names one (workload, spec) pairing; the runner
 groups cells by workload, materializes each shape's trace once (sized to
 the largest logical space among that workload's specs — smaller backends
-wrap via the replay engine's LBA modulo), and dispatches each group
-through :func:`repro.sim.experiment.run_matrix`, so worker fan-out comes
-along for free.  Each replay is then projected through
+wrap via the replay engine's LBA modulo), and runs each group through
+:func:`repro.sim.experiment.run_matrix` or, with ``workers > 1``, the
+campaign supervisor.  Each replay is then projected through
 :func:`repro.endurance.projection.project_endurance`.
 
 Generated traces flow through the same
@@ -19,11 +19,13 @@ granularity (see DESIGN.md §5h).
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
+from repro.ckpt.supervisor import SupervisorPolicy, run_supervised_matrix
 from repro.endurance.projection import EnduranceProjection, project_endurance
-from repro.sim.experiment import logical_sectors_of, run_matrix
+from repro.sim.experiment import DEFAULT_REQUEST_CAP, logical_sectors_of, run_matrix
 from repro.traces.extend import SEGMENT_SECONDS
 from repro.traces.generator import (
     DEFAULT_PHASE_PERIOD,
@@ -35,6 +37,7 @@ from repro.traces.generator import (
 if TYPE_CHECKING:
     from repro.sim.engine import SimResult
     from repro.sim.experiment import ExperimentSpec
+    from repro.traces.model import Request
 
 #: Minimum generated base-trace duration: two resampler segments.
 MIN_TRACE_DURATION = 2 * SEGMENT_SECONDS
@@ -84,7 +87,10 @@ def run_endurance_matrix(
 ) -> list[EnduranceCellResult]:
     """Run every cell for ``horizon`` simulated seconds and project it.
 
-    Results come back in cell order.
+    Results come back in cell order.  ``workers > 1`` runs each group's
+    cells under the campaign supervisor in a temporary workdir, one
+    attempt per cell, and raises :class:`RuntimeError` naming the cell
+    and its error if one fails; the results equal the serial ones.
 
     Within one workload group the trace is generated **once** from the
     shape's own seeded RNG stream, so every spec of that workload sees
@@ -113,7 +119,12 @@ def run_endurance_matrix(
             period=period,
         )
         trace = shape.requests(base_duration)
-        replays = run_matrix(group_specs, trace, horizon=horizon, workers=workers)
+        if workers is None or workers <= 1:
+            replays = run_matrix(group_specs, trace, horizon=horizon)
+        else:
+            replays = _supervised_group(
+                workload, group_specs, trace, horizon, workers
+            )
         for index, replay in zip(indices, replays):
             cell = cells[index]
             results[index] = EnduranceCellResult(
@@ -124,3 +135,25 @@ def run_endurance_matrix(
                 ),
             )
     return [results[index] for index in range(len(cells))]
+
+
+def _supervised_group(
+    workload: str,
+    specs: list["ExperimentSpec"],
+    trace: Sequence["Request"],
+    horizon: float,
+    workers: int,
+) -> list["SimResult"]:
+    """One group's cells in supervised worker processes.  Nothing resumes
+    from a directory deleted on return: one attempt per cell, and one
+    image per cell (the checkpoint cadence is the request cap)."""
+    with tempfile.TemporaryDirectory(prefix="repro-endure-") as workdir:
+        policy = SupervisorPolicy(workdir, max_attempts=1,
+                                  checkpoint_every_requests=DEFAULT_REQUEST_CAP)
+        campaign = run_supervised_matrix(specs, trace, horizon=horizon,
+                                         workers=workers, policy=policy)
+    for cell in campaign.quarantined:
+        raise RuntimeError(
+            f"endurance cell {workload}×{cell.label} failed: {cell.error}"
+        )
+    return campaign.results()  # type: ignore[return-value]

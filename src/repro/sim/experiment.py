@@ -24,7 +24,6 @@ Scaled geometries keep all structural parameters of the paper's setup
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -406,40 +405,6 @@ def run_service_soak(
     )
 
 
-#: Per-worker matrix context installed by :func:`_matrix_worker_init`.
-#: The base trace is by far the largest object in a sweep; shipping it
-#: once per worker via the pool initializer (instead of once per task,
-#: as the old per-cell payloads did) is what makes the fan-out win.
-_MATRIX_CTX: tuple[
-    Sequence[Request], float | None, Sequence[Request] | None, int
-] | None = None
-
-
-def _matrix_worker_init(
-    base_trace: Sequence[Request],
-    horizon: float | None,
-    warmup: Sequence[Request] | None,
-    request_cap: int,
-) -> None:
-    """Install the shared sweep context in a pool worker process."""
-    global _MATRIX_CTX
-    _MATRIX_CTX = (base_trace, horizon, warmup, request_cap)
-
-
-def _run_matrix_spec(spec: ExperimentSpec) -> SimResult:
-    """One matrix cell against the worker's installed context."""
-    assert _MATRIX_CTX is not None, "worker context not installed"
-    base_trace, horizon, warmup, request_cap = _MATRIX_CTX
-    return run_replay(
-        spec, base_trace, horizon, warmup=warmup, request_cap=request_cap
-    )
-
-
-def _run_matrix_chunk(specs: list[ExperimentSpec]) -> list[SimResult]:
-    """One worker's whole share of the matrix, submitted as one task."""
-    return [_run_matrix_spec(spec) for spec in specs]
-
-
 def run_matrix(
     specs: list[ExperimentSpec],
     base_trace: Sequence[Request],
@@ -447,45 +412,19 @@ def run_matrix(
     horizon: float | None = None,
     warmup: Sequence[Request] | None = None,
     request_cap: int = DEFAULT_REQUEST_CAP,
-    workers: int | None = None,
 ) -> list[SimResult]:
-    """Run many specs over one shared base trace.
+    """Run many specs over one shared base trace, in spec order.
 
     ``horizon=None`` selects first-failure mode; otherwise fixed-horizon.
-
-    ``workers`` fans the matrix out over that many worker processes (one
-    config per task).  Each cell is already fully deterministic — every
-    stochastic stream is derived from the spec's own seed, never from
-    shared state — so parallel results are identical to serial ones, in
-    the same order; only the wall-clock changes.  ``None`` or ``1`` runs
-    serially in-process.  For a matrix that must survive crashes, kills
-    and hangs, use :func:`repro.ckpt.supervisor.run_supervised_matrix`.
+    Each cell is fully deterministic — every stochastic stream derives
+    from the spec's own seed — so the cells are independent.  To spread
+    them over worker processes, or to survive crashes, kills and hangs,
+    use :func:`repro.ckpt.supervisor.run_supervised_matrix`, the one
+    runner that puts cells in other processes (DESIGN.md §5b).
     """
-    if workers is None or workers <= 1 or len(specs) <= 1:
-        return [
-            run_replay(
-                spec, base_trace, horizon, warmup=warmup,
-                request_cap=request_cap
-            )
-            for spec in specs
-        ]
-    # One round-robin chunk per worker: each worker receives exactly one
-    # task holding its whole share of the cells, so the base trace is
-    # serialized once per worker (by the initializer) instead of once per
-    # cell, and process spawn cost amortizes across the chunk.  The
-    # stride layout interleaves early (typically heavier, lower-k) and
-    # late cells across workers for balance; results are re-strided back
-    # into spec order.
-    effective = min(workers, len(specs))
-    chunks = [specs[index::effective] for index in range(effective)]
-    with ProcessPoolExecutor(
-        max_workers=effective,
-        initializer=_matrix_worker_init,
-        initargs=(base_trace, horizon, warmup, request_cap),
-    ) as pool:
-        chunk_results = list(pool.map(_run_matrix_chunk, chunks))
-    results: list[SimResult | None] = [None] * len(specs)
-    for index, chunk in enumerate(chunk_results):
-        results[index::effective] = chunk
-    assert all(result is not None for result in results)
-    return results  # type: ignore[return-value]
+    return [
+        run_replay(
+            spec, base_trace, horizon, warmup=warmup, request_cap=request_cap
+        )
+        for spec in specs
+    ]

@@ -23,14 +23,8 @@ from repro.fault.plan import FaultPlan
 from repro.flash.errors import FlashError, PowerLossError, TranslationError
 from repro.ftl.factory import StorageBackend, StorageStack, build_stack
 from repro.sim.engine import Simulator, StopCondition
-from repro.sim.experiment import (
-    ExperimentSpec,
-    run_matrix,
-    scaled_mlc2_geometry,
-    workload_params_for,
-)
+from repro.sim.experiment import ExperimentSpec
 from repro.sim.metrics import EraseDistribution
-from repro.traces.generator import MobilePCWorkload
 from repro.traces.model import Op, Request
 from repro.util.rng import make_rng, spawn_rng
 
@@ -546,36 +540,6 @@ class TestMultiChannelReplay:
         assert result.first_failure_time is not None
         assert array.shards[0].first_failure is None
         assert array.shards[1].first_failure is not None
-
-
-# ----------------------------------------------------------------------
-# Parallel experiment matrix
-# ----------------------------------------------------------------------
-class TestRunMatrixWorkers:
-    def test_parallel_results_identical_to_serial(self):
-        geometry = scaled_mlc2_geometry(24, scale=100)
-        specs = [
-            ExperimentSpec("ftl", geometry, SWLConfig(threshold=t, k=0),
-                           seed=6)
-            for t in (100.0, 1000.0)
-        ]
-        params = workload_params_for(specs[0], duration=0.02 * 86_400, seed=8)
-        workload = MobilePCWorkload(params)
-        trace = workload.requests()
-        serial = run_matrix(specs, trace, horizon=0.02 * 86_400)
-        parallel = run_matrix(specs, trace, horizon=0.02 * 86_400, workers=2)
-        assert len(serial) == len(parallel) == 2
-        for a, b in zip(serial, parallel):
-            assert a.as_dict() == b.as_dict()
-            assert a.erase_distribution == b.erase_distribution
-
-    def test_workers_one_is_serial(self):
-        geometry = scaled_mlc2_geometry(24, scale=100)
-        spec = ExperimentSpec("ftl", geometry, seed=1)
-        params = workload_params_for(spec, duration=0.01 * 86_400, seed=1)
-        trace = MobilePCWorkload(params).requests()
-        results = run_matrix([spec], trace, horizon=0.01 * 86_400, workers=4)
-        assert len(results) == 1  # single spec short-circuits to serial
 
 
 # ----------------------------------------------------------------------

@@ -168,6 +168,15 @@ class TestSweep:
         second = capsys.readouterr().out
         assert first.splitlines()[:8] == second.splitlines()[:8]
 
+    def test_workers_without_resume_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["sweep", "--blocks", "24", "--scale", "100",
+                  "--thresholds", "10", "--workers", "2"])
+        assert caught.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1].startswith("repro: error: ")
+        assert "--resume" in captured.err and not captured.out
+
     def test_resume_after_changing_the_sweep_reruns_the_changed_cell(
         self, capsys, tmp_path, short_trace
     ):

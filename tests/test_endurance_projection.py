@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import repro.ckpt.supervisor as supervisor_module
 from repro.cli import main
 from repro.core.config import SWLConfig
 from repro.endurance import (
@@ -156,6 +157,19 @@ class TestMatrix:
         # Same workload group shares one trace: the two hotspot cells
         # replayed identical requests.
         assert results[0].replay.requests == results[1].replay.requests
+
+    def test_failed_worker_cell_raises_with_its_label(self, monkeypatch):
+        def fail_second_cell(index, attempt):
+            if index == 1:
+                raise OSError("disk on fire")
+
+        monkeypatch.setattr(supervisor_module, "_disturbance",
+                            fail_second_cell)
+        cells = endurance_cells(["hotspot"], [small_spec(swl=None), small_spec()])
+        with pytest.raises(RuntimeError) as caught:
+            run_endurance_matrix(cells, horizon=300.0, seed=3, workers=2)
+        assert cells[1].label() in str(caught.value)
+        assert "OSError: disk on fire" in str(caught.value)
 
     def test_matrix_rejects_bad_horizon(self):
         with pytest.raises(ValueError, match="horizon"):

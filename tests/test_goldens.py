@@ -250,6 +250,11 @@ def arena_json() -> str:
 
 
 FAULTS_SMOKE = ("--blocks", "32", "--soak-writes", "800", "--seed", "3")
+ENDURE_SMALL = (
+    "endure", "--blocks", "24", "--scale", "100", "--channels", "1",
+    "--shapes", "hotspot", "sequential", "--horizon-days", "0.02",
+    "--seed", "7",
+)
 
 RECIPES: dict[str, Callable[[], object]] = {
     "replay/hotpath": hotpath_replay,
@@ -263,11 +268,7 @@ RECIPES: dict[str, Callable[[], object]] = {
     "cli/arena-smoke": arena_json,
     "cli/faults-ftl": lambda: console("faults", "--driver", "ftl", *FAULTS_SMOKE),
     "cli/faults-nftl": lambda: console("faults", "--driver", "nftl", *FAULTS_SMOKE),
-    "cli/endure-small": lambda: console(
-        "endure", "--blocks", "24", "--scale", "100", "--channels", "1",
-        "--shapes", "hotspot", "sequential", "--horizon-days", "0.02",
-        "--seed", "7",
-    ),
+    "cli/endure-small": lambda: console(*ENDURE_SMALL),
 }
 
 
@@ -277,6 +278,14 @@ def test_golden(name):
         f"golden {name!r} drifted from tests/goldens.json; if the "
         f"behaviour change is intended, re-record with `{RERECORD}` "
         "and explain it in CHANGES.md"
+    )
+
+
+def test_endure_small_with_workers_matches_golden():
+    """``--workers 2`` runs the cells under the campaign supervisor, in
+    worker processes, and prints what the serial run pinned."""
+    assert console(*ENDURE_SMALL, "--workers", "2") == (
+        recorded()["cli/endure-small"]
     )
 
 

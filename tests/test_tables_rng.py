@@ -164,9 +164,10 @@ def test_shuffle_is_shuffle(seed, items):
 
 
 # ----------------------------------------------------------------------
-# Nothing under src/repro calls a random.py sampler
+# Nothing under src/repro, benchmarks/, scripts/ or examples/ calls a
+# random.py sampler
 # ----------------------------------------------------------------------
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = Path(__file__).resolve().parent.parent
 
 #: The random.Random methods the library may call: the C primitives,
 #: seeding and state.  Every other method is a random.py sampler.
@@ -201,12 +202,28 @@ def test_the_scan_sees_every_kind_of_use():
     assert sampler_uses("x = rng.random() + rng.getrandbits(3)") == []
 
 
-def test_no_random_py_sampler_under_src():
-    offenders = {
-        str(path.relative_to(SRC)): uses
-        for path in sorted(SRC.rglob("*.py"))
+def sampler_offenders(*folders: str) -> dict[str, list[str]]:
+    """:func:`sampler_uses` of every ``.py`` file under ``folders``."""
+    return {
+        str(path.relative_to(ROOT)): uses
+        for folder in folders
+        for path in sorted((ROOT / folder).rglob("*.py"))
         if (uses := sampler_uses(path.read_text()))
     }
+
+
+def test_no_random_py_sampler_under_src():
+    offenders = sampler_offenders("src/repro")
+    assert not offenders, (
+        "draw through repro.util.rng's samplers, not random.py's: "
+        f"{offenders}")
+
+
+def test_no_random_py_sampler_in_benchmarks_scripts_or_examples():
+    """The same rule for the code that publishes and demonstrates the
+    library's numbers.  ``bench/`` is not scanned: its two calls change
+    only together with its pinned digest, ``bench/expected.json``."""
+    offenders = sampler_offenders("benchmarks", "scripts", "examples")
     assert not offenders, (
         "draw through repro.util.rng's samplers, not random.py's: "
         f"{offenders}")
