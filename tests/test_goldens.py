@@ -47,7 +47,7 @@ from repro.sim.experiment import (
 from repro.traces.extend import SegmentResampler
 from repro.traces.generator import DAY, MobilePCWorkload, WorkloadParams
 from repro.traces.model import Trace
-from repro.util.rng import make_rng, spawn_rng
+from repro.util.rng import below, make_rng, spawn_rng
 from repro.util.tables import Table
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -121,6 +121,11 @@ def faulted_build(channels: int) -> list[object]:
     Recorded at 13b1132 from the since-deleted
     ``ckpt.runner.build_spec_backend(spec, fault_plan=plan)``; re-recorded
     when the leveler snapshot lost its ``"trigger"`` entry.
+
+    The soak never runs SWL-Procedure: at ``threshold=8, k=1`` over 6,000
+    random writes the chips see 41 (one channel) and 2 (four channels)
+    erases, no procedure run and no forced recycle.
+    :func:`faulted_recycles` is the entry that pins the leveler's path.
     """
     plan = FaultPlan(seed=5, erase_fail_prob=0.05, program_fail_prob=0.0003)
     spec = ExperimentSpec(
@@ -141,6 +146,42 @@ def faulted_build(channels: int) -> list[object]:
         [shard.flash.injector.plan.seed for shard in shards],
         sha256(encode_payload(backend.snapshot_state())),
     ]
+
+
+def faulted_recycles() -> dict[str, list[str]]:
+    """Both drivers through forced recycles, program faults and
+    retirements: the digests of each backend's snapshot and layer stats.
+
+    One sequential pass over the logical space, then 20,000 single-page
+    writes to its first 5 %, with SWL-Procedure at ``T = 2`` and program
+    faults injected.  Some faults land inside a forced recycle.
+    """
+    digests = {}
+    for driver in ("ftl", "nftl"):
+        spec = ExperimentSpec(
+            driver,
+            scaled_mlc2_geometry(64, scale=100),
+            SWLConfig(threshold=2, k=0),
+            seed=21,
+            op_ratio=0.25,
+        )
+        backend = spec.build(fault_plan=FaultPlan(seed=5, program_fail_prob=2e-4))
+        pages = backend.num_logical_pages
+        for lpn in range(pages):
+            backend.write_pages([lpn])
+        hot = pages // 20
+        rng = make_rng(9)
+        for _ in range(20000):
+            backend.write_pages([below(rng, hot)])
+        stats = backend.layer_stats()
+        assert stats["forced_recycles"] > 0, driver
+        assert stats["program_faults"] > 0, driver
+        assert stats.get("retired", 0) > 0, driver
+        digests[driver] = [
+            sha256(encode_payload(backend.snapshot_state())),
+            canonical_sha256(stats),
+        ]
+    return digests
 
 
 # ----------------------------------------------------------------------
@@ -261,6 +302,7 @@ RECIPES: dict[str, Callable[[], object]] = {
     "replay/ckpt": ckpt_replay,
     "build/faulted-1ch": lambda: faulted_build(1),
     "build/faulted-4ch": lambda: faulted_build(4),
+    "build/faulted-recycles": faulted_recycles,
     "obs/ftl_1ch_swl": lambda: telemetry_digests(obs_ftl_1ch_swl),
     "obs/nftl_4ch_service": lambda: telemetry_digests(obs_nftl_4ch_service),
     **{f"trace/{name}": (lambda kwargs=kwargs: generated_trace(kwargs))
