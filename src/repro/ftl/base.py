@@ -31,6 +31,8 @@ from repro.obs.events import GcEnd, GcStart, Recovery
 from repro.util.diagnostics import fault_log
 
 if TYPE_CHECKING:
+    from repro.ftl.allocator import BlockAllocator
+    from repro.ftl.cleaner import CyclicScanner
     from repro.obs.bus import BusLike
     from repro.sim.metrics import EraseDistribution
 
@@ -127,12 +129,22 @@ class LayerStats:
 class TranslationLayer(ABC):
     """Abstract Flash Translation Layer driver over an MTD device.
 
-    Concrete subclasses implement the Allocator (address translation) and
-    the Cleaner (garbage collection).  The base class provides logical
-    sizing, SW Leveler attachment, and the ``WearLevelingHost`` cost probe.
-    The Cleaner engages when free blocks fall to :data:`GC_FREE_FRACTION`
-    of the chip, the paper's fixed 0.2 % (Section 5.1); it is a constant,
-    not a parameter.
+    The base owns what FTL and NFTL share (paper Sections 3 and 5.1: one
+    greedy Cleaner policy, which the SW Leveler only asks to collect a
+    block set): logical sizing, SW Leveler attachment, the
+    ``WearLevelingHost`` surface (:meth:`recycle_block_range` and the cost
+    probe), the Cleaner's free-space trigger (:meth:`_reclaim_space`), and
+    grown-bad-block management (program-fault bookkeeping, the deferred
+    drain of faulted blocks, erase retry, retirement).  The Cleaner
+    engages when free blocks fall to :data:`GC_FREE_FRACTION` of the chip,
+    the paper's fixed 0.2 % (Section 5.1); it is a constant, not a
+    parameter.
+
+    A concrete driver supplies its mapping (the Allocator's translation,
+    host reads and writes, attach-time rebuild), one Cleaner pass
+    (:meth:`_gc_once`), and one evacuation step (:meth:`_evacuate`): how a
+    block's live data leaves it.  Forced recycles and the drain of faulted
+    blocks both go through that step, so retirement has one path.
 
     Parameters
     ----------
@@ -181,6 +193,10 @@ class TranslationLayer(ABC):
         #: Blocks condemned by a program/erase fault, awaiting retirement
         #: (their live data may still need draining).
         self._failed_blocks: set[int] = set()
+        #: Program-faulted blocks awaiting evacuation and retirement at the
+        #: next safe point (the end of a host write).
+        self._pending_retire: list[int] = []
+        self._retiring = False
         self.stats = LayerStats()
         self.leveler: WearLeveler | None = None
         self._suspension: AbstractContextManager[None] = _NO_BRACKET
@@ -189,13 +205,11 @@ class TranslationLayer(ABC):
     def attach_bus(self, bus: "BusLike | None") -> None:
         """Emit GC and recovery telemetry on ``bus``.
 
-        Propagates to the driver's Cleaner scanner when one exists, so a
-        single attach instruments the whole driver.
+        Propagates to the driver's Cleaner scanner, so a single attach
+        instruments the whole driver.
         """
         self._obs = bus
-        scanner = getattr(self, "scanner", None)
-        if scanner is not None:
-            scanner.attach_bus(bus)
+        self.scanner.attach_bus(bus)
 
     def _gc_traced(self, reason: str, victim: int) -> AbstractContextManager[None]:
         """Bracket one GC pass with ``GcStart``/``GcEnd`` telemetry.
@@ -316,6 +330,9 @@ class TranslationLayer(ABC):
     # ------------------------------------------------------------------
     #: Logical pages exported to the host; set by each driver's constructor.
     _num_logical_pages: int
+    #: Free-block pool and Cleaner scan; set by each driver's constructor.
+    allocator: "BlockAllocator"
+    scanner: "CyclicScanner"
 
     @property
     def num_logical_pages(self) -> int:
@@ -419,13 +436,6 @@ class TranslationLayer(ABC):
         """``(block_erases, live_page_copies)`` for SWL-overhead attribution."""
         return self.mtd.counters.erases, self.stats.live_page_copies
 
-    @abstractmethod
-    def recycle_block_range(self, blocks: range) -> int:
-        """EraseBlockSet: force-recycle the given physical blocks.
-
-        See :class:`~repro.core.leveler.WearLevelingHost`.
-        """
-
     def _leveler_suspended(self) -> AbstractContextManager[None]:
         """Defer SWL-Procedure while the driver is mid-GC.
 
@@ -435,6 +445,115 @@ class TranslationLayer(ABC):
         Without a leveler the bracket is the shared no-op.
         """
         return self._suspension
+
+    def recycle_block_range(self, blocks: range) -> int:
+        """EraseBlockSet: force-recycle the selected block set so cold data
+        moves (see :class:`~repro.core.leveler.WearLevelingHost`).
+
+        A retired block is skipped (out of service; the leveler flags its
+        set).  A free block holds nothing cold, but it is pulled to the
+        head of the free order so a (possibly virgin) block joins the
+        write rotation; the leveler flags its set directly.  Every other
+        block goes through the driver's :meth:`_evacuate` step with reason
+        ``"swl"``, so address translation updates exactly as in normal
+        garbage collection (paper Section 3.1).  Returns the blocks
+        recycled.
+        """
+        recycled = 0
+        with self._leveler_suspended():
+            for block in blocks:
+                if block in self.retired_blocks:
+                    continue
+                if self.allocator.contains(block):
+                    self.allocator.promote(block)
+                    continue
+                if self._evacuate(block, "swl"):
+                    self.stats.forced_recycles += 1
+                    recycled += 1
+        return recycled
+
+    # ------------------------------------------------------------------
+    # The Cleaner's triggers (paper Section 5.1)
+    # ------------------------------------------------------------------
+    def _reclaim_space(self) -> None:
+        """Run the Cleaner until the free pool is above the trigger level.
+
+        Paper Section 5.1: "The Cleaners in FTL and NFTL were triggered for
+        garbage collection when the percentage of free blocks was under
+        0.2% of the entire flash-memory capacity."
+        """
+        if self.allocator.free_count > self.gc_free_blocks:
+            return
+        with self._leveler_suspended():
+            while self.allocator.free_count <= self.gc_free_blocks:
+                self._gc_once()
+
+    @abstractmethod
+    def _gc_once(self) -> None:
+        """One Cleaner pass: pick a victim by the greedy cost-benefit rule
+        and reclaim it; :class:`~repro.flash.errors.OutOfSpaceError` when
+        nothing is reclaimable."""
+
+    @abstractmethod
+    def _evacuate(self, block: int, reason: str) -> bool:
+        """Move ``block``'s live data out, erase it and pool (or retire) it.
+
+        The driver's one evacuation step, run inside the caller's
+        :meth:`_leveler_suspended` scope and bracketed by
+        ``_gc_traced(reason, victim)``.  ``reason`` is ``"swl"`` for a
+        forced recycle and ``"recovery"`` for a faulted block's drain; a
+        driver's own Cleaner paths may take the step with theirs.  Returns
+        ``False`` when the block has no data to evacuate.
+        """
+
+    # ------------------------------------------------------------------
+    # Grown-bad-block management
+    # ------------------------------------------------------------------
+    def _on_program_fault(self, block: int) -> None:
+        """Bookkeeping after a failed program on ``block``.
+
+        The chip already marked the attempted page invalid and counted the
+        program.  The block is condemned and queued for evacuation and
+        retirement at the next safe point; the caller re-issues the write
+        on a fresh page — the paper-era firmware response to a grown-bad
+        block.
+        """
+        self.stats.program_faults += 1
+        if block not in self._failed_blocks and block not in self.retired_blocks:
+            self._failed_blocks.add(block)
+            self._pending_retire.append(block)
+            fault_log.info(
+                "%s: program fault on block %d; block scheduled for retirement",
+                self.name, block,
+            )
+        if self._obs is not None and self._obs.mask & M_RECOVERY:
+            self._obs.emit(Recovery("reissue", block))
+
+    def _process_pending_retirements(self) -> None:
+        """Evacuate program-faulted blocks so they retire.
+
+        Deferred to the end of the host write — a safe point where no
+        relocation is in flight — so recovery never recurses into itself.
+        A block the Cleaner already swept up (and so retired) in the
+        meantime is skipped.  The evacuation's copies count as recovery
+        copies.
+        """
+        if self._retiring or not self._pending_retire:
+            return
+        self._retiring = True
+        try:
+            while self._pending_retire:
+                block = self._pending_retire.pop()
+                if block in self.retired_blocks:
+                    continue
+                copies_before = self.stats.live_page_copies
+                with self._leveler_suspended():
+                    self._evacuate(block, "recovery")
+                self.stats.recovery_copies += (
+                    self.stats.live_page_copies - copies_before
+                )
+        finally:
+            self._retiring = False
 
     # ------------------------------------------------------------------
     # Checkpointing (see repro.ckpt)
@@ -450,6 +569,8 @@ class TranslationLayer(ABC):
             "layer": self.name,
             "retired_blocks": sorted(self.retired_blocks),
             "failed_blocks": sorted(self._failed_blocks),
+            "pending_retire": list(self._pending_retire),
+            "scanner": self.scanner.snapshot_state(),
             "stats": {
                 "host_reads": self.stats.host_reads,
                 "host_writes": self.stats.host_writes,
@@ -480,6 +601,9 @@ class TranslationLayer(ABC):
         extra = stats.pop("extra")
         self.stats = LayerStats(**stats, extra=dict(extra))
         self.allocator.restore_state(state["allocator"])  # type: ignore[arg-type]
+        self._pending_retire = list(state["pending_retire"])  # type: ignore[arg-type]
+        self._retiring = False
+        self.scanner.restore_state(state["scanner"])  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
     # Introspection

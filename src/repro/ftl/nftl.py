@@ -46,8 +46,6 @@ from repro.flash.mtd import MtdDevice
 from repro.ftl.allocator import BlockAllocator
 from repro.ftl.base import DEFAULT_OP_RATIO, TranslationLayer
 from repro.ftl.cleaner import CyclicScanner
-from repro.obs.bus import M_RECOVERY
-from repro.obs.events import Recovery
 from repro.util.diagnostics import fault_log
 
 _NOWHERE = -1
@@ -121,10 +119,6 @@ class NFTL(TranslationLayer):
             policy=alloc_policy,
         )
         self.scanner = CyclicScanner(self.num_vbas)
-        # Blocks that suffered a program fault; their owning chains fold
-        # (and the blocks retire) at the next safe point.
-        self._pending_retire: list[int] = []
-        self._retiring = False
 
     # ------------------------------------------------------------------
     # Logical space
@@ -232,9 +226,7 @@ class NFTL(TranslationLayer):
                 chain.repl_next += 1
             else:
                 with self._leveler_suspended():
-                    self._ensure_fold_headroom()
-                    with self._gc_traced("fold", chain.vba):
-                        self._fold(chain)
+                    self._evacuate(chain.primary, "fold")
                 continue
             try:
                 self.mtd.write_page(dest_block, dest_page, lba=lpn, data=data)
@@ -264,53 +256,6 @@ class NFTL(TranslationLayer):
         return self.mtd.flash.page_state(chain.primary, offset) != PAGE_FREE
 
     # ------------------------------------------------------------------
-    # Fault recovery
-    # ------------------------------------------------------------------
-    def _on_program_fault(self, block: int) -> None:
-        """Bookkeeping after a failed program: the chip already marked the
-        attempted page invalid and counted the program."""
-        self.stats.program_faults += 1
-        if block not in self._failed_blocks and block not in self.retired_blocks:
-            self._failed_blocks.add(block)
-            self._pending_retire.append(block)
-            fault_log.info(
-                "NFTL: program fault on block %d; owning chain will fold "
-                "and the block retire", block,
-            )
-        if self._obs is not None and self._obs.mask & M_RECOVERY:
-            self._obs.emit(Recovery("reissue", block))
-
-    def _process_pending_retirements(self) -> None:
-        """Fold chains owning program-faulted blocks so the blocks retire.
-
-        Deferred to the end of the host write — a safe point where no fold
-        is in flight — so recovery never recurses into itself.  A faulted
-        block whose chain already folded in the meantime was retired by
-        that fold's erase path and is skipped here.
-        """
-        if self._retiring or not self._pending_retire:
-            return
-        self._retiring = True
-        try:
-            while self._pending_retire:
-                block = self._pending_retire.pop()
-                if block in self.retired_blocks:
-                    continue
-                chain = self._owner[block]
-                if chain is None:
-                    continue
-                copies_before = self.stats.live_page_copies
-                with self._leveler_suspended():
-                    self._ensure_fold_headroom()
-                    with self._gc_traced("recovery", chain.vba):
-                        self._fold(chain)
-                self.stats.recovery_copies += (
-                    self.stats.live_page_copies - copies_before
-                )
-        finally:
-            self._retiring = False
-
-    # ------------------------------------------------------------------
     # Chain management
     # ------------------------------------------------------------------
     def _open_chain(self, vba: int) -> BlockChain:
@@ -329,13 +274,6 @@ class NFTL(TranslationLayer):
         """Allocate after making sure the Cleaner has done its share."""
         self._reclaim_space()
         return self.allocator.allocate()
-
-    def _reclaim_space(self) -> None:
-        if self.allocator.free_count > self.gc_free_blocks:
-            return
-        with self._leveler_suspended():
-            while self.allocator.free_count <= self.gc_free_blocks:
-                self._gc_once()
 
     def _gc_once(self) -> None:
         """One Cleaner pass: fold the least-worn qualifying chain.
@@ -365,6 +303,23 @@ class NFTL(TranslationLayer):
         assert chain is not None
         with self._gc_traced("free-space", victim):
             self._fold(chain)
+
+    def _evacuate(self, block: int, reason: str) -> bool:
+        """Fold the chain owning ``block``; nothing for an unowned block.
+
+        Folding moves the chain's (possibly cold) data to a fresh primary
+        and erases its old blocks, so two blocks of one chain fold once —
+        the paper's goal of "prevent[ing] any cold data from staying at
+        any block for a long period of time".  The ``_gc_traced`` victim
+        is the chain's VBA.
+        """
+        chain = self._owner[block]
+        if chain is None:
+            return False
+        self._ensure_fold_headroom()
+        with self._gc_traced(reason, chain.vba):
+            self._fold(chain)
+        return True
 
     def _ensure_fold_headroom(self) -> None:
         """A fold allocates one block before erasing two; make sure the
@@ -495,8 +450,6 @@ class NFTL(TranslationLayer):
         state.update({
             "num_vbas": self.num_vbas,
             "chains": chains,
-            "scanner": self.scanner.snapshot_state(),
-            "pending_retire": list(self._pending_retire),
         })
         return state
 
@@ -526,9 +479,6 @@ class NFTL(TranslationLayer):
             if chain.replacement is not None:
                 self._owner[chain.replacement] = chain
         self._replaced = self._chains_with_replacement()
-        self.scanner.restore_state(state["scanner"])  # type: ignore[arg-type]
-        self._pending_retire = list(state["pending_retire"])  # type: ignore[arg-type]
-        self._retiring = False
 
     # ------------------------------------------------------------------
     # Attach-time recovery
@@ -782,33 +732,3 @@ class NFTL(TranslationLayer):
                         f"stale valid page ({block}, {page}) referenced by "
                         f"no chain"
                     )
-
-    # ------------------------------------------------------------------
-    # SW Leveler host interface (EraseBlockSet)
-    # ------------------------------------------------------------------
-    def recycle_block_range(self, blocks: range) -> int:
-        """Force-fold every chain owning a block in the selected set.
-
-        Folding moves the chain's (possibly cold) data to a fresh block and
-        erases the old ones — precisely the paper's goal of "prevent[ing]
-        any cold data from staying at any block for a long period of time".
-        Free blocks are skipped; two blocks of the same chain fold once.
-        """
-        recycled = 0
-        with self._leveler_suspended():
-            for block in blocks:
-                if block in self.retired_blocks:
-                    continue  # out of service; the leveler flags the set
-                chain = self._owner[block]
-                if chain is None:
-                    if self.allocator.contains(block):
-                        # Pull the (possibly virgin) free block to the head
-                        # of the free order so it joins the rotation.
-                        self.allocator.promote(block)
-                    continue
-                self._ensure_fold_headroom()
-                with self._gc_traced("swl", chain.vba):
-                    self._fold(chain)
-                self.stats.forced_recycles += 1
-                recycled += 1
-        return recycled

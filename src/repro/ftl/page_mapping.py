@@ -34,8 +34,6 @@ from repro.flash.mtd import MtdDevice
 from repro.ftl.allocator import BlockAllocator
 from repro.ftl.base import DEFAULT_OP_RATIO, TranslationLayer
 from repro.ftl.cleaner import CyclicScanner, VictimIndex
-from repro.obs.bus import M_RECOVERY
-from repro.obs.events import Recovery
 from repro.util.diagnostics import fault_log
 
 _UNMAPPED = -1
@@ -89,10 +87,6 @@ class PageMappingFTL(TranslationLayer):
         self._host_frontier: tuple[int, int] | None = None
         self._copy_frontier: tuple[int, int] | None = None
         self._cold_frontier: tuple[int, int] | None = None
-        # Blocks that suffered a program fault, awaiting relocation and
-        # retirement at the next safe point (end of the host write).
-        self._pending_retire: list[int] = []
-        self._retiring = False
 
     # ------------------------------------------------------------------
     # Logical space
@@ -205,7 +199,7 @@ class PageMappingFTL(TranslationLayer):
                     done += landed
                     if not isinstance(exc, ProgramFaultError):
                         raise
-                    self._on_program_fault(block, "host")
+                    self._on_program_fault(block)
                     continue
                 self._map_host_run(block, page, run)
                 if self._pending_retire:
@@ -263,57 +257,13 @@ class PageMappingFTL(TranslationLayer):
     # ------------------------------------------------------------------
     # Space management
     # ------------------------------------------------------------------
-    def _on_program_fault(self, block: int, kind: str) -> None:
-        """Bookkeeping after a failed program on the ``kind`` frontier.
-
-        The chip already marked the attempted page invalid and counted the
-        program; the faulted block's frontier is closed, the block is
-        queued for retirement, and the caller re-issues the write on a
-        fresh page — the paper-era firmware response to a grown-bad block.
-        """
-        self.stats.program_faults += 1
+    def _on_program_fault(self, block: int) -> None:
+        """The faulted page counts invalid and the block's frontier closes;
+        then the driver-common bookkeeping."""
         self._invalid[block] += 1
-        self.victims.refile(block)  # and its frontier closes
-        setattr(self, f"_{kind}_frontier", None)
-        if block not in self._failed_blocks and block not in self.retired_blocks:
-            self._failed_blocks.add(block)
-            self._pending_retire.append(block)
-            fault_log.info(
-                "FTL: program fault on block %d (%s frontier); "
-                "block scheduled for retirement", block, kind,
-            )
-        if self._obs is not None and self._obs.mask & M_RECOVERY:
-            self._obs.emit(Recovery("reissue", block))
-
-    def _process_pending_retirements(self) -> None:
-        """Relocate and retire program-faulted blocks.
-
-        Deferred to the end of the host write — a safe point where no
-        relocation is in flight — so recovery never recurses into itself.
-        A block the Cleaner already swept up in the meantime is skipped.
-        """
-        if self._retiring or not self._pending_retire:
-            return
-        self._retiring = True
-        try:
-            while self._pending_retire:
-                block = self._pending_retire.pop()
-                if block in self.retired_blocks:
-                    continue
-                for attr in ("_host_frontier", "_copy_frontier",
-                             "_cold_frontier"):
-                    frontier = getattr(self, attr)
-                    if frontier is not None and frontier[0] == block:
-                        setattr(self, attr, None)
-                copies_before = self.stats.live_page_copies
-                with self._leveler_suspended(), \
-                        self._gc_traced("recovery", block):
-                    self._relocate_and_erase(block)
-                self.stats.recovery_copies += (
-                    self.stats.live_page_copies - copies_before
-                )
-        finally:
-            self._retiring = False
+        self.victims.refile(block)
+        self._close_frontiers(block)
+        super()._on_program_fault(block)
 
     def _recycle_dead_block(self) -> None:
         """Erase-on-demand: reclaim one fully-invalid block, if any.
@@ -337,8 +287,8 @@ class PageMappingFTL(TranslationLayer):
         victim = self.victims.dead(dead)
         if victim is not None:
             self.stats.dead_recycles += 1
-            with self._leveler_suspended(), self._gc_traced("dead", victim):
-                self._relocate_and_erase(victim)
+            with self._leveler_suspended():
+                self._evacuate(victim, "dead")
 
     def _frontier_blocks(self) -> set[int]:
         blocks = set()
@@ -348,18 +298,14 @@ class PageMappingFTL(TranslationLayer):
                 blocks.add(frontier[0])
         return blocks
 
-    def _reclaim_space(self) -> None:
-        """Run the Cleaner until the free pool is above the trigger level.
-
-        Paper Section 5.1: "The Cleaners in FTL and NFTL were triggered for
-        garbage collection when the percentage of free blocks was under
-        0.2% of the entire flash-memory capacity."
-        """
-        if self.allocator.free_count > self.gc_free_blocks:
-            return
-        with self._leveler_suspended():
-            while self.allocator.free_count <= self.gc_free_blocks:
-                self._gc_once()
+    def _close_frontiers(self, block: int) -> None:
+        """Close any write frontier open on ``block``."""
+        if self._host_frontier is not None and self._host_frontier[0] == block:
+            self._host_frontier = None
+        if self._copy_frontier is not None and self._copy_frontier[0] == block:
+            self._copy_frontier = None
+        if self._cold_frontier is not None and self._cold_frontier[0] == block:
+            self._cold_frontier = None
 
     def _gc_once(self) -> None:
         """One Cleaner pass: recycle the least-worn qualifying victim.
@@ -385,8 +331,18 @@ class PageMappingFTL(TranslationLayer):
                 "the logical space is too large for the physical space"
             )
         self.stats.gc_runs += 1
-        with self._gc_traced("free-space", victim):
-            self._relocate_and_erase(victim)
+        self._evacuate(victim, "free-space")
+
+    def _evacuate(self, block: int, reason: str) -> bool:
+        """Close any frontier on ``block``, then relocate and erase it.
+
+        A forced recycle (``"swl"``) copies to the cold frontier; every
+        other reason to the Cleaner's.
+        """
+        self._close_frontiers(block)
+        with self._gc_traced(reason, block):
+            self._relocate_and_erase(block, cold=reason == "swl")
+        return True
 
     def _relocate_and_erase(self, block: int, *, cold: bool = False) -> None:
         """Copy every live page out of ``block``, erase it, pool it.
@@ -396,8 +352,7 @@ class PageMappingFTL(TranslationLayer):
         Cleaner's destination blocks.  Live pages move run by run, as many
         as the destination frontier's block still holds.
         """
-        kind = "cold" if cold else "copy"
-        attr = f"_{kind}_frontier"
+        attr = "_cold_frontier" if cold else "_copy_frontier"
         ppb = self.geometry.pages_per_block
         base = block * ppb
         live = []
@@ -431,7 +386,7 @@ class PageMappingFTL(TranslationLayer):
                 # The faulted page's source was read; only its program
                 # re-issues, on a fresh page.
                 carry = exc.carry
-                self._on_program_fault(dest_block, kind)
+                self._on_program_fault(dest_block)
                 continue
             carry = None
             self._map_copied_run(block, sources, dest_block, dest_page)
@@ -459,40 +414,6 @@ class PageMappingFTL(TranslationLayer):
         self.stats.live_page_copies += len(sources)
 
     # ------------------------------------------------------------------
-    # SW Leveler host interface (EraseBlockSet)
-    # ------------------------------------------------------------------
-    def recycle_block_range(self, blocks: range) -> int:
-        """Force-recycle the selected block set so cold data moves.
-
-        Free blocks are skipped (nothing cold lives there); a frontier
-        block is closed first so its live pages relocate like any other.
-        Address translation updates happen exactly as in normal garbage
-        collection, per paper Section 3.1.
-        """
-        recycled = 0
-        with self._leveler_suspended():
-            for block in blocks:
-                if block in self.retired_blocks:
-                    continue  # out of service; the leveler flags the set
-                if self.allocator.contains(block):
-                    # Nothing cold to move, but pull the (possibly virgin)
-                    # block to the head of the free order so it joins the
-                    # write rotation; the leveler flags the set directly.
-                    self.allocator.promote(block)
-                    continue
-                if self._host_frontier is not None and block == self._host_frontier[0]:
-                    self._host_frontier = None
-                if self._copy_frontier is not None and block == self._copy_frontier[0]:
-                    self._copy_frontier = None
-                if self._cold_frontier is not None and block == self._cold_frontier[0]:
-                    self._cold_frontier = None
-                with self._gc_traced("swl", block):
-                    self._relocate_and_erase(block, cold=True)
-                self.stats.forced_recycles += 1
-                recycled += 1
-        return recycled
-
-    # ------------------------------------------------------------------
     # Checkpointing (see repro.ckpt)
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict[str, object]:
@@ -504,11 +425,9 @@ class PageMappingFTL(TranslationLayer):
             "p2l": list(self._p2l),
             "valid": list(self._valid),
             "invalid": list(self._invalid),
-            "scanner": self.scanner.snapshot_state(),
             "host_frontier": self._host_frontier,
             "copy_frontier": self._copy_frontier,
             "cold_frontier": self._cold_frontier,
-            "pending_retire": list(self._pending_retire),
         })
         return state
 
@@ -523,7 +442,6 @@ class PageMappingFTL(TranslationLayer):
         self._p2l = list(state["p2l"])  # type: ignore[arg-type]
         self._valid = list(state["valid"])  # type: ignore[arg-type]
         self._invalid = list(state["invalid"])  # type: ignore[arg-type]
-        self.scanner.restore_state(state["scanner"])  # type: ignore[arg-type]
         self.victims.rebuild(self._invalid, self._valid, self.mtd.erase_counts)
 
         def frontier(value: object) -> tuple[int, int] | None:
@@ -535,8 +453,6 @@ class PageMappingFTL(TranslationLayer):
         self._host_frontier = frontier(state["host_frontier"])
         self._copy_frontier = frontier(state["copy_frontier"])
         self._cold_frontier = frontier(state["cold_frontier"])
-        self._pending_retire = list(state["pending_retire"])  # type: ignore[arg-type]
-        self._retiring = False
 
     # ------------------------------------------------------------------
     # Attach-time recovery (Figure 2(a): the table lives in RAM)
