@@ -91,6 +91,8 @@ def run_endurance_matrix(
     cells under the campaign supervisor in a temporary workdir, one
     attempt per cell, and raises :class:`RuntimeError` naming the cell
     and its error if one fails; the results equal the serial ones.
+    ``None`` and 1 run serially; fewer than one worker is a
+    :class:`ValueError`.
 
     Within one workload group the trace is generated **once** from the
     shape's own seeded RNG stream, so every spec of that workload sees
@@ -99,6 +101,8 @@ def run_endurance_matrix(
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     groups: dict[str, list[int]] = {}
     for index, cell in enumerate(cells):
         groups.setdefault(cell.workload, []).append(index)
@@ -119,7 +123,7 @@ def run_endurance_matrix(
             period=period,
         )
         trace = shape.requests(base_duration)
-        if workers is None or workers <= 1:
+        if workers is None or workers == 1:
             replays = run_matrix(group_specs, trace, horizon=horizon)
         else:
             replays = _supervised_group(

@@ -203,6 +203,23 @@ class TestSweep:
         assert any("T=5" in line for line in resumed)
 
 
+@pytest.mark.parametrize("argv", [
+    ["endure", "--blocks", "24", "--scale", "100", "--channels", "1",
+     "--shapes", "hotspot", "--horizon-days", "0.01", "--seed", "7",
+     "--workers", "-3"],
+    ["arena", "--blocks", "24", "--scale", "100", "--workloads",
+     "hotspot", "--levelers", "baseline", "--horizon-days", "0.01",
+     "--no-faults", "--workers", "0"],
+], ids=["endure", "arena"])
+def test_fewer_than_one_worker_is_a_usage_error(capsys, argv):
+    """``endure``/``arena --workers`` below one is refused, not run serially."""
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == 2
+    captured = capsys.readouterr()
+    assert "workers must be >= 1" in captured.err and not captured.out
+
+
 class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
