@@ -6,30 +6,49 @@ already copy whole blocks, so SWL's extra folds barely register), while
 FTL's ratio is much larger "because somehow hot data were often written
 in burst in the trace such that the average number of live-page copyings
 was very small under FTL" — a small denominator.  The paper's Figure 7(a)
-reaches ~300%; ours is in the same regime.
+reaches ~300%; ours is in the same regime.  Each row also splits that
+total into *direct* cost (SWL's copies over the same run's other copies)
+and *induced* cost (the run's non-SWL copies over the baseline's, minus
+1): FTL's ratio is mostly induced — see EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
-from benchmarks.conftest import K_VALUES, THRESHOLDS, BenchSetup, report
+from benchmarks.conftest import (
+    K_VALUES,
+    THRESHOLDS,
+    BenchSetup,
+    overhead_split,
+    report,
+)
 from repro.sim.metrics import increased_ratio
 from repro.util.tables import format_table
 
 
+#: The total is the paper's quantity; direct and induced split it (see
+#: :func:`benchmarks.conftest.overhead_split`).
+HEADERS = [
+    "Configuration", "Live-page copyings vs baseline (%)",
+    "Direct: SWL / non-SWL copyings (%)", "Induced: non-SWL copyings vs baseline (%)",
+]
+
+
 def _fig7_table(matrix, driver: str):
     baseline = matrix.horizon(driver, None)
-    rows: list[list[object]] = [[driver.upper(), 100.0]]
+    rows: list[list[object]] = [[driver.upper(), 100.0, "-", "-"]]
     ratios = {}
     for paper_t in THRESHOLDS:
         for k in K_VALUES:
             result = matrix.horizon(driver, (k, paper_t))
-            ratio = increased_ratio(
-                result.live_page_copies, baseline.live_page_copies
-            )
+            ratio = increased_ratio(result.live_page_copies, baseline.live_page_copies)
             ratios[(k, paper_t)] = ratio
+            direct, induced = overhead_split(
+                result.live_page_copies, result.swl_stats["swl_copies"],
+                baseline.live_page_copies,
+            )
             rows.append(
                 [f"{driver.upper()}+SWL+{BenchSetup.swl_label((k, paper_t))}",
-                 round(ratio, 2)]
+                 round(ratio, 2), round(direct, 2), f"{induced:+.2f}"]
             )
     return rows, ratios
 
@@ -39,8 +58,7 @@ def test_fig7a_ftl_extra_copyings(matrix, benchmark):
         _fig7_table, args=(matrix, "ftl"), rounds=1, iterations=1
     )
     report("fig7a", format_table(
-        ["Configuration", "Live-page copyings vs baseline (%)"],
-        rows,
+        HEADERS, rows,
         title="Figure 7(a): increased ratio of live-page copyings, FTL",
     ))
     # FTL's baseline copies are tiny (bursty hot data), so the ratio is
@@ -53,8 +71,7 @@ def test_fig7b_nftl_extra_copyings(matrix, benchmark):
         _fig7_table, args=(matrix, "nftl"), rounds=1, iterations=1
     )
     report("fig7b", format_table(
-        ["Configuration", "Live-page copyings vs baseline (%)"],
-        rows,
+        HEADERS, rows,
         title="Figure 7(b): increased ratio of live-page copyings, NFTL",
     ))
     assert all(ratio >= 97.0 for ratio in ratios.values()), ratios

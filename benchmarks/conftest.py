@@ -71,6 +71,21 @@ def report(name: str, text: str) -> None:
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 
 
+def overhead_split(total: int, swl: int, baseline: int) -> tuple[float, float]:
+    """Split an SWL run's erases (or copies) into direct and induced cost.
+
+    ``total`` counts the run's erases (copies), ``swl`` the part SWL's
+    forced recycles made, ``baseline`` the no-SWL run's.  Returns, in
+    percent, *direct* (SWL over the same run's non-SWL part: the
+    denominator of Tables 2-3 and ``bench_worstcase_validation``) and
+    *induced* (the run's non-SWL part over the baseline's, minus 1: the
+    extra Cleaner work that relocated data causes).  The total ratio
+    Figures 6-7 plot is ``(1 + direct) * (1 + induced)``.
+    """
+    other = total - swl
+    return 100.0 * swl / other, 100.0 * (other / baseline - 1.0)
+
+
 def pytest_sessionfinish(session, exitstatus):
     """Write an index of every regenerated exhibit after a bench run."""
     if not RESULTS_DIR.is_dir():

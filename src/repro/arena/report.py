@@ -66,7 +66,10 @@ def arena_report(result: ArenaResult) -> str:
         "absorption deducted); RAM is the mechanism's controller-memory "
         "accounting; p99 comes from an open-loop service soak onto a "
         "freshly built, empty device: too short to erase a block, it is "
-        "bare program latency, not leveling interference.",
+        "bare program latency, not leveling interference.  The faults "
+        "verdict comes from a campaign that writes through the driver, "
+        "below the stack's host entry, so a write-back cache never sees "
+        "its writes: cache-avoid's verdict is its driver's alone.",
         "## Leaderboard",
         leaderboard_table(result).markdown(),
         "## Cells",
