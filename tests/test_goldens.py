@@ -34,6 +34,8 @@ from repro.ckpt import encode_payload
 from repro.ckpt.runner import trace_digest
 from repro.cli import main
 from repro.core.config import SWLConfig
+from repro.core.policies import leveler_kinds
+from repro.fault.campaign import run_fault_campaign
 from repro.fault.plan import FaultPlan
 from repro.obs import Telemetry
 from repro.service import ServiceEngine, poisson_arrivals
@@ -49,6 +51,7 @@ from repro.traces.generator import DAY, MobilePCWorkload, WorkloadParams
 from repro.traces.model import Trace
 from repro.util.rng import below, make_rng, spawn_rng
 from repro.util.tables import Table
+from tests.test_leveler_contract import SPECS
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDENS_PATH = Path(__file__).with_name("goldens.json")
@@ -184,6 +187,35 @@ def faulted_recycles() -> dict[str, list[str]]:
     return digests
 
 
+def campaign_kinds() -> dict[str, str]:
+    """``run_fault_campaign`` on NFTL for the baseline and every leveler
+    kind (``tests/test_leveler_contract.py``'s knobs): each result's
+    digest.
+
+    The ``cli/faults-*`` entries run only SWL at ``T = 100``, where
+    SWL-Procedure never runs.  Here SWL's forced recycles and dual-pool's
+    swaps run under erase, program and read faults, so both soaks erase
+    more than the baseline's.  FTL is left out: it never garbage-collects
+    in 600 writes.
+    """
+    geometry = scaled_mlc2_geometry(24, scale=100)
+    plan = FaultPlan(
+        seed=7, erase_fail_prob=0.02, program_fail_prob=0.001, read_ber=1e-8
+    )
+    results = {
+        kind: run_fault_campaign(
+            geometry, "nftl", SPECS.get(kind), plan=plan, seed=7,
+            soak_writes=600, loss_points=20,
+        )
+        for kind in ["baseline", *leveler_kinds()]
+    }
+    assert all(result.ok for result in results.values())
+    baseline = results["baseline"].soak_erases
+    assert results["swl"].soak_erases > baseline
+    assert results["dual-pool"].soak_erases > baseline
+    return {kind: result_sha256(result) for kind, result in results.items()}
+
+
 # ----------------------------------------------------------------------
 # Telemetry artifacts: the bytes Telemetry.to_directory writes, recorded
 # at 08b1d6f, before repro.obs lost its synchronous and tally delivery
@@ -303,6 +335,7 @@ RECIPES: dict[str, Callable[[], object]] = {
     "build/faulted-1ch": lambda: faulted_build(1),
     "build/faulted-4ch": lambda: faulted_build(4),
     "build/faulted-recycles": faulted_recycles,
+    "fault/campaign-kinds": campaign_kinds,
     "obs/ftl_1ch_swl": lambda: telemetry_digests(obs_ftl_1ch_swl),
     "obs/nftl_4ch_service": lambda: telemetry_digests(obs_nftl_4ch_service),
     **{f"trace/{name}": (lambda kwargs=kwargs: generated_trace(kwargs))
