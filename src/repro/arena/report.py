@@ -69,7 +69,11 @@ def arena_report(result: ArenaResult) -> str:
         "bare program latency, not leveling interference.  The faults "
         "verdict comes from a campaign that writes through the driver, "
         "below the stack's host entry, so a write-back cache never sees "
-        "its writes: cache-avoid's verdict is its driver's alone.",
+        "its writes: cache-avoid's verdict is its driver's alone.  Its "
+        "plan injects no transient fault, only the power losses, and on a "
+        "fresh FTL chip its 600 soak writes erase no block and its 10 "
+        "losses strike plain first writes: the column checks crash "
+        "recovery of a fresh device, not a fault or any mechanism's work.",
         "## Leaderboard",
         leaderboard_table(result).markdown(),
         "## Cells",

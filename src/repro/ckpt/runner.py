@@ -122,10 +122,7 @@ def fault_plan_state(plan: FaultPlan | None) -> dict[str, object] | None:
         "erase_weibull_shape": plan.erase_weibull_shape,
         "program_fail_prob": plan.program_fail_prob,
         "read_ber": plan.read_ber,
-        "ecc_correctable_bits": plan.ecc_correctable_bits,
-        "read_retry_limit": plan.read_retry_limit,
         "power_loss_at": list(plan.power_loss_at),
-        "torn_writes": plan.torn_writes,
     }
 
 

@@ -8,10 +8,12 @@ makes failure *executable*:
   errors with bounded-retry ECC, scheduled power loss);
 * :mod:`repro.fault.injector` — :class:`FaultInjector`, the seeded
   deterministic engine the chip consults on every primitive operation;
-* :mod:`repro.fault.crashsim` — the power-loss harness: snapshot, reboot,
-  rebuild, and invariant checks swept across many loss points;
-* :mod:`repro.fault.campaign` — whole fault campaigns combining transient
-  faults with a crash sweep, reported through the CLI.
+* :mod:`repro.fault.crashsim` — the one fault driver (a faulted stack fed
+  the hot/cold write stream, optionally cut by a power loss), the one
+  invariant checker, and the power-loss harness that reboots, rebuilds
+  and checks across many loss points;
+* :mod:`repro.fault.campaign` — whole fault campaigns: a soak (a drive
+  with no power loss) and a crash sweep, reported through the CLI.
 """
 
 from repro.fault.campaign import FaultCampaignResult, run_fault_campaign

@@ -1,44 +1,46 @@
 """Whole fault campaigns: transient-fault soak + power-loss sweep.
 
 A campaign answers the robustness question end to end for one stack
-configuration:
+configuration, through the one fault driver of
+:mod:`repro.fault.crashsim`:
 
-1. **Soak phase** — a long deterministic hot/cold workload runs with
-   transient erase failures, grown-bad program failures, and read bit
-   errors enabled.  Every acknowledged write is tracked and verified at
-   the end, so silent data loss under fault recovery is caught; the
-   recovery costs (retries, re-issued programs, drain copies, retired
-   blocks) are collected from the driver and injector stats.
-2. **Crash phase** — a :class:`~repro.fault.crashsim.CrashConsistencyHarness`
-   sweeps scheduled power-loss points across the operation stream and
-   checks the recovery invariants after each simulated reboot.
+1. **Soak phase** — a :meth:`~repro.fault.crashsim.CrashConsistencyHarness.drive`
+   with no power loss scheduled: a long deterministic hot/cold workload
+   under transient erase failures, grown-bad program failures and read
+   bit errors.  :func:`~repro.fault.crashsim.check_invariants` then
+   checks it like any crash run (acknowledged data, driver tables, BET,
+   retired set), and the unrecovered-fault gate catches a condemned block
+   the driver never retired.  The recovery costs (retries, re-issued
+   programs, drain copies, retired blocks) are read from the driver and
+   injector stats after the checks, which cost no chip operation beyond
+   the reads.
+2. **Crash phase** — the same harness sweeps scheduled power-loss points
+   across the operation stream and checks the same invariants after each
+   simulated reboot.
 
 The result aggregates both phases; ``ok`` is the campaign's pass/fail
-gate (zero data-integrity violations and zero crash-invariant
-violations), which is what the ``repro faults`` CLI command reports.
+gate (zero soak violations and zero crash-invariant violations), which
+is what the ``repro faults`` CLI command reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.policies import LevelerSpec
 from repro.fault.crashsim import (
     CrashConsistencyHarness,
     CrashSweepReport,
-    hot_cold_lpns,
+    check_invariants,
 )
-from repro.fault.injector import FaultInjector
 from repro.fault.plan import FaultPlan
-from repro.flash.errors import OutOfSpaceError, UncorrectableReadError
 from repro.flash.geometry import FlashGeometry
-from repro.ftl.factory import build_stack
-from repro.util.diagnostics import fault_log
-from repro.util.rng import make_rng
 
 #: The crash sweep's first power-loss ordinal and the stride between
-#: losses: a prime-ish stride lands losses inside host writes, GC, folds
-#: and SWL moves alike rather than beating with any workload period.
+#: losses: a prime-ish stride avoids beating with any workload period.
+#: A loss lands inside GC, a fold or an SWL move only if the run reaches
+#: one by then: on ``repro faults``' 32-block FTL no crash run does (its
+#: only erases retire blocks), while NFTL's fold from the loss at op 259 on.
 LOSS_START = 25
 LOSS_STRIDE = 13
 
@@ -109,73 +111,35 @@ def run_fault_campaign(
     Parameters
     ----------
     plan:
-        Transient-fault model for the soak; its power-loss schedule is
-        ignored there (crashes belong to the sweep).
+        Transient-fault model of both phases; its power-loss schedule is
+        ignored (the soak schedules no loss, each crash run one).
     loss_points:
         The crash sweep schedules ``loss_points`` power losses at
         operation ordinals ``LOSS_START + i * LOSS_STRIDE``, each over
         a run of ``CRASH_WRITES`` host writes.
     """
     plan = plan or FaultPlan()
-    soak_plan = replace(plan, power_loss_at=())
     label = f"{driver}+{swl.label()}" if swl is not None else driver
     result = FaultCampaignResult(label=label)
 
-    # ---- phase 1: transient-fault soak with data-integrity tracking ----
-    injector = FaultInjector(soak_plan)
-    stack = build_stack(
-        geometry,
-        driver,
-        swl,
-        store_data=True,
-        rng=make_rng(seed),
-        injector=injector,
+    # ---- phase 1: the soak, a drive with no power loss -------------------
+    soak = CrashConsistencyHarness(
+        geometry, driver, swl, plan=plan, seed=seed, writes=soak_writes
+    ).drive()
+    layer = soak.stack.layer
+    result.soak_writes = soak.writes
+    result.soak_violations = check_invariants(
+        soak.stack, soak.acked, device_full=soak.device_full
     )
-    layer = stack.layer
-    acked: dict[int, bytes] = {}
-    completed = 0
-    device_full = False
-    lpns = hot_cold_lpns(layer.num_logical_pages, soak_writes, seed)
-    for version, lpn in enumerate(lpns):
-        payload = f"soak lpn={lpn} v={version}".encode()
-        try:
-            layer.write(lpn, payload)
-        except OutOfSpaceError:
-            device_full = True
-            fault_log.warning(
-                "soak stopped after %d writes: retirement consumed the "
-                "over-provisioning reserve", version,
-            )
-            break
-        acked[lpn] = payload
-        completed += 1
-    result.soak_writes = completed
-    for lpn, payload in acked.items():
-        try:
-            got = layer.read(lpn)
-        except UncorrectableReadError as exc:
-            result.soak_violations.append(f"uncorrectable read of lpn {lpn}: {exc}")
-            continue
-        if got != payload:
-            result.soak_violations.append(
-                f"soak data loss on lpn {lpn}: expected {payload!r}, got {got!r}"
-            )
-    # A soak that ended at device-full aborted an operation midway; the
-    # strict bookkeeping check only applies to a device still in service.
-    if not device_full:
-        try:
-            layer.assert_internal_consistency()
-        except AssertionError as exc:
-            result.soak_violations.append(f"soak internal consistency: {exc}")
 
     # Unrecovered-fault gate: every block a delivered fault condemned must
     # have finished its retirement by soak end — data migrated off and the
     # block marked bad.  Anything still pending is a recovery the driver
     # dropped on the floor, and ``repro faults`` must exit nonzero for it.
-    # A device-full abort is exempt like the consistency check above: the
+    # A device-full stop is exempt like the table check: the
     # OutOfSpaceError interrupted a retirement that had nowhere to migrate
     # to — end of device life, not a dropped recovery.
-    unrecovered = sorted(layer.failed_blocks) if not device_full else []
+    unrecovered = sorted(layer.failed_blocks) if not soak.device_full else []
     result.unrecovered_faults = len(unrecovered)
     if unrecovered:
         result.soak_violations.append(
@@ -183,7 +147,7 @@ def run_fault_campaign(
             f"end: blocks {unrecovered} condemned but never retired"
         )
 
-    result.injector_stats = injector.stats.as_dict()
+    result.injector_stats = soak.stack.flash.injector.stats.as_dict()
     layer_stats = layer.stats.as_dict()
     result.recovery_stats = {
         key: layer_stats.get(key, 0)
@@ -195,14 +159,14 @@ def run_fault_campaign(
         )
     }
     result.retired_blocks = len(layer.retired_blocks)
-    result.soak_erases = stack.flash.total_erases()
+    result.soak_erases = soak.stack.flash.total_erases()
 
     # ---- phase 2: power-loss sweep with recovery invariants ------------
     harness = CrashConsistencyHarness(
         geometry,
         driver,
         swl,
-        plan=soak_plan,
+        plan=plan,
         seed=seed,
         writes=CRASH_WRITES,
     )

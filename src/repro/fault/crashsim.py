@@ -1,25 +1,32 @@
-"""Power-loss crash-consistency harness.
+"""The fault driver: one host-write loop and one invariant checker.
 
-Drives a deterministic host workload against a freshly built stack while a
-:class:`~repro.fault.injector.FaultInjector` schedules one power loss; when
-the loss fires, the harness "reboots" the device — RAM wiring is dropped, a
-new driver rebuilds its mapping from spare-area tags, a new SW Leveler
-reloads its BET from the dual-buffer store — and then checks the recovery
-invariants:
+:meth:`CrashConsistencyHarness.drive` builds a faulted stack and writes
+the seeded hot/cold page stream (:func:`hot_cold_lpns`) to it, keeping
+the last acknowledged payload of every page.  It stops at device-full
+or at the one power loss the run may schedule.  Two callers share it:
 
-* every write acknowledged before the loss reads back its exact payload
-  (unacknowledged in-flight writes may vanish; acknowledged ones must not);
+* the fault campaign's soak (:mod:`repro.fault.campaign`) is a drive
+  with no power loss scheduled;
+* a crash run (:meth:`CrashConsistencyHarness.run_once`) schedules one
+  loss, then "reboots" the device — RAM wiring is dropped, a new driver
+  rebuilds its mapping from spare-area tags, a new SW Leveler reloads
+  its BET from the dual-buffer store — and sends more traffic.
+
+:func:`check_invariants` is the one checker both use; it reads pages
+and writes none:
+
+* every acknowledged write reads back its exact payload (a write a
+  power loss interrupted was never acknowledged and may vanish);
 * the driver's RAM tables agree with the chip's page states
   (``assert_internal_consistency``);
-* the restored BET is self-consistent (``popcount(flags) == fcnt``);
-* the free pool and the retired-block set are disjoint, and the retired
-  set matches the chip's bad-block table;
-* retired blocks are never erased again by post-reboot traffic.
+* the BET is self-consistent (``popcount(flags) == fcnt``);
+* the retired-block set matches the chip's bad-block table and stays
+  out of the free pool.
 
-Sweeping the loss point across many operation ordinals
-(:meth:`CrashConsistencyHarness.sweep`) exercises crashes inside host
-writes, garbage collection, folds, and SWL-forced recycles alike — the
-fault-campaign acceptance gate of this repository.
+A crash run checks them after the reboot and again after the further
+traffic, which must also never erase a retired block.  Sweeping the loss
+point across many operation ordinals (:meth:`CrashConsistencyHarness.sweep`)
+is the fault campaign's crash phase.
 """
 
 from __future__ import annotations
@@ -108,6 +115,63 @@ class CrashSweepReport:
         }
 
 
+@dataclass
+class _Drive:
+    """What one :meth:`CrashConsistencyHarness.drive` left behind."""
+
+    stack: StorageStack
+    #: The BET images the SW Leveler persisted along the way.
+    store: BetStore = field(default_factory=BetStore)
+    #: Each written page's last acknowledged payload.
+    acked: dict[int, bytes] = field(default_factory=dict)
+    writes: int = 0                             #: host writes acknowledged
+    inflight: tuple[int, bytes] | None = None   #: the write a loss cut off
+    device_full: bool = False                   #: stopped at OutOfSpaceError
+
+
+def check_invariants(
+    stack: StorageStack, acked: dict[int, bytes], *, device_full: bool = False
+) -> list[str]:
+    """The invariants of a powered stack; reads pages, writes none.
+
+    ``acked`` maps each page to the payload it must read back.  After a
+    ``device_full`` stop the aborted operation leaves the driver's
+    bookkeeping legitimately degraded, so the table check is skipped;
+    acknowledged data must still read back.
+    """
+    layer, leveler = stack.layer, stack.leveler
+    violations = []
+    for lpn, payload in acked.items():
+        try:
+            got = layer.read(lpn)
+        except Exception as exc:  # noqa: BLE001 - any failure is a finding
+            violations.append(f"read of acked lpn {lpn} raised {exc!r}")
+            continue
+        if got != payload:
+            violations.append(f"acked lpn {lpn}: expected {payload!r}, got {got!r}")
+    if not device_full:
+        try:
+            layer.assert_internal_consistency()
+        except AssertionError as exc:
+            violations.append(f"internal consistency: {exc}")
+    if leveler is not None and leveler.supports_coordination:
+        bet = leveler.bet
+        if bet._flags.popcount() != bet.fcnt:
+            violations.append(
+                f"BET fcnt={bet.fcnt} disagrees with "
+                f"{bet._flags.popcount()} set flags"
+            )
+    if layer.retired_blocks != stack.flash.bad_blocks:
+        violations.append(
+            f"retired set {sorted(layer.retired_blocks)} != chip "
+            f"bad-block table {sorted(stack.flash.bad_blocks)}"
+        )
+    pooled = layer.allocator.free_blocks() & layer.retired_blocks
+    if pooled:
+        violations.append(f"retired blocks in the free pool: {sorted(pooled)}")
+    return violations
+
+
 class CrashConsistencyHarness:
     """Build, crash, reboot, and verify one storage configuration.
 
@@ -126,7 +190,7 @@ class CrashConsistencyHarness:
     seed:
         Master seed for the workload and the leveler.
     writes:
-        Host writes attempted per run (the loss usually fires earlier),
+        Host writes attempted per drive (a loss usually stops it earlier),
         drawn by :func:`hot_cold_lpns`.
     """
 
@@ -150,70 +214,79 @@ class CrashConsistencyHarness:
         self.writes = writes
 
     # ------------------------------------------------------------------
-    def run_once(self, loss_at: int) -> CrashVerdict:
-        """One crash/recovery cycle with power loss scheduled at ``loss_at``."""
-        plan = replace(self.plan, power_loss_at=(loss_at,))
-        injector = FaultInjector(plan)
+    def drive(self, loss_at: int | None = None) -> _Drive:
+        """Build a faulted stack and write the hot/cold stream to it.
+
+        Stops at device-full or at the power loss scheduled at chip
+        operation ``loss_at`` (none when ``None``), then cancels the loss
+        if it has not fired: whatever follows models a powered session.
+        """
+        plan = replace(
+            self.plan, power_loss_at=() if loss_at is None else (loss_at,)
+        )
         stack = build_stack(
             self.geometry,
             self.driver,
             self.swl,
             store_data=True,
             rng=make_rng(self.seed),
-            injector=injector,
+            injector=FaultInjector(plan),
         )
+        run = _Drive(stack)
         layer, leveler = stack.layer, stack.leveler
-        store = BetStore()
-        acked: dict[int, bytes] = {}
-        inflight: tuple[int, bytes] | None = None
-        crashed = False
-        device_full = False
         lpns = hot_cold_lpns(layer.num_logical_pages, self.writes, self.seed)
-        for count, lpn in enumerate(lpns, start=1):
-            payload = f"lpn={lpn} v={count - 1}".encode()
+        for version, lpn in enumerate(lpns):
+            payload = f"lpn={lpn} v={version}".encode()
             try:
                 layer.write(lpn, payload)
             except PowerLossError:
-                crashed = True
-                inflight = (lpn, payload)
+                run.inflight = (lpn, payload)
                 break
             except OutOfSpaceError:
-                # Grown-bad retirement ate the reserve: end of device life.
-                # Acknowledged data must survive; internal bookkeeping of
-                # the aborted operation is no longer held to account.
-                device_full = True
+                fault_log.warning(
+                    "drive stopped after %d writes: retirement consumed the "
+                    "over-provisioning reserve", version,
+                )
+                run.device_full = True
                 break
-            acked[lpn] = payload
+            run.acked[lpn] = payload
+            run.writes += 1
             # Only the BET-carrying SW Leveler persists state to the
             # media (dual-buffer BetStore); challenger mechanisms hold
             # RAM-only bookkeeping (persist is a no-op, restore False)
             # and reboot blank by design.
-            if leveler is not None and count % PERSIST_EVERY == 0:
-                leveler.persist(store)
+            if leveler is not None and run.writes % PERSIST_EVERY == 0:
+                leveler.persist(run.store)
+        stack.flash.injector.cancel_power_loss()
+        return run
 
+    def run_once(self, loss_at: int) -> CrashVerdict:
+        """One crash/recovery cycle with power loss scheduled at ``loss_at``."""
+        run = self.drive(loss_at)
+        stack, acked = run.stack, run.acked
         verdict = CrashVerdict(
-            loss_point=loss_at, crashed=crashed, writes_acked=len(acked)
+            loss_point=loss_at,
+            crashed=run.inflight is not None,
+            writes_acked=len(acked),
         )
-        # A loss point beyond the workload must not fire mid-verification:
-        # the checks model a later, fully powered session.
-        injector.cancel_power_loss()
-        if crashed:
+        if run.inflight is not None:
             stack, verdict.bet_restored, verdict.mappings_recovered = (
-                self._reboot(stack, store)
+                self._reboot(stack, run.store)
             )
-            layer, leveler = stack.layer, stack.leveler
-        if inflight is not None:
             # The write the crash interrupted was never acknowledged, so it
             # may legally be lost — or fully durable when the loss struck
             # after its program and invalidate (e.g. in the deferred GC).
             # If it persisted, it supersedes the last acked version.
-            lpn, payload = inflight
-            if layer.read(lpn) == payload:
+            lpn, payload = run.inflight
+            if stack.layer.read(lpn) == payload:
                 acked[lpn] = payload
-        self._check_invariants(
-            stack, layer, leveler, acked, verdict, device_full=device_full
+        verdict.violations = check_invariants(
+            stack, acked, device_full=run.device_full
         )
-        verdict.retired_blocks = len(layer.retired_blocks)
+        verdict.violations += self._more_traffic(
+            stack, acked, device_full=run.device_full
+        )
+        verdict.retired_blocks = len(stack.layer.retired_blocks)
         return verdict
 
     def _reboot(
@@ -243,53 +316,12 @@ class CrashConsistencyHarness:
         )
         return rebooted, restored, recovered
 
-    def _check_invariants(
-        self, stack, layer, leveler, acked, verdict, *, device_full: bool = False
-    ) -> None:
-        violations = verdict.violations
-
-        # 1. No acknowledged write may be lost or corrupted.
-        for lpn, payload in acked.items():
-            try:
-                got = layer.read(lpn)
-            except Exception as exc:  # noqa: BLE001 - any failure is a finding
-                violations.append(f"read of acked lpn {lpn} raised {exc!r}")
-                continue
-            if got != payload:
-                violations.append(
-                    f"acked lpn {lpn}: expected {payload!r}, got {got!r}"
-                )
-
-        # 2. Driver RAM tables vs chip page states.  An operation aborted
-        # by device-full (OutOfSpaceError) leaves the strict bookkeeping
-        # legitimately degraded; data readability above still holds.
-        if not device_full:
-            try:
-                layer.assert_internal_consistency()
-            except AssertionError as exc:
-                violations.append(f"internal consistency: {exc}")
-
-        # 3. Restored BET self-consistency (BET-carrying levelers only).
-        if leveler is not None and leveler.supports_coordination:
-            bet = leveler.bet
-            if bet._flags.popcount() != bet.fcnt:
-                violations.append(
-                    f"BET fcnt={bet.fcnt} disagrees with "
-                    f"{bet._flags.popcount()} set flags"
-                )
-
-        # 4. Retired set matches the chip's bad-block table; never pooled.
-        if layer.retired_blocks != stack.flash.bad_blocks:
-            violations.append(
-                f"retired set {sorted(layer.retired_blocks)} != chip "
-                f"bad-block table {sorted(stack.flash.bad_blocks)}"
-            )
-        pooled = layer.allocator.free_blocks() & layer.retired_blocks
-        if pooled:
-            violations.append(f"retired blocks in the free pool: {sorted(pooled)}")
-
-        # 5. Post-reboot traffic must leave retired blocks untouched and
-        #    keep acknowledged data readable.
+    def _more_traffic(
+        self, stack: StorageStack, acked: dict[int, bytes], *, device_full: bool
+    ) -> list[str]:
+        """Random writes after the checks: they must erase no retired block,
+        and the invariants must still hold after them."""
+        layer = stack.layer
         wear_before = {
             block: stack.mtd.erase_counts[block] for block in layer.retired_blocks
         }
@@ -301,17 +333,18 @@ class CrashConsistencyHarness:
             try:
                 layer.write(lpn, payload)
             except OutOfSpaceError:
-                break  # a heavily-faulted tiny chip may legitimately fill up
-            acked[lpn] = payload
-        for block, wear in wear_before.items():
-            if stack.mtd.erase_counts[block] != wear:
-                violations.append(
-                    f"retired block {block} was erased again after reboot"
-                )
-        for lpn, payload in acked.items():
-            if layer.read(lpn) != payload:
-                violations.append(f"post-reboot data loss on lpn {lpn}")
+                device_full = True  # a heavily-faulted tiny chip may fill up
                 break
+            acked[lpn] = payload
+        violations = [
+            f"retired block {block} was erased again after reboot"
+            for block, wear in wear_before.items()
+            if stack.mtd.erase_counts[block] != wear
+        ]
+        return violations + [
+            f"after more traffic: {violation}"
+            for violation in check_invariants(stack, acked, device_full=device_full)
+        ]
 
     # ------------------------------------------------------------------
     def sweep(self, loss_points) -> CrashSweepReport:

@@ -36,6 +36,12 @@ from repro.util.rng import make_rng, rng_state_from_json, rng_state_to_json
 if TYPE_CHECKING:
     from repro.obs.bus import BusLike
 
+#: Bit errors ECC corrects per page read; more force a re-read.
+ECC_CORRECTABLE_BITS = 8
+
+#: Re-reads attempted before a read error surfaces as uncorrectable.
+READ_RETRY_LIMIT = 3
+
 
 @dataclass
 class FaultStats:
@@ -114,12 +120,6 @@ class FaultInjector:
                 return True
         return False
 
-    def next_loss_point(self) -> int | None:
-        """The next scheduled power-loss ordinal, or ``None`` when spent."""
-        if self._loss_cursor < len(self._loss_schedule):
-            return self._loss_schedule[self._loss_cursor]
-        return None
-
     def cancel_power_loss(self) -> None:
         """Drop any unfired loss points (the crash harness verifies a
         device that stayed powered through its workload)."""
@@ -157,8 +157,7 @@ class FaultInjector:
 
         Raises :class:`PowerLossError` at a scheduled point and
         :class:`ProgramFaultError` when the block is (or becomes) grown
-        bad for programs; torn-page semantics on power loss are enacted
-        by the chip from :attr:`FaultPlan.torn_writes`.
+        bad for programs; the chip tears the page a power loss strikes.
         """
         if self._tick():
             raise self._power_loss()
@@ -182,9 +181,9 @@ class FaultInjector:
         """Read hook; returns the number of extra read attempts performed.
 
         Models the bounded-retry ECC path: each attempt draws a bit-error
-        count; at most ``ecc_correctable_bits`` errors are corrected
+        count; at most ``ECC_CORRECTABLE_BITS`` errors are corrected
         transparently, more forces a re-read.  Exhausting
-        ``read_retry_limit`` retries raises
+        ``READ_RETRY_LIMIT`` retries raises
         :class:`UncorrectableReadError`.
         """
         if self._tick():
@@ -197,10 +196,10 @@ class FaultInjector:
             errors = self._poisson(lam)
             if errors == 0:
                 return retries
-            if errors <= self.plan.ecc_correctable_bits:
+            if errors <= ECC_CORRECTABLE_BITS:
                 self.stats.read_errors_corrected += 1
                 return retries
-            if retries >= self.plan.read_retry_limit:
+            if retries >= READ_RETRY_LIMIT:
                 self.stats.reads_uncorrectable += 1
                 fault_log.debug("uncorrectable read on page (%d, %d) "
                                 "after %d retries", block, page, retries)

@@ -19,16 +19,15 @@ Failure modes
   every later program on it fails too (until it is retired).  The page
   involved holds garbage (invalid state).
 * **Read bit errors** — each page read draws a bit-error count from a
-  Poisson approximation of ``BER x page_bits``; counts at or below
-  ``ecc_correctable_bits`` are corrected transparently, larger counts
-  force a re-read, and ``read_retry_limit`` exhausted retries surface as
-  an uncorrectable read error.
+  Poisson approximation of ``BER x page_bits``; ECC corrects a few bits
+  transparently, more force a re-read, and a few exhausted retries
+  surface as an uncorrectable read error (the ECC strength and the retry
+  budget are the injector's constants).
 * **Power loss** — at scheduled operation ordinals (programs + erases +
   reads, counted chip-wide) the in-flight operation never takes effect
   and :class:`~repro.flash.errors.PowerLossError` unwinds the stack.
-  With ``torn_writes`` enabled, a program hit by power loss leaves its
-  page in the invalid state (a half-programmed page that fails ECC at
-  the next attach scan) instead of free.
+  A program hit by power loss leaves its page torn: in the invalid
+  state, a half-programmed page that fails ECC at the next attach scan.
 """
 
 from __future__ import annotations
@@ -64,17 +63,10 @@ class FaultPlan:
     # -- read errors ----------------------------------------------------
     #: Raw bit-error rate per read (errors per bit).
     read_ber: float = 0.0
-    #: Bits ECC corrects per page read; more forces a retry.
-    ecc_correctable_bits: int = 8
-    #: Re-reads attempted before the error surfaces as uncorrectable.
-    read_retry_limit: int = 3
 
     # -- power loss -----------------------------------------------------
     #: Chip-wide operation ordinals (1-based) at which power is lost.
     power_loss_at: tuple[int, ...] = field(default=())
-    #: Whether a program interrupted by power loss leaves a torn
-    #: (invalid) page rather than a free one.
-    torn_writes: bool = True
 
     def __post_init__(self) -> None:
         for name in ("erase_fail_prob", "program_fail_prob", "read_ber"):
@@ -84,14 +76,6 @@ class FaultPlan:
         if self.erase_weibull_shape is not None and self.erase_weibull_shape <= 0:
             raise ValueError(
                 f"erase_weibull_shape must be positive, got {self.erase_weibull_shape}"
-            )
-        if self.ecc_correctable_bits < 0:
-            raise ValueError(
-                f"ecc_correctable_bits must be >= 0, got {self.ecc_correctable_bits}"
-            )
-        if self.read_retry_limit < 0:
-            raise ValueError(
-                f"read_retry_limit must be >= 0, got {self.read_retry_limit}"
             )
         if any(point <= 0 for point in self.power_loss_at):
             raise ValueError("power_loss_at ordinals must be positive (1-based)")
@@ -120,15 +104,6 @@ class FaultPlan:
             self,
             seed=shard_seed,
             power_loss_at=self.power_loss_at if index == 0 else (),
-        )
-
-    def any_faults(self) -> bool:
-        """``True`` when this plan can inject at least one failure mode."""
-        return bool(
-            self.erase_fail_prob
-            or self.program_fail_prob
-            or self.read_ber
-            or self.power_loss_at
         )
 
     def erase_hazard(self, wear: int, endurance: int) -> float:

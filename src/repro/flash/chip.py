@@ -223,13 +223,12 @@ class NandFlash:
             try:
                 self._injector.on_program(block, page)
             except PowerLossError:
-                # A program interrupted by power loss may leave the page
+                # A program interrupted by power loss leaves the page
                 # half-programmed: unreadable garbage that fails ECC at
                 # the next attach scan — modelled as the invalid state
                 # with no spare tag.
-                if self._injector.plan.torn_writes:
-                    self._states[index] = PAGE_INVALID
-                    self._injector.note_torn_page()
+                self._states[index] = PAGE_INVALID
+                self._injector.note_torn_page()
                 raise
             except ProgramFaultError:
                 # Program failure: charge moved but verification failed.

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 from repro.core.leveler import WearLeveler
 from repro.flash.chip import PAGE_VALID
 from repro.flash.errors import FlashError, TransientEraseError, TranslationError
+from repro.flash.geometry import FlashGeometry
 from repro.flash.mtd import MtdDevice
 from repro.obs.bus import M_GC_END, M_GC_START, M_RECOVERY
 from repro.obs.events import GcEnd, GcStart, Recovery
@@ -49,6 +50,37 @@ ERASE_RETRY_LIMIT = 3
 #: driver needs some slack to garbage collect, so simulations reserve 5 %
 #: unless configured otherwise (documented per experiment in DESIGN.md).
 DEFAULT_OP_RATIO = 0.05
+
+
+def _gc_free_blocks(num_blocks: int) -> int:
+    """The Cleaner engages when free blocks drop to this count, the
+    paper's fixed GC_FREE_FRACTION of the chip.  At the paper's scale
+    0.2% of 4096 blocks is 8; small simulated chips floor at 2 so GC
+    always has one block of headroom to copy into."""
+    return max(2, round(GC_FREE_FRACTION * num_blocks))
+
+
+def logical_pages(
+    geometry: FlashGeometry, op_ratio: float = DEFAULT_OP_RATIO
+) -> int:
+    """Logical pages a driver exports from one chip of ``geometry``.
+
+    The chip minus its reserved blocks: at least ``op_ratio`` of them, but
+    never fewer than the GC trigger level plus three (two write frontiers
+    and one block of copy headroom), the minimum for the Cleaner to always
+    make progress.  On the paper's 4,096-block chip the 5 % ratio
+    dominates; the floor only matters for the tiny chips of unit tests.
+    """
+    if not 0.0 < op_ratio < 1.0:
+        raise ValueError(f"op_ratio must be in (0, 1), got {op_ratio}")
+    blocks = geometry.num_blocks
+    reserve = max(_gc_free_blocks(blocks) + 3, math.ceil(op_ratio * blocks))
+    if reserve >= blocks:
+        raise ValueError(
+            f"{geometry.name}: {blocks} blocks leave "
+            f"no logical space after reserving {reserve}"
+        )
+    return (blocks - reserve) * geometry.pages_per_block
 
 
 class _NoBracket:
@@ -177,17 +209,12 @@ class TranslationLayer(ABC):
         op_ratio: float = DEFAULT_OP_RATIO,
         alloc_policy: str = "lifo",
     ) -> None:
-        if not 0.0 < op_ratio < 1.0:
-            raise ValueError(f"op_ratio must be in (0, 1), got {op_ratio}")
+        self._num_logical_pages = logical_pages(mtd.geometry, op_ratio)
         self.mtd = mtd
         self.geometry = mtd.geometry
         self.op_ratio = op_ratio
         self.alloc_policy = alloc_policy
-        # The Cleaner engages when free blocks drop to this count, the
-        # paper's fixed GC_FREE_FRACTION of the chip.  At the paper's
-        # scale 0.2% of 4096 blocks is 8; small simulated chips floor at
-        # 2 so GC always has one block of headroom to copy into.
-        self.gc_free_blocks = max(2, round(GC_FREE_FRACTION * self.geometry.num_blocks))
+        self.gc_free_blocks = _gc_free_blocks(self.geometry.num_blocks)
         #: Blocks withdrawn from service: grown bad under fault injection.
         self.retired_blocks: set[int] = set()
         #: Blocks condemned by a program/erase fault, awaiting retirement
@@ -306,29 +333,10 @@ class TranslationLayer(ABC):
             self._obs.emit(Recovery("condemn", block))
         return False
 
-    def _reserve_blocks(self) -> int:
-        """Physical blocks withheld from the logical space.
-
-        At least ``op_ratio`` of the chip, but never less than the GC
-        trigger level plus three blocks (two write frontiers and one block
-        of copy headroom) — the minimum for the Cleaner to always make
-        progress.  On the paper's 4,096-block chip the 5 % ratio dominates;
-        the floor only matters for the tiny chips used in unit tests.
-        """
-        floor = self.gc_free_blocks + 3
-        wanted = math.ceil(self.op_ratio * self.geometry.num_blocks)
-        reserve = max(floor, wanted)
-        if reserve >= self.geometry.num_blocks:
-            raise ValueError(
-                f"{self.geometry.name}: {self.geometry.num_blocks} blocks leave "
-                f"no logical space after reserving {reserve}"
-            )
-        return reserve
-
     # ------------------------------------------------------------------
     # Logical address space
     # ------------------------------------------------------------------
-    #: Logical pages exported to the host; set by each driver's constructor.
+    #: Logical pages exported to the host (:func:`logical_pages`).
     _num_logical_pages: int
     #: Free-block pool and Cleaner scan; set by each driver's constructor.
     allocator: "BlockAllocator"

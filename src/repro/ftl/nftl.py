@@ -106,8 +106,7 @@ class NFTL(TranslationLayer):
     ) -> None:
         super().__init__(mtd, op_ratio=op_ratio, alloc_policy=alloc_policy)
         geometry = self.geometry
-        self.num_vbas = geometry.num_blocks - self._reserve_blocks()
-        self._num_logical_pages = self.num_vbas * geometry.pages_per_block
+        self.num_vbas = self._num_logical_pages // geometry.pages_per_block
         self._chains: list[BlockChain | None] = [None] * self.num_vbas
         #: VBAs whose chain owns a replacement block: the only chains a
         #: Cleaner pass can merge.  Derived from the chains, not serialized.

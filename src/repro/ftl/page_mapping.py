@@ -58,9 +58,6 @@ class PageMappingFTL(TranslationLayer):
     ) -> None:
         super().__init__(mtd, op_ratio=op_ratio, alloc_policy=alloc_policy)
         geometry = self.geometry
-        self._num_logical_pages = (
-            geometry.num_blocks - self._reserve_blocks()
-        ) * geometry.pages_per_block
 
         # Address translation table (Figure 2(a)) and its inverse.
         self._l2p = [_UNMAPPED] * self._num_logical_pages

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 from repro.array.device import build_array
 from repro.core.policies import LevelerSpec
 from repro.flash.geometry import CellType, FlashGeometry
-from repro.ftl.base import DEFAULT_OP_RATIO
+from repro.ftl.base import DEFAULT_OP_RATIO, logical_pages
 from repro.ftl.factory import StorageBackend, build_stack
 from repro.service.arrival import poisson_arrivals, trace_paced
 from repro.service.engine import ServiceEngine
@@ -190,9 +190,11 @@ class ExperimentSpec:
 
 
 def logical_sectors_of(spec: ExperimentSpec) -> int:
-    """Sector count of the logical space a spec's backend will export."""
-    backend = spec.build()
-    return backend.num_logical_pages * backend.sectors_per_page
+    """Sector count of the logical space a spec's backend will export,
+    computed without building it: every channel exports one chip's
+    :func:`~repro.ftl.base.logical_pages`."""
+    pages = logical_pages(spec.geometry, spec.op_ratio)
+    return spec.channels * pages * spec.geometry.sectors_per_page
 
 
 def workload_params_for(

@@ -239,8 +239,9 @@ class TestParser:
         ["simulate", "--scale", "3"],
         ["simulate", "-T", "0", "--blocks", "24", "--scale", "100"],
         ["simulate", "--blocks", "0"],
+        ["faults", "--soak-writes", "0", "--blocks", "24", "--scale", "100"],
     ], ids=["rate-0", "heatmap-interval-0", "heatmap-interval-negative",
-            "scale-3", "threshold-0", "blocks-0"])
+            "scale-3", "threshold-0", "blocks-0", "soak-writes-0"])
     def test_out_of_range_value_is_a_usage_error(self, argv, tmp_path, capsys):
         # An explicit zero is a value, not "flag not given", and a value
         # the library rejects is reported on one line with exit status 2.

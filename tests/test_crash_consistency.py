@@ -117,6 +117,28 @@ class TestAcceptanceCampaign:
         assert result.unrecovered_faults == 1
         assert any("unrecovered" in v for v in result.soak_violations)
 
+    def test_soak_checks_the_retired_set(self, monkeypatch):
+        # A retirement that never reaches the chip's bad-block table: the
+        # soak runs the crash runs' checks, so it names the mismatch.
+        from repro.flash.mtd import MtdDevice
+
+        monkeypatch.setattr(MtdDevice, "mark_bad", lambda self, block: None)
+        result = run_fault_campaign(
+            scaled_mlc2_geometry(32, scale=5),
+            "ftl",
+            plan=ACCEPTANCE_PLAN,
+            seed=3,
+            soak_writes=400,
+            loss_points=2,
+        )
+        assert result.retired_blocks > 0
+        assert any(
+            violation.startswith("retired set [")
+            and violation.endswith("!= chip bad-block table []")
+            for violation in result.soak_violations
+        ), result.soak_violations
+        assert not result.ok
+
     def test_campaign_report_roundtrip(self):
         from repro.sim.reporting import fault_campaign_report
 

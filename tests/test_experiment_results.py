@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import SWLConfig
@@ -65,6 +67,43 @@ class TestSpec:
         sectors = logical_sectors_of(spec)
         stack = spec.build()
         assert sectors == stack.layer.num_logical_pages * 4
+
+    @pytest.mark.parametrize("blocks", [16, 64, 256])
+    @pytest.mark.parametrize("op_ratio", [0.05, 0.1, 0.25])
+    @pytest.mark.parametrize("channels", [1, 4])
+    @pytest.mark.parametrize("driver", ["ftl", "nftl"])
+    def test_logical_sectors_match_the_built_backend(
+        self, driver, channels, op_ratio, blocks
+    ):
+        spec = ExperimentSpec(
+            driver, scaled_mlc2_geometry(blocks, scale=100),
+            op_ratio=op_ratio, channels=channels,
+        )
+        backend = spec.build()
+        assert logical_sectors_of(spec) == (
+            backend.num_logical_pages * backend.sectors_per_page
+        )
+
+    def test_logical_sectors_build_no_stack(self, monkeypatch):
+        def refuse(self, **kwargs):
+            raise AssertionError("logical_sectors_of built a backend")
+
+        monkeypatch.setattr(ExperimentSpec, "build", refuse)
+        spec = ExperimentSpec("nftl", fast_geometry(), channels=4)
+        assert logical_sectors_of(spec) > 0
+        assert fast_params(spec).total_sectors == logical_sectors_of(spec)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [({"op_ratio": 1.0}, "op_ratio must be in"),
+         ({"geometry": scaled_mlc2_geometry(4, scale=100)}, "no logical space")],
+    )
+    def test_logical_sectors_reject_what_build_rejects(self, changes, message):
+        spec = replace(ExperimentSpec("ftl", fast_geometry()), **changes)
+        with pytest.raises(ValueError, match=message):
+            logical_sectors_of(spec)
+        with pytest.raises(ValueError, match=message):
+            spec.build()
 
     def test_workload_params_overrides(self):
         spec = ExperimentSpec("ftl", fast_geometry())

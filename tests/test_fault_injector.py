@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fault.injector import FaultInjector
+from repro.fault.injector import READ_RETRY_LIMIT, FaultInjector, FaultStats
 from repro.fault.plan import FaultPlan
-from repro.flash.chip import PAGE_FREE, PAGE_INVALID, PAGE_VALID, NandFlash
+from repro.flash.chip import PAGE_INVALID, PAGE_VALID, NandFlash
 from repro.flash.errors import (
     PowerLossError,
     ProgramFaultError,
@@ -17,7 +17,12 @@ from repro.flash.errors import (
 
 class TestFaultPlan:
     def test_default_plan_is_inert(self):
-        assert not FaultPlan().any_faults()
+        injector = FaultInjector(FaultPlan(), page_bits=4096, endurance=100)
+        for op in range(500):
+            injector.on_erase(op % 8, wear=op)
+            injector.on_program(op % 8, op % 4)
+            assert injector.on_read(op % 8, op % 4) == 0
+        assert injector.stats.as_dict() == {**FaultStats().as_dict(), "ops": 1500}
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -27,7 +32,7 @@ class TestFaultPlan:
             {"read_ber": 2.0},
             {"erase_weibull_shape": 0.0},
             {"power_loss_at": (0,)},
-            {"read_retry_limit": -1},
+            {"read_ber": -1e-9},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
@@ -96,7 +101,6 @@ class TestPowerLossScheduling:
         for _ in range(10):
             injector.on_read(0, 0)
         assert injector.stats.power_losses == 0
-        assert injector.next_loss_point() is None
 
 
 class TestReadPath:
@@ -106,12 +110,11 @@ class TestReadPath:
 
     def test_hopeless_ber_becomes_uncorrectable(self):
         # With BER 1.0 every bit is wrong; ECC can never keep up.
-        plan = FaultPlan(read_ber=1.0, ecc_correctable_bits=2, read_retry_limit=2)
-        injector = FaultInjector(plan, page_bits=4096)
+        injector = FaultInjector(FaultPlan(read_ber=1.0), page_bits=4096)
         with pytest.raises(UncorrectableReadError):
             injector.on_read(1, 2)
         assert injector.stats.reads_uncorrectable == 1
-        assert injector.stats.read_retries == plan.read_retry_limit
+        assert injector.stats.read_retries == READ_RETRY_LIMIT
 
 
 class TestChipIntegration:
@@ -146,12 +149,3 @@ class TestChipIntegration:
             chip.program(0, 0, lba=3, data=b"y")
         assert chip.page_state(0, 0) == PAGE_INVALID
         assert chip.injector.stats.torn_pages == 1
-
-    def test_power_loss_without_torn_writes_leaves_page_free(
-        self, small_geometry
-    ):
-        plan = FaultPlan(power_loss_at=(1,), torn_writes=False)
-        chip = self._chip(plan, small_geometry)
-        with pytest.raises(PowerLossError):
-            chip.program(0, 0, lba=3)
-        assert chip.page_state(0, 0) == PAGE_FREE

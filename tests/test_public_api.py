@@ -33,6 +33,7 @@ KEYWORD_SIGNATURES = (
     "repro.array.device:build_array",
     "repro.arena.tournament:run_arena",
     "repro.fault.campaign:run_fault_campaign",
+    "repro.fault.plan:FaultPlan",
     "repro.core.policies:LevelerSpec",
     "repro.traces.generator:WorkloadParams",
 )
@@ -257,6 +258,8 @@ class TestEveryModuleIsReached:
         "CLI's --telemetry",
         "build_array.fault_plan": "the fault-plan path (ROADMAP item 1), "
         "relayed by ExperimentSpec.build",
+        "FaultPlan.power_loss_at": "set through ``dataclasses.replace`` by "
+        "the crash harness's drive and by for_shard",
         "WorkloadParams.cold_write_period": "the trace/* goldens pin traces "
         "generated at other periods",
         "WorkloadParams.write_rate": "the paper's trace statistics (Section "
